@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-baseline build test test-race test-race-short race serve-smoke sweep-smoke telemetry-smoke sched-smoke particle-smoke bench-smoke bench-trace bench-mpi bench-fault bench-serve bench-telemetry bench-sched bench-particle bench-lint
+.PHONY: check vet lint lint-baseline build test test-race test-race-short race serve-smoke sweep-smoke telemetry-smoke sched-smoke particle-smoke bench-smoke bench bench-compare bench-trace bench-mpi bench-fault bench-serve bench-telemetry bench-sched bench-particle bench-lint
 
 check: vet lint build test race test-race-short serve-smoke sweep-smoke telemetry-smoke sched-smoke particle-smoke bench-smoke bench-fault bench-particle
 
@@ -83,6 +83,17 @@ particle-smoke:
 # longer compile or run, without the cost of a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun' -benchtime 1x ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildKDTree|BenchmarkKNearest|BenchmarkUnitExchange' -benchtime 1x ./internal/coupler/
+
+# The repository's host-time benchmark (bench/README.md): all four
+# workloads, results to .bench_out.json. About 2 min on a 2-core host.
+bench:
+	$(GO) run ./bench -workload all -out .bench_out.json
+
+# Judge two `make bench` outputs against the bounds the benchmark fixes:
+#   make bench-compare A=before.json B=after.json
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Re-measure the tracing overhead baseline recorded in BENCH_trace.json.
 bench-trace:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"cpx/internal/cluster"
 )
@@ -14,7 +15,7 @@ type Search int
 // Search strategies (Section V-B / [31]).
 const (
 	BruteForce   Search = iota // O(targets * donors) reference
-	Tree                       // k-d tree rebuilt per exchange
+	Tree                       // k-d tree over the donors
 	TreePrefetch               // k-d tree + donor cache warm-started from the previous exchange
 )
 
@@ -65,27 +66,58 @@ type Mapper struct {
 	LastHits, LastMisses int
 }
 
-// Map computes the donor mapping from donors to targets. Pure real
-// computation on the given (possibly scaled-down) point sets.
-func (m *Mapper) Map(targets, donors []Point2) *Mapping {
+// donorIndex is the search structure over one donor point set: the points
+// in donor-array order and what the strategy needs to search them. It is
+// immutable once built, so one index may serve any number of Mappers —
+// the CU ranks of a unit share theirs (unitIndices in sim.go).
+type donorIndex struct {
+	pts     []Point2
+	tree    *KDTree // nil for BruteForce
+	spacing float64 // mean donor spacing; TreePrefetch only
+}
+
+func newDonorIndex(donors []Point2, kind Search) *donorIndex {
 	if len(donors) == 0 {
 		panic("coupler: Map with no donor points")
 	}
+	ix := &donorIndex{pts: donors}
+	if kind != BruteForce {
+		ix.tree = BuildKDTree(donors)
+	}
+	if kind == TreePrefetch {
+		ix.spacing = meanSpacing(donors, ix.tree)
+	}
+	return ix
+}
+
+// Map computes the donor mapping from donors to targets. Pure real
+// computation on the given (possibly scaled-down) point sets.
+func (m *Mapper) Map(targets, donors []Point2) *Mapping {
+	return m.mapIndexed(targets, newDonorIndex(donors, m.Kind))
+}
+
+// mapIndexed is Map over a prebuilt index of the donors (built for
+// m.Kind). It only reads the index.
+func (m *Mapper) mapIndexed(targets []Point2, ix *donorIndex) *Mapping {
+	donors := ix.pts
+	// One backing array per field; target ti's stencil is a
+	// capacity-limited window of it.
 	out := &Mapping{
 		Donors:  make([][]int, len(targets)),
 		Weights: make([][]float64, len(targets)),
 	}
+	idxSlab := make([]int, 0, len(targets)*DonorsPerTarget)
+	wSlab := make([]float64, 0, len(targets)*DonorsPerTarget)
+	var cache [][]int
+	var cacheSlab []int
+	if m.Kind == TreePrefetch {
+		cache = make([][]int, len(targets))
+		cacheSlab = make([]int, 0, len(targets)*DonorsPerTarget)
+	}
 	m.LastHits, m.LastMisses = 0, 0
-	var tree *KDTree
-	if m.Kind != BruteForce {
-		tree = BuildKDTree(donors)
-	}
 	// Acceptance radius for cached donors: twice the mean donor spacing.
-	var accept2 float64
-	if m.Kind == TreePrefetch && m.cache != nil {
-		spacing := meanSpacing(donors)
-		accept2 = 4 * spacing * spacing
-	}
+	accept2 := 4 * ix.spacing * ix.spacing
+	var buf [DonorsPerTarget]neighbour
 	for ti, q := range targets {
 		var nbrs []neighbour
 		switch {
@@ -104,78 +136,93 @@ func (m *Mapper) Map(targets, donors []Point2) *Mapping {
 			}
 			if bestD <= accept2 {
 				m.LastHits++
-				nbrs = make([]neighbour, 0, len(cand))
+				nbrs = buf[:0]
 				for _, di := range cand {
 					if di < len(donors) {
-						nbrs = append(nbrs, neighbour{donors[di], sqDist(donors[di], q)})
+						nbrs = append(nbrs, neighbour{donors[di], sqDist(donors[di], q), di})
 					}
 				}
 			} else {
 				m.LastMisses++
-				nbrs = tree.KNearest(q, DonorsPerTarget)
+				nbrs = ix.tree.nearestInto(q, buf[:])
 			}
 		default:
-			nbrs = tree.KNearest(q, DonorsPerTarget)
+			nbrs = ix.tree.nearestInto(q, buf[:])
 		}
-		idx := make([]int, len(nbrs))
-		w := make([]float64, len(nbrs))
+		lo, hi := len(idxSlab), len(idxSlab)+len(nbrs)
 		wSum := 0.0
-		for i, nb := range nbrs {
-			idx[i] = nb.pt.Idx
-			w[i] = 1.0 / (math.Sqrt(nb.dist) + 1e-12)
-			wSum += w[i]
+		for _, nb := range nbrs {
+			w := 1.0 / (math.Sqrt(nb.dist) + 1e-12)
+			idxSlab = append(idxSlab, nb.pt.Idx)
+			wSlab = append(wSlab, w)
+			wSum += w
 		}
-		for i := range w {
-			w[i] /= wSum
+		out.Donors[ti] = idxSlab[lo:hi:hi]
+		out.Weights[ti] = wSlab[lo:hi:hi]
+		for i := range out.Weights[ti] {
+			out.Weights[ti][i] /= wSum
 		}
-		out.Donors[ti] = idx
-		out.Weights[ti] = w
-	}
-	// Refresh the cache with positions in the donor array (not original
-	// indices): donor arrays keep a stable order between exchanges.
-	if m.Kind == TreePrefetch {
-		m.cache = make([][]int, len(targets))
-		pos := make(map[int]int, len(donors))
-		for i, d := range donors {
-			pos[d.Idx] = i
-		}
-		for ti, idx := range out.Donors {
-			c := make([]int, len(idx))
-			for i, id := range idx {
-				c[i] = pos[id]
+		// The cache holds positions in the donor array (not original
+		// indices): donor arrays keep a stable order between exchanges.
+		if cache != nil {
+			for _, nb := range nbrs {
+				cacheSlab = append(cacheSlab, nb.pos)
 			}
-			m.cache[ti] = c
+			cache[ti] = cacheSlab[lo:hi:hi]
 		}
+	}
+	if cache != nil {
+		m.cache = cache
 	}
 	return out
 }
 
 // meanSpacing estimates the mean nearest-neighbour spacing of a point set
-// from a sample.
-func meanSpacing(pts []Point2) float64 {
-	if len(pts) < 2 {
+// from a sample, searching the tree built over it.
+func meanSpacing(pts []Point2, tree *KDTree) float64 {
+	n := len(pts)
+	if n < 2 {
 		return 1
 	}
-	tree := BuildKDTree(pts)
-	n := len(pts)
 	step := n / 16
 	if step == 0 {
 		step = 1
 	}
 	sum, cnt := 0.0, 0
+	var buf [2]neighbour
 	for i := 0; i < n; i += step {
-		nb := tree.KNearest(pts[i], 2) // nearest excluding self
-		d := nb[len(nb)-1].dist
-		sum += math.Sqrt(d)
+		nb := tree.nearestInto(pts[i], buf[:]) // nearest excluding self
+		sum += math.Sqrt(nb[len(nb)-1].dist)
 		cnt++
 	}
 	return sum / float64(cnt)
 }
 
+// bruteKNearest is the reference O(n) search used by the brute-force CU
+// mode and by tests.
+func bruteKNearest(pts []Point2, q Point2, k int) []neighbour {
+	if k > len(pts) {
+		k = len(pts)
+	}
+	all := make([]neighbour, len(pts))
+	for i, p := range pts {
+		all[i] = neighbour{p, sqDist(p, q), i}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].dist != all[b].dist {
+			return all[a].dist < all[b].dist
+		}
+		return all[a].pt.Idx < all[b].pt.Idx
+	})
+	return all[:k]
+}
+
 // MapWork returns the roofline work of one mapping at the true interface
 // sizes, for the strategy used, using the hit rate observed on the
 // simulated points. rebuild reports whether the tree had to be (re)built
-// (always for sliding planes; once for steady state).
+// (always for sliding planes; once for steady state). It is what one rank
+// doing the whole search itself would pay, and every CU rank is charged
+// it whether or not the host shared the index among them.
 func (m *Mapper) MapWork(trueTargets, trueDonors float64, rebuild bool) cluster.Work {
 	var w cluster.Work
 	logD := math.Log2(math.Max(trueDonors, 2))

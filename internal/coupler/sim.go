@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"cpx/internal/fault"
 	"cpx/internal/fem"
@@ -314,6 +315,9 @@ type Report struct {
 	// rank→instance/unit attribution. Present on failed runs too, so
 	// partial artifacts keep their progress series.
 	Metrics *telemetry.RunSeries
+	// indexBuilds counts, per unit, the donor indices the run built on
+	// the host (what the sharing tests assert on).
+	indexBuilds []indexBuilds
 }
 
 // DominantComponent returns the instance/unit carrying the largest share
@@ -395,8 +399,12 @@ func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {
 	markClocks := make([]float64, sim.TotalRanks())
 	digests := make([]uint64, sim.TotalRanks())
 	loads := make([]particle.RankLoad, sim.TotalRanks())
+	indices := make([]*unitIndices, len(sim.Units))
+	for u := range sim.Units {
+		indices[u] = sim.newUnitIndices(u)
+	}
 	stats, err := mpi.Run(sim.TotalRanks(), cfg, func(c *mpi.Comm) error {
-		return sim.rankMain(c, setupClocks, markClocks, digests, loads, rc)
+		return sim.rankMain(c, setupClocks, markClocks, digests, loads, indices, rc)
 	})
 	if err != nil {
 		if stats != nil {
@@ -422,6 +430,10 @@ func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {
 		DensitySteps:  sim.DensitySteps,
 		RankDigests:   digests,
 		ParticleLoads: make([]*particle.LoadReport, len(sim.Instances)),
+		indexBuilds:   make([]indexBuilds, len(sim.Units)),
+	}
+	for u, ui := range indices {
+		rep.indexBuilds[u] = ui.builds
 	}
 	for i, spec := range sim.Instances {
 		if spec.Kind != KindParticle {
@@ -502,10 +514,10 @@ func (sim *Simulation) simPoints(us UnitSpec) int {
 }
 
 // rankMain is the per-rank program of the coupled run.
-func (sim *Simulation) rankMain(c *mpi.Comm, setupClocks, markClocks []float64, digests []uint64, loads []particle.RankLoad, rc *resilientCtx) error {
+func (sim *Simulation) rankMain(c *mpi.Comm, setupClocks, markClocks []float64, digests []uint64, loads []particle.RankLoad, indices []*unitIndices, rc *resilientCtx) error {
 	r := sim.roleOf(c.Rank())
 	if r.isUnit {
-		return sim.unitMain(c, r, setupClocks, digests, rc)
+		return sim.unitMain(c, r, setupClocks, digests, indices[r.index], rc)
 	}
 	return sim.instanceMain(c, r, setupClocks, markClocks, digests, loads, rc)
 }
@@ -750,10 +762,102 @@ func sliceOf(n, nb, i int) int {
 	return (i+1)*n/nb - i*n/nb
 }
 
+// unitIndices is the donor-search state of one coupling unit for one run,
+// shared by the unit's CU ranks. Every CU rank searches the same two
+// point sets, so the geometry and the indices over it are a pure function
+// of (unit, exchange step): they are computed once on the host and read
+// by all ranks, while each rank is still charged its own MapWork in
+// virtual time. The value is private to one run call, so a RunResilient
+// replay starts from a fresh one.
+type unitIndices struct {
+	ptsA, ptsB []Point2
+	// Static indices: side B never moves; side A unrotated serves the
+	// setup mapping and steady-state units.
+	idxA, idxB *donorIndex
+
+	us       UnitSpec
+	rotation float64 // sliding-plane rotation per density step
+
+	mu      sync.Mutex
+	rotated map[int]*rotatedIndex // live side-A indices by density step
+	builds  indexBuilds
+}
+
+// rotatedIndex is side A after one exchange's rotation, built by the
+// first CU rank to ask for it and dropped when the last has released it.
+type rotatedIndex struct {
+	once sync.Once
+	idx  *donorIndex
+	left int // CU ranks yet to release
+}
+
+// indexBuilds counts the rotated side-A indices one unit built during a
+// run; the static indices are built exactly once, in newUnitIndices.
+type indexBuilds struct {
+	rotated  int // one per sliding-plane exchange
+	peakLive int // most alive at once
+}
+
+func (sim *Simulation) newUnitIndices(u int) *unitIndices {
+	us := sim.Units[u]
+	simPts := sim.simPoints(us)
+	// Interface geometry: both sides jittered annuli (distinct seeds).
+	ptsA := AnnulusPoints(simPts, int64(u)*2+1)
+	ptsB := AnnulusPoints(simPts, int64(u)*2+2)
+	return &unitIndices{
+		ptsA: ptsA, ptsB: ptsB,
+		idxA:     newDonorIndex(ptsA, us.Search),
+		idxB:     newDonorIndex(ptsB, us.Search),
+		us:       us,
+		rotation: sim.RotationPerStep,
+		rotated:  make(map[int]*rotatedIndex),
+	}
+}
+
+// donorsA returns side A's index for the exchange that ends density step
+// d: rotated to that step on a sliding plane, static otherwise. Each CU
+// rank pairs it with one release(d).
+func (ui *unitIndices) donorsA(d int) *donorIndex {
+	if ui.us.Kind != SlidingPlane {
+		return ui.idxA
+	}
+	ui.mu.Lock()
+	e := ui.rotated[d]
+	if e == nil {
+		e = &rotatedIndex{left: ui.us.Ranks}
+		ui.rotated[d] = e
+		ui.builds.rotated++
+		if n := len(ui.rotated); n > ui.builds.peakLive {
+			ui.builds.peakLive = n
+		}
+	}
+	ui.mu.Unlock()
+	// Built outside the lock: ranks at another step need not wait.
+	e.once.Do(func() {
+		e.idx = newDonorIndex(Rotate(ui.ptsA, ui.rotation*float64(d+1)), ui.us.Search)
+	})
+	return e.idx
+}
+
+// release tells the unit this CU rank has finished with donorsA(d); the
+// last of the unit's ranks to do so frees the index.
+func (ui *unitIndices) release(d int) {
+	if ui.us.Kind != SlidingPlane {
+		return
+	}
+	ui.mu.Lock()
+	if e := ui.rotated[d]; e != nil {
+		if e.left--; e.left == 0 {
+			delete(ui.rotated, d)
+		}
+	}
+	ui.mu.Unlock()
+}
+
 // unitMain runs one coupling-unit rank: per exchange event, gather both
 // sides' interface data, compute/refresh the mapping, interpolate, and
 // return results.
-func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, digests []uint64, rc *resilientCtx) error {
+func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, digests []uint64, ui *unitIndices, rc *resilientCtx) error {
 	us := sim.Units[r.index]
 
 	simPts := sim.simPoints(us)
@@ -762,9 +866,7 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 	cuLo, cuHi := sim.groupRanks(true, r.index)
 	cuRanks := cuHi - cuLo
 
-	// Interface geometry: both sides jittered annuli (distinct seeds).
-	ptsA := AnnulusPoints(simPts, int64(r.index)*2+1)
-	ptsB := AnnulusPoints(simPts, int64(r.index)*2+2)
+	ptsA, ptsB := ui.ptsA, ui.ptsB
 	mapAB := &Mapper{Kind: us.Search} // donors A -> targets B
 	mapBA := &Mapper{Kind: us.Search} // donors B -> targets A
 	every := us.exchangeEvery()
@@ -779,9 +881,9 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 	// mapping during setup so the expensive cold search (all prefetch
 	// misses, full tree build) is off the stepping critical path.
 	if us.Search == TreePrefetch {
-		mapAB.Map(ptsB[tLoB:tHiB], ptsA)
+		mapAB.mapIndexed(ptsB[tLoB:tHiB], ui.idxA)
 		world.Compute(mapAB.MapWork(float64(tHiB-tLoB)*scalePts, float64(us.effectivePoints()), true))
-		mapBA.Map(ptsA[tLoA:tHiA], ptsB)
+		mapBA.mapIndexed(ptsA[tLoA:tHiA], ui.idxB)
 		world.Compute(mapBA.MapWork(float64(tHiA-tLoA)*scalePts, float64(us.effectivePoints()), true))
 	}
 	setupClocks[world.Rank()] = world.Clock()
@@ -823,17 +925,16 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 
 		// Sliding planes rotate side A each exchange; the mapping must be
 		// recomputed. Steady state maps once.
-		donorsA := ptsA
-		if us.Kind == SlidingPlane {
-			donorsA = Rotate(ptsA, sim.RotationPerStep*float64(d+1))
-		}
 		rebuild := us.Kind == SlidingPlane || firstMapping
 		if rebuild {
-			mAB := mapAB.Map(ptsB[tLoB:tHiB], donorsA)
+			// Host work on the shared indices first, then this rank's
+			// own virtual charges for it.
+			donorsA := ui.donorsA(d)
+			mapAB.last = mapAB.mapIndexed(ptsB[tLoB:tHiB], donorsA)
+			mapBA.last = mapBA.mapIndexed(donorsA.pts[tLoA:tHiA], ui.idxB)
+			ui.release(d)
 			world.Compute(mapAB.MapWork(float64(tHiB-tLoB)*scalePts, float64(us.effectivePoints()), true))
-			mBA := mapBA.Map(donorsA[tLoA:tHiA], ptsB)
 			world.Compute(mapBA.MapWork(float64(tHiA-tLoA)*scalePts, float64(us.effectivePoints()), true))
-			mapAB.last, mapBA.last = mAB, mBA
 			firstMapping = false
 		}
 		// Interpolate and return.

@@ -7,6 +7,7 @@ import (
 	"cpx/internal/coupler"
 	"cpx/internal/mesh"
 	"cpx/internal/mgcfd"
+	"cpx/internal/order"
 	"cpx/internal/perfmodel"
 	"cpx/internal/simpic"
 )
@@ -268,8 +269,8 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 	}
 	o.logf("engine(optimized=%v): fitting curves", optimized)
 	curves := map[int64]*perfmodel.Curve{}
-	for sz, list := range mgCores {
-		c, err := o.fitMGCFD(sz, fullSteps, list)
+	for _, sz := range order.SortedKeys(mgCores) {
+		c, err := o.fitMGCFD(sz, fullSteps, mgCores[sz])
 		if err != nil {
 			return nil, err
 		}

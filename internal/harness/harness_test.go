@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -242,5 +244,58 @@ func TestEngineQuickEndToEnd(t *testing.T) {
 	}
 	if res.Rep.CouplingShare < 0 || res.Rep.CouplingShare > 1 {
 		t.Errorf("coupling share %v", res.Rep.CouplingShare)
+	}
+}
+
+// captureStdout returns what fn printed to os.Stdout, where Verbose
+// progress goes.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r) // a short read shows up as a log mismatch
+		out <- string(b)
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return <-out
+}
+
+// TestEngineProgressOrderIsDeterministic: the -v progress log of two
+// identical RunEngine calls is the same line for line, with the MG-CFD
+// curves fitted in ascending mesh size (they were once fitted in map
+// order, so the log differed from run to run).
+func TestEngineProgressOrderIsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled smoke run")
+	}
+	o := quick()
+	o.Verbose = true
+	run := func() string {
+		return captureStdout(t, func() {
+			if _, err := o.RunEngine(false, 400); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Errorf("progress logs differ between identical runs:\n--- first\n%s--- second\n%s", first, second)
+	}
+	var fits []string
+	for _, line := range strings.Split(first, "\n") {
+		if at, ok := strings.CutPrefix(line, "  fit mgcfd 0M @ "); ok {
+			fits = append(fits, at)
+		}
+	}
+	if got, want := strings.Join(fits, " "), "2 4 8 2 4 8 4 8 16 4 8 16"; got != want {
+		t.Errorf("MG-CFD fit order %q, want ascending mesh size %q", got, want)
 	}
 }

@@ -1187,6 +1187,12 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 		}
 	}
 
+	// Installed before the watchdog and cancel watchers start: their
+	// abort path (setAborted) reads w.ev.
+	if cfg.EventDriven {
+		w.ev = newEventLoop(w, size)
+	}
+
 	watchdog := cfg.Watchdog
 	if watchdog == 0 {
 		watchdog = 120 * time.Second
@@ -1222,8 +1228,7 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 	}
 
 	errs := make([]error, size)
-	if cfg.EventDriven {
-		w.ev = newEventLoop(w, size)
+	if w.ev != nil {
 		w.ev.run(fn, errs)
 	} else {
 		var wg sync.WaitGroup
