@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-baseline build test test-race test-race-short race serve-smoke sweep-smoke telemetry-smoke sched-smoke particle-smoke bench-smoke bench bench-compare bench-trace bench-mpi bench-fault bench-serve bench-telemetry bench-sched bench-particle bench-lint
+.PHONY: check vet lint lint-baseline build test test-race test-race-short race serve-smoke sweep-smoke telemetry-smoke particle-smoke bench-smoke bench bench-compare bench-trace bench-mpi bench-fault bench-serve bench-telemetry bench-particle bench-lint
 
-check: vet lint build test race test-race-short serve-smoke sweep-smoke telemetry-smoke sched-smoke particle-smoke bench-smoke bench-fault bench-particle
+check: vet lint build test race test-race-short serve-smoke sweep-smoke telemetry-smoke particle-smoke bench-smoke bench-fault bench-particle
 
 vet:
 	$(GO) vet ./...
@@ -68,14 +68,8 @@ sweep-smoke:
 telemetry-smoke:
 	$(GO) run ./cmd/cpxserve -smoke -log json -v
 
-# A tiny coupled run on the event-driven executor (Config.EventDriven):
-# end-to-end coverage of the coroutine runtime through the real CLI.
-sched-smoke:
-	$(GO) run ./cmd/cpxsim -demo -sched event
-
 # Quick pass of the particle-scaling experiment: all three MiniCombust
-# suites x all three balancing strategies through the real CLI, with
-# virtual-time identity asserted across both executors on every row.
+# suites x all three balancing strategies through the real CLI.
 particle-smoke:
 	$(GO) run ./cmd/cpxbench -exp particle-scaling -quick
 
@@ -112,12 +106,6 @@ bench-fault:
 # BENCH_telemetry.json (metrics on vs off at 8/64/512 ranks).
 bench-telemetry:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMetrics' -benchmem -count 5 ./internal/mpi/
-
-# Re-measure the executor comparison recorded in BENCH_sched.json
-# (goroutine-per-rank vs the event-driven loop at 8-4096 ranks);
-# `cpxbench -exp sched-scaling` prints the same comparison as a table.
-bench-sched:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunSched' -benchmem -benchtime 30x -count 5 ./internal/mpi/
 
 # Re-measure the serving baselines recorded in BENCH_serve.json (cached
 # vs uncached request path, plus the 1024-concurrent sweep vs pointwise

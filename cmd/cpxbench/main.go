@@ -8,8 +8,7 @@
 //	cpxbench -exp fig8 -quick -v  # fast smoke geometry with progress
 //
 // Experiments: fig3 fig4ab fig4c fig5a fig5b fig6a fig6bc fig8 fig9
-// sensitivity overlap amg search resilience sched-scaling
-// particle-scaling all.
+// sensitivity overlap amg search resilience particle-scaling all.
 package main
 
 import (
@@ -21,22 +20,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig3, fig4ab, fig4c, fig5a, fig5b, fig6a, fig6bc, fig8, fig9, sensitivity, overlap, amg, search, resilience, sched-scaling, particle-scaling, all)")
+	exp := flag.String("exp", "all", "experiment id (fig3, fig4ab, fig4c, fig5a, fig5b, fig6a, fig6bc, fig8, fig9, sensitivity, overlap, amg, search, resilience, particle-scaling, all)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	verbose := flag.Bool("v", false, "print progress")
-	fastcoll := flag.Bool("fastcoll", false, "use analytic collectives (bitwise-identical virtual time, faster host runs)")
-	sched := flag.String("sched", "goroutine", "rank executor: goroutine or event (bitwise-identical virtual time; sched-scaling compares both regardless)")
 	flag.Parse()
 
-	if *sched != "goroutine" && *sched != "event" {
-		fmt.Fprintf(os.Stderr, "cpxbench: -sched must be goroutine or event, got %q\n", *sched)
-		os.Exit(2)
-	}
 	o := harness.DefaultOptions()
 	o.Quick = *quick
 	o.Verbose = *verbose
-	o.FastCollectives = *fastcoll
-	o.EventDriven = *sched == "event"
 
 	single := map[string]func() (*harness.Table, error){
 		"fig3":             o.Fig3,
@@ -52,10 +43,9 @@ func main() {
 		"amg":              o.AMGAblation,
 		"search":           o.SearchAblation,
 		"resilience":       o.Resilience,
-		"sched-scaling":    o.SchedScaling,
 		"particle-scaling": o.ParticleScaling,
 	}
-	order := []string{"fig3", "fig4ab", "fig4c", "fig5a", "fig5b", "fig6a", "fig6bc", "fig8", "fig9", "sensitivity", "overlap", "amg", "search", "resilience", "sched-scaling", "particle-scaling"}
+	order := []string{"fig3", "fig4ab", "fig4c", "fig5a", "fig5b", "fig6a", "fig6bc", "fig8", "fig9", "sensitivity", "overlap", "amg", "search", "resilience", "particle-scaling"}
 
 	run := func(id string) {
 		if id == "fig9" {

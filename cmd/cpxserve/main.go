@@ -19,7 +19,7 @@
 //	POST /v1/fit              {"samples": [{"cores": 100, "runtime": 30}, ...]}
 //	POST /v1/allocate         {"budget": 40000, "components": [...]}
 //	POST /v1/speedup          {"budget": 40000, "base": [...], "optimized": [...]}
-//	POST /v1/simulate         a cpxsim scenario (+ "seedOffset", "fastColl")
+//	POST /v1/simulate         a cpxsim scenario (+ "seedOffset")
 //	POST /v1/sweep            a scenario template + parameter ranges,
 //	                          expanded server-side, streamed as NDJSON
 //

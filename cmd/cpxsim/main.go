@@ -6,8 +6,6 @@
 //	cpxsim -config engine.json
 //	cpxsim -demo            # run a built-in three-component demo
 //	cpxsim -demo -critpath -trace trace.json -commmatrix comm.csv -json summary.json
-//	cpxsim -config engine.json -fastcoll   # analytic collectives, same virtual times
-//	cpxsim -demo -sched event              # single-threaded discrete-event executor
 //	cpxsim -demo -faults 0.05 -ckpt 2      # inject crashes (MTBF 50ms), checkpoint every 2 steps
 //	cpxsim -demo -metrics series.csv       # sample virtual-time metrics (.csv → CSV, else JSON)
 //
@@ -89,8 +87,6 @@ func main() {
 	commPath := flag.String("commmatrix", "", "write the rank×rank comm matrix CSV to FILE")
 	jsonPath := flag.String("json", "", "write a JSON run summary to FILE")
 	critPath := flag.Bool("critpath", false, "print the critical-path breakdown per component")
-	fastcoll := flag.Bool("fastcoll", false, "use analytic collectives (bitwise-identical virtual time, faster host runs; ignored when tracing)")
-	sched := flag.String("sched", "goroutine", "rank executor: goroutine (one goroutine per rank) or event (single-threaded discrete-event loop; bitwise-identical virtual time)")
 	seed := flag.Int64("seed", 0, "offset instance setup seeds and seed the fault plan")
 	faults := flag.Float64("faults", 0, "inject rank crashes with this MTBF in virtual seconds (0 disables)")
 	ckpt := flag.Int("ckpt", 0, "coordinated-checkpoint interval in density steps (0 disables)")
@@ -126,12 +122,7 @@ func main() {
 	traced := *tracePath != "" || *commPath != "" || *jsonPath != "" || *critPath
 	fmt.Printf("running coupled simulation: %d instances, %d coupling units, %d ranks total\n",
 		len(sim.Instances), len(sim.Units), sim.TotalRanks())
-	if *sched != "goroutine" && *sched != "event" {
-		fmt.Fprintf(os.Stderr, "cpxsim: -sched must be goroutine or event, got %q\n", *sched)
-		os.Exit(2)
-	}
-	cfg := mpi.Config{Machine: cluster.ARCHER2(), Trace: traced, FastCollectives: *fastcoll,
-		EventDriven: *sched == "event"}
+	cfg := mpi.Config{Machine: cluster.ARCHER2(), Trace: traced}
 	if *metricsPath != "" {
 		cfg.Metrics = &telemetry.Config{Interval: *metricsInterval}
 	}

@@ -22,7 +22,7 @@ import (
 //     collectives and mismatch);
 //   - cyclic waits-for patterns between rank-pinned branches — each
 //     rank blocking in a Recv from the other before its first send to
-//     it — which the event executor only catches at runtime as a
+//     it — which the runtime only catches when its watchdog expires, as a
 //     deadlock; the diagnostic names both endpoints.
 //
 // Diagnostics report at the send (or branch) site and embed the other
@@ -609,6 +609,6 @@ func checkWaitCycles(pass *Pass, ops []*commOp) {
 			val, comm, e.recv.method, e.recv.peer.val, pass.at(e.recv.pos)))
 	}
 	pass.Reportf(cycle[0].recv.pos,
-		"cyclic waits-for between rank-pinned branches — guaranteed deadlock the event executor would only catch at runtime: %s",
+		"cyclic waits-for between rank-pinned branches — guaranteed deadlock the watchdog would only catch at runtime: %s",
 		strings.Join(legs, "; "))
 }

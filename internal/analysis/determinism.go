@@ -4,44 +4,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Determinism enforces the virtual-time reproducibility contract inside
 // the simulation-critical packages: simulated code must never read the
 // host clock, never draw from the process-global math/rand state, and
 // never let Go's randomised map iteration order leak into results.
-//
-// Files carrying a //lint:eventdriven pragma comment are additionally
-// held to the event-executor hot-path contract: they run on the
-// single-threaded event loop, whose ordering guarantees rest on there
-// being no concurrency inside it, so goroutine spawns, channel traffic
-// and sync-package locking are flagged (sync/atomic is exempt — the
-// abort flag is the one sanctioned cross-thread signal).
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid host wall-clock reads, global math/rand and " +
-		"order-dependent map iteration in simulation-critical packages, " +
-		"and concurrency primitives in //lint:eventdriven hot-path files",
+		"order-dependent map iteration in simulation-critical packages",
 	SimCriticalOnly: true,
 	Run:             runDeterminism,
-}
-
-// eventDrivenPragma marks a file as event-executor hot-path code.
-const eventDrivenPragma = "lint:eventdriven"
-
-// isEventDrivenFile reports whether f carries the //lint:eventdriven
-// pragma (anywhere in the file, conventionally in the package doc).
-func isEventDrivenFile(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if strings.TrimSpace(text) == eventDrivenPragma {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // forbiddenTimeFuncs are the package-level time functions that observe or
@@ -63,72 +37,16 @@ var allowedRandFuncs = map[string]bool{
 
 func runDeterminism(pass *Pass) {
 	for _, f := range pass.Files {
-		hot := isEventDrivenFile(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkHostTimeAndRand(pass, n)
-				if hot {
-					checkEventDrivenCall(pass, n)
-				}
 			case *ast.RangeStmt:
 				checkMapRangeOrder(pass, n)
-			case *ast.GoStmt:
-				if hot {
-					pass.Reportf(n.Pos(),
-						"go statement in an event-driven hot-path file; ranks are coroutines on the loop thread — schedule work through the event heap instead of spawning goroutines")
-				}
-			case *ast.SendStmt:
-				if hot {
-					pass.Reportf(n.Pos(),
-						"channel send in an event-driven hot-path file; the event loop is single-threaded — wake ranks through the loop's queues, not channels")
-				}
-			case *ast.UnaryExpr:
-				if hot && n.Op == token.ARROW {
-					pass.Reportf(n.Pos(),
-						"channel receive in an event-driven hot-path file; the event loop is single-threaded — blocking operations must park via coroutine yield, not channels")
-				}
-			case *ast.SelectStmt:
-				if hot {
-					pass.Reportf(n.Pos(),
-						"select in an event-driven hot-path file; the event loop is single-threaded — multiplex wakeups through the event heap, not channels")
-				}
 			}
 			return true
 		})
 	}
-}
-
-// checkEventDrivenCall flags concurrency-primitive calls inside
-// //lint:eventdriven files: channel construction/teardown and
-// sync-package locking (sync/atomic stays exempt — the abort flag is the
-// sanctioned cross-thread signal).
-func checkEventDrivenCall(pass *Pass, call *ast.CallExpr) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
-			if (b.Name() == "make" || b.Name() == "close") && len(call.Args) > 0 {
-				if t := pass.typeOf(call.Args[0]); t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						pass.Reportf(call.Pos(),
-							"%s of a channel in an event-driven hot-path file; the event loop is single-threaded — use the loop's queues", b.Name())
-					}
-				}
-			}
-			return
-		}
-	}
-	fn := pass.calleeFunc(call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return
-	}
-	name := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if tn := namedTypeName(sig.Recv().Type()); tn != "" {
-			name = tn + "." + name
-		}
-	}
-	pass.Reportf(call.Pos(),
-		"sync.%s call in an event-driven hot-path file; the loop's hot path must stay lock-free (sync/atomic is exempt)", name)
 }
 
 func checkHostTimeAndRand(pass *Pass, call *ast.CallExpr) {

@@ -4,7 +4,7 @@ package commmatch
 
 // headToHead: rank 0 blocks receiving from rank 1 while rank 1 blocks
 // receiving from rank 0 — neither send is ever reached. The runtime's
-// event executor reports this as a deadlock only once it runs; the
+// watchdog reports this as a deadlock only once it runs; the
 // analyzer reports both endpoints statically. Each send's tag is
 // received by the peer branch, so only the cycle fires.
 func headToHead(c *Comm, data []float64) {

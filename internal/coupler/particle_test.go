@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cpx/internal/fault"
+	"cpx/internal/mpi"
 	"cpx/internal/particle"
 )
 
@@ -83,27 +84,25 @@ func TestCoupledParticleDefaultsDroplets(t *testing.T) {
 	}
 }
 
-// TestCoupledParticleExecutorsIdentical is the subsystem's coupled
+// TestCoupledParticleCollectivePathsIdentical is the subsystem's coupled
 // determinism gate: the full particle↔flow simulation must produce
-// bitwise-identical virtual clocks and state digests on the goroutine
-// and event-driven executors and under GOMAXPROCS=1, for every strategy.
-func TestCoupledParticleExecutorsIdentical(t *testing.T) {
+// bitwise-identical virtual clocks and state digests with collectives
+// replayed and as messages, and under GOMAXPROCS=1, for every strategy.
+func TestCoupledParticleCollectivePathsIdentical(t *testing.T) {
 	for _, st := range particle.Strategies() {
-		run := func(event bool) *Report {
-			cfg := runCfg()
-			cfg.EventDriven = event
+		run := func(cfg mpi.Config) *Report {
 			rep, err := particleSim(st).Run(cfg)
 			if err != nil {
 				t.Fatalf("%v: %v", st, err)
 			}
 			return rep
 		}
-		base := run(false)
-		event := run(true)
+		base := run(runCfg())
+		messages := run(messageLevel(runCfg()))
 		prev := runtime.GOMAXPROCS(1)
-		serial := run(false)
+		serial := run(runCfg())
 		runtime.GOMAXPROCS(prev)
-		for name, other := range map[string]*Report{"event": event, "serial": serial} {
+		for name, other := range map[string]*Report{"messages": messages, "serial": serial} {
 			if other.Elapsed != base.Elapsed {
 				t.Errorf("%v/%s: elapsed %v vs %v", st, name, other.Elapsed, base.Elapsed)
 			}

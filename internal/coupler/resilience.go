@@ -199,13 +199,11 @@ type ResilienceReport struct {
 // coordinated checkpoint/restart. On a rank failure it rolls the world
 // back to the last committed checkpoint, charges rework + detection +
 // restart to virtual time, drops the already-fired faults from the plan,
-// and replays. FastCollectives is forced off: both failure detection and
-// the checkpoint clock synchronisation need the real message path.
+// and replays.
 func (sim *Simulation) RunResilient(cfg mpi.Config, ro ResilienceOptions) (*ResilienceReport, error) {
 	if err := sim.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.FastCollectives = false
 	machine := cfg.Machine
 	if machine == nil {
 		machine = cluster.ARCHER2()

@@ -2,6 +2,7 @@ package coupler
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"cpx/internal/fault"
@@ -191,11 +192,11 @@ func TestMapperCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResilienceIdenticalAcrossExecutors: a full checkpoint/restart run
-// with an injected crash must produce identical failure reports, virtual
-// elapsed and bitwise-identical final physics state whether the ranks
-// run as goroutines or as coroutines on the discrete-event executor.
-func TestResilienceIdenticalAcrossExecutors(t *testing.T) {
+// TestResilienceIdenticalAcrossHostParallelism: a full checkpoint/restart
+// run with an injected crash must produce identical failure reports,
+// virtual elapsed and bitwise-identical final physics state whether the
+// rank goroutines share one host thread or run in parallel.
+func TestResilienceIdenticalAcrossHostParallelism(t *testing.T) {
 	base, err := resilienceSim().RunResilient(runCfg(), ResilienceOptions{CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -203,35 +204,35 @@ func TestResilienceIdenticalAcrossExecutors(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 2, At: 0.9 * base.Elapsed}}}
 	opts := ResilienceOptions{Plan: plan, CheckpointEvery: 2}
 
-	gor, err := resilienceSim().RunResilient(runCfg(), opts)
+	parallel, err := resilienceSim().RunResilient(runCfg(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evCfg := runCfg()
-	evCfg.EventDriven = true
-	ev, err := resilienceSim().RunResilient(evCfg, opts)
+	prev := runtime.GOMAXPROCS(1)
+	serial, err := resilienceSim().RunResilient(runCfg(), opts)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if gor.Elapsed != ev.Elapsed {
-		t.Errorf("elapsed differs: goroutine %v, event %v", gor.Elapsed, ev.Elapsed)
+	if parallel.Elapsed != serial.Elapsed {
+		t.Errorf("elapsed differs: parallel %v, serial %v", parallel.Elapsed, serial.Elapsed)
 	}
-	if gor.Attempts != ev.Attempts || gor.Overhead != ev.Overhead ||
-		gor.Rework != ev.Rework || gor.Detection != ev.Detection || gor.Restart != ev.Restart {
-		t.Errorf("recovery accounting differs:\ngoroutine: %+v\nevent:     %+v", gor, ev)
+	if parallel.Attempts != serial.Attempts || parallel.Overhead != serial.Overhead ||
+		parallel.Rework != serial.Rework || parallel.Detection != serial.Detection || parallel.Restart != serial.Restart {
+		t.Errorf("recovery accounting differs:\nparallel: %+v\nserial:   %+v", parallel, serial)
 	}
-	if len(gor.Failures) != len(ev.Failures) {
-		t.Fatalf("failures differ: %+v vs %+v", gor.Failures, ev.Failures)
+	if len(parallel.Failures) != len(serial.Failures) {
+		t.Fatalf("failures differ: %+v vs %+v", parallel.Failures, serial.Failures)
 	}
-	for i := range gor.Failures {
-		if gor.Failures[i] != ev.Failures[i] {
-			t.Errorf("failure %d differs: %+v vs %+v", i, gor.Failures[i], ev.Failures[i])
+	for i := range parallel.Failures {
+		if parallel.Failures[i] != serial.Failures[i] {
+			t.Errorf("failure %d differs: %+v vs %+v", i, parallel.Failures[i], serial.Failures[i])
 		}
 	}
-	for r := range gor.RankDigests {
-		if gor.RankDigests[r] != ev.RankDigests[r] {
-			t.Errorf("rank %d digest %#x (goroutine) != %#x (event)", r, gor.RankDigests[r], ev.RankDigests[r])
+	for r := range parallel.RankDigests {
+		if parallel.RankDigests[r] != serial.RankDigests[r] {
+			t.Errorf("rank %d digest %#x (parallel) != %#x (serial)", r, parallel.RankDigests[r], serial.RankDigests[r])
 		}
 	}
 }

@@ -116,8 +116,8 @@ func runPerRankReference(t *testing.T, sim *Simulation, cfg mpi.Config) (*mpi.St
 // TestSharedIndicesMatchPerRankMapping: a unit whose 64 CU ranks read one
 // shared index per exchange reports exactly what it reports when every
 // rank maps for itself — elapsed, per-rank clocks and compute/comm split,
-// the comm matrix and the final state digests — under both executors and
-// at GOMAXPROCS 1 and 2.
+// the comm matrix and the final state digests — on both collective paths
+// and at GOMAXPROCS 1 and 2.
 func TestSharedIndicesMatchPerRankMapping(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	searches := []Search{Tree, TreePrefetch}
@@ -127,11 +127,13 @@ func TestSharedIndicesMatchPerRankMapping(t *testing.T) {
 	for _, search := range searches {
 		refStats, refDigests := runPerRankReference(t, wideUnitSim(search), tracedRunCfg())
 		for _, procs := range []int{1, 2} {
-			for _, eventDriven := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%v/GOMAXPROCS=%d/eventDriven=%v", search, procs, eventDriven), func(t *testing.T) {
+			for _, collectives := range []string{"replayed", "messages"} {
+				t.Run(fmt.Sprintf("%v/GOMAXPROCS=%d/collectives=%s", search, procs, collectives), func(t *testing.T) {
 					runtime.GOMAXPROCS(procs)
 					cfg := tracedRunCfg()
-					cfg.EventDriven = eventDriven
+					if collectives == "messages" {
+						cfg = messageLevel(cfg)
+					}
 					rep, err := wideUnitSim(search).Run(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -194,7 +196,7 @@ func TestOneIndexPerUnitPerExchange(t *testing.T) {
 
 // TestResilientCrashOfSharingCURank: a CU rank killed mid-run — between
 // its siblings' reads of the shared indices — neither hangs the unit nor
-// changes what the recovered run computes, on either executor.
+// changes what the recovered run computes.
 func TestResilientCrashOfSharingCURank(t *testing.T) {
 	sim := func() *Simulation {
 		s := wideUnitSim(TreePrefetch)
@@ -207,29 +209,25 @@ func TestResilientCrashOfSharingCURank(t *testing.T) {
 	}
 	cuRank, _ := sim().groupRanks(true, 0)
 	cuRank += 17
-	for _, eventDriven := range []bool{false, true} {
-		cfg := runCfg()
-		cfg.EventDriven = eventDriven
-		res, err := sim().RunResilient(cfg, ResilienceOptions{
-			Plan:            &fault.Plan{Crashes: []fault.Crash{{Rank: cuRank, At: 0.6 * base.Elapsed}}},
-			CheckpointEvery: 2,
-		})
-		if err != nil {
-			t.Fatalf("eventDriven=%v: %v", eventDriven, err)
-		}
-		if res.Attempts != 2 || len(res.Failures) != 1 || res.Failures[0].Rank != cuRank {
-			t.Fatalf("eventDriven=%v: attempts=%d failures=%+v, want one crash of rank %d",
-				eventDriven, res.Attempts, res.Failures, cuRank)
-		}
-		if !reflect.DeepEqual(res.RankDigests, base.RankDigests) {
-			t.Errorf("eventDriven=%v: recovered digests differ from the fault-free run", eventDriven)
-		}
-		if got, want := res.Elapsed, base.Elapsed+res.Overhead; got != want {
-			t.Errorf("eventDriven=%v: elapsed %v, want fault-free + overhead %v", eventDriven, got, want)
-		}
-		// The replay resumed from a checkpoint with a fresh set of indices.
-		if got := res.indexBuilds[0].rotated; got == 0 || got >= 8 {
-			t.Errorf("eventDriven=%v: replay built %d rotated indices, want some but fewer than the 8 of a full run", eventDriven, got)
-		}
+	res, err := sim().RunResilient(runCfg(), ResilienceOptions{
+		Plan:            &fault.Plan{Crashes: []fault.Crash{{Rank: cuRank, At: 0.6 * base.Elapsed}}},
+		CheckpointEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts != 2 || len(res.Failures) != 1 || res.Failures[0].Rank != cuRank {
+		t.Fatalf("attempts=%d failures=%+v, want one crash of rank %d",
+			res.Attempts, res.Failures, cuRank)
+	}
+	if !reflect.DeepEqual(res.RankDigests, base.RankDigests) {
+		t.Error("recovered digests differ from the fault-free run")
+	}
+	if got, want := res.Elapsed, base.Elapsed+res.Overhead; got != want {
+		t.Errorf("elapsed %v, want fault-free + overhead %v", got, want)
+	}
+	// The replay resumed from a checkpoint with a fresh set of indices.
+	if got := res.indexBuilds[0].rotated; got == 0 || got >= 8 {
+		t.Errorf("replay built %d rotated indices, want some but fewer than the 8 of a full run", got)
 	}
 }

@@ -82,16 +82,6 @@ type Options struct {
 	// path and its per-instance/per-CU attribution. Standalone fitting
 	// sweeps are never traced.
 	Trace bool
-	// FastCollectives switches the runtime's Barrier/Bcast/Allreduce to
-	// the analytic fast path (mpi.Config.FastCollectives). Virtual-time
-	// results are bitwise identical; the host runs the big sweeps
-	// severalfold faster. Ignored on traced coupled runs, which need the
-	// full event timelines.
-	FastCollectives bool
-	// EventDriven runs ranks on the single-threaded discrete-event
-	// executor (mpi.Config.EventDriven) instead of goroutine-per-rank.
-	// Virtual-time results are bitwise identical.
-	EventDriven bool
 }
 
 // DefaultOptions runs the full sweeps on the ARCHER2 model.
@@ -104,8 +94,7 @@ func (o Options) mpiConfig(profile bool) mpi.Config {
 	if wd == 0 {
 		wd = 2 * time.Hour
 	}
-	return mpi.Config{Machine: o.Machine, Profile: profile, Watchdog: wd,
-		FastCollectives: o.FastCollectives, EventDriven: o.EventDriven}
+	return mpi.Config{Machine: o.Machine, Profile: profile, Watchdog: wd}
 }
 
 // coupledConfig is mpiConfig plus event tracing when Options.Trace is

@@ -25,9 +25,8 @@ type particleSuite struct {
 //   - strong: fixed mesh and fixed droplet population, particle ranks
 //     sweep.
 //
-// Every row runs on both rank executors and asserts the virtual times
-// agree bitwise before it is emitted; the goroutine run is traced, so
-// each row carries the particle instance's critical-path share. The
+// Every run is traced, so each row carries the particle instance's
+// critical-path share. The
 // balancing outcome (peak max/mean imbalance, migrations, steals,
 // repartitions) comes from the coupler's per-instance load report.
 // `cpxbench -exp particle-scaling` prints the table into
@@ -60,7 +59,6 @@ func (o Options) ParticleScaling() (*Table, error) {
 			"particle-weak: 65,536 droplets per particle rank on a fixed 32,768-cell mesh",
 			"mesh-weak: 8,192 cells per flow rank, droplets at the paper's MeshCells/4 ratio",
 			"strong: fixed 65,536-cell mesh and 1,048,576 droplets, particle ranks sweep",
-			"virtual(s) asserted bitwise identical across the goroutine and event executors per row",
 			"spray_crit is the particle instance's share of the traced virtual-time critical path",
 		},
 	}
@@ -97,22 +95,6 @@ func (o Options) ParticleScaling() (*Table, error) {
 				rep, err := sim().Run(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("particle-scaling %s/%v %d ranks: %w", suite.name, st, pr, err)
-				}
-				evCfg := o.coupledConfig()
-				evCfg.EventDriven = true
-				evRep, err := sim().Run(evCfg)
-				if err != nil {
-					return nil, fmt.Errorf("particle-scaling %s/%v %d ranks (event): %w", suite.name, st, pr, err)
-				}
-				if evRep.Elapsed != rep.Elapsed {
-					return nil, fmt.Errorf("particle-scaling %s/%v %d ranks: virtual time diverged: goroutine %v vs event %v",
-						suite.name, st, pr, rep.Elapsed, evRep.Elapsed)
-				}
-				for r := range rep.Stats.Clocks {
-					if evRep.Stats.Clocks[r] != rep.Stats.Clocks[r] {
-						return nil, fmt.Errorf("particle-scaling %s/%v %d ranks: rank %d clock diverged: %v vs %v",
-							suite.name, st, pr, r, rep.Stats.Clocks[r], evRep.Stats.Clocks[r])
-					}
 				}
 				var sprayShare float64
 				for _, ls := range rep.CriticalComponents {

@@ -419,8 +419,9 @@ func (s *Sim) region(name string, fn func()) {
 // convergence monitoring.
 func (s *Sim) Step() float64 {
 	if !s.active {
-		// Idle ranks still join the step's collective.
-		return s.comm.AllreduceScalar(0, mpi.Max)
+		// Idle ranks still join the step's collective, contributing
+		// nothing to the residual sum.
+		return math.Sqrt(s.comm.AllreduceScalar(0, mpi.Sum))
 	}
 	fine := s.levels[0]
 	rkAlpha := []float64{0.1481, 0.4, 1.0}

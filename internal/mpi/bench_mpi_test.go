@@ -11,18 +11,14 @@ import (
 // Host-side microbenchmarks for the runtime fast paths, recorded in
 // BENCH_mpi.json. BenchmarkRunP2P measures the pooled-message/indexed-
 // mailbox point-to-point path; BenchmarkRunCollectives measures
-// collective-heavy runs with the analytic fast path off and on.
+// collective-heavy runs.
 // `make bench-mpi` re-measures; `make check` runs each once so a
 // regression that breaks them fails CI loudly.
 
 const benchIters = 10
 
-func benchMPIConfig(fast bool) Config {
-	return Config{
-		Machine:         cluster.SmallCluster(),
-		Watchdog:        5 * time.Minute,
-		FastCollectives: fast,
-	}
+func benchMPIConfig() Config {
+	return Config{Machine: cluster.SmallCluster(), Watchdog: 5 * time.Minute}
 }
 
 func benchP2P(c *Comm) error {
@@ -53,7 +49,7 @@ func BenchmarkRunP2P(b *testing.B) {
 		b.Run(fmt.Sprintf("ranks=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(p, benchMPIConfig(false), benchP2P); err != nil {
+				if _, err := Run(p, benchMPIConfig(), benchP2P); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -63,36 +59,13 @@ func BenchmarkRunP2P(b *testing.B) {
 
 func BenchmarkRunCollectives(b *testing.B) {
 	for _, p := range []int{8, 64, 512} {
-		for _, fast := range []bool{false, true} {
-			b.Run(fmt.Sprintf("ranks=%d/fast=%v", p, fast), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(p, benchMPIConfig(fast), benchCollectives); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("ranks=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(p, benchMPIConfig(), benchCollectives); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-	}
-}
-
-// BenchmarkRunSched compares the goroutine executor against the
-// discrete-event executor on the collective-heavy workload at fig8/fig9
-// rank counts, both with the analytic fast path on. Recorded in
-// BENCH_sched.json; `make bench-sched` re-measures.
-func BenchmarkRunSched(b *testing.B) {
-	for _, p := range []int{8, 64, 512, 4096} {
-		for _, sched := range []string{"goroutine", "event"} {
-			b.Run(fmt.Sprintf("ranks=%d/sched=%s", p, sched), func(b *testing.B) {
-				cfg := benchMPIConfig(true)
-				cfg.EventDriven = sched == "event"
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(p, cfg, benchCollectives); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ func BenchmarkRunMetrics(b *testing.B) {
 	for _, p := range []int{8, 64, 512} {
 		for _, metrics := range []bool{false, true} {
 			b.Run(fmt.Sprintf("ranks=%d/metrics=%v", p, metrics), func(b *testing.B) {
-				cfg := benchMPIConfig(false)
+				cfg := benchMPIConfig()
 				if metrics {
 					// ~10-20 samples over the run's virtual duration —
 					// the granularity the serving layer actually uses.

@@ -41,12 +41,18 @@ func (op Op) apply(dst, src []float64) {
 // Barrier blocks until every rank in the communicator has entered it.
 // Implemented with the dissemination algorithm: ceil(log2 p) rounds of
 // pairwise messages, so its virtual cost scales as the real thing does.
+//
+// Barrier, Bcast and Allreduce each have two bodies with bitwise equal
+// virtual-time behaviour: the analytic replay (fastcoll.go), and the
+// messages below, which run under a fault plan — where a rank can die or
+// detect a death between two messages — and are the reference the
+// differential tests hold the replay to.
 func (c *Comm) Barrier() {
-	if c.world.fastColl {
+	defer c.proc.pushOp("barrier")()
+	if c.world.analytic {
 		c.rendezvous(collBarrier, 0, Sum, nil)
 		return
 	}
-	defer c.proc.pushOp("barrier")()
 	p := c.Size()
 	for k := 1; k < p; k *= 2 {
 		to := (c.rank + k) % p
@@ -59,10 +65,10 @@ func (c *Comm) Barrier() {
 // Bcast distributes root's data to every rank using a binomial tree and
 // returns each rank's copy. Non-root callers may pass nil.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	if c.world.fastColl {
+	defer c.proc.pushOp("bcast")()
+	if c.world.analytic {
 		return c.rendezvous(collBcast, root, Sum, data)
 	}
-	defer c.proc.pushOp("bcast")()
 	p := c.Size()
 	if p == 1 {
 		return data
@@ -120,10 +126,10 @@ func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
 // returns the result on every rank. Uses recursive doubling, with a fold
 // step for non-power-of-two sizes (the MPICH algorithm family).
 func (c *Comm) Allreduce(data []float64, op Op) []float64 {
-	if c.world.fastColl {
+	defer c.proc.pushOp("allreduce")()
+	if c.world.analytic {
 		return c.rendezvous(collAllreduce, 0, op, data)
 	}
-	defer c.proc.pushOp("allreduce")()
 	p := c.Size()
 	acc := make([]float64, len(data))
 	copy(acc, data)

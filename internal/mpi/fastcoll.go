@@ -2,29 +2,27 @@ package mpi
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
-
-	"cpx/internal/trace"
 )
 
-// Analytic collectives (Config.FastCollectives). The message-level
-// Barrier/Bcast/Allreduce implementations exchange O(p log p) real
-// messages, and at fig8/fig9 scale the host cost of that traffic —
-// mailbox operations, goroutine wakeups, payload clones — dominates the
-// simulator's wall-clock. The fast path removes the messages entirely:
-// the ranks of a communicator rendezvous at a per-context station, the
-// last arrival replays the exact virtual-time recurrence the message
-// schedule induces against every member's clock, and all ranks leave
-// with their results.
+// Analytic collectives. The message-level Barrier/Bcast/Allreduce
+// implementations exchange O(p log p) real messages, and at fig8/fig9
+// scale the host cost of that traffic — mailbox operations, goroutine
+// wakeups, payload clones — dominates the simulator's wall-clock. The
+// replay removes the messages: the ranks of a communicator rendezvous at
+// a per-context station, the last arrival replays the exact virtual-time
+// recurrence the message schedule induces against every member's clock,
+// and all ranks leave with their results.
 //
 // The replay is bitwise-faithful, not approximate: for each rank it
-// performs the same floating-point operations in the same order as the
-// message-level path (send overhead, departure + cluster.Link transfer
-// term, wait jump, receive overhead, reduction applies), so per-rank
-// clocks, compute/comm accounting, profiles and reduction results are
-// bit-for-bit identical with the fast path on or off. Differential tests
-// in fastpath_test.go enforce this. Tracing forces the message-level
-// path so event timelines and the comm matrix stay complete.
+// makes the same postSend/completeRecv calls in the same order as the
+// message-level path, so per-rank clocks, compute/comm accounting,
+// profiles, timelines, comm-matrix cells, metric series, flight records
+// and reduction results are bit-for-bit those of real messages. The
+// differential tests in fastpath_test.go enforce this. It runs whenever
+// no fault plan is set (see runWorld).
 
 type collKind uint8
 
@@ -46,6 +44,12 @@ func (k collKind) String() string {
 	return "?"
 }
 
+// inFlight is a replayed message on its way to a rank: what a mailbox
+// entry would carry.
+type inFlight struct {
+	departure, arrival float64
+}
+
 // station is the rendezvous point for one communicator's collectives.
 // Ranks park here until the communicator is complete; the last arrival
 // leads the replay while every other member is blocked in Wait, which is
@@ -53,6 +57,7 @@ func (k collKind) String() string {
 type station struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	ctx  int
 	size int
 
 	arrived int
@@ -66,46 +71,53 @@ type station struct {
 	out     [][]float64 // per-rank results
 
 	// Replay scratch, reused across collectives on this communicator.
-	arr  []float64   // pending arrival time per rank
-	snap [][]float64 // pre-round payload snapshots (allreduce)
-
-	// bare selects the inlined observer-free replay variants
-	// (fastreplay.go); set at creation from World.bareColl. The cross
-	// tables cache each round's intra-/inter-node classification per rank
-	// (the rank→node mapping of a communicator never changes), and
-	// scratch backs the pairwise allreduce snapshot.
-	bare      bool
-	barCross  [][]bool
-	arCross   [][]bool
-	foldCross []bool
-	scratch   []float64
-
-	// wranks caches the members' world ranks (the communicator's
-	// rank→world mapping never changes), so per-collective member walks
-	// skip the worldRankOf indirection.
-	wranks []int32
+	// Every schedule has at most one message in flight to a rank at a
+	// time, so one slot per rank stands in for its mailbox.
+	inbox []inFlight
+	snap  [][]float64 // pre-round payload snapshots (allreduce)
 }
 
-// stationFor returns the rendezvous station of c's context, creating it
-// on first use.
-func (w *World) stationFor(c *Comm) *station {
+// stationOf returns the rendezvous station of c's context, creating it
+// on first use. The pointer is cached on the Comm so repeated
+// collectives skip the stations-map lookup and its lock; Comms are
+// per-rank, so the cache is written only by its owning rank.
+func (c *Comm) stationOf() *station {
+	if c.station != nil {
+		return c.station
+	}
+	w := c.world
 	w.stMu.Lock()
 	defer w.stMu.Unlock()
 	st := w.stations[c.ctx]
 	if st == nil {
 		n := c.Size()
 		st = &station{
+			ctx:   c.ctx,
 			size:  n,
-			bare:  w.bareColl,
 			procs: make([]*proc, n),
 			data:  make([][]float64, n),
 			out:   make([][]float64, n),
-			arr:   make([]float64, n),
+			inbox: make([]inFlight, n),
 		}
 		st.cond = sync.NewCond(&st.mu)
 		w.stations[c.ctx] = st
 	}
+	c.station = st
 	return st
+}
+
+// stationList returns the stations created so far, ordered by context
+// so host-side walks (abort fan-out, watchdog report) are repeatable.
+func (w *World) stationList() []*station {
+	w.stMu.Lock()
+	list := make([]*station, 0, len(w.stations))
+	for _, st := range w.stations {
+		//lint:allow determinism collected then sorted by context below
+		list = append(list, st)
+	}
+	w.stMu.Unlock()
+	sort.Slice(list, func(i, j int) bool { return list[i].ctx < list[j].ctx })
+	return list
 }
 
 // interrupt wakes parked ranks so they can observe an abort.
@@ -115,20 +127,62 @@ func (st *station) interrupt() {
 	st.mu.Unlock()
 }
 
+// waitSet describes what the ranks of a stuck run are blocked on, for
+// the watchdog's error: receivers with the (source, tag) they wait for,
+// and ranks parked in a collective that never completed.
+func (w *World) waitSet() string {
+	const show = 4
+	var recvs []string
+	blocked := 0
+	for r, b := range w.boxes {
+		b.mu.Lock()
+		if b.waiting {
+			if blocked++; blocked <= show {
+				src, tag := "any", "any"
+				if b.wantSrc != AnySource {
+					src = fmt.Sprint(b.wantSrc)
+				}
+				switch b.wantTag {
+				case AnyTag:
+				case tagCollective:
+					tag = "collective"
+				default:
+					tag = fmt.Sprint(b.wantTag)
+				}
+				recvs = append(recvs, fmt.Sprintf("%d←%s/%s", r, src, tag))
+			}
+		}
+		b.mu.Unlock()
+	}
+	var colls []string
+	parked := 0
+	for _, st := range w.stationList() {
+		st.mu.Lock()
+		if st.arrived > 0 {
+			parked += st.arrived
+			colls = append(colls, fmt.Sprintf("%d of %d in %v", st.arrived, st.size, st.kind))
+		}
+		st.mu.Unlock()
+	}
+	s := fmt.Sprintf("%d rank(s) blocked in receives", blocked)
+	if blocked > 0 {
+		if blocked > show {
+			recvs = append(recvs, "…")
+		}
+		s += " (" + strings.Join(recvs, ", ") + ")"
+	}
+	s += fmt.Sprintf(", %d parked in collectives", parked)
+	if parked > 0 {
+		s += " (" + strings.Join(colls, ", ") + ")"
+	}
+	return s
+}
+
 // rendezvous parks the calling rank until all members of c have entered
 // the same collective, replays the schedule once complete, and returns
 // this rank's result.
 func (c *Comm) rendezvous(kind collKind, root int, op Op, data []float64) []float64 {
-	if c.world.ev != nil {
-		return c.rendezvousEvent(kind, root, op, data)
-	}
-	// The fast path bypasses pushOp; count the outermost collective here
-	// so the metrics counter agrees with the message-level path. (Fault
-	// plans force the message-level path, so no flight recording needed.)
-	if p := c.proc; p.metrics != nil && p.op == "" {
-		p.metrics.Collective()
-	}
-	st := c.stationCached()
+	st := c.stationOf()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.arrived == 0 {
@@ -155,7 +209,14 @@ func (c *Comm) rendezvous(kind collKind, root int, op Op, data []float64) []floa
 			st.cond.Wait()
 		}
 	} else {
-		st.replay(c.world)
+		switch kind {
+		case collBarrier:
+			st.replayBarrier()
+		case collBcast:
+			st.replayBcast()
+		case collAllreduce:
+			st.replayAllreduce()
+		}
 		st.arrived = 0
 		st.gen++
 		st.cond.Broadcast()
@@ -166,44 +227,30 @@ func (c *Comm) rendezvous(kind collKind, root int, op Op, data []float64) []floa
 	return res
 }
 
-// replay runs the analytic recurrence for the pending collective.
-// Called by the last arrival while every other member is parked (with
-// st.mu held under the goroutine runtime; on the loop thread under the
-// event-driven executor).
-func (st *station) replay(w *World) {
-	if st.bare {
-		st.replayBare(w)
-		return
-	}
-	switch st.kind {
-	case collBarrier:
-		st.replayBarrier(w)
-	case collBcast:
-		st.replayBcast(w)
-	case collAllreduce:
-		st.replayAllreduce(w)
-	}
+// send replays rank from's send of `bytes` to rank to.
+func (st *station) send(from, to, bytes int) {
+	dep, arr := st.procs[from].postSend(st.comm.worldRankOf(to), bytes, tagCollective)
+	st.inbox[to] = inFlight{dep, arr}
+}
+
+// recv replays rank r's receive of the message in flight to it.
+func (st *station) recv(r, from, bytes int) {
+	m := st.inbox[r]
+	st.procs[r].completeRecv(st.comm.worldRankOf(from), bytes, tagCollective, m.departure, m.arrival)
 }
 
 // replayBarrier mirrors the dissemination barrier: ceil(log2 p) rounds,
 // round k sending to rank+k and receiving from rank-k. Within a round
 // every rank charges its send first (stamping the partner's arrival),
 // then completes its receive — exactly each rank's program order.
-func (st *station) replayBarrier(w *World) {
+func (st *station) replayBarrier() {
 	p := st.size
-	mach := w.machine
-	wr := st.comm.worldRankOf
 	for k := 1; k < p; k *= 2 {
 		for r := 0; r < p; r++ {
-			pr := st.procs[r]
-			to := (r + k) % p
-			pr.chargeCommAs(mach.SendOverhead, trace.EvSend, wr(to), 0, tagCollective)
-			st.arr[to] = pr.clock + mach.TransferTime(wr(r), wr(to), 0)
+			st.send(r, (r+k)%p, 0)
 		}
 		for r := 0; r < p; r++ {
-			pr := st.procs[r]
-			pr.advanceTo(st.arr[r])
-			pr.chargeCommAs(mach.RecvOverhead, trace.EvRecv, wr((r-k+p)%p), 0, tagCollective)
+			st.recv(r, (r-k+p)%p, 0)
 		}
 	}
 }
@@ -211,7 +258,7 @@ func (st *station) replayBarrier(w *World) {
 // replayBcast mirrors the rotated binomial tree. Ranks are processed in
 // virtual-rank order, so a parent's send departures are stamped before
 // its children complete their receives.
-func (st *station) replayBcast(w *World) {
+func (st *station) replayBcast() {
 	p := st.size
 	root := st.root
 	data := st.data[root]
@@ -219,27 +266,20 @@ func (st *station) replayBcast(w *World) {
 		st.out[root] = data
 		return
 	}
-	mach := w.machine
-	wr := st.comm.worldRankOf
 	bytes := 8 * len(data)
 	for v := 0; v < p; v++ {
 		r := (v + root) % p
-		pr := st.procs[r]
 		mask := 1
 		for mask < p {
 			if v&mask != 0 {
-				parent := (v - mask + root) % p
-				pr.advanceTo(st.arr[v])
-				pr.chargeCommAs(mach.RecvOverhead, trace.EvRecv, wr(parent), bytes, tagCollective)
+				st.recv(r, (v-mask+root)%p, bytes)
 				break
 			}
 			mask <<= 1
 		}
 		for mask >>= 1; mask > 0; mask >>= 1 {
 			if v+mask < p {
-				child := (v + mask + root) % p
-				pr.chargeCommAs(mach.SendOverhead, trace.EvSend, wr(child), bytes, tagCollective)
-				st.arr[v+mask] = pr.clock + mach.TransferTime(wr(r), wr(child), bytes)
+				st.send(r, (v+mask+root)%p, bytes)
 			}
 		}
 		// The message-level path hands every non-root rank a private
@@ -249,7 +289,7 @@ func (st *station) replayBcast(w *World) {
 			st.out[r] = data
 		} else {
 			//lint:allow poolsafety the clone mirrors the message-path handoff: the receiving rank owns it exactly like a Recv payload
-			st.out[r] = pr.arena.clone(data)
+			st.out[r] = st.procs[r].arena.clone(data)
 		}
 	}
 }
@@ -259,10 +299,8 @@ func (st *station) replayBcast(w *World) {
 // partner, the low ranks run log2 rounds of pairwise exchanges, and the
 // fold partners get the result back. Payloads are snapshotted before
 // each round's applies, as the message-level clones are.
-func (st *station) replayAllreduce(w *World) {
+func (st *station) replayAllreduce() {
 	p := st.size
-	mach := w.machine
-	wr := st.comm.worldRankOf
 	op := st.op
 	bytes := 0
 	// acc per rank: the message-level path starts from a fresh copy of
@@ -282,17 +320,13 @@ func (st *station) replayAllreduce(w *World) {
 	}
 	extra := p - pow2
 
-	// Fold: high ranks charge their entry send...
+	// Fold: high ranks send their input to their low partners, which
+	// receive and apply.
 	for r := pow2; r < p; r++ {
-		pr := st.procs[r]
-		pr.chargeCommAs(mach.SendOverhead, trace.EvSend, wr(r-pow2), bytes, tagCollective)
-		st.arr[r-pow2] = pr.clock + mach.TransferTime(wr(r), wr(r-pow2), bytes)
+		st.send(r, r-pow2, bytes)
 	}
-	// ...and their low partners receive and apply.
 	for r := 0; r < extra; r++ {
-		pr := st.procs[r]
-		pr.advanceTo(st.arr[r])
-		pr.chargeCommAs(mach.RecvOverhead, trace.EvRecv, wr(r+pow2), bytes, tagCollective)
+		st.recv(r, r+pow2, bytes)
 		op.apply(st.out[r], st.out[r+pow2])
 	}
 
@@ -303,34 +337,24 @@ func (st *station) replayAllreduce(w *World) {
 	snap := st.snap[:pow2]
 	for k := 1; k < pow2; k *= 2 {
 		for r := 0; r < pow2; r++ {
-			pr := st.procs[r]
-			partner := r ^ k
-			pr.chargeCommAs(mach.SendOverhead, trace.EvSend, wr(partner), bytes, tagCollective)
-			st.arr[partner] = pr.clock + mach.TransferTime(wr(r), wr(partner), bytes)
+			st.send(r, r^k, bytes)
 			if len(snap[r]) < len(st.out[r]) {
 				snap[r] = make([]float64, len(st.out[r]))
 			}
 			copy(snap[r][:len(st.out[r])], st.out[r])
 		}
 		for r := 0; r < pow2; r++ {
-			pr := st.procs[r]
-			partner := r ^ k
-			pr.advanceTo(st.arr[r])
-			pr.chargeCommAs(mach.RecvOverhead, trace.EvRecv, wr(partner), bytes, tagCollective)
-			op.apply(st.out[r], snap[partner][:len(st.out[r])])
+			st.recv(r, r^k, bytes)
+			op.apply(st.out[r], snap[r^k][:len(st.out[r])])
 		}
 	}
 
 	// Unfold: results travel back to the high ranks.
 	for r := 0; r < extra; r++ {
-		pr := st.procs[r]
-		pr.chargeCommAs(mach.SendOverhead, trace.EvSend, wr(r+pow2), bytes, tagCollective)
-		st.arr[r+pow2] = pr.clock + mach.TransferTime(wr(r), wr(r+pow2), bytes)
+		st.send(r, r+pow2, bytes)
 	}
 	for r := pow2; r < p; r++ {
-		pr := st.procs[r]
-		pr.advanceTo(st.arr[r])
-		pr.chargeCommAs(mach.RecvOverhead, trace.EvRecv, wr(r-pow2), bytes, tagCollective)
+		st.recv(r, r-pow2, bytes)
 		// The message-level path returns the received clone of the low
 		// partner's final acc.
 		copy(st.out[r], st.out[r-pow2])

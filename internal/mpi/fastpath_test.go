@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -9,19 +11,15 @@ import (
 	"time"
 
 	"cpx/internal/cluster"
+	"cpx/internal/telemetry"
 )
 
-func fastCfg() Config {
-	cfg := testCfg()
-	cfg.FastCollectives = true
-	return cfg
-}
-
-// mixedProgram exercises every fast-path collective interleaved with
+// mixedProgram exercises every replayed collective interleaved with
 // imbalanced compute and point-to-point traffic, on the world
-// communicator and on a Split-derived subcommunicator. Per-rank results
-// are reduced into the returned checksum slice so value identity is
-// checked alongside clock identity.
+// communicator and on a Split-derived subcommunicator, with non-zero
+// Bcast roots on both and a CheckpointSync (an Allreduce under an outer
+// op label). Per-rank results are reduced into the returned checksum
+// slice so value identity is checked alongside clock identity.
 func mixedProgram(sums []float64) func(*Comm) error {
 	return func(c *Comm) error {
 		r := c.Rank()
@@ -40,32 +38,40 @@ func mixedProgram(sums []float64) func(*Comm) error {
 			check += c.AllreduceScalar(float64(r)*0.25, Max)
 			check += c.AllreduceScalar(float64(r)*0.25, Min)
 		}
+		check += c.CheckpointSync(1e-5 * float64(r+1))
 		if p > 1 {
 			sub := c.Split(r%2, r)
 			c.ComputeSeconds(1e-5 * float64(r+1))
 			got := sub.Allreduce([]float64{check}, Sum)
 			check += got[0]
 			sub.Barrier()
-			check += sub.Bcast(0, []float64{float64(sub.Rank())})[0]
+			check += sub.Bcast(sub.Size()-1, []float64{float64(sub.Rank())})[0]
 		}
 		sums[r] = check
 		return nil
 	}
 }
 
+// runMixed runs mixedProgram the way Run does; runMixedOn can also run it
+// on the message-level collectives the replay is held to.
 func runMixed(t *testing.T, p int, cfg Config) (*Stats, []float64) {
 	t.Helper()
+	return runMixedOn(t, p, cfg, false)
+}
+
+func runMixedOn(t *testing.T, p int, cfg Config, reference bool) (*Stats, []float64) {
+	t.Helper()
 	sums := make([]float64, p)
-	st, err := Run(p, cfg, mixedProgram(sums))
+	st, err := runWorld(p, cfg, mixedProgram(sums), reference)
 	if err != nil {
-		t.Fatalf("Run(%d, fast=%v): %v", p, cfg.FastCollectives, err)
+		t.Fatalf("run(%d ranks, reference=%v): %v", p, reference, err)
 	}
 	return st, sums
 }
 
 // assertStatsIdentical requires bitwise equality of every per-rank
-// virtual-time quantity — not approximate equality. The fast paths must
-// be indistinguishable from the message-level implementation.
+// virtual-time quantity — not approximate equality. The replay must be
+// indistinguishable from the message-level implementation.
 func assertStatsIdentical(t *testing.T, label string, a, b *Stats, sa, sb []float64) {
 	t.Helper()
 	if a.Elapsed != b.Elapsed {
@@ -87,21 +93,134 @@ func assertStatsIdentical(t *testing.T, label string, a, b *Stats, sa, sb []floa
 	}
 }
 
-// TestFastCollectivesBitwiseIdentical is the tentpole acceptance test:
-// per-rank clocks, accounting and collective results must be bitwise
-// identical with FastCollectives on and off, including non-power-of-two
-// sizes (the allreduce fold path) and Split subcommunicators.
-func TestFastCollectivesBitwiseIdentical(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 13, 16} {
-		slow, slowSums := runMixed(t, p, testCfg())
-		fast, fastSums := runMixed(t, p, fastCfg())
-		assertStatsIdentical(t, "fast vs p2p", slow, fast, slowSums, fastSums)
+// assertObserversIdentical requires everything a run records beside its
+// clocks to be equal too: profiles, timelines event by event (op label,
+// peer and sender departure time included), the comm matrix, the
+// critical path, the metric series and the flight tails.
+func assertObserversIdentical(t *testing.T, label string, a, b *Stats) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Profiles, b.Profiles) {
+		t.Errorf("%s: profiles differ", label)
+	}
+	if (a.Timelines == nil) != (b.Timelines == nil) {
+		t.Fatalf("%s: one run has timelines, the other none", label)
+	}
+	for r := range a.Timelines {
+		ta, tb := a.Timelines[r], b.Timelines[r]
+		if len(ta.Events) != len(tb.Events) || ta.Dropped != tb.Dropped {
+			t.Errorf("%s: rank %d recorded %d events (%d dropped) vs %d (%d dropped)",
+				label, r, len(ta.Events), ta.Dropped, len(tb.Events), tb.Dropped)
+			continue
+		}
+		for i := range ta.Events {
+			if ta.Events[i] != tb.Events[i] {
+				t.Errorf("%s: rank %d event %d: %+v vs %+v", label, r, i, ta.Events[i], tb.Events[i])
+				break
+			}
+		}
+	}
+	if !reflect.DeepEqual(a.CommMatrix, b.CommMatrix) {
+		t.Errorf("%s: comm matrices differ", label)
+	}
+	if a.Timelines != nil {
+		for _, st := range []*Stats{a, b} {
+			cp, err := st.CriticalPath()
+			if err != nil {
+				t.Fatalf("%s: critical path: %v", label, err)
+			}
+			if cp.Total() != st.Elapsed {
+				t.Errorf("%s: critical path sums to %v, elapsed %v", label, cp.Total(), st.Elapsed)
+			}
+		}
+	}
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
+		t.Errorf("%s: metric series differ", label)
+	}
+	if !reflect.DeepEqual(a.Flight, b.Flight) {
+		t.Errorf("%s: flight tails differ:\n%+v\n%+v", label, a.Flight, b.Flight)
 	}
 }
 
-// TestFastCollectivesProfileIdentical: with profiling on, the per-region
-// comm attribution must also be reproduced exactly.
-func TestFastCollectivesProfileIdentical(t *testing.T) {
+// observers switches on, one at a time, everything a run can record.
+var observers = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"plain", func(*Config) {}},
+	{"profile", func(c *Config) { c.Profile = true }},
+	{"trace", func(c *Config) { c.Trace = true }},
+	{"metrics", func(c *Config) { c.Metrics = &telemetry.Config{Interval: 1e-4} }},
+	{"flight", func(c *Config) { c.FlightEvents = 32 }},
+}
+
+// TestReplayMatchesMessageLevelReference is the runtime's differential
+// test: whatever is observed — nothing, profiles, event timelines,
+// metric series, the flight recorder — a run on the analytic replay and a
+// run on real messages must agree on every clock, every result and every
+// recorded artifact, at every host parallelism, including
+// non-power-of-two sizes (the allreduce fold) and Split subcommunicators.
+func TestReplayMatchesMessageLevelReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sizes := []int{1, 2, 3, 8, 13, 64}
+	if testing.Short() {
+		sizes = []int{1, 3, 8, 13}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, obs := range observers {
+			for _, p := range sizes {
+				label := fmt.Sprintf("GOMAXPROCS=%d/%s/p=%d", procs, obs.name, p)
+				cfg := testCfg()
+				obs.set(&cfg)
+				replay, replaySums := runMixed(t, p, cfg)
+				ref, refSums := runMixedOn(t, p, cfg, true)
+				assertStatsIdentical(t, label, replay, ref, replaySums, refSums)
+				assertObserversIdentical(t, label, replay, ref)
+			}
+		}
+	}
+}
+
+// TestReplayFlightTailsMatchReference: flight tails surface only when a
+// run fails, so this one does — after every rank has told rank 0 it has
+// nothing left to do, which keeps the tails independent of when the
+// abort lands.
+func TestReplayFlightTailsMatchReference(t *testing.T) {
+	for _, p := range []int{2, 5, 8} {
+		var tails [2][]telemetry.RankTail
+		for i, reference := range []bool{false, true} {
+			cfg := testCfg()
+			cfg.FlightEvents = 64
+			sums := make([]float64, p)
+			prog := mixedProgram(sums)
+			st, err := runWorld(p, cfg, func(c *Comm) error {
+				if err := prog(c); err != nil {
+					return err
+				}
+				if c.Rank() != 0 {
+					c.Send(0, 9, nil)
+					return nil
+				}
+				c.RecvAll(p-1, 9)
+				return errors.New("dump the tails")
+			}, reference)
+			if err == nil || !strings.Contains(err.Error(), "dump the tails") {
+				t.Fatalf("p=%d reference=%v: err = %v", p, reference, err)
+			}
+			if len(st.Flight) != p {
+				t.Fatalf("p=%d reference=%v: %d flight tails, want %d", p, reference, len(st.Flight), p)
+			}
+			tails[i] = st.Flight
+		}
+		if !reflect.DeepEqual(tails[0], tails[1]) {
+			t.Errorf("p=%d: flight tails differ:\nreplay:    %+v\nreference: %+v", p, tails[0], tails[1])
+		}
+	}
+}
+
+// TestReplayProfileIdentical: with profiling on, the per-region comm
+// attribution must also be reproduced exactly.
+func TestReplayProfileIdentical(t *testing.T) {
 	prog := func(c *Comm) error {
 		c.Profile().Push("solve")
 		c.ComputeSeconds(1e-4 * float64(c.Rank()+1))
@@ -110,30 +229,57 @@ func TestFastCollectivesProfileIdentical(t *testing.T) {
 		c.Profile().Pop()
 		return nil
 	}
-	slowCfg := testCfg()
-	slowCfg.Profile = true
-	fastCfg := slowCfg
-	fastCfg.FastCollectives = true
-	slow, err := Run(6, slowCfg, prog)
+	cfg := testCfg()
+	cfg.Profile = true
+	ref, err := runWorld(6, cfg, prog, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(6, fastCfg, prog)
+	replay, err := Run(6, cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range slow.Profiles {
-		se, fe := slow.Profiles[r].Entry("solve"), fast.Profiles[r].Entry("solve")
-		if se.Comm != fe.Comm || se.Compute != fe.Compute {
-			t.Errorf("rank %d profile: p2p %+v fast %+v", r, se, fe)
+	for r := range ref.Profiles {
+		re, pe := ref.Profiles[r].Entry("solve"), replay.Profiles[r].Entry("solve")
+		if re.Comm != pe.Comm || re.Compute != pe.Compute {
+			t.Errorf("rank %d profile: messages %+v replay %+v", r, re, pe)
 		}
 	}
 }
 
-// TestTraceForcesMessageLevelCollectives: tracing needs complete event
-// timelines, so FastCollectives must be ignored when Trace is set.
-func TestTraceForcesMessageLevelCollectives(t *testing.T) {
-	cfg := fastCfg()
+// stuckBarrier runs a barrier rank 0 never joins until the watchdog
+// fires, and returns its error. Where the watchdog finds the other
+// ranks — parked at a station, or blocked in a receive — is the one
+// host-visible difference between the two collective paths.
+func stuckBarrier(t *testing.T, cfg Config) string {
+	t.Helper()
+	cfg.Watchdog = 100 * time.Millisecond
+	_, err := Run(3, cfg, func(c *Comm) error {
+		if c.Rank() != 0 {
+			c.Barrier()
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("err = %v, want a watchdog error", err)
+	}
+	return err.Error()
+}
+
+// TestObserversDoNotSelectCollectivePath: observing a run never changes
+// how it is computed. With any observer on, collectives are still
+// replayed, and a traced replay still records the events and comm-matrix
+// cells of the messages it stands for.
+func TestObserversDoNotSelectCollectivePath(t *testing.T) {
+	for _, obs := range observers {
+		cfg := testCfg()
+		obs.set(&cfg)
+		if msg := stuckBarrier(t, cfg); !strings.Contains(msg, "2 of 3 in Barrier") {
+			t.Errorf("%s: collectives were not replayed: %s", obs.name, msg)
+		}
+	}
+
+	cfg := testCfg()
 	cfg.Trace = true
 	st, err := Run(4, cfg, func(c *Comm) error {
 		c.Allreduce([]float64{1}, Sum)
@@ -142,27 +288,26 @@ func TestTraceForcesMessageLevelCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := 0
 	for _, tl := range st.Timelines {
-		msgs += len(tl.Events)
+		if len(tl.Events) == 0 {
+			t.Errorf("rank %d: traced allreduce recorded no events", tl.Rank)
+		}
 	}
-	if msgs == 0 {
-		t.Fatal("traced run with FastCollectives recorded no events")
-	}
-	if st.CommMatrix == nil || len(st.CommMatrix.Edges) == 0 {
-		t.Fatal("traced run with FastCollectives recorded no comm-matrix traffic")
+	if msgs, _ := st.CommMatrix.Totals(); msgs != 8 {
+		t.Errorf("traced 4-rank allreduce counted %d messages, want 8", msgs)
 	}
 }
 
 // TestClocksIdenticalAcrossHostParallelism: virtual time must not depend
 // on host scheduling. Run the same program single-threaded and with full
-// host parallelism, fast paths on and off, and require bitwise equality.
+// host parallelism, on both collective paths, and require bitwise
+// equality.
 func TestClocksIdenticalAcrossHostParallelism(t *testing.T) {
 	const p = 8
-	for _, cfg := range []Config{testCfg(), fastCfg()} {
-		parallel, parSums := runMixed(t, p, cfg)
+	for _, reference := range []bool{false, true} {
+		parallel, parSums := runMixedOn(t, p, testCfg(), reference)
 		prev := runtime.GOMAXPROCS(1)
-		serial, serSums := runMixed(t, p, cfg)
+		serial, serSums := runMixedOn(t, p, testCfg(), reference)
 		runtime.GOMAXPROCS(prev)
 		assertStatsIdentical(t, "GOMAXPROCS=1 vs parallel", parallel, serial, parSums, serSums)
 	}
@@ -186,27 +331,41 @@ func TestWatchdogAbortsRunNotProcess(t *testing.T) {
 	}
 }
 
-// TestWatchdogAbortsFastCollectiveWait: ranks parked at a rendezvous
-// station must also be woken by the abort.
-func TestWatchdogAbortsFastCollectiveWait(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Watchdog = 50 * time.Millisecond
-	_, err := Run(3, cfg, func(c *Comm) error {
-		if c.Rank() != 0 {
-			c.Barrier() // rank 0 never joins
-		}
+// TestWatchdogReportsBlockedReceives: a deadlocked program is caught by
+// the watchdog, whose error names what the ranks were waiting for.
+func TestWatchdogReportsBlockedReceives(t *testing.T) {
+	cfg := testCfg()
+	cfg.Watchdog = 200 * time.Millisecond
+	_, err := Run(2, cfg, func(c *Comm) error {
+		c.Recv(1-c.Rank(), 5) // both ranks wait; nobody sends
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("err = %v, want a watchdog error", err)
+	if err == nil {
+		t.Fatal("deadlocked run succeeded")
+	}
+	for _, want := range []string{"deadlock", "2 rank(s) blocked in receives (0←1/5, 1←0/5)", "0 parked in collectives"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to contain %q", err, want)
+		}
 	}
 }
 
-// TestMismatchedFastCollectivesFailLoudly: with the fast path a
-// mismatched collective (ranks entering different operations on one
-// communicator) is detectable; it must fail the run, not hang it.
-func TestMismatchedFastCollectivesFailLoudly(t *testing.T) {
-	cfg := fastCfg()
+// TestWatchdogAbortsCollectiveWait: ranks parked at a rendezvous station
+// must also be woken by the abort, and the report counts them.
+func TestWatchdogAbortsCollectiveWait(t *testing.T) {
+	msg := stuckBarrier(t, testCfg())
+	for _, want := range []string{"0 rank(s) blocked in receives", "2 parked in collectives (2 of 3 in Barrier)"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("err = %s, want it to contain %q", msg, want)
+		}
+	}
+}
+
+// TestMismatchedCollectivesFailLoudly: ranks entering different
+// operations on one communicator meet at its station, where the mismatch
+// is detectable; it must fail the run, not hang it.
+func TestMismatchedCollectivesFailLoudly(t *testing.T) {
+	cfg := testCfg()
 	cfg.Watchdog = 5 * time.Second
 	_, err := Run(2, cfg, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -293,20 +294,41 @@ func TestResetClockIntoCrashKills(t *testing.T) {
 	}
 }
 
-// TestFastCollectivesDisabledUnderFaults: analytic collective replay
-// cannot model rank death, so a fault plan must force the message path.
-func TestFastCollectivesDisabledUnderFaults(t *testing.T) {
-	cfg := faultCfg(&fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.05}}})
-	cfg.FastCollectives = true
-	_, err := Run(4, cfg, func(c *Comm) error {
+// TestFaultPlanSelectsMessageLevelCollectives: the replay's leader
+// charges every member while they are parked, so nobody can die or
+// detect a death mid-collective; a fault plan — and nothing else — must
+// put collectives on real messages. Even a plan that never fires does,
+// which is how other packages reach the reference path.
+func TestFaultPlanSelectsMessageLevelCollectives(t *testing.T) {
+	_, err := Run(4, faultCfg(&fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.05}}}), func(c *Comm) error {
 		c.ComputeSeconds(0.1)
 		c.AllreduceScalar(1, Sum)
 		return nil
 	})
 	var rf *fault.RanksFailed
 	if !errors.As(err, &rf) {
-		t.Fatalf("err = %v, want RanksFailed (fast collectives must be off under a plan)", err)
+		t.Fatalf("err = %v, want RanksFailed (the crash must surface through the collective)", err)
 	}
+
+	never := &fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 1e300}}}
+	msg := stuckBarrier(t, faultCfg(never))
+	for _, want := range []string{"2 rank(s) blocked in receives", "/collective", "0 parked in collectives"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("under a fault plan the watchdog found %q, want it to contain %q", msg, want)
+		}
+	}
+	if msg := stuckBarrier(t, faultCfg(&fault.Plan{})); !strings.Contains(msg, "2 of 3 in Barrier") {
+		t.Errorf("an empty plan is no plan, yet collectives were not replayed: %s", msg)
+	}
+
+	// The never-firing plan changes nothing else: bitwise the plan-less run.
+	plain, plainSums := runMixed(t, 13, testCfg())
+	sums := make([]float64, 13)
+	planned, err := Run(13, faultCfg(never), mixedProgram(sums))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStatsIdentical(t, "no plan vs never-firing plan", plain, planned, plainSums, sums)
 }
 
 // TestPartialRunExportsSafely: a crashed traced run must still yield
@@ -355,8 +377,7 @@ func TestPartialRunExportsSafely(t *testing.T) {
 // wildcard dead-check: an AnySource receive used to pass a nil probe
 // into the mailbox wait and could block forever (until the watchdog) on
 // a crashed peer. It must now fail once every other communicator member
-// is dead, with the detection anchored to the last death. Both
-// executors must agree bit for bit.
+// is dead, with the detection anchored to the last death.
 func TestAnySourceRecvDetectsDeadPeers(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.25}, {Rank: 2, At: 0.5}}}
 	prog := func(detected []float64) func(c *Comm) error {
@@ -370,33 +391,29 @@ func TestAnySourceRecvDetectsDeadPeers(t *testing.T) {
 			return nil
 		}
 	}
-	for _, ev := range []bool{false, true} {
-		cfg := faultCfg(plan)
-		cfg.EventDriven = ev
-		detected := make([]float64, 3)
-		st, err := Run(3, cfg, prog(detected))
-		if err == nil {
-			t.Fatalf("event=%v: wildcard receive from dead peers succeeded", ev)
-		}
-		var rf *fault.RanksFailed
-		if !errors.As(err, &rf) {
-			t.Fatalf("event=%v: err = %v (%T), want *fault.RanksFailed", ev, err, err)
-		}
-		if len(rf.Detections) != 1 {
-			t.Fatalf("event=%v: detections = %+v, want one (rank 0's)", ev, rf.Detections)
-		}
-		d := rf.Detections[0]
-		// The failure that completes the wildcard condition is the last
-		// death (rank 2 at t=0.5); detection follows the modelled latency.
-		if d.Rank != 2 || d.FailedAt != 0.5 {
-			t.Errorf("event=%v: detection %+v, want rank 2 failed at 0.5", ev, d)
-		}
-		if want := 0.5 + plan.Detection(); d.DetectedAt != want {
-			t.Errorf("event=%v: DetectedAt = %v, want %v", ev, d.DetectedAt, want)
-		}
-		if st == nil {
-			t.Fatal("no partial stats")
-		}
+	detected := make([]float64, 3)
+	st, err := Run(3, faultCfg(plan), prog(detected))
+	if err == nil {
+		t.Fatalf("wildcard receive from dead peers succeeded")
+	}
+	var rf *fault.RanksFailed
+	if !errors.As(err, &rf) {
+		t.Fatalf("err = %v (%T), want *fault.RanksFailed", err, err)
+	}
+	if len(rf.Detections) != 1 {
+		t.Fatalf("detections = %+v, want one (rank 0's)", rf.Detections)
+	}
+	d := rf.Detections[0]
+	// The failure that completes the wildcard condition is the last
+	// death (rank 2 at t=0.5); detection follows the modelled latency.
+	if d.Rank != 2 || d.FailedAt != 0.5 {
+		t.Errorf("detection %+v, want rank 2 failed at 0.5", d)
+	}
+	if want := 0.5 + plan.Detection(); d.DetectedAt != want {
+		t.Errorf("DetectedAt = %v, want %v", d.DetectedAt, want)
+	}
+	if st == nil {
+		t.Fatal("no partial stats")
 	}
 }
 
@@ -406,34 +423,31 @@ func TestAnySourceRecvDetectsDeadPeers(t *testing.T) {
 // dead, and a dead rank's pre-death send must still win over its death.
 func TestAnySourceRecvStillDrainsLiveSenders(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.2}}}
-	for _, ev := range []bool{false, true} {
-		cfg := faultCfg(plan)
-		cfg.EventDriven = ev
-		got := make([]float64, 3)
-		_, err := Run(3, cfg, func(c *Comm) error {
-			switch c.Rank() {
-			case 0:
-				d, src, _ := c.Recv(AnySource, 9)
-				got[0] = d[0] + 100*float64(src)
-			case 1:
-				c.ComputeSeconds(0.1) // sends before its death at 0.2
-				c.Send(0, 9, []float64{7})
-				c.ComputeSeconds(1.0) // dies here
-			case 2:
-				c.ComputeSeconds(2.0) // outlives everything, sends nothing
-			}
-			return nil
-		})
-		var rf *fault.RanksFailed
-		if !errors.As(err, &rf) {
-			t.Fatalf("event=%v: err = %v, want *fault.RanksFailed (rank 1 still crashes)", ev, err)
+	cfg := faultCfg(plan)
+	got := make([]float64, 3)
+	_, err := Run(3, cfg, func(c *Comm) error {
+		switch c.Rank() {
+		case 0:
+			d, src, _ := c.Recv(AnySource, 9)
+			got[0] = d[0] + 100*float64(src)
+		case 1:
+			c.ComputeSeconds(0.1) // sends before its death at 0.2
+			c.Send(0, 9, []float64{7})
+			c.ComputeSeconds(1.0) // dies here
+		case 2:
+			c.ComputeSeconds(2.0) // outlives everything, sends nothing
 		}
-		if len(rf.Detections) != 0 {
-			t.Errorf("event=%v: unexpected detections %+v; the wildcard receive was satisfied by a real message", ev, rf.Detections)
-		}
-		if got[0] != 7+100*1 {
-			t.Errorf("event=%v: rank 0 received %v, want payload 7 from source 1", ev, got[0])
-		}
+		return nil
+	})
+	var rf *fault.RanksFailed
+	if !errors.As(err, &rf) {
+		t.Fatalf("err = %v, want *fault.RanksFailed (rank 1 still crashes)", err)
+	}
+	if len(rf.Detections) != 0 {
+		t.Errorf("unexpected detections %+v; the wildcard receive was satisfied by a real message", rf.Detections)
+	}
+	if got[0] != 7+100*1 {
+		t.Errorf("rank 0 received %v, want payload 7 from source 1", got[0])
 	}
 }
 
@@ -442,24 +456,21 @@ func TestAnySourceRecvStillDrainsLiveSenders(t *testing.T) {
 // hanging it until the watchdog.
 func TestRecvAllDetectsDeadPeers(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.25}, {Rank: 2, At: 0.3}}}
-	for _, ev := range []bool{false, true} {
-		cfg := faultCfg(plan)
-		cfg.EventDriven = ev
-		_, err := Run(3, cfg, func(c *Comm) error {
-			if c.Rank() == 0 {
-				c.RecvAll(2, 4) // peers die before sending
-				return nil
-			}
-			c.ComputeSeconds(1.0)
-			c.Send(0, 4, []float64{1})
+	cfg := faultCfg(plan)
+	_, err := Run(3, cfg, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.RecvAll(2, 4) // peers die before sending
 			return nil
-		})
-		var rf *fault.RanksFailed
-		if !errors.As(err, &rf) {
-			t.Fatalf("event=%v: err = %v, want *fault.RanksFailed", ev, err)
 		}
-		if len(rf.Detections) != 1 || rf.Detections[0].Rank != 2 {
-			t.Errorf("event=%v: detections = %+v, want rank 0 detecting the last death (rank 2)", ev, rf.Detections)
-		}
+		c.ComputeSeconds(1.0)
+		c.Send(0, 4, []float64{1})
+		return nil
+	})
+	var rf *fault.RanksFailed
+	if !errors.As(err, &rf) {
+		t.Fatalf("err = %v, want *fault.RanksFailed", err)
+	}
+	if len(rf.Detections) != 1 || rf.Detections[0].Rank != 2 {
+		t.Errorf("detections = %+v, want rank 0 detecting the last death (rank 2)", rf.Detections)
 	}
 }

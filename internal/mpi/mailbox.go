@@ -64,8 +64,7 @@ func (bk *bucket) pop() *message {
 // ready to use: the bucket map and the wait condvar are created on first
 // need, so a run whose ranks never exchange point-to-point messages
 // (analytic collectives only) pays nothing per mailbox beyond the struct
-// itself, and the event-driven executor — which never blocks on a
-// mailbox — allocates no condvars at all.
+// itself.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -113,13 +112,8 @@ func (b *mailbox) put(m *message) {
 	b.mu.Unlock()
 }
 
-// putDirect enqueues a message without locking or signalling. Only the
-// event-driven executor uses it: every delivery happens on the single
-// loop thread, and the loop performs its own receiver wakeups.
-func (b *mailbox) putDirect(m *message) { b.enqueue(m) }
-
 // enqueue stamps the arrival sequence and appends to the (ctx, src, tag)
-// FIFO bucket. Caller holds b.mu (or is the event loop's only thread).
+// FIFO bucket. Caller holds b.mu.
 //
 //perf:hotpath
 func (b *mailbox) enqueue(m *message) {
@@ -139,7 +133,7 @@ func (b *mailbox) enqueue(m *message) {
 }
 
 // tryTake removes and returns the first message matching (ctx, src, tag),
-// or nil. Caller holds b.mu (or is the event loop's only thread).
+// or nil. Caller holds b.mu.
 func (b *mailbox) tryTake(ctx, src, tag int) *message {
 	if b.pending == 0 {
 		return nil

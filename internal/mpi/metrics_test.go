@@ -52,19 +52,18 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 // TestMetricsSeriesIdenticalAcrossHostParallelism extends the
 // reproducibility contract to the series themselves: the sampled
 // time-series is a pure function of virtual time, so GOMAXPROCS=1 and
-// full host parallelism must produce identical samples, and the fast
-// collective path must reproduce the message-level series exactly.
+// full host parallelism must produce identical samples on both
+// collective paths.
 func TestMetricsSeriesIdenticalAcrossHostParallelism(t *testing.T) {
 	const p = 8
-	for _, base := range []Config{testCfg(), fastCfg()} {
-		cfg := metricsCfg(base)
-		parallel, _ := runMixed(t, p, cfg)
+	for _, reference := range []bool{false, true} {
+		cfg := metricsCfg(testCfg())
+		parallel, _ := runMixedOn(t, p, cfg, reference)
 		prev := runtime.GOMAXPROCS(1)
-		serial, _ := runMixed(t, p, cfg)
+		serial, _ := runMixedOn(t, p, cfg, reference)
 		runtime.GOMAXPROCS(prev)
 		if !reflect.DeepEqual(parallel.Metrics, serial.Metrics) {
-			t.Errorf("fast=%v: metrics series differ between host parallelism levels",
-				base.FastCollectives)
+			t.Errorf("reference=%v: metrics series differ between host parallelism levels", reference)
 		}
 	}
 }
@@ -110,22 +109,20 @@ func TestMetricsSeriesInvariants(t *testing.T) {
 	}
 }
 
-// TestMetricsCollectiveCountParity: the analytic fast path bypasses the
-// message-level collective implementations, so its count hook lives in
-// the rendezvous. Both paths must agree on how many collectives each
-// rank entered.
+// TestMetricsCollectiveCountParity: the replayed collectives move no
+// real messages, yet both paths must agree on how many collectives each
+// rank entered and on every message and byte it sent and received.
 func TestMetricsCollectiveCountParity(t *testing.T) {
 	for _, p := range []int{2, 5, 8} {
-		slow, _ := runMixed(t, p, metricsCfg(testCfg()))
-		fast, _ := runMixed(t, p, metricsCfg(fastCfg()))
-		for r := range slow.Metrics.Ranks {
-			sc := slow.Metrics.Ranks[r].Totals.Collectives
-			fc := fast.Metrics.Ranks[r].Totals.Collectives
-			if sc != fc {
-				t.Errorf("p=%d rank %d: %d collectives message-level, %d fast-path", p, r, sc, fc)
+		ref, _ := runMixedOn(t, p, metricsCfg(testCfg()), true)
+		replay, _ := runMixed(t, p, metricsCfg(testCfg()))
+		for r := range ref.Metrics.Ranks {
+			want, got := ref.Metrics.Ranks[r].Totals, replay.Metrics.Ranks[r].Totals
+			if got != want {
+				t.Errorf("p=%d rank %d totals: replay %+v, message-level %+v", p, r, got, want)
 			}
-			if sc == 0 {
-				t.Errorf("p=%d rank %d counted no collectives", p, r)
+			if want.Collectives == 0 || want.MsgsSent == 0 {
+				t.Errorf("p=%d rank %d counted nothing: %+v", p, r, want)
 			}
 		}
 	}
@@ -140,7 +137,9 @@ func TestMetricsObserverStreamsLiveProgress(t *testing.T) {
 	calls := make([]int, p)
 	cfg := testCfg()
 	cfg.Metrics = &telemetry.Config{Interval: 1e-4, Observer: func(rank int, s telemetry.Sample) {
-		// Called from the rank's own goroutine: per-rank slots need no lock.
+		// Called from the rank's own goroutine, or from a replay leader
+		// while that rank is parked under the station lock: per-rank
+		// slots need no lock of their own.
 		if s.T < last[rank] {
 			t.Errorf("rank %d observer T went backwards: %v -> %v", rank, last[rank], s.T)
 		}

@@ -3,10 +3,7 @@
 // mini-apps use on ARCHER2 (see DESIGN.md §2): point-to-point messages
 // and collectives move real data, and every rank carries a logical clock
 // that advances through modelled compute time and through message
-// causality. Ranks run as goroutines by default, or as coroutines on a
-// single-threaded discrete-event loop (Config.EventDriven, event.go);
-// the two executors are differentially tested to produce bitwise
-// identical results.
+// causality. Every rank runs as one goroutine.
 //
 // Timing model (conservative logical-clock PDES):
 //
@@ -81,18 +78,15 @@ var errKilled = errors.New("mpi: rank killed by fault plan")
 
 // World holds the shared state of one simulated job.
 type World struct {
-	size     int
-	machine  *cluster.Machine
-	boxes    []*mailbox
-	procs    []*proc
-	wcomms   []Comm // per-rank world communicators, batch-allocated
-	fastColl bool   // Config.FastCollectives && !Config.Trace && no fault plan
-	bareColl bool // fastColl && no per-charge observers: stations may replay bare
-	plan     *fault.Plan
-
-	// ev is the discrete-event executor state (Config.EventDriven); nil
-	// selects the goroutine runtime. See event.go.
-	ev *eventLoop
+	size    int
+	machine *cluster.Machine
+	boxes   []*mailbox
+	procs   []*proc
+	wcomms  []Comm // per-rank world communicators, batch-allocated
+	plan    *fault.Plan
+	// analytic selects the replayed Barrier/Bcast/Allreduce (fastcoll.go)
+	// over the message-level ones (collectives.go); see runWorld for the rule.
+	analytic bool
 
 	// deadMu guards deadAt: per-rank virtual death times (< 0 = alive).
 	// A rank is recorded dead only once its goroutine can no longer send,
@@ -121,30 +115,17 @@ type ctxKey struct {
 func (w *World) aborted() bool { return w.abort.Load() }
 
 // setAborted publishes the abort flag and wakes every blocked rank so it
-// can unwind. Under the goroutine runtime the fan-out broadcasts on the
-// mailbox and station condvars; the event-driven loop instead polls the
-// flag between resumes and performs its own wakeups on the loop thread
-// (so host-side callers like the watchdog never touch loop state). Both
-// runtimes re-check the flag before blocking again, so one fan-out is
-// enough.
+// can unwind: the fan-out broadcasts on the mailbox and station condvars.
+// Blocked ranks re-check the flag before blocking again, so one fan-out
+// is enough.
 func (w *World) setAborted() {
 	if w.abort.Swap(true) {
-		return
-	}
-	if w.ev != nil {
 		return
 	}
 	for _, b := range w.boxes {
 		b.interrupt()
 	}
-	w.stMu.Lock()
-	stations := make([]*station, 0, len(w.stations))
-	for _, st := range w.stations {
-		//lint:allow determinism abort fan-out order is host-side only; interrupt is idempotent and never advances virtual time
-		stations = append(stations, st)
-	}
-	w.stMu.Unlock()
-	for _, st := range stations {
+	for _, st := range w.stationList() {
 		st.interrupt()
 	}
 }
@@ -160,37 +141,9 @@ func (w *World) recordDeath(rank int, at float64) {
 		w.deadAt[rank] = at
 	}
 	w.deadMu.Unlock()
-	if w.ev != nil {
-		// recordDeath runs on the loop thread (die() and the rank-body
-		// unwind both execute inside a resumed coroutine), so waking the
-		// parked receivers directly is safe.
-		w.ev.wakeRecvParked()
-		return
-	}
 	for _, b := range w.boxes {
 		b.interrupt()
 	}
-}
-
-// deliver hands an in-flight message to the destination rank's mailbox,
-// waking the receiver if it is blocked on a matching pattern. The two
-// executors differ only in the wake mechanism (condvar signal vs event
-// enqueue); the mailbox FIFO state is shared.
-func (w *World) deliver(dstWorld int, m *message) {
-	if w.ev != nil {
-		w.ev.deliver(dstWorld, m)
-		return
-	}
-	w.boxes[dstWorld].put(m)
-}
-
-// take blocks rank's receive until a matching message (or failure
-// detection) is available, under whichever executor runs the world.
-func (w *World) take(rank, ctx, src, tag int, deadCheck func() *fault.RankFailure) (*message, *fault.RankFailure) {
-	if w.ev != nil {
-		return w.ev.take(rank, ctx, src, tag, deadCheck)
-	}
-	return w.boxes[rank].take(w, ctx, src, tag, deadCheck)
 }
 
 // failureFor returns the failure record of a dead rank, or nil.
@@ -359,14 +312,15 @@ func (p *proc) chargeCommAs(s float64, kind trace.EventKind, peer, bytes, tag in
 //perf:hotpath
 func (p *proc) chargeComm(s float64) { p.chargeCommAs(s, trace.EvComm, -1, 0, 0) }
 
-// waitUntil advances the clock to a message's arrival time, accounting
-// the jump as communication/wait time and recording the causality edge
-// (sender world rank + virtual departure time) when tracing is on.
-func (p *proc) waitUntil(m *message) {
-	if m.arrival <= p.clock {
+// waitUntil advances the clock to the arrival time of a message from
+// srcWorld, accounting the jump as communication/wait time and recording
+// the causality edge (sender world rank + virtual departure time) when
+// tracing is on.
+func (p *proc) waitUntil(srcWorld, bytes, tag int, departure, arrival float64) {
+	if arrival <= p.clock {
 		return
 	}
-	t1, died := p.clamp(m.arrival)
+	t1, died := p.clamp(arrival)
 	wait := t1 - p.clock
 	t0 := p.clock
 	p.clock = t1
@@ -377,7 +331,7 @@ func (p *proc) waitUntil(m *message) {
 	if p.timeline != nil {
 		p.timeline.Add(trace.Event{Kind: trace.EvWait, T0: t0, T1: t1,
 			Region: p.profile.Current(), Op: p.op,
-			Peer: m.srcWorld, Bytes: m.bytes, Tag: m.tag, SendT: m.departure})
+			Peer: srcWorld, Bytes: bytes, Tag: tag, SendT: departure})
 	}
 	if p.metrics != nil {
 		p.metrics.AdvanceWait(t0, t1)
@@ -387,24 +341,43 @@ func (p *proc) waitUntil(m *message) {
 	}
 }
 
-// advanceTo performs the waitUntil clock/accounting updates for a
-// message that exists only analytically (the fast-collective path, which
-// never runs when tracing is on). The floating-point operations and
-// their order are identical to waitUntil's, which is what keeps the two
-// paths bitwise identical.
-func (p *proc) advanceTo(arrival float64) {
-	if arrival <= p.clock {
-		return
-	}
-	wait := arrival - p.clock
-	t0 := p.clock
-	p.clock = arrival
-	p.comm += wait
-	if p.profile != nil {
-		p.profile.AddComm(wait)
+// postSend is the sender's half of one message: the CPU overhead charge,
+// the comm-matrix cell, the message counters and the flight record. It
+// returns the virtual times the message departs and arrives. Real sends
+// (finishSend) and the replayed collectives (fastcoll.go) both go
+// through it and completeRecv, so every observer sees the same message
+// whether or not one travelled.
+func (p *proc) postSend(dstWorld, bytes, tag int) (departure, arrival float64) {
+	w := p.world
+	p.chargeCommAs(w.machine.SendOverhead, trace.EvSend, dstWorld, bytes, tag)
+	p.countMessage(dstWorld, bytes)
+	departure = p.clock
+	if w.plan != nil {
+		arrival = departure + w.plan.TransferTime(w.machine, p.worldRank, dstWorld, bytes, departure)
+	} else {
+		arrival = departure + w.machine.TransferTime(p.worldRank, dstWorld, bytes)
 	}
 	if p.metrics != nil {
-		p.metrics.AdvanceWait(t0, arrival)
+		p.metrics.Sent(bytes)
+	}
+	if p.flight != nil {
+		p.flight.Record(telemetry.FlightEvent{T: departure, Kind: telemetry.FlightSend,
+			Peer: dstWorld, Bytes: bytes, Tag: tag})
+	}
+	return departure, arrival
+}
+
+// completeRecv is the receiver's half: the jump to the arrival time is
+// time this rank spent waiting, then the receive overhead is charged.
+func (p *proc) completeRecv(srcWorld, bytes, tag int, departure, arrival float64) {
+	p.waitUntil(srcWorld, bytes, tag, departure, arrival)
+	p.chargeCommAs(p.world.machine.RecvOverhead, trace.EvRecv, srcWorld, bytes, tag)
+	if p.metrics != nil {
+		p.metrics.Received(uint64(bytes), arrival)
+	}
+	if p.flight != nil {
+		p.flight.Record(telemetry.FlightEvent{T: p.clock, Kind: telemetry.FlightRecv,
+			Peer: srcWorld, Bytes: bytes, Tag: tag})
 	}
 }
 
@@ -464,7 +437,7 @@ type Comm struct {
 	base     int
 	size     int
 	splitGen int // number of Splits performed on this comm (for ctx derivation)
-	// station caches this communicator's fast-collective rendezvous
+	// station caches this communicator's collective rendezvous
 	// station (lazily resolved), so repeated collectives skip the
 	// stations-map lock. Per-rank like the Comm itself.
 	station *station
@@ -632,28 +605,11 @@ func (c *Comm) checkPeer(r int, op string) {
 // single implementation behind Send, SendInts, SendBytes and
 // SendVirtual.
 func (c *Comm) finishSend(to, tag int, m *message, chargedBytes int) {
-	mach := c.world.machine
-	srcWorld := c.proc.worldRank
 	dstWorld := c.worldRankOf(to)
-	c.proc.chargeCommAs(mach.SendOverhead, trace.EvSend, dstWorld, chargedBytes, tag)
-	c.proc.countMessage(dstWorld, chargedBytes)
-	departure := c.proc.clock
-	m.ctx, m.src, m.srcWorld, m.tag = c.ctx, c.rank, srcWorld, tag
+	m.departure, m.arrival = c.proc.postSend(dstWorld, chargedBytes, tag)
+	m.ctx, m.src, m.srcWorld, m.tag = c.ctx, c.rank, c.proc.worldRank, tag
 	m.bytes = chargedBytes
-	m.departure = departure
-	if plan := c.world.plan; plan != nil {
-		m.arrival = departure + plan.TransferTime(mach, srcWorld, dstWorld, chargedBytes, departure)
-	} else {
-		m.arrival = departure + mach.TransferTime(srcWorld, dstWorld, chargedBytes)
-	}
-	if p := c.proc; p.metrics != nil {
-		p.metrics.Sent(chargedBytes)
-	}
-	if p := c.proc; p.flight != nil {
-		p.flight.Record(telemetry.FlightEvent{T: departure, Kind: telemetry.FlightSend,
-			Peer: dstWorld, Bytes: chargedBytes, Tag: tag})
-	}
-	c.world.deliver(dstWorld, m)
+	c.world.boxes[dstWorld].put(m)
 }
 
 // sendF64 is the float64 fast path: the clone comes from the rank's
@@ -743,20 +699,11 @@ func (c *Comm) recvRaw(from, tag int) *message {
 	if from != AnySource {
 		c.checkPeer(from, "Recv")
 	}
-	msg, rf := c.world.take(c.proc.worldRank, c.ctx, from, tag, c.deadCheckFor(from))
+	msg, rf := c.world.boxes[c.proc.worldRank].take(c.world, c.ctx, from, tag, c.deadCheckFor(from))
 	if rf != nil {
 		c.failPeer(rf)
 	}
-	// The jump to the arrival time is time this rank spent waiting.
-	c.proc.waitUntil(msg)
-	c.proc.chargeCommAs(c.world.machine.RecvOverhead, trace.EvRecv, msg.srcWorld, msg.bytes, msg.tag)
-	if p := c.proc; p.metrics != nil {
-		p.metrics.Received(uint64(msg.bytes), msg.arrival)
-	}
-	if p := c.proc; p.flight != nil {
-		p.flight.Record(telemetry.FlightEvent{T: p.clock, Kind: telemetry.FlightRecv,
-			Peer: msg.srcWorld, Bytes: msg.bytes, Tag: msg.tag})
-	}
+	c.proc.completeRecv(msg.srcWorld, msg.bytes, msg.tag, msg.departure, msg.arrival)
 	return msg
 }
 
@@ -794,7 +741,7 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 	var latest message // the message whose arrival completes the Waitall
 	deadCheck := c.deadCheckFor(AnySource)
 	for i := 0; i < n; i++ {
-		m, rf := c.world.take(c.proc.worldRank, c.ctx, AnySource, tag, deadCheck)
+		m, rf := c.world.boxes[c.proc.worldRank].take(c.world, c.ctx, AnySource, tag, deadCheck)
 		if rf != nil {
 			// A wildcard wait can only fail once every potential sender is
 			// dead; unwind like any receive from a dead peer.
@@ -810,7 +757,7 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 		releaseMessage(m)
 	}
 	if n > 0 {
-		c.proc.waitUntil(&latest)
+		c.proc.waitUntil(latest.srcWorld, latest.bytes, latest.tag, latest.departure, latest.arrival)
 	}
 	c.proc.chargeCommAs(float64(n)*c.world.machine.RecvOverhead, trace.EvRecv, -1, 0, tag)
 	sort.Slice(msgs, func(a, b int) bool {
@@ -1034,50 +981,32 @@ type Config struct {
 	// Trace enables per-rank event timelines (virtual-time spans for
 	// compute, send, recv/wait and collective phases) and the rank×rank
 	// communication matrix, feeding the critical-path analysis and the
-	// Perfetto/JSON exporters. Implies Profile. Off by default: the
-	// un-traced fast path records nothing.
+	// Perfetto/JSON exporters. Implies Profile. Tracing only observes:
+	// the replayed collectives record the same send/wait/recv events and
+	// matrix cells their messages would, so a traced run is computed
+	// exactly as an untraced one. Off by default, recording nothing.
 	Trace bool
 	// TraceMaxEvents caps the events recorded per rank to bound memory;
 	// <= 0 selects trace.DefaultMaxEvents. Ranks that exceed the cap
 	// report dropped events and are rejected by the critical-path
 	// analysis rather than yielding a truncated chain.
 	TraceMaxEvents int
-	// FastCollectives computes Barrier, Bcast and Allreduce centrally
-	// instead of through point-to-point messages: the ranks rendezvous,
-	// one goroutine replays the exact clock recurrence the message-level
-	// algorithm induces (same floating-point operations in the same
-	// order), and everyone leaves with bitwise-identical clocks, comm
-	// accounting and results. This removes the mailbox and scheduler
-	// traffic that dominates host time in collective-heavy runs at high
-	// rank counts. Ignored when Trace is set: tracing forces the
-	// message-level path so event timelines and the comm matrix stay
-	// complete.
-	FastCollectives bool
-	// EventDriven selects the single-threaded discrete-event executor:
-	// rank programs run as resumable coroutines ordered by a virtual-clock
-	// event heap instead of one goroutine per rank, with no mutexes or
-	// condition variables on the messaging hot path. Blocking operations
-	// (Recv, collectives, fault-detection waits) become yield points that
-	// park the rank until the matching virtual-time event fires. Clocks,
-	// Stats, traces and metric series are bitwise identical to the
-	// goroutine runtime's (event_test.go enforces this differentially);
-	// the win is host time at high rank counts, where goroutine scheduling
-	// and lock traffic dominate. A deadlocked program is detected
-	// immediately (no runnable rank, live ranks parked) instead of
-	// stalling until the watchdog fires.
-	EventDriven bool
 	// Watchdog aborts the run if it exceeds this much *host* time,
-	// catching deadlocked communication patterns in tests. Defaults to
-	// 120 s; negative disables.
+	// catching deadlocked communication patterns in tests; the error
+	// summarises what the ranks were blocked on. Defaults to 120 s;
+	// negative disables.
 	Watchdog time.Duration
 	// Faults injects the deterministic failure schedule of a fault.Plan:
 	// rank crashes, straggler nodes and degraded links (DESIGN.md §7).
 	// When ranks crash, Run returns partial Stats plus a
 	// *fault.RanksFailed error instead of aborting; survivors observe
 	// dead peers as *fault.RankFailure errors after the plan's detection
-	// latency. A fault plan forces the message-level collective path
-	// (FastCollectives is ignored) so failures propagate through
-	// collectives. The plan must not be mutated during the run.
+	// latency. A non-empty plan is also the one input that changes how
+	// Barrier, Bcast and Allreduce are computed: they run as real
+	// point-to-point messages instead of the analytic replay, because a
+	// rank must be able to die, or observe a death, between two messages
+	// of a collective. Virtual time is bitwise the same either way. The
+	// plan must not be mutated during the run.
 	Faults *fault.Plan
 	// Cancel, when non-nil, aborts the run as soon as the channel is
 	// closed: the abort fan-out wakes every blocked rank, all rank
@@ -1092,10 +1021,8 @@ type Config struct {
 	// Stats.Metrics, with optional live snapshots via Config.Observer.
 	// Sampling only observes the charges the runtime already makes, so
 	// clocks, stats and traces are bitwise identical with metrics on or
-	// off (metrics_test.go enforces this differentially). On the
-	// analytic-collective fast path message counters cover only the
-	// point-to-point traffic — the replayed collectives move no real
-	// messages — while all time series remain exact.
+	// off (metrics_test.go enforces this differentially). Message
+	// counters include the messages of replayed collectives.
 	Metrics *telemetry.Config
 	// FlightEvents controls the per-rank flight recorder, the bounded
 	// ring of recent sends/receives/collectives dumped into
@@ -1118,6 +1045,13 @@ var ErrCanceled = errors.New("mpi: run canceled")
 // and timelines up to each rank's last charge), so aborted runs export
 // cleanly; callers must treat them as incomplete.
 func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
+	return runWorld(size, cfg, fn, false)
+}
+
+// runWorld is Run plus the hook in-package differential tests use: reference
+// makes a plan-less world run the message-level collectives, the
+// implementation the analytic replay is compared against.
+func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stats, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: size must be positive, got %d", size)
 	}
@@ -1144,16 +1078,18 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 		procs:    make([]*proc, size),
 		ctxs:     make(map[ctxKey]int),
 		stations: make(map[int]*station),
-		fastColl: cfg.FastCollectives && !cfg.Trace && plan == nil,
 		plan:     plan,
 		deadAt:   make([]float64, size),
+		// The one rule: collectives are replayed analytically unless a
+		// fault plan is set. The replay's leader charges every member's
+		// clock while they are parked, so no member can unwind in the
+		// middle of a collective — which is exactly what a crash, or the
+		// detection of one, has to do.
+		analytic: plan == nil,
 	}
-	// With no per-charge observers (profiles, timelines, metrics) and no
-	// plan, chargeCommAs/advanceTo reduce to plain clock/comm arithmetic,
-	// so stations may run the inlined bare replays (fastreplay.go) — the
-	// same floating-point operations in the same order, minus the
-	// per-charge indirection.
-	w.bareColl = w.fastColl && !cfg.Profile && !cfg.Trace && cfg.Metrics == nil
+	if reference {
+		w.analytic = false
+	}
 	var collectors []*telemetry.Collector
 	if cfg.Metrics != nil {
 		collectors = telemetry.NewCollectors(size, cfg.Metrics)
@@ -1187,12 +1123,6 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 		}
 	}
 
-	// Installed before the watchdog and cancel watchers start: their
-	// abort path (setAborted) reads w.ev.
-	if cfg.EventDriven {
-		w.ev = newEventLoop(w, size)
-	}
-
 	watchdog := cfg.Watchdog
 	if watchdog == 0 {
 		watchdog = 120 * time.Second
@@ -1204,7 +1134,8 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 		// timer goroutine would kill the whole process.
 		//lint:allow determinism the watchdog deliberately runs on host time to catch deadlocks; it never feeds the virtual clock
 		t := time.AfterFunc(watchdog, func() {
-			w.fail(fmt.Errorf("mpi: watchdog: run of %d ranks exceeded %v host time (deadlock?)", size, watchdog))
+			w.fail(fmt.Errorf("mpi: watchdog: run of %d ranks exceeded %v host time (deadlock?): %s",
+				size, watchdog, w.waitSet()))
 		})
 		defer t.Stop()
 	}
@@ -1228,19 +1159,15 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 	}
 
 	errs := make([]error, size)
-	if w.ev != nil {
-		w.ev.run(fn, errs)
-	} else {
-		var wg sync.WaitGroup
-		for r := 0; r < size; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				w.rankBody(rank, fn, errs)
-			}(r)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for r := 0; r < size; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			w.rankBody(rank, fn, errs)
+		}(r)
 	}
+	wg.Wait()
 	w.failMu.Lock()
 	w.finished = true
 	runtimeErr := w.failErr
@@ -1331,8 +1258,7 @@ func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
 }
 
 // rankBody runs fn on one rank with the standard unwind handling; it is
-// the body of one rank goroutine under the goroutine runtime and of one
-// rank coroutine under the event-driven executor.
+// the body of one rank goroutine.
 func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
 	defer func() {
 		rec := recover()

@@ -40,7 +40,7 @@ const (
 
 // f64Arena is a per-rank bump allocator for outgoing payload clones. It
 // is only ever touched by its owning rank goroutine (during sends) or by
-// the fast-collective leader while the owner is parked at the station,
+// the collective-replay leader while the owner is parked at the station,
 // so it needs no lock.
 type f64Arena struct {
 	chunk []float64 // remaining free space of the current chunk

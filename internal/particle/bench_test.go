@@ -9,14 +9,14 @@ import (
 )
 
 // BenchmarkRunParticle measures the host-side cost of whole particle
-// jobs (construction + 5 coupled steps, analytic fast path on) per
+// jobs (construction + 5 coupled steps) per
 // balancing strategy at the paper's scaling rank counts. Recorded in
 // BENCH_particle.json; `make bench-particle` re-measures.
 func BenchmarkRunParticle(b *testing.B) {
 	for _, p := range []int{8, 64, 512} {
 		for _, st := range Strategies() {
 			b.Run(fmt.Sprintf("ranks=%d/strategy=%s", p, st), func(b *testing.B) {
-				cfg := mpi.Config{Machine: cluster.ARCHER2(), FastCollectives: true, Watchdog: -1}
+				cfg := mpi.Config{Machine: cluster.ARCHER2(), Watchdog: -1}
 				pc := Config{Droplets: 7_000_000, ConeFraction: 0.1, EvapSteps: 50,
 					Strategy: st, ImbalanceThreshold: 1.3, Seed: 3}
 				b.ReportAllocs()

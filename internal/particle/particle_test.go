@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cpx/internal/cluster"
+	"cpx/internal/fault"
 	"cpx/internal/mpi"
 )
 
@@ -220,20 +221,21 @@ func runOnce(t *testing.T, st Strategy, c mpi.Config) *mpi.Stats {
 	return stats
 }
 
-// TestExecutorsIdentical asserts bitwise-identical virtual time between
-// the goroutine and event-driven executors, and under GOMAXPROCS=1, for
-// every balancing strategy — the runtime's core invariant extended to
-// the new subsystem's exchanges (migration, steal grants, repartition).
-func TestExecutorsIdentical(t *testing.T) {
+// TestCollectivePathsIdentical asserts bitwise-identical virtual time
+// between the replayed and the message-level collectives (selected by a
+// fault plan that never fires), and under GOMAXPROCS=1, for every
+// balancing strategy — the runtime's core invariant extended to this
+// subsystem's exchanges (migration, steal grants, repartition).
+func TestCollectivePathsIdentical(t *testing.T) {
 	for _, st := range Strategies() {
 		base := runOnce(t, st, cfg())
-		evCfg := cfg()
-		evCfg.EventDriven = true
-		event := runOnce(t, st, evCfg)
+		msgCfg := cfg()
+		msgCfg.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 1e300}}}
+		messages := runOnce(t, st, msgCfg)
 		prev := runtime.GOMAXPROCS(1)
 		serial := runOnce(t, st, cfg())
 		runtime.GOMAXPROCS(prev)
-		for _, other := range []*mpi.Stats{event, serial} {
+		for _, other := range []*mpi.Stats{messages, serial} {
 			if other.Elapsed != base.Elapsed {
 				t.Errorf("%v: elapsed %v vs %v", st, other.Elapsed, base.Elapsed)
 			}

@@ -494,13 +494,7 @@ func (s *Server) simulateRunner(reqp *SimulateRequest, jb *Job) func(context.Con
 		if err := sim.Validate(); err != nil {
 			return nil, badRequest(err)
 		}
-		switch req.Sched {
-		case "", "goroutine", "event":
-		default:
-			return nil, badRequest(fmt.Errorf("sched must be \"goroutine\" or \"event\", got %q", req.Sched))
-		}
-		cfg := mpi.Config{Machine: s.opts.Machine, FastCollectives: req.FastColl,
-			EventDriven: req.Sched == "event"}
+		cfg := mpi.Config{Machine: s.opts.Machine}
 		// Feed the job's live virtual-time progress from the metrics
 		// sampler. Sampling never perturbs the simulation (clocks and
 		// results stay bitwise identical), so cached artifacts are the

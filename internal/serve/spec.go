@@ -289,14 +289,6 @@ type SimulateRequest struct {
 	SimSpec
 	// SeedOffset shifts every instance seed (cpxsim -seed).
 	SeedOffset int64 `json:"seedOffset,omitempty"`
-	// FastColl selects the analytic collective path (cpxsim -fastcoll);
-	// virtual times are bitwise-identical either way.
-	FastColl bool `json:"fastColl,omitempty"`
-	// Sched selects the rank executor (cpxsim -sched): "goroutine" (the
-	// default, one goroutine per rank) or "event" (single-threaded
-	// discrete-event loop). Virtual times are bitwise-identical either
-	// way.
-	Sched string `json:"sched,omitempty"`
 }
 
 // ComponentTime is one component's virtual-time outcome.

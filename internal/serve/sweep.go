@@ -313,12 +313,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, JobFailed, err)
 		return
 	}
-	switch req.Template.Sched {
-	case "", "goroutine", "event":
-	default:
-		fail(http.StatusBadRequest, JobFailed, fmt.Errorf("template.sched must be \"goroutine\" or \"event\", got %q", req.Template.Sched))
-		return
-	}
 	// Validate the template once up front so an unbuildable scenario is
 	// a 400 on the request, not an error on every point.
 	if sim, err := req.Template.SimSpec.Build(); err != nil {

@@ -47,9 +47,9 @@ type Config struct {
 	MaxSamples int
 	// Observer, when non-nil, receives a live snapshot each time a rank
 	// crosses a sample boundary (and, past the storage cap, once per
-	// clock charge). It is invoked from rank goroutines — and, on the
-	// analytic-collective fast path, from the replay leader on other
-	// ranks' behalf — so it must be safe for concurrent use and must not
+	// clock charge). It is invoked from rank goroutines — and, inside a
+	// replayed collective, from the replay leader on other ranks'
+	// behalf — so it must be safe for concurrent use and must not
 	// block. Mailbox depth is not available live (it needs the post-run
 	// arrival merge) and is always zero in Observer snapshots.
 	Observer func(rank int, s Sample)
@@ -117,7 +117,7 @@ func (s *Sample) add(src Sample) {
 }
 
 // Collector accumulates one rank's metrics during a run. It is owned by
-// the rank's goroutine (or, on the analytic-collective fast path, by the
+// the rank's goroutine (or, inside a replayed collective, by the
 // replay leader while every other member is parked) and read only after
 // the run completes. All methods are driven by virtual-time values.
 type Collector struct {

@@ -64,8 +64,10 @@ func (e Event) Duration() float64 { return e.T1 - e.T0 }
 // DefaultMaxEvents bounds the per-rank timeline unless overridden.
 const DefaultMaxEvents = 1 << 20
 
-// Timeline is the ordered event record of one rank. It is owned by a
-// single rank goroutine during a run and read only after completion.
+// Timeline is the ordered event record of one rank. It is owned by that
+// rank's goroutine during a run (or, inside a replayed collective, by
+// the replay leader while the rank is parked) and read only after
+// completion.
 type Timeline struct {
 	Rank    int
 	Events  []Event
