@@ -1,14 +1,15 @@
-# Developer entry points. `make check` is the CI gate: vet, the cpxlint
-# static-analysis suite, build, the full test suite, the race detector
-# over the concurrency-heavy packages (the virtual-time runtime and its
-# tracing layer), and one iteration of each runtime benchmark so a
-# change that breaks them fails loudly.
+# Developer entry points. `make check` is the CI gate, seven legs: vet,
+# the cpxlint static-analysis suite, build, the full test suite (which
+# holds the service's end-to-end self-tests, cmd/cpxserve/main_test.go,
+# and the quick particle-scaling experiment), the race detector over the
+# concurrency-heavy packages, the short-mode race leg, and one iteration
+# of every `go test` benchmark so a change that breaks one fails loudly.
 
 GO ?= go
 
-.PHONY: check vet lint lint-baseline build test test-race test-race-short race serve-smoke sweep-smoke telemetry-smoke particle-smoke bench-smoke bench bench-compare bench-trace bench-mpi bench-fault bench-serve bench-telemetry bench-particle bench-lint
+.PHONY: check vet lint lint-baseline build test test-race test-race-short race bench-smoke bench bench-compare bench-trace bench-mpi bench-fault bench-serve bench-telemetry bench-particle bench-lint
 
-check: vet lint build test race test-race-short serve-smoke sweep-smoke telemetry-smoke particle-smoke bench-smoke bench-fault bench-particle
+check: vet lint build test race test-race-short bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -42,42 +43,14 @@ test-race:
 # cheap enough for `make check`, still crosses the goroutine-per-rank
 # scheduler, the coupler's exchange phases and the HTTP job registry.
 test-race-short:
-	$(GO) test -race -short ./internal/mpi/ ./internal/coupler/ ./internal/serve/
+	$(GO) test -race -short ./internal/mpi/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
 
-# End-to-end self-test of the cpxserve HTTP service on an ephemeral
-# port: health, a demo allocation served byte-identically from the
-# cache on repeat, a small coupled simulation, a live job watched over
-# SSE (at least one virtual-time progress event must arrive before the
-# job completes), and the metrics exposition.
-serve-smoke:
-	$(GO) run ./cmd/cpxserve -smoke
-
-# Scale-out smoke: builds cpxserve, spawns two worker shard processes
-# (each with its own disk cache), fronts them with a cache-key router,
-# and runs the same parameter sweep twice — every point must route to a
-# shard, land on the same shard both times, be served from cache on the
-# re-run, and return byte-identical artifacts.
-sweep-smoke:
-	$(GO) build -o /tmp/cpxserve-smoke ./cmd/cpxserve
-	/tmp/cpxserve-smoke -smoke-sweep
-
-# Live-telemetry smoke: submits a slow simulation and asserts progress
-# streams over /v1/jobs/{id}/events while it runs. The job-stream leg
-# lives inside the cpxserve smoke; this runs it with JSON logs enabled
-# so the structured-logging path is exercised too.
-telemetry-smoke:
-	$(GO) run ./cmd/cpxserve -smoke -log json -v
-
-# Quick pass of the particle-scaling experiment: all three MiniCombust
-# suites x all three balancing strategies through the real CLI.
-particle-smoke:
-	$(GO) run ./cmd/cpxbench -exp particle-scaling -quick
-
-# One iteration of every runtime benchmark: catches benchmarks that no
-# longer compile or run, without the cost of a real measurement.
+# One iteration of every runtime benchmark — the mpi runtime, the
+# coupler's donor index and resilience cycle, the coupled particle run:
+# catches benchmarks that no longer compile or run, without the cost of
+# a real measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRun' -benchtime 1x ./internal/mpi/
-	$(GO) test -run '^$$' -bench 'BenchmarkBuildKDTree|BenchmarkKNearest|BenchmarkUnitExchange' -benchtime 1x ./internal/coupler/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mpi/ ./internal/coupler/ ./internal/particle/
 
 # The repository's host-time benchmark (bench/README.md): all four
 # workloads, results to .bench_out.json. About 2 min on a 2-core host.
@@ -97,10 +70,10 @@ bench-trace:
 bench-mpi:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunP2P|BenchmarkRunCollectives' -benchmem -count 5 ./internal/mpi/
 
-# One iteration of the resilience benchmarks (checkpointed run + full
-# crash-recovery cycle); baselines recorded in BENCH_fault.json.
+# Re-measure the resilience benchmarks (checkpointed run + full
+# crash-recovery cycle) recorded in BENCH_fault.json.
 bench-fault:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunResilient' -benchtime 1x ./internal/coupler/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunResilient' -benchmem -count 5 ./internal/coupler/
 
 # Re-measure the virtual-time metrics-sampling overhead recorded in
 # BENCH_telemetry.json (metrics on vs off at 8/64/512 ranks).
@@ -116,10 +89,9 @@ bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkAllocate' -benchmem -count 5 ./internal/perfmodel/
 
 # Re-measure the coupled flow+particle host cost recorded in
-# BENCH_particle.json (per strategy at 8/64/512 particle ranks). In
-# `make check` it runs one iteration as a smoke gate.
+# BENCH_particle.json (per strategy at 8/64/512 particle ranks).
 bench-particle:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunParticle' -benchtime 1x ./internal/particle/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunParticle' -benchmem -count 5 ./internal/particle/
 
 # Time the full cpxlint sweep (wall clock recorded in BENCH_lint.json).
 bench-lint:

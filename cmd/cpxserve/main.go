@@ -7,7 +7,6 @@
 // Usage:
 //
 //	cpxserve -addr :8080
-//	cpxserve -smoke        # self-test against an ephemeral port and exit
 //
 // Endpoints:
 //
@@ -38,17 +37,18 @@
 // and optionally backed by a persistent disk tier (-cache-dir) that
 // survives restarts. With -shards, simulation jobs are routed to worker
 // processes by consistent hashing of the cache key, so identical
-// scenarios always land where the cache is warm; dead shards degrade to
-// the next arc or to local execution. SIGINT/SIGTERM trigger a graceful
-// shutdown that drains in-flight jobs.
+// scenarios always land where the cache is warm (a forwarded job carries
+// the caller's remaining deadline); dead shards degrade to the next arc
+// or to local execution. SIGINT/SIGTERM trigger a graceful shutdown that
+// drains in-flight jobs.
+//
+// The binary only serves. Its end-to-end self-tests are ordinary tests
+// in main_test.go (go test ./cmd/cpxserve), one of which builds this
+// binary and drives two real shard processes.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,11 +77,9 @@ func main() {
 	shardProbe := flag.Duration("shard-probe", 0, "shard health probe interval (0 = 2s)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "concurrent sweep points (0 = 2x workers)")
 	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving")
-	smoke := flag.Bool("smoke", false, "self-test against an ephemeral port, then exit")
-	smokeSweep := flag.Bool("smoke-sweep", false, "spawn two shard processes and self-test sweep routing, then exit")
 	flag.Parse()
 
-	logger, err := newLogger(*logFormat, *verbose)
+	logger, err := newLogger(os.Stderr, *logFormat, *verbose)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cpxserve: %v\n", err)
 		os.Exit(1)
@@ -98,31 +96,15 @@ func main() {
 			}
 		}
 	}
-	if *smoke {
-		if err := runSmoke(opts); err != nil {
-			fmt.Fprintf(os.Stderr, "cpxserve: smoke: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("cpxserve: smoke OK")
-		return
-	}
-	if *smokeSweep {
-		if err := runSweepSmoke(opts, spawnShardProcess); err != nil {
-			fmt.Fprintf(os.Stderr, "cpxserve: sweep smoke: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("cpxserve: sweep smoke OK")
-		return
-	}
 	if err := runServer(*addr, *portFile, opts); err != nil {
 		logger.Error("server failed", "error", err)
 		os.Exit(1)
 	}
 }
 
-// newLogger builds the process logger: structured lines on stderr in
-// the chosen format.
-func newLogger(format string, verbose bool) (*slog.Logger, error) {
+// newLogger builds the process logger: structured lines on w in the
+// chosen format.
+func newLogger(w io.Writer, format string, verbose bool) (*slog.Logger, error) {
 	level := slog.LevelInfo
 	if verbose {
 		level = slog.LevelDebug
@@ -130,9 +112,9 @@ func newLogger(format string, verbose bool) (*slog.Logger, error) {
 	ho := &slog.HandlerOptions{Level: level}
 	switch format {
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, ho)), nil
+		return slog.New(slog.NewTextHandler(w, ho)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, ho)), nil
+		return slog.New(slog.NewJSONHandler(w, ho)), nil
 	default:
 		return nil, fmt.Errorf("unknown -log format %q (want text or json)", format)
 	}
@@ -180,215 +162,4 @@ func runServer(addr, portFile string, opts serve.Options) error {
 	err = hs.Shutdown(ctx)
 	s.Close()
 	return err
-}
-
-// runSmoke exercises the full serving path end to end on an ephemeral
-// port: health, a demo allocation (miss, then byte-identical hit), a
-// small coupled simulation, live job progress over SSE, and the
-// metrics exposition.
-func runSmoke(opts serve.Options) error {
-	// A fine virtual-time sampling period so even the short smoke
-	// simulation emits many progress observations.
-	opts.ProgressInterval = 1e-4
-	s := serve.New(opts)
-	defer s.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	get := func(path string) (string, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 {
-			return "", fmt.Errorf("GET %s: %d %s", path, resp.StatusCode, b)
-		}
-		return string(b), nil
-	}
-	post := func(path, body string) ([]byte, string, error) {
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			return nil, "", err
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 {
-			return nil, "", fmt.Errorf("POST %s: %d %s", path, resp.StatusCode, b)
-		}
-		return b, resp.Header.Get("X-Cache"), nil
-	}
-
-	if body, err := get("/healthz"); err != nil {
-		return err
-	} else if !strings.Contains(body, `"status":"ok"`) {
-		return fmt.Errorf("healthz: %s", body)
-	}
-
-	allocBody, err := json.Marshal(serve.AllocateRequest{
-		Budget:     10_000,
-		Components: serve.DemoComponents(),
-	})
-	if err != nil {
-		return err
-	}
-	first, oc1, err := post("/v1/allocate", string(allocBody))
-	if err != nil {
-		return err
-	}
-	if oc1 != "miss" {
-		return fmt.Errorf("first allocation outcome %q, want miss", oc1)
-	}
-	second, oc2, err := post("/v1/allocate", string(allocBody))
-	if err != nil {
-		return err
-	}
-	if oc2 != "hit" {
-		return fmt.Errorf("second allocation outcome %q, want hit", oc2)
-	}
-	if !bytes.Equal(first, second) {
-		return errors.New("cached allocation not byte-identical")
-	}
-
-	simBody := `{
-	  "densitySteps": 2, "rotationPerStep": 0.002,
-	  "instances": [
-	    {"name": "row1", "kind": "mgcfd", "meshCells": 4096, "ranks": 4, "seed": 1},
-	    {"name": "row2", "kind": "mgcfd", "meshCells": 4096, "ranks": 4, "seed": 2}],
-	  "units": [
-	    {"name": "cu", "a": 0, "b": 1, "kind": "sliding", "points": 2000, "ranks": 2, "search": "tree"}]
-	}`
-	if body, _, err := post("/v1/simulate", simBody); err != nil {
-		return err
-	} else if !bytes.Contains(body, []byte(`"elapsed"`)) {
-		return fmt.Errorf("simulate response: %s", body)
-	}
-
-	if err := smokeJobStream(base); err != nil {
-		return fmt.Errorf("job stream: %w", err)
-	}
-
-	metrics, err := get("/metrics")
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{
-		"cpxserve_cache_hits_total 1",
-		`cpxserve_requests_total{endpoint="/v1/allocate",code="200"} 2`,
-		`cpxserve_jobs_finished_total{state="done"}`,
-		"cpxserve_jobs_active 0",
-	} {
-		if !strings.Contains(metrics, want) {
-			return fmt.Errorf("metrics missing %q", want)
-		}
-	}
-	return nil
-}
-
-// smokeJobStream submits a slow simulation and watches it live: the
-// job must be listed in /v1/jobs while in flight, stream at least one
-// positive-virtual-time progress event over SSE before it completes,
-// and finish with a terminal "done" event.
-func smokeJobStream(base string) error {
-	slowSim := `{
-	  "densitySteps": 40, "rotationPerStep": 0.001,
-	  "instances": [
-	    {"name": "row1", "kind": "mgcfd", "meshCells": 262144, "ranks": 4, "seed": 1},
-	    {"name": "row2", "kind": "mgcfd", "meshCells": 262144, "ranks": 4, "seed": 2}],
-	  "units": [
-	    {"name": "cu", "a": 0, "b": 1, "kind": "sliding", "points": 2000, "ranks": 2, "search": "tree"}]
-	}`
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(base+"/v1/simulate", "application/json", strings.NewReader(slowSim))
-		if err != nil {
-			errc <- err
-			return
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			errc <- fmt.Errorf("slow simulate: %d %s", resp.StatusCode, b)
-			return
-		}
-		errc <- nil
-	}()
-
-	// Find the in-flight job in the registry listing.
-	var jobID string
-	deadline := time.Now().Add(10 * time.Second)
-	for jobID == "" {
-		if time.Now().After(deadline) {
-			return errors.New("slow job never appeared in /v1/jobs")
-		}
-		resp, err := http.Get(base + "/v1/jobs")
-		if err != nil {
-			return err
-		}
-		var list struct {
-			Jobs []struct {
-				ID       string `json:"id"`
-				Endpoint string `json:"endpoint"`
-				State    string `json:"state"`
-			} `json:"jobs"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		for _, jv := range list.Jobs {
-			if jv.Endpoint == "/v1/simulate" && (jv.State == "queued" || jv.State == "running") {
-				jobID = jv.ID
-			}
-		}
-		if jobID == "" {
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	// Stream its SSE events until "done".
-	resp, err := http.Get(base + "/v1/jobs/" + jobID + "/events")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	progressed := false
-	event := ""
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			var view struct {
-				State       string  `json:"state"`
-				VirtualTime float64 `json:"virtual_time_s"`
-			}
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &view); err != nil {
-				return fmt.Errorf("bad SSE data: %w", err)
-			}
-			if event == "progress" && view.State == "running" && view.VirtualTime > 0 {
-				progressed = true
-			}
-			if event == "done" {
-				if view.State != "done" {
-					return fmt.Errorf("terminal state %q", view.State)
-				}
-				if !progressed {
-					return errors.New("no live progress event arrived before completion")
-				}
-				return <-errc
-			}
-		}
-	}
-	return fmt.Errorf("SSE stream ended without a done event (scan err %v)", sc.Err())
 }

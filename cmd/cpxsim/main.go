@@ -45,6 +45,10 @@
 //	     "ranks": 4, "search": "prefetch", "exchangeEvery": 20}
 //	  ]
 //	}
+//
+// An instance "kind" is mgcfd, simpic, fem or particle; a unit "kind" is
+// sliding (the default) or steady; "search" is brute, tree or prefetch
+// (the default). Any other spelling is rejected naming the field.
 package main
 
 import (

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"cpx/internal/coupler"
@@ -46,24 +47,52 @@ func TestJSONConfigBuild(t *testing.T) {
 	}
 }
 
+// TestJSONConfigRejectsUnknownKinds: every enum field of the scenario
+// schema accepts its documented spellings (case-insensitively, with the
+// documented meaning of an empty string) and rejects anything else with
+// an error naming the field — never a silent default.
 func TestJSONConfigRejectsUnknownKinds(t *testing.T) {
-	jc := serve.SimSpec{
-		DensitySteps: 1,
-		Instances:    []serve.InstanceSpec{{Name: "x", Kind: "fortran", MeshCells: 10, Ranks: 1}},
+	cases := []struct {
+		name, instKind, unitKind, search string
+		wantErr                          string // "" = must build
+		wantInst                         coupler.SolverKind
+		wantUnit                         coupler.InterfaceKind
+		wantSearch                       coupler.Search
+	}{
+		{"defaults", "mgcfd", "", "", "", coupler.KindMGCFD, coupler.SlidingPlane, coupler.TreePrefetch},
+		{"fem casing", "fem", "steady", "brute", "", coupler.KindFEM, coupler.SteadyState, coupler.BruteForce},
+		{"case-insensitive", "SIMPIC", "Sliding", "Tree", "", coupler.KindSIMPIC, coupler.SlidingPlane, coupler.Tree},
+		{"unknown instance kind", "fortran", "sliding", "tree", `field "kind"`, 0, 0, 0},
+		{"empty instance kind", "", "sliding", "tree", `field "kind"`, 0, 0, 0},
+		{"unknown unit kind", "mgcfd", "stedy", "tree", `unit "u": field "kind"`, 0, 0, 0},
+		{"unknown search", "mgcfd", "sliding", "quantum", `unit "u": field "search"`, 0, 0, 0},
 	}
-	if _, err := jc.Build(); err == nil {
-		t.Error("unknown instance kind accepted")
-	}
-	jc2 := serve.SimSpec{
-		DensitySteps: 1,
-		Instances: []serve.InstanceSpec{
-			{Name: "a", Kind: "mgcfd", MeshCells: 10, Ranks: 1},
-			{Name: "b", Kind: "mgcfd", MeshCells: 10, Ranks: 1},
-		},
-		Units: []serve.UnitSpec{{Name: "u", A: 0, BIdx: 1, Kind: "sliding", Points: 5, Ranks: 1, Search: "quantum"}},
-	}
-	if _, err := jc2.Build(); err == nil {
-		t.Error("unknown search accepted")
+	for _, tc := range cases {
+		jc := serve.SimSpec{
+			DensitySteps: 1,
+			Instances: []serve.InstanceSpec{
+				{Name: "a", Kind: "mgcfd", MeshCells: 10, Ranks: 1},
+				{Name: "b", Kind: tc.instKind, MeshCells: 10, Ranks: 1},
+			},
+			Units: []serve.UnitSpec{{Name: "u", A: 0, BIdx: 1, Kind: tc.unitKind, Points: 5, Ranks: 1, Search: tc.search}},
+		}
+		sim, err := jc.Build()
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want one containing %s", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got := sim.Instances[1].Kind; got != tc.wantInst {
+			t.Errorf("%s: instance kind %v, want %v", tc.name, got, tc.wantInst)
+		}
+		if u := sim.Units[0]; u.Kind != tc.wantUnit || u.Search != tc.wantSearch {
+			t.Errorf("%s: unit kind %v search %v, want %v %v", tc.name, u.Kind, u.Search, tc.wantUnit, tc.wantSearch)
+		}
 	}
 }
 

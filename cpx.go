@@ -211,76 +211,26 @@ type RunStats struct {
 // ranks. Working sets are capped per rank while costs are charged at the
 // configured size, so paper-scale configurations run on one host.
 func RunSimpic(cfg SimpicConfig, cores int, rc RunConfig) (*RunStats, error) {
-	sc := simpic.Production()
-	var setup float64
-	st, err := mpi.Run(cores, rc, func(c *mpi.Comm) error {
-		r, err := simpic.Run(c, cfg, sc)
-		if err == nil && c.Rank() == 0 {
-			setup = r.SetupTime
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	stepping := st.Elapsed - setup
-	if stepping < 0 {
-		stepping = 0
-	}
-	return &RunStats{
-		Elapsed: setup + stepping*simpic.SampledFraction(cfg, sc),
-		Profile: st.MergedProfile(),
-	}, nil
+	return runStats(harness.RunSimpic(cfg, cores, rc))
 }
 
 // RunMGCFD executes the MG-CFD mini-app standalone on `cores` virtual ranks.
 func RunMGCFD(cfg MGCFDConfig, cores int, rc RunConfig) (*RunStats, error) {
-	sc := mgcfd.Production()
-	var setup float64
-	st, err := mpi.Run(cores, rc, func(c *mpi.Comm) error {
-		r, err := mgcfd.Run(c, cfg, sc)
-		if err == nil && c.Rank() == 0 {
-			setup = r.SetupTime
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	stepping := st.Elapsed - setup
-	if stepping < 0 {
-		stepping = 0
-	}
-	return &RunStats{
-		Elapsed: setup + stepping*mgcfd.SampledFraction(cfg, sc),
-		Profile: st.MergedProfile(),
-	}, nil
+	return runStats(harness.RunMGCFD(cfg, cores, rc))
 }
 
 // RunPressure executes the pressure-solver proxy standalone on `cores`
 // virtual ranks. Enable rc.Profile for the Fig. 5-style per-function
 // breakdown.
 func RunPressure(cfg PressureConfig, cores int, rc RunConfig) (*RunStats, error) {
-	sc := pressure.Production()
-	var setup float64
-	st, err := mpi.Run(cores, rc, func(c *mpi.Comm) error {
-		r, err := pressure.Run(c, cfg, sc)
-		if err == nil && c.Rank() == 0 {
-			setup = r.SetupTime
-		}
-		return err
-	})
+	return runStats(harness.RunPressure(cfg, cores, rc))
+}
+
+func runStats(elapsed float64, st *mpi.Stats, err error) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	stepping := st.Elapsed - setup
-	if stepping < 0 {
-		stepping = 0
-	}
-	return &RunStats{
-		Elapsed: setup + stepping*pressure.SampledFraction(cfg, sc),
-		Profile: st.MergedProfile(),
-	}, nil
+	return &RunStats{Elapsed: elapsed, Profile: st.MergedProfile()}, nil
 }
 
 // ---- Experiment harness --------------------------------------------------------

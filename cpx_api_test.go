@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cpx"
+	"cpx/internal/harness"
 )
 
 func TestPublicMachineModels(t *testing.T) {
@@ -96,26 +97,39 @@ func TestPublicExperiments(t *testing.T) {
 	}
 }
 
+// TestPublicStandaloneRuns: the public standalone runs and the harness
+// runtimes the experiments fit their curves on are one recipe, so for
+// the same configuration they must agree bit for bit.
 func TestPublicStandaloneRuns(t *testing.T) {
 	rc := cpx.RunConfig{Machine: cpx.SmallCluster(), Watchdog: 2 * time.Minute}
-	sp, err := cpx.RunSimpic(cpx.SimpicConfig{Cells: 512, ParticlesPerCell: 5, Steps: 20, Seed: 1}, 4, rc)
+	o := harness.Options{Machine: rc.Machine, Watchdog: rc.Watchdog}
+
+	simpicCfg := cpx.SimpicConfig{Cells: 512, ParticlesPerCell: 5, Steps: 20, Seed: 1}
+	sp, err := cpx.RunSimpic(simpicCfg, 4, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Elapsed <= 0 {
-		t.Error("simpic elapsed not positive")
+	if want, err := o.SimpicRuntime(simpicCfg, 4); err != nil || sp.Elapsed != want || sp.Elapsed <= 0 {
+		t.Errorf("RunSimpic elapsed %v, harness SimpicRuntime %v (err %v); want equal and positive", sp.Elapsed, want, err)
 	}
-	mg, err := cpx.RunMGCFD(cpx.MGCFDConfig{MeshCells: 1000, Steps: 2, Seed: 1}, 2, rc)
+
+	mgcfdCfg := cpx.MGCFDConfig{MeshCells: 1000, Steps: 2, Seed: 1}
+	mg, err := cpx.RunMGCFD(mgcfdCfg, 2, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mg.Elapsed <= 0 {
-		t.Error("mgcfd elapsed not positive")
+	if want, err := o.MGCFDRuntime(mgcfdCfg, 2); err != nil || mg.Elapsed != want || mg.Elapsed <= 0 {
+		t.Errorf("RunMGCFD elapsed %v, harness MGCFDRuntime %v (err %v); want equal and positive", mg.Elapsed, want, err)
 	}
+
 	rc.Profile = true
-	pr, err := cpx.RunPressure(cpx.PressureConfig{MeshCells: 4096, Steps: 1, Seed: 1}, 2, rc)
+	pressureCfg := cpx.PressureConfig{MeshCells: 4096, Steps: 1, Seed: 1}
+	pr, err := cpx.RunPressure(pressureCfg, 2, rc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _, err := o.PressureRuntime(pressureCfg, 2, true); err != nil || pr.Elapsed != want || pr.Elapsed <= 0 {
+		t.Errorf("RunPressure elapsed %v, harness PressureRuntime %v (err %v); want equal and positive", pr.Elapsed, want, err)
 	}
 	if pr.Profile == nil || pr.Profile.Entry("pressure_field").Total() <= 0 {
 		t.Error("pressure profile missing")

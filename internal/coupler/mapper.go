@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"cpx/internal/cluster"
 )
@@ -28,6 +29,20 @@ func (s Search) String() string {
 	default:
 		return "kd-tree+prefetch"
 	}
+}
+
+// ParseSearch maps the scenario-file spelling of a donor-search strategy
+// to its value, case-insensitively; empty means prefetch.
+func ParseSearch(name string) (Search, error) {
+	switch strings.ToLower(name) {
+	case "brute":
+		return BruteForce, nil
+	case "tree":
+		return Tree, nil
+	case "", "prefetch":
+		return TreePrefetch, nil
+	}
+	return 0, fmt.Errorf("unknown search %q (want brute, tree or prefetch)", name)
 }
 
 // Search work constants (per candidate distance evaluation, per tree node

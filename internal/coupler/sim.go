@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"cpx/internal/fault"
@@ -58,6 +59,22 @@ func (k SolverKind) String() string {
 	}
 }
 
+// ParseSolverKind maps the scenario-file spelling of an instance kind
+// (cpxsim -config, POST /v1/simulate) to its value, case-insensitively.
+func ParseSolverKind(name string) (SolverKind, error) {
+	switch strings.ToLower(name) {
+	case "mgcfd":
+		return KindMGCFD, nil
+	case "simpic":
+		return KindSIMPIC, nil
+	case "fem":
+		return KindFEM, nil
+	case "particle":
+		return KindParticle, nil
+	}
+	return 0, fmt.Errorf("unknown kind %q (want mgcfd, simpic, fem or particle)", name)
+}
+
 // InterfaceKind selects the coupling interaction type.
 type InterfaceKind int
 
@@ -70,6 +87,18 @@ const (
 	// once. Interface ~5% of the mesh, exchanged every 20 iterations.
 	SteadyState
 )
+
+// ParseInterfaceKind maps the scenario-file spelling of a coupling-unit
+// kind to its value, case-insensitively; empty means sliding.
+func ParseInterfaceKind(name string) (InterfaceKind, error) {
+	switch strings.ToLower(name) {
+	case "", "sliding":
+		return SlidingPlane, nil
+	case "steady":
+		return SteadyState, nil
+	}
+	return 0, fmt.Errorf("unknown kind %q (want sliding or steady)", name)
+}
 
 // Interface fractions of the mesh (paper, Section II-A).
 const (

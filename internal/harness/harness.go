@@ -117,65 +117,85 @@ func (o Options) logf(format string, args ...any) {
 // run-time: the one-off setup plus the stepping phase scaled by the
 // sampled fraction.
 func scaleSampled(elapsed, setup, fraction float64) float64 {
-	stepping := elapsed - setup
-	if stepping < 0 {
-		stepping = 0
-	}
-	return setup + stepping*fraction
+	return setup + max(elapsed-setup, 0)*fraction
 }
 
-// SimpicRuntime runs a SIMPIC configuration standalone on `cores` ranks
-// and returns the virtual run-time of the full configuration (sampled
-// steps scaled up).
-func (o Options) SimpicRuntime(cfg simpic.Config, cores int) (float64, error) {
+// standalone is the one recipe for a standalone mini-app run: launch
+// `cores` ranks under rc, take rank 0's setup time from solve, and scale
+// the sampled run up to the full configuration.
+func standalone(app string, cores int, rc mpi.Config, fraction float64, solve func(*mpi.Comm) (setup float64, err error)) (float64, *mpi.Stats, error) {
+	var setup float64
+	st, err := mpi.Run(cores, rc, func(c *mpi.Comm) error {
+		t, err := solve(c)
+		if err == nil && c.Rank() == 0 {
+			setup = t
+		}
+		return err
+	})
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s on %d cores: %w", app, cores, err)
+	}
+	return scaleSampled(st.Elapsed, setup, fraction), st, nil
+}
+
+// RunSimpic runs a SIMPIC configuration standalone on `cores` ranks
+// under rc and returns the virtual run-time of the full configuration
+// (sampled steps scaled up) with the run's statistics.
+func RunSimpic(cfg simpic.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
 	sc := simpic.Production()
-	var setup float64
-	st, err := mpi.Run(cores, o.mpiConfig(false), func(c *mpi.Comm) error {
+	return standalone("simpic", cores, rc, simpic.SampledFraction(cfg, sc), func(c *mpi.Comm) (float64, error) {
 		r, err := simpic.Run(c, cfg, sc)
-		if err == nil && c.Rank() == 0 {
-			setup = r.SetupTime
+		if err != nil {
+			return 0, err
 		}
-		return err
+		return r.SetupTime, nil
 	})
-	if err != nil {
-		return 0, fmt.Errorf("simpic on %d cores: %w", cores, err)
-	}
-	return scaleSampled(st.Elapsed, setup, simpic.SampledFraction(cfg, sc)), nil
 }
 
-// PressureRuntime runs the pressure-solver proxy standalone, returning
-// the scaled virtual run-time and the merged per-function profile.
-func (o Options) PressureRuntime(cfg pressure.Config, cores int, profile bool) (float64, *trace.Profile, error) {
+// RunPressure runs the pressure-solver proxy standalone (see RunSimpic).
+func RunPressure(cfg pressure.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
 	sc := pressure.Production()
-	var setup float64
-	st, err := mpi.Run(cores, o.mpiConfig(profile), func(c *mpi.Comm) error {
+	return standalone("pressure", cores, rc, pressure.SampledFraction(cfg, sc), func(c *mpi.Comm) (float64, error) {
 		r, err := pressure.Run(c, cfg, sc)
-		if err == nil && c.Rank() == 0 {
-			setup = r.SetupTime
+		if err != nil {
+			return 0, err
 		}
-		return err
+		return r.SetupTime, nil
 	})
-	if err != nil {
-		return 0, nil, fmt.Errorf("pressure on %d cores: %w", cores, err)
-	}
-	return scaleSampled(st.Elapsed, setup, pressure.SampledFraction(cfg, sc)), st.MergedProfile(), nil
 }
 
-// MGCFDRuntime runs the MG-CFD proxy standalone.
-func (o Options) MGCFDRuntime(cfg mgcfd.Config, cores int) (float64, error) {
+// RunMGCFD runs the MG-CFD proxy standalone (see RunSimpic).
+func RunMGCFD(cfg mgcfd.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
 	sc := mgcfd.Production()
-	var setup float64
-	st, err := mpi.Run(cores, o.mpiConfig(false), func(c *mpi.Comm) error {
+	return standalone("mgcfd", cores, rc, mgcfd.SampledFraction(cfg, sc), func(c *mpi.Comm) (float64, error) {
 		r, err := mgcfd.Run(c, cfg, sc)
-		if err == nil && c.Rank() == 0 {
-			setup = r.SetupTime
+		if err != nil {
+			return 0, err
 		}
-		return err
+		return r.SetupTime, nil
 	})
+}
+
+// SimpicRuntime is RunSimpic under the harness options.
+func (o Options) SimpicRuntime(cfg simpic.Config, cores int) (float64, error) {
+	t, _, err := RunSimpic(cfg, cores, o.mpiConfig(false))
+	return t, err
+}
+
+// PressureRuntime is RunPressure under the harness options, returning
+// the merged per-function profile when profile is set.
+func (o Options) PressureRuntime(cfg pressure.Config, cores int, profile bool) (float64, *trace.Profile, error) {
+	t, st, err := RunPressure(cfg, cores, o.mpiConfig(profile))
 	if err != nil {
-		return 0, fmt.Errorf("mgcfd on %d cores: %w", cores, err)
+		return 0, nil, err
 	}
-	return scaleSampled(st.Elapsed, setup, mgcfd.SampledFraction(cfg, sc)), nil
+	return t, st.MergedProfile(), nil
+}
+
+// MGCFDRuntime is RunMGCFD under the harness options.
+func (o Options) MGCFDRuntime(cfg mgcfd.Config, cores int) (float64, error) {
+	t, _, err := RunMGCFD(cfg, cores, o.mpiConfig(false))
+	return t, err
 }
 
 // Sweep holds a core-count sweep of runtimes.

@@ -333,7 +333,7 @@ const ssePollInterval = 50 * time.Millisecond
 
 // handleJobs serves GET /v1/jobs.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+	setHeaders(w, "application/json", "", "", "")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(struct {
@@ -345,10 +345,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	jb := s.registry.Get(r.PathValue("id"))
 	if jb == nil {
-		s.jsonError(w, http.StatusNotFound, "", fmt.Errorf("unknown job %q", r.PathValue("id")))
+		jsonError(w, http.StatusNotFound, "", fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	setHeaders(w, "application/json", "", "", "")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(jb.View())
@@ -360,12 +360,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	jb := s.registry.Get(r.PathValue("id"))
 	if jb == nil {
-		s.jsonError(w, http.StatusNotFound, "", fmt.Errorf("unknown job %q", r.PathValue("id")))
+		jsonError(w, http.StatusNotFound, "", fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.jsonError(w, http.StatusInternalServerError, jb.ID(), fmt.Errorf("streaming unsupported"))
+		jsonError(w, http.StatusInternalServerError, jb.ID(), fmt.Errorf("streaming unsupported"))
 		return
 	}
 	// Pin the entry for the watch duration: a terminal job being
@@ -373,9 +373,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	// newer jobs would otherwise evict it mid-watch.
 	jb.Pin()
 	defer jb.Unpin()
-	w.Header().Set("Content-Type", "text/event-stream")
+	setHeaders(w, "text/event-stream", jb.ID(), "", "")
 	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Job-ID", jb.ID())
 
 	send := func(event string) {
 		data, _ := json.Marshal(jb.View())

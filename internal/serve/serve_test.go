@@ -127,26 +127,43 @@ func TestAllocateEndpointCachesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSimulateEndpointCachesByteIdentical runs a real coupled job twice.
+// femBody couples a compressor row to a casing thermal FEM instance: the
+// documented fourth instance kind, with the unit kind and search left to
+// their defaults (sliding, prefetch).
+const femBody = `{
+  "densitySteps": 2,
+  "rotationPerStep": 0.001,
+  "instances": [
+    {"name": "row", "kind": "mgcfd", "meshCells": 4096, "ranks": 4, "seed": 1},
+    {"name": "casing", "kind": "FEM", "meshCells": 2048, "ranks": 2, "seed": 2}
+  ],
+  "units": [
+    {"name": "cu", "a": 0, "b": 1, "points": 500, "ranks": 1}
+  ]
+}`
+
+// TestSimulateEndpointCachesByteIdentical runs real coupled jobs twice.
 func TestSimulateEndpointCachesByteIdentical(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	url := ts.URL + "/v1/simulate"
-	resp1, body1 := postJSON(t, url, simBody)
-	if resp1.StatusCode != 200 {
-		t.Fatalf("simulate: %d %s", resp1.StatusCode, body1)
-	}
-	if xc := resp1.Header.Get("X-Cache"); xc != "miss" {
-		t.Errorf("first simulate X-Cache = %q, want miss", xc)
-	}
-	resp2, body2 := postJSON(t, url, simBody)
-	if xc := resp2.Header.Get("X-Cache"); xc != "hit" {
-		t.Errorf("second simulate X-Cache = %q, want hit", xc)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Fatalf("simulate cache hit not byte-identical")
-	}
-	if !strings.Contains(string(body1), `"elapsed"`) {
-		t.Fatalf("simulate response missing elapsed: %s", body1)
+	for name, body := range map[string]string{"mgcfd pair": simBody, "fem casing": femBody} {
+		resp1, body1 := postJSON(t, url, body)
+		if resp1.StatusCode != 200 {
+			t.Fatalf("%s: simulate: %d %s", name, resp1.StatusCode, body1)
+		}
+		if xc := resp1.Header.Get("X-Cache"); xc != "miss" {
+			t.Errorf("%s: first simulate X-Cache = %q, want miss", name, xc)
+		}
+		resp2, body2 := postJSON(t, url, body)
+		if xc := resp2.Header.Get("X-Cache"); xc != "hit" {
+			t.Errorf("%s: second simulate X-Cache = %q, want hit", name, xc)
+		}
+		if !bytes.Equal(body1, body2) {
+			t.Fatalf("%s: simulate cache hit not byte-identical", name)
+		}
+		if !strings.Contains(string(body1), `"elapsed"`) {
+			t.Fatalf("%s: simulate response missing elapsed: %s", name, body1)
+		}
 	}
 }
 
@@ -222,25 +239,32 @@ func TestFitAndSpeedupEndpoints(t *testing.T) {
 }
 
 // TestBadRequests: malformed JSON, unknown fields, bad budget, bad
-// timeout parameter — all 400, none cached.
+// timeout parameter, unknown enum spellings — all 400 (the spec ones
+// naming the offending field), none cached.
 func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	cases := []struct {
 		name, url, body string
+		want            string // substring of the error body
 	}{
-		{"malformed", ts.URL + "/v1/allocate", `{"budget": `},
-		{"unknown-field", ts.URL + "/v1/allocate", `{"budget": 100, "component": []}`},
-		{"non-positive-budget", ts.URL + "/v1/allocate", `{"budget": 0, "components": [{"name": "a", "curve": {"baseCores": 1, "baseTime": 1, "p50": 10, "k": 1}}]}`},
-		{"no-components", ts.URL + "/v1/allocate", `{"budget": 100, "components": []}`},
-		{"trailing-garbage", ts.URL + "/v1/allocate", allocBody + ` {"x": 1}`},
-		{"bad-timeout", ts.URL + "/v1/allocate?timeout=yesterday", allocBody},
-		{"bad-sim-kind", ts.URL + "/v1/simulate", `{"densitySteps": 1, "rotationPerStep": 0.1, "instances": [{"name": "x", "kind": "openfoam", "meshCells": 10, "ranks": 1, "seed": 1}], "units": []}`},
+		{"malformed", ts.URL + "/v1/allocate", `{"budget": `, ""},
+		{"unknown-field", ts.URL + "/v1/allocate", `{"budget": 100, "component": []}`, ""},
+		{"non-positive-budget", ts.URL + "/v1/allocate", `{"budget": 0, "components": [{"name": "a", "curve": {"baseCores": 1, "baseTime": 1, "p50": 10, "k": 1}}]}`, ""},
+		{"no-components", ts.URL + "/v1/allocate", `{"budget": 100, "components": []}`, ""},
+		{"trailing-garbage", ts.URL + "/v1/allocate", allocBody + ` {"x": 1}`, ""},
+		{"bad-timeout", ts.URL + "/v1/allocate?timeout=yesterday", allocBody, ""},
+		{"bad-sim-kind", ts.URL + "/v1/simulate", `{"densitySteps": 1, "rotationPerStep": 0.1, "instances": [{"name": "x", "kind": "openfoam", "meshCells": 10, "ranks": 1, "seed": 1}], "units": []}`, `instance \"x\": field \"kind\"`},
+		{"bad-unit-kind", ts.URL + "/v1/simulate", strings.Replace(simBody, `"kind": "sliding"`, `"kind": "stedy"`, 1), `unit \"cu\": field \"kind\"`},
+		{"bad-unit-search", ts.URL + "/v1/simulate", strings.Replace(simBody, `"search": "tree"`, `"search": "quantum"`, 1), `unit \"cu\": field \"search\"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, tc.url, tc.body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), tc.want) {
+				t.Errorf("error body %s does not name the field (want %s)", body, tc.want)
 			}
 		})
 	}

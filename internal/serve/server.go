@@ -27,6 +27,9 @@ const maxBodyBytes = 8 << 20
 // metrics; the response itself goes nowhere.
 const statusClientClosed = 499
 
+// maxTimeout caps a client's ?timeout= override.
+const maxTimeout = 10 * time.Minute
+
 // Options configures a Server. Zero values select the defaults.
 type Options struct {
 	// Machine is the cluster model simulations run against; defaults to
@@ -40,10 +43,9 @@ type Options struct {
 	// queue answers 429 + Retry-After rather than buffering unboundedly.
 	QueueLen int
 	// DefaultTimeout is the per-request deadline when the client sends
-	// none (default 60s); MaxTimeout caps the client's ?timeout=
-	// override (default 10m).
+	// none (default 60s); a client's ?timeout= override is capped at
+	// maxTimeout.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// Logger receives the structured request/job log. Defaults to a
 	// discard logger so embedding the server stays quiet; cmd/cpxserve
 	// passes a real one.
@@ -84,9 +86,6 @@ func (o *Options) fill() {
 	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 10 * time.Minute
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -157,7 +156,7 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Registry exposes the job registry (for tests and the smoke runner).
+// Registry exposes the job registry (for tests).
 func (s *Server) Registry() *Registry { return s.registry }
 
 // Handler returns the HTTP handler tree.
@@ -173,23 +172,46 @@ func (s *Server) Close() {
 	s.pool.Close()
 }
 
-// Cache exposes the result cache (for tests and the smoke runner).
-func (s *Server) Cache() *Cache { return s.cache }
-
-// Shards exposes the shard router (nil unless sharded).
-func (s *Server) Shards() *ShardSet { return s.shards }
-
-// Metrics exposes the counters (for tests and the smoke runner).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+	setHeaders(w, "application/json", "", "", "")
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"queueDepth\":%d,\"cacheEntries\":%d}\n", s.pool.Depth(), s.cache.Len())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	setHeaders(w, "text/plain; version=0.0.4", "", "", "")
 	s.metrics.WritePrometheus(w)
+}
+
+// setHeaders is the one place the service's response headers are
+// written: the body's media type, the job the response belongs to, how
+// the cache satisfied it and which shard answered. Empty values are
+// omitted, except that a shard's answer carries the shard's X-Cache as
+// received — empty on its error responses.
+func setHeaders(w http.ResponseWriter, contentType, jobID string, outcome CacheOutcome, shard string) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	if outcome != "" || shard != "" {
+		h.Set("X-Cache", string(outcome))
+	}
+	if shard != "" {
+		h.Set("X-Shard", shard)
+	}
+	if jobID != "" {
+		h.Set("X-Job-ID", jobID)
+	}
+}
+
+// jsonError writes a structured error body carrying the job ID, so
+// every failure — including backpressure 429s — is correlatable with
+// the registry, logs and metrics.
+func jsonError(w http.ResponseWriter, status int, jobID string, err error) {
+	setHeaders(w, "application/json", jobID, "", "")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(struct {
+		Error  string `json:"error"`
+		JobID  string `json:"jobId,omitempty"`
+		Status int    `json:"status"`
+	}{err.Error(), jobID, status})
 }
 
 // badRequestError marks errors caused by the request content (bad
@@ -206,162 +228,208 @@ func badRequest(err error) error {
 	return &badRequestError{err}
 }
 
-// endpointFunc decodes one endpoint's spec from the body and returns
-// the computation to run for it. Decode errors surface before any pool
-// or cache interaction. The job is the request's registry entry, for
-// endpoints that report live progress.
-type endpointFunc func(r *http.Request, jb *Job) (spec any, run func(ctx context.Context) (any, error), err error)
-
-// jsonError writes a structured error body carrying the job ID, so
-// every failure — including backpressure 429s — is correlatable with
-// the registry, logs and metrics.
-func (s *Server) jsonError(w http.ResponseWriter, status int, jobID string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	if jobID != "" {
-		w.Header().Set("X-Job-ID", jobID)
+// verdict is the service's one error→status table: the HTTP status,
+// terminal job state and client-facing message an error ends a job
+// with. A request and a sweep point that fail the same way are recorded
+// the same way.
+func verdict(err error) (code int, state string, msg error) {
+	var br *badRequestError
+	switch {
+	case err == nil:
+		return http.StatusOK, JobDone, nil
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests, JobRejected, errors.New("job queue full; retry later")
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, JobCanceled, errors.New("request deadline exceeded; the job was cancelled")
+	case errors.Is(err, context.Canceled):
+		return statusClientClosed, JobCanceled, errors.New("client closed request")
+	case errors.As(err, &br):
+		return http.StatusBadRequest, JobFailed, err
+	default:
+		return http.StatusInternalServerError, JobFailed, err
 	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error  string `json:"error"`
-		JobID  string `json:"jobId,omitempty"`
-		Status int    `json:"status"`
-	}{err.Error(), jobID, status})
+}
+
+// request is one admitted HTTP request: its registry job, its logger,
+// and the terminal facts finish records. Handlers change those facts
+// only through fail and reply (a sweep, whose 200 is already on the
+// wire when points fail, sets state and err itself).
+type request struct {
+	s       *Server
+	w       http.ResponseWriter
+	job     *Job
+	log     *slog.Logger
+	start   time.Time
+	code    int
+	state   string
+	outcome CacheOutcome
+	err     error
+}
+
+// admit is the door every POST endpoint enters by: it bounds the body,
+// creates the request's registry job and binds the logger. The caller
+// defers finish.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) request {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	jb := s.registry.Create(endpoint)
+	rq := request{
+		s: s, w: w, job: jb,
+		log: s.log.With("job", jb.ID(), "endpoint", endpoint),
+		//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
+		start: time.Now(),
+		code:  http.StatusOK,
+		state: JobDone,
+	}
+	rq.log.Debug("job admitted")
+	return rq
+}
+
+// finish closes the job, feeds the metrics and writes the one "job
+// finished" log record.
+func (rq *request) finish() {
+	rq.job.Finish(rq.state, rq.code, rq.outcome, rq.err)
+	//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
+	elapsed := time.Since(rq.start).Seconds()
+	rq.s.metrics.Observe(rq.job.endpoint, rq.code, elapsed, rq.outcome)
+	rq.log.Info("job finished", "state", rq.state, "code", rq.code, "cache", string(rq.outcome),
+		"points", rq.job.pointsDone.Load(), "seconds", elapsed)
+}
+
+// fail ends the request with the status verdict assigns to err.
+func (rq *request) fail(err error) {
+	rq.code, rq.state, rq.err = verdict(err)
+	if rq.code == http.StatusTooManyRequests {
+		// The hint scales with how long the queue actually takes to
+		// drain (EWMA of computed-job latency × queued jobs per
+		// worker), so batch clients back off proportionally.
+		ra := rq.s.metrics.RetryAfterSeconds(rq.s.pool.Depth(), rq.s.opts.Workers)
+		rq.w.Header().Set("Retry-After", strconv.Itoa(ra))
+	}
+	jsonError(rq.w, rq.code, rq.job.ID(), rq.err)
+}
+
+// reply writes a resolved artifact. A shard's non-200 answer is relayed
+// verbatim — status, body and cache disposition — and recorded as a
+// failed job.
+func (rq *request) reply(res result) {
+	rq.outcome = res.outcome
+	if err := res.shardError(); err != nil {
+		rq.code, rq.state, rq.err = res.status, JobFailed, err
+	}
+	setHeaders(rq.w, "application/json", rq.job.ID(), res.outcome, res.shard)
+	rq.w.WriteHeader(res.status)
+	rq.w.Write(res.body)
 }
 
 // requestCtx derives the job-wait deadline: the client's ?timeout=
-// (clamped to MaxTimeout) or the server default, on top of the
+// (clamped to maxTimeout) or the server default, on top of the
 // request's own cancellation (disconnects propagate).
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	d := s.opts.DefaultTimeout
 	if v := r.URL.Query().Get("timeout"); v != "" {
 		pd, err := time.ParseDuration(v)
 		if err != nil || pd <= 0 {
-			return nil, nil, fmt.Errorf("invalid timeout %q", v)
+			return nil, nil, badRequest(fmt.Errorf("invalid timeout %q", v))
 		}
-		if pd > s.opts.MaxTimeout {
-			pd = s.opts.MaxTimeout
-		}
-		d = pd
+		d = min(pd, maxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
 }
 
-// post wraps an endpoint in the shared serving path: strict decode,
-// canonicalise, content-addressed cache with singleflight, bounded
-// pool with 429 backpressure, deadline mapping, and metrics.
+// result is what resolve found for one unit of work: the artifact (or,
+// when status is not 200, the owning shard's own error body), how the
+// cache satisfied it, and the shard that answered ("" when local).
+type result struct {
+	status  int
+	body    []byte
+	outcome CacheOutcome
+	shard   string
+}
+
+// shardError describes a shard's non-200 answer; nil for an artifact.
+func (res result) shardError() error {
+	if res.status == http.StatusOK {
+		return nil
+	}
+	return fmt.Errorf("shard %s answered %d: %s", res.shard, res.status, res.body)
+}
+
+// resolve is the one path from a canonical request to its artifact, for
+// the four POST endpoints and every sweep point alike: the local memory
+// tier if warm, else — on a sharded front-end, for simulations — the
+// shard owning the cache key (warm shards stay warm; a transport
+// failure degrades to the local path), else a local run through the
+// content-addressed cache and the bounded pool. It never blocks on a
+// full queue: ErrQueueFull is the caller's to answer or to wait out.
+func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonical []byte, run func(context.Context) (any, error)) (result, error) {
+	key := cacheKey(endpoint, canonical)
+	if s.shards != nil && endpoint == "/v1/simulate" {
+		if body, ok := s.cache.Peek(key); ok {
+			return result{status: http.StatusOK, body: body, outcome: OutcomeHit}, nil
+		}
+		if sh := s.shards.Route(key); sh != nil {
+			jb.Start()
+			status, body, oc, err := s.shards.Forward(ctx, sh, endpoint, canonical)
+			if err == nil {
+				return result{status: status, body: body, outcome: oc, shard: sh.URL}, nil
+			}
+			if ctx.Err() != nil {
+				return result{}, ctx.Err()
+			}
+			s.log.Warn("shard forward failed; running locally",
+				"job", jb.ID(), "endpoint", jb.endpoint, "shard", sh.URL, "error", err)
+		}
+	}
+	body, oc, err := s.cache.Do(ctx, key, s.pool.TrySubmit, func(jobCtx context.Context) ([]byte, error) {
+		jb.Start()
+		s.log.Debug("job running", "job", jb.ID(), "endpoint", jb.endpoint)
+		out, err := run(jobCtx)
+		if err != nil {
+			return nil, err
+		}
+		return canonicalize(out)
+	})
+	return result{status: http.StatusOK, body: body, outcome: oc}, err
+}
+
+// endpointFunc decodes one endpoint's spec from the body and returns
+// the computation to run for it. Decode errors surface before any pool
+// or cache interaction. The job is the request's registry entry, for
+// endpoints that report live progress.
+type endpointFunc func(r *http.Request, jb *Job) (spec any, run func(ctx context.Context) (any, error), err error)
+
+// post serves an endpoint through the shared path: admit, strict
+// decode, canonicalise, deadline, resolve. Its policy on the two
+// outcomes callers may treat differently: a full queue is answered 429
+// (via fail), and a shard's non-200 is relayed (via reply).
 func (s *Server) post(endpoint string, ep endpointFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
-		start := time.Now()
-		jb := s.registry.Create(endpoint)
-		log := s.log.With("job", jb.ID(), "endpoint", endpoint)
-		log.Debug("job admitted")
-		code := http.StatusOK
-		state := JobDone
-		outcome := CacheOutcome("")
-		var reqErr error
-		defer func() {
-			jb.Finish(state, code, outcome, reqErr)
-			//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
-			elapsed := time.Since(start).Seconds()
-			s.metrics.Observe(endpoint, code, elapsed, outcome)
-			log.Info("job finished", "state", state, "code", code,
-				"cache", string(outcome), "seconds", elapsed)
-		}()
-		fail := func(status int, failState string, err error) {
-			code = status
-			state = failState
-			reqErr = err
-			s.jsonError(w, status, jb.ID(), err)
-		}
-
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		spec, run, err := ep(r, jb)
+		rq := s.admit(w, r, endpoint)
+		defer rq.finish()
+		spec, run, err := ep(r, rq.job)
 		if err != nil {
-			fail(http.StatusBadRequest, JobFailed, err)
+			rq.fail(badRequest(err))
 			return
 		}
 		canonical, err := canonicalize(spec)
 		if err != nil {
-			fail(http.StatusInternalServerError, JobFailed, err)
+			rq.fail(err)
 			return
 		}
-		key := cacheKey(endpoint, canonical)
 		ctx, cancel, err := s.requestCtx(r)
 		if err != nil {
-			fail(http.StatusBadRequest, JobFailed, err)
+			rq.fail(err)
 			return
 		}
 		defer cancel()
-
-		// Sharded front-end: route simulation jobs to the shard owning
-		// this cache key, unless our own memory tier is already warm.
-		// Forward failures degrade to the local path below.
-		if s.shards != nil && endpoint == "/v1/simulate" {
-			if body, ok := s.cache.Peek(key); ok {
-				outcome = OutcomeHit
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("X-Cache", string(outcome))
-				w.Header().Set("X-Job-ID", jb.ID())
-				w.Write(body)
-				return
-			}
-			if sh := s.shards.Route(key); sh != nil {
-				jb.Start()
-				status, body, oc, ferr := s.shards.Forward(ctx, sh, endpoint, canonical, r.URL.Query().Get("timeout"))
-				if ferr == nil {
-					outcome = oc
-					code = status
-					if status != http.StatusOK {
-						state = JobFailed
-						reqErr = fmt.Errorf("shard %s answered %d", sh.URL, status)
-					}
-					w.Header().Set("Content-Type", "application/json")
-					w.Header().Set("X-Cache", string(oc))
-					w.Header().Set("X-Shard", sh.URL)
-					w.Header().Set("X-Job-ID", jb.ID())
-					w.WriteHeader(status)
-					w.Write(body)
-					return
-				}
-				log.Warn("shard forward failed; running locally", "shard", sh.URL, "error", ferr)
-			}
+		res, err := s.resolve(ctx, rq.job, endpoint, canonical, run)
+		if err != nil {
+			rq.outcome = res.outcome
+			rq.fail(err)
+			return
 		}
-
-		artifact, oc, err := s.cache.Do(ctx, key, s.pool.TrySubmit, func(jobCtx context.Context) ([]byte, error) {
-			jb.Start()
-			log.Debug("job running")
-			out, rerr := run(jobCtx)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return canonicalize(out)
-		})
-		outcome = oc
-		var br *badRequestError
-		switch {
-		case err == nil:
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cache", string(oc))
-			w.Header().Set("X-Job-ID", jb.ID())
-			w.Write(artifact)
-		case errors.Is(err, ErrQueueFull):
-			// The hint scales with how long the queue actually takes to
-			// drain (EWMA of computed-job latency × queued jobs per
-			// worker), so batch clients back off proportionally.
-			ra := s.metrics.RetryAfterSeconds(s.pool.Depth(), s.opts.Workers)
-			w.Header().Set("Retry-After", strconv.Itoa(ra))
-			fail(http.StatusTooManyRequests, JobRejected, errors.New("job queue full; retry later"))
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, JobCanceled, errors.New("request deadline exceeded; the job was cancelled"))
-		case errors.Is(err, context.Canceled):
-			fail(statusClientClosed, JobCanceled, errors.New("client closed request"))
-		case errors.As(err, &br):
-			fail(http.StatusBadRequest, JobFailed, err)
-		default:
-			fail(http.StatusInternalServerError, JobFailed, err)
-		}
+		rq.reply(res)
 	}
 }
 

@@ -175,13 +175,17 @@ func (ss *ShardSet) RouteAny() bool {
 
 // Forward posts a canonical request body to the shard's endpoint and
 // returns the shard's verdict verbatim: HTTP status, response body and
-// cache disposition. A transport error demotes the shard (passive
-// health) and is returned for the caller to degrade on; a non-200
-// status is the shard's answer, not a shard failure.
-func (ss *ShardSet) Forward(ctx context.Context, sh *Shard, endpoint string, canonical []byte, timeout string) (status int, body []byte, outcome CacheOutcome, err error) {
+// cache disposition. The caller's remaining deadline travels as
+// ?timeout=, so the shard gives the job exactly the time the caller
+// still has rather than its own default. A transport error demotes the
+// shard (passive health) and is returned for the caller to degrade on —
+// unless it is the caller's own context ending, which says nothing about
+// the shard; a non-200 status is the shard's answer, not a shard failure.
+func (ss *ShardSet) Forward(ctx context.Context, sh *Shard, endpoint string, canonical []byte) (status int, body []byte, outcome CacheOutcome, err error) {
 	target := sh.URL + endpoint
-	if timeout != "" {
-		target += "?timeout=" + url.QueryEscape(timeout)
+	if deadline, ok := ctx.Deadline(); ok {
+		//lint:allow determinism a forwarded request's remaining deadline is host time by definition; nothing feeds the virtual clock
+		target += "?timeout=" + url.QueryEscape(time.Until(deadline).String())
 	}
 	req, err := http.NewRequestWithContext(ctx, "POST", target, bytes.NewReader(canonical))
 	if err != nil {
@@ -189,15 +193,15 @@ func (ss *ShardSet) Forward(ctx context.Context, sh *Shard, endpoint string, can
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := ss.client.Do(req)
+	if err == nil {
+		defer resp.Body.Close()
+		body, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
-		sh.healthy.Store(false)
+		if ctx.Err() == nil {
+			sh.healthy.Store(false)
+		}
 		return 0, nil, "", err
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		sh.healthy.Store(false)
-		return 0, nil, "", err
-	}
-	return resp.StatusCode, b, CacheOutcome(resp.Header.Get("X-Cache")), nil
+	return resp.StatusCode, body, CacheOutcome(resp.Header.Get("X-Cache")), nil
 }

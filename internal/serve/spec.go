@@ -14,7 +14,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"cpx/internal/coupler"
 	"cpx/internal/particle"
@@ -78,15 +77,9 @@ func (sp *SimSpec) Build() (*coupler.Simulation, error) {
 		if ji.Ranks < 0 {
 			return nil, fmt.Errorf("instance %q: field \"ranks\" must be non-negative, got %d", ji.Name, ji.Ranks)
 		}
-		kind := coupler.KindMGCFD
-		switch strings.ToLower(ji.Kind) {
-		case "mgcfd":
-		case "simpic":
-			kind = coupler.KindSIMPIC
-		case "particle":
-			kind = coupler.KindParticle
-		default:
-			return nil, fmt.Errorf("instance %q: unknown kind %q", ji.Name, ji.Kind)
+		kind, err := coupler.ParseSolverKind(ji.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("instance %q: field \"kind\": %w", ji.Name, err)
 		}
 		is := coupler.InstanceSpec{
 			Name: ji.Name, Kind: kind, MeshCells: ji.MeshCells, Ranks: ji.Ranks, Seed: ji.Seed,
@@ -128,19 +121,13 @@ func (sp *SimSpec) Build() (*coupler.Simulation, error) {
 		sim.Instances = append(sim.Instances, is)
 	}
 	for _, ju := range sp.Units {
-		kind := coupler.SlidingPlane
-		if strings.EqualFold(ju.Kind, "steady") {
-			kind = coupler.SteadyState
+		kind, err := coupler.ParseInterfaceKind(ju.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("unit %q: field \"kind\": %w", ju.Name, err)
 		}
-		search := coupler.TreePrefetch
-		switch strings.ToLower(ju.Search) {
-		case "brute":
-			search = coupler.BruteForce
-		case "tree":
-			search = coupler.Tree
-		case "", "prefetch":
-		default:
-			return nil, fmt.Errorf("unit %q: unknown search %q", ju.Name, ju.Search)
+		search, err := coupler.ParseSearch(ju.Search)
+		if err != nil {
+			return nil, fmt.Errorf("unit %q: field \"search\": %w", ju.Name, err)
 		}
 		sim.Units = append(sim.Units, coupler.UnitSpec{
 			Name: ju.Name, A: ju.A, B: ju.BIdx, Kind: kind, Points: ju.Points,

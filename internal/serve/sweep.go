@@ -63,25 +63,22 @@ type SweepPoint struct {
 }
 
 // sweepJob is one expanded grid point ready to run: its parameters, the
-// derived simulation request, and the canonical form + cache key —
-// computed with the /v1/simulate endpoint name, so sweep points dedup
-// against individual simulate calls (and against each other) through
-// the same content-addressed cache.
+// derived simulation request and its canonical form. Points resolve
+// under the /v1/simulate endpoint name, so they dedup against
+// individual simulate calls (and against each other) through the same
+// content-addressed cache.
 type sweepJob struct {
 	index     int
 	params    SweepPoint
 	simReq    SimulateRequest
 	canonical []byte
-	key       string
 }
 
 // pointResult is one completed point, ready for its NDJSON line.
 type pointResult struct {
-	job     sweepJob
-	body    []byte
-	outcome CacheOutcome
-	shard   string
-	err     error
+	job *sweepJob
+	result
+	err error
 }
 
 // scaleCount scales a positive count, rounding to nearest and clamping
@@ -194,13 +191,7 @@ func expandSweep(req *SweepRequest) ([]sweepJob, error) {
 						if err != nil {
 							return nil, err
 						}
-						jobs = append(jobs, sweepJob{
-							index:     len(jobs),
-							params:    p,
-							simReq:    simReq,
-							canonical: canonical,
-							key:       cacheKey("/v1/simulate", canonical),
-						})
+						jobs = append(jobs, sweepJob{index: len(jobs), params: p, simReq: simReq, canonical: canonical})
 					}
 				}
 			}
@@ -222,49 +213,28 @@ func orNil[T any](vals []T) []*T {
 	return out
 }
 
-// runPoint executes one sweep point: serve it from the local memory
-// tier if warm, else route it to the shard owning its cache key (warm
-// shards stay warm), else run it locally through the content-addressed
-// cache — waiting out transient queue-full backpressure instead of
-// failing the point.
-func (s *Server) runPoint(ctx context.Context, pj *sweepJob, child *Job) ([]byte, CacheOutcome, string, error) {
-	if s.shards != nil {
-		if body, ok := s.cache.Peek(pj.key); ok {
-			return body, OutcomeHit, "", nil
-		}
-		if sh := s.shards.Route(pj.key); sh != nil {
-			child.Start()
-			status, body, oc, err := s.shards.Forward(ctx, sh, "/v1/simulate", pj.canonical, "")
-			if err == nil {
-				if status != http.StatusOK {
-					return nil, oc, sh.URL, fmt.Errorf("shard %s answered %d: %s", sh.URL, status, body)
-				}
-				return body, oc, sh.URL, nil
-			}
-			s.log.Warn("sweep point shard forward failed; running locally",
-				"shard", sh.URL, "job", child.ID(), "error", err)
-		}
-	}
+// resolvePoint resolves one sweep point through the same path as a
+// /v1/simulate request, with the sweep's own policy on the two outcomes
+// that path leaves to its caller: a full queue is waited out (bounded by
+// the request deadline) instead of failing the point, and a shard's
+// non-200 answer becomes the point's error.
+func (s *Server) resolvePoint(ctx context.Context, pj *sweepJob, child *Job) (result, error) {
 	run := s.simulateRunner(&pj.simReq, child)
 	for {
-		body, oc, err := s.cache.Do(ctx, pj.key, s.pool.TrySubmit, func(jobCtx context.Context) ([]byte, error) {
-			child.Start()
-			out, rerr := run(jobCtx)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return canonicalize(out)
-		})
+		res, err := s.resolve(ctx, child, "/v1/simulate", pj.canonical, run)
 		if errors.Is(err, ErrQueueFull) {
 			select {
 			case <-ctx.Done():
-				return nil, oc, "", ctx.Err()
+				return res, ctx.Err()
 			//lint:allow determinism sweep backpressure pacing waits in host time by definition; nothing feeds the virtual clock
 			case <-time.After(sweepRetryDelay):
 			}
 			continue
 		}
-		return body, oc, "", err
+		if err == nil {
+			err = res.shardError()
+		}
+		return res, err
 	}
 }
 
@@ -284,66 +254,45 @@ func (s *Server) runPoint(ctx context.Context, pj *sweepJob, child *Job) ([]byte
 // every point is a pinned child job, so watchers of a finished point
 // never see its entry evicted while the sweep is live.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/sweep"
-	//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
-	start := time.Now()
-	jb := s.registry.Create(endpoint)
-	log := s.log.With("job", jb.ID(), "endpoint", endpoint)
-	code := http.StatusOK
-	state := JobDone
-	var reqErr error
-	defer func() {
-		jb.Finish(state, code, "", reqErr)
-		//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
-		elapsed := time.Since(start).Seconds()
-		s.metrics.Observe(endpoint, code, elapsed, "")
-		log.Info("job finished", "state", state, "code", code,
-			"points", jb.pointsDone.Load(), "seconds", elapsed)
-	}()
-	fail := func(status int, failState string, err error) {
-		code = status
-		state = failState
-		reqErr = err
-		s.jsonError(w, status, jb.ID(), err)
-	}
+	rq := s.admit(w, r, "/v1/sweep")
+	defer rq.finish()
+	jb := rq.job
 
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req SweepRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		fail(http.StatusBadRequest, JobFailed, err)
+		rq.fail(badRequest(err))
 		return
 	}
 	// Validate the template once up front so an unbuildable scenario is
 	// a 400 on the request, not an error on every point.
 	if sim, err := req.Template.SimSpec.Build(); err != nil {
-		fail(http.StatusBadRequest, JobFailed, err)
+		rq.fail(badRequest(err))
 		return
 	} else if err := sim.Validate(); err != nil {
-		fail(http.StatusBadRequest, JobFailed, err)
+		rq.fail(badRequest(err))
 		return
 	}
 	jobs, err := expandSweep(&req)
 	if err != nil {
-		fail(http.StatusBadRequest, JobFailed, err)
+		rq.fail(badRequest(err))
 		return
 	}
 	ctx, cancel, err := s.requestCtx(r)
 	if err != nil {
-		fail(http.StatusBadRequest, JobFailed, err)
+		rq.fail(err)
 		return
 	}
 	defer cancel()
 
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		fail(http.StatusInternalServerError, JobFailed, fmt.Errorf("streaming unsupported"))
+		rq.fail(fmt.Errorf("streaming unsupported"))
 		return
 	}
 
 	jb.SetPoints(len(jobs))
 	jb.Start()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Job-ID", jb.ID())
+	setHeaders(w, "application/x-ndjson", jb.ID(), "", "")
 	fmt.Fprintf(w, "{\"sweep\":{\"jobId\":%q,\"points\":%d}}\n", jb.ID(), len(jobs))
 	fl.Flush()
 
@@ -352,7 +301,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// resolvable for watchers even once terminal.
 	children := make([]*Job, len(jobs))
 	for i := range jobs {
-		children[i] = s.registry.Create(endpoint + "/point")
+		children[i] = s.registry.Create(jb.endpoint + "/point")
 		children[i].Pin()
 	}
 	defer func() {
@@ -367,24 +316,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func(pj *sweepJob, child *Job) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			body, oc, shard, err := s.runPoint(ctx, pj, child)
-			cstate, ccode := JobDone, http.StatusOK
-			switch {
-			case err == nil:
-			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-				cstate, ccode = JobCanceled, http.StatusGatewayTimeout
-			default:
-				cstate, ccode = JobFailed, http.StatusInternalServerError
-			}
-			child.Finish(cstate, ccode, oc, err)
-			results <- pointResult{job: *pj, body: body, outcome: oc, shard: shard, err: err}
+			res, err := s.resolvePoint(ctx, pj, child)
+			code, state, _ := verdict(err)
+			child.Finish(state, code, res.outcome, err)
+			results <- pointResult{job: pj, result: res, err: err}
 		}(&jobs[i], children[i])
 	}
 
-	tally := struct {
-		ok, errs                      int
-		hits, joins, misses, diskHits int
-	}{}
+	errs := 0
+	served := map[CacheOutcome]int{} // successful points by cache disposition
 	for range jobs {
 		res := <-results
 		s.metrics.ObservePoint(res.outcome)
@@ -393,40 +333,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			pointJSON = []byte("{}")
 		}
 		if res.err != nil {
-			tally.errs++
+			errs++
 			errJSON, _ := json.Marshal(res.err.Error())
 			fmt.Fprintf(w, "{\"index\":%d,\"point\":%s,\"error\":%s}\n", res.job.index, pointJSON, errJSON)
 		} else {
-			tally.ok++
-			switch res.outcome {
-			case OutcomeHit:
-				tally.hits++
-			case OutcomeJoin:
-				tally.joins++
-			case OutcomeMiss:
-				tally.misses++
-			case OutcomeDisk:
-				tally.diskHits++
-			}
+			served[res.outcome]++
+			shardField := ""
 			if res.shard != "" {
 				shardJSON, _ := json.Marshal(res.shard)
-				fmt.Fprintf(w, "{\"index\":%d,\"point\":%s,\"cache\":%q,\"shard\":%s,\"result\":%s}\n",
-					res.job.index, pointJSON, res.outcome, shardJSON, res.body)
-			} else {
-				fmt.Fprintf(w, "{\"index\":%d,\"point\":%s,\"cache\":%q,\"result\":%s}\n",
-					res.job.index, pointJSON, res.outcome, res.body)
+				shardField = ",\"shard\":" + string(shardJSON)
 			}
+			fmt.Fprintf(w, "{\"index\":%d,\"point\":%s,\"cache\":%q%s,\"result\":%s}\n",
+				res.job.index, pointJSON, res.outcome, shardField, res.body)
 		}
 		jb.PointDone()
 		fl.Flush()
 	}
 	if ctx.Err() != nil {
-		state = JobCanceled
-		reqErr = ctx.Err()
-	} else if tally.errs > 0 {
-		reqErr = fmt.Errorf("%d of %d points failed", tally.errs, len(jobs))
+		rq.state, rq.err = JobCanceled, ctx.Err()
+	} else if errs > 0 {
+		rq.err = fmt.Errorf("%d of %d points failed", errs, len(jobs))
 	}
 	fmt.Fprintf(w, "{\"done\":{\"points\":%d,\"ok\":%d,\"errors\":%d,\"hits\":%d,\"joins\":%d,\"misses\":%d,\"disk\":%d}}\n",
-		len(jobs), tally.ok, tally.errs, tally.hits, tally.joins, tally.misses, tally.diskHits)
+		len(jobs), len(jobs)-errs, errs, served[OutcomeHit], served[OutcomeJoin], served[OutcomeMiss], served[OutcomeDisk])
 	fl.Flush()
 }

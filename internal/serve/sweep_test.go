@@ -9,9 +9,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -213,7 +215,7 @@ func TestSweepBadRequests(t *testing.T) {
 		"oversized grid": fmt.Sprintf(
 			`{"template": %s, "axes": {"seedOffsets": [%s], "meshScales": [1,2,3,4,5]}}`,
 			sweepTemplate, strings.Trim(strings.Repeat("1,", 1000), ",")),
-		"unknown field":  fmt.Sprintf(`{"template": %s, "axes": {"bogus": [1]}}`, sweepTemplate),
+		"unknown field":   fmt.Sprintf(`{"template": %s, "axes": {"bogus": [1]}}`, sweepTemplate),
 		"broken template": `{"template": {"densitySteps": 3}, "axes": {"seedOffsets": [1]}}`,
 	}
 	for name, body := range cases {
@@ -449,6 +451,80 @@ func TestShardRouteDeterministicAndFailover(t *testing.T) {
 	}
 	if _, err := NewShardSet([]string{"http://h1:1", "http://h1:1"}, time.Hour, logger); err == nil {
 		t.Error("duplicate shard accepted")
+	}
+}
+
+// TestForwardCarriesRemainingDeadline: the front-end hands a shard the
+// time the caller still has, as ?timeout=, on every forward — a sweep
+// given five minutes must not lose its shard-routed points to the
+// shard's own 60 s default, and a plain simulate forwards the front-end
+// default. A caller's deadline running out mid-forward is not evidence
+// against the shard.
+func TestForwardCarriesRemainingDeadline(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		queries []time.Duration
+	)
+	stall := make(chan struct{})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		d, err := time.ParseDuration(r.URL.Query().Get("timeout"))
+		if err != nil {
+			t.Errorf("shard received query %q: %v", r.URL.RawQuery, err)
+			return
+		}
+		if d < time.Second { // the last request below: outlive its 50ms
+			<-stall
+			return
+		}
+		mu.Lock()
+		queries = append(queries, d)
+		mu.Unlock()
+		w.Header().Set("X-Cache", "miss")
+		w.Write([]byte(`{"elapsed":1}`))
+	}))
+	defer shard.Close()
+	defer close(stall)
+	s, ts := testServer(t, Options{Shards: []string{shard.URL}, ShardProbeInterval: time.Hour})
+	received := func() []time.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]time.Duration(nil), queries...)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", simBody)
+	if resp.StatusCode != 200 || resp.Header.Get("X-Shard") != shard.URL {
+		t.Fatalf("plain simulate: status %d, X-Shard %q (%s)", resp.StatusCode, resp.Header.Get("X-Shard"), body)
+	}
+	if got := received(); len(got) != 1 || got[0] <= 30*time.Second || got[0] > 60*time.Second {
+		t.Errorf("plain simulate forwarded timeouts %v, want one just under the 60s default", got)
+	}
+
+	sweep := fmt.Sprintf(`{"template": %s, "axes": {"seedOffsets": [1, 2]}}`, sweepTemplate)
+	resp, body = postJSON(t, ts.URL+"/v1/sweep?timeout=5m", sweep)
+	if resp.StatusCode != 200 || strings.Contains(string(body), `"error"`) {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, body)
+	}
+	got := received()
+	if len(got) != 3 {
+		t.Fatalf("shard saw %d forwards, want 3 (one simulate, two sweep points)", len(got))
+	}
+	for _, d := range got[1:] {
+		if d <= 4*time.Minute || d > 5*time.Minute {
+			t.Errorf("sweep point forwarded ?timeout=%v, want just under the sweep's 5m", d)
+		}
+	}
+
+	big := strings.Replace(simBody, `"densitySteps": 3`, `"densitySteps": 4`, 1)
+	resp, body = postJSON(t, ts.URL+"/v1/simulate?timeout=50ms", big)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("stalled forward: status %d (%s), want 504", resp.StatusCode, body)
+	}
+	if !s.shards.Shards()[0].Healthy() {
+		t.Error("shard demoted because the caller's own deadline expired")
 	}
 }
 
