@@ -3,80 +3,65 @@
 //
 // Usage:
 //
-//	cpxbench -exp fig4ab          # one experiment
-//	cpxbench -exp all             # everything (long)
-//	cpxbench -exp fig8 -quick -v  # fast smoke geometry with progress
+//	cpxbench -exp <id>            # one experiment
+//	cpxbench -exp all             # everything, in catalogue order (long)
+//	cpxbench -exp <id> -quick -v  # fast smoke geometry, progress on stderr
 //
-// Experiments: fig3 fig4ab fig4c fig5a fig5b fig6a fig6bc fig8 fig9
-// sensitivity overlap amg search resilience particle-scaling all.
+// The experiment ids are harness.Catalogue's; `cpxbench -h` lists them
+// with the paper item each reproduces. Tables go to stdout, so
+// `cpxbench -exp <id> > results/<id>.txt` records one.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"cpx/internal/harness"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (fig3, fig4ab, fig4c, fig5a, fig5b, fig6a, fig6bc, fig8, fig9, sensitivity, overlap, amg, search, resilience, particle-scaling, all)")
-	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	verbose := flag.Bool("v", false, "print progress")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cpxbench", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id (listed below), or all")
+	quick := fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
+	verbose := fs.Bool("v", false, "print progress to stderr")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage of cpxbench:")
+		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "experiments:")
+		for _, e := range harness.Catalogue {
+			fmt.Fprintf(stderr, "  %-17s %s\n", e.ID, e.Paper)
+		}
+	}
+	fs.Parse(args) // ExitOnError: exits 2 on a bad flag, 0 on -h
 
 	o := harness.DefaultOptions()
 	o.Quick = *quick
 	o.Verbose = *verbose
 
-	single := map[string]func() (*harness.Table, error){
-		"fig3":             o.Fig3,
-		"fig4ab":           o.Fig4ab,
-		"fig4c":            o.Fig4c,
-		"fig5a":            o.Fig5a,
-		"fig5b":            o.Fig5b,
-		"fig6a":            o.Fig6a,
-		"fig6bc":           o.Fig6bc,
-		"fig8":             o.Fig8,
-		"sensitivity":      o.Sensitivity,
-		"overlap":          o.OverlapStudy,
-		"amg":              o.AMGAblation,
-		"search":           o.SearchAblation,
-		"resilience":       o.Resilience,
-		"particle-scaling": o.ParticleScaling,
-	}
-	order := []string{"fig3", "fig4ab", "fig4c", "fig5a", "fig5b", "fig6a", "fig6bc", "fig8", "fig9", "sensitivity", "overlap", "amg", "search", "resilience", "particle-scaling"}
-
-	run := func(id string) {
-		if id == "fig9" {
-			tables, err := o.Fig9()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cpxbench: %s: %v\n", id, err)
-				os.Exit(1)
-			}
-			for _, t := range tables {
-				fmt.Println(t.String())
-			}
-			return
-		}
-		fn, ok := single[id]
+	todo := harness.Catalogue
+	if *exp != "all" {
+		e, ok := harness.Lookup(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cpxbench: unknown experiment %q\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "cpxbench: unknown experiment %q (want %s, or all)\n", *exp, strings.Join(harness.IDs(), ", "))
+			return 2
 		}
-		t, err := fn()
+		todo = []harness.Experiment{e}
+	}
+	for _, e := range todo {
+		tables, err := e.Run(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpxbench: %s: %v\n", id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpxbench: %s: %v\n", e.ID, err)
+			return 1
 		}
-		fmt.Println(t.String())
-	}
-
-	if *exp == "all" {
-		for _, id := range order {
-			run(id)
+		for _, t := range tables {
+			fmt.Fprintln(stdout, t.String())
 		}
-		return
 	}
-	run(*exp)
+	return 0
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cpxlint [-tests] [-json] [-perfgate=false] [-baseline file] [-write-baseline file] [module-root]
+//	cpxlint [-tests] [-v] [-json] [-perfgate=false] [module-root]
 //
 // The module root defaults to the nearest directory containing go.mod,
 // searching upward from the working directory. Diagnostics print as
@@ -16,15 +16,8 @@
 //
 //	//lint:allow <rule> <reason>
 //
-// -baseline compares findings against a checked-in baseline (written
-// with -write-baseline): findings present in the baseline are reported
-// but do not fail the run, so the gate only trips on NEW findings.
-// Baseline entries match on (rule, file, message) — line numbers drift
-// with unrelated edits and are deliberately not part of the key.
-//
-// Exit status: 0 clean, 1 unsuppressed non-baseline diagnostics
-// (including malformed suppressions), 2 load/type-check/perfgate-build
-// failure.
+// Exit status: 0 clean, 1 unsuppressed diagnostics (including malformed
+// suppressions), 2 load/type-check/perfgate-build failure.
 package main
 
 import (
@@ -44,8 +37,6 @@ func main() {
 	verbose := flag.Bool("v", false, "report suppressed diagnostics too")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout")
 	perfgate := flag.Bool("perfgate", true, "run the perfgate compiler-fact gate on annotated packages")
-	baselinePath := flag.String("baseline", "", "fail only on findings not in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings as a baseline file and exit 0")
 	flag.Parse()
 
 	root := flag.Arg(0)
@@ -124,33 +115,11 @@ func main() {
 	sortDiags(kept)
 	sortDiags(suppressed)
 
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, root, kept); err != nil {
-			fmt.Fprintln(os.Stderr, "cpxlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cpxlint: wrote %d finding(s) to %s\n", len(kept), *writeBaseline)
-		return
-	}
-
-	var baselined []analysis.Diagnostic
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpxlint:", err)
-			os.Exit(2)
-		}
-		kept, baselined = splitBaseline(root, kept, base)
-	}
-
 	if *jsonOut {
-		emitJSON(root, len(pkgs), kept, baselined, suppressed)
+		emitJSON(root, len(pkgs), kept, suppressed)
 	} else {
 		for _, d := range kept {
 			fmt.Println(relativize(root, d))
-		}
-		for _, d := range baselined {
-			fmt.Printf("%s (baseline)\n", relativize(root, d))
 		}
 		if *verbose {
 			for _, d := range suppressed {
@@ -158,79 +127,11 @@ func main() {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "cpxlint: %d package(s), %d diagnostic(s), %d baselined, %d suppressed\n",
-		len(pkgs), len(kept), len(baselined), len(suppressed))
+	fmt.Fprintf(os.Stderr, "cpxlint: %d package(s), %d diagnostic(s), %d suppressed\n",
+		len(pkgs), len(kept), len(suppressed))
 	if len(kept) > 0 {
 		os.Exit(1)
 	}
-}
-
-// ---- baseline --------------------------------------------------------------
-
-// baselineEntry is one accepted finding. Line numbers are omitted on
-// purpose: they drift with unrelated edits, and a baseline that rots on
-// every refactor gets deleted rather than maintained.
-type baselineEntry struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Message string `json:"message"`
-}
-
-type baselineFile struct {
-	Findings []baselineEntry `json:"findings"`
-}
-
-func baselineKey(e baselineEntry) string {
-	return e.Rule + "\x00" + e.File + "\x00" + e.Message
-}
-
-func entryFor(root string, d analysis.Diagnostic) baselineEntry {
-	file := d.Pos.Filename
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return baselineEntry{Rule: d.Rule, File: file, Message: d.Message}
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	keys := make(map[string]bool, len(bf.Findings))
-	for _, e := range bf.Findings {
-		keys[baselineKey(e)] = true
-	}
-	return keys, nil
-}
-
-func saveBaseline(path, root string, diags []analysis.Diagnostic) error {
-	bf := baselineFile{Findings: []baselineEntry{}}
-	for _, d := range diags {
-		bf.Findings = append(bf.Findings, entryFor(root, d))
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// splitBaseline partitions diagnostics into new findings (fail the run)
-// and baseline-accepted ones (reported only).
-func splitBaseline(root string, diags []analysis.Diagnostic, base map[string]bool) (fresh, accepted []analysis.Diagnostic) {
-	for _, d := range diags {
-		if base[baselineKey(entryFor(root, d))] {
-			accepted = append(accepted, d)
-		} else {
-			fresh = append(fresh, d)
-		}
-	}
-	return fresh, accepted
 }
 
 // ---- output ----------------------------------------------------------------
@@ -247,19 +148,17 @@ type jsonDiag struct {
 func toJSON(root string, diags []analysis.Diagnostic) []jsonDiag {
 	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
-		e := entryFor(root, d)
-		out = append(out, jsonDiag{File: e.File, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Message: d.Message})
+		out = append(out, jsonDiag{File: filepath.ToSlash(relPath(root, d.Pos.Filename)), Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Message: d.Message})
 	}
 	return out
 }
 
-func emitJSON(root string, pkgs int, kept, baselined, suppressed []analysis.Diagnostic) {
+func emitJSON(root string, pkgs int, kept, suppressed []analysis.Diagnostic) {
 	report := struct {
 		Packages    int        `json:"packages"`
 		Diagnostics []jsonDiag `json:"diagnostics"`
-		Baselined   []jsonDiag `json:"baselined"`
 		Suppressed  []jsonDiag `json:"suppressed"`
-	}{pkgs, toJSON(root, kept), toJSON(root, baselined), toJSON(root, suppressed)}
+	}{pkgs, toJSON(root, kept), toJSON(root, suppressed)}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(report)
@@ -283,11 +182,17 @@ func findModuleRoot() (string, error) {
 	}
 }
 
+// relPath returns file relative to root when it lies beneath it.
+func relPath(root, file string) string {
+	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return rel
+	}
+	return file
+}
+
 // relativize renders a diagnostic with its filename relative to root.
 func relativize(root string, d analysis.Diagnostic) string {
-	if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-		d.Pos.Filename = rel
-	}
+	d.Pos.Filename = relPath(root, d.Pos.Filename)
 	return d.String()
 }
 

@@ -236,8 +236,8 @@ func runStats(elapsed float64, st *mpi.Stats, err error) (*RunStats, error) {
 // ---- Experiment harness --------------------------------------------------------
 
 // Experiments configures the paper-reproduction harness; its methods
-// (Fig3, Fig4ab, Fig4c, Fig5a, Fig5b, Fig6a, Fig6bc, Fig8, Fig9,
-// Sensitivity) regenerate the paper's tables and figures.
+// regenerate the paper's tables and figures, one per entry of the
+// experiment catalogue (`cpxbench -h` prints it).
 type Experiments = harness.Options
 
 // ExperimentTable is one reproduced figure or table.

@@ -22,8 +22,8 @@ import (
 //	//perf:inline    the function must stay within the inliner budget:
 //	                 the compiler must report "can inline" for it. The
 //	                 telemetry hooks and runtime charge paths carry this —
-//	                 their measured overhead (BENCH_telemetry.json) is
-//	                 only valid while they inline into the charge sites.
+//	                 the <=10% telemetry-overhead bar was measured with
+//	                 them inlined into the charge sites.
 //
 //	//perf:noescape  no parameter (receiver included) may leak to the
 //	                 heap ("leaking param: x") and no local may be moved

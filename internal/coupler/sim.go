@@ -112,10 +112,6 @@ type InstanceSpec struct {
 	Kind      SolverKind
 	MeshCells int64 // mesh size (for SIMPIC: the pressure-solver equivalent)
 	Ranks     int
-	// StepsPerDensity is the instance's time-steps per density-solver
-	// step (defaults: MG-CFD 1, SIMPIC 2 — the pressure solver's
-	// time-step is about half as long).
-	StepsPerDensity int
 	// Simpic overrides the SIMPIC configuration (Base vs Optimized STC).
 	Simpic *simpic.Config
 	// FEM overrides the casing thermal configuration; if nil, a shell is
@@ -130,10 +126,10 @@ type InstanceSpec struct {
 	Seed     int64
 }
 
+// stepsPerDensity is the instance's time-steps per density-solver step:
+// SIMPIC 2 (the pressure solver's time-step is about half as long),
+// every other kind 1.
 func (is InstanceSpec) stepsPerDensity() int {
-	if is.StepsPerDensity > 0 {
-		return is.StepsPerDensity
-	}
 	if is.Kind == KindSIMPIC {
 		return 2
 	}

@@ -3,13 +3,14 @@
 // virtual-time ARCHER2 model to produce speedup/parallel-efficiency
 // sweeps, profiles the pressure-solver proxy per function, builds and
 // validates the empirical performance model, and executes the coupled
-// mini-app engine simulations. Each experiment returns a Table whose rows
-// mirror what the paper reports; cmd/cpxbench prints them and
-// bench_test.go wraps them as Go benchmarks.
+// mini-app engine simulations. Each experiment returns Tables whose rows
+// mirror what the paper reports; Catalogue (catalogue.go) is the one list
+// of them, and cmd/cpxbench runs and prints its entries.
 package harness
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
@@ -74,7 +75,7 @@ type Options struct {
 	// Quick shrinks the core-count sweeps for fast smoke runs (used by
 	// unit tests); full sweeps reproduce the paper's axes.
 	Quick bool
-	// Verbose emits progress to stdout.
+	// Verbose emits progress to stderr, so stdout stays only the tables.
 	Verbose  bool
 	Watchdog time.Duration
 	// Trace enables event tracing on the coupled runs (fig8, fig9,
@@ -107,7 +108,7 @@ func (o Options) coupledConfig() mpi.Config {
 
 func (o Options) logf(format string, args ...any) {
 	if o.Verbose {
-		fmt.Printf(format+"\n", args...)
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
 }
 

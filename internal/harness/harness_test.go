@@ -229,22 +229,22 @@ func TestEngineQuickEndToEnd(t *testing.T) {
 	}
 }
 
-// captureStdout returns what fn printed to os.Stdout, where Verbose
+// captureStderr returns what fn printed to os.Stderr, where Verbose
 // progress goes.
-func captureStdout(t *testing.T, fn func()) string {
+func captureStderr(t *testing.T, fn func()) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stdout
-	os.Stdout = w
+	saved := os.Stderr
+	os.Stderr = w
 	out := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r) // a short read shows up as a log mismatch
 		out <- string(b)
 	}()
-	defer func() { os.Stdout = saved }()
+	defer func() { os.Stderr = saved }()
 	fn()
 	w.Close()
 	return <-out
@@ -261,7 +261,7 @@ func TestEngineProgressOrderIsDeterministic(t *testing.T) {
 	o := quick()
 	o.Verbose = true
 	run := func() string {
-		return captureStdout(t, func() {
+		return captureStderr(t, func() {
 			if _, err := o.RunEngine(false, 400); err != nil {
 				t.Error(err)
 			}

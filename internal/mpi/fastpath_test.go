@@ -150,7 +150,7 @@ var observers = []struct {
 	{"profile", func(c *Config) { c.Profile = true }},
 	{"trace", func(c *Config) { c.Trace = true }},
 	{"metrics", func(c *Config) { c.Metrics = &telemetry.Config{Interval: 1e-4} }},
-	{"flight", func(c *Config) { c.FlightEvents = 32 }},
+	{"flight", func(c *Config) { c.flightEvents = 32 }},
 }
 
 // TestReplayMatchesMessageLevelReference is the runtime's differential
@@ -190,7 +190,7 @@ func TestReplayFlightTailsMatchReference(t *testing.T) {
 		var tails [2][]telemetry.RankTail
 		for i, reference := range []bool{false, true} {
 			cfg := testCfg()
-			cfg.FlightEvents = 64
+			cfg.flightEvents = 64
 			sums := make([]float64, p)
 			prog := mixedProgram(sums)
 			st, err := runWorld(p, cfg, func(c *Comm) error {

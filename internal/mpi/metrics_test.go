@@ -226,12 +226,12 @@ func TestFlightRecorderDumpsCrashedRankTail(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderExplicitCapacity: FlightEvents > 0 arms the recorder
+// TestFlightRecorderExplicitCapacity: flightEvents > 0 arms the recorder
 // without a fault plan, so watchdog/cancel aborts also leave a trail;
-// the ring must retain only the last FlightEvents events.
+// the ring must retain only the last flightEvents events.
 func TestFlightRecorderExplicitCapacity(t *testing.T) {
 	cfg := testCfg()
-	cfg.FlightEvents = 4
+	cfg.flightEvents = 4
 	cancel := make(chan struct{})
 	close(cancel) // abort immediately: first blocking op unwinds
 	cfg.Cancel = cancel

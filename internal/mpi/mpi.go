@@ -219,7 +219,7 @@ type proc struct {
 
 	// Live-telemetry state, nil unless enabled. metrics samples counters
 	// at virtual-time intervals (Config.Metrics); flight keeps the
-	// bounded post-mortem event ring (fault plans, Config.FlightEvents).
+	// bounded post-mortem event ring (armed by a fault plan).
 	// Both only *observe* charges the runtime already makes — separate
 	// accumulators, no change to any existing clock arithmetic — which
 	// is what keeps runs bitwise identical with telemetry on or off.
@@ -986,11 +986,6 @@ type Config struct {
 	// matrix cells their messages would, so a traced run is computed
 	// exactly as an untraced one. Off by default, recording nothing.
 	Trace bool
-	// TraceMaxEvents caps the events recorded per rank to bound memory;
-	// <= 0 selects trace.DefaultMaxEvents. Ranks that exceed the cap
-	// report dropped events and are rejected by the critical-path
-	// analysis rather than yielding a truncated chain.
-	TraceMaxEvents int
 	// Watchdog aborts the run if it exceeds this much *host* time,
 	// catching deadlocked communication patterns in tests; the error
 	// summarises what the ranks were blocked on. Defaults to 120 s;
@@ -1024,12 +1019,16 @@ type Config struct {
 	// off (metrics_test.go enforces this differentially). Message
 	// counters include the messages of replayed collectives.
 	Metrics *telemetry.Config
-	// FlightEvents controls the per-rank flight recorder, the bounded
-	// ring of recent sends/receives/collectives dumped into
-	// Stats.Flight when a run fails. > 0 sets the ring capacity; 0
-	// enables it automatically (default depth) whenever a fault plan is
-	// set; < 0 disables it entirely.
-	FlightEvents int
+
+	// traceMaxEvents caps the events recorded per rank (0 selects
+	// trace.DefaultMaxEvents); flightEvents > 0 arms the flight recorder
+	// with that ring capacity even without a fault plan. Both are set
+	// only by this package's tests: ranks past the trace cap report
+	// dropped events and are rejected by the critical-path analysis, and
+	// the recorder is otherwise on, at its default depth, exactly when a
+	// fault plan is set.
+	traceMaxEvents int
+	flightEvents   int
 }
 
 // ErrCanceled reports that a run was aborted through Config.Cancel
@@ -1112,14 +1111,14 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stat
 			w.procs[i].profile = trace.NewProfile()
 		}
 		if cfg.Trace {
-			w.procs[i].timeline = trace.NewTimeline(i, cfg.TraceMaxEvents)
+			w.procs[i].timeline = trace.NewTimeline(i, cfg.traceMaxEvents)
 			w.procs[i].comms = make(map[int]*commCell)
 		}
 		if cfg.Metrics != nil {
 			w.procs[i].metrics = collectors[i]
 		}
-		if cfg.FlightEvents > 0 || (plan != nil && cfg.FlightEvents == 0) {
-			w.procs[i].flight = telemetry.NewFlightRecorder(cfg.FlightEvents)
+		if cfg.flightEvents > 0 || plan != nil {
+			w.procs[i].flight = telemetry.NewFlightRecorder(cfg.flightEvents)
 		}
 	}
 

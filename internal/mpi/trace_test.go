@@ -3,9 +3,7 @@ package mpi
 import (
 	"math"
 	"testing"
-	"time"
 
-	"cpx/internal/cluster"
 	"cpx/internal/trace"
 )
 
@@ -242,7 +240,7 @@ func TestRunSummaryFromTracedRun(t *testing.T) {
 // drops and make the critical-path analysis fail loudly, not truncate.
 func TestTraceCapDegradesGracefully(t *testing.T) {
 	cfg := tracedCfg()
-	cfg.TraceMaxEvents = 2
+	cfg.traceMaxEvents = 2
 	st, err := Run(4, cfg, imbalancedRing)
 	if err != nil {
 		t.Fatal(err)
@@ -256,36 +254,5 @@ func TestTraceCapDegradesGracefully(t *testing.T) {
 	}
 	if _, err := st.CriticalPath(); err == nil {
 		t.Error("critical path on truncated timelines did not error")
-	}
-}
-
-func benchConfig(traced bool) Config {
-	return Config{Machine: cluster.SmallCluster(), Watchdog: time.Minute, Trace: traced}
-}
-
-func benchProgram(c *Comm) error {
-	for i := 0; i < 200; i++ {
-		c.ComputeSeconds(1e-6)
-		c.Send((c.Rank()+1)%c.Size(), i, []float64{1})
-		c.Recv((c.Rank()+c.Size()-1)%c.Size(), i)
-	}
-	return nil
-}
-
-// BenchmarkRunTraceOff/On measure the real-time cost of a small run with
-// tracing disabled and enabled; compare them to bound tracing overhead.
-func BenchmarkRunTraceOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(8, benchConfig(false), benchProgram); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunTraceOn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(8, benchConfig(true), benchProgram); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

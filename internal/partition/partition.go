@@ -1,71 +1,12 @@
-// Package partition provides mesh/graph partitioning for the mini-apps:
-// recursive coordinate bisection (RCB) for point sets with geometry and a
-// greedy graph-growing partitioner for pure adjacency graphs, plus the
-// quality metrics (edge cut, imbalance, halo size) that drive the
-// communication volumes of the coupled simulation. Production runs in the
-// paper partition offline with METIS-class tools; these algorithms fill
-// the same role here.
+// Package partition provides geometric partitioning for the mini-apps:
+// recursive coordinate bisection (RCB) of point sets, as flat labels
+// (RCB) or as a reusable cut tree (RCBTree), plus the balance metrics
+// (PartSizes, Imbalance) the tests measure them with. Production runs in
+// the paper partition offline with METIS-class tools; RCB fills the same
+// role here.
 package partition
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Graph is a compressed adjacency structure: the neighbours of vertex v
-// are Adj[Ptr[v]:Ptr[v+1]]. Edges are expected in both directions.
-type Graph struct {
-	Ptr []int
-	Adj []int
-}
-
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.Ptr) - 1 }
-
-// Validate checks structural invariants.
-func (g *Graph) Validate() error {
-	n := g.NumVertices()
-	if n < 0 {
-		return fmt.Errorf("partition: graph has no Ptr array")
-	}
-	if g.Ptr[0] != 0 || g.Ptr[n] != len(g.Adj) {
-		return fmt.Errorf("partition: Ptr endpoints inconsistent with Adj length")
-	}
-	for v := 0; v < n; v++ {
-		if g.Ptr[v] > g.Ptr[v+1] {
-			return fmt.Errorf("partition: Ptr not monotone at %d", v)
-		}
-		for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
-			if u < 0 || u >= n {
-				return fmt.Errorf("partition: neighbour %d of %d out of range", u, v)
-			}
-		}
-	}
-	return nil
-}
-
-// NewGraphFromEdges builds a symmetric adjacency graph from an edge list.
-func NewGraphFromEdges(n int, edges [][2]int) *Graph {
-	deg := make([]int, n)
-	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	ptr := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		ptr[v+1] = ptr[v] + deg[v]
-	}
-	adj := make([]int, ptr[n])
-	fill := make([]int, n)
-	copy(fill, ptr[:n])
-	for _, e := range edges {
-		adj[fill[e[0]]] = e[1]
-		fill[e[0]]++
-		adj[fill[e[1]]] = e[0]
-		fill[e[1]]++
-	}
-	return &Graph{Ptr: ptr, Adj: adj}
-}
+import "sort"
 
 // Point is a vertex coordinate for geometric partitioning.
 type Point [3]float64
@@ -130,137 +71,6 @@ func rcbRecurse(points []Point, idx []int, base, parts int, out []int) {
 	rcbRecurse(points, idx[cut:], base+leftParts, rightParts, out)
 }
 
-// GreedyGrow partitions a graph into `parts` pieces by greedy BFS region
-// growing: each part grows from the lowest-numbered unassigned vertex
-// until it reaches its size quota, preferring frontier vertices. Simple,
-// deterministic, and produces connected parts on connected graphs.
-func GreedyGrow(g *Graph, parts int) []int {
-	n := g.NumVertices()
-	if parts <= 0 {
-		panic("partition: GreedyGrow parts must be positive")
-	}
-	part := make([]int, n)
-	for i := range part {
-		part[i] = -1
-	}
-	assigned := 0
-	next := 0
-	for p := 0; p < parts; p++ {
-		quota := (n - assigned) / (parts - p)
-		if quota == 0 && assigned < n {
-			quota = 1
-		}
-		// Seed: first unassigned vertex.
-		for next < n && part[next] != -1 {
-			next++
-		}
-		if next >= n {
-			break
-		}
-		frontier := []int{next}
-		inFrontier := map[int]bool{next: true}
-		count := 0
-		for count < quota && len(frontier) > 0 {
-			v := frontier[0]
-			frontier = frontier[1:]
-			if part[v] != -1 {
-				continue
-			}
-			part[v] = p
-			count++
-			assigned++
-			for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
-				if part[u] == -1 && !inFrontier[u] {
-					frontier = append(frontier, u)
-					inFrontier[u] = true
-				}
-			}
-		}
-		// If the component ran out, continue from the global scan.
-		for count < quota {
-			for next < n && part[next] != -1 {
-				next++
-			}
-			if next >= n {
-				break
-			}
-			part[next] = p
-			count++
-			assigned++
-		}
-	}
-	// Sweep any stragglers into the last part.
-	for v := 0; v < n; v++ {
-		if part[v] == -1 {
-			part[v] = parts - 1
-		}
-	}
-	return part
-}
-
-// Refine runs a greedy Kernighan-Lin-style boundary refinement: boundary
-// vertices move to the neighbouring part with the largest edge-cut gain,
-// subject to a balance constraint (no part may exceed maxImbalance times
-// the mean size). Returns the number of moves made. Deterministic:
-// vertices are scanned in index order for a fixed number of passes.
-func Refine(g *Graph, part []int, parts int, maxImbalance float64, passes int) int {
-	if maxImbalance <= 1 {
-		maxImbalance = 1.05
-	}
-	sizes := PartSizes(part, parts)
-	limit := int(maxImbalance * float64(len(part)) / float64(parts))
-	moves := 0
-	for pass := 0; pass < passes; pass++ {
-		moved := false
-		for v := 0; v < g.NumVertices(); v++ {
-			home := part[v]
-			if sizes[home] <= 1 {
-				continue
-			}
-			// Count connections per neighbouring part.
-			conn := map[int]int{}
-			for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
-				conn[part[u]]++
-			}
-			bestPart, bestGain := home, 0
-			for p, c := range conn {
-				if p == home || sizes[p] >= limit {
-					continue
-				}
-				gain := c - conn[home]
-				if gain > bestGain || (gain == bestGain && gain > 0 && p < bestPart) {
-					bestPart, bestGain = p, gain
-				}
-			}
-			if bestPart != home && bestGain > 0 {
-				sizes[home]--
-				sizes[bestPart]++
-				part[v] = bestPart
-				moves++
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
-	return moves
-}
-
-// EdgeCut counts edges whose endpoints lie in different parts. Each
-// undirected edge is counted once.
-func EdgeCut(g *Graph, part []int) int {
-	cut := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
-			if u > v && part[u] != part[v] {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
 // PartSizes returns the number of vertices in each part.
 func PartSizes(part []int, parts int) []int {
 	sizes := make([]int, parts)
@@ -284,23 +94,4 @@ func Imbalance(part []int, parts int) float64 {
 		return 1
 	}
 	return float64(maxSz) / mean
-}
-
-// HaloSizes returns, per part, the number of off-part vertices adjacent to
-// it — the ghost/halo layer it must receive each exchange.
-func HaloSizes(g *Graph, part []int, parts int) []int {
-	halo := make([]int, parts)
-	seen := make(map[[2]int]bool)
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
-			if part[u] != part[v] {
-				key := [2]int{part[v], u}
-				if !seen[key] {
-					seen[key] = true
-					halo[part[v]]++
-				}
-			}
-		}
-	}
-	return halo
 }

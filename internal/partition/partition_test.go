@@ -6,55 +6,37 @@ import (
 	"testing/quick"
 )
 
-// gridGraph builds an nx x ny 2-D lattice graph with coordinates.
-func gridGraph(nx, ny int) (*Graph, []Point) {
-	var edges [][2]int
+// gridPoints returns the vertices of an nx x ny 2-D lattice, row by row.
+func gridPoints(nx, ny int) []Point {
 	pts := make([]Point, 0, nx*ny)
-	id := func(i, j int) int { return j*nx + i }
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			pts = append(pts, Point{float64(i), float64(j), 0})
-			if i+1 < nx {
-				edges = append(edges, [2]int{id(i, j), id(i+1, j)})
+		}
+	}
+	return pts
+}
+
+// latticeCut counts the lattice edges of gridPoints(nx, ny) whose
+// endpoints carry different labels.
+func latticeCut(nx, ny int, part []int) int {
+	cut := 0
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			v := j*nx + i
+			if i+1 < nx && part[v] != part[v+1] {
+				cut++
 			}
-			if j+1 < ny {
-				edges = append(edges, [2]int{id(i, j), id(i, j+1)})
+			if j+1 < ny && part[v] != part[v+nx] {
+				cut++
 			}
 		}
 	}
-	return NewGraphFromEdges(nx*ny, edges), pts
-}
-
-func TestGraphFromEdgesValid(t *testing.T) {
-	g, _ := gridGraph(5, 4)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 20 {
-		t.Errorf("vertices = %d, want 20", g.NumVertices())
-	}
-	// 2-D lattice edge count: (nx-1)*ny + nx*(ny-1), doubled in CSR.
-	wantAdj := 2 * (4*4 + 5*3)
-	if len(g.Adj) != wantAdj {
-		t.Errorf("adj entries = %d, want %d", len(g.Adj), wantAdj)
-	}
-}
-
-func TestValidateCatchesCorruption(t *testing.T) {
-	g, _ := gridGraph(3, 3)
-	g.Adj[0] = 99
-	if err := g.Validate(); err == nil {
-		t.Error("out-of-range neighbour not caught")
-	}
-	g2, _ := gridGraph(3, 3)
-	g2.Ptr[1] = g2.Ptr[2] + 1
-	if err := g2.Validate(); err == nil {
-		t.Error("non-monotone Ptr not caught")
-	}
+	return cut
 }
 
 func TestRCBBalancedAndComplete(t *testing.T) {
-	_, pts := gridGraph(16, 16)
+	pts := gridPoints(16, 16)
 	for _, parts := range []int{1, 2, 3, 4, 7, 16} {
 		part := RCB(pts, parts)
 		sizes := PartSizes(part, parts)
@@ -75,22 +57,22 @@ func TestRCBBalancedAndComplete(t *testing.T) {
 
 func TestRCBLocality(t *testing.T) {
 	// RCB on a lattice should cut far fewer edges than a random assignment.
-	g, pts := gridGraph(32, 32)
+	pts := gridPoints(32, 32)
 	part := RCB(pts, 8)
-	rcbCut := EdgeCut(g, part)
+	rcbCut := latticeCut(32, 32, part)
 	rng := rand.New(rand.NewSource(1))
 	randPart := make([]int, len(pts))
 	for i := range randPart {
 		randPart[i] = rng.Intn(8)
 	}
-	randCut := EdgeCut(g, randPart)
+	randCut := latticeCut(32, 32, randPart)
 	if rcbCut*3 > randCut {
 		t.Errorf("RCB cut %d not clearly better than random cut %d", rcbCut, randCut)
 	}
 }
 
 func TestRCBDeterministic(t *testing.T) {
-	_, pts := gridGraph(10, 10)
+	pts := gridPoints(10, 10)
 	a := RCB(pts, 4)
 	b := RCB(pts, 4)
 	for i := range a {
@@ -107,55 +89,6 @@ func TestRCBPanicsOnBadParts(t *testing.T) {
 		}
 	}()
 	RCB([]Point{{0, 0, 0}}, 0)
-}
-
-func TestGreedyGrowCoversAllVertices(t *testing.T) {
-	g, _ := gridGraph(12, 9)
-	for _, parts := range []int{1, 2, 5, 9} {
-		part := GreedyGrow(g, parts)
-		for v, p := range part {
-			if p < 0 || p >= parts {
-				t.Fatalf("vertex %d has invalid part %d", v, p)
-			}
-		}
-		if imb := Imbalance(part, parts); imb > 1.5 {
-			t.Errorf("parts=%d imbalance %v too high", parts, imb)
-		}
-	}
-}
-
-func TestGreedyGrowBeatsRandomCut(t *testing.T) {
-	g, _ := gridGraph(24, 24)
-	part := GreedyGrow(g, 6)
-	cut := EdgeCut(g, part)
-	rng := rand.New(rand.NewSource(2))
-	randPart := make([]int, g.NumVertices())
-	for i := range randPart {
-		randPart[i] = rng.Intn(6)
-	}
-	if cut*2 > EdgeCut(g, randPart) {
-		t.Errorf("greedy cut %d not better than random %d", cut, EdgeCut(g, randPart))
-	}
-}
-
-func TestEdgeCutCountsOnce(t *testing.T) {
-	// Two vertices, one edge, split -> cut of exactly 1.
-	g := NewGraphFromEdges(2, [][2]int{{0, 1}})
-	if cut := EdgeCut(g, []int{0, 1}); cut != 1 {
-		t.Errorf("cut = %d, want 1", cut)
-	}
-	if cut := EdgeCut(g, []int{0, 0}); cut != 0 {
-		t.Errorf("same-part cut = %d, want 0", cut)
-	}
-}
-
-func TestHaloSizes(t *testing.T) {
-	// Path 0-1-2 split as [0][1][2]: parts 0,2 have halo 1; part 1 has halo 2.
-	g := NewGraphFromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	halo := HaloSizes(g, []int{0, 1, 2}, 3)
-	if halo[0] != 1 || halo[1] != 2 || halo[2] != 1 {
-		t.Errorf("halo = %v, want [1 2 1]", halo)
-	}
 }
 
 func TestImbalancePerfect(t *testing.T) {
@@ -186,62 +119,5 @@ func TestRCBValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRefineImprovesCut(t *testing.T) {
-	g, pts := gridGraph(24, 24)
-	// Start from a mediocre partition: RCB on shuffled-ish parts via
-	// random assignment refined toward locality.
-	rng := rand.New(rand.NewSource(7))
-	part := RCB(pts, 6)
-	// Perturb 15% of assignments to create refinement opportunities.
-	for i := range part {
-		if rng.Float64() < 0.15 {
-			part[i] = rng.Intn(6)
-		}
-	}
-	before := EdgeCut(g, part)
-	moves := Refine(g, part, 6, 1.1, 8)
-	after := EdgeCut(g, part)
-	if moves == 0 {
-		t.Fatal("no refinement moves on a perturbed partition")
-	}
-	if !(after < before) {
-		t.Errorf("refinement did not cut edges: %d -> %d", before, after)
-	}
-	// Balance constraint respected.
-	if imb := Imbalance(part, 6); imb > 1.15 {
-		t.Errorf("refinement broke balance: %v", imb)
-	}
-}
-
-func TestRefineIsDeterministic(t *testing.T) {
-	g, pts := gridGraph(12, 12)
-	mk := func() []int {
-		part := RCB(pts, 4)
-		for i := 0; i < len(part); i += 7 {
-			part[i] = (part[i] + 1) % 4
-		}
-		Refine(g, part, 4, 1.1, 4)
-		return part
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("refinement not deterministic at %d", i)
-		}
-	}
-}
-
-func TestRefineNoOpOnOptimal(t *testing.T) {
-	// A clean RCB partition of a lattice is locally optimal-ish: very few
-	// or zero gain moves should exist, and the cut must not get worse.
-	g, pts := gridGraph(16, 16)
-	part := RCB(pts, 4)
-	before := EdgeCut(g, part)
-	Refine(g, part, 4, 1.1, 4)
-	if after := EdgeCut(g, part); after > before {
-		t.Errorf("refinement worsened an optimal cut: %d -> %d", before, after)
 	}
 }

@@ -252,20 +252,3 @@ func TestFitCurveKneeBelowBase(t *testing.T) {
 		}
 	}
 }
-
-func benchmarkAllocate(b *testing.B, f func([]Component, int) (*Allocation, error)) {
-	comps := paperScaleComponents(20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f(comps, 40_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAllocate measures the heap fast path on the paper's Fig. 9b
-// shape (40,000-core budget, 20 components); BenchmarkAllocateReference
-// is the naive loop it replaced. BENCH_perfmodel.json records the gap.
-func BenchmarkAllocate(b *testing.B)          { benchmarkAllocate(b, Allocate) }
-func BenchmarkAllocateReference(b *testing.B) { benchmarkAllocate(b, allocateReference) }

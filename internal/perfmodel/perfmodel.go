@@ -325,7 +325,7 @@ func (e *evalConst) eval(c int) float64 {
 // granted core therefore costs one curve evaluation and a sift-down,
 // instead of the two full scans and four evaluations of the naive loop
 // (see TestAllocateMatchesReference for the equivalence proof and
-// BenchmarkAllocate for the measured gap).
+// bench's perfmodel.allocate_ms probe for the host cost).
 func Allocate(components []Component, budget int) (*Allocation, error) {
 	if len(components) == 0 {
 		return nil, fmt.Errorf("perfmodel: no components")

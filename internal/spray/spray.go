@@ -23,8 +23,8 @@
 // model, wall handling, injection geometry) is shared with the
 // first-class coupled component in internal/particle, so the constants
 // live in exactly one place; this package keeps its own rank-local RNG
-// sampling and remains the differential oracle for the particle
-// subsystem's static-split strategy.
+// sampling, so its droplet populations are not those of the particle
+// subsystem's static strategy and no test compares the two.
 package spray
 
 import (
@@ -81,18 +81,6 @@ type ScaleOpts struct {
 	MaxDropletsPerRank int
 }
 
-// HybridThreads enables the hybrid MPI+OpenMP spatial partitioning of
-// Section IV-A: droplets are owned per *node-level* rank group of the
-// given thread count, shrinking the alltoallv schedule by that factor
-// (shared memory handles the intra-group exchange) at the cost of an
-// intra-node merge step. 0 or 1 is pure MPI.
-func (cl *Cloud) SetHybridThreads(t int) {
-	if t < 1 {
-		t = 1
-	}
-	cl.hybridThreads = t
-}
-
 // Cloud is the per-rank droplet state under spatial partitioning on a
 // 3-D process grid over the unit cube.
 type Cloud struct {
@@ -107,10 +95,6 @@ type Cloud struct {
 
 	partScale float64 // true droplets per simulated droplet
 	rng       *rand.Rand
-
-	// hybridThreads > 1 enables hybrid MPI+OpenMP mode (Section IV-A):
-	// the dense pairwise schedule spans only the node-level groups.
-	hybridThreads int
 }
 
 // NewCloud creates the spatially-partitioned droplet population.
@@ -343,18 +327,7 @@ func (cl *Cloud) redistribute() {
 	m := cl.comm.Machine()
 	const pairBytes = 12288
 	pairCost := m.SendOverhead + m.RecvOverhead + m.InterNodeLatency + pairBytes/m.EffectiveInterBW()
-	schedule := p - 1
-	if cl.hybridThreads > 1 {
-		// Hybrid MPI+OpenMP: only one rank per thread group joins the
-		// inter-group schedule; the intra-group merge costs one
-		// shared-memory pass over the local droplets.
-		schedule = (p+cl.hybridThreads-1)/cl.hybridThreads - 1
-		cl.comm.Compute(cluster.Work{
-			Flops: 4 * float64(len(cl.x)) * cl.partScale,
-			Bytes: 24 * float64(len(cl.x)) * cl.partScale,
-		})
-	}
-	if n := schedule - len(buffers); n > 0 {
+	if n := p - 1 - len(buffers); n > 0 {
 		cl.comm.ChargeCommSeconds(float64(n) * pairCost)
 	}
 	// Real payload messages, in the deterministic destination order

@@ -224,33 +224,6 @@ func TestRadiiStayPositive(t *testing.T) {
 	}
 }
 
-func TestHybridModeReducesScheduleCost(t *testing.T) {
-	// Hybrid MPI+OpenMP (Section IV-A) shrinks the alltoallv schedule by
-	// the thread count; per-step comm must fall at scale.
-	commTime := func(threads int) float64 {
-		st, err := mpi.Run(16, cfg(), func(c *mpi.Comm) error {
-			cl, err := NewCloud(c, [3]int{16, 1, 1},
-				Config{Droplets: 50_000, ConeFraction: 1.0, Seed: 1},
-				ScaleOpts{MaxDropletsPerRank: 100})
-			if err != nil {
-				return err
-			}
-			cl.SetHybridThreads(threads)
-			for s := 0; s < 3; s++ {
-				cl.Step(0.01)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.AvgComm()
-	}
-	if !(commTime(8) < commTime(1)) {
-		t.Error("hybrid threads did not reduce redistribution comm")
-	}
-}
-
 func TestStepWorkPositive(t *testing.T) {
 	_, err := mpi.Run(1, cfg(), func(c *mpi.Comm) error {
 		cl, err := NewCloud(c, [3]int{1, 1, 1}, smallCloud(), ScaleOpts{})

@@ -162,7 +162,7 @@ func ComputeCriticalPath(timelines []*Timeline) (*CriticalPath, error) {
 			return nil, fmt.Errorf("trace: critical path: rank %d has no timeline", r)
 		}
 		if tl.Dropped > 0 {
-			return nil, fmt.Errorf("trace: critical path: rank %d dropped %d events (raise TraceMaxEvents)", r, tl.Dropped)
+			return nil, fmt.Errorf("trace: critical path: rank %d dropped %d events past its cap of %d", r, tl.Dropped, tl.limit)
 		}
 		totalEvents += len(tl.Events)
 		if e := tl.End(); cur < 0 || e > end {
