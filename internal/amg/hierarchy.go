@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cpx/internal/cluster"
+	"cpx/internal/scratch"
 	"cpx/internal/sparse"
 )
 
@@ -160,12 +161,25 @@ type Level struct {
 	PSplit *sparse.IdentitySplit
 	RSplit *sparse.IdentitySplit
 	diag   []float64
-	// lambdaMax caches the D^-1 A spectral bound for the Chebyshev
-	// smoother (estimated lazily).
+	// lambdaMax is the D^-1 A spectral bound of the Chebyshev smoother;
+	// Setup estimates it when that smoother is selected.
 	lambdaMax float64
+
+	// Working vectors of a cycle's visit to this level, sized on first
+	// use and reused by every later visit (DESIGN.md §5.13). A visit
+	// reaches the level below only through its own rc and ec, and W- and
+	// K-cycles revisit a level one visit after the other, never nested,
+	// so no two live vectors share a buffer.
+	r, e     []float64    // residual, prolonged correction
+	rc, ec   []float64    // restricted residual, coarse correction
+	smoother [3][]float64 // Jacobi's A x; hybrid GS's sweep-start iterate; Chebyshev's r, p, A p
+	krylov   [4][]float64 // kAccelerate's r, z, p, A p
 }
 
-// Hierarchy is a configured AMG preconditioner/solver.
+// Hierarchy is a configured AMG preconditioner/solver. Setup leaves the
+// operators, transfer operators and factors read-only; ApplyCycle (and
+// Solve and PCG through it) writes the levels' working vectors, so one
+// Hierarchy serves one goroutine at a time — ranks each build their own.
 type Hierarchy struct {
 	Levels []*Level
 	Opts   Options
@@ -238,6 +252,9 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 		f2, b2 := sparse.SpGEMMWork(lvl.R, ap, h.spgemmPasses())
 		h.SetupWork = h.SetupWork.Add(cluster.Work{Flops: f1 + f2, Bytes: b1 + b2})
 
+		if opts.Smoother == Chebyshev {
+			lvl.lambdaMax = estimateLambdaMax(lvl)
+		}
 		h.Levels = append(h.Levels, lvl)
 		cur = coarse
 	}
@@ -284,6 +301,8 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 // on A x = b at the given level. Gauss-Seidel-type smoothers sweep
 // forward when pre-smoothing and backward when post-smoothing so the
 // overall cycle stays symmetric — required for use inside CG.
+//
+//perf:hotpath
 func (h *Hierarchy) smooth(l *Level, b, x []float64, sweeps int, forward bool) {
 	switch h.Opts.Smoother {
 	case Jacobi:
@@ -305,17 +324,16 @@ func (h *Hierarchy) smooth(l *Level, b, x []float64, sweeps int, forward bool) {
 // matrix-vector products, which is why [51] recommends polynomial
 // smoothers at extreme core counts. Symmetric by construction (safe
 // inside CG).
+//
+//perf:hotpath
 func chebyshevSmooth(l *Level, b, x []float64, deg int) {
 	n := l.A.Rows
-	if l.lambdaMax == 0 {
-		l.lambdaMax = estimateLambdaMax(l)
-	}
 	lmax := l.lambdaMax * 1.05
 	lmin := lmax / 4
 	theta := (lmax + lmin) / 2
 	delta := (lmax - lmin) / 2
 	// Standard Chebyshev iteration on D^-1 A with residual recurrence.
-	r := make([]float64, n)
+	r := scratch.Floats(&l.smoother[0], n)
 	l.A.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
@@ -323,12 +341,12 @@ func chebyshevSmooth(l *Level, b, x []float64, deg int) {
 			r[i] /= d
 		}
 	}
-	p := make([]float64, n)
+	p := scratch.Floats(&l.smoother[1], n)
 	alpha := 1.0 / theta
 	for i := range p {
 		p[i] = alpha * r[i]
 	}
-	ap := make([]float64, n)
+	ap := scratch.Floats(&l.smoother[2], n)
 	for k := 0; k < deg; k++ {
 		for i := range x {
 			x[i] += p[i]
@@ -381,9 +399,10 @@ func estimateLambdaMax(l *Level) float64 {
 	return lambda
 }
 
+//perf:hotpath
 func jacobiSweeps(l *Level, b, x []float64, sweeps int, w float64) {
 	n := l.A.Rows
-	r := make([]float64, n)
+	r := scratch.Floats(&l.smoother[0], n)
 	for s := 0; s < sweeps; s++ {
 		l.A.MulVec(x, r)
 		for i := 0; i < n; i++ {
@@ -399,12 +418,18 @@ func jacobiSweeps(l *Level, b, x []float64, sweeps int, w float64) {
 // gsSweepRange runs one Gauss-Seidel sweep over rows [lo,hi), reading
 // off-range unknowns from xOld (pass x itself for classic GS). forward
 // selects the sweep direction.
+//
+//perf:hotpath
 func gsSweepRange(l *Level, b, x []float64, lo, hi int, xOld []float64, forward bool) {
 	a := l.A
-	relax := func(i int) {
+	i, step := lo, 1
+	if !forward {
+		i, step = hi-1, -1
+	}
+	for ; i >= lo && i < hi; i += step {
 		d := l.diag[i]
 		if d == 0 {
-			return
+			continue
 		}
 		s := b[i]
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -420,21 +445,14 @@ func gsSweepRange(l *Level, b, x []float64, lo, hi int, xOld []float64, forward 
 		}
 		x[i] = s / d
 	}
-	if forward {
-		for i := lo; i < hi; i++ {
-			relax(i)
-		}
-	} else {
-		for i := hi - 1; i >= lo; i-- {
-			relax(i)
-		}
-	}
 }
 
 // hybridGSSweeps is the hybrid smoother of Baker et al. [51]: Gauss-
 // Seidel within each of `blocks` contiguous row blocks (one per parallel
 // task), Jacobi across blocks — off-block unknowns come from the sweep's
 // starting iterate.
+//
+//perf:hotpath
 func hybridGSSweeps(l *Level, b, x []float64, sweeps, blocks int, forward bool) {
 	n := l.A.Rows
 	if blocks > n {
@@ -443,7 +461,7 @@ func hybridGSSweeps(l *Level, b, x []float64, sweeps, blocks int, forward bool) 
 	if blocks < 1 {
 		blocks = 1
 	}
-	xOld := make([]float64, n)
+	xOld := scratch.Floats(&l.smoother[0], n)
 	for s := 0; s < sweeps; s++ {
 		copy(xOld, x)
 		for blk := 0; blk < blocks; blk++ {
@@ -462,6 +480,7 @@ func (h *Hierarchy) ApplyCycle(b, x []float64) {
 	h.cycle(0, b, x)
 }
 
+//perf:hotpath
 func (h *Hierarchy) cycle(level int, b, x []float64) {
 	l := h.Levels[level]
 	if level == len(h.Levels)-1 {
@@ -471,19 +490,20 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 	h.smooth(l, b, x, h.Opts.PreSweeps, true)
 	// Residual and restriction.
 	n := l.A.Rows
-	r := make([]float64, n)
+	r := scratch.Floats(&l.r, n)
 	l.A.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
 	nc := l.P.Cols
-	rc := make([]float64, nc)
+	rc := scratch.Floats(&l.rc, nc)
 	if l.RSplit != nil {
 		l.RSplit.MulVec(r, rc)
 	} else {
 		l.R.MulVec(r, rc)
 	}
-	ec := make([]float64, nc)
+	ec := scratch.Floats(&l.ec, nc)
+	clear(ec) // the coarse solve starts from zero
 	switch {
 	case h.Opts.Cycle == KCycle && level+1 < len(h.Levels)-1:
 		h.kAccelerate(level+1, rc, ec)
@@ -495,7 +515,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 		h.cycle(level+1, rc, ec)
 	}
 	// Prolongate and correct.
-	e := make([]float64, n)
+	e := scratch.Floats(&l.e, n)
 	if l.PSplit != nil {
 		l.PSplit.MulVec(ec, e)
 	} else {
@@ -509,14 +529,16 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 
 // kAccelerate solves the coarse system with two steps of flexible CG
 // preconditioned by the recursive cycle — the K-cycle of [50].
+//
+//perf:hotpath
 func (h *Hierarchy) kAccelerate(level int, b, x []float64) {
 	l := h.Levels[level]
 	n := l.A.Rows
-	r := make([]float64, n)
+	r := scratch.Floats(&l.krylov[0], n)
 	copy(r, b) // x starts at zero
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+	z := scratch.Floats(&l.krylov[1], n)
+	p := scratch.Floats(&l.krylov[2], n)
+	ap := scratch.Floats(&l.krylov[3], n)
 	for it := 0; it < 2; it++ {
 		for i := range z {
 			z[i] = 0
@@ -599,6 +621,7 @@ type denseLU struct {
 	n    int
 	lu   []float64 // row-major
 	perm []int
+	y    []float64 // solve's forward-substitution vector, reused
 }
 
 func factorDense(a *sparse.CSR) *denseLU {
@@ -637,9 +660,10 @@ func factorDense(a *sparse.CSR) *denseLU {
 	return f
 }
 
+//perf:hotpath
 func (f *denseLU) solve(b, x []float64) {
 	n := f.n
-	y := make([]float64, n)
+	y := scratch.Floats(&f.y, n)
 	// Forward substitution on permuted rows.
 	for i := 0; i < n; i++ {
 		s := b[f.perm[i]]

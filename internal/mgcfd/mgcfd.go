@@ -19,6 +19,7 @@ import (
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 )
 
 // NVAR is the number of conserved flow variables (rho, rho*u, rho*v,
@@ -36,6 +37,10 @@ const (
 
 // Message tag base for mgcfd exchanges (one tag per level).
 const tagHalo = 20
+
+// rkAlpha holds the Runge-Kutta stage coefficients; stages beyond the
+// third repeat the last.
+var rkAlpha = [...]float64{0.1481, 0.4, 1.0}
 
 // Config describes an MG-CFD instance.
 type Config struct {
@@ -97,6 +102,10 @@ type level struct {
 	res      [][]float64 // NVAR x nodes residual accumulator
 	faces    []faceInfo  // neighbour faces at this level
 	workMult float64     // true/simulated work ratio at this level
+	// before is the multigrid cascade's copy of q taken ahead of the
+	// level's smoothing step; made on the first Step, reused after
+	// (DESIGN.md §5.13).
+	before [][]float64
 }
 
 type faceInfo struct {
@@ -115,6 +124,9 @@ type Sim struct {
 	// Instance-wide decomposition info.
 	decomp *mesh.Decomp
 	active bool // false for idle ranks (beyond the decomposition)
+	// pack is exchangeHalo's one send buffer, refilled face after face:
+	// SendVirtual copies before it returns (DESIGN.md §5.13).
+	pack []float64
 }
 
 // New builds the per-rank state. Collective over c. Ranks beyond what the
@@ -313,6 +325,8 @@ func (s *Sim) computeFlux(l *level) {
 // exchangeHalo trades face states with every block neighbour at a level.
 // Received states relax the local face nodes toward the neighbour's
 // values, coupling the subdomains.
+//
+//perf:hotpath
 func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	if len(l.faces) == 0 {
 		return
@@ -321,7 +335,7 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	// Send all faces first (eager), then receive: standard Isend/Irecv
 	// halo pattern.
 	for _, f := range l.faces {
-		buf := make([]float64, len(f.nodeIdx)*NVAR)
+		buf := scratch.Floats(&s.pack, len(f.nodeIdx)*NVAR)
 		for v := 0; v < NVAR; v++ {
 			for i, n := range f.nodeIdx {
 				buf[v*len(f.nodeIdx)+i] = l.q[v][n]
@@ -424,7 +438,6 @@ func (s *Sim) Step() float64 {
 		return math.Sqrt(s.comm.AllreduceScalar(0, mpi.Sum))
 	}
 	fine := s.levels[0]
-	rkAlpha := []float64{0.1481, 0.4, 1.0}
 	for st := 0; st < s.cfg.RKStages; st++ {
 		a := rkAlpha[min(st, len(rkAlpha)-1)]
 		s.region("halo_exchange", func() { s.exchangeHalo(fine, 0) })
@@ -439,7 +452,10 @@ func (s *Sim) Step() float64 {
 	})
 	for li := len(s.levels) - 1; li >= 1; li-- {
 		l := s.levels[li]
-		before := allocVars(l.nodes)
+		if l.before == nil {
+			l.before = allocVars(l.nodes)
+		}
+		before := l.before
 		for v := 0; v < NVAR; v++ {
 			copy(before[v], l.q[v])
 		}

@@ -791,7 +791,11 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 // SendVirtual transmits data but charges the network cost of
 // virtualBytes instead of the payload's real size. Mini-apps running
 // scaled-down working sets use it so message costs reflect the true
-// problem size (DESIGN.md §5.2).
+// problem size (DESIGN.md §5.2). Like every Send*, it copies data before
+// it returns (sendF64 clones into the rank's payload arena), so the
+// caller may overwrite or reuse data at once — halo pack buffers are
+// kept and refilled on that guarantee — and the receiver owns what it
+// is handed. A nil data sends no payload at the same virtual cost.
 func (c *Comm) SendVirtual(to, tag int, data []float64, virtualBytes int) {
 	c.sendF64(to, tag, data, virtualBytes, "SendVirtual")
 }

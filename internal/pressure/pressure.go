@@ -27,6 +27,7 @@ import (
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 	"cpx/internal/sparse"
 	"cpx/internal/spray"
 )
@@ -151,6 +152,15 @@ type Solver struct {
 	cloud *spray.Cloud // nil in Optimized (async) mode
 	grid  [3]int
 
+	// Per-step scratch, reused by every later step (DESIGN.md §5.13):
+	// the received face values of the latest exchangeFaces (aligned with
+	// faces), and, sized on first use, its one send buffer (refilled face
+	// after face: SendVirtual copies before it returns), transportSweep's
+	// next field and stepPressure's source and PCG vectors.
+	halo           [][]float64
+	pack, next     []float64
+	b, r, z, p, ap []float64
+
 	// LastIterations records the most recent PCG iteration count.
 	LastIterations int
 }
@@ -212,6 +222,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 			trueCells: nb.FaceCells,
 		})
 	}
+	s.halo = make([][]float64, len(s.faces))
 
 	// Pressure operator: 7-point Laplacian on the sim box, AMG hierarchy
 	// per the variant.
@@ -297,56 +308,60 @@ func cellFace(d mesh.Dims, axis, dir int) []int {
 
 // exchangeFaces trades the values of field at each face with the
 // neighbours and returns the received buffers (aligned with s.faces).
+// The outer slice is the solver's own and is overwritten by the next
+// exchange; the received values belong to this rank.
+//
+//perf:hotpath
 func (s *Solver) exchangeFaces(field []float64, tag int) [][]float64 {
 	for _, f := range s.faces {
-		buf := make([]float64, len(f.idx))
+		buf := scratch.Floats(&s.pack, len(f.idx))
 		for i, c := range f.idx {
 			buf[i] = field[c]
 		}
 		s.comm.SendVirtual(f.rank, tag, buf, f.trueCells*8)
 	}
-	out := make([][]float64, len(s.faces))
 	for i, f := range s.faces {
-		d, _, _ := s.comm.Recv(f.rank, tag)
-		out[i] = d
+		s.halo[i], _, _ = s.comm.Recv(f.rank, tag)
 	}
-	return out
+	return s.halo
 }
 
 // transportSweep smooths a field with a 7-point stencil using halo data —
 // one sweep of a segregated transport solve.
+//
+//perf:hotpath
 func (s *Solver) transportSweep(field []float64, tag int) {
 	halo := s.exchangeFaces(field, tag)
 	d := s.dims
-	next := make([]float64, len(field))
-	idx := func(i, j, k int) int { return (k*d.NJ+j)*d.NI + i }
+	next := scratch.Floats(&s.next, len(field))
+	sj, sk := d.NI, d.NI*d.NJ // index strides of j and k; i is fastest
+	c := 0
 	for k := 0; k < d.NK; k++ {
 		for j := 0; j < d.NJ; j++ {
 			for i := 0; i < d.NI; i++ {
-				c := idx(i, j, k)
 				sum, cnt := 0.0, 0
 				if i > 0 {
-					sum += field[idx(i-1, j, k)]
+					sum += field[c-1]
 					cnt++
 				}
 				if i < d.NI-1 {
-					sum += field[idx(i+1, j, k)]
+					sum += field[c+1]
 					cnt++
 				}
 				if j > 0 {
-					sum += field[idx(i, j-1, k)]
+					sum += field[c-sj]
 					cnt++
 				}
 				if j < d.NJ-1 {
-					sum += field[idx(i, j+1, k)]
+					sum += field[c+sj]
 					cnt++
 				}
 				if k > 0 {
-					sum += field[idx(i, j, k-1)]
+					sum += field[c-sk]
 					cnt++
 				}
 				if k < d.NK-1 {
-					sum += field[idx(i, j, k+1)]
+					sum += field[c+sk]
 					cnt++
 				}
 				if cnt > 0 {
@@ -354,6 +369,7 @@ func (s *Solver) transportSweep(field []float64, tag int) {
 				} else {
 					next[c] = field[c]
 				}
+				c++
 			}
 		}
 	}
@@ -388,14 +404,16 @@ func (s *Solver) stepScalars() {
 		s.transportSweep(s.kTurb, tagTransport+3)
 	}
 	// The remaining three scalars cost the same but need no distinct
-	// state for the proxy: charge their work and run their halo traffic.
+	// state for the proxy: charge their work and run their halo traffic,
+	// which nobody reads, as empty payloads of the true face size (a
+	// level-0 exchange of one value a face cell).
 	cells := float64(len(s.kTurb))
 	for sweep := 0; sweep < transportSweeps; sweep++ {
 		s.comm.Compute(cluster.Work{
 			Flops: 3 * transportFlopsPerCell * cells * s.scale,
 			Bytes: 3 * transportBytesPerCell * cells * s.scale,
 		})
-		s.exchangeFaces(s.kTurb, tagTransport+4)
+		s.levelExchange(0, 8, tagTransport+4)
 	}
 }
 
@@ -487,22 +505,39 @@ func (s *Solver) amgSetup() {
 	}
 }
 
+// precondition applies one AMG cycle to res into out, charging its work
+// and the cycle's per-level halo traffic.
+func (s *Solver) precondition(res, out []float64) {
+	clear(out)
+	s.hier.ApplyCycle(res, out)
+	w := s.hier.CycleWork().Scale(s.scale)
+	if s.cfg.Variant == Optimized {
+		w = w.Scale(1 / fieldKernelSpeedup)
+	}
+	s.comm.Compute(w)
+	// Distributed V-cycle: pre-smooth, post-smooth and residual each
+	// exchange halos at every level.
+	for l := 0; l < s.hier.NumLevels()-1; l++ {
+		s.levelExchange(l, 3*8, tagPressure+3)
+	}
+}
+
 // stepPressure runs the pressure-correction solve: per-step AMG setup
 // followed by AMG-preconditioned CG on the distributed operator, the
 // paper's dominant cost (46% of run-time at 2,048 cores).
+//
+//perf:hotpath
 func (s *Solver) stepPressure() {
 	s.amgSetup()
 	n := len(s.pcorr)
 	// Divergence source from the velocity field.
-	b := make([]float64, n)
+	b := scratch.Floats(&s.b, n)
 	for i := range b {
 		b[i] = 1e-3 * (s.u[i] - 0.3)
 	}
 	x := s.pcorr
-	for i := range x {
-		x[i] = 0
-	}
-	r := make([]float64, n)
+	clear(x)
+	r := scratch.Floats(&s.r, n)
 	s.pressureMatVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
@@ -511,27 +546,11 @@ func (s *Solver) stepPressure() {
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	z := make([]float64, n)
-	precond := func(res, out []float64) {
-		for i := range out {
-			out[i] = 0
-		}
-		s.hier.ApplyCycle(res, out)
-		w := s.hier.CycleWork().Scale(s.scale)
-		if s.cfg.Variant == Optimized {
-			w = w.Scale(1 / fieldKernelSpeedup)
-		}
-		s.comm.Compute(w)
-		// Distributed V-cycle: pre-smooth, post-smooth and residual each
-		// exchange halos at every level.
-		for l := 0; l < s.hier.NumLevels()-1; l++ {
-			s.levelExchange(l, 3*8, tagPressure+3)
-		}
-	}
-	precond(r, z)
-	p := make([]float64, n)
+	z := scratch.Floats(&s.z, n)
+	s.precondition(r, z)
+	p := scratch.Floats(&s.p, n)
 	copy(p, z)
-	ap := make([]float64, n)
+	ap := scratch.Floats(&s.ap, n)
 	rz := s.dot(r, z)
 	iters := 0
 	for it := 1; it <= s.cfg.MaxIter; it++ {
@@ -549,7 +568,7 @@ func (s *Solver) stepPressure() {
 		if math.Sqrt(s.dot(r, r))/bnorm < s.cfg.Tol {
 			break
 		}
-		precond(r, z)
+		s.precondition(r, z)
 		rzNew := s.dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

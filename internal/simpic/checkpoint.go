@@ -5,9 +5,10 @@ import "cpx/internal/fault"
 // Checkpoint is a deep copy of the solver's mutable state: particle
 // phase space, the step counter driving field sub-cycling and
 // diagnostics cadence, the cached field solution, and the absorbed-count
-// diagnostic. The field solver itself holds only immutable
-// decomposition state and the RNG is consumed entirely during loading,
-// so this set resumes the run bit for bit.
+// diagnostic. Beyond these the field solver holds only immutable
+// decomposition state and set-up factors, every scratch vector is
+// rewritten before it is read, and the RNG is consumed entirely during
+// loading, so this set resumes the run bit for bit.
 type Checkpoint struct {
 	Px, Pv           []float64
 	StepNum          int

@@ -20,46 +20,6 @@ import (
 // are recovered by back-substitution. The log-depth exchange chain plus
 // the per-step reductions are the field solver's inherent scaling limit.
 
-// thomas solves a tridiagonal system in place: sub/diag/super are the
-// three diagonals (sub[0] and super[n-1] unused), d the right-hand side.
-// Returns the solution in a fresh slice.
-func thomas(sub, diag, super, d []float64) []float64 {
-	n := len(diag)
-	if n == 0 {
-		return nil
-	}
-	cp := make([]float64, n)
-	dp := make([]float64, n)
-	cp[0] = super[0] / diag[0]
-	dp[0] = d[0] / diag[0]
-	for i := 1; i < n; i++ {
-		m := diag[i] - sub[i]*cp[i-1]
-		if i < n-1 {
-			cp[i] = super[i] / m
-		}
-		dp[i] = (d[i] - sub[i]*dp[i-1]) / m
-	}
-	x := make([]float64, n)
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
-	}
-	return x
-}
-
-// solveSegment solves the constant-coefficient (-1, 2, -1) system of size
-// n for the given right-hand side.
-func solveSegment(rhs []float64) []float64 {
-	n := len(rhs)
-	sub := make([]float64, n)
-	diag := make([]float64, n)
-	super := make([]float64, n)
-	for i := range diag {
-		sub[i], diag[i], super[i] = -1, 2, -1
-	}
-	return thomas(sub, diag, super, rhs)
-}
-
 // fieldSolver holds the per-rank decomposition of the Poisson problem.
 type fieldSolver struct {
 	comm *mpi.Comm
@@ -72,6 +32,19 @@ type fieldSolver struct {
 	// cellScale converts simulated per-rank field work to true work.
 	cellScale float64
 	tag       int
+
+	// Set up once, since they depend only on the segment length: the
+	// Thomas forward factors of the constant (-1, 2, -1) operator (pivot
+	// and eliminated superdiagonal per row) and the segment's two
+	// harmonic responses, to a unit value just left of it (yL) and just
+	// right of it (yR).
+	pivot, cp []float64
+	yL, yR    []float64
+
+	// Per-solve vectors and send buffers, reused by every Solve.
+	y0, phi []float64
+	resp    [6]float64
+	one     [1]float64
 }
 
 // newFieldSolver sets up the node ownership for the global problem of n
@@ -93,7 +66,39 @@ func newFieldSolver(c *mpi.Comm, n int, cellScale float64, tag int) (*fieldSolve
 	if r > 0 {
 		segLo = lo + 1 // node lo is this rank's interface unknown
 	}
-	return &fieldSolver{comm: c, n: n, lo: lo, hi: hi, segLo: segLo, cellScale: cellScale, tag: tag}, nil
+	fs := &fieldSolver{comm: c, n: n, lo: lo, hi: hi, segLo: segLo, cellScale: cellScale, tag: tag}
+	m := hi - segLo
+	fs.pivot = make([]float64, m)
+	fs.cp = make([]float64, m)
+	fs.pivot[0], fs.cp[0] = 2, -0.5
+	for i := 1; i < m; i++ {
+		fs.pivot[i] = 2 + fs.cp[i-1]
+		fs.cp[i] = -1 / fs.pivot[i]
+	}
+	fs.yL, fs.yR = make([]float64, m), make([]float64, m)
+	fs.yL[0], fs.yR[m-1] = 1, 1
+	fs.solveSegment(fs.yL)
+	fs.solveSegment(fs.yR)
+	fs.y0 = make([]float64, m)
+	fs.phi = make([]float64, fs.ownedNodes())
+	return fs, nil
+}
+
+// solveSegment solves the segment's (-1, 2, -1) system in place: d holds
+// the right-hand side on entry and the solution on return. It is the
+// Thomas algorithm with the operator's forward elimination taken from
+// fs.pivot and fs.cp, leaving the right-hand side's own sweep and the
+// back-substitution.
+//
+//perf:hotpath
+func (fs *fieldSolver) solveSegment(d []float64) {
+	d[0] /= fs.pivot[0]
+	for i := 1; i < len(d); i++ {
+		d[i] = (d[i] + d[i-1]) / fs.pivot[i]
+	}
+	for i := len(d) - 2; i >= 0; i-- {
+		d[i] -= fs.cp[i] * d[i+1]
+	}
 }
 
 func (fs *fieldSolver) ownedNodes() int { return fs.hi - fs.lo }
@@ -139,25 +144,23 @@ func (fs *fieldSolver) pcr(a, b, c, d float64) float64 {
 // Solve computes phi at the owned nodes from the owned right-hand side
 // f[i] = dx^2 * rho[i] (indexed from fs.lo). Returns phi over the owned
 // range plus the two ghost nodes (phi[lo-1] and phi[hi]) needed for the
-// E-field stencil, as (phiOwned, ghostLeft, ghostRight).
+// E-field stencil, as (phiOwned, ghostLeft, ghostRight). phiOwned is the
+// solver's own vector, overwritten by the next Solve.
+//
+//perf:hotpath
 func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64) {
 	if len(f) != fs.ownedNodes() {
-		panic(fmt.Sprintf("simpic: Solve rhs length %d, want %d", len(f), fs.ownedNodes()))
+		panic(fmt.Sprintf("simpic: Solve rhs length %d, want %d", len(f), fs.ownedNodes())) //lint:allow hotalloc a caller's bug, off the steady-state path
 	}
 	p, r := fs.comm.Size(), fs.comm.Rank()
 
-	// Local segment solves: particular plus two harmonic responses.
+	// Local segment solves: the particular solution; the two harmonic
+	// responses are the set-up's (every rank of the modelled machine
+	// solves all three each step, and is charged for all three).
 	m := fs.hi - fs.segLo
-	segF := f[fs.segLo-fs.lo:]
-	y0 := solveSegment(segF)
-	eL := make([]float64, m)
-	eR := make([]float64, m)
-	if m > 0 {
-		eL[0] = 1
-		eR[m-1] = 1
-	}
-	yL := solveSegment(eL)
-	yR := solveSegment(eR)
+	y0, yL, yR := fs.y0, fs.yL, fs.yR
+	copy(y0, f[fs.segLo-fs.lo:])
+	fs.solveSegment(y0)
 	fs.comm.Compute(cluster.Work{Flops: 6 * float64(m) * fs.cellScale, Bytes: 30 * float64(m) * fs.cellScale})
 
 	// The interface unknowns v_i (i = 1..p-1, owned by rank i at node
@@ -172,7 +175,8 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 	if p > 1 {
 		// Segment responses travel one rank to the right.
 		if r < p-1 {
-			fs.comm.Send(r+1, fs.tag+1, []float64{y0[0], y0[m-1], yL[0], yL[m-1], yR[0], yR[m-1]})
+			fs.resp = [6]float64{y0[0], y0[m-1], yL[0], yL[m-1], yR[0], yR[m-1]}
+			fs.comm.Send(r+1, fs.tag+1, fs.resp[:])
 		}
 		if r > 0 {
 			left, _, _ := fs.comm.Recv(r-1, fs.tag+1)
@@ -191,14 +195,15 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 		}
 		// Each rank needs v_{r+1} too (the right ghost of its segment).
 		if r > 0 {
-			fs.comm.Send(r-1, fs.tag+3, []float64{uL})
+			fs.one[0] = uL
+			fs.comm.Send(r-1, fs.tag+3, fs.one[:])
 		}
 		if r < p-1 {
 			d, _, _ := fs.comm.Recv(r+1, fs.tag+3)
 			uR = d[0]
 		}
 	}
-	phi = make([]float64, fs.ownedNodes())
+	phi = fs.phi
 	if r > 0 {
 		phi[0] = uL // the owned interface node
 	}
@@ -214,7 +219,8 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 	ghostL, ghostR = 0.0, 0.0 // walls by default
 	if r < p-1 {
 		ghostR = uR
-		fs.comm.Send(r+1, fs.tag, []float64{phi[len(phi)-1]})
+		fs.one[0] = phi[len(phi)-1]
+		fs.comm.Send(r+1, fs.tag, fs.one[:])
 	}
 	if r > 0 {
 		d, _, _ := fs.comm.Recv(r-1, fs.tag)

@@ -7,6 +7,7 @@ import (
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 )
 
 // Message tags used by a SIMPIC run.
@@ -55,9 +56,18 @@ type Sim struct {
 	rng     *rand.Rand
 	stepNum int
 
-	// Cached field for sub-cycled solves (FieldEvery > 1).
+	// Cached field for sub-cycled solves (FieldEvery > 1). Between
+	// restores cachePhi is the field solver's own phi.
 	cachePhi         []float64
 	cacheGL, cacheGR float64
+
+	// Per-step scratch, reused by every later step (DESIGN.md §5.13):
+	// depositCharge's charge window, Poisson right-hand side and its
+	// one-value boundary message, pushParticles' E field, and migrate's
+	// two send buffers.
+	rho, rhs, efield []float64
+	edge             [1]float64
+	migL, migR       []float64
 
 	// Diagnostics.
 	Absorbed int64
@@ -122,8 +132,11 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	s.rng = rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
 	slabLo := float64(s.cellLo) * s.dx
 	slabW := float64(s.trueCells) * s.dx
-	s.px = make([]float64, simParts)
-	s.pv = make([]float64, simParts)
+	// Headroom of an eighth for net arrivals: the few steps of a sampled
+	// or coupled block append migrants without regrowing, and a
+	// population that drifts past it grows by amortised append.
+	s.px = make([]float64, simParts, simParts+simParts/8+16)
+	s.pv = make([]float64, simParts, cap(s.px))
 	for i := range s.px {
 		s.px[i] = slabLo + s.rng.Float64()*slabW
 		s.pv[i] = cfg.VTherm * s.rng.NormFloat64()
@@ -143,13 +156,16 @@ func (s *Sim) slabBounds() (lo, hi float64) {
 // [field.lo, field.hi) and resolves shared boundary nodes with the
 // neighbours. The returned slice is the Poisson RHS dx^2*rho at owned
 // nodes, weighted so the scaled-down particle set represents the true
-// charge.
+// charge; it is the Sim's own and lasts until the next deposit.
+//
+//perf:hotpath
 func (s *Sim) depositCharge() []float64 {
-	// Particles of this rank only touch nodes [cellLo, cellHi]; allocate
-	// exactly that window (never the global grid).
+	// Particles of this rank only touch nodes [cellLo, cellHi]; the
+	// window is exactly that (never the global grid).
 	p, r := s.comm.Size(), s.comm.Rank()
 	cellHi := (r + 1) * s.cells / p
-	rho := make([]float64, s.trueCells+1) // window node i -> global cellLo+i
+	rho := scratch.Floats(&s.rho, s.trueCells+1) // window node i -> global cellLo+i
+	clear(rho)
 	invDx := 1.0 / s.dx
 	w := s.partScale / float64(s.cfg.ParticlesPerCell) // unit mean density
 	for i := range s.px {
@@ -170,14 +186,15 @@ func (s *Sim) depositCharge() []float64 {
 	// our partial sum right, and fold the left neighbour's into our first
 	// node.
 	if r < p-1 {
-		s.comm.Send(r+1, tagRhoR, []float64{rho[s.trueCells]})
+		s.edge[0] = rho[s.trueCells]
+		s.comm.Send(r+1, tagRhoR, s.edge[:])
 	}
 	if r > 0 {
 		d, _, _ := s.comm.Recv(r-1, tagRhoR)
 		rho[0] += d[0]
 	}
 	// Poisson RHS at the owned nodes [field.lo, field.hi).
-	f := make([]float64, s.field.ownedNodes())
+	f := scratch.Floats(&s.rhs, s.field.ownedNodes())
 	dx2 := s.dx * s.dx
 	for i := range f {
 		f[i] = dx2 * rho[s.field.lo-s.cellLo+i]
@@ -187,12 +204,14 @@ func (s *Sim) depositCharge() []float64 {
 
 // pushParticles gathers E to the particles and advances them leapfrog,
 // then migrates the ones that left the slab. phi spans the owned nodes,
-// with ghost potentials for the stencil ends. Returns field energy.
+// with ghost potentials for the stencil ends.
+//
+//perf:hotpath
 func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
 	loNode := s.field.lo
 	nOwned := len(phi)
 	// Electric field at owned nodes: E = -dphi/dx (central difference).
-	e := make([]float64, nOwned)
+	e := scratch.Floats(&s.efield, nOwned)
 	inv2dx := 1.0 / (2 * s.dx)
 	for i := 0; i < nOwned; i++ {
 		var pm, pp float64
@@ -249,60 +268,72 @@ func (s *Sim) chargeParticleWork(fraction float64) {
 }
 
 // migrate exchanges particles that crossed slab boundaries and reflects
-// at the domain walls.
+// at the domain walls. Stayers are compacted in place in their old
+// order and arrivals appended behind them (the right neighbour's, then
+// the left's), so the particle order, and with it StateDigest, is what
+// rebuilding the arrays from empty would give.
+//
+//perf:hotpath
 func (s *Sim) migrate() {
 	p, r := s.comm.Size(), s.comm.Rank()
 	lo, hi := s.slabBounds()
-	var keepX, keepV, leftBuf, rightBuf []float64
+	left, right := s.migL[:0], s.migR[:0]
+	keep := 0
 	for i := range s.px {
-		x := s.px[i]
+		x, v := s.px[i], s.pv[i]
 		// Reflect at the global walls.
 		if x < 0 {
-			x = -x
-			s.pv[i] = -s.pv[i]
+			x, v = -x, -v
 		}
 		if x > s.cfg.Length {
-			x = 2*s.cfg.Length - x
-			s.pv[i] = -s.pv[i]
+			x, v = 2*s.cfg.Length-x, -v
 		}
 		switch {
 		case x < lo && r > 0:
-			leftBuf = append(leftBuf, x, s.pv[i])
+			left = append(left, x, v) //lint:allow hotalloc amortised growth of a send buffer kept on the Sim
 		case x >= hi && r < p-1:
-			rightBuf = append(rightBuf, x, s.pv[i])
+			right = append(right, x, v) //lint:allow hotalloc amortised growth of a send buffer kept on the Sim
 		default:
-			keepX = append(keepX, x)
-			keepV = append(keepV, s.pv[i])
+			s.px[keep], s.pv[keep] = x, v
+			keep++
 		}
 	}
+	s.px, s.pv = s.px[:keep], s.pv[:keep]
+	s.migL, s.migR = left, right
 	if p > 1 {
 		// Exchange with both neighbours (empty messages keep the pattern
 		// uniform). Virtual sizes reflect the true migrant population.
-		vbytes := func(buf []float64) int { return int(float64(len(buf)) * 8 * s.partScale) }
 		if r > 0 {
-			s.comm.SendVirtual(r-1, tagMigL, leftBuf, vbytes(leftBuf))
+			s.comm.SendVirtual(r-1, tagMigL, left, s.migrantBytes(left))
 		}
 		if r < p-1 {
-			s.comm.SendVirtual(r+1, tagMigR, rightBuf, vbytes(rightBuf))
+			s.comm.SendVirtual(r+1, tagMigR, right, s.migrantBytes(right))
 		}
 		if r < p-1 {
 			d, _, _ := s.comm.Recv(r+1, tagMigL)
-			keepX, keepV = appendPairs(keepX, keepV, d)
+			s.appendPairs(d)
 		}
 		if r > 0 {
 			d, _, _ := s.comm.Recv(r-1, tagMigR)
-			keepX, keepV = appendPairs(keepX, keepV, d)
+			s.appendPairs(d)
 		}
 	}
-	s.px, s.pv = keepX, keepV
 }
 
-func appendPairs(xs, vs, pairs []float64) ([]float64, []float64) {
+// migrantBytes is the wire size of the true migrant population a send
+// buffer of (x, v) pairs represents.
+func (s *Sim) migrantBytes(buf []float64) int {
+	return int(float64(len(buf)) * 8 * s.partScale)
+}
+
+// appendPairs adds received (x, v) pairs to the particle arrays.
+//
+//perf:hotpath
+func (s *Sim) appendPairs(pairs []float64) {
 	for i := 0; i+1 < len(pairs); i += 2 {
-		xs = append(xs, pairs[i])
-		vs = append(vs, pairs[i+1])
+		s.px = append(s.px, pairs[i])   //lint:allow hotalloc within New's headroom; grows only if arrivals outrun it
+		s.pv = append(s.pv, pairs[i+1]) //lint:allow hotalloc within New's headroom; grows only if arrivals outrun it
 	}
-	return xs, vs
 }
 
 // diagEvery is the diagnostics interval in steps (energy reductions).

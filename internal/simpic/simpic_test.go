@@ -15,6 +15,35 @@ func cfg() mpi.Config {
 	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second}
 }
 
+// thomas solves a general tridiagonal system: sub/diag/super are the
+// three diagonals (sub[0] and super[n-1] unused), d the right-hand side.
+// Nothing is modified; the solution comes back in a fresh slice. It is
+// the reference the field solver's factored constant-coefficient solve
+// (fieldSolver.solveSegment) is held to, bit for bit.
+func thomas(sub, diag, super, d []float64) []float64 {
+	n := len(diag)
+	if n == 0 {
+		return nil
+	}
+	cp := make([]float64, n)
+	dp := make([]float64, n)
+	cp[0] = super[0] / diag[0]
+	dp[0] = d[0] / diag[0]
+	for i := 1; i < n; i++ {
+		m := diag[i] - sub[i]*cp[i-1]
+		if i < n-1 {
+			cp[i] = super[i] / m
+		}
+		dp[i] = (d[i] - sub[i]*dp[i-1]) / m
+	}
+	x := make([]float64, n)
+	x[n-1] = dp[n-1]
+	for i := n - 2; i >= 0; i-- {
+		x[i] = dp[i] - cp[i]*x[i+1]
+	}
+	return x
+}
+
 func TestThomasSolvesTridiagonal(t *testing.T) {
 	n := 50
 	sub := make([]float64, n)
@@ -57,6 +86,36 @@ func serialPoisson(f []float64) []float64 {
 		sub[i], diag[i], super[i] = -1, 2, -1
 	}
 	return thomas(sub, diag, super, f)
+}
+
+// TestSolveSegmentMatchesThomasBitwise holds the factored solve to the
+// general one on the (-1, 2, -1) operator: same operations in the same
+// order, so the same bits, at every segment length a rank can own.
+func TestSolveSegmentMatchesThomasBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	_, err := mpi.Run(1, cfg(), func(c *mpi.Comm) error {
+		for _, cells := range []int{2, 3, 4, 17, 126, 1000} {
+			fs, err := newFieldSolver(c, cells, 1, 1)
+			if err != nil {
+				return err
+			}
+			d := make([]float64, cells-1)
+			for i := range d {
+				d[i] = rng.NormFloat64()
+			}
+			want := serialPoisson(d)
+			fs.solveSegment(d)
+			for i := range d {
+				if math.Float64bits(d[i]) != math.Float64bits(want[i]) {
+					return fmt.Errorf("%d cells: x[%d] = %v, thomas gives %v", cells, i, d[i], want[i])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestParallelFieldSolveMatchesSerial(t *testing.T) {
