@@ -31,7 +31,7 @@ import (
 )
 
 // Run loads testdata/src/<pkg> relative to dir, applies the analyzer
-// (treating the fixture as simulation-critical so gated analyzers run),
+// (SimCriticalOnly or not: the fixture counts as simulation-critical),
 // filters //lint:allow suppressions, and diffs against // want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
@@ -70,14 +70,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	}
 	tpkg, _ := conf.Check(pkg, fset, files, info)
 
-	pass := &analysis.Pass{
-		Analyzer:    a,
-		Fset:        fset,
-		Files:       files,
-		Pkg:         tpkg,
-		Info:        info,
-		SimCritical: true,
-	}
+	pass := &analysis.Pass{Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, Info: info}
 	a.Run(pass)
 
 	supps := analysis.CollectSuppressions(fset, files, analysis.AnalyzerNames())

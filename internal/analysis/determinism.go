@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Determinism enforces the virtual-time reproducibility contract inside
@@ -41,12 +42,31 @@ func runDeterminism(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkHostTimeAndRand(pass, n)
-			case *ast.RangeStmt:
-				checkMapRangeOrder(pass, n)
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkMapRanges(pass, n.Body)
+				}
+			case *ast.FuncLit:
+				checkMapRanges(pass, n.Body)
 			}
 			return true
 		})
 	}
+}
+
+// checkMapRanges checks every map range whose innermost enclosing
+// function is the one with this body; nested function literals get their
+// own visit from runDeterminism.
+func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.RangeStmt:
+			checkMapRangeOrder(pass, n, body)
+		}
+		return true
+	})
 }
 
 func checkHostTimeAndRand(pass *Pass, call *ast.CallExpr) {
@@ -76,9 +96,10 @@ func checkHostTimeAndRand(pass *Pass, call *ast.CallExpr) {
 // depend on iteration order: appending to an outer slice, writing through
 // an index of an outer slice, or sending on a channel. The standard fix
 // is sorted-key iteration (order.SortedKeys). The collect-keys idiom —
-// a body that only appends the loop variables to one outer slice, to be
-// sorted afterwards — is exempt, since it is the first half of that fix.
-func checkMapRangeOrder(pass *Pass, rs *ast.RangeStmt) {
+// a body that only appends the loop key to one outer slice which fn, the
+// enclosing function's body, then sorts or returns — is exempt, since it
+// is the first half of that fix.
+func checkMapRangeOrder(pass *Pass, rs *ast.RangeStmt, fn *ast.BlockStmt) {
 	t := pass.typeOf(rs.X)
 	if t == nil {
 		return
@@ -86,7 +107,7 @@ func checkMapRangeOrder(pass *Pass, rs *ast.RangeStmt) {
 	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
-	if isKeyCollectLoop(pass, rs) {
+	if keys, ok := keyCollectLoop(pass, rs); ok && sortedOrReturned(pass, fn, rs, keys) {
 		return
 	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
@@ -146,46 +167,88 @@ func checkOrderedWrite(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr, assign *ast.
 	}
 }
 
-// isKeyCollectLoop matches the allowed idiom: a body consisting solely of
-// one append of the loop variables into an outer slice —
+// keyCollectLoop matches a body consisting solely of one append of the
+// loop key into an outer slice —
 //
 //	for k := range m { keys = append(keys, k) }
 //
-// — which is deterministic once the caller sorts the collected keys.
-func isKeyCollectLoop(pass *Pass, rs *ast.RangeStmt) bool {
+// — and returns that slice's rendering.
+func keyCollectLoop(pass *Pass, rs *ast.RangeStmt) (keys string, ok bool) {
 	if len(rs.Body.List) != 1 {
-		return false
+		return "", false
 	}
 	assign, ok := rs.Body.List[0].(*ast.AssignStmt)
 	if !ok || assign.Tok != token.ASSIGN || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
-		return false
+		return "", false
 	}
 	call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
 	if !ok {
-		return false
+		return "", false
 	}
 	args, ok := appendCall(pass, call)
 	if !ok || len(args) < 2 {
-		return false
+		return "", false
 	}
-	if exprString(ast.Unparen(args[0])) != exprString(ast.Unparen(assign.Lhs[0])) {
-		return false
+	keys = exprString(ast.Unparen(assign.Lhs[0]))
+	if exprString(ast.Unparen(args[0])) != keys {
+		return "", false
 	}
 	key, ok := ast.Unparen(rs.Key).(*ast.Ident)
 	if !ok {
-		return false
+		return "", false
 	}
 	keyObj := pass.Info.Defs[key]
 	if keyObj == nil {
 		keyObj = pass.Info.Uses[key]
 	}
 	for _, arg := range args[1:] {
-		// Only the key may be collected: keys are re-sorted by the caller,
-		// whereas collecting values preserves map order.
+		// Only the key may be collected: sorting keys fixes the order,
+		// whereas collected values keep map order among equal elements.
 		id, ok := ast.Unparen(arg).(*ast.Ident)
 		if !ok || keyObj == nil || pass.Info.Uses[id] != keyObj {
-			return false
+			return "", false
 		}
 	}
-	return true
+	return keys, true
+}
+
+// sortedOrReturned reports whether the slice rendered as keys, collected
+// by rs, has its order fixed where the analyzer can see it: after the
+// loop, fn passes it to a sort.* or slices.Sort* function, or returns it
+// (the idiom's helper form — the caller ranges over the result, which is
+// then checked there).
+func sortedOrReturned(pass *Pass, fn *ast.BlockStmt, rs *ast.RangeStmt, keys string) bool {
+	found := false
+	ast.Inspect(fn, func(n ast.Node) bool {
+		if found || n == nil || n.Pos() < rs.End() {
+			return !found // not yet past the loop: keep descending
+		}
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				found = found || exprString(ast.Unparen(r)) == keys
+			}
+		case *ast.CallExpr:
+			if f := pass.calleeFunc(n); f != nil && f.Pkg() != nil &&
+				(f.Pkg().Path() == "sort" || f.Pkg().Path() == "slices" && strings.HasPrefix(f.Name(), "Sort")) {
+				for _, arg := range n.Args {
+					found = found || mentions(arg, keys)
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// mentions reports whether the expression rendered as s occurs within e.
+func mentions(e ast.Expr, s string) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if sub, ok := n.(ast.Expr); ok && exprString(sub) == s {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

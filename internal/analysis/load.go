@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,9 +30,6 @@ type Package struct {
 // This is what lets cpxlint run without golang.org/x/tools.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests adds _test.go files of the package itself (not
-	// external _test packages) to the analysis.
-	IncludeTests bool
 
 	moduleRoot string
 	modulePath string
@@ -113,10 +111,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+		if e.IsDir() || !isSourceFile(name) {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -124,18 +119,6 @@ func (l *Loader) load(path string) (*Package, error) {
 			return nil, err
 		}
 		files = append(files, f)
-	}
-	// With IncludeTests, external test packages (package foo_test) cannot
-	// join the same type-checked unit; keep only the package's own files.
-	if len(files) > 1 {
-		base := basePackageName(files)
-		var kept []*ast.File
-		for _, f := range files {
-			if f.Name.Name == base {
-				kept = append(kept, f)
-			}
-		}
-		files = kept
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
@@ -160,14 +143,11 @@ func (l *Loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// basePackageName picks the non-_test package name among files.
-func basePackageName(files []*ast.File) string {
-	for _, f := range files {
-		if name := f.Name.Name; !strings.HasSuffix(name, "_test") {
-			return name
-		}
-	}
-	return files[0].Name.Name
+// isSourceFile reports whether a directory entry name is a Go file the
+// loader analyzes: tests and the go tool's ignored prefixes are not.
+func isSourceFile(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
+		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
 // TypeErrors returns every type-checking error seen so far. The tree is
@@ -191,21 +171,11 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			name == "testdata" || name == "vendor" || name == "node_modules") {
 			return filepath.SkipDir
 		}
-		hasGo := false
 		entries, err := os.ReadDir(p)
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasPrefix(e.Name(), ".") {
-				if strings.HasSuffix(e.Name(), "_test.go") && !l.IncludeTests {
-					continue
-				}
-				hasGo = true
-				break
-			}
-		}
-		if !hasGo {
+		if !slices.ContainsFunc(entries, func(e os.DirEntry) bool { return !e.IsDir() && isSourceFile(e.Name()) }) {
 			return nil
 		}
 		rel, err := filepath.Rel(l.moduleRoot, p)

@@ -2,21 +2,18 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
 // MPIUse enforces correct use of the mpi runtime's communicator API:
-// collectives must be reached by every rank of their communicator (a
+// collectives must be reached by every rank of their communicator, and a
 // collective lexically inside a branch conditioned on that communicator's
-// rank is the classic deadlock/mismatch), and every *Request returned by
-// Isend/Irecv must reach a Wait.
+// rank is the classic deadlock/mismatch.
 var MPIUse = &Analyzer{
 	Name: "mpiuse",
-	Doc: "flag collectives inside rank-conditioned branches and " +
-		"Isend/Irecv requests that never reach a Wait",
-	Run: runMPIUse,
+	Doc:  "flag collectives inside rank-conditioned branches",
+	Run:  runMPIUse,
 }
 
 // collectiveMethods are the Comm methods every member rank must call.
@@ -42,7 +39,6 @@ func runMPIUse(pass *Pass) {
 				continue
 			}
 			checkRankConditionedCollectives(pass, fd.Body)
-			checkRequests(pass, fd.Body)
 		}
 	}
 }
@@ -221,130 +217,4 @@ func children(n ast.Node, fn func(ast.Node)) {
 		}
 		return false
 	})
-}
-
-// ---- request tracking -------------------------------------------------------
-
-// checkRequests flags Isend/Irecv whose *Request is discarded outright or
-// assigned to a variable that never reaches a Wait (or any other
-// consuming use: passed to a call such as WaitAll, stored, returned).
-func checkRequests(pass *Pass, body *ast.BlockStmt) {
-	reqCall := func(e ast.Expr) (*ast.CallExpr, string, bool) {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		if !ok {
-			return nil, "", false
-		}
-		sel, ok := methodCall(call)
-		if !ok || (sel.Sel.Name != "Isend" && sel.Sel.Name != "Irecv") {
-			return nil, "", false
-		}
-		if !isCommReceiver(pass, sel.X) {
-			return nil, "", false
-		}
-		return call, sel.Sel.Name, true
-	}
-
-	tracked := map[types.Object]string{} // request var -> originating method
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, name, ok := reqCall(n.X); ok {
-				pass.Reportf(call.Pos(), "%s result discarded: the *Request must reach a Wait or WaitAll", name)
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				call, name, ok := reqCall(rhs)
-				if !ok {
-					continue
-				}
-				id, isIdent := n.Lhs[i].(*ast.Ident)
-				if !isIdent {
-					continue // stored straight into a field/slice: consuming
-				}
-				if id.Name == "_" {
-					pass.Reportf(call.Pos(), "%s result discarded: the *Request must reach a Wait or WaitAll", name)
-					continue
-				}
-				if obj := pass.Info.Defs[id]; obj != nil {
-					tracked[obj] = name
-				}
-			}
-		}
-		return true
-	})
-
-	for obj, origin := range tracked {
-		if !requestConsumed(pass, body, obj) {
-			pass.Reportf(obj.Pos(), "*Request %s from %s never reaches a Wait/WaitAll", obj.Name(), origin)
-		}
-	}
-}
-
-// requestConsumed reports whether any use of obj inside body consumes the
-// request: a .Wait* method call, being passed to any call (WaitAll,
-// append, helper), stored into a field/slice/map, sent, or returned.
-func requestConsumed(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
-	consumed := false
-	var stack []ast.Node
-	var visit func(n ast.Node)
-	visit = func(n ast.Node) {
-		stack = append(stack, n)
-		defer func() { stack = stack[:len(stack)-1] }()
-		if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-			if identConsumes(stack) {
-				consumed = true
-			}
-		}
-		for _, c := range childNodes(n) {
-			if consumed {
-				return
-			}
-			visit(c)
-		}
-	}
-	visit(body)
-	return consumed
-}
-
-// identConsumes inspects the enclosing node chain of a request-variable
-// use (innermost last) and decides whether that use consumes the request.
-func identConsumes(stack []ast.Node) bool {
-	// stack[len-1] is the ident itself.
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch n := stack[i].(type) {
-		case *ast.SelectorExpr:
-			// r.Wait() — or any method that could complete it.
-			return strings.HasPrefix(n.Sel.Name, "Wait")
-		case *ast.CallExpr:
-			// Passed as an argument (WaitAll(reqs...), append, helpers).
-			return true
-		case *ast.ReturnStmt, *ast.CompositeLit, *ast.SendStmt, *ast.IndexExpr, *ast.KeyValueExpr:
-			return true
-		case *ast.AssignStmt:
-			// On the RHS of a further assignment: aliased, assume consumed.
-			for _, rhs := range n.Rhs {
-				if containsPos(rhs, stack[len(stack)-1].Pos()) {
-					return true
-				}
-			}
-			return false
-		case *ast.ExprStmt, *ast.BlockStmt:
-			return false
-		}
-	}
-	return false
-}
-
-func containsPos(n ast.Node, p token.Pos) bool {
-	return n.Pos() <= p && p < n.End()
-}
-
-// childNodes collects the direct children of n.
-func childNodes(n ast.Node) []ast.Node {
-	var out []ast.Node
-	children(n, func(c ast.Node) { out = append(out, c) })
-	return out
 }

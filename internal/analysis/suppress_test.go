@@ -70,12 +70,12 @@ func TestSuppressMultipleRulesOneComment(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //lint:allow commmatch peer validated at startup lint:allow hotalloc buffer recycled
+	_ = 1 //lint:allow mpiuse peer validated at startup lint:allow hotalloc buffer recycled
 }
 `
 	_, set := collectFrom(t, src, nil)
 
-	if !set.Allows(diagAt("commmatch", 4)) {
+	if !set.Allows(diagAt("mpiuse", 4)) {
 		t.Error("first directive in a multi-directive comment was dropped")
 	}
 	if !set.Allows(diagAt("hotalloc", 4)) {
@@ -95,7 +95,7 @@ func TestSuppressMalformedDirectives(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //lint:allow commmatch
+	_ = 1 //lint:allow mpiuse
 	_ = 2 //lint:allow nosuchrule a perfectly good reason
 	_ = 3 //lint:allow perfgate hook must stay under budget
 }
@@ -105,7 +105,7 @@ func f() {
 	if len(set.Malformed) != 2 {
 		t.Fatalf("got %d malformed directives, want 2: %v", len(set.Malformed), set.Malformed)
 	}
-	if set.Allows(diagAt("commmatch", 4)) {
+	if set.Allows(diagAt("mpiuse", 4)) {
 		t.Error("reason-less directive still suppressed its rule")
 	}
 	if set.Allows(diagAt("nosuchrule", 5)) {
@@ -116,27 +116,25 @@ func f() {
 	}
 }
 
-// TestSuppressCycleReportedSiteOnly pins where a commmatch deadlock
-// diagnostic must be suppressed: it names two (or more) call sites but
-// is reported at exactly one of them, and only a directive at the
-// reported site silences it — a suppression at the other leg of the
-// cycle does not apply. The companion fixture (testdata/src/commmatch/
-// cycle.go, halfSuppressedCycle) proves the same end-to-end through the
-// analyzer.
+// TestSuppressCycleReportedSiteOnly pins that a directive silences only
+// what is reported at its own site: a finding that involves several call
+// sites (the arms of a rank-conditioned branch, the legs of a wait
+// cycle) is reported at exactly one of them, and a suppression at
+// another leg does not apply.
 func TestSuppressCycleReportedSiteOnly(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //lint:allow commmatch head-to-head exchange is resolved by the eager-send runtime
+	_ = 1 //lint:allow mpiuse every rank takes this arm in lockstep
 	_ = 2
 }
 `
 	_, set := collectFrom(t, src, nil)
 
-	reported := diagAt("commmatch", 4)   // the cycle's reported recv
-	otherLeg := diagAt("commmatch", 14)  // the matching recv in the peer branch
+	reported := diagAt("mpiuse", 4)  // the collective the finding is reported at
+	otherLeg := diagAt("mpiuse", 14) // the matching call in the peer branch
 	if !set.Allows(reported) {
-		t.Error("directive at the reported site did not suppress the cycle diagnostic")
+		t.Error("directive at the reported site did not suppress the diagnostic")
 	}
 	if set.Allows(otherLeg) {
 		t.Error("directive at one call site suppressed a diagnostic reported at another")

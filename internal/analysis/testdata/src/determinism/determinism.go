@@ -4,6 +4,7 @@ package determinism
 
 import (
 	"math/rand"
+	"sort"
 	"time"
 )
 
@@ -58,12 +59,37 @@ func mapOrderLeaks(m map[int]float64, out []float64, ch chan float64) {
 }
 
 func collectKeysIdiom(m map[int]float64) []int {
-	// The first half of the sorted-iteration fix is exempt.
+	// The first half of the sorted-iteration fix is exempt when the slice
+	// is handed back: the caller's loop over it is checked in its turn.
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+func collectKeysThenSort(m map[int]float64, send func(int)) {
+	// ... and when the function sorts what it collected before using it.
+	var dests []int
+	for d := range m {
+		dests = append(dests, d)
+	}
+	sort.Ints(dests)
+	for _, d := range dests {
+		send(d)
+	}
+}
+
+func collectKeysNeverSorted(m map[int]float64, send func(int)) {
+	// Collecting is only half the fix: with no sort in sight the sends
+	// below still go out in map order.
+	var dests []int
+	for d := range m {
+		dests = append(dests, d) // want `append to dests inside map iteration records results in map order`
+	}
+	for _, d := range dests {
+		send(d)
+	}
 }
 
 func orderIndependent(m map[int]float64) map[int]float64 {

@@ -1,6 +1,5 @@
 // Package mpiuse exercises the mpiuse analyzer with a local stub of the
-// runtime's communicator API: rank-conditioned collectives and
-// discarded/never-awaited requests.
+// runtime's communicator API: rank-conditioned collectives.
 package mpiuse
 
 // Comm mirrors the runtime communicator (matched by type name).
@@ -16,15 +15,6 @@ func (c *Comm) Bcast(root int, data []float64)     {}
 func (c *Comm) Allreduce(data []float64)           {}
 func (c *Comm) Send(dst, tag int, data []float64)  {}
 func (c *Comm) Recv(src, tag int) []float64        { return nil }
-func (c *Comm) Isend(dst, tag int, data []float64) *Request { return &Request{} }
-func (c *Comm) Irecv(src, tag int) *Request        { return &Request{} }
-
-// Request mirrors the runtime's nonblocking handle.
-type Request struct{}
-
-func (r *Request) Wait() {}
-
-func WaitAll(reqs ...*Request) {}
 
 // ---- rank-conditioned collectives -------------------------------------------
 
@@ -88,31 +78,4 @@ func suppressedRankCond(c *Comm) {
 	if c.Rank() == 0 {
 		c.Barrier() //lint:allow mpiuse all ranks take this branch in lockstep via replicated state
 	}
-}
-
-// ---- request lifecycle ------------------------------------------------------
-
-func discardedRequest(c *Comm, data []float64) {
-	c.Isend(1, 0, data)      // want `Isend result discarded`
-	_ = c.Irecv(0, 0)        // want `Irecv result discarded`
-}
-
-func neverAwaited(c *Comm, data []float64) {
-	req := c.Isend(1, 0, data) // want `\*Request req from Isend never reaches a Wait`
-	if req == nil {
-		return
-	}
-}
-
-func awaited(c *Comm, data []float64) {
-	req := c.Isend(1, 0, data)
-	req.Wait()
-}
-
-func awaitedViaWaitAll(c *Comm, data []float64) {
-	var reqs []*Request
-	reqs = append(reqs, c.Isend(1, 0, data))
-	r2 := c.Irecv(0, 0)
-	reqs = append(reqs, r2)
-	WaitAll(reqs...)
 }

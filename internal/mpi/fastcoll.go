@@ -288,7 +288,6 @@ func (st *station) replayBcast() {
 		if v == 0 {
 			st.out[r] = data
 		} else {
-			//lint:allow poolsafety the clone mirrors the message-path handoff: the receiving rank owns it exactly like a Recv payload
 			st.out[r] = st.procs[r].arena.clone(data)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"cpx/internal/order"
 )
 
 // Segment is one span of the critical path: a contiguous stretch of
@@ -82,8 +84,8 @@ func (cp *CriticalPath) ByRegion() []RegionTime {
 		}
 	}
 	out := make([]RegionTime, 0, len(acc))
-	for _, rt := range acc {
-		out = append(out, *rt)
+	for _, region := range order.SortedKeys(acc) {
+		out = append(out, *acc[region])
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ti, tj := out[i].Total(), out[j].Total()
@@ -114,7 +116,8 @@ func (cp *CriticalPath) ByLabel(label func(rank int) string) []LabelShare {
 		total += d
 	}
 	out := make([]LabelShare, 0, len(acc))
-	for l, sec := range acc {
+	for _, l := range order.SortedKeys(acc) {
+		sec := acc[l]
 		ls := LabelShare{Label: l, Seconds: sec}
 		if total > 0 {
 			ls.Share = sec / total

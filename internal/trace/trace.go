@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"cpx/internal/order"
 )
 
 // Entry accumulates time attributed to one named region.
@@ -99,18 +101,15 @@ func (p *Profile) Entry(name string) Entry {
 }
 
 // Regions returns the region names present, sorted.
-func (p *Profile) Regions() []string {
-	names := make([]string, 0, len(p.entries))
-	for n := range p.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (p *Profile) Regions() []string { return order.SortedKeys(p.entries) }
 
-// Total sums compute and comm over all regions.
+// Total sums compute and comm over all regions, in region-name order:
+// float addition is not associative, so summing in map order gave the
+// same profile different totals (and Report different shares) from one
+// call to the next.
 func (p *Profile) Total() (compute, comm float64) {
-	for _, e := range p.entries {
+	for _, name := range p.Regions() {
+		e := p.entries[name]
 		compute += e.Compute
 		comm += e.Comm
 	}
@@ -119,7 +118,8 @@ func (p *Profile) Total() (compute, comm float64) {
 
 // Merge adds all of q's entries into p. Used to aggregate rank profiles.
 func (p *Profile) Merge(q *Profile) {
-	for name, e := range q.entries {
+	for _, name := range q.Regions() {
+		e := q.entries[name]
 		t := p.entry(name)
 		t.Compute += e.Compute
 		t.Comm += e.Comm
@@ -159,7 +159,8 @@ func (p *Profile) Report() []Breakdown {
 		return nil
 	}
 	rows := make([]Breakdown, 0, len(p.entries))
-	for name, e := range p.entries {
+	for _, name := range p.Regions() {
+		e := p.entries[name]
 		rows = append(rows, Breakdown{
 			Region:       name,
 			ComputeShare: e.Compute / total,

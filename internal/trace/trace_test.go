@@ -150,6 +150,27 @@ func TestTotals(t *testing.T) {
 	}
 }
 
+// TestTotalIsOrderFixed pins Total's summation order. Six regions whose
+// magnitudes span eighteen decades make float addition order visible:
+// summed in map order the same profile returned several bit patterns.
+func TestTotalIsOrderFixed(t *testing.T) {
+	p := NewProfile()
+	for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		p.Push(name)
+		p.AddCompute(math.Pow(10, float64(3*i-9)) / 3)
+		p.AddComm(math.Pow(10, float64(9-3*i)) / 7)
+		p.Pop()
+	}
+	wantCompute, wantComm := p.Total()
+	for call := 0; call < 1000; call++ {
+		if compute, comm := p.Total(); compute != wantCompute || comm != wantComm {
+			t.Fatalf("call %d: Total() = %x, %x; first call gave %x, %x",
+				call, math.Float64bits(compute), math.Float64bits(comm),
+				math.Float64bits(wantCompute), math.Float64bits(wantComm))
+		}
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	p := NewProfile()
 	p.Push("pressure_field")
