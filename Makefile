@@ -28,6 +28,10 @@ build:
 test:
 	$(GO) test ./...
 
+# Race-detector builds also arm the payload use-after-release oracle
+# (internal/mpi/poison_race.go): Comm.Release fills the buffer with NaN
+# and panics on a second release, so both race legs run their suites,
+# the coupled golden digests among them, poisoned.
 race:
 	$(GO) test -race ./internal/mpi/ ./internal/trace/
 

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -112,6 +113,13 @@ func (l *Loader) load(path string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !isSourceFile(name) {
+			continue
+		}
+		// Build constraints as the default build sees them: of a file
+		// pair split on a tag (mpi's race-build poison) only one is in.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

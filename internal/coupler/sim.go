@@ -746,7 +746,10 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks, markCl
 
 // exchangeWithUnit performs one boundary rank's part of a CU exchange:
 // send this rank's interface slice to every CU rank, then receive the
-// interpolated values coming back.
+// interpolated values coming back. sample hands over a slice the caller
+// owns; once sent it joins the received payloads on the rank's free list.
+//
+//perf:hotpath
 func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, localIdx, nb int,
 	sample func(int) []float64, absorb func([]float64)) {
 	us := sim.Units[u]
@@ -767,12 +770,14 @@ func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, local
 	for cu := cuLo; cu < cuHi; cu++ {
 		world.SendVirtual(cu, toTag, vals, perCUBytes)
 	}
+	world.Release(vals)
 	// Receive interpolated values from the CU ranks that own targets
 	// mapping to this boundary slice.
 	for cu := cuLo; cu < cuHi; cu++ {
 		if cuTargetOwner(cu-cuLo, cuRanks, nb) == localIdx {
 			d, _, _ := world.Recv(cu, fromTag)
 			absorb(d)
+			world.Release(d)
 		}
 	}
 }
@@ -896,6 +901,9 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 	mapBA := &Mapper{Kind: us.Search} // donors B -> targets A
 	every := us.exchangeEvery()
 	firstMapping := true
+	// The two sides' gathered interface values, refilled every exchange.
+	valsA := make([]float64, 0, simPts)
+	valsB := make([]float64, 0, simPts)
 
 	// This CU rank owns a share of the targets on each side.
 	tLoB, tHiB := shareOf(simPts, cuRanks, r.local)
@@ -945,8 +953,8 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 			continue
 		}
 		// Gather both sides' values (one message per boundary rank).
-		valsA := gatherSide(world, sim, us.A, nbA, sim.unitTag(r.index, tagToCU_A), simPts)
-		valsB := gatherSide(world, sim, us.B, nbB, sim.unitTag(r.index, tagToCU_B), simPts)
+		valsA = gatherSide(world, sim, us.A, nbA, sim.unitTag(r.index, tagToCU_A), valsA[:0])
+		valsB = gatherSide(world, sim, us.B, nbB, sim.unitTag(r.index, tagToCU_B), valsB[:0])
 
 		// Sliding planes rotate side A each exchange; the mapping must be
 		// recomputed. Steady state maps once.
@@ -973,6 +981,8 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 		trueOut := float64(us.effectivePoints()) / float64(cuRanks) * 5 * 8
 		world.SendVirtual(dstB, sim.unitTag(r.index, tagFromCU_B), outB, int(trueOut))
 		world.SendVirtual(dstA, sim.unitTag(r.index, tagFromCU_A), outA, int(trueOut))
+		world.Release(outB)
+		world.Release(outA)
 		if rc.due(d+1, sim.DensitySteps) {
 			st, bytes := cuSnapshot()
 			rc.checkpoint(world, d+1, st, bytes)
@@ -998,17 +1008,16 @@ func (sim *Simulation) instanceWorldRank(instance, local int) int {
 func shareOf(n, k, i int) (lo, hi int) { return i * n / k, (i + 1) * n / k }
 
 // gatherSide receives the boundary slices of one instance side and
-// concatenates them in boundary-rank order.
-func gatherSide(world *mpi.Comm, sim *Simulation, instance, nb, tag, simPts int) []float64 {
-	out := make([]float64, 0, simPts)
-	parts := make([][]float64, nb)
+// appends them to out (the unit rank's buffer for that side, kept across
+// exchanges) in boundary-rank order.
+//
+//perf:hotpath
+func gatherSide(world *mpi.Comm, sim *Simulation, instance, nb, tag int, out []float64) []float64 {
 	for i := 0; i < nb; i++ {
 		src := sim.instanceWorldRank(instance, i)
 		d, _, _ := world.Recv(src, tag)
-		parts[i] = d
-	}
-	for _, p := range parts {
-		out = append(out, p...)
+		out = append(out, d...) //lint:allow hotalloc grows on the first exchange to the interface size, then refilled
+		world.Release(d)
 	}
 	return out
 }

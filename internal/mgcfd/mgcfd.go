@@ -355,6 +355,7 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 				l.q[v][n] = 0.5*l.q[v][n] + 0.5*d[v*per+i]
 			}
 		}
+		s.comm.Release(d)
 	}
 }
 

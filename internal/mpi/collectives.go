@@ -117,6 +117,7 @@ func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
 		if childV < p {
 			child, _, _ := c.Recv((childV+root)%p, tagCollective)
 			op.apply(acc, child)
+			c.Release(child)
 		}
 	}
 	return acc
@@ -151,6 +152,7 @@ func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 	if c.rank < extra {
 		d, _, _ := c.Recv(c.rank+pow2, tagCollective)
 		op.apply(acc, d)
+		c.Release(d)
 	}
 	// Recursive doubling among the first pow2 ranks.
 	for k := 1; k < pow2; k *= 2 {
@@ -158,6 +160,7 @@ func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 		c.Send(partner, tagCollective, acc)
 		d, _, _ := c.Recv(partner, tagCollective)
 		op.apply(acc, d)
+		c.Release(d)
 	}
 	// Unfold: return results to the extra ranks.
 	if c.rank < extra {
@@ -401,6 +404,7 @@ func (c *Comm) ExscanSum(x float64) float64 {
 	if c.rank > 0 {
 		d, _, _ := c.Recv(c.rank-1, tagCollective)
 		acc = d[0]
+		c.Release(d)
 	}
 	if c.rank < p-1 {
 		c.Send(c.rank+1, tagCollective, []float64{acc + x})

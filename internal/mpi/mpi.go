@@ -23,10 +23,11 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,7 +201,8 @@ type proc struct {
 	clock     float64
 	compute   float64
 	comm      float64
-	arena     f64Arena // outgoing payload clones (owner-goroutine only)
+	arena     f64Arena // released payload buffers feeding this rank's sends (pool.go)
+	recvAll   recvAllScratch
 	profile   *trace.Profile
 	// Event-tracing state, nil/empty unless Config.Trace is set. comms is
 	// this rank's sparse comm-matrix row (keyed by destination world
@@ -612,8 +614,8 @@ func (c *Comm) finishSend(to, tag int, m *message, chargedBytes int) {
 	c.world.boxes[dstWorld].put(m)
 }
 
-// sendF64 is the float64 fast path: the clone comes from the rank's
-// payload arena and the slice never passes through an interface.
+// sendF64 is the float64 fast path: the clone goes into a buffer from
+// the rank's free list and the slice never passes through an interface.
 func (c *Comm) sendF64(to, tag int, data []float64, chargedBytes int, op string) {
 	c.checkPeer(to, op)
 	m := getMessage()
@@ -724,20 +726,33 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	c.sendF64(to, tag, data, 8*len(data), "Send")
 }
 
+// arrived is one message of a RecvAll batch.
+type arrived struct {
+	src      int
+	srcWorld int
+	bytes    int
+	arrival  float64
+	payload  []float64
+}
+
+// recvAllScratch holds the working and result slices of RecvAll between
+// calls, so a batched receive allocates only while a batch outgrows them.
+type recvAllScratch struct {
+	msgs    []arrived
+	data    [][]float64
+	sources []int
+}
+
 // RecvAll receives n messages of the given tag from any sources, as if
 // posted as n receives completed by one MPI_Waitall: the virtual clock
 // advances to the latest arrival plus the per-message overheads, so the
 // result is independent of host-side delivery order. Returns payloads
-// sorted by source rank (ties by arrival), with sources aligned.
+// sorted by source rank (ties by arrival), with sources aligned. The
+// receiver owns each payload until it releases it (Release); the two
+// outer slices are the rank's own and are overwritten by its next RecvAll.
 func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
-	type got struct {
-		src      int
-		srcWorld int
-		bytes    int
-		arrival  float64
-		payload  []float64
-	}
-	msgs := make([]got, 0, n)
+	sc := &c.proc.recvAll
+	msgs := sc.msgs[:0]
 	var latest message // the message whose arrival completes the Waitall
 	deadCheck := c.deadCheckFor(AnySource)
 	for i := 0; i < n; i++ {
@@ -750,7 +765,7 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 		if m.payload != nil {
 			panic(fmt.Sprintf("mpi: RecvAll type mismatch: got %T, want []float64", m.payload))
 		}
-		msgs = append(msgs, got{m.src, m.srcWorld, m.bytes, m.arrival, m.f64})
+		msgs = append(msgs, arrived{m.src, m.srcWorld, m.bytes, m.arrival, m.f64})
 		if i == 0 || m.arrival > latest.arrival {
 			latest = *m
 		}
@@ -760,11 +775,11 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 		c.proc.waitUntil(latest.srcWorld, latest.bytes, latest.tag, latest.departure, latest.arrival)
 	}
 	c.proc.chargeCommAs(float64(n)*c.world.machine.RecvOverhead, trace.EvRecv, -1, 0, tag)
-	sort.Slice(msgs, func(a, b int) bool {
-		if msgs[a].src != msgs[b].src {
-			return msgs[a].src < msgs[b].src
+	slices.SortFunc(msgs, func(a, b arrived) int {
+		if a.src != b.src {
+			return cmp.Compare(a.src, b.src)
 		}
-		return msgs[a].arrival < msgs[b].arrival
+		return cmp.Compare(a.arrival, b.arrival)
 	})
 	if p := c.proc; p.metrics != nil || p.flight != nil {
 		// All n receives complete at the Waitall's final clock; counting
@@ -779,29 +794,38 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 			}
 		}
 	}
-	data = make([][]float64, n)
-	sources = make([]int, n)
-	for i, m := range msgs {
-		data[i] = m.payload
-		sources[i] = m.src
+	data, sources = sc.data[:0], sc.sources[:0]
+	for _, m := range msgs {
+		data = append(data, m.payload)
+		sources = append(sources, m.src)
 	}
+	sc.msgs, sc.data, sc.sources = msgs[:0], data, sources
 	return data, sources
 }
+
+// Release hands a payload this rank received (or any slice it owns and
+// is done with) back to the runtime, which reuses its memory for the
+// rank's next sends. Releasing is optional and only costs an allocation
+// when skipped; the caller must never touch buf, or any slice of it,
+// after releasing it. Race-detector builds fill a released buffer with
+// NaN and panic on a second Release of it.
+func (c *Comm) Release(buf []float64) { c.proc.arena.release(buf) }
 
 // SendVirtual transmits data but charges the network cost of
 // virtualBytes instead of the payload's real size. Mini-apps running
 // scaled-down working sets use it so message costs reflect the true
 // problem size (DESIGN.md §5.2). Like every Send*, it copies data before
-// it returns (sendF64 clones into the rank's payload arena), so the
-// caller may overwrite or reuse data at once — halo pack buffers are
-// kept and refilled on that guarantee — and the receiver owns what it
-// is handed. A nil data sends no payload at the same virtual cost.
+// it returns, so the sender keeps data and may overwrite or reuse it at
+// once — halo pack buffers are kept and refilled on that guarantee — and
+// the receiver owns the copy it is handed. A nil data sends no payload
+// at the same virtual cost.
 func (c *Comm) SendVirtual(to, tag int, data []float64, virtualBytes int) {
 	c.sendF64(to, tag, data, virtualBytes, "SendVirtual")
 }
 
 // Recv receives a []float64 from rank `from` (or AnySource) with the given
-// tag (or AnyTag). It returns the payload, its source rank and tag.
+// tag (or AnyTag). It returns the payload, its source rank and tag. The
+// receiver owns the payload until it releases it (Release).
 func (c *Comm) Recv(from, tag int) ([]float64, int, int) {
 	return c.recvF64(from, tag)
 }

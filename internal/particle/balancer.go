@@ -180,19 +180,23 @@ func (b *stealBalancer) balance(s *System) {
 	for _, tr := range plan {
 		switch r {
 		case tr.thief:
-			s.comm.SendVirtual(tr.victim, tagStealReq, []float64{float64(tr.n)}, 64)
+			s.req[0] = float64(tr.n)
+			s.comm.SendVirtual(tr.victim, tagStealReq, s.req[:], 64)
 			d, _, _ := s.comm.Recv(tr.victim, tagStealGrant)
 			for i := 0; i+dropletFields-1 < len(d); i += dropletFields {
 				s.spawn(d[i], d[i+1], d[i+2], d[i+3], d[i+4], d[i+5], d[i+6])
 			}
+			s.comm.Release(d)
 			s.load.Stolen += tr.n
 		case tr.victim:
-			s.comm.Recv(tr.thief, tagStealReq)
+			d, _, _ := s.comm.Recv(tr.thief, tagStealReq)
+			s.comm.Release(d)
 			cut := len(s.x) - tr.n
-			buf := make([]float64, 0, tr.n*dropletFields)
+			buf := s.grant[:0]
 			for i := cut; i < len(s.x); i++ {
 				buf = append(buf, s.x[i], s.y[i], s.z[i], s.vx[i], s.vy[i], s.vz[i], s.rad[i])
 			}
+			s.grant = buf
 			s.x, s.y, s.z = s.x[:cut], s.y[:cut], s.z[:cut]
 			s.vx, s.vy, s.vz = s.vx[:cut], s.vy[:cut], s.vz[:cut]
 			s.rad = s.rad[:cut]

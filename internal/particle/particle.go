@@ -3,10 +3,10 @@ package particle
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
-	"cpx/internal/order"
 )
 
 // Message tags (disjoint from the coupler's unit tag blocks and the
@@ -142,6 +142,18 @@ type System struct {
 	// the absorbed flow field (1.0 standalone).
 	gasGain float64
 	load    RankLoad
+
+	// Migration scratch, reused by every step (DESIGN.md §5.13): the
+	// send buffer of every destination this rank has migrated to
+	// (emptied, not dropped, after a step), the step's destinations in
+	// send order, the census vector (2p+1) and the load vector (p) it
+	// yields, and the work-steal request and grant payloads.
+	out   map[int][]float64
+	dests []int
+	vec   []float64
+	loads []int
+	req   [1]float64
+	grant []float64
 }
 
 // New creates the particle component on communicator c — its own set of
@@ -155,6 +167,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*System, error) {
 	s := &System{
 		comm: c, cfg: cfg, seed: ModelSeed(cfg.Seed),
 		side: ConeSide(cfg.ConeFraction), gasGain: 1,
+		out: map[int][]float64{}, vec: make([]float64, 2*p+1), loads: make([]int, p),
 	}
 	simTotal := int64(p) * 4096
 	if simTotal > cfg.Droplets {
@@ -305,11 +318,16 @@ type census struct {
 // real messages, and a single combined reduction gives every rank both
 // its inbound message count and the global post-migration load vector.
 // The injector-owning rank then re-seeds the globally lost droplets.
+// Stayers are compacted in place in their old order, arrivals appended
+// behind them in source-rank order and re-seeded droplets last, so the
+// droplet order, and with it StateDigest, is what rebuilding the arrays
+// from empty would give. The census's loads are the System's own and
+// are overwritten by the next migrate.
+//
+//perf:hotpath
 func (s *System) migrate(owner func(x, y, z float64) int) census {
 	p, r := s.comm.Size(), s.comm.Rank()
-	buffers := map[int][]float64{}
-	var kx, ky, kz, kvx, kvy, kvz, krad []float64
-	removed := 0
+	keep, removed := 0, 0
 	for i := 0; i < len(s.x); i++ {
 		if s.rad[i] < 0 {
 			removed++
@@ -317,36 +335,46 @@ func (s *System) migrate(owner func(x, y, z float64) int) census {
 		}
 		o := owner(s.x[i], s.y[i], s.z[i])
 		if o == r {
-			kx = append(kx, s.x[i])
-			ky = append(ky, s.y[i])
-			kz = append(kz, s.z[i])
-			kvx = append(kvx, s.vx[i])
-			kvy = append(kvy, s.vy[i])
-			kvz = append(kvz, s.vz[i])
-			krad = append(krad, s.rad[i])
+			s.x[keep], s.y[keep], s.z[keep] = s.x[i], s.y[i], s.z[i]
+			s.vx[keep], s.vy[keep], s.vz[keep] = s.vx[i], s.vy[i], s.vz[i]
+			s.rad[keep] = s.rad[i]
+			keep++
 		} else {
-			buffers[o] = append(buffers[o],
+			s.out[o] = append(s.out[o], //lint:allow hotalloc amortised growth of a send buffer kept on the System
 				s.x[i], s.y[i], s.z[i], s.vx[i], s.vy[i], s.vz[i], s.rad[i])
 		}
 	}
+	s.x, s.y, s.z = s.x[:keep], s.y[:keep], s.z[:keep]
+	s.vx, s.vy, s.vz = s.vx[:keep], s.vy[:keep], s.vz[:keep]
+	s.rad = s.rad[:keep]
 	// Combined census: [0,p) inbound-message indicator, [p,2p) exact
 	// post-migration load contribution, [2p] lost droplets. Destination
 	// order is fixed once here and reused for the sends below, whose
 	// virtual timestamps depend on it.
-	dests := order.SortedKeys(buffers)
-	vec := make([]float64, 2*p+1)
+	dests := s.dests[:0]
+	for d, buf := range s.out {
+		if len(buf) > 0 {
+			//lint:allow determinism the non-empty keys are sorted right after the loop
+			dests = append(dests, d) //lint:allow hotalloc amortised growth of the destination list kept on the System
+		}
+	}
+	slices.Sort(dests)
+	s.dests = dests
+	vec := s.vec
+	clear(vec)
 	for _, d := range dests {
 		vec[d] = 1
-		vec[p+d] = float64(len(buffers[d]) / dropletFields)
+		vec[p+d] = float64(len(s.out[d]) / dropletFields)
 	}
-	vec[p+r] = float64(len(kx))
+	vec[p+r] = float64(keep)
 	vec[2*p] = float64(removed)
 	sum := s.comm.Allreduce(vec, mpi.Sum)
 	inbound := int(sum[r])
-	cs := census{loads: make([]int, p), lost: int(sum[2*p])}
+	cs := census{loads: s.loads, lost: int(sum[2*p])}
 	for d := 0; d < p; d++ {
 		cs.loads[d] = int(sum[p+d])
 	}
+	s.comm.Release(sum)
 
 	// Analytic charge for the dense pairwise schedule: every pair of the
 	// alltoallv exchanges ownership updates plus the particle-flow
@@ -356,44 +384,40 @@ func (s *System) migrate(owner func(x, y, z float64) int) census {
 	m := s.comm.Machine()
 	const pairBytes = 12288
 	pairCost := m.SendOverhead + m.RecvOverhead + m.InterNodeLatency + pairBytes/m.EffectiveInterBW()
-	if n := (p - 1) - len(buffers); n > 0 {
+	if n := (p - 1) - len(dests); n > 0 {
 		s.comm.ChargeCommSeconds(float64(n) * pairCost)
 	}
 	// Real payload messages, in the deterministic destination order
 	// established above.
 	for _, d := range dests {
-		buf := buffers[d]
+		buf := s.out[d]
 		s.load.Moved += len(buf) / dropletFields
 		s.comm.SendVirtual(d, tagMigrate, buf, int(float64(len(buf))*8*s.partScale))
+		s.out[d] = buf[:0]
 	}
 	// Waitall-style batched receive: clock advance and droplet ordering
 	// are both independent of host-side delivery order.
 	batches, _ := s.comm.RecvAll(inbound, tagMigrate)
 	for _, d := range batches {
 		for i := 0; i+dropletFields-1 < len(d); i += dropletFields {
-			kx = append(kx, d[i])
-			ky = append(ky, d[i+1])
-			kz = append(kz, d[i+2])
-			kvx = append(kvx, d[i+3])
-			kvy = append(kvy, d[i+4])
-			kvz = append(kvz, d[i+5])
-			krad = append(krad, d[i+6])
+			s.spawn(d[i], d[i+1], d[i+2], d[i+3], d[i+4], d[i+5], d[i+6])
 		}
+		s.comm.Release(d)
 	}
-	s.x, s.y, s.z, s.vx, s.vy, s.vz, s.rad = kx, ky, kz, kvx, kvy, kvz, krad
 
 	// The injector-owning rank re-seeds globally lost droplets from the
 	// deterministic injection stream, keeping the population stationary
 	// like a continuous fuel spray. The re-seeded states depend only on
 	// (step, index), so re-injection commutes with the strategy choice.
-	if inj := owner(InjectorX, InjectorY, InjectorZ); cs.lost > 0 && inj == r {
-		for j := 0; j < cs.lost; j++ {
-			px, py, pz, pvx, pvy, pvz := InjectionState(s.seed, s.step, j, s.side)
-			s.spawn(px, py, pz, pvx, pvy, pvz, 1.0)
-		}
-	}
 	if cs.lost > 0 {
-		cs.loads[owner(InjectorX, InjectorY, InjectorZ)] += cs.lost
+		inj := owner(InjectorX, InjectorY, InjectorZ)
+		if inj == r {
+			for j := 0; j < cs.lost; j++ {
+				px, py, pz, pvx, pvy, pvz := InjectionState(s.seed, s.step, j, s.side)
+				s.spawn(px, py, pz, pvx, pvy, pvz, 1.0)
+			}
+		}
+		cs.loads[inj] += cs.lost
 	}
 	return cs
 }

@@ -159,6 +159,7 @@ type Solver struct {
 	// next field and stepPressure's source and PCG vectors.
 	halo           [][]float64
 	pack, next     []float64
+	one            [1]float64 // stepSpray's window-sync payload
 	b, r, z, p, ap []float64
 
 	// LastIterations records the most recent PCG iteration count.
@@ -308,11 +309,15 @@ func cellFace(d mesh.Dims, axis, dir int) []int {
 
 // exchangeFaces trades the values of field at each face with the
 // neighbours and returns the received buffers (aligned with s.faces).
-// The outer slice is the solver's own and is overwritten by the next
-// exchange; the received values belong to this rank.
+// They are valid until the next exchange, which releases them to feed
+// its own sends.
 //
 //perf:hotpath
 func (s *Solver) exchangeFaces(field []float64, tag int) [][]float64 {
+	for i, h := range s.halo {
+		s.comm.Release(h)
+		s.halo[i] = nil
+	}
 	for _, f := range s.faces {
 		buf := scratch.Floats(&s.pack, len(f.idx))
 		for i, c := range f.idx {
@@ -602,8 +607,10 @@ func (s *Solver) stepSpray() {
 	if p > 1 {
 		partner := r ^ 1
 		if partner < p {
-			s.comm.SendVirtual(partner, tagPressure+1, []float64{float64(len(s.u))}, 256)
-			s.comm.Recv(partner, tagPressure+1)
+			s.one[0] = float64(len(s.u))
+			s.comm.SendVirtual(partner, tagPressure+1, s.one[:], 256)
+			d, _, _ := s.comm.Recv(partner, tagPressure+1)
+			s.comm.Release(d)
 		}
 	}
 }

@@ -126,10 +126,12 @@ func (fs *fieldSolver) pcr(a, b, c, d float64) float64 {
 		if lo >= 1 {
 			e, _, _ := fs.comm.Recv(lo, fs.tag+2)
 			la, lb, lc, ld = e[0], e[1], e[2], e[3]
+			fs.comm.Release(e)
 		}
 		if hi <= p-1 {
 			e, _, _ := fs.comm.Recv(hi, fs.tag+2)
 			ua, ub, uc, ud = e[0], e[1], e[2], e[3]
+			fs.comm.Release(e)
 		}
 		alpha := a / lb
 		gamma := c / ub
@@ -185,6 +187,7 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 			b := 2 - left[5] - yL[0] // minus yR(left, last) and own yL(first)
 			c := -yR[0]
 			dRHS := f[0] + left[1] + y0[0]
+			fs.comm.Release(left)
 			if r == 1 {
 				a = 0 // previous boundary is the wall
 			}
@@ -201,6 +204,7 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 		if r < p-1 {
 			d, _, _ := fs.comm.Recv(r+1, fs.tag+3)
 			uR = d[0]
+			fs.comm.Release(d)
 		}
 	}
 	phi = fs.phi
@@ -225,6 +229,7 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 	if r > 0 {
 		d, _, _ := fs.comm.Recv(r-1, fs.tag)
 		ghostL = d[0]
+		fs.comm.Release(d)
 	}
 	return phi, ghostL, ghostR
 }

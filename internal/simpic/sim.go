@@ -192,6 +192,7 @@ func (s *Sim) depositCharge() []float64 {
 	if r > 0 {
 		d, _, _ := s.comm.Recv(r-1, tagRhoR)
 		rho[0] += d[0]
+		s.comm.Release(d)
 	}
 	// Poisson RHS at the owned nodes [field.lo, field.hi).
 	f := scratch.Floats(&s.rhs, s.field.ownedNodes())
@@ -312,10 +313,12 @@ func (s *Sim) migrate() {
 		if r < p-1 {
 			d, _, _ := s.comm.Recv(r+1, tagMigL)
 			s.appendPairs(d)
+			s.comm.Release(d)
 		}
 		if r > 0 {
 			d, _, _ := s.comm.Recv(r-1, tagMigR)
 			s.appendPairs(d)
+			s.comm.Release(d)
 		}
 	}
 }

@@ -349,6 +349,7 @@ func (cl *Cloud) redistribute() {
 			kvz = append(kvz, d[i+5])
 			krad = append(krad, d[i+6])
 		}
+		cl.comm.Release(d)
 	}
 	cl.x, cl.y, cl.z, cl.vx, cl.vy, cl.vz, cl.rad = kx, ky, kz, kvx, kvy, kvz, krad
 
