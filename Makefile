@@ -39,11 +39,15 @@ race:
 test-race:
 	$(GO) test -race ./...
 
-# Short-mode race leg for the runtime, coupling and serving layers:
-# cheap enough for `make check`, still crosses the goroutine-per-rank
-# scheduler, the coupler's exchange phases and the HTTP job registry.
+# Short-mode race leg for the runtime, solver, coupling and serving
+# layers: cheap enough for `make check`, still crosses the
+# goroutine-per-rank scheduler, the coupler's exchange phases and the
+# HTTP job registry. The solver packages are here because the race
+# detector is the proof that the set-up state a run's ranks share
+# (mpi.Shared: operators, hierarchies, edge lists) is never written.
 test-race-short:
-	$(GO) test -race -short ./internal/mpi/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
+	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/pressure/ ./internal/mgcfd/ ./internal/harness/ \
+		./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
 
 # The repository's host-time benchmark (bench/README.md): all four
 # workloads, results to .bench_out.json. About 2 min on a 2-core host.

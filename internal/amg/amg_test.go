@@ -424,7 +424,7 @@ func TestDenseLUFactorSolve(t *testing.T) {
 	f := factorDense(a)
 	b := randomRHS(10, 8)
 	x := make([]float64, 10)
-	f.solve(b, x)
+	f.solve(b, x, make([]float64, 10))
 	if rn := residualNorm(a, b, x); rn > 1e-10 {
 		t.Errorf("dense LU residual %v", rn)
 	}
@@ -437,7 +437,7 @@ func TestHybridGSBlocksConsistency(t *testing.T) {
 	b := randomRHS(20, 9)
 	x1 := make([]float64, 20)
 	x2 := make([]float64, 20)
-	hybridGSSweeps(lvl, b, x1, 2, 1, true)
+	hybridGSSweeps(lvl, &levelWork{}, b, x1, 2, 1, true)
 	for s := 0; s < 2; s++ {
 		gsSweepRange(lvl, b, x2, 0, 20, x2, true)
 	}

@@ -153,7 +153,7 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Level is one rung of the hierarchy.
+// Level is one rung of the hierarchy, read-only once Setup returns.
 type Level struct {
 	A      *sparse.CSR
 	P      *sparse.CSR // prolongation: fine x coarse (nil on coarsest)
@@ -164,22 +164,25 @@ type Level struct {
 	// lambdaMax is the D^-1 A spectral bound of the Chebyshev smoother;
 	// Setup estimates it when that smoother is selected.
 	lambdaMax float64
+}
 
-	// Working vectors of a cycle's visit to this level, sized on first
-	// use and reused by every later visit (DESIGN.md §5.13). A visit
-	// reaches the level below only through its own rc and ec, and W- and
-	// K-cycles revisit a level one visit after the other, never nested,
-	// so no two live vectors share a buffer.
+// levelWork holds the working vectors of a cycle's visit to one level,
+// sized on first use and reused by every later visit (DESIGN.md §5.13). A
+// visit reaches the level below only through its own rc and ec, and W-
+// and K-cycles revisit a level one visit after the other, never nested,
+// so no two live vectors share a buffer.
+type levelWork struct {
 	r, e     []float64    // residual, prolonged correction
 	rc, ec   []float64    // restricted residual, coarse correction
 	smoother [3][]float64 // Jacobi's A x; hybrid GS's sweep-start iterate; Chebyshev's r, p, A p
 	krylov   [4][]float64 // kAccelerate's r, z, p, A p
 }
 
-// Hierarchy is a configured AMG preconditioner/solver. Setup leaves the
-// operators, transfer operators and factors read-only; ApplyCycle (and
-// Solve and PCG through it) writes the levels' working vectors, so one
-// Hierarchy serves one goroutine at a time — ranks each build their own.
+// Hierarchy is a configured AMG preconditioner/solver: the operators,
+// transfer operators and factors Setup built, which nothing writes
+// afterwards, and a workspace that ApplyCycle (and Solve and PCG through
+// it) writes. The operators are shared; a workspace serves one goroutine
+// at a time, and Share hands another goroutine its own.
 type Hierarchy struct {
 	Levels []*Level
 	Opts   Options
@@ -189,6 +192,17 @@ type Hierarchy struct {
 	// choice). CycleWorkEst is the per-cycle solve work.
 	SetupWork    cluster.Work
 	coarseFactor *denseLU
+
+	work    []levelWork // one per level
+	coarseY []float64   // the coarse solve's forward-substitution vector
+}
+
+// Share returns a Hierarchy on the same operators with a workspace of its
+// own, so that many goroutines can cycle on one Setup's result at once.
+func (h *Hierarchy) Share() *Hierarchy {
+	s := *h
+	s.work, s.coarseY = make([]levelWork, len(h.Levels)), nil
+	return &s
 }
 
 // Setup builds the hierarchy for a square SPD-like operator.
@@ -261,6 +275,7 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 	// Coarsest level: dense LU factorisation.
 	h.Levels = append(h.Levels, &Level{A: cur, diag: cur.Diag()})
 	h.coarseFactor = factorDense(cur)
+	h.work = make([]levelWork, len(h.Levels))
 	h.SetupWork = h.SetupWork.Add(cluster.Work{
 		Flops: 2.0 / 3.0 * math.Pow(float64(cur.Rows), 3),
 		Bytes: 8 * float64(cur.Rows) * float64(cur.Rows),
@@ -303,18 +318,18 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 // overall cycle stays symmetric — required for use inside CG.
 //
 //perf:hotpath
-func (h *Hierarchy) smooth(l *Level, b, x []float64, sweeps int, forward bool) {
+func (h *Hierarchy) smooth(l *Level, w *levelWork, b, x []float64, sweeps int, forward bool) {
 	switch h.Opts.Smoother {
 	case Jacobi:
-		jacobiSweeps(l, b, x, sweeps, h.Opts.JacobiWeight)
+		jacobiSweeps(l, w, b, x, sweeps, h.Opts.JacobiWeight)
 	case GaussSeidel:
 		for s := 0; s < sweeps; s++ {
 			gsSweepRange(l, b, x, 0, l.A.Rows, x, forward)
 		}
 	case HybridGS:
-		hybridGSSweeps(l, b, x, sweeps, h.Opts.HybridBlocks, forward)
+		hybridGSSweeps(l, w, b, x, sweeps, h.Opts.HybridBlocks, forward)
 	case Chebyshev:
-		chebyshevSmooth(l, b, x, 2*sweeps+1)
+		chebyshevSmooth(l, w, b, x, 2*sweeps+1)
 	}
 }
 
@@ -326,14 +341,14 @@ func (h *Hierarchy) smooth(l *Level, b, x []float64, sweeps int, forward bool) {
 // inside CG).
 //
 //perf:hotpath
-func chebyshevSmooth(l *Level, b, x []float64, deg int) {
+func chebyshevSmooth(l *Level, w *levelWork, b, x []float64, deg int) {
 	n := l.A.Rows
 	lmax := l.lambdaMax * 1.05
 	lmin := lmax / 4
 	theta := (lmax + lmin) / 2
 	delta := (lmax - lmin) / 2
 	// Standard Chebyshev iteration on D^-1 A with residual recurrence.
-	r := scratch.Floats(&l.smoother[0], n)
+	r := scratch.Floats(&w.smoother[0], n)
 	l.A.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
@@ -341,12 +356,12 @@ func chebyshevSmooth(l *Level, b, x []float64, deg int) {
 			r[i] /= d
 		}
 	}
-	p := scratch.Floats(&l.smoother[1], n)
+	p := scratch.Floats(&w.smoother[1], n)
 	alpha := 1.0 / theta
 	for i := range p {
 		p[i] = alpha * r[i]
 	}
-	ap := scratch.Floats(&l.smoother[2], n)
+	ap := scratch.Floats(&w.smoother[2], n)
 	for k := 0; k < deg; k++ {
 		for i := range x {
 			x[i] += p[i]
@@ -400,9 +415,9 @@ func estimateLambdaMax(l *Level) float64 {
 }
 
 //perf:hotpath
-func jacobiSweeps(l *Level, b, x []float64, sweeps int, w float64) {
+func jacobiSweeps(l *Level, lw *levelWork, b, x []float64, sweeps int, w float64) {
 	n := l.A.Rows
-	r := scratch.Floats(&l.smoother[0], n)
+	r := scratch.Floats(&lw.smoother[0], n)
 	for s := 0; s < sweeps; s++ {
 		l.A.MulVec(x, r)
 		for i := 0; i < n; i++ {
@@ -453,7 +468,7 @@ func gsSweepRange(l *Level, b, x []float64, lo, hi int, xOld []float64, forward 
 // starting iterate.
 //
 //perf:hotpath
-func hybridGSSweeps(l *Level, b, x []float64, sweeps, blocks int, forward bool) {
+func hybridGSSweeps(l *Level, w *levelWork, b, x []float64, sweeps, blocks int, forward bool) {
 	n := l.A.Rows
 	if blocks > n {
 		blocks = n
@@ -461,7 +476,7 @@ func hybridGSSweeps(l *Level, b, x []float64, sweeps, blocks int, forward bool) 
 	if blocks < 1 {
 		blocks = 1
 	}
-	xOld := scratch.Floats(&l.smoother[0], n)
+	xOld := scratch.Floats(&w.smoother[0], n)
 	for s := 0; s < sweeps; s++ {
 		copy(xOld, x)
 		for blk := 0; blk < blocks; blk++ {
@@ -482,27 +497,27 @@ func (h *Hierarchy) ApplyCycle(b, x []float64) {
 
 //perf:hotpath
 func (h *Hierarchy) cycle(level int, b, x []float64) {
-	l := h.Levels[level]
+	l, w := h.Levels[level], &h.work[level]
 	if level == len(h.Levels)-1 {
-		h.coarseFactor.solve(b, x)
+		h.coarseFactor.solve(b, x, scratch.Floats(&h.coarseY, l.A.Rows))
 		return
 	}
-	h.smooth(l, b, x, h.Opts.PreSweeps, true)
+	h.smooth(l, w, b, x, h.Opts.PreSweeps, true)
 	// Residual and restriction.
 	n := l.A.Rows
-	r := scratch.Floats(&l.r, n)
+	r := scratch.Floats(&w.r, n)
 	l.A.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
 	nc := l.P.Cols
-	rc := scratch.Floats(&l.rc, nc)
+	rc := scratch.Floats(&w.rc, nc)
 	if l.RSplit != nil {
 		l.RSplit.MulVec(r, rc)
 	} else {
 		l.R.MulVec(r, rc)
 	}
-	ec := scratch.Floats(&l.ec, nc)
+	ec := scratch.Floats(&w.ec, nc)
 	clear(ec) // the coarse solve starts from zero
 	switch {
 	case h.Opts.Cycle == KCycle && level+1 < len(h.Levels)-1:
@@ -515,7 +530,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 		h.cycle(level+1, rc, ec)
 	}
 	// Prolongate and correct.
-	e := scratch.Floats(&l.e, n)
+	e := scratch.Floats(&w.e, n)
 	if l.PSplit != nil {
 		l.PSplit.MulVec(ec, e)
 	} else {
@@ -524,7 +539,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 	for i := range x {
 		x[i] += e[i]
 	}
-	h.smooth(l, b, x, h.Opts.PostSweeps, false)
+	h.smooth(l, w, b, x, h.Opts.PostSweeps, false)
 }
 
 // kAccelerate solves the coarse system with two steps of flexible CG
@@ -532,13 +547,13 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 //
 //perf:hotpath
 func (h *Hierarchy) kAccelerate(level int, b, x []float64) {
-	l := h.Levels[level]
+	l, w := h.Levels[level], &h.work[level]
 	n := l.A.Rows
-	r := scratch.Floats(&l.krylov[0], n)
+	r := scratch.Floats(&w.krylov[0], n)
 	copy(r, b) // x starts at zero
-	z := scratch.Floats(&l.krylov[1], n)
-	p := scratch.Floats(&l.krylov[2], n)
-	ap := scratch.Floats(&l.krylov[3], n)
+	z := scratch.Floats(&w.krylov[1], n)
+	p := scratch.Floats(&w.krylov[2], n)
+	ap := scratch.Floats(&w.krylov[3], n)
 	for it := 0; it < 2; it++ {
 		for i := range z {
 			z[i] = 0
@@ -617,11 +632,11 @@ func (h *Hierarchy) CycleWork() cluster.Work {
 
 // ---- Dense coarse solve ----------------------------------------------------
 
+// denseLU is the coarsest operator's factorisation, read-only once built.
 type denseLU struct {
 	n    int
 	lu   []float64 // row-major
 	perm []int
-	y    []float64 // solve's forward-substitution vector, reused
 }
 
 func factorDense(a *sparse.CSR) *denseLU {
@@ -660,10 +675,12 @@ func factorDense(a *sparse.CSR) *denseLU {
 	return f
 }
 
+// solve writes the solution into x; y is its forward-substitution
+// vector, of length n.
+//
 //perf:hotpath
-func (f *denseLU) solve(b, x []float64) {
+func (f *denseLU) solve(b, x, y []float64) {
 	n := f.n
-	y := scratch.Floats(&f.y, n)
 	// Forward substitution on permuted rows.
 	for i := 0; i < n; i++ {
 		s := b[f.perm[i]]

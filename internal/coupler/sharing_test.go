@@ -231,3 +231,34 @@ func TestResilientCrashOfSharingCURank(t *testing.T) {
 		t.Errorf("replay built %d rotated indices, want some but fewer than the 8 of a full run", got)
 	}
 }
+
+// TestCoupledRunMatchesPerRankSetup: the "sliding" scenario of
+// TestGoldenCoupledDigests, whose two MG-CFD instances read one set of
+// edge and face lists between them (mpi.Shared resolves both groups to
+// the one world), reports the per-rank clocks, compute/comm split and
+// state digests it reported when every rank built its own lists. A
+// coupled run's solvers are built inside instanceMain, out of a test's
+// reach, so the per-rank build here is the last commit that had one: the
+// fold below was recorded there, by this test.
+func TestCoupledRunMatchesPerRankSetup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const elapsed, fold = 0.0050354278283188956, uint64(0x33b72c4d22d25693)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		rep, err := twoRowSim(Tree).Run(runCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg := fault.NewDigest()
+		for _, perRank := range [][]float64{rep.Stats.Clocks, rep.Stats.Compute, rep.Stats.Comm} {
+			dg.Floats(perRank)
+		}
+		for _, d := range rep.RankDigests {
+			dg.Int(int(d))
+		}
+		if got := dg.Sum64(); rep.Elapsed != elapsed || got != fold {
+			t.Errorf("GOMAXPROCS=%d: elapsed %v, fold of per-rank clocks, counters and digests %#x; with per-rank set-up %v, %#x",
+				procs, rep.Elapsed, got, elapsed, fold)
+		}
+	}
+}

@@ -110,3 +110,41 @@ func TestSteadyStateAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestSetUpAllocation bounds what New allocates per rank when 64 capped
+// ranks (Production() scale) build a solver proxy and stop. A capped
+// rank's set-up splits into state it owns — fields, q/res, droplets — and
+// read-only state that is the same bytes on every rank of equal dims —
+// the pressure operator and its AMG hierarchy, MG-CFD's edge and face
+// lists, the decomposition — which the run builds once (mpi.Shared,
+// DESIGN.md §5.12). The bounds are what was measured when they were
+// written plus a quarter: 110 kB for the pressure solver (its five fields
+// and spray cloud), 227 kB for MG-CFD (q and res on three levels). With
+// every rank building its own copies the same cases cost 1.69 MB and
+// 307 kB.
+func TestSetUpAllocation(t *testing.T) {
+	const ranks = 64
+	for _, g := range []struct {
+		name  string
+		bound float64 // bytes per rank
+		build func(c *mpi.Comm) error
+	}{
+		{"pressure", 137e3, func(c *mpi.Comm) error {
+			_, err := pressure.New(c, pressure.Config{MeshCells: 28_000_000, Steps: 1, Seed: 1}, pressure.Production())
+			return err
+		}},
+		{"mgcfd", 284e3, func(c *mpi.Comm) error {
+			_, err := mgcfd.New(c, mgcfd.Config{MeshCells: 8_000_000, Steps: 1, Seed: 1}, mgcfd.Production())
+			return err
+		}},
+	} {
+		perRank := float64(allocated(t, func() error {
+			_, err := mpi.Run(ranks, quick().mpiConfig(false), g.build)
+			return err
+		})) / ranks
+		t.Logf("%s: %.0f bytes per rank", g.name, perRank)
+		if perRank > g.bound {
+			t.Errorf("%s: New allocates %.0f bytes per rank, bound %.0f", g.name, perRank, g.bound)
+		}
+	}
+}

@@ -114,6 +114,25 @@ type faceInfo struct {
 	trueCells int   // true face size at this level (for message cost)
 }
 
+// Keys and values of the read-only set-up state New takes from the run's
+// memo (mpi.Shared): the decomposition, a level's edge list and a face's
+// node list, which take a handful of distinct values across capped ranks.
+type (
+	decompKey struct {
+		dims  mesh.Dims
+		ranks int
+	}
+	decomposition struct {
+		dc  *mesh.Decomp
+		err error
+	}
+	edgeKey struct{ dims mesh.Dims }
+	faceKey struct {
+		dims      mesh.Dims
+		axis, dir int
+	}
+)
+
 // Sim is the per-rank MG-CFD state.
 type Sim struct {
 	comm   *mpi.Comm
@@ -137,11 +156,15 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dims := mesh.CubeDims(cfg.MeshCells)
-	dc, err := mesh.NewDecompBestEffort(dims, c.Size())
-	if err != nil {
-		return nil, err
+	dims, p := mesh.CubeDims(cfg.MeshCells), c.Size()
+	d := mpi.Shared(c, decompKey{dims, p}, func() decomposition {
+		dc, err := mesh.NewDecompBestEffort(dims, p)
+		return decomposition{dc, err}
+	})
+	if d.err != nil {
+		return nil, d.err
 	}
+	dc := d.dc
 	s := &Sim{comm: c, cfg: cfg, decomp: dc, active: c.Rank() < dc.Ranks()}
 	if !s.active {
 		return s, nil
@@ -154,7 +177,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	for l := 0; l < cfg.MGLevels; l++ {
 		lv := &level{dims: simDims}
 		lv.nodes = int(simDims.Nodes())
-		lv.edges = mesh.StructuredEdges(simDims)
+		lv.edges = mpi.Shared(c, edgeKey{lv.dims}, func() []mesh.Edge { return mesh.StructuredEdges(lv.dims) })
 		lv.q = allocVars(lv.nodes)
 		lv.res = allocVars(lv.nodes)
 		lv.workMult = float64(trueDims.Cells()) / float64(simDims.Cells())
@@ -162,8 +185,10 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 		// sizes from the true box, both coarsened per level.
 		for _, nb := range localNeighbours(local, l) {
 			lv.faces = append(lv.faces, faceInfo{
-				rank:      nb.Rank,
-				nodeIdx:   faceNodes(simDims, nb.Axis, nb.Dir),
+				rank: nb.Rank,
+				nodeIdx: mpi.Shared(c, faceKey{lv.dims, nb.Axis, nb.Dir}, func() []int {
+					return faceNodes(lv.dims, nb.Axis, nb.Dir)
+				}),
 				trueCells: nb.FaceCells,
 			})
 		}

@@ -102,6 +102,9 @@ type World struct {
 	stMu     sync.Mutex
 	stations map[int]*station // analytic-collective rendezvous, by ctx
 
+	sharedMu sync.Mutex
+	shared   map[any]*sharedEntry // read-only set-up state the ranks build once (shared.go)
+
 	abort atomic.Bool
 
 	failMu   sync.Mutex
@@ -1105,6 +1108,7 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stat
 		procs:    make([]*proc, size),
 		ctxs:     make(map[ctxKey]int),
 		stations: make(map[int]*station),
+		shared:   make(map[any]*sharedEntry),
 		plan:     plan,
 		deadAt:   make([]float64, size),
 		// The one rule: collectives are replayed analytically unless a

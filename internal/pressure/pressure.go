@@ -172,17 +172,43 @@ type faceCells struct {
 	trueCells int
 }
 
+// Keys and values of the read-only set-up state New takes from the run's
+// memo (mpi.Shared): the decomposition, and the local operator with its
+// AMG hierarchy, which capped ranks would each rebuild bit for bit.
+type (
+	decompKey struct {
+		dims  mesh.Dims
+		ranks int
+	}
+	decomposition struct {
+		dc  *mesh.Decomp
+		err error
+	}
+	operatorKey struct {
+		dims mesh.Dims
+		opts amg.Options
+	}
+	operator struct {
+		hier *amg.Hierarchy // on the local operator, hier.Levels[0].A
+		err  error
+	}
+)
+
 // New builds the per-rank solver. Collective over c.
 func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dims := mesh.CubeDims(cfg.MeshCells)
-	dc, err := mesh.NewDecompBestEffort(dims, c.Size())
-	if err != nil {
-		return nil, err
+	dims, p := mesh.CubeDims(cfg.MeshCells), c.Size()
+	d := mpi.Shared(c, decompKey{dims, p}, func() decomposition {
+		dc, err := mesh.NewDecompBestEffort(dims, p)
+		return decomposition{dc, err}
+	})
+	if d.err != nil {
+		return nil, d.err
 	}
+	dc := d.dc
 	if dc.Ranks() != c.Size() {
 		return nil, fmt.Errorf("pressure: %d ranks do not decompose %d cells (best effort %d)",
 			c.Size(), cfg.MeshCells, dc.Ranks())
@@ -226,24 +252,23 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	s.halo = make([][]float64, len(s.faces))
 
 	// Pressure operator: 7-point Laplacian on the sim box, AMG hierarchy
-	// per the variant.
-	s.region("pressure_field", func() {
-		s.localA = sparse.Poisson3D(s.dims.NI, s.dims.NJ, s.dims.NK)
-		opts := amg.DefaultOptions()
-		if cfg.Variant == Optimized {
-			opts = amg.OptimizedOptions()
-		}
-		opts.Seed = cfg.Seed
-		h, herr := amg.Setup(s.localA, opts)
-		if herr != nil {
-			err = herr
-			return
-		}
-		s.hier = h
-	})
-	if err != nil {
-		return nil, err
+	// per the variant; the rank cycles on it in a workspace of its own.
+	opts := amg.DefaultOptions()
+	if cfg.Variant == Optimized {
+		opts = amg.OptimizedOptions()
 	}
+	opts.Seed = cfg.Seed
+	var op operator
+	s.region("pressure_field", func() {
+		op = mpi.Shared(c, operatorKey{s.dims, opts}, func() operator {
+			h, err := amg.Setup(sparse.Poisson3D(s.dims.NI, s.dims.NJ, s.dims.NK), opts)
+			return operator{h, err}
+		})
+	})
+	if op.err != nil {
+		return nil, op.err
+	}
+	s.localA, s.hier = op.hier.Levels[0].A, op.hier.Share()
 
 	// Spray: synchronous cloud in Base; async task-based in Optimized
 	// (the spray leaves the critical path; see stepSpray).

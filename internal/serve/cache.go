@@ -163,7 +163,7 @@ func (c *Cache) Do(ctx context.Context, key string, submit func(func()) bool, co
 	if j, joined := c.live[key]; joined {
 		j.refs++
 		c.mu.Unlock()
-		return c.wait(ctx, j, OutcomeJoin)
+		return c.wait(ctx, key, j, OutcomeJoin)
 	}
 	c.mu.Unlock()
 
@@ -190,7 +190,7 @@ func (c *Cache) Do(ctx context.Context, key string, submit func(func()) bool, co
 	if j, joined := c.live[key]; joined {
 		j.refs++
 		c.mu.Unlock()
-		return c.wait(ctx, j, OutcomeJoin)
+		return c.wait(ctx, key, j, OutcomeJoin)
 	}
 	jobCtx, cancel := context.WithCancel(context.Background())
 	j := &job{done: make(chan struct{}), cancel: cancel, refs: 1}
@@ -207,7 +207,9 @@ func (c *Cache) Do(ctx context.Context, key string, submit func(func()) bool, co
 		if err == nil {
 			c.insertLocked(key, body)
 		}
-		delete(c.live, key)
+		if c.live[key] == j { // an abandoned job is gone already, its key maybe retaken
+			delete(c.live, key)
+		}
 		c.mu.Unlock()
 		close(j.done)
 		cancel()
@@ -224,12 +226,15 @@ func (c *Cache) Do(ctx context.Context, key string, submit func(func()) bool, co
 	}
 	c.live[key] = j
 	c.mu.Unlock()
-	return c.wait(ctx, j, OutcomeMiss)
+	return c.wait(ctx, key, j, OutcomeMiss)
 }
 
 // wait blocks until the joined/started job completes or the caller's
-// ctx expires; the last abandoning waiter cancels the job.
-func (c *Cache) wait(ctx context.Context, j *job, outcome CacheOutcome) ([]byte, CacheOutcome, error) {
+// ctx expires; the last abandoning waiter cancels the job and, under the
+// same lock that takes refs to zero, drops it from live, so that a retry
+// arriving before the cancelled computation has unwound starts a job of
+// its own instead of joining the doomed one.
+func (c *Cache) wait(ctx context.Context, key string, j *job, outcome CacheOutcome) ([]byte, CacheOutcome, error) {
 	select {
 	case <-j.done:
 		return j.body, outcome, j.err
@@ -237,6 +242,9 @@ func (c *Cache) wait(ctx context.Context, j *job, outcome CacheOutcome) ([]byte,
 		c.mu.Lock()
 		j.refs--
 		last := j.refs == 0
+		if last && c.live[key] == j {
+			delete(c.live, key)
+		}
 		c.mu.Unlock()
 		if last {
 			j.cancel()

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -476,5 +477,43 @@ func TestCacheDoErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2", calls)
+	}
+}
+
+// TestCacheRetryDoesNotJoinAbandonedJob: once its last waiter has left, a
+// job is cancelled but may take a while to unwind; an identical request
+// arriving in that window starts a computation of its own rather than
+// joining the doomed one and inheriting its context.Canceled.
+func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
+	c := NewCache(CacheConfig{})
+	inline := func(fn func()) bool { go fn(); return true }
+	unwind := make(chan struct{}) // holds the abandoned computation in flight
+	unwound := make(chan struct{})
+	doomed := func(ctx context.Context) ([]byte, error) {
+		defer close(unwound)
+		<-ctx.Done()
+		<-unwind
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := c.Do(ctx, "k", inline, doomed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller: %v, want its own context.Canceled", err)
+	}
+	// The deadline only bounds the failure: joined to the abandoned job,
+	// the retry would wait on it for ever.
+	retry, stop := context.WithTimeout(context.Background(), 2*time.Second)
+	defer stop()
+	body, outcome, err := c.Do(retry, "k", inline, func(context.Context) ([]byte, error) {
+		return []byte("mine"), nil
+	})
+	if err != nil || string(body) != "mine" || outcome != OutcomeMiss {
+		t.Fatalf("retry beside the abandoned job: %q %v %v, want its own result as a miss", body, outcome, err)
+	}
+	// The abandoned job's late return must not disturb what replaced it.
+	close(unwind)
+	<-unwound
+	if body, outcome, err = c.Do(context.Background(), "k", inline, nil); err != nil || string(body) != "mine" || outcome != OutcomeHit {
+		t.Fatalf("after the abandoned job returned: %q %v %v, want the retry's artifact as a hit", body, outcome, err)
 	}
 }
