@@ -39,8 +39,8 @@ func TestDistSolverMatchesSerialSolution(t *testing.T) {
 				if !res.Converged {
 					return fmt.Errorf("p=%d rank %d: not converged: %+v", p, c.Rank(), res)
 				}
-				// Collect at rank 0 via gather for comparison.
-				all := c.Gather(0, x)
+				// Collect at rank 0 for comparison.
+				all := c.Allgather(x)
 				if c.Rank() == 0 {
 					i := 0
 					for _, part := range all {

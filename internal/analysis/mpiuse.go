@@ -18,11 +18,9 @@ var MPIUse = &Analyzer{
 
 // collectiveMethods are the Comm methods every member rank must call.
 var collectiveMethods = map[string]bool{
-	"Barrier": true, "Bcast": true, "Reduce": true,
+	"Barrier": true, "Bcast": true,
 	"Allreduce": true, "AllreduceScalar": true, "AllreduceInt": true,
-	"Gather": true, "GatherInts": true, "Allgather": true, "AllgatherInts": true,
-	"Alltoallv": true, "AlltoallvInts": true, "Scatter": true,
-	"ExscanSum": true, "Split": true, "Dup": true,
+	"Allgather": true, "Alltoallv": true,
 }
 
 // rankWordIdents are bare identifier names treated as holding a rank even

@@ -18,11 +18,12 @@ func foldDigests(ds []uint64) uint64 {
 }
 
 // TestGoldenCoupledDigests pins the virtual elapsed time and the folded
-// final-state digests of three coupled scenarios. The values were
+// final-state digests of four coupled scenarios. The first three were
 // captured at the last commit that still had two rank executors and
-// three collective implementations, where all of them agreed; with the
-// second executor gone they are the fixed reference later refactors of
-// the runtime are held to. A change that moves one on purpose (a
+// three collective implementations, where all of them agreed; the FEM
+// row at the last commit whose messages still carried []int payloads.
+// They are the fixed reference later refactors of the runtime are held
+// to. A change that moves one on purpose (a
 // different algorithm's virtual cost, say) updates it and says why.
 func TestGoldenCoupledDigests(t *testing.T) {
 	for _, g := range []struct {
@@ -51,6 +52,10 @@ func TestGoldenCoupledDigests(t *testing.T) {
 			}
 			return res.Report, nil
 		}, 1.0347740439477486, 0x988a468483055488},
+		// The FEM casing's sparse.Dist set-up exchanges its halo row
+		// requests through Alltoallv; this row pins that path.
+		{"fem-casing", func() (*Report, error) { return femCasingSim().Run(runCfg()) },
+			0.004426933929684043, 0x2c39384e3bc2bd1a},
 	} {
 		rep, err := g.run()
 		if err != nil {

@@ -176,10 +176,11 @@ func TestOverlapIncreasesCouplingCost(t *testing.T) {
 	}
 }
 
-func TestFEMCasingCoupling(t *testing.T) {
-	// CFD row thermally coupled to the casing FEM: the paper's stated
-	// extension (conclusions: coupled CFD + Combustion + Structural).
-	s := &Simulation{
+// femCasingSim is a CFD row thermally coupled to the casing FEM: the
+// paper's stated extension (conclusions: coupled CFD + Combustion +
+// Structural).
+func femCasingSim() *Simulation {
+	return &Simulation{
 		Instances: []InstanceSpec{
 			{Name: "row", Kind: KindMGCFD, MeshCells: 4096, Ranks: 3, Seed: 1},
 			{Name: "casing", Kind: KindFEM, MeshCells: 500, Ranks: 2, Seed: 2},
@@ -192,7 +193,10 @@ func TestFEMCasingCoupling(t *testing.T) {
 		RotationPerStep: 0.001,
 		Scale:           Scale{MaxPointsPerSide: 128},
 	}
-	rep, err := s.Run(runCfg())
+}
+
+func TestFEMCasingCoupling(t *testing.T) {
+	rep, err := femCasingSim().Run(runCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

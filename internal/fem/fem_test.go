@@ -198,7 +198,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 					return err
 				}
 			}
-			all := c.Gather(0, s.T)
+			all := c.Allgather(s.T)
 			if c.Rank() == 0 {
 				i := 0
 				for _, part := range all {

@@ -94,6 +94,24 @@ func TestCancelMidExchange(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// TestCancelAlreadyClosed: a Cancel channel closed before Run starts must
+// cancel every time, even when the ranks never block and would finish
+// before a watcher goroutine could be scheduled.
+func TestCancelAlreadyClosed(t *testing.T) {
+	cancel := make(chan struct{})
+	close(cancel)
+	cfg := Config{Machine: cluster.SmallCluster(), Cancel: cancel}
+	for i := 0; i < 1000; i++ {
+		_, err := Run(2, cfg, func(c *Comm) error {
+			c.ComputeSeconds(1e-6)
+			return nil
+		})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("run %d: err = %v, want ErrCanceled", i, err)
+		}
+	}
+}
+
 // TestCancelNeverFiredIsFree: a Run given a Cancel channel that stays
 // open must complete normally and reap its watcher goroutine.
 func TestCancelNeverFiredIsFree(t *testing.T) {

@@ -2,7 +2,7 @@ package mpi
 
 import "fmt"
 
-// Op is a reduction operator for Reduce/Allreduce.
+// Op is a reduction operator for Allreduce.
 type Op int
 
 // Reduction operators.
@@ -57,8 +57,8 @@ func (c *Comm) Barrier() {
 	for k := 1; k < p; k *= 2 {
 		to := (c.rank + k) % p
 		from := (c.rank - k + p) % p
-		c.sendRaw(to, tagCollective, nil)
-		c.recvRaw(from, tagCollective)
+		c.Send(to, tagCollective, nil)
+		c.Recv(from, tagCollective)
 	}
 }
 
@@ -91,36 +91,6 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 		}
 	}
 	return data
-}
-
-// Reduce combines data element-wise across ranks with op, delivering the
-// result at root (nil elsewhere). Binomial-tree reduction.
-func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
-	defer c.proc.pushOp("reduce")()
-	p := c.Size()
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	if p == 1 {
-		if c.rank == root {
-			return acc
-		}
-		return nil
-	}
-	vrank := (c.rank - root + p) % p
-	for k := 1; k < p; k *= 2 {
-		if vrank&k != 0 {
-			parent := ((vrank &^ k) + root) % p
-			c.Send(parent, tagCollective, acc)
-			return nil
-		}
-		childV := vrank | k
-		if childV < p {
-			child, _, _ := c.Recv((childV+root)%p, tagCollective)
-			op.apply(acc, child)
-			c.Release(child)
-		}
-	}
-	return acc
 }
 
 // Allreduce combines data element-wise across all ranks with op and
@@ -177,52 +147,6 @@ func (c *Comm) AllreduceScalar(x float64, op Op) float64 {
 // AllreduceInt reduces a single int across all ranks.
 func (c *Comm) AllreduceInt(x int, op Op) int {
 	return int(c.AllreduceScalar(float64(x), op))
-}
-
-// Gather collects each rank's slice at root, returned as one slice per
-// source rank in rank order (nil on non-roots). Linear gather; payload
-// sizes may differ per rank.
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	defer c.proc.pushOp("gather")()
-	p := c.Size()
-	if c.rank != root {
-		c.Send(root, tagCollective, data)
-		return nil
-	}
-	out := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		if r == root {
-			cp := make([]float64, len(data))
-			copy(cp, data)
-			out[r] = cp
-			continue
-		}
-		d, _, _ := c.Recv(r, tagCollective)
-		out[r] = d
-	}
-	return out
-}
-
-// GatherInts collects each rank's int slice at root.
-func (c *Comm) GatherInts(root int, data []int) [][]int {
-	defer c.proc.pushOp("gather")()
-	p := c.Size()
-	if c.rank != root {
-		c.SendInts(root, tagCollective, data)
-		return nil
-	}
-	out := make([][]int, p)
-	for r := 0; r < p; r++ {
-		if r == root {
-			cp := make([]int, len(data))
-			copy(cp, data)
-			out[r] = cp
-			continue
-		}
-		d, _, _ := c.RecvInts(r, tagCollective)
-		out[r] = d
-	}
-	return out
 }
 
 // Allgather collects every rank's slice on every rank, returned in rank
@@ -286,49 +210,6 @@ func unpackBlocks(buf []float64) [][]float64 {
 	return out
 }
 
-// AllgatherInts collects every rank's int slice on every rank (Bruck).
-func (c *Comm) AllgatherInts(data []int) [][]int {
-	defer c.proc.pushOp("allgather")()
-	p := c.Size()
-	blocks := make([][]int, 1, p)
-	cp := make([]int, len(data))
-	copy(cp, data)
-	blocks[0] = cp
-	for k := 1; k < p; k *= 2 {
-		cnt := k
-		if p-k < cnt {
-			cnt = p - k
-		}
-		total := 1
-		for _, b := range blocks[:cnt] {
-			total += 1 + len(b)
-		}
-		buf := make([]int, 0, total)
-		buf = append(buf, cnt)
-		for _, b := range blocks[:cnt] {
-			buf = append(buf, len(b))
-			buf = append(buf, b...)
-		}
-		to := (c.rank - k + p) % p
-		from := (c.rank + k) % p
-		c.SendInts(to, tagCollective, buf)
-		d, _, _ := c.RecvInts(from, tagCollective)
-		n := d[0]
-		pos := 1
-		for i := 0; i < n; i++ {
-			l := d[pos]
-			pos++
-			blocks = append(blocks, d[pos:pos+l:pos+l])
-			pos += l
-		}
-	}
-	out := make([][]int, p)
-	for i, b := range blocks {
-		out[(c.rank+i)%p] = b
-	}
-	return out
-}
-
 // Alltoallv exchanges send[i] to rank i from every rank, returning the
 // slice received from each rank. Pairwise-exchange schedule: p-1 steps,
 // step s pairing rank with rank+s and rank-s.
@@ -352,62 +233,24 @@ func (c *Comm) Alltoallv(send [][]float64) [][]float64 {
 	return out
 }
 
-// AlltoallvInts is Alltoallv for int payloads.
-func (c *Comm) AlltoallvInts(send [][]int) [][]int {
-	defer c.proc.pushOp("alltoallv")()
-	p := c.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("mpi: AlltoallvInts needs %d send buffers, got %d", p, len(send)))
+// HaloExchange performs the standard neighbour exchange: for each
+// neighbour i, send sendBufs[i] and receive that neighbour's buffer.
+// neighbours lists peer ranks in c; returns received data per neighbour
+// index. Tags are derived from `tag` so multiple exchanges can be in
+// flight on distinct tags.
+func (c *Comm) HaloExchange(tag int, neighbours []int, sendBufs [][]float64) [][]float64 {
+	defer c.proc.pushOp("halo_exchange")()
+	if len(neighbours) != len(sendBufs) {
+		panic(fmt.Sprintf("mpi: HaloExchange: %d neighbours but %d buffers", len(neighbours), len(sendBufs)))
 	}
-	out := make([][]int, p)
-	cp := make([]int, len(send[c.rank]))
-	copy(cp, send[c.rank])
-	out[c.rank] = cp
-	for step := 1; step < p; step++ {
-		to := (c.rank + step) % p
-		from := (c.rank - step + p) % p
-		c.SendInts(to, tagCollective, send[to])
-		d, _, _ := c.RecvInts(from, tagCollective)
-		out[from] = d
+	for i, nb := range neighbours {
+		c.Send(nb, tag, sendBufs[i])
+	}
+	// Sends are eager, so every receive can follow them, in neighbour
+	// order.
+	out := make([][]float64, len(neighbours))
+	for i, nb := range neighbours {
+		out[i], _, _ = c.Recv(nb, tag)
 	}
 	return out
-}
-
-// Scatter distributes parts[i] from root to rank i (linear). Every rank
-// returns its own part; non-root callers pass nil parts.
-func (c *Comm) Scatter(root int, parts [][]float64) []float64 {
-	defer c.proc.pushOp("scatter")()
-	p := c.Size()
-	if c.rank == root {
-		if len(parts) != p {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", p, len(parts)))
-		}
-		for r := 0; r < p; r++ {
-			if r != root {
-				c.Send(r, tagCollective, parts[r])
-			}
-		}
-		cp := make([]float64, len(parts[root]))
-		copy(cp, parts[root])
-		return cp
-	}
-	d, _, _ := c.Recv(root, tagCollective)
-	return d
-}
-
-// ExscanSum returns the exclusive prefix sum of x across ranks (rank 0
-// gets 0). Linear chain; used for global numbering.
-func (c *Comm) ExscanSum(x float64) float64 {
-	defer c.proc.pushOp("exscan")()
-	p := c.Size()
-	acc := 0.0
-	if c.rank > 0 {
-		d, _, _ := c.Recv(c.rank-1, tagCollective)
-		acc = d[0]
-		c.Release(d)
-	}
-	if c.rank < p-1 {
-		c.Send(c.rank+1, tagCollective, []float64{acc + x})
-	}
-	return acc
 }

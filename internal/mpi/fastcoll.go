@@ -138,16 +138,12 @@ func (w *World) waitSet() string {
 		b.mu.Lock()
 		if b.waiting {
 			if blocked++; blocked <= show {
-				src, tag := "any", "any"
+				src, tag := "any", fmt.Sprint(b.wantTag)
 				if b.wantSrc != AnySource {
 					src = fmt.Sprint(b.wantSrc)
 				}
-				switch b.wantTag {
-				case AnyTag:
-				case tagCollective:
+				if b.wantTag == tagCollective {
 					tag = "collective"
-				default:
-					tag = fmt.Sprint(b.wantTag)
 				}
 				recvs = append(recvs, fmt.Sprintf("%d←%s/%s", r, src, tag))
 			}

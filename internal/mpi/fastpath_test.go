@@ -16,7 +16,7 @@ import (
 
 // mixedProgram exercises every replayed collective interleaved with
 // imbalanced compute and point-to-point traffic, on the world
-// communicator and on a Split-derived subcommunicator, with non-zero
+// communicator and on RangeComm halves, with non-zero
 // Bcast roots on both and a CheckpointSync (an Allreduce under an outer
 // op label). Per-rank results are reduced into the returned checksum
 // slice so value identity is checked alongside clock identity.
@@ -40,7 +40,14 @@ func mixedProgram(sums []float64) func(*Comm) error {
 		}
 		check += c.CheckpointSync(1e-5 * float64(r+1))
 		if p > 1 {
-			sub := c.Split(r%2, r)
+			// Two contiguous halves, the lower one the smaller for odd p.
+			half := p / 2
+			var sub *Comm
+			if r < half {
+				sub = c.RangeComm(0, 0, half)
+			} else {
+				sub = c.RangeComm(1, half, p-half)
+			}
 			c.ComputeSeconds(1e-5 * float64(r+1))
 			got := sub.Allreduce([]float64{check}, Sum)
 			check += got[0]
@@ -158,7 +165,7 @@ var observers = []struct {
 // metric series, the flight recorder — a run on the analytic replay and a
 // run on real messages must agree on every clock, every result and every
 // recorded artifact, at every host parallelism, including
-// non-power-of-two sizes (the allreduce fold) and Split subcommunicators.
+// non-power-of-two sizes (the allreduce fold) and RangeComm halves.
 func TestReplayMatchesMessageLevelReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sizes := []int{1, 2, 3, 8, 13, 64}

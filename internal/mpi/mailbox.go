@@ -11,10 +11,10 @@ import (
 // queue is indexed by exactly that key: each (ctx, src, tag) triple owns
 // a small FIFO bucket, and an exact-match receive is a map hit plus a
 // head pop instead of the linear scan over every pending message the
-// first implementation used. Wildcard receives (AnySource/AnyTag) pick
-// the pending message with the smallest arrival sequence number among
-// matching bucket heads, which reproduces the old scan-in-arrival-order
-// semantics exactly.
+// first implementation used. AnySource receives pick the pending message
+// with the smallest arrival sequence number among the heads of the
+// buckets with their (ctx, tag), which reproduces the old
+// scan-in-arrival-order semantics exactly.
 //
 // Each mailbox has a single consumer (only the owning rank receives from
 // it), so the wait protocol is a targeted wakeup: the receiver publishes
@@ -98,7 +98,7 @@ func (b *mailbox) putBucket(bk *bucket) {
 }
 
 func match(src, tag int, m *message) bool {
-	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+	return (src == AnySource || m.src == src) && m.tag == tag
 }
 
 // put delivers a message, waking the receiver only if it is blocked on a
@@ -138,7 +138,7 @@ func (b *mailbox) tryTake(ctx, src, tag int) *message {
 	if b.pending == 0 {
 		return nil
 	}
-	if src != AnySource && tag != AnyTag {
+	if src != AnySource {
 		k := bkey{ctx, src, tag}
 		bk := b.buckets[k]
 		if bk == nil {
@@ -152,18 +152,12 @@ func (b *mailbox) tryTake(ctx, src, tag int) *message {
 		b.pending--
 		return m
 	}
-	// Wildcard: earliest arrival among matching bucket heads. Map
+	// AnySource: earliest arrival among matching bucket heads. Map
 	// iteration order is random, but the min-seq winner is not.
 	var best *bucket
 	var bestKey bkey
 	for k, bk := range b.buckets {
-		if k.ctx != ctx || bk.empty() {
-			continue
-		}
-		if src != AnySource && k.src != src {
-			continue
-		}
-		if tag != AnyTag && k.tag != tag {
+		if k.ctx != ctx || k.tag != tag || bk.empty() {
 			continue
 		}
 		if best == nil || bk.msgs[bk.head].seq < best.msgs[best.head].seq {

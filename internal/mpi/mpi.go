@@ -46,24 +46,19 @@ const (
 	TagUser = tagCollective
 )
 
-// AnyTag matches a message with any tag in Recv.
-const AnyTag = -1
-
 // AnySource matches a message from any source rank in Recv.
 const AnySource = -1
 
-// message is an in-flight point-to-point message. Float payloads travel
-// in the dedicated f64 field so the dominant Send/Recv path never boxes
-// a slice into an interface; []int and []byte use the generic payload
-// field. Structs are pooled (pool.go): the receive that consumes a
-// message returns it for reuse.
+// message is an in-flight point-to-point message. Every payload is a
+// []float64 — the sender's private copy, nil for a control message.
+// Structs are pooled (pool.go): the receive that consumes a message
+// returns it for reuse.
 type message struct {
 	ctx       int       // communicator context id
 	src       int       // source rank within the communicator
 	srcWorld  int       // source world rank (for tracing/causality)
 	tag       int       // message tag
-	f64       []float64 // float payload (a private copy), nil otherwise
-	payload   any       // []int or []byte payload (a private copy)
+	data      []float64 // payload (a private copy)
 	bytes     int       // payload size used for network cost
 	departure float64   // virtual time the message left the sender
 	arrival   float64   // virtual time the message reaches the receiver
@@ -95,10 +90,6 @@ type World struct {
 	deadMu sync.Mutex
 	deadAt []float64
 
-	ctxMu   sync.Mutex
-	ctxs    map[ctxKey]int
-	nextCtx int
-
 	stMu     sync.Mutex
 	stations map[int]*station // analytic-collective rendezvous, by ctx
 
@@ -110,10 +101,6 @@ type World struct {
 	failMu   sync.Mutex
 	finished bool  // set once all ranks returned; silences the watchdog
 	failErr  error // watchdog (or other runtime-level) failure
-}
-
-type ctxKey struct {
-	parent, gen, color int
 }
 
 func (w *World) aborted() bool { return w.abort.Load() }
@@ -175,21 +162,6 @@ func (w *World) fail(err error) {
 	w.failErr = err
 	w.failMu.Unlock()
 	w.setAborted()
-}
-
-// contextFor deterministically assigns a fresh context id for a split,
-// identified by (parent ctx, per-comm split generation, color). All member
-// ranks look up the same key and receive the same id.
-func (w *World) contextFor(parent, gen, color int) int {
-	w.ctxMu.Lock()
-	defer w.ctxMu.Unlock()
-	k := ctxKey{parent, gen, color}
-	if id, ok := w.ctxs[k]; ok {
-		return id
-	}
-	w.nextCtx++
-	w.ctxs[k] = w.nextCtx
-	return w.nextCtx
 }
 
 // commCell accumulates one row entry of the rank×rank comm matrix.
@@ -349,7 +321,7 @@ func (p *proc) waitUntil(srcWorld, bytes, tag int, departure, arrival float64) {
 // postSend is the sender's half of one message: the CPU overhead charge,
 // the comm-matrix cell, the message counters and the flight record. It
 // returns the virtual times the message departs and arrives. Real sends
-// (finishSend) and the replayed collectives (fastcoll.go) both go
+// (send) and the replayed collectives (fastcoll.go) both go
 // through it and completeRecv, so every observer sees the same message
 // whether or not one travelled.
 func (p *proc) postSend(dstWorld, bytes, tag int) (departure, arrival float64) {
@@ -406,10 +378,11 @@ func (p *proc) countMessage(dstWorld, bytes int) {
 var sharedNoop = func() {}
 
 // pushOp labels subsequent events with a collective-operation name until
-// the returned function is called. The outermost label wins (a Split's
-// internal allgather stays labelled "comm_split"). The outermost entry
-// is also where the metrics collective counter and the flight recorder
-// see the operation — nested building blocks are not double-counted.
+// the returned function is called. The outermost label wins (the
+// allreduce inside CheckpointSync stays labelled "checkpoint"). The
+// outermost entry is also where the metrics collective counter and the
+// flight recorder see the operation — nested building blocks are not
+// double-counted.
 func (p *proc) pushOp(name string) func() {
 	if p.op != "" || (p.timeline == nil && p.metrics == nil && p.flight == nil) {
 		return sharedNoop
@@ -427,21 +400,17 @@ func (p *proc) pushOp(name string) func() {
 	return p.popOp
 }
 
-// Comm is a communicator: a group of ranks with a private message-matching
-// context. The world communicator covers all ranks; Split derives subsets.
+// Comm is a communicator: the contiguous world ranks [base, base+size)
+// with a private message-matching context. The world communicator covers
+// all ranks (context 0); RangeComm derives the others. The range needs
+// O(1) memory per rank, which matters at the paper's 40,000-rank scale.
 type Comm struct {
 	world *World
 	proc  *proc
 	ctx   int
-	rank  int   // rank within this communicator
-	group []int // group[i] = world rank of communicator rank i; nil = identity/range
-	// Contiguous-range groups (RangeComm): world rank = base + rank,
-	// with `size` members. Used instead of `group` so huge communicators
-	// need O(1) memory per rank. base=0,size=0 with nil group means the
-	// world communicator.
-	base     int
-	size     int
-	splitGen int // number of Splits performed on this comm (for ctx derivation)
+	rank  int // rank within this communicator; world rank = base + rank
+	base  int
+	size  int
 	// station caches this communicator's collective rendezvous
 	// station (lazily resolved), so repeated collectives skip the
 	// stations-map lock. Per-rank like the Comm itself.
@@ -452,25 +421,39 @@ type Comm struct {
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int {
-	if c.group != nil {
-		return len(c.group)
-	}
-	if c.size > 0 {
-		return c.size
-	}
-	return c.world.size
-}
+func (c *Comm) Size() int { return c.size }
 
 // WorldRank returns the caller's rank in the world communicator.
 func (c *Comm) WorldRank() int { return c.proc.worldRank }
 
 // worldRankOf maps a communicator rank to its world rank.
-func (c *Comm) worldRankOf(r int) int {
-	if c.group != nil {
-		return c.group[r]
+func (c *Comm) worldRankOf(r int) int { return c.base + r }
+
+// RangeComm returns a communicator over the contiguous world ranks
+// [base, base+size) without any communication, like
+// MPI_Comm_create_group over a range. Every member must call it on the
+// world communicator with the same groupID (>= 0) and range; groupIDs
+// must be unique per distinct group within a run. The caller must be a
+// member.
+func (c *Comm) RangeComm(groupID, base, size int) *Comm {
+	if c.ctx != 0 {
+		panic("mpi: RangeComm must be called on the world communicator")
 	}
-	return c.base + r
+	w := c.proc.worldRank
+	if w < base || w >= base+size {
+		panic(fmt.Sprintf("mpi: RangeComm caller %d outside [%d,%d)", w, base, base+size))
+	}
+	if groupID < 0 {
+		panic("mpi: RangeComm groupID must be non-negative")
+	}
+	return &Comm{
+		world: c.world,
+		proc:  c.proc,
+		ctx:   -(1 + groupID), // negative, so never the world's 0
+		rank:  w - base,
+		base:  base,
+		size:  size,
+	}
 }
 
 // Machine returns the cluster model the world runs on.
@@ -563,75 +546,27 @@ func (c *Comm) CheckpointSync(cost float64) float64 {
 	return t
 }
 
-// payloadBytes reports the wire size of a supported generic payload.
-// Float payloads never pass through here: they travel in message.f64 via
-// sendF64, avoiding the interface boxing.
-func payloadBytes(data any) int {
-	switch d := data.(type) {
-	case []int:
-		return 8 * len(d)
-	case []byte:
-		return len(d)
-	case nil:
-		return 0
-	default:
-		panic(fmt.Sprintf("mpi: unsupported payload type %T", data))
-	}
-}
-
-// clonePayload copies the payload so sender and receiver never alias.
-func clonePayload(data any) any {
-	switch d := data.(type) {
-	case []int:
-		out := make([]int, len(d))
-		copy(out, d)
-		return out
-	case []byte:
-		out := make([]byte, len(d))
-		copy(out, d)
-		return out
-	case nil:
-		return nil
-	default:
-		panic(fmt.Sprintf("mpi: unsupported payload type %T", data))
-	}
-}
-
 func (c *Comm) checkPeer(r int, op string) {
 	if r < 0 || r >= c.Size() {
 		panic(fmt.Sprintf("mpi: %s: rank %d out of range [0,%d)", op, r, c.Size()))
 	}
 }
 
-// finishSend stamps virtual times onto a prepared message and delivers
-// it. chargedBytes is the wire size used for both the CPU overhead
-// accounting and the network delay; it normally equals the payload size
-// but SendVirtual substitutes the modelled full-scale size. This is the
-// single implementation behind Send, SendInts, SendBytes and
-// SendVirtual.
-func (c *Comm) finishSend(to, tag int, m *message, chargedBytes int) {
+// send is the one eager buffered send behind Send and SendVirtual: the
+// payload is cloned into a buffer from the rank's free list, stamped with
+// its virtual departure and arrival times and delivered. chargedBytes is
+// the wire size used for both the CPU overhead accounting and the
+// network delay; Send charges the payload's size, SendVirtual the
+// modelled full-scale size.
+func (c *Comm) send(to, tag int, data []float64, chargedBytes int, op string) {
+	c.checkPeer(to, op)
 	dstWorld := c.worldRankOf(to)
+	m := getMessage()
+	m.data = c.proc.arena.clone(data)
 	m.departure, m.arrival = c.proc.postSend(dstWorld, chargedBytes, tag)
 	m.ctx, m.src, m.srcWorld, m.tag = c.ctx, c.rank, c.proc.worldRank, tag
 	m.bytes = chargedBytes
 	c.world.boxes[dstWorld].put(m)
-}
-
-// sendF64 is the float64 fast path: the clone goes into a buffer from
-// the rank's free list and the slice never passes through an interface.
-func (c *Comm) sendF64(to, tag int, data []float64, chargedBytes int, op string) {
-	c.checkPeer(to, op)
-	m := getMessage()
-	m.f64 = c.proc.arena.clone(data)
-	c.finishSend(to, tag, m, chargedBytes)
-}
-
-// sendRaw performs an eager buffered send of an []int or []byte payload.
-func (c *Comm) sendRaw(to, tag int, data any) {
-	c.checkPeer(to, "Send")
-	m := getMessage()
-	m.payload = clonePayload(data)
-	c.finishSend(to, tag, m, payloadBytes(data))
 }
 
 // failPeer surfaces a peer's death ULFM-style: the survivor's clock
@@ -695,38 +630,32 @@ func (c *Comm) anySourceFailure() *fault.RankFailure {
 	return &fault.RankFailure{Rank: last, FailedAt: lastAt}
 }
 
-// recvRaw blocks for a matching message and advances the virtual clock.
-// The returned message must be handed back via releaseMessage once its
-// payload has been taken. Under a fault plan, a receive from a dead rank
-// with no pending message fails via failPeer; pending messages are
-// always drained first (a rank that sent before dying still delivers).
-func (c *Comm) recvRaw(from, tag int) *message {
+// Send transmits a []float64 to rank `to` with the given tag. A nil data
+// sends a control message of zero bytes.
+func (c *Comm) Send(to, tag int, data []float64) {
+	c.send(to, tag, data, 8*len(data), "Send")
+}
+
+// Recv receives a []float64 from rank `from` (or AnySource) with the
+// given tag. It blocks until a matching message exists, advances the
+// virtual clock to its arrival and returns the payload, its source rank
+// and tag. The receiver owns the payload until it releases it (Release).
+// Under a fault plan, a receive from a dead rank with no pending message
+// unwinds with a *fault.RankFailure after the plan's detection latency;
+// pending messages are always drained first (a rank that sent before
+// dying still delivers).
+func (c *Comm) Recv(from, tag int) ([]float64, int, int) {
 	if from != AnySource {
 		c.checkPeer(from, "Recv")
 	}
-	msg, rf := c.world.boxes[c.proc.worldRank].take(c.world, c.ctx, from, tag, c.deadCheckFor(from))
+	m, rf := c.world.boxes[c.proc.worldRank].take(c.world, c.ctx, from, tag, c.deadCheckFor(from))
 	if rf != nil {
 		c.failPeer(rf)
 	}
-	c.proc.completeRecv(msg.srcWorld, msg.bytes, msg.tag, msg.departure, msg.arrival)
-	return msg
-}
-
-// recvF64 receives a float payload, returning the message struct to the
-// pool.
-func (c *Comm) recvF64(from, tag int) ([]float64, int, int) {
-	m := c.recvRaw(from, tag)
-	if m.payload != nil {
-		panic(fmt.Sprintf("mpi: Recv type mismatch: got %T, want []float64", m.payload))
-	}
-	d, src, mtag := m.f64, m.src, m.tag
+	c.proc.completeRecv(m.srcWorld, m.bytes, m.tag, m.departure, m.arrival)
+	d, src, mtag := m.data, m.src, m.tag
 	releaseMessage(m)
 	return d, src, mtag
-}
-
-// Send transmits a []float64 to rank `to` with the given tag.
-func (c *Comm) Send(to, tag int, data []float64) {
-	c.sendF64(to, tag, data, 8*len(data), "Send")
 }
 
 // arrived is one message of a RecvAll batch.
@@ -765,10 +694,7 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 			// dead; unwind like any receive from a dead peer.
 			c.failPeer(rf)
 		}
-		if m.payload != nil {
-			panic(fmt.Sprintf("mpi: RecvAll type mismatch: got %T, want []float64", m.payload))
-		}
-		msgs = append(msgs, arrived{m.src, m.srcWorld, m.bytes, m.arrival, m.f64})
+		msgs = append(msgs, arrived{m.src, m.srcWorld, m.bytes, m.arrival, m.data})
 		if i == 0 || m.arrival > latest.arrival {
 			latest = *m
 		}
@@ -817,64 +743,13 @@ func (c *Comm) Release(buf []float64) { c.proc.arena.release(buf) }
 // SendVirtual transmits data but charges the network cost of
 // virtualBytes instead of the payload's real size. Mini-apps running
 // scaled-down working sets use it so message costs reflect the true
-// problem size (DESIGN.md §5.2). Like every Send*, it copies data before
+// problem size (DESIGN.md §5.2). Like Send, it copies data before
 // it returns, so the sender keeps data and may overwrite or reuse it at
 // once — halo pack buffers are kept and refilled on that guarantee — and
 // the receiver owns the copy it is handed. A nil data sends no payload
 // at the same virtual cost.
 func (c *Comm) SendVirtual(to, tag int, data []float64, virtualBytes int) {
-	c.sendF64(to, tag, data, virtualBytes, "SendVirtual")
-}
-
-// Recv receives a []float64 from rank `from` (or AnySource) with the given
-// tag (or AnyTag). It returns the payload, its source rank and tag. The
-// receiver owns the payload until it releases it (Release).
-func (c *Comm) Recv(from, tag int) ([]float64, int, int) {
-	return c.recvF64(from, tag)
-}
-
-// SendInts transmits a []int.
-func (c *Comm) SendInts(to, tag int, data []int) { c.sendRaw(to, tag, data) }
-
-// RecvInts receives a []int.
-func (c *Comm) RecvInts(from, tag int) ([]int, int, int) {
-	m := c.recvRaw(from, tag)
-	if m.f64 != nil {
-		panic("mpi: RecvInts type mismatch: got []float64, want []int")
-	}
-	d, ok := m.payload.([]int)
-	if !ok && m.payload != nil {
-		panic(fmt.Sprintf("mpi: RecvInts type mismatch: got %T, want []int", m.payload))
-	}
-	src, mtag := m.src, m.tag
-	releaseMessage(m)
-	return d, src, mtag
-}
-
-// SendBytes transmits a raw []byte.
-func (c *Comm) SendBytes(to, tag int, data []byte) { c.sendRaw(to, tag, data) }
-
-// RecvBytes receives a raw []byte.
-func (c *Comm) RecvBytes(from, tag int) ([]byte, int, int) {
-	m := c.recvRaw(from, tag)
-	if m.f64 != nil {
-		panic("mpi: RecvBytes type mismatch: got []float64, want []byte")
-	}
-	d, ok := m.payload.([]byte)
-	if !ok && m.payload != nil {
-		panic(fmt.Sprintf("mpi: RecvBytes type mismatch: got %T, want []byte", m.payload))
-	}
-	src, mtag := m.src, m.tag
-	releaseMessage(m)
-	return d, src, mtag
-}
-
-// SendRecv sends to `to` and receives from `from` in one step, the staple
-// of halo exchanges. Because sends are eager this cannot deadlock.
-func (c *Comm) SendRecv(to, sendTag int, send []float64, from, recvTag int) []float64 {
-	c.Send(to, sendTag, send)
-	data, _, _ := c.Recv(from, recvTag)
-	return data
+	c.send(to, tag, data, virtualBytes, "SendVirtual")
 }
 
 // Stats summarises a completed run.
@@ -950,9 +825,6 @@ func (s *Stats) Summary() *trace.RunSummary {
 	return sum
 }
 
-// MaxCompute returns the largest per-rank compute time.
-func (s *Stats) MaxCompute() float64 { return maxOf(s.Compute) }
-
 // AvgCompute returns the mean per-rank compute time.
 func (s *Stats) AvgCompute() float64 {
 	if s.Ranks == 0 {
@@ -983,16 +855,6 @@ func (s *Stats) MergedProfile() *trace.Profile {
 		return nil
 	}
 	return trace.MergeAll(s.Profiles)
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 func sumOf(xs []float64) float64 {
@@ -1039,8 +901,9 @@ type Config struct {
 	// goroutines unwind, and Run returns ErrCanceled (with partial
 	// Stats, like any other aborted run). This is how the serving
 	// layer plumbs an HTTP request context into a simulation — pass
-	// ctx.Done(). Cancellation is a host-side race against completion
-	// by design; a run that finishes first returns normally.
+	// ctx.Done(). A channel already closed when Run starts always
+	// cancels; otherwise cancellation is a host-side race against
+	// completion by design, and a run that finishes first returns normally.
 	Cancel <-chan struct{}
 	// Metrics enables the opt-in virtual-time metrics sampler: per-rank
 	// counters and gauges sampled at fixed virtual-time intervals into
@@ -1106,7 +969,6 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stat
 		machine:  m,
 		boxes:    make([]*mailbox, size),
 		procs:    make([]*proc, size),
-		ctxs:     make(map[ctxKey]int),
 		stations: make(map[int]*station),
 		shared:   make(map[any]*sharedEntry),
 		plan:     plan,
@@ -1172,21 +1034,29 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stat
 	}
 
 	if cfg.Cancel != nil {
-		// The watcher reuses the watchdog's abort path: fail() marks the
-		// world aborted and interrupts every mailbox and station, so
-		// blocked ranks panic with errAborted and unwind. fail() is a
-		// no-op once the run has finished, so a cancellation that loses
-		// the race against completion changes nothing. The stop channel
-		// (closed via defer, after wg.Wait) reaps the watcher itself.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-cfg.Cancel:
-				w.fail(ErrCanceled)
-			case <-stop:
-			}
-		}()
+		select {
+		case <-cfg.Cancel:
+			// Already closed: fail before any rank starts, so the run
+			// returns ErrCanceled even when its ranks would finish before
+			// a watcher goroutine got scheduled.
+			w.fail(ErrCanceled)
+		default:
+			// The watcher reuses the watchdog's abort path: fail() marks
+			// the world aborted and interrupts every mailbox and station,
+			// so blocked ranks panic with errAborted and unwind. fail() is
+			// a no-op once the run has finished, so a cancellation that
+			// loses the race against completion changes nothing. The stop
+			// channel (closed via defer, after wg.Wait) reaps the watcher.
+			stop := make(chan struct{})
+			defer close(stop)
+			go func() {
+				select {
+				case <-cfg.Cancel:
+					w.fail(ErrCanceled)
+				case <-stop:
+				}
+			}()
+		}
 	}
 
 	errs := make([]error, size)
@@ -1322,7 +1192,7 @@ func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
 		w.setAborted()
 	}()
 	comm := &w.wcomms[rank]
-	*comm = Comm{world: w, proc: w.procs[rank], ctx: 0, rank: rank}
+	*comm = Comm{world: w, proc: w.procs[rank], ctx: 0, rank: rank, size: w.size}
 	if err := fn(comm); err != nil {
 		var rf *fault.RankFailure
 		if errors.As(err, &rf) {

@@ -81,14 +81,24 @@ func TestTagAndSourceMatching(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 3, []float64{1})
-		} else {
-			d, src, tag := c.Recv(AnySource, AnyTag)
-			if src != 0 || tag != 3 || d[0] != 1 {
-				return fmt.Errorf("wildcard recv got %v src %d tag %d", d, src, tag)
+// TestAnySourceRecv: a wildcard-source receive matches on the tag alone
+// and reports the sender; a message with another tag waits its turn, even
+// when it was queued first.
+func TestAnySourceRecv(t *testing.T) {
+	run(t, 3, func(c *Comm) error {
+		switch c.Rank() {
+		case 1:
+			c.Send(0, 3, []float64{1})
+			c.Send(2, 5, nil) // rank 2 sends only once tag 3 is queued
+		case 2:
+			c.Recv(1, 5)
+			c.Send(0, 4, []float64{2})
+		case 0:
+			for _, want := range []struct{ src, tag int }{{2, 4}, {1, 3}} {
+				d, src, tag := c.Recv(AnySource, want.tag)
+				if src != want.src || tag != want.tag || d[0] != float64(want.src) {
+					return fmt.Errorf("Recv(AnySource, %d) got %v src %d tag %d", want.tag, d, src, tag)
+				}
 			}
 		}
 		return nil
@@ -108,22 +118,6 @@ func TestNonOvertakingFIFO(t *testing.T) {
 				if d[0] != float64(i) {
 					return fmt.Errorf("message %d arrived out of order: %v", i, d[0])
 				}
-			}
-		}
-		return nil
-	})
-}
-
-func TestIntAndByteMessages(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.SendInts(1, 1, []int{10, 20})
-			c.SendBytes(1, 2, []byte("cpx"))
-		} else {
-			is, _, _ := c.RecvInts(0, 1)
-			bs, _, _ := c.RecvBytes(0, 2)
-			if is[1] != 20 || string(bs) != "cpx" {
-				return fmt.Errorf("typed payloads wrong: %v %q", is, bs)
 			}
 		}
 		return nil
@@ -221,9 +215,10 @@ func TestRankPanicPropagates(t *testing.T) {
 func TestSendRecvCombined(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		other := 1 - c.Rank()
-		got := c.SendRecv(other, 0, []float64{float64(c.Rank())}, other, 0)
+		c.Send(other, 0, []float64{float64(c.Rank())})
+		got, _, _ := c.Recv(other, 0)
 		if got[0] != float64(other) {
-			return fmt.Errorf("SendRecv got %v, want %d", got, other)
+			return fmt.Errorf("exchange got %v, want %d", got, other)
 		}
 		return nil
 	})
@@ -233,7 +228,8 @@ func TestStatsAccounting(t *testing.T) {
 	st := run(t, 2, func(c *Comm) error {
 		c.ComputeSeconds(1)
 		other := 1 - c.Rank()
-		c.SendRecv(other, 0, []float64{0}, other, 0)
+		c.Send(other, 0, []float64{0})
+		c.Recv(other, 0)
 		return nil
 	})
 	if st.Ranks != 2 || len(st.Clocks) != 2 {
@@ -241,9 +237,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.AvgCompute() <= 0 || st.AvgComm() <= 0 {
 		t.Errorf("compute/comm should both be positive: %v %v", st.AvgCompute(), st.AvgComm())
-	}
-	if st.MaxCompute() < st.AvgCompute() {
-		t.Error("max compute < avg compute")
 	}
 	if cf := st.CommFraction(); cf <= 0 || cf >= 1 {
 		t.Errorf("comm fraction %v out of (0,1)", cf)
@@ -256,7 +249,8 @@ func TestProfileCapturesRegions(t *testing.T) {
 			c.Profile().Push("flux")
 			c.ComputeSeconds(1)
 			other := 1 - c.Rank()
-			c.SendRecv(other, 0, []float64{0}, other, 0)
+			c.Send(other, 0, []float64{0})
+			c.Recv(other, 0)
 			c.Profile().Pop()
 			return nil
 		})

@@ -52,18 +52,68 @@ func TestRangeCommIsolatesTraffic(t *testing.T) {
 	})
 }
 
-func TestRangeCommTranslate(t *testing.T) {
-	run(t, 6, func(c *Comm) error {
-		if c.Rank() < 2 {
-			c.RangeComm(0, 0, 2)
+// TestSplitByParity cuts 9 ranks into the two group sizes a parity split
+// gives (5 and 4), now as contiguous ranges, and checks that a collective
+// on each group reduces over exactly its members.
+func TestSplitByParity(t *testing.T) {
+	run(t, 9, func(c *Comm) error {
+		base, size := 0, 5
+		if c.Rank() >= 5 {
+			base, size = 5, 4
+		}
+		sub := c.RangeComm(base/5, base, size)
+		if sub.Size() != size || sub.Rank() != c.Rank()-base {
+			return fmt.Errorf("rank %d: sub size/rank = %d/%d, want %d/%d",
+				c.Rank(), sub.Size(), sub.Rank(), size, c.Rank()-base)
+		}
+		want := 0
+		for r := base; r < base+size; r++ {
+			want += r
+		}
+		if got := sub.AllreduceScalar(float64(c.Rank()), Sum); int(got) != want {
+			return fmt.Errorf("rank %d: sum of member world ranks = %v, want %d", c.Rank(), got, want)
+		}
+		return nil
+	})
+}
+
+// TestSplitIsolatesContexts: messages on a sub-communicator must not be
+// visible to the parent, even on the same (src, tag).
+func TestSplitIsolatesContexts(t *testing.T) {
+	run(t, 4, func(c *Comm) error {
+		if c.Rank() >= 2 {
 			return nil
 		}
-		sub := c.RangeComm(1, 2, 4)
-		if got := sub.Translate(c, 3); got != 1 {
-			return fmt.Errorf("translate world 3 -> %d, want 1", got)
+		sub := c.RangeComm(0, 0, 2)
+		if c.Rank() == 0 {
+			sub.Send(1, 0, []float64{2})
+			c.Send(1, 0, []float64{1})
+		} else {
+			d1, _, _ := c.Recv(0, 0)
+			d2, _, _ := sub.Recv(0, 0)
+			if d1[0] != 1 || d2[0] != 2 {
+				return fmt.Errorf("parent and sub traffic mixed: %v %v", d1, d2)
+			}
 		}
-		if got := sub.Translate(c, 0); got != -1 {
-			return fmt.Errorf("translate non-member -> %d, want -1", got)
+		return nil
+	})
+}
+
+// TestDupSeparatesTraffic: a RangeComm spanning the world has the world's
+// group but a context of its own, so the same (src, tag) on it and on the
+// world communicator must not cross.
+func TestDupSeparatesTraffic(t *testing.T) {
+	run(t, 2, func(c *Comm) error {
+		dup := c.RangeComm(0, 0, 2)
+		if c.Rank() == 0 {
+			c.Send(1, 0, []float64{1})
+			dup.Send(1, 0, []float64{2})
+		} else {
+			d2, _, _ := dup.Recv(0, 0)
+			d1, _, _ := c.Recv(0, 0)
+			if d1[0] != 1 || d2[0] != 2 {
+				return fmt.Errorf("dup traffic mixed: %v %v", d1, d2)
+			}
 		}
 		return nil
 	})
@@ -143,7 +193,8 @@ func TestStretchSince(t *testing.T) {
 		comp, comm := c.ComputeTime(), c.CommTime()
 		c.ComputeSeconds(0.01)
 		other := 1 - c.Rank()
-		c.SendRecv(other, 0, []float64{1}, other, 0)
+		c.Send(other, 0, []float64{1})
+		c.Recv(other, 0)
 		c.StretchSince(comp, comm, 10)
 		// Compute must now be ~0.1s (10x the 0.01 measured).
 		if c.ComputeTime() < 0.099 {

@@ -139,8 +139,9 @@ func TestTraceOffTimingIdentical(t *testing.T) {
 func TestCollectiveOpLabels(t *testing.T) {
 	st, err := Run(4, tracedCfg(), func(c *Comm) error {
 		c.Allreduce([]float64{float64(c.Rank())}, Sum)
-		sub := c.Split(c.Rank()%2, c.Rank())
+		sub := c.RangeComm(c.Rank()/2, c.Rank()/2*2, 2)
 		sub.Barrier()
+		c.CheckpointSync(1e-6)
 		return nil
 	})
 	if err != nil {
@@ -154,29 +155,36 @@ func TestCollectiveOpLabels(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"allreduce", "comm_split", "barrier"} {
+	for _, want := range []string{"allreduce", "barrier", "checkpoint"} {
 		if !ops[want] {
 			t.Errorf("no event labelled %q; got ops %v", want, ops)
 		}
 	}
 }
 
-// TestOutermostOpLabelWins: Split is built from inner collectives, but
-// the events it generates must carry the outer "comm_split" label, not
-// the implementation detail.
+// TestOutermostOpLabelWins: CheckpointSync is built on an inner
+// Allreduce, but the messages it sends must carry the outer "checkpoint"
+// label, not the implementation detail.
 func TestOutermostOpLabelWins(t *testing.T) {
-	st, err := Run(2, tracedCfg(), func(c *Comm) error {
-		c.Split(0, c.Rank())
+	st, err := Run(3, tracedCfg(), func(c *Comm) error {
+		c.CheckpointSync(1e-6 * float64(c.Rank()+1))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tl := range st.Timelines {
+		sends := 0
 		for _, ev := range tl.Events {
-			if ev.Op != "" && ev.Op != "comm_split" {
-				t.Errorf("rank %d: event inside Split labelled %q", tl.Rank, ev.Op)
+			if ev.Op != "checkpoint" {
+				t.Errorf("rank %d: event inside CheckpointSync labelled %q", tl.Rank, ev.Op)
 			}
+			if ev.Kind == trace.EvSend {
+				sends++
+			}
+		}
+		if sends == 0 {
+			t.Errorf("rank %d: the inner allreduce recorded no sends", tl.Rank)
 		}
 	}
 }

@@ -114,15 +114,16 @@ func NewDistFromGlobal(c *mpi.Comm, global *CSR, tag int) *Dist {
 	d.Local = &CSR{Rows: own, Cols: own + len(d.haloGlobals), RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 
 	// Build the exchange pattern: tell each owner which of its rows we
-	// need, and learn which of our rows others need.
-	requests := make([][]int, p)
+	// need, and learn which of our rows others need. Row indices travel
+	// as float64, which holds them exactly.
+	requests := make([][]float64, p)
 	recvSlots := make([][]int, p) // halo slot per requested global, per peer
 	for slot, g := range d.haloGlobals {
 		owner := ownerOf(n, p, g)
-		requests[owner] = append(requests[owner], g)
+		requests[owner] = append(requests[owner], float64(g))
 		recvSlots[owner] = append(recvSlots[owner], own+slot)
 	}
-	granted := c.AlltoallvInts(requests)
+	granted := c.Alltoallv(requests)
 	for peer := 0; peer < p; peer++ {
 		wantsFromUs := granted[peer]
 		if len(wantsFromUs) == 0 && len(requests[peer]) == 0 {
@@ -130,7 +131,8 @@ func NewDistFromGlobal(c *mpi.Comm, global *CSR, tag int) *Dist {
 		}
 		d.nbrs = append(d.nbrs, peer)
 		idxs := make([]int, len(wantsFromUs))
-		for i, g := range wantsFromUs {
+		for i, gf := range wantsFromUs {
+			g := int(gf)
 			if g < lo || g >= hi {
 				panic(fmt.Sprintf("sparse: rank %d asked rank %d for row %d it does not own", peer, r, g))
 			}
