@@ -285,33 +285,6 @@ func (mp *Mapping) Interpolate(donorVals []float64) []float64 {
 	return out
 }
 
-// InterpolateConservative applies the transpose mapping so the total of
-// the transferred quantity is preserved — the conservative transfer mode
-// couplers such as preCICE and MCT offer for fluxes (heat, mass) as
-// opposed to the consistent IDW mode used for state fields. donorVals are
-// *extensive* quantities; each donor's value is scattered to the targets
-// that reference it, normalised per donor.
-func (mp *Mapping) InterpolateConservative(donorVals []float64, numDonors int) []float64 {
-	// Per-donor total referencing weight.
-	wsum := make([]float64, numDonors)
-	for ti, idx := range mp.Donors {
-		for i, di := range idx {
-			wsum[di] += mp.Weights[ti][i]
-		}
-	}
-	out := make([]float64, len(mp.Donors))
-	for ti, idx := range mp.Donors {
-		s := 0.0
-		for i, di := range idx {
-			if wsum[di] > 0 {
-				s += mp.Weights[ti][i] / wsum[di] * donorVals[di]
-			}
-		}
-		out[ti] = s
-	}
-	return out
-}
-
 // InterpolateWork returns the roofline cost of applying the mapping at
 // true sizes.
 func InterpolateWork(trueTargets float64) cluster.Work {

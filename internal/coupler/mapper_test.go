@@ -161,45 +161,3 @@ func TestMapEmptyDonorsPanics(t *testing.T) {
 	}()
 	(&Mapper{Kind: Tree}).Map(AnnulusPoints(5, 1), nil)
 }
-
-func TestConservativeTransferPreservesTotals(t *testing.T) {
-	donors := AnnulusPoints(800, 15)
-	targets := AnnulusPoints(500, 16)
-	mp := (&Mapper{Kind: Tree}).Map(targets, donors)
-	flux := make([]float64, len(donors))
-	total := 0.0
-	for i := range flux {
-		flux[i] = 1 + 0.5*math.Sin(float64(i))
-		total += flux[i]
-	}
-	out := mp.InterpolateConservative(flux, len(donors))
-	sum := 0.0
-	for _, v := range out {
-		sum += v
-	}
-	// Donors never referenced by any target lose their flux; with dense
-	// targets almost every donor is referenced, so totals must agree to
-	// within the unreferenced fraction.
-	if math.Abs(sum-total)/total > 0.15 {
-		t.Errorf("conservative transfer lost flux: %v of %v", sum, total)
-	}
-	// A transfer where every donor is referenced conserves exactly: map a
-	// small donor set onto many targets.
-	fewDonors := AnnulusPoints(40, 17)
-	manyTargets := AnnulusPoints(400, 18)
-	mp2 := (&Mapper{Kind: Tree}).Map(manyTargets, fewDonors)
-	f2 := make([]float64, len(fewDonors))
-	tot2 := 0.0
-	for i := range f2 {
-		f2[i] = float64(i + 1)
-		tot2 += f2[i]
-	}
-	out2 := mp2.InterpolateConservative(f2, len(fewDonors))
-	sum2 := 0.0
-	for _, v := range out2 {
-		sum2 += v
-	}
-	if math.Abs(sum2-tot2) > 1e-9*tot2 {
-		t.Errorf("fully-referenced conservative transfer inexact: %v vs %v", sum2, tot2)
-	}
-}

@@ -86,8 +86,8 @@ func TestCoupledParticleDefaultsDroplets(t *testing.T) {
 
 // TestCoupledParticleCollectivePathsIdentical is the subsystem's coupled
 // determinism gate: the full particle↔flow simulation must produce
-// bitwise-identical virtual clocks and state digests with collectives
-// replayed and as messages, and under GOMAXPROCS=1, for every strategy.
+// bitwise-identical virtual clocks and state digests under GOMAXPROCS=1
+// and full host parallelism, for every strategy.
 func TestCoupledParticleCollectivePathsIdentical(t *testing.T) {
 	for _, st := range particle.Strategies() {
 		run := func(cfg mpi.Config) *Report {
@@ -98,25 +98,20 @@ func TestCoupledParticleCollectivePathsIdentical(t *testing.T) {
 			return rep
 		}
 		base := run(runCfg())
-		messages := run(messageLevel(runCfg()))
 		prev := runtime.GOMAXPROCS(1)
 		serial := run(runCfg())
 		runtime.GOMAXPROCS(prev)
-		for name, other := range map[string]*Report{"messages": messages, "serial": serial} {
-			if other.Elapsed != base.Elapsed {
-				t.Errorf("%v/%s: elapsed %v vs %v", st, name, other.Elapsed, base.Elapsed)
+		if serial.Elapsed != base.Elapsed {
+			t.Errorf("%v: elapsed %v vs %v", st, serial.Elapsed, base.Elapsed)
+		}
+		for r := range base.Stats.Clocks {
+			if serial.Stats.Clocks[r] != base.Stats.Clocks[r] {
+				t.Errorf("%v: rank %d clock %v vs %v", st, r, serial.Stats.Clocks[r], base.Stats.Clocks[r])
 			}
-			for r := range base.Stats.Clocks {
-				if other.Stats.Clocks[r] != base.Stats.Clocks[r] {
-					t.Errorf("%v/%s: rank %d clock %v vs %v",
-						st, name, r, other.Stats.Clocks[r], base.Stats.Clocks[r])
-				}
-			}
-			for r := range base.RankDigests {
-				if other.RankDigests[r] != base.RankDigests[r] {
-					t.Errorf("%v/%s: rank %d digest %#x vs %#x",
-						st, name, r, other.RankDigests[r], base.RankDigests[r])
-				}
+		}
+		for r := range base.RankDigests {
+			if serial.RankDigests[r] != base.RankDigests[r] {
+				t.Errorf("%v: rank %d digest %#x vs %#x", st, r, serial.RankDigests[r], base.RankDigests[r])
 			}
 		}
 	}

@@ -116,8 +116,7 @@ func runPerRankReference(t *testing.T, sim *Simulation, cfg mpi.Config) (*mpi.St
 // TestSharedIndicesMatchPerRankMapping: a unit whose 64 CU ranks read one
 // shared index per exchange reports exactly what it reports when every
 // rank maps for itself — elapsed, per-rank clocks and compute/comm split,
-// the comm matrix and the final state digests — on both collective paths
-// and at GOMAXPROCS 1 and 2.
+// the comm matrix and the final state digests — at GOMAXPROCS 1 and 2.
 func TestSharedIndicesMatchPerRankMapping(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	searches := []Search{Tree, TreePrefetch}
@@ -127,34 +126,28 @@ func TestSharedIndicesMatchPerRankMapping(t *testing.T) {
 	for _, search := range searches {
 		refStats, refDigests := runPerRankReference(t, wideUnitSim(search), tracedRunCfg())
 		for _, procs := range []int{1, 2} {
-			for _, collectives := range []string{"replayed", "messages"} {
-				t.Run(fmt.Sprintf("%v/GOMAXPROCS=%d/collectives=%s", search, procs, collectives), func(t *testing.T) {
-					runtime.GOMAXPROCS(procs)
-					cfg := tracedRunCfg()
-					if collectives == "messages" {
-						cfg = messageLevel(cfg)
-					}
-					rep, err := wideUnitSim(search).Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.Elapsed != refStats.Elapsed {
-						t.Errorf("elapsed %v, per-rank reference %v", rep.Elapsed, refStats.Elapsed)
-					}
-					if !reflect.DeepEqual(rep.RankDigests, refDigests) {
-						t.Error("rank digests differ from the per-rank reference")
-					}
-					st := rep.Stats
-					if !reflect.DeepEqual(st.Clocks, refStats.Clocks) ||
-						!reflect.DeepEqual(st.Compute, refStats.Compute) ||
-						!reflect.DeepEqual(st.Comm, refStats.Comm) {
-						t.Error("per-rank clocks or compute/comm split differ from the per-rank reference")
-					}
-					if !reflect.DeepEqual(st.CommMatrix, refStats.CommMatrix) {
-						t.Error("comm matrix differs from the per-rank reference")
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%v/GOMAXPROCS=%d/collectives=replayed", search, procs), func(t *testing.T) {
+				runtime.GOMAXPROCS(procs)
+				rep, err := wideUnitSim(search).Run(tracedRunCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Elapsed != refStats.Elapsed {
+					t.Errorf("elapsed %v, per-rank reference %v", rep.Elapsed, refStats.Elapsed)
+				}
+				if !reflect.DeepEqual(rep.RankDigests, refDigests) {
+					t.Error("rank digests differ from the per-rank reference")
+				}
+				st := rep.Stats
+				if !reflect.DeepEqual(st.Clocks, refStats.Clocks) ||
+					!reflect.DeepEqual(st.Compute, refStats.Compute) ||
+					!reflect.DeepEqual(st.Comm, refStats.Comm) {
+					t.Error("per-rank clocks or compute/comm split differ from the per-rank reference")
+				}
+				if !reflect.DeepEqual(st.CommMatrix, refStats.CommMatrix) {
+					t.Error("comm matrix differs from the per-rank reference")
+				}
+			})
 		}
 	}
 }

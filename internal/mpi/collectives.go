@@ -39,104 +39,27 @@ func (op Op) apply(dst, src []float64) {
 }
 
 // Barrier blocks until every rank in the communicator has entered it.
-// Implemented with the dissemination algorithm: ceil(log2 p) rounds of
-// pairwise messages, so its virtual cost scales as the real thing does.
-//
-// Barrier, Bcast and Allreduce each have two bodies with bitwise equal
-// virtual-time behaviour: the analytic replay (fastcoll.go), and the
-// messages below, which run under a fault plan — where a rank can die or
-// detect a death between two messages — and are the reference the
-// differential tests hold the replay to.
+// It is the dissemination algorithm's ceil(log2 p) rounds of pairwise
+// messages, replayed (fastcoll.go), so its virtual cost scales as the
+// real thing does.
 func (c *Comm) Barrier() {
 	defer c.proc.pushOp("barrier")()
-	if c.world.analytic {
-		c.rendezvous(collBarrier, 0, Sum, nil)
-		return
-	}
-	p := c.Size()
-	for k := 1; k < p; k *= 2 {
-		to := (c.rank + k) % p
-		from := (c.rank - k + p) % p
-		c.Send(to, tagCollective, nil)
-		c.Recv(from, tagCollective)
-	}
+	c.rendezvous(collBarrier, 0, Sum, nil)
 }
 
-// Bcast distributes root's data to every rank using a binomial tree and
+// Bcast distributes root's data to every rank along a binomial tree and
 // returns each rank's copy. Non-root callers may pass nil.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
 	defer c.proc.pushOp("bcast")()
-	if c.world.analytic {
-		return c.rendezvous(collBcast, root, Sum, data)
-	}
-	p := c.Size()
-	if p == 1 {
-		return data
-	}
-	// Work in a rotated space where the root is rank 0 (MPICH binomial).
-	vrank := (c.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % p
-			data, _, _ = c.Recv(parent, tagCollective)
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < p {
-			child := (vrank + mask + root) % p
-			c.Send(child, tagCollective, data)
-		}
-	}
-	return data
+	return c.rendezvous(collBcast, root, Sum, data)
 }
 
 // Allreduce combines data element-wise across all ranks with op and
-// returns the result on every rank. Uses recursive doubling, with a fold
-// step for non-power-of-two sizes (the MPICH algorithm family).
+// returns the result on every rank: recursive doubling, with a fold step
+// for non-power-of-two sizes (the MPICH algorithm family).
 func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 	defer c.proc.pushOp("allreduce")()
-	if c.world.analytic {
-		return c.rendezvous(collAllreduce, 0, op, data)
-	}
-	p := c.Size()
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	if p == 1 {
-		return acc
-	}
-	// pow2 is the largest power of two <= p.
-	pow2 := 1
-	for pow2*2 <= p {
-		pow2 *= 2
-	}
-	extra := p - pow2
-	// Fold: ranks >= pow2 send their data to rank-pow2 and wait for result.
-	if c.rank >= pow2 {
-		c.Send(c.rank-pow2, tagCollective, acc)
-		res, _, _ := c.Recv(c.rank-pow2, tagCollective)
-		return res
-	}
-	if c.rank < extra {
-		d, _, _ := c.Recv(c.rank+pow2, tagCollective)
-		op.apply(acc, d)
-		c.Release(d)
-	}
-	// Recursive doubling among the first pow2 ranks.
-	for k := 1; k < pow2; k *= 2 {
-		partner := c.rank ^ k
-		c.Send(partner, tagCollective, acc)
-		d, _, _ := c.Recv(partner, tagCollective)
-		op.apply(acc, d)
-		c.Release(d)
-	}
-	// Unfold: return results to the extra ranks.
-	if c.rank < extra {
-		c.Send(c.rank+pow2, tagCollective, acc)
-	}
-	return acc
+	return c.rendezvous(collAllreduce, 0, op, data)
 }
 
 // AllreduceScalar reduces a single float64 across all ranks.

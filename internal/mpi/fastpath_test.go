@@ -59,19 +59,23 @@ func mixedProgram(sums []float64) func(*Comm) error {
 	}
 }
 
+// collFunc is the type of runWorld's reference hook: nil runs the
+// replay, messageLevel the reference.
+type collFunc = func(*Comm, collKind, int, Op, []float64) []float64
+
 // runMixed runs mixedProgram the way Run does; runMixedOn can also run it
 // on the message-level collectives the replay is held to.
 func runMixed(t *testing.T, p int, cfg Config) (*Stats, []float64) {
 	t.Helper()
-	return runMixedOn(t, p, cfg, false)
+	return runMixedOn(t, p, cfg, nil)
 }
 
-func runMixedOn(t *testing.T, p int, cfg Config, reference bool) (*Stats, []float64) {
+func runMixedOn(t *testing.T, p int, cfg Config, ref collFunc) (*Stats, []float64) {
 	t.Helper()
 	sums := make([]float64, p)
-	st, err := runWorld(p, cfg, mixedProgram(sums), reference)
+	st, err := runWorld(p, cfg, mixedProgram(sums), ref)
 	if err != nil {
-		t.Fatalf("run(%d ranks, reference=%v): %v", p, reference, err)
+		t.Fatalf("run(%d ranks, reference=%v): %v", p, ref != nil, err)
 	}
 	return st, sums
 }
@@ -180,7 +184,7 @@ func TestReplayMatchesMessageLevelReference(t *testing.T) {
 				cfg := testCfg()
 				obs.set(&cfg)
 				replay, replaySums := runMixed(t, p, cfg)
-				ref, refSums := runMixedOn(t, p, cfg, true)
+				ref, refSums := runMixedOn(t, p, cfg, messageLevel)
 				assertStatsIdentical(t, label, replay, ref, replaySums, refSums)
 				assertObserversIdentical(t, label, replay, ref)
 			}
@@ -195,7 +199,7 @@ func TestReplayMatchesMessageLevelReference(t *testing.T) {
 func TestReplayFlightTailsMatchReference(t *testing.T) {
 	for _, p := range []int{2, 5, 8} {
 		var tails [2][]telemetry.RankTail
-		for i, reference := range []bool{false, true} {
+		for i, ref := range []collFunc{nil, messageLevel} {
 			cfg := testCfg()
 			cfg.flightEvents = 64
 			sums := make([]float64, p)
@@ -210,12 +214,12 @@ func TestReplayFlightTailsMatchReference(t *testing.T) {
 				}
 				c.RecvAll(p-1, 9)
 				return errors.New("dump the tails")
-			}, reference)
+			}, ref)
 			if err == nil || !strings.Contains(err.Error(), "dump the tails") {
-				t.Fatalf("p=%d reference=%v: err = %v", p, reference, err)
+				t.Fatalf("p=%d reference=%v: err = %v", p, ref != nil, err)
 			}
 			if len(st.Flight) != p {
-				t.Fatalf("p=%d reference=%v: %d flight tails, want %d", p, reference, len(st.Flight), p)
+				t.Fatalf("p=%d reference=%v: %d flight tails, want %d", p, ref != nil, len(st.Flight), p)
 			}
 			tails[i] = st.Flight
 		}
@@ -238,7 +242,7 @@ func TestReplayProfileIdentical(t *testing.T) {
 	}
 	cfg := testCfg()
 	cfg.Profile = true
-	ref, err := runWorld(6, cfg, prog, true)
+	ref, err := runWorld(6, cfg, prog, messageLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +259,8 @@ func TestReplayProfileIdentical(t *testing.T) {
 }
 
 // stuckBarrier runs a barrier rank 0 never joins until the watchdog
-// fires, and returns its error. Where the watchdog finds the other
-// ranks — parked at a station, or blocked in a receive — is the one
-// host-visible difference between the two collective paths.
+// fires, and returns its error, which reports the other two ranks parked
+// at the barrier's station.
 func stuckBarrier(t *testing.T, cfg Config) string {
 	t.Helper()
 	cfg.Watchdog = 100 * time.Millisecond
@@ -311,10 +314,10 @@ func TestObserversDoNotSelectCollectivePath(t *testing.T) {
 // equality.
 func TestClocksIdenticalAcrossHostParallelism(t *testing.T) {
 	const p = 8
-	for _, reference := range []bool{false, true} {
-		parallel, parSums := runMixedOn(t, p, testCfg(), reference)
+	for _, ref := range []collFunc{nil, messageLevel} {
+		parallel, parSums := runMixedOn(t, p, testCfg(), ref)
 		prev := runtime.GOMAXPROCS(1)
-		serial, serSums := runMixedOn(t, p, testCfg(), reference)
+		serial, serSums := runMixedOn(t, p, testCfg(), ref)
 		runtime.GOMAXPROCS(prev)
 		assertStatsIdentical(t, "GOMAXPROCS=1 vs parallel", parallel, serial, parSums, serSums)
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -294,12 +297,11 @@ func TestResetClockIntoCrashKills(t *testing.T) {
 	}
 }
 
-// TestFaultPlanSelectsMessageLevelCollectives: the replay's leader
-// charges every member while they are parked, so nobody can die or
-// detect a death mid-collective; a fault plan — and nothing else — must
-// put collectives on real messages. Even a plan that never fires does,
-// which is how other packages reach the reference path.
-func TestFaultPlanSelectsMessageLevelCollectives(t *testing.T) {
+// TestFaultPlanDoesNotSelectCollectivePath: a fault plan changes what
+// can happen to a rank, not how collectives are computed. A crash still
+// surfaces through one; a stuck barrier is still parked at its station;
+// and a plan that never fires is bitwise the plan-less run.
+func TestFaultPlanDoesNotSelectCollectivePath(t *testing.T) {
 	_, err := Run(4, faultCfg(&fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.05}}}), func(c *Comm) error {
 		c.ComputeSeconds(0.1)
 		c.AllreduceScalar(1, Sum)
@@ -311,14 +313,8 @@ func TestFaultPlanSelectsMessageLevelCollectives(t *testing.T) {
 	}
 
 	never := &fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 1e300}}}
-	msg := stuckBarrier(t, faultCfg(never))
-	for _, want := range []string{"2 rank(s) blocked in receives", "/collective", "0 parked in collectives"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("under a fault plan the watchdog found %q, want it to contain %q", msg, want)
-		}
-	}
-	if msg := stuckBarrier(t, faultCfg(&fault.Plan{})); !strings.Contains(msg, "2 of 3 in Barrier") {
-		t.Errorf("an empty plan is no plan, yet collectives were not replayed: %s", msg)
+	if msg := stuckBarrier(t, faultCfg(never)); !strings.Contains(msg, "2 of 3 in Barrier") {
+		t.Errorf("under a fault plan the watchdog found %q, want the ranks parked at the station", msg)
 	}
 
 	// The never-firing plan changes nothing else: bitwise the plan-less run.
@@ -472,5 +468,195 @@ func TestRecvAllDetectsDeadPeers(t *testing.T) {
 	}
 	if len(rf.Detections) != 1 || rf.Detections[0].Rank != 2 {
 		t.Errorf("detections = %+v, want rank 0 detecting the last death (rank 2)", rf.Detections)
+	}
+}
+
+// collectiveOps are the op labels the events of a replayed collective
+// carry (the allreduce inside CheckpointSync is labelled "checkpoint").
+var collectiveOps = map[string]bool{"barrier": true, "bcast": true, "allreduce": true, "checkpoint": true}
+
+// crashSites are the places in mixedProgram a crash can land that the
+// fault-aware replay must handle, as crashSite names them.
+var crashSites = []string{"before a collective", "send charge", "wait", "dead Bcast root", "dead fold rank"}
+
+// crashSite names where in world rank r's (of p) timeline a crash inside
+// event tl[i] lands, or "" for a site outside crashSites.
+func crashSite(tl []trace.Event, i, r, p int) string {
+	e := tl[i]
+	pow2 := 1
+	for pow2*2 <= p {
+		pow2 *= 2
+	}
+	switch {
+	case e.Kind == trace.EvCompute:
+		return "before a collective" // mixedProgram enters one after every compute
+	case !collectiveOps[e.Op]:
+		return ""
+	case e.Op == "bcast" && e.Kind == trace.EvSend && bcastRoot(tl, i):
+		return "dead Bcast root"
+	case (e.Op == "allreduce" || e.Op == "checkpoint") && r >= pow2 && e.Peer == r-pow2:
+		return "dead fold rank" // a world-communicator rank past the largest power of two
+	case e.Kind == trace.EvSend:
+		return "send charge"
+	case e.Kind == trace.EvWait:
+		return "wait"
+	}
+	return ""
+}
+
+// bcastRoot reports whether the Bcast event tl[i] is the root's, the one
+// member that sends without receiving first.
+func bcastRoot(tl []trace.Event, i int) bool {
+	for ; i >= 0 && tl[i].Op == "bcast"; i-- {
+		if tl[i].Kind == trace.EvRecv || tl[i].Kind == trace.EvWait {
+			return false
+		}
+	}
+	return true
+}
+
+// faultPlans are the plans mixedProgram is run under on p ranks: single
+// crashes in the middle of events of every crash site and spread over the
+// whole run, pairs of simultaneous crashes on two ranks, and one
+// generated plan with stragglers and degraded links. A single crash
+// leaves its rank's timeline untouched up to the crash, so the events of
+// a plan-less traced run tell where each lands.
+func faultPlans(t *testing.T, p int) []*fault.Plan {
+	t.Helper()
+	cfg := testCfg()
+	cfg.Trace = true
+	clean, _ := runMixed(t, p, cfg)
+	type point struct {
+		rank int
+		at   float64
+	}
+	var all []point
+	bySite := map[string][]point{}
+	for r, tl := range clean.Timelines {
+		for i, e := range tl.Events {
+			if e.T1 > e.T0 {
+				pt := point{r, (e.T0 + e.T1) / 2}
+				all = append(all, pt)
+				if site := crashSite(tl.Events, i, r, p); site != "" {
+					bySite[site] = append(bySite[site], pt)
+				}
+			}
+		}
+	}
+	spread := func(pts []point, n int) []point {
+		if len(pts) <= n {
+			return pts
+		}
+		out := make([]point, n)
+		for i := range out {
+			out[i] = pts[i*len(pts)/n]
+		}
+		return out
+	}
+	var plans []*fault.Plan
+	for _, site := range crashSites {
+		for _, pt := range spread(bySite[site], 4) {
+			plans = append(plans, &fault.Plan{Crashes: []fault.Crash{{Rank: pt.rank, At: pt.at}}})
+		}
+	}
+	for _, pt := range spread(all, 12) {
+		plans = append(plans, &fault.Plan{Crashes: []fault.Crash{{Rank: pt.rank, At: pt.at}}})
+	}
+	for _, pt := range spread(all, 8) {
+		plans = append(plans, &fault.Plan{Crashes: []fault.Crash{
+			{Rank: pt.rank, At: pt.at}, {Rank: (pt.rank + p/2 + 1) % p, At: pt.at}}})
+	}
+	gen, err := fault.NewPlan(fault.Spec{
+		Seed: int64(p), Ranks: p, Horizon: clean.Elapsed, MTBF: clean.Elapsed / 2,
+		StragglerEvery: clean.Elapsed / 4, LinkEvery: clean.Elapsed / 4, Machine: cluster.SmallCluster(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(plans, gen)
+}
+
+// TestFaultReplayMatchesMessageLevelReference is the differential test of
+// the one collective path under fault plans: whichever ranks die and
+// wherever, the replay and real messages agree on every clock, result,
+// failure report (detections and their times included) and recorded
+// artifact, at every host parallelism and under every observer. It also
+// shows what the plans covered: deaths at every crash site, and failure
+// detections two hops from the crash.
+func TestFaultReplayMatchesMessageLevelReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs, obs := []int{1, 2, 8}, observers
+	if testing.Short() {
+		// Every plan still runs, traced, so the coverage check holds.
+		procs, obs = []int{2}, observers[2:3]
+	}
+	covered := map[string]bool{}
+	nPlans := 0
+	for _, p := range []int{2, 3, 5, 8, 13} {
+		plans := faultPlans(t, p)
+		nPlans += len(plans)
+		for _, gmp := range procs {
+			runtime.GOMAXPROCS(gmp)
+			for _, o := range obs {
+				for k, plan := range plans {
+					label := fmt.Sprintf("p=%d/GOMAXPROCS=%d/%s/plan %d", p, gmp, o.name, k)
+					cfg := faultCfg(plan)
+					o.set(&cfg)
+					var st [2]*Stats
+					var sums [2][]float64
+					var rf [2]*fault.RanksFailed
+					for i, ref := range []collFunc{nil, messageLevel} {
+						sums[i] = make([]float64, p)
+						var err error
+						st[i], err = runWorld(p, cfg, mixedProgram(sums[i]), ref)
+						if err != nil && !errors.As(err, &rf[i]) {
+							t.Fatalf("%s: reference=%v: %v", label, ref != nil, err)
+						}
+					}
+					if !reflect.DeepEqual(rf[0], rf[1]) {
+						t.Errorf("%s: failure reports differ:\nreplay:    %+v\nreference: %+v", label, rf[0], rf[1])
+					}
+					assertStatsIdentical(t, label, st[0], st[1], sums[0], sums[1])
+					assertObserversIdentical(t, label, st[0], st[1])
+					if rf[0] != nil && st[0].Timelines != nil {
+						checkDeaths(t, label, plan, rf[0], st[0], covered)
+					}
+				}
+			}
+		}
+	}
+	for _, site := range append(crashSites, "two-hop detection") {
+		if !covered[site] {
+			t.Errorf("no plan covered a death at %q", site)
+		}
+	}
+	t.Logf("%d plans", nPlans)
+}
+
+// checkDeaths requires each crashed rank's timeline to end with the event
+// that reached its crash time, and records what the run covered.
+func checkDeaths(t *testing.T, label string, plan *fault.Plan, rf *fault.RanksFailed, st *Stats, covered map[string]bool) {
+	t.Helper()
+	p := len(st.Timelines)
+	crashed := map[int]bool{}
+	for _, r := range rf.Crashed {
+		crashed[r] = true
+		evs := st.Timelines[r].Events
+		at := plan.CrashTime(r)
+		for i, e := range evs {
+			if e.T1 >= at && i != len(evs)-1 {
+				t.Errorf("%s: rank %d recorded %d event(s) after the one that reached its crash at %v",
+					label, r, len(evs)-1-i, at)
+				break
+			}
+		}
+		if n := len(evs); n > 0 && evs[n-1].T1 == at {
+			covered[crashSite(evs, n-1, r, p)] = true
+		}
+	}
+	for _, d := range rf.Detections {
+		if !crashed[d.Rank] {
+			covered["two-hop detection"] = true
+		}
 	}
 }

@@ -63,7 +63,7 @@ func (bk *bucket) pop() *message {
 // mailbox is the per-rank incoming message queue. The zero value is
 // ready to use: the bucket map and the wait condvar are created on first
 // need, so a run whose ranks never exchange point-to-point messages
-// (analytic collectives only) pays nothing per mailbox beyond the struct
+// (collectives only) pays nothing per mailbox beyond the struct
 // itself.
 type mailbox struct {
 	mu      sync.Mutex

@@ -56,14 +56,14 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 // collective paths.
 func TestMetricsSeriesIdenticalAcrossHostParallelism(t *testing.T) {
 	const p = 8
-	for _, reference := range []bool{false, true} {
+	for _, ref := range []collFunc{nil, messageLevel} {
 		cfg := metricsCfg(testCfg())
-		parallel, _ := runMixedOn(t, p, cfg, reference)
+		parallel, _ := runMixedOn(t, p, cfg, ref)
 		prev := runtime.GOMAXPROCS(1)
-		serial, _ := runMixedOn(t, p, cfg, reference)
+		serial, _ := runMixedOn(t, p, cfg, ref)
 		runtime.GOMAXPROCS(prev)
 		if !reflect.DeepEqual(parallel.Metrics, serial.Metrics) {
-			t.Errorf("reference=%v: metrics series differ between host parallelism levels", reference)
+			t.Errorf("reference=%v: metrics series differ between host parallelism levels", ref != nil)
 		}
 	}
 }
@@ -114,7 +114,7 @@ func TestMetricsSeriesInvariants(t *testing.T) {
 // rank entered and on every message and byte it sent and received.
 func TestMetricsCollectiveCountParity(t *testing.T) {
 	for _, p := range []int{2, 5, 8} {
-		ref, _ := runMixedOn(t, p, metricsCfg(testCfg()), true)
+		ref, _ := runMixedOn(t, p, metricsCfg(testCfg()), messageLevel)
 		replay, _ := runMixed(t, p, metricsCfg(testCfg()))
 		for r := range ref.Metrics.Ranks {
 			want, got := ref.Metrics.Ranks[r].Totals, replay.Metrics.Ranks[r].Totals

@@ -80,9 +80,10 @@ type World struct {
 	procs   []*proc
 	wcomms  []Comm // per-rank world communicators, batch-allocated
 	plan    *fault.Plan
-	// analytic selects the replayed Barrier/Bcast/Allreduce (fastcoll.go)
-	// over the message-level ones (collectives.go); see runWorld for the rule.
-	analytic bool
+	// reference, when set, stands in for the replay of Barrier, Bcast and
+	// Allreduce: the message-level bodies the in-package differential
+	// tests hold the replay to. Nil in every run Run starts.
+	reference func(c *Comm, kind collKind, root int, op Op, data []float64) []float64
 
 	// deadMu guards deadAt: per-rank virtual death times (< 0 = alive).
 	// A rank is recorded dead only once its goroutine can no longer send,
@@ -91,7 +92,7 @@ type World struct {
 	deadAt []float64
 
 	stMu     sync.Mutex
-	stations map[int]*station // analytic-collective rendezvous, by ctx
+	stations map[int]*station // collective rendezvous, by ctx
 
 	sharedMu sync.Mutex
 	shared   map[any]*sharedEntry // read-only set-up state the ranks build once (shared.go)
@@ -116,9 +117,7 @@ func (w *World) setAborted() {
 	for _, b := range w.boxes {
 		b.interrupt()
 	}
-	for _, st := range w.stationList() {
-		st.interrupt()
-	}
+	w.wakeStations()
 }
 
 // recordDeath marks a rank dead at a virtual time and wakes every
@@ -572,14 +571,14 @@ func (c *Comm) send(to, tag int, data []float64, chargedBytes int, op string) {
 // failPeer surfaces a peer's death ULFM-style: the survivor's clock
 // advances to the modelled detection time (death + detection latency,
 // accounted as wait) and the receive unwinds with the RankFailure. The
-// error propagates through any collective built on receives, so whole
-// communicators learn of the failure instead of deadlocking.
-func (c *Comm) failPeer(rf *fault.RankFailure) {
-	detect := rf.FailedAt + c.world.plan.Detection()
-	if detect > c.proc.clock {
-		c.proc.chargeCommAs(detect-c.proc.clock, trace.EvWait, -1, 0, 0)
+// error propagates through every collective, so whole communicators
+// learn of the failure instead of deadlocking.
+func (p *proc) failPeer(rf *fault.RankFailure) {
+	detect := rf.FailedAt + p.world.plan.Detection()
+	if detect > p.clock {
+		p.chargeCommAs(detect-p.clock, trace.EvWait, -1, 0, 0)
 	}
-	rf.DetectedAt = c.proc.clock
+	rf.DetectedAt = p.clock
 	panic(rf)
 }
 
@@ -650,7 +649,7 @@ func (c *Comm) Recv(from, tag int) ([]float64, int, int) {
 	}
 	m, rf := c.world.boxes[c.proc.worldRank].take(c.world, c.ctx, from, tag, c.deadCheckFor(from))
 	if rf != nil {
-		c.failPeer(rf)
+		c.proc.failPeer(rf)
 	}
 	c.proc.completeRecv(m.srcWorld, m.bytes, m.tag, m.departure, m.arrival)
 	d, src, mtag := m.data, m.src, m.tag
@@ -692,7 +691,7 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 		if rf != nil {
 			// A wildcard wait can only fail once every potential sender is
 			// dead; unwind like any receive from a dead peer.
-			c.failPeer(rf)
+			c.proc.failPeer(rf)
 		}
 		msgs = append(msgs, arrived{m.src, m.srcWorld, m.bytes, m.arrival, m.data})
 		if i == 0 || m.arrival > latest.arrival {
@@ -889,12 +888,7 @@ type Config struct {
 	// When ranks crash, Run returns partial Stats plus a
 	// *fault.RanksFailed error instead of aborting; survivors observe
 	// dead peers as *fault.RankFailure errors after the plan's detection
-	// latency. A non-empty plan is also the one input that changes how
-	// Barrier, Bcast and Allreduce are computed: they run as real
-	// point-to-point messages instead of the analytic replay, because a
-	// rank must be able to die, or observe a death, between two messages
-	// of a collective. Virtual time is bitwise the same either way. The
-	// plan must not be mutated during the run.
+	// latency. The plan must not be mutated during the run.
 	Faults *fault.Plan
 	// Cancel, when non-nil, aborts the run as soon as the channel is
 	// closed: the abort fan-out wakes every blocked rank, all rank
@@ -938,13 +932,13 @@ var ErrCanceled = errors.New("mpi: run canceled")
 // and timelines up to each rank's last charge), so aborted runs export
 // cleanly; callers must treat them as incomplete.
 func Run(size int, cfg Config, fn func(*Comm) error) (*Stats, error) {
-	return runWorld(size, cfg, fn, false)
+	return runWorld(size, cfg, fn, nil)
 }
 
-// runWorld is Run plus the hook in-package differential tests use: reference
-// makes a plan-less world run the message-level collectives, the
-// implementation the analytic replay is compared against.
-func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stats, error) {
+// runWorld is Run plus the hook in-package differential tests use:
+// reference computes Barrier, Bcast and Allreduce in place of the replay
+// (World.reference).
+func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, collKind, int, Op, []float64) []float64) (*Stats, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: size must be positive, got %d", size)
 	}
@@ -965,23 +959,15 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference bool) (*Stat
 		}
 	}
 	w := &World{
-		size:     size,
-		machine:  m,
-		boxes:    make([]*mailbox, size),
-		procs:    make([]*proc, size),
-		stations: make(map[int]*station),
-		shared:   make(map[any]*sharedEntry),
-		plan:     plan,
-		deadAt:   make([]float64, size),
-		// The one rule: collectives are replayed analytically unless a
-		// fault plan is set. The replay's leader charges every member's
-		// clock while they are parked, so no member can unwind in the
-		// middle of a collective — which is exactly what a crash, or the
-		// detection of one, has to do.
-		analytic: plan == nil,
-	}
-	if reference {
-		w.analytic = false
+		size:      size,
+		machine:   m,
+		boxes:     make([]*mailbox, size),
+		procs:     make([]*proc, size),
+		stations:  make(map[int]*station),
+		shared:    make(map[any]*sharedEntry),
+		plan:      plan,
+		reference: reference,
+		deadAt:    make([]float64, size),
 	}
 	var collectors []*telemetry.Collector
 	if cfg.Metrics != nil {
@@ -1176,6 +1162,7 @@ func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
 				// Death already recorded by die(); the world keeps
 				// running so survivors can detect and unwind.
 				errs[rank] = errKilled
+				w.died(rank)
 				return
 			}
 			var rf *fault.RankFailure
@@ -1184,7 +1171,7 @@ func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
 				// never send again, so it is dead to *its* peers too:
 				// record the cascade so they unblock deterministically.
 				errs[rank] = err
-				w.recordDeath(rank, w.procs[rank].clock)
+				w.died(rank)
 				return
 			}
 		}
@@ -1198,12 +1185,20 @@ func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
 		if errors.As(err, &rf) {
 			// fn propagated a failure detection as a return value.
 			errs[rank] = err
-			w.recordDeath(rank, w.procs[rank].clock)
+			w.died(rank)
 			return
 		}
 		errs[rank] = fmt.Errorf("mpi: rank %d: %w", rank, err)
 		w.setAborted()
 	}
+}
+
+// died publishes the death of a rank whose goroutine has unwound (a
+// no-op record if die or a replay already made it) and wakes the
+// stations, whose collectives complete once every member arrived or died.
+func (w *World) died(rank int) {
+	w.recordDeath(rank, w.procs[rank].clock)
+	w.wakeStations()
 }
 
 // flightTails dumps the post-mortem trails of a failed run: the tails

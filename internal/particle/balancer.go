@@ -2,10 +2,10 @@ package particle
 
 import (
 	"fmt"
-	"sync"
 
 	"cpx/internal/cluster"
 	"cpx/internal/fault"
+	"cpx/internal/mpi"
 	"cpx/internal/partition"
 )
 
@@ -78,13 +78,14 @@ type balancer interface {
 	digest(d *fault.Digest)
 }
 
-func newBalancer(cfg Config, ranks int, seed uint64, side float64, simTotal int64) balancer {
+func newBalancer(c *mpi.Comm, cfg Config, seed uint64, side float64, simTotal int64) balancer {
+	ranks := c.Size()
 	switch cfg.Strategy {
 	case WorkSteal:
 		return &stealBalancer{grid: gridFor(ranks)}
 	case Repartition:
 		b := &repartitionBalancer{threshold: cfg.ImbalanceThreshold, ranks: ranks}
-		b.tree = initialTree(ranks, seed, side, simTotal)
+		b.tree = initialTree(c, seed, side, simTotal)
 		return b
 	default:
 		return &staticBalancer{grid: gridFor(ranks)}
@@ -286,57 +287,6 @@ const (
 	repartitionFlopsPerSample  = 500.0
 )
 
-// treeCache memoizes RCB tree builds on the gathered sample. Every rank
-// of a communicator rebuilds from the identical point set, so without a
-// cache the host pays p identical O(n log² n) builds per repartition —
-// the dominant host cost at 512 ranks. The cache is pure host-side
-// memoization: the tree is a deterministic function of (points, parts),
-// hits verify the full sample (hash collisions are harmless), and
-// cached trees are immutable, so virtual-time results are bit-identical
-// with the cache on or off.
-var treeCache = struct {
-	sync.Mutex
-	entries map[uint64]treeEntry
-}{entries: map[uint64]treeEntry{}}
-
-type treeEntry struct {
-	parts  int
-	points []partition.Point
-	tree   *partition.RCBTree
-}
-
-func cachedBuildTree(points []partition.Point, parts int) *partition.RCBTree {
-	d := fault.NewDigest()
-	d.Int(parts)
-	for _, p := range points {
-		d.Floats(p[:])
-	}
-	key := d.Sum64()
-	treeCache.Lock()
-	defer treeCache.Unlock()
-	if e, ok := treeCache.entries[key]; ok && e.parts == parts && samePoints(e.points, points) {
-		return e.tree
-	}
-	t := partition.BuildRCBTree(points, parts)
-	if len(treeCache.entries) >= 64 {
-		treeCache.entries = map[uint64]treeEntry{}
-	}
-	treeCache.entries[key] = treeEntry{parts: parts, points: points, tree: t}
-	return t
-}
-
-func samePoints(a, b []partition.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // samplesPerRank sizes the repartition sample: enough points per part
 // for a meaningful median at small scale, bounded total (≈4096 points)
 // at large scale — every rank sorts the full gathered sample, so an
@@ -358,19 +308,35 @@ type repartitionBalancer struct {
 	ranks     int
 }
 
+// Every rank of a communicator builds the identical RCB tree, so the p
+// identical O(n log² n) builds are done once per run (mpi.Shared): the
+// initial tree per particle configuration, a rebuilt one per instance and
+// step (balance rebuilds at most once a step).
+type initialTreeKey struct {
+	ranks    int
+	seed     uint64
+	side     float64
+	simTotal int64
+}
+
+type rebuiltTreeKey struct{ firstWorldRank, step int }
+
 // initialTree builds the starting ownership map from the globally agreed
 // initial droplet states — identical on every rank, no communication.
-func initialTree(ranks int, seed uint64, side float64, simTotal int64) *partition.RCBTree {
-	n := int64(ranks * samplesPerRank(ranks))
-	if n > simTotal {
-		n = simTotal
-	}
-	points := make([]partition.Point, n)
-	for k := int64(0); k < n; k++ {
-		x, y, z, _, _, _ := InitialState(seed, uint64(k), side)
-		points[k] = partition.Point{x, y, z}
-	}
-	return cachedBuildTree(points, ranks)
+func initialTree(c *mpi.Comm, seed uint64, side float64, simTotal int64) *partition.RCBTree {
+	ranks := c.Size()
+	return mpi.Shared(c, initialTreeKey{ranks, seed, side, simTotal}, func() *partition.RCBTree {
+		n := int64(ranks * samplesPerRank(ranks))
+		if n > simTotal {
+			n = simTotal
+		}
+		points := make([]partition.Point, n)
+		for k := int64(0); k < n; k++ {
+			x, y, z, _, _, _ := InitialState(seed, uint64(k), side)
+			points[k] = partition.Point{x, y, z}
+		}
+		return partition.BuildRCBTree(points, ranks)
+	})
 }
 
 func (b *repartitionBalancer) owner(x, y, z float64) int {
@@ -415,7 +381,8 @@ func (b *repartitionBalancer) rebuild(s *System) {
 			points = append(points, partition.Point{part[i], part[i+1], part[i+2]})
 		}
 	}
-	b.tree = cachedBuildTree(points, b.ranks)
+	key := rebuiltTreeKey{s.comm.WorldRank() - s.comm.Rank(), s.step}
+	b.tree = mpi.Shared(s.comm, key, func() *partition.RCBTree { return partition.BuildRCBTree(points, b.ranks) })
 	s.comm.Compute(cluster.Work{
 		Flops: repartitionFlopsPerDroplet*float64(n)*s.partScale +
 			repartitionFlopsPerSample*float64(len(points)),

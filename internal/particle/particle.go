@@ -177,7 +177,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*System, error) {
 		simTotal = int64(sc.MaxDropletsPerRank) * int64(p)
 	}
 	s.partScale = float64(cfg.Droplets) / float64(simTotal)
-	s.bal = newBalancer(cfg, p, s.seed, s.side, simTotal)
+	s.bal = newBalancer(c, cfg, s.seed, s.side, simTotal)
 
 	// The initial cloud is a global agreement: every rank evaluates the
 	// same hash-derived droplet states and keeps the ones it owns under

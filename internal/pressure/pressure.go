@@ -649,21 +649,6 @@ func (s *Solver) Step() {
 	s.region("spray", s.stepSpray)
 }
 
-// StepPhases is Step with a callback after every phase; used by the
-// determinism diagnostics and tests.
-func (s *Solver) StepPhases(after func()) {
-	s.region("momentum", s.stepMomentum)
-	after()
-	s.region("scalars", s.stepScalars)
-	after()
-	s.region("combustion", s.stepCombustion)
-	after()
-	s.region("pressure_field", s.stepPressure)
-	after()
-	s.region("spray", s.stepSpray)
-	after()
-}
-
 // Stats summarises a run.
 type Stats struct {
 	StepsRun      int

@@ -166,13 +166,6 @@ func (m *Metrics) ObserveJobTime(seconds float64) {
 	m.mu.Unlock()
 }
 
-// JobEWMA returns the current computed-job latency estimate in seconds.
-func (m *Metrics) JobEWMA() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobEWMA
-}
-
 // RetryAfterSeconds derives the 429 backoff hint from the queue state:
 // a queue of depth jobs drains in about depth/workers EWMA periods, and
 // the retrying client's own job takes one more. With no latency

@@ -98,11 +98,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalParticles returns the full-configuration particle count.
-func (c Config) TotalParticles() int64 {
-	return int64(c.Cells) * int64(c.ParticlesPerCell)
-}
-
 // BaseSTC returns the Base SIMPIC test case matched to a production
 // pressure-solver mesh size, the hand-picked equivalences of Fig. 3:
 //

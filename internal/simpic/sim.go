@@ -13,7 +13,6 @@ import (
 // Message tags used by a SIMPIC run.
 const (
 	tagGhost = 10
-	tagRhoL  = 11
 	tagRhoR  = 12
 	tagMigL  = 13
 	tagMigR  = 14

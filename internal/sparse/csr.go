@@ -1,9 +1,8 @@
 // Package sparse implements the compressed-sparse-row kernels the paper's
 // pressure-solver analysis centres on: SpMV, SpGEMM in both the baseline
 // two-pass form and the optimised single-pass sparse-accumulator (SPA)
-// form, the identity-block reordering for interpolation operators, and
-// the column-renumbering strategies for distributed matrices (Section IV
-// of the paper; Park et al. [48]).
+// form, and the identity-block reordering for interpolation operators
+// (Section IV of the paper; Park et al. [48]).
 package sparse
 
 import (

@@ -1,144 +1,5 @@
 package sparse
 
-import (
-	"sort"
-	"sync"
-)
-
-// ---- Column renumbering (Section IV-B, bullet 4) --------------------------
-//
-// In distributed AMG, matrix rows are spread across ranks; after a halo
-// exchange a rank's column index set contains new global indices that must
-// be renumbered into a compact local range. The baseline sorts the whole
-// index stream; the optimised variant builds per-worker hash maps, merges
-// them with a parallel merge sort, and scatters local ids back through a
-// reverse mapping [48]. Both produce the identical mapping: the k distinct
-// global columns sorted ascending become locals 0..k-1.
-
-// RenumberSort is the baseline renumbering: sort the full column stream,
-// unique it, then binary-search each index. Returns the local index per
-// input position and the sorted distinct globals (globalOf[local] = global).
-func RenumberSort(globalCols []int) (locals []int, globalOf []int) {
-	sorted := make([]int, len(globalCols))
-	copy(sorted, globalCols)
-	sort.Ints(sorted)
-	globalOf = sorted[:0]
-	prev := -1
-	first := true
-	for _, g := range sorted {
-		if first || g != prev {
-			globalOf = append(globalOf, g)
-			prev = g
-			first = false
-		}
-	}
-	locals = make([]int, len(globalCols))
-	for i, g := range globalCols {
-		locals[i] = sort.SearchInts(globalOf, g)
-	}
-	return locals, globalOf
-}
-
-// RenumberHashMerge is the optimised renumbering: each worker hashes its
-// shard of the column stream into a private set, the per-worker key sets
-// are merged with a k-way merge of sorted runs, and local ids are
-// scattered back through a reverse map. workers <= 0 picks 4.
-func RenumberHashMerge(globalCols []int, workers int) (locals []int, globalOf []int) {
-	if workers <= 0 {
-		workers = 4
-	}
-	if workers > len(globalCols) {
-		workers = len(globalCols)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Phase 1: private hash sets per worker.
-	sets := make([]map[int]struct{}, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(globalCols) / workers
-		hi := (w + 1) * len(globalCols) / workers
-		sets[w] = make(map[int]struct{})
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, g := range globalCols[lo:hi] {
-				sets[w][g] = struct{}{}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// Phase 2: sort each worker's keys, then k-way merge the runs.
-	runs := make([][]int, workers)
-	for w := 0; w < workers; w++ {
-		run := make([]int, 0, len(sets[w]))
-		for g := range sets[w] {
-			run = append(run, g)
-		}
-		sort.Ints(run)
-		runs[w] = run
-	}
-	globalOf = mergeRuns(runs)
-	// Phase 3: reverse map global -> local, scatter back in parallel.
-	rev := make(map[int]int, len(globalOf))
-	for l, g := range globalOf {
-		rev[g] = l
-	}
-	locals = make([]int, len(globalCols))
-	for w := 0; w < workers; w++ {
-		lo := w * len(globalCols) / workers
-		hi := (w + 1) * len(globalCols) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				locals[i] = rev[globalCols[i]]
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return locals, globalOf
-}
-
-// mergeRuns merges sorted runs into one sorted slice without duplicates.
-func mergeRuns(runs [][]int) []int {
-	for len(runs) > 1 {
-		var next [][]int
-		for i := 0; i+1 < len(runs); i += 2 {
-			next = append(next, merge2(runs[i], runs[i+1]))
-		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		runs = next
-	}
-	if len(runs) == 0 {
-		return []int{}
-	}
-	return runs[0]
-}
-
-func merge2(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // ---- Identity-block interpolation reordering (Section IV-B, bullet 3) ----
 //
 // During AMG interpolation and restriction, coarse points map directly to

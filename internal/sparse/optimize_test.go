@@ -6,98 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestRenumberSortBasic(t *testing.T) {
-	locals, globals := RenumberSort([]int{50, 10, 50, 30, 10})
-	wantGlobals := []int{10, 30, 50}
-	for i, g := range wantGlobals {
-		if globals[i] != g {
-			t.Fatalf("globals = %v, want %v", globals, wantGlobals)
-		}
-	}
-	wantLocals := []int{2, 0, 2, 1, 0}
-	for i, l := range wantLocals {
-		if locals[i] != l {
-			t.Fatalf("locals = %v, want %v", locals, wantLocals)
-		}
-	}
-}
-
-func TestRenumberEmpty(t *testing.T) {
-	l1, g1 := RenumberSort(nil)
-	l2, g2 := RenumberHashMerge(nil, 4)
-	if len(l1) != 0 || len(g1) != 0 || len(l2) != 0 || len(g2) != 0 {
-		t.Error("empty input should give empty outputs")
-	}
-}
-
-func TestRenumberVariantsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	cols := make([]int, 5000)
-	for i := range cols {
-		cols[i] = rng.Intn(800)
-	}
-	l1, g1 := RenumberSort(cols)
-	for _, workers := range []int{1, 2, 7, 16} {
-		l2, g2 := RenumberHashMerge(cols, workers)
-		if len(g1) != len(g2) {
-			t.Fatalf("workers=%d: distinct counts differ: %d vs %d", workers, len(g1), len(g2))
-		}
-		for i := range g1 {
-			if g1[i] != g2[i] {
-				t.Fatalf("workers=%d: globals differ at %d", workers, i)
-			}
-		}
-		for i := range l1 {
-			if l1[i] != l2[i] {
-				t.Fatalf("workers=%d: locals differ at %d", workers, i)
-			}
-		}
-	}
-}
-
-func TestRenumberRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cols := make([]int, int(n)+1)
-		for i := range cols {
-			cols[i] = rng.Intn(64)
-		}
-		locals, globals := RenumberHashMerge(cols, 3)
-		// Round trip: globalOf[local[i]] == cols[i].
-		for i := range cols {
-			if globals[locals[i]] != cols[i] {
-				return false
-			}
-		}
-		// globals sorted strictly ascending.
-		for i := 1; i < len(globals); i++ {
-			if globals[i] <= globals[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeRuns(t *testing.T) {
-	got := mergeRuns([][]int{{1, 4, 9}, {2, 4}, {0, 9, 10}})
-	want := []int{0, 1, 2, 4, 9, 10}
-	if len(got) != len(want) {
-		t.Fatalf("mergeRuns = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mergeRuns = %v, want %v", got, want)
-		}
-	}
-	if out := mergeRuns(nil); len(out) != 0 {
-		t.Error("mergeRuns(nil) not empty")
-	}
-}
-
 // interpolationMatrix builds a typical AMG P: coarse points are identity
 // rows, fine points interpolate from two coarse neighbours.
 func interpolationMatrix(fine int) *CSR {
