@@ -1,7 +1,9 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,7 +25,7 @@ func TestJSONConfigBuild(t *testing.T) {
 	  ]
 	}`
 	var jc serve.SimSpec
-	if err := json.Unmarshal([]byte(raw), &jc); err != nil {
+	if err := serve.DecodeStrict(strings.NewReader(raw), &jc); err != nil {
 		t.Fatal(err)
 	}
 	sim, err := jc.Build()
@@ -124,5 +126,101 @@ func TestDemoConfigValid(t *testing.T) {
 	}
 	if err := sim.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigDecodesStrictly: -config holds a file to the /v1/simulate
+// schema. An unknown field at either level or trailing data fails the
+// run naming what is wrong, before anything is simulated; the shipped
+// engine config still runs.
+func TestConfigDecodesStrictly(t *testing.T) {
+	engine, err := os.ReadFile("../../examples/engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inst = `{"name": "row", "kind": "mgcfd", "meshCells": 20000, "ranks": 2}`
+	for _, tc := range []struct{ name, body, wantErr string }{
+		{"examples/engine.json", string(engine), ""},
+		{"unknown instance field", `{"densitySteps": 1, "instances": [{"name": "row", "kind": "mgcfd", "meshCell": 200000, "ranks": 2}]}`, `unknown field "meshCell"`},
+		{"unknown top-level field", `{"densitySteps": 1, "instances": [` + inst + `], "unit": []}`, `unknown field "unit"`},
+		{"trailing data", `{"densitySteps": 1, "instances": [` + inst + `]} {}`, "trailing data"},
+	} {
+		path := filepath.Join(t.TempDir(), "config.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-config", path}, &stdout, &stderr)
+		switch {
+		case tc.wantErr == "" && code != 0:
+			t.Errorf("%s: exit %d: %s", tc.name, code, stderr.String())
+		case tc.wantErr != "" && (code == 0 || !strings.Contains(stderr.String(), tc.wantErr) || stdout.Len() != 0):
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want a failure naming %s", tc.name, code, stdout.String(), stderr.String(), tc.wantErr)
+		}
+	}
+}
+
+// TestNegativeFlagsAreRejected: a negative MTBF, checkpoint interval or
+// sampling period is a usage error naming the flag, not a silent
+// fault-free run.
+func TestNegativeFlagsAreRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-demo", "-faults", "-1", "-ckpt", "-3"},
+		{"-demo", "-ckpt", "-3"},
+		{"-demo", "-metrics-interval", "-0.5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), args[1]+" must be") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %s", args, code, stdout.String(), stderr.String(), args[1])
+		}
+	}
+}
+
+// TestDocumentedCommandsParse: every cpxsim command line in a fenced
+// block of the docs, and in this package's usage comment, parses
+// through run's flag set.
+func TestDocumentedCommandsParse(t *testing.T) {
+	var lines []string
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for _, line := range strings.Split(strings.ReplaceAll(string(text), "\\\n", " "), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if fenced {
+				lines = append(lines, line)
+			}
+		}
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(src), "\n") {
+		if usage, ok := strings.CutPrefix(line, "//\t"); ok {
+			lines = append(lines, usage)
+		}
+	}
+	n := 0
+	for _, line := range lines {
+		line, _, _ = strings.Cut(line, "#")
+		fields := strings.Fields(line)
+		if len(fields) >= 3 && fields[0] == "go" && fields[1] == "run" {
+			fields = fields[2:]
+		}
+		if len(fields) == 0 || (fields[0] != "cpxsim" && fields[0] != "./cmd/cpxsim") {
+			continue
+		}
+		n++
+		var stderr bytes.Buffer
+		if o, code := parse(fields[1:], &stderr); o == nil {
+			t.Errorf("documented %q does not parse (exit %d): %s", strings.TrimSpace(line), code, stderr.String())
+		}
+	}
+	if n < 5 {
+		t.Errorf("found %d documented cpxsim command lines, want at least 5", n)
 	}
 }

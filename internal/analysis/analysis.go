@@ -21,7 +21,8 @@
 //     compiler's own inlining and escape facts.
 //
 // Check runs all five over a module; TestModuleLintsClean makes a finding
-// a tier-1 failure and cmd/cpxlint prints the same result.
+// a tier-1 failure, and `make lint` runs that test alone to print the
+// result.
 //
 // A diagnostic is silenced with a reviewed suppression comment on the
 // same line or the line above:

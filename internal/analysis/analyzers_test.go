@@ -41,10 +41,10 @@ func TestIsSimCritical(t *testing.T) {
 	}
 }
 
-// TestModuleLintsClean runs the whole suite over this module, exactly as
-// cmd/cpxlint does, and fails on any unsuppressed finding — so tier-1
-// (`go test ./...`) enforces the lint, with the finding's file and line
-// in the failure.
+// TestModuleLintsClean runs the whole suite over this module and fails
+// on any unsuppressed finding — so tier-1 (`go test ./...`) enforces the
+// lint, with the finding's file and line in the failure. `make lint`
+// runs it alone with -v, which also lists the suppressed findings.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module load in -short mode")
@@ -52,6 +52,10 @@ func TestModuleLintsClean(t *testing.T) {
 	res, err := analysis.Check("../..")
 	if err != nil {
 		t.Fatalf("Check: %v", err)
+	}
+	t.Logf("%d package(s), %d diagnostic(s), %d suppressed", res.Packages, len(res.Kept), len(res.Suppressed))
+	for _, d := range res.Suppressed {
+		t.Logf("%s (suppressed)", d)
 	}
 	for _, d := range res.Kept {
 		t.Errorf("%s", d)

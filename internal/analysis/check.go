@@ -20,8 +20,9 @@ type Result struct {
 // suite over it: each analyzer of Analyzers (the SimCriticalOnly ones on
 // the simulation-critical packages only), then the perfgate, with the
 // package's //lint:allow directives applied. It is the one driver:
-// cmd/cpxlint prints the Result and TestModuleLintsClean asserts Kept is
-// empty. err reports a module that does not load, type-check or build.
+// TestModuleLintsClean (`make lint`) asserts Kept is empty and logs
+// Suppressed. err reports a module that does not load, type-check or
+// build.
 func Check(root string) (*Result, error) {
 	loader, err := NewLoader(root)
 	if err != nil {

@@ -28,7 +28,7 @@ type Package struct {
 // only the standard library: module-internal imports are resolved
 // recursively from source, everything else goes through the compiler's
 // source importer (which type-checks the standard library from GOROOT).
-// This is what lets cpxlint run without golang.org/x/tools.
+// This is what lets the suite run without golang.org/x/tools.
 type Loader struct {
 	Fset *token.FileSet
 
@@ -159,7 +159,7 @@ func isSourceFile(name string) bool {
 }
 
 // TypeErrors returns every type-checking error seen so far. The tree is
-// expected to compile (the tier-1 gate builds it), so cpxlint treats any
+// expected to compile (the tier-1 gate builds it), so Check treats any
 // entry here as a load failure.
 func (l *Loader) TypeErrors() []error { return l.typeErrs }
 

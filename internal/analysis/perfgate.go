@@ -40,8 +40,8 @@ import (
 
 // PerfGateAnalyzer carries the rule name and documentation for perfgate
 // diagnostics. It is not part of Analyzers(): PerfGate needs the module
-// root and an external compiler run, so cmd/cpxlint invokes it
-// separately with a Pass built on this analyzer.
+// root and an external compiler run, so Check invokes it separately with
+// a Pass built on this analyzer.
 var PerfGateAnalyzer = &Analyzer{
 	Name: "perfgate",
 	Doc: "verify //perf:inline and //perf:noescape annotations against the " +

@@ -21,7 +21,7 @@ type SuppressionSet struct {
 	// byFileLine maps filename -> line -> rules allowed on that line.
 	byFileLine map[string]map[int][]Suppression
 	// Malformed holds directives with a missing reason or unknown rule;
-	// cmd/cpxlint reports these as errors so suppressions stay reviewed.
+	// Check reports these as findings so suppressions stay reviewed.
 	Malformed []Diagnostic
 }
 

@@ -2,7 +2,7 @@
 // simulation-critical packages. Go randomises map iteration order on
 // purpose; any loop whose side effects depend on that order (appending
 // results, accumulating floats, sending messages) makes per-rank virtual
-// clocks and solver output depend on the host scheduler. The cpxlint
+// clocks and solver output depend on the host scheduler. The
 // determinism and floatreduce analyzers (internal/analysis) flag such
 // loops and point here: collect the keys, sort them, then iterate.
 package order

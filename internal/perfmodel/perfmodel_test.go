@@ -256,7 +256,8 @@ func TestAllocateBudgetProperty(t *testing.T) {
 }
 
 func TestCurveJSONRoundTrip(t *testing.T) {
-	// Curves persist as plain JSON (used by cmd/cpxmodel workflows).
+	// Curves round-trip through plain JSON, so a fitted curve can be
+	// saved and reloaded.
 	c := &Curve{BaseCores: 128, BaseTime: 42.5, P50: 3100, K: 1.35}
 	raw, err := json.Marshal(c)
 	if err != nil {

@@ -16,12 +16,13 @@ import (
 // version also guards refactors within a release).
 const cacheSchema = "v1"
 
-// decodeStrict parses a request body into spec, rejecting unknown
+// DecodeStrict parses a request body into spec, rejecting unknown
 // fields and trailing garbage. Strictness is what makes
 // canonicalisation sound: two bodies that differ in anything the spec
 // does not capture are rejected rather than silently mapped to the
-// same key.
-func decodeStrict(r io.Reader, spec any) error {
+// same key. cpxsim -config decodes its scenario file with it too, so a
+// file and a request body are held to one schema.
+func DecodeStrict(r io.Reader, spec any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cpx/internal/cluster"
+	"cpx/internal/perfmodel"
 )
 
 func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -204,7 +205,7 @@ func TestDemoCacheKeyPinned(t *testing.T) {
 	  {"name": "hpc-comb", "a": 0, "b": 1, "kind": "steady", "points": 50000, "ranks": 2, "search": "prefetch", "exchangeEvery": 2},
 	  {"name": "comb-hpt", "a": 1, "b": 2, "kind": "steady", "points": 50000, "ranks": 2, "search": "prefetch", "exchangeEvery": 2}]}`
 	var req SimulateRequest
-	if err := decodeStrict(strings.NewReader(demoBody), &req); err != nil {
+	if err := DecodeStrict(strings.NewReader(demoBody), &req); err != nil {
 		t.Fatal(err)
 	}
 	canonical, err := canonicalize(&req)
@@ -236,6 +237,32 @@ func TestFitAndSpeedupEndpoints(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/v1/speedup", spBody)
 	if resp.StatusCode != 200 || !strings.Contains(string(body), `"speedup"`) {
 		t.Fatalf("speedup: %d %s", resp.StatusCode, body)
+	}
+}
+
+func TestDemoComponentsFitAndAllocate(t *testing.T) {
+	comps := DemoComponents()
+	if len(comps) != 4 {
+		t.Fatalf("demo components = %d", len(comps))
+	}
+	model, err := BuildComponents(comps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := perfmodel.Allocate(model, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The combustor (worst absolute time) must receive the most ranks
+	// among the instances.
+	maxIdx := 0
+	for i := 0; i < 3; i++ {
+		if alloc.Cores[i] > alloc.Cores[maxIdx] {
+			maxIdx = i
+		}
+	}
+	if model[maxIdx].Name != "combustor (380M equiv)" {
+		t.Errorf("largest allocation went to %q", model[maxIdx].Name)
 	}
 }
 

@@ -435,7 +435,7 @@ func (s *Server) post(endpoint string, ep endpointFunc) http.HandlerFunc {
 
 func (s *Server) runFit(r *http.Request, _ *Job) (any, func(context.Context) (any, error), error) {
 	var req FitRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
 	return &req, func(context.Context) (any, error) {
@@ -498,7 +498,7 @@ func allocationResponse(budget int, alloc *perfmodel.Allocation) *AllocateRespon
 
 func (s *Server) runAllocate(r *http.Request, _ *Job) (any, func(context.Context) (any, error), error) {
 	var req AllocateRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
 	return &req, func(context.Context) (any, error) {
@@ -512,7 +512,7 @@ func (s *Server) runAllocate(r *http.Request, _ *Job) (any, func(context.Context
 
 func (s *Server) runSpeedup(r *http.Request, _ *Job) (any, func(context.Context) (any, error), error) {
 	var req SpeedupRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
 	return &req, func(context.Context) (any, error) {
@@ -539,7 +539,7 @@ func (s *Server) runSpeedup(r *http.Request, _ *Job) (any, func(context.Context)
 
 func (s *Server) runSimulate(r *http.Request, jb *Job) (any, func(context.Context) (any, error), error) {
 	var req SimulateRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
 	return &req, s.simulateRunner(&req, jb), nil

@@ -7,9 +7,8 @@
 // plumbed into the rank goroutines, a content-addressed result cache
 // with singleflight deduplication, and Prometheus-style metrics.
 //
-// The request schemas here are shared with the CLIs: SimSpec is the
-// cpxsim -config schema and ComponentSpec the cpxmodel -components
-// schema, so a scenario file works unchanged as a request body.
+// SimSpec, the request schema of /v1/simulate, is also the cpxsim
+// -config schema, so a scenario file works unchanged as a request body.
 package serve
 
 import (
@@ -162,8 +161,8 @@ type CurveSpec struct {
 }
 
 // ComponentSpec describes one component for the Algorithm 1 allocation
-// — the cpxmodel -components schema. Exactly one of Samples (fit a
-// curve) or Curve (use as given) must be set.
+// (an element of AllocateRequest.Components). Exactly one of Samples
+// (fit a curve) or Curve (use as given) must be set.
 type ComponentSpec struct {
 	Name      string       `json:"name"`
 	IsCU      bool         `json:"isCU"`
@@ -312,9 +311,9 @@ type SimulateResponse struct {
 	Particles []ParticleLoadOut `json:"particles,omitempty"`
 }
 
-// DemoComponents returns the built-in four-component model scenario
-// (cpxmodel -demo): three engine rows with synthetic PE samples and one
-// coupling unit. The serve smoke test and the demo CLI share it.
+// DemoComponents returns the built-in four-component model scenario:
+// three engine rows with synthetic PE samples and one coupling unit.
+// The serve tests and the cpxserve smoke tests share it.
 func DemoComponents() []ComponentSpec {
 	mk := func(name string, base, p50 float64, isCU bool) ComponentSpec {
 		truth := perfmodel.Curve{BaseCores: 100, BaseTime: base, P50: p50, K: 1.3}

@@ -259,7 +259,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	jb := rq.job
 
 	var req SweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		rq.fail(badRequest(err))
 		return
 	}
