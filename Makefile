@@ -16,9 +16,9 @@ vet:
 	$(GO) vet ./...
 
 # The lint leg of `make test` on its own: the determinism, mpiuse,
-# floatreduce and hotalloc analyzers plus the perfgate compiler-fact
-# gate (see internal/analysis) over the module. Fails on any diagnostic
-# without a reviewed //lint:allow suppression; -v lists the suppressed.
+# floatreduce and hotalloc analyzers (see internal/analysis) over the
+# module. Fails on any diagnostic without a reviewed //lint:allow
+# suppression; -v lists the suppressed.
 lint:
 	$(GO) test -count=1 -run TestModuleLintsClean -v ./internal/analysis
 

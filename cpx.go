@@ -176,14 +176,8 @@ type Component = perfmodel.Component
 // Allocation is the result of the greedy distribution (Algorithm 1).
 type Allocation = perfmodel.Allocation
 
-// AmdahlCurve is the alternative serial + work/p + comm*log(p) model.
-type AmdahlCurve = perfmodel.AmdahlCurve
-
 // FitCurve fits a parallel-efficiency curve to benchmark samples.
 func FitCurve(samples []Sample) (*Curve, error) { return perfmodel.FitCurve(samples) }
-
-// FitAmdahl fits the three-term Amdahl-style model to benchmark samples.
-func FitAmdahl(samples []Sample) (*AmdahlCurve, error) { return perfmodel.FitAmdahl(samples) }
 
 // Allocate distributes a core budget across components with Algorithm 1.
 func Allocate(components []Component, budget int) (*Allocation, error) {

@@ -6,9 +6,9 @@
 // fixtures) but is built purely on the standard library's go/ast and
 // go/types so the module stays dependency-free.
 //
-// Four analyzers and one compiler-fact gate ship with the suite; each
-// stayed because a seeded violation showed it names a fault sooner or
-// more precisely than the tests do (ROADMAP "Legible" (3) has the audit):
+// Four analyzers ship with the suite; each stayed because a seeded
+// violation showed it names a fault sooner or more precisely than the
+// tests do (ROADMAP "Legible" (3) has the audit):
 //
 //   - determinism: no host wall-clock or timers, no process-seeded
 //     math/rand, no map-iteration order leaking into results inside the
@@ -17,12 +17,11 @@
 //     (deadlock/mismatch).
 //   - floatreduce: no float accumulation in map- or goroutine-order.
 //   - hotalloc: no new heap-allocating construct in //perf:hotpath code.
-//   - perfgate: //perf:inline and //perf:noescape hold against the gc
-//     compiler's own inlining and escape facts.
 //
-// Check runs all five over a module; TestModuleLintsClean makes a finding
-// a tier-1 failure, and `make lint` runs that test alone to print the
-// result.
+// Check runs all four over a module; TestModuleLintsClean makes a
+// finding a tier-1 failure, and `make lint` runs that test alone to
+// print the result. Host-time cost is not a lint rule: the benchmark
+// (`go run ./bench`) is its one gate.
 //
 // A diagnostic is silenced with a reviewed suppression comment on the
 // same line or the line above:
@@ -90,11 +89,8 @@ func Analyzers() []*Analyzer {
 }
 
 // AnalyzerNames returns the valid rule names for suppression validation.
-// The perfgate compiler-fact gate (perfgate.go) reports under its own
-// rule name without being a Pass-based analyzer, so it is added
-// explicitly.
 func AnalyzerNames() map[string]bool {
-	names := map[string]bool{PerfGateAnalyzer.Name: true}
+	names := map[string]bool{}
 	for _, a := range Analyzers() {
 		names[a.Name] = true
 	}

@@ -18,8 +18,8 @@ type Result struct {
 
 // Check loads every package of the module at root and runs the whole
 // suite over it: each analyzer of Analyzers (the SimCriticalOnly ones on
-// the simulation-critical packages only), then the perfgate, with the
-// package's //lint:allow directives applied. It is the one driver:
+// the simulation-critical packages only), with the package's
+// //lint:allow directives applied. It is the one driver:
 // TestModuleLintsClean (`make lint`) asserts Kept is empty and logs
 // Suppressed. err reports a module that does not load, type-check or
 // build.
@@ -43,18 +43,12 @@ func Check(root string) (*Result, error) {
 		res.Kept = append(res.Kept, supps.Malformed...)
 
 		simCritical := IsSimCritical(pkg.ImportPath)
-		for _, a := range append(Analyzers(), PerfGateAnalyzer) {
+		for _, a := range Analyzers() {
 			if a.SimCriticalOnly && !simCritical {
 				continue
 			}
 			pass := &Pass{Analyzer: a, Fset: loader.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
-			if a == PerfGateAnalyzer {
-				if err := PerfGate(root, pass); err != nil {
-					return nil, err
-				}
-			} else {
-				a.Run(pass)
-			}
+			a.Run(pass)
 			kept, suppressed := supps.Filter(pass.Diagnostics)
 			res.Kept = append(res.Kept, kept...)
 			res.Suppressed = append(res.Suppressed, suppressed...)

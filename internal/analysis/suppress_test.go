@@ -97,7 +97,7 @@ func TestSuppressMalformedDirectives(t *testing.T) {
 func f() {
 	_ = 1 //lint:allow mpiuse
 	_ = 2 //lint:allow nosuchrule a perfectly good reason
-	_ = 3 //lint:allow perfgate hook must stay under budget
+	_ = 3 //lint:allow hotalloc grows once per run, not per step
 }
 `
 	_, set := collectFrom(t, src, analysis.AnalyzerNames())
@@ -111,8 +111,8 @@ func f() {
 	if set.Allows(diagAt("nosuchrule", 5)) {
 		t.Error("unknown-rule directive still suppressed")
 	}
-	if !set.Allows(diagAt("perfgate", 6)) {
-		t.Error("valid perfgate directive was rejected")
+	if !set.Allows(diagAt("hotalloc", 6)) {
+		t.Error("valid hotalloc directive was rejected")
 	}
 }
 

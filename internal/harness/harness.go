@@ -11,6 +11,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -124,6 +125,13 @@ func scaleSampled(elapsed, setup, fraction float64) float64 {
 // standalone is the one recipe for a standalone mini-app run: launch
 // `cores` ranks under rc, take rank 0's setup time from solve, and scale
 // the sampled run up to the full configuration.
+//
+// A finished run leaves every rank's solver state as garbage at once,
+// while the collector's next goal was set when that state was live.
+// Sweeps run these back to back, so without a collection here the next
+// point would build its state on top of the last one's, and where the
+// previous cycle happened to fall would decide the sweep's peak memory.
+// With almost nothing live the collection costs milliseconds.
 func standalone(app string, cores int, rc mpi.Config, fraction float64, solve func(*mpi.Comm) (setup float64, err error)) (float64, *mpi.Stats, error) {
 	var setup float64
 	st, err := mpi.Run(cores, rc, func(c *mpi.Comm) error {
@@ -133,6 +141,7 @@ func standalone(app string, cores int, rc mpi.Config, fraction float64, solve fu
 		}
 		return err
 	})
+	runtime.GC()
 	if err != nil {
 		return 0, nil, fmt.Errorf("%s on %d cores: %w", app, cores, err)
 	}

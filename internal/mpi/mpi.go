@@ -243,7 +243,7 @@ func (p *proc) chargeCompute(s float64) {
 			Region: p.profile.Current(), Op: p.op, Peer: -1})
 	}
 	if p.metrics != nil {
-		p.metrics.AdvanceCompute(t0, p.clock)
+		p.metrics.Advance(t0, p.clock, telemetry.ChargeCompute)
 	}
 	if died {
 		p.die()
@@ -270,21 +270,19 @@ func (p *proc) chargeCommAs(s float64, kind trace.EventKind, peer, bytes, tag in
 			Region: p.profile.Current(), Op: p.op, Peer: peer, Bytes: bytes, Tag: tag})
 	}
 	if p.metrics != nil {
+		charge := telemetry.ChargeComm
 		if kind == trace.EvWait {
-			p.metrics.AdvanceWait(t0, p.clock)
-		} else {
-			p.metrics.AdvanceComm(t0, p.clock)
+			charge = telemetry.ChargeWait
 		}
+		p.metrics.Advance(t0, p.clock, charge)
 	}
 	if died {
 		p.die()
 	}
 }
 
-// chargeComm charges plain communication time. The wrapper must stay
-// under the inliner budget so the constant arguments fold at the sites.
+// chargeComm charges plain communication time.
 //
-//perf:inline
 //perf:hotpath
 func (p *proc) chargeComm(s float64) { p.chargeCommAs(s, trace.EvComm, -1, 0, 0) }
 
@@ -310,7 +308,7 @@ func (p *proc) waitUntil(srcWorld, bytes, tag int, departure, arrival float64) {
 			Peer: srcWorld, Bytes: bytes, Tag: tag, SendT: departure})
 	}
 	if p.metrics != nil {
-		p.metrics.AdvanceWait(t0, t1)
+		p.metrics.Advance(t0, t1, telemetry.ChargeWait)
 	}
 	if died {
 		p.die()
@@ -969,10 +967,6 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 		reference: reference,
 		deadAt:    make([]float64, size),
 	}
-	var collectors []*telemetry.Collector
-	if cfg.Metrics != nil {
-		collectors = telemetry.NewCollectors(size, cfg.Metrics)
-	}
 	// Mailboxes and procs are carved from two batch allocations: at
 	// fig8/fig9 rank counts, one-object-per-rank setup costs show up in
 	// run-level benchmarks.
@@ -995,7 +989,7 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 			w.procs[i].comms = make(map[int]*commCell)
 		}
 		if cfg.Metrics != nil {
-			w.procs[i].metrics = collectors[i]
+			w.procs[i].metrics = telemetry.NewCollector(i, cfg.Metrics)
 		}
 		if cfg.flightEvents > 0 || plan != nil {
 			w.procs[i].flight = telemetry.NewFlightRecorder(cfg.flightEvents)

@@ -122,76 +122,6 @@ func FitCurve(samples []Sample) (*Curve, error) {
 	return &Curve{BaseCores: base.Cores, BaseTime: base.Runtime, P50: bestP50, K: bestK}, nil
 }
 
-// AmdahlCurve is the alternative run-time model T(p) = serial + work/p +
-// comm*log2(p): an explicit serial fraction plus perfectly-parallel work
-// plus a logarithmically-growing communication term. Useful when the
-// knee-form Curve fits poorly (e.g. collective-dominated kernels).
-type AmdahlCurve struct {
-	Serial float64
-	Work   float64
-	Comm   float64
-}
-
-// Runtime returns the modelled run-time at p cores.
-func (a *AmdahlCurve) Runtime(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return a.Serial + a.Work/p + a.Comm*math.Log2(math.Max(p, 2))
-}
-
-// FitAmdahl fits the three-term model by non-negative least squares via
-// coordinate descent on the residual (deterministic, dependency-free).
-func FitAmdahl(samples []Sample) (*AmdahlCurve, error) {
-	if len(samples) < 3 {
-		return nil, fmt.Errorf("perfmodel: Amdahl fit needs >= 3 samples, got %d", len(samples))
-	}
-	for _, s := range samples {
-		if s.Cores <= 0 || s.Runtime <= 0 {
-			return nil, fmt.Errorf("perfmodel: non-positive sample %+v", s)
-		}
-	}
-	cost := func(c AmdahlCurve) float64 {
-		e := 0.0
-		for _, s := range samples {
-			d := c.Runtime(float64(s.Cores)) - s.Runtime
-			e += d * d
-		}
-		return e
-	}
-	// Initialise from the extremes.
-	maxRT := 0.0
-	for _, s := range samples {
-		if s.Runtime > maxRT {
-			maxRT = s.Runtime
-		}
-	}
-	best := AmdahlCurve{Serial: 0, Work: maxRT * float64(samples[0].Cores), Comm: 0}
-	bestE := cost(best)
-	step := maxRT / 4
-	for iter := 0; iter < 200 && step > maxRT*1e-8; iter++ {
-		improved := false
-		for _, delta := range []AmdahlCurve{
-			{Serial: step}, {Serial: -step},
-			{Work: step * float64(samples[0].Cores)}, {Work: -step * float64(samples[0].Cores)},
-			{Comm: step / 8}, {Comm: -step / 8},
-		} {
-			c := AmdahlCurve{
-				Serial: math.Max(0, best.Serial+delta.Serial),
-				Work:   math.Max(0, best.Work+delta.Work),
-				Comm:   math.Max(0, best.Comm+delta.Comm),
-			}
-			if e := cost(c); e < bestE {
-				best, bestE, improved = c, e, true
-			}
-		}
-		if !improved {
-			step /= 2
-		}
-	}
-	return &best, nil
-}
-
 // Component is one entry of the allocation problem: a solver instance or
 // a coupling unit, with its fitted curve and its size/iteration scaling
 // relative to the curve's base case.

@@ -276,36 +276,3 @@ func TestCurveJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestFitAmdahlRecoversTruth(t *testing.T) {
-	truth := AmdahlCurve{Serial: 2, Work: 10000, Comm: 0.5}
-	var samples []Sample
-	for _, p := range []int{16, 32, 64, 128, 256, 512, 1024} {
-		samples = append(samples, Sample{Cores: p, Runtime: truth.Runtime(float64(p))})
-	}
-	fit, err := FitAmdahl(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{24, 100, 700, 2000} {
-		if RelativeError(fit.Runtime(p), truth.Runtime(p)) > 0.1 {
-			t.Errorf("Amdahl fit at %v: %v vs %v", p, fit.Runtime(p), truth.Runtime(p))
-		}
-	}
-}
-
-func TestFitAmdahlRejectsBadInput(t *testing.T) {
-	if _, err := FitAmdahl([]Sample{{1, 1}, {2, 1}}); err == nil {
-		t.Error("two samples accepted")
-	}
-	if _, err := FitAmdahl([]Sample{{1, 1}, {2, 1}, {4, -1}}); err == nil {
-		t.Error("negative runtime accepted")
-	}
-}
-
-func TestAmdahlDegenerateCores(t *testing.T) {
-	c := AmdahlCurve{Serial: 1, Work: 10, Comm: 1}
-	if !math.IsInf(c.Runtime(0), 1) {
-		t.Error("p=0 should be +Inf")
-	}
-}

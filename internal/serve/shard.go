@@ -181,6 +181,8 @@ func (ss *ShardSet) RouteAny() bool {
 // shard (passive health) and is returned for the caller to degrade on —
 // unless it is the caller's own context ending, which says nothing about
 // the shard; a non-200 status is the shard's answer, not a shard failure.
+// An answer longer than maxBodyBytes is a transport error too: the hop
+// bounds what it reads as the front-end bounds what it accepts.
 func (ss *ShardSet) Forward(ctx context.Context, sh *Shard, endpoint string, canonical []byte) (status int, body []byte, outcome CacheOutcome, err error) {
 	target := sh.URL + endpoint
 	if deadline, ok := ctx.Deadline(); ok {
@@ -195,7 +197,10 @@ func (ss *ShardSet) Forward(ctx context.Context, sh *Shard, endpoint string, can
 	resp, err := ss.client.Do(req)
 	if err == nil {
 		defer resp.Body.Close()
-		body, err = io.ReadAll(resp.Body)
+		body, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+		if err == nil && len(body) > maxBodyBytes {
+			err = fmt.Errorf("shard %s answer exceeds %d bytes", sh.URL, maxBodyBytes)
+		}
 	}
 	if err != nil {
 		if ctx.Err() == nil {

@@ -528,6 +528,36 @@ func TestForwardCarriesRemainingDeadline(t *testing.T) {
 	}
 }
 
+// TestForwardCapsShardBody: a shard answer longer than maxBodyBytes is a
+// transport failure, not an artifact to relay — the shard is demoted and
+// the front-end answers with the job run locally.
+func TestForwardCapsShardBody(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("X-Cache", "miss")
+		w.Write(bytes.Repeat([]byte(" "), 9<<20))
+	}))
+	defer shard.Close()
+	s, ts := testServer(t, Options{Shards: []string{shard.URL}, ShardProbeInterval: time.Hour})
+	_, local := testServer(t, Options{})
+
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", simBody)
+	if resp.StatusCode != 200 || resp.Header.Get("X-Shard") != "" {
+		t.Fatalf("status %d, X-Shard %q, %d-byte body; want 200 from a local run",
+			resp.StatusCode, resp.Header.Get("X-Shard"), len(body))
+	}
+	_, want := postJSON(t, local.URL+"/v1/simulate", simBody)
+	if !bytes.Equal(body, want) {
+		t.Errorf("front-end answered %d bytes, want the local artifact (%d bytes)", len(body), len(want))
+	}
+	if s.shards.Shards()[0].Healthy() {
+		t.Error("shard with an oversized answer stayed healthy")
+	}
+}
+
 // TestDiskCacheRoundtripAndCorruption: artifacts round-trip through the
 // disk tier; a flipped byte fails sha256 verification, rejects the read
 // and removes the file.

@@ -27,8 +27,6 @@
 // input is a function of virtual timestamps only.
 package telemetry
 
-import "math"
-
 // DefaultInterval is the virtual-time sampling period in seconds.
 const DefaultInterval = 0.01
 
@@ -121,19 +119,14 @@ func (s *Sample) add(src Sample) {
 // replay leader while every other member is parked) and read only after
 // the run completes. All methods are driven by virtual-time values.
 type Collector struct {
-	// nextT and cur's leading time fields sit first so the per-charge
-	// fast path (one compare, one direct field add) stays within one
-	// cache line — at 512 ranks the hook runs hundreds of thousands of
-	// times per run and extra line traffic is the dominant cost.
-	nextT float64 // nextK*interval, cached so the per-charge fast path is one compare
-	cur   Sample  // cumulative totals; cur.T tracks the rank clock
-
+	cur         Sample // cumulative totals; cur.T tracks the rank clock
 	rank        int
 	interval    float64
-	invInterval float64 // 1/interval: turns the per-send bucket division into a multiply
+	invInterval float64 // 1/interval: seeds bucketOf's estimate with a multiply
 	maxSamples  int
 	observer    func(rank int, s Sample)
-	nextK       int // index of the next sample boundary
+	nextK       int     // index of the next sample boundary
+	nextT       float64 // nextK*interval, the time Advance compares against
 	samples     []Sample
 	dropped     int
 
@@ -141,69 +134,27 @@ type Collector struct {
 	// arrival fell in sample bucket b (clamped to maxSamples+1).
 	// Recorded at receive completion, when the arrival timestamp is in
 	// hand; Finalize prefix-sums it onto the sample grid to materialise
-	// mailbox depth. arrPtr caches the counter of the bucket holding
-	// arrLast, the previous arrival time, so the repeat-arrival fast
-	// path in Received is a single equality compare — virtual arrivals
-	// cluster at identical timestamps during synchronized phases. The
-	// constructors seed arrLast with NaN (never equal), forcing the
-	// first receive down the slow path before arrPtr is read.
-	arrLast  float64
-	arrPtr   *uint64
+	// mailbox depth.
 	arrivals []uint64
 }
 
 // NewCollector returns a collector for one rank.
 func NewCollector(rank int, cfg *Config) *Collector {
 	iv := cfg.interval()
-	c := &Collector{
+	maxSamples := cfg.maxSamples()
+	return &Collector{
 		rank:        rank,
 		interval:    iv,
 		invInterval: 1 / iv,
-		maxSamples:  cfg.maxSamples(),
+		maxSamples:  maxSamples,
 		observer:    cfg.Observer,
 		nextK:       1,
 		nextT:       iv,
-		arrLast:     math.NaN(),
+		// Seed a useful capacity so short series don't churn the GC
+		// through the small append-doubling steps. Non-nil, so a rank
+		// with no samples exports "samples": [] rather than null.
+		samples: make([]Sample, 0, min(maxSamples, 24)),
 	}
-	return c
-}
-
-// NewCollectors returns one collector per rank for a whole run. The
-// collectors, their initial sample storage and their arrival buckets
-// are carved out of three shared slabs — three allocations instead of
-// ~3n, which matters at hundreds of ranks where per-run GC pressure is
-// the dominant metrics cost. Each rank's carve is capacity-bounded
-// (three-index slices), so a rank outgrowing its carve reallocates
-// privately and never touches a neighbour's storage.
-func NewCollectors(n int, cfg *Config) []*Collector {
-	cs := make([]Collector, n)
-	sampleSeed := cfg.maxSamples()
-	if sampleSeed > 24 {
-		sampleSeed = 24
-	}
-	arrivalSeed := cfg.maxSamples() + 2
-	if arrivalSeed > 26 {
-		arrivalSeed = 26
-	}
-	sampleSlab := make([]Sample, n*sampleSeed)
-	arrivalSlab := make([]uint64, n*arrivalSeed)
-	out := make([]*Collector, n)
-	iv := cfg.interval()
-	for i := range cs {
-		c := &cs[i]
-		c.rank = i
-		c.interval = iv
-		c.invInterval = 1 / iv
-		c.maxSamples = cfg.maxSamples()
-		c.observer = cfg.Observer
-		c.nextK = 1
-		c.nextT = iv
-		c.arrLast = math.NaN()
-		c.samples = sampleSlab[i*sampleSeed : i*sampleSeed : (i+1)*sampleSeed]
-		c.arrivals = arrivalSlab[i*arrivalSeed : i*arrivalSeed : (i+1)*arrivalSeed]
-		out[i] = c
-	}
-	return out
 }
 
 // Rank returns the rank this collector belongs to.
@@ -227,11 +178,9 @@ func (c *Collector) bucketOf(t float64) int {
 // Advance accounts a clock charge of the given kind over virtual
 // [t0, t1]. Crossing a sample boundary emits a sample with the charge
 // prorated linearly to the boundary — extra arithmetic on separate
-// accumulators, never a change to the runtime's own numbers. The
-// common no-boundary case is a single compare and add (small enough to
-// inline into the runtime's charge sites); cur.T is deliberately not
-// maintained here — boundary crossings set it, and the run stamps the
-// final clock via Finish.
+// accumulators, never a change to the runtime's own numbers. cur.T is
+// deliberately not maintained on the no-boundary path: boundary
+// crossings set it, and the run stamps the final clock via Finish.
 func (c *Collector) Advance(t0, t1 float64, kind ChargeKind) {
 	if t1 < c.nextT {
 		c.charge(t1-t0, kind)
@@ -240,51 +189,8 @@ func (c *Collector) Advance(t0, t1 float64, kind ChargeKind) {
 	c.advanceSlow(t0, t1, kind)
 }
 
-// AdvanceCompute, AdvanceComm and AdvanceWait are Advance with the kind
-// fixed at the call site. The runtime's charge paths use them: with the
-// kind constant the fast path compiles to one compare and one direct
-// field add, with no per-kind indirection to load.
-
-// AdvanceCompute is Advance with ChargeCompute.
-//
-//perf:inline
-//perf:noescape
-func (c *Collector) AdvanceCompute(t0, t1 float64) {
-	if t1 < c.nextT {
-		c.cur.Compute += t1 - t0
-		return
-	}
-	c.advanceSlow(t0, t1, ChargeCompute)
-}
-
-// AdvanceComm is Advance with ChargeComm.
-//
-//perf:inline
-//perf:noescape
-func (c *Collector) AdvanceComm(t0, t1 float64) {
-	if t1 < c.nextT {
-		c.cur.Comm += t1 - t0
-		return
-	}
-	c.advanceSlow(t0, t1, ChargeComm)
-}
-
-// AdvanceWait is Advance with ChargeWait.
-//
-//perf:inline
-//perf:noescape
-func (c *Collector) AdvanceWait(t0, t1 float64) {
-	if t1 < c.nextT {
-		c.cur.Wait += t1 - t0
-		return
-	}
-	c.advanceSlow(t0, t1, ChargeWait)
-}
-
 // Finish stamps the rank's final virtual clock on the cumulative
 // totals. Call once when the rank completes (or dies).
-//
-//perf:inline
 func (c *Collector) Finish(clock float64) {
 	if clock > c.cur.T {
 		c.cur.T = clock
@@ -349,15 +255,6 @@ func (c *Collector) charge(s float64, kind ChargeKind) {
 func (c *Collector) emit(t float64) {
 	s := c.cur
 	s.T = t
-	if c.samples == nil {
-		// Seed a useful capacity so short series don't churn the GC
-		// through the small append-doubling steps.
-		seed := c.maxSamples
-		if seed > 24 {
-			seed = 24
-		}
-		c.samples = make([]Sample, 0, seed)
-	}
 	c.samples = append(c.samples, s)
 	if c.observer != nil {
 		c.observer(c.rank, s)
@@ -365,9 +262,6 @@ func (c *Collector) emit(t float64) {
 }
 
 // Sent records one outgoing message.
-//
-//perf:inline
-//perf:noescape
 func (c *Collector) Sent(bytes int) {
 	c.cur.MsgsSent++
 	c.cur.BytesSent += uint64(bytes)
@@ -376,69 +270,23 @@ func (c *Collector) Sent(bytes int) {
 // Received records one completed receive and the received message's
 // virtual arrival time. Receives are counted at the virtual time the
 // receive overhead finished charging, which is always >= the arrival —
-// mailbox depth can therefore never go negative. Arrivals cluster at
-// identical virtual timestamps (collective phases deliver whole waves
-// at one clock value), so the previous arrival's bucket counter is
-// cached keyed by the exact arrival time: the repeat case is one
-// equality compare and an add, small enough to inline at the runtime's
-// receive sites (perfgate holds it to the inliner budget).
-//
-//perf:inline
-//perf:noescape
+// mailbox depth can therefore never go negative.
 func (c *Collector) Received(bytes uint64, arrival float64) {
 	c.cur.MsgsRecv++
 	c.cur.BytesRecv += bytes
-	if arrival == c.arrLast {
-		*c.arrPtr++
-	} else {
-		c.receivedSlow(arrival)
-	}
-}
-
-// receivedSlow buckets an arrival that differs from the cached arrival
-// time and refreshes the cache. The cache is only ever set to a bucket
-// the arrivals array already covers, so the fast path needs no length
-// check beyond the compiler's own.
-func (c *Collector) receivedSlow(arrival float64) {
 	b := c.bucketOf(arrival)
 	if b > c.maxSamples {
 		// Beyond every storable sample point; one overflow bucket bounds
 		// the storage regardless of how far arrivals outrun the cap.
 		b = c.maxSamples + 1
 	}
-	if len(c.arrivals) <= b {
-		if cap(c.arrivals) <= b {
-			// Arrival buckets fill roughly in clock order, so growing one
-			// bucket at a time would reallocate on every boundary; seed a
-			// useful capacity up front (mirroring the samples seed) and
-			// double from there.
-			capacity := 2 * (b + 1)
-			if seed := c.maxSamples + 2; seed > capacity {
-				if seed > 26 {
-					seed = 26
-				}
-				if seed > capacity {
-					capacity = seed
-				}
-			}
-			grown := make([]uint64, b+1, capacity)
-			copy(grown, c.arrivals)
-			c.arrivals = grown
-		} else {
-			c.arrivals = c.arrivals[:b+1] // extension was zeroed by make
-		}
+	if b >= len(c.arrivals) {
+		c.arrivals = append(c.arrivals, make([]uint64, b+1-len(c.arrivals))...)
 	}
 	c.arrivals[b]++
-	// Cache the bucket's counter keyed by the exact arrival time: a
-	// repeat of the same virtual timestamp lands in the same bucket by
-	// construction, so the fast path needs no edge arithmetic at all.
-	c.arrPtr = &c.arrivals[b]
-	c.arrLast = arrival
 }
 
 // Collective records entry into an outermost collective operation.
-//
-//perf:inline
 func (c *Collector) Collective() { c.cur.Collectives++ }
 
 // Totals returns the cumulative counters at the rank's final clock.
