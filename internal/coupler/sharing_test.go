@@ -96,7 +96,7 @@ func perRankUnitMain(sim *Simulation, world *mpi.Comm, r role, digests []uint64)
 func runPerRankReference(t *testing.T, sim *Simulation, cfg mpi.Config) (*mpi.Stats, []uint64) {
 	t.Helper()
 	n := sim.TotalRanks()
-	setup, mark := make([]float64, n), make([]float64, n)
+	setup := make([]float64, n)
 	digests := make([]uint64, n)
 	loads := make([]particle.RankLoad, n)
 	stats, err := mpi.Run(n, cfg, func(c *mpi.Comm) error {
@@ -105,7 +105,7 @@ func runPerRankReference(t *testing.T, sim *Simulation, cfg mpi.Config) (*mpi.St
 			perRankUnitMain(sim, c, r, digests)
 			return nil
 		}
-		return sim.instanceMain(c, r, setup, mark, digests, loads, nil)
+		return sim.instanceMain(c, r, setup, digests, loads, nil)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -311,7 +311,6 @@ type Report struct {
 	InstanceTime  []float64 // max rank clock per instance
 	InstanceComp  []float64 // max rank compute time per instance
 	InstanceSetup []float64 // max setup (pre-stepping) clock per instance
-	InstanceMark  []float64 // max clock at the half-way density step
 	UnitTime      []float64 // max rank clock per unit
 	UnitComp      []float64 // max rank compute (busy) time per unit
 	UnitSetup     []float64 // max setup (initialisation-mapping) clock per unit
@@ -354,40 +353,6 @@ func (rep *Report) DominantComponent() string {
 	return rep.CriticalComponents[0].Label
 }
 
-// ScaledInstanceTime extrapolates instance i's run-time from the sampled
-// density steps to fullSteps using the steady-state rate measured over
-// the second half of the sample — the first half absorbs the exchange
-// pipeline's fill transient, which a long production run amortises but a
-// naive per-step scaling would multiply.
-func (rep *Report) ScaledInstanceTime(i, fullSteps int) float64 {
-	half := rep.DensitySteps - rep.DensitySteps/2
-	if rep.DensitySteps < 4 || rep.InstanceMark == nil || rep.InstanceMark[i] <= 0 {
-		// Too short a sample for rate separation: plain scaling.
-		stepping := rep.InstanceTime[i] - rep.InstanceSetup[i]
-		if stepping < 0 {
-			stepping = 0
-		}
-		return rep.InstanceSetup[i] + stepping*float64(fullSteps)/float64(rep.DensitySteps)
-	}
-	rate := (rep.InstanceTime[i] - rep.InstanceMark[i]) / float64(half)
-	if rate < 0 {
-		rate = 0
-	}
-	return rep.InstanceTime[i] + rate*float64(fullSteps-rep.DensitySteps)
-}
-
-// ScaledElapsed extrapolates the whole coupled run-time to fullSteps with
-// the same steady-state-rate rule.
-func (rep *Report) ScaledElapsed(fullSteps int) float64 {
-	out := 0.0
-	for i := range rep.InstanceTime {
-		if t := rep.ScaledInstanceTime(i, fullSteps); t > out {
-			out = t
-		}
-	}
-	return out
-}
-
 // Run executes the coupled simulation and reports per-component times.
 func (sim *Simulation) Run(cfg mpi.Config) (*Report, error) {
 	return sim.run(cfg, nil)
@@ -418,10 +383,9 @@ func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {
 	if err := sim.Validate(); err != nil {
 		return nil, err
 	}
-	// Per-rank setup and half-way clocks, final state digests and particle
-	// load accounting, written once by each rank (disjoint slots).
+	// Per-rank setup clocks, final state digests and particle load
+	// accounting, written once by each rank (disjoint slots).
 	setupClocks := make([]float64, sim.TotalRanks())
-	markClocks := make([]float64, sim.TotalRanks())
 	digests := make([]uint64, sim.TotalRanks())
 	loads := make([]particle.RankLoad, sim.TotalRanks())
 	indices := make([]*unitIndices, len(sim.Units))
@@ -429,7 +393,7 @@ func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {
 		indices[u] = sim.newUnitIndices(u)
 	}
 	stats, err := mpi.Run(sim.TotalRanks(), cfg, func(c *mpi.Comm) error {
-		return sim.rankMain(c, setupClocks, markClocks, digests, loads, indices, rc)
+		return sim.rankMain(c, setupClocks, digests, loads, indices, rc)
 	})
 	if err != nil {
 		if stats != nil {
@@ -448,7 +412,6 @@ func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {
 		InstanceTime:  make([]float64, len(sim.Instances)),
 		InstanceComp:  make([]float64, len(sim.Instances)),
 		InstanceSetup: make([]float64, len(sim.Instances)),
-		InstanceMark:  make([]float64, len(sim.Instances)),
 		UnitTime:      make([]float64, len(sim.Units)),
 		UnitComp:      make([]float64, len(sim.Units)),
 		UnitSetup:     make([]float64, len(sim.Units)),
@@ -474,7 +437,6 @@ func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {
 			rep.InstanceTime[i] = math.Max(rep.InstanceTime[i], stats.Clocks[r])
 			rep.InstanceComp[i] = math.Max(rep.InstanceComp[i], stats.Compute[r])
 			rep.InstanceSetup[i] = math.Max(rep.InstanceSetup[i], setupClocks[r])
-			rep.InstanceMark[i] = math.Max(rep.InstanceMark[i], markClocks[r])
 		}
 	}
 	for u := range sim.Units {
@@ -539,12 +501,12 @@ func (sim *Simulation) simPoints(us UnitSpec) int {
 }
 
 // rankMain is the per-rank program of the coupled run.
-func (sim *Simulation) rankMain(c *mpi.Comm, setupClocks, markClocks []float64, digests []uint64, loads []particle.RankLoad, indices []*unitIndices, rc *resilientCtx) error {
+func (sim *Simulation) rankMain(c *mpi.Comm, setupClocks []float64, digests []uint64, loads []particle.RankLoad, indices []*unitIndices, rc *resilientCtx) error {
 	r := sim.roleOf(c.Rank())
 	if r.isUnit {
 		return sim.unitMain(c, r, setupClocks, digests, indices[r.index], rc)
 	}
-	return sim.instanceMain(c, r, setupClocks, markClocks, digests, loads, rc)
+	return sim.instanceMain(c, r, setupClocks, digests, loads, rc)
 }
 
 // particleConfig resolves a KindParticle instance's effective particle
@@ -579,7 +541,7 @@ func (sim *Simulation) groupComm(world *mpi.Comm, r role) *mpi.Comm {
 }
 
 // instanceMain runs a solver instance rank.
-func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks, markClocks []float64, digests []uint64, loads []particle.RankLoad, rc *resilientCtx) error {
+func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float64, digests []uint64, loads []particle.RankLoad, rc *resilientCtx) error {
 	spec := sim.Instances[r.index]
 	group := sim.groupComm(world, r)
 
@@ -728,9 +690,6 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks, markCl
 			if isBoundary {
 				sim.exchangeWithUnit(world, a.unit, a.side, r.local, nb, sample, absorb)
 			}
-		}
-		if d+1 == sim.DensitySteps/2 {
-			markClocks[world.Rank()] = world.Clock()
 		}
 		if rc.due(d+1, sim.DensitySteps) {
 			st, bytes := snapshot()

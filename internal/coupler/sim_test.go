@@ -364,19 +364,3 @@ func TestBoundaryRanksBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestScaledTimes(t *testing.T) {
-	rep := &Report{
-		InstanceTime:  []float64{10},
-		InstanceSetup: []float64{2},
-		Elapsed:       10,
-		DensitySteps:  4,
-	}
-	// setup 2 + stepping 8 scaled x25 = 202.
-	if got := rep.ScaledInstanceTime(0, 100); got != 202 {
-		t.Errorf("scaled instance time %v, want 202", got)
-	}
-	if got := rep.ScaledElapsed(100); got != 202 {
-		t.Errorf("scaled elapsed %v, want 202", got)
-	}
-}

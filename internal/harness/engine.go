@@ -70,6 +70,13 @@ func (o Options) cuCurve(points int, kind coupler.InterfaceKind, search coupler.
 // fig8DensitySteps is the full duration of the small validation scenario.
 const fig8DensitySteps = 100
 
+// steadyExchangeEvery is the exchange period, in density steps, of the
+// steady-state units that couple a row to the combustor in Fig. 8 and
+// Fig. 9, the longest period in either. Full-scale coupled runs sample
+// exactly one period, so the sample holds the full run's exchange mix
+// per step, which scaleSampled requires.
+const steadyExchangeEvery = 20
+
 // Fig8 reproduces the small coupled test: two MG-CFD instances on the
 // 150M Rotor37 mesh plus one SIMPIC unit standing in for a 28M-cell
 // pressure solve, on a 5,000-core budget. The model allocates ranks and
@@ -78,7 +85,7 @@ const fig8DensitySteps = 100
 func (o Options) Fig8() (*Table, error) {
 	budget := 5000
 	steps := fig8DensitySteps
-	sample := 8
+	sample := steadyExchangeEvery
 	mgCores := []int{100, 200, 400, 800, 1600}
 	spCores := []int{200, 800, 1600, 3200, 4800}
 	if o.Quick {
@@ -127,7 +134,7 @@ func (o Options) Fig8() (*Table, error) {
 		// the scenario runs 2 pressure steps per density step.
 		{Name: "SIMPIC (28M equiv)", Curve: spCurve, IterRatio: float64(2*steps) / 10.0},
 		{Name: "CU rows 1-2 (sliding)", Curve: cuSlide, IsCU: true, IterRatio: float64(steps)},
-		{Name: "CU row-combustor (steady)", Curve: cuSteady, IsCU: true, IterRatio: float64(steps) / 20},
+		{Name: "CU row-combustor (steady)", Curve: cuSteady, IsCU: true, IterRatio: float64(steps) / steadyExchangeEvery},
 	}
 	alloc, err := perfmodel.Allocate(comps, budget)
 	if err != nil {
@@ -146,7 +153,7 @@ func (o Options) Fig8() (*Table, error) {
 			{Name: comps[3].Name, A: 0, B: 1, Kind: coupler.SlidingPlane, Points: slidingPts,
 				Ranks: alloc.Cores[3], Search: coupler.TreePrefetch},
 			{Name: comps[4].Name, A: 1, B: 2, Kind: coupler.SteadyState, Points: steadyPts,
-				Ranks: alloc.Cores[4], Search: coupler.TreePrefetch, ExchangeEvery: 20},
+				Ranks: alloc.Cores[4], Search: coupler.TreePrefetch, ExchangeEvery: steadyExchangeEvery},
 		},
 		DensitySteps:    sample,
 		RotationPerStep: 0.002,
@@ -165,7 +172,7 @@ func (o Options) Fig8() (*Table, error) {
 	}
 	var worst float64
 	for i := range sim.Instances {
-		measured := rep.ScaledInstanceTime(i, steps)
+		measured := scaleSampled(rep.InstanceTime[i], rep.InstanceSetup[i], rep.DensitySteps, steps)
 		e := perfmodel.RelativeError(alloc.Times[i], measured)
 		if e > worst {
 			worst = e
@@ -245,7 +252,7 @@ const engineDensitySteps = 1000
 func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 	insts := engineInstances()
 	fullSteps := engineDensitySteps
-	sampleSteps := 20
+	sampleSteps := steadyExchangeEvery
 	minRanks := 100
 	// Fit one curve per distinct MG-CFD mesh size.
 	mgCores := map[int64][]int{
@@ -256,7 +263,7 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 	}
 	if o.Quick {
 		// Smoke-test geometry: meshes shrunk 1000x, tiny budget.
-		fullSteps, sampleSteps, minRanks = 40, 20, 4
+		fullSteps, minRanks = 40, 4
 		mgCores = map[int64][]int{
 			8_000:   {2, 4, 8},
 			24_000:  {2, 4, 8},
@@ -329,7 +336,7 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 		if a.kind == coupler.KindSIMPIC || b.kind == coupler.KindSIMPIC {
 			kind = coupler.SteadyState
 			frac = coupler.SteadyFraction
-			every = 20
+			every = steadyExchangeEvery
 		}
 		small := a.mesh
 		if b.mesh < small {
@@ -409,6 +416,16 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 	return res, nil
 }
 
+// scaledRun extrapolates a sampled coupled run to `full` density steps by
+// scaleSampled and returns its slowest instance.
+func scaledRun(rep *coupler.Report, full int) float64 {
+	out := 0.0
+	for i := range rep.InstanceTime {
+		out = max(out, scaleSampled(rep.InstanceTime[i], rep.InstanceSetup[i], rep.DensitySteps, full))
+	}
+	return out
+}
+
 // Fig9 reproduces the full-engine experiment set: the rank allocation
 // table (9b), per-instance model errors for both STC variants (9a), and
 // the predicted vs measured Optimized/Base speedup (9c).
@@ -470,8 +487,8 @@ func (o Options) Fig9() ([]*Table, error) {
 	// measures half a revolution and doubles it; the sampled coupled run
 	// plays that role here.
 	predSpeedup := perfmodel.PredictSpeedup(base.Alloc, opt.Alloc)
-	measBase := base.Rep.ScaledElapsed(base.FullSteps/2) * 2
-	measOpt := opt.Rep.ScaledElapsed(opt.FullSteps/2) * 2
+	measBase := scaledRun(base.Rep, base.FullSteps/2) * 2
+	measOpt := scaledRun(opt.Rep, opt.FullSteps/2) * 2
 	t9c := &Table{
 		ID:      "fig9c",
 		Title:   "Optimized-STC vs Base-STC speedup, 1 revolution (1,000 density steps)",

@@ -115,16 +115,19 @@ func (o Options) logf(format string, args ...any) {
 
 // ---- Standalone runtimes ----------------------------------------------------
 
-// scaleSampled converts a sampled run into the full-configuration
-// run-time: the one-off setup plus the stepping phase scaled by the
-// sampled fraction.
-func scaleSampled(elapsed, setup, fraction float64) float64 {
-	return setup + max(elapsed-setup, 0)*fraction
+// scaleSampled is the one extrapolation rule for every sampled run,
+// standalone or coupled: the one-off setup plus the stepping phase scaled
+// by full/sampled steps. Its precondition is that the sample's work per
+// step equals the full run's, so a coupled sample must hold a whole
+// number of every coupling unit's exchange period (DESIGN §6, "Sampled
+// runs").
+func scaleSampled(elapsed, setup float64, sampled, full int) float64 {
+	return setup + max(elapsed-setup, 0)*(float64(full)/float64(sampled))
 }
 
 // standalone is the one recipe for a standalone mini-app run: launch
-// `cores` ranks under rc, take rank 0's setup time from solve, and scale
-// the sampled run up to the full configuration.
+// `cores` ranks under rc, take rank 0's setup time and step counts from
+// solve, and scale the sampled run up to the full configuration.
 //
 // A finished run leaves every rank's solver state as garbage at once,
 // while the collector's next goal was set when that state was live.
@@ -132,12 +135,13 @@ func scaleSampled(elapsed, setup, fraction float64) float64 {
 // point would build its state on top of the last one's, and where the
 // previous cycle happened to fall would decide the sweep's peak memory.
 // With almost nothing live the collection costs milliseconds.
-func standalone(app string, cores int, rc mpi.Config, fraction float64, solve func(*mpi.Comm) (setup float64, err error)) (float64, *mpi.Stats, error) {
+func standalone(app string, cores int, rc mpi.Config, solve func(*mpi.Comm) (setup float64, sampled, full int, err error)) (float64, *mpi.Stats, error) {
 	var setup float64
+	var sampled, full int
 	st, err := mpi.Run(cores, rc, func(c *mpi.Comm) error {
-		t, err := solve(c)
+		t, n, f, err := solve(c)
 		if err == nil && c.Rank() == 0 {
-			setup = t
+			setup, sampled, full = t, n, f
 		}
 		return err
 	})
@@ -145,44 +149,41 @@ func standalone(app string, cores int, rc mpi.Config, fraction float64, solve fu
 	if err != nil {
 		return 0, nil, fmt.Errorf("%s on %d cores: %w", app, cores, err)
 	}
-	return scaleSampled(st.Elapsed, setup, fraction), st, nil
+	return scaleSampled(st.Elapsed, setup, sampled, full), st, nil
 }
 
 // RunSimpic runs a SIMPIC configuration standalone on `cores` ranks
 // under rc and returns the virtual run-time of the full configuration
 // (sampled steps scaled up) with the run's statistics.
 func RunSimpic(cfg simpic.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
-	sc := simpic.Production()
-	return standalone("simpic", cores, rc, simpic.SampledFraction(cfg, sc), func(c *mpi.Comm) (float64, error) {
-		r, err := simpic.Run(c, cfg, sc)
+	return standalone("simpic", cores, rc, func(c *mpi.Comm) (float64, int, int, error) {
+		r, err := simpic.Run(c, cfg, simpic.Production())
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		return r.SetupTime, nil
+		return r.SetupTime, r.StepsRun, r.ScaledSteps, nil
 	})
 }
 
 // RunPressure runs the pressure-solver proxy standalone (see RunSimpic).
 func RunPressure(cfg pressure.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
-	sc := pressure.Production()
-	return standalone("pressure", cores, rc, pressure.SampledFraction(cfg, sc), func(c *mpi.Comm) (float64, error) {
-		r, err := pressure.Run(c, cfg, sc)
+	return standalone("pressure", cores, rc, func(c *mpi.Comm) (float64, int, int, error) {
+		r, err := pressure.Run(c, cfg, pressure.Production())
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		return r.SetupTime, nil
+		return r.SetupTime, r.StepsRun, r.ScaledSteps, nil
 	})
 }
 
 // RunMGCFD runs the MG-CFD proxy standalone (see RunSimpic).
 func RunMGCFD(cfg mgcfd.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
-	sc := mgcfd.Production()
-	return standalone("mgcfd", cores, rc, mgcfd.SampledFraction(cfg, sc), func(c *mpi.Comm) (float64, error) {
-		r, err := mgcfd.Run(c, cfg, sc)
+	return standalone("mgcfd", cores, rc, func(c *mpi.Comm) (float64, int, int, error) {
+		r, err := mgcfd.Run(c, cfg, mgcfd.Production())
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		return r.SetupTime, nil
+		return r.SetupTime, r.StepsRun, r.ScaledSteps, nil
 	})
 }
 

@@ -3,12 +3,14 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"cpx/internal/cluster"
+	"cpx/internal/coupler"
 	"cpx/internal/simpic"
 )
 
@@ -45,12 +47,27 @@ func TestSweepMath(t *testing.T) {
 func TestScaleSampled(t *testing.T) {
 	// 10s total with 2s setup, sampled at 1/4 of the steps:
 	// full = 2 + 8*4 = 34.
-	if got := scaleSampled(10, 2, 4); got != 34 {
+	if got := scaleSampled(10, 2, 1, 4); got != 34 {
 		t.Errorf("scaleSampled = %v, want 34", got)
 	}
 	// Negative stepping clamps.
-	if got := scaleSampled(1, 2, 4); got != 2 {
+	if got := scaleSampled(1, 2, 1, 4); got != 2 {
 		t.Errorf("clamped = %v, want 2", got)
+	}
+}
+
+// TestScaledTimes: a coupled report extrapolates by the same rule, per
+// instance, and the run takes as long as its slowest instance.
+func TestScaledTimes(t *testing.T) {
+	rep := &coupler.Report{
+		InstanceTime:  []float64{10, 5},
+		InstanceSetup: []float64{2, 1},
+		Elapsed:       10,
+		DensitySteps:  4,
+	}
+	// setup 2 + stepping 8 scaled x25 = 202 (the second instance: 101).
+	if got := scaledRun(rep, 100); got != 202 {
+		t.Errorf("scaled run %v, want 202", got)
 	}
 }
 
@@ -226,6 +243,33 @@ func TestEngineQuickEndToEnd(t *testing.T) {
 	}
 	if res.Rep.CouplingShare < 0 || res.Rep.CouplingShare > 1 {
 		t.Errorf("coupling share %v", res.Rep.CouplingShare)
+	}
+}
+
+// TestEngineExtrapolationConverges: the engine's 20-step sample,
+// extrapolated to 40 steps, lands within 1% of a 40-step run of the same
+// simulation. The sample's one steady exchange falls on its last step, so
+// a rule that rates only part of the sample charges that exchange's wait
+// to too few steps.
+func TestEngineExtrapolationConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled smoke run")
+	}
+	o := quick()
+	res, err := o.RunEngine(false, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := *res.Sim
+	long.DensitySteps = 40
+	rep, err := long.Run(o.coupledConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := scaledRun(res.Rep, long.DensitySteps)
+	if dev := got/rep.Elapsed - 1; math.Abs(dev) > 0.01 {
+		t.Errorf("%d-step sample extrapolates to %.4f s; the %d-step run takes %.4f s (%+.1f%%)",
+			res.Rep.DensitySteps, got, long.DensitySteps, rep.Elapsed, 100*dev)
 	}
 }
 

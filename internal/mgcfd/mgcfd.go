@@ -85,14 +85,6 @@ type ScaleOpts struct {
 // Production returns the capping used by large harness runs.
 func Production() ScaleOpts { return ScaleOpts{MaxCellsPerRank: 2048, SampleSteps: 2} }
 
-// SampledFraction returns full-run steps / executed steps (>= 1).
-func SampledFraction(cfg Config, sc ScaleOpts) float64 {
-	if sc.SampleSteps > 0 && sc.SampleSteps < cfg.Steps {
-		return float64(cfg.Steps) / float64(sc.SampleSteps)
-	}
-	return 1
-}
-
 // level is one multigrid level's local state.
 type level struct {
 	dims     mesh.Dims // simulated local dims at this level

@@ -221,16 +221,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestSampledFractionScaling(t *testing.T) {
-	c := Config{MeshCells: 1000, Steps: 500}
-	if f := SampledFraction(c, ScaleOpts{SampleSteps: 5}); f != 100 {
-		t.Errorf("fraction %v, want 100", f)
-	}
-	if f := SampledFraction(c, ScaleOpts{}); f != 1 {
-		t.Errorf("fraction %v, want 1", f)
-	}
-}
-
 func TestHaloCouplingSpreadsInformation(t *testing.T) {
 	// With two ranks, a perturbation seeded by rank-dependent init must
 	// influence the neighbour within a few steps (halo exchange works).

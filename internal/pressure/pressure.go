@@ -124,14 +124,6 @@ func Production() ScaleOpts {
 	return ScaleOpts{MaxCellsPerRank: 1331, MaxDropletsPerRank: 2048, SampleSteps: 2}
 }
 
-// SampledFraction returns full-run steps / executed steps (>= 1).
-func SampledFraction(cfg Config, sc ScaleOpts) float64 {
-	if sc.SampleSteps > 0 && sc.SampleSteps < cfg.Steps {
-		return float64(cfg.Steps) / float64(sc.SampleSteps)
-	}
-	return 1
-}
-
 // Solver is the per-rank pressure-solver state.
 type Solver struct {
 	comm *mpi.Comm

@@ -204,13 +204,6 @@ func TestRejectsUndecomposableRankCount(t *testing.T) {
 	}
 }
 
-func TestSampledFraction(t *testing.T) {
-	c := Config{MeshCells: 1000, Steps: 100}
-	if f := SampledFraction(c, ScaleOpts{SampleSteps: 2}); f != 50 {
-		t.Errorf("fraction %v, want 50", f)
-	}
-}
-
 func TestVelocityFieldEvolves(t *testing.T) {
 	_, err := mpi.Run(2, cfg(false), func(c *mpi.Comm) error {
 		s, err := New(c, smallConfig(Base), ScaleOpts{})

@@ -367,8 +367,8 @@ func (s *Sim) Step() {
 
 // Run executes the configured number of steps (or the ScaleOpts sample)
 // and returns the rank's stats. The caller reads virtual run-time from
-// the surrounding mpi.Run stats; when sampling, ScaleRuntime converts a
-// sampled run-time to the full configuration.
+// the surrounding mpi.Run stats and, when sampling, scales its stepping
+// part by ScaledSteps/StepsRun to the full configuration.
 func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) {
 	s, err := New(c, cfg, sc)
 	if err != nil {
@@ -420,15 +420,6 @@ func (s *Sim) StepBlock(real, represented int) {
 		s.comm.StretchSince(comp, comm, float64(represented)/float64(real))
 	}
 	s.comm.Barrier()
-}
-
-// SampledFraction returns full-run steps / executed steps for run-time
-// scaling (>= 1).
-func SampledFraction(cfg Config, sc ScaleOpts) float64 {
-	if sc.SampleSteps > 0 && sc.SampleSteps < cfg.Steps {
-		return float64(cfg.Steps) / float64(sc.SampleSteps)
-	}
-	return 1
 }
 
 // TotalCharge returns the global sum of deposited charge for diagnostics

@@ -344,19 +344,6 @@ func TestScaleOptsCapsMemoryButChargesTrueWork(t *testing.T) {
 	}
 }
 
-func TestSampledFraction(t *testing.T) {
-	c := Config{Cells: 10, ParticlesPerCell: 1, Steps: 1000}
-	if f := SampledFraction(c, ScaleOpts{SampleSteps: 10}); f != 100 {
-		t.Errorf("fraction = %v, want 100", f)
-	}
-	if f := SampledFraction(c, ScaleOpts{}); f != 1 {
-		t.Errorf("fraction = %v, want 1", f)
-	}
-	if f := SampledFraction(c, ScaleOpts{SampleSteps: 5000}); f != 1 {
-		t.Errorf("oversampling fraction = %v, want 1", f)
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	c := Config{Cells: 64, ParticlesPerCell: 10, Steps: 20, Seed: 8}
 	once := func() (float64, float64) {
