@@ -1,15 +1,3 @@
-// Package mgcfd implements the MG-CFD mini-app [16]: an edge-based,
-// unstructured finite-volume Euler solver with geometric multigrid,
-// the established performance proxy for the production density solver
-// (Rolls-Royce Hydra) used for the compressor and turbine rows. Each
-// time-step runs Runge-Kutta stages of an edge-loop flux accumulation
-// (central flux plus scalar dissipation), a halo exchange of face states
-// with every block neighbour, a residual allreduce, and a multigrid
-// cascade of restricted coarse-grid smoothing iterations.
-//
-// At scale the per-rank box is capped (mesh.Local) and compute costs are
-// charged for the true box; halo message costs always use the true face
-// sizes (DESIGN.md §5.2).
 package mgcfd
 
 import (
@@ -280,15 +268,15 @@ func (s *Sim) initFlow() {
 	}
 }
 
-// pressure computes the perfect-gas pressure of node n at level l.
-func pressureOf(q [][]float64, n int) float64 {
+// pressureAt computes the perfect-gas pressure of a node from its
+// conserved variables (density, momentum, total energy).
+func pressureAt(rho, mx, my, mz, e float64) float64 {
 	const gamma = 1.4
-	rho := q[0][n]
 	if rho <= 0 {
 		rho = 1e-10
 	}
-	ke := (q[1][n]*q[1][n] + q[2][n]*q[2][n] + q[3][n]*q[3][n]) / (2 * rho)
-	p := (gamma - 1) * (q[4][n] - ke)
+	ke := (mx*mx + my*my + mz*mz) / (2 * rho)
+	p := (gamma - 1) * (e - ke)
 	if p <= 0 {
 		p = 1e-10
 	}
@@ -297,41 +285,50 @@ func pressureOf(q [][]float64, n int) float64 {
 
 // computeFlux runs the edge loop at one level: central flux differences
 // with scalar (Rusanov) dissipation accumulate into the residual arrays.
-// This is MG-CFD's compute_flux_edge kernel.
+// This is MG-CFD's compute_flux_edge kernel. The five variables are
+// unrolled with the operations, operands and order of the per-variable
+// loop referenceFlux (DESIGN.md §5.13); TestComputeFluxMatchesReference
+// compares the two bit for bit.
+//
+//perf:hotpath
 func (s *Sim) computeFlux(l *level) {
-	for v := 0; v < NVAR; v++ {
-		r := l.res[v]
-		for i := range r {
-			r[i] = 0
-		}
+	for _, r := range l.res {
+		clear(r)
 	}
-	q := l.q
+	// Every variable holds l.nodes values; slicing all ten to one length
+	// lets each endpoint's index be checked once, not per array.
+	n := l.nodes
+	q0, q1, q2, q3, q4 := l.q[0][:n], l.q[1][:n], l.q[2][:n], l.q[3][:n], l.q[4][:n]
+	r0, r1, r2, r3, r4 := l.res[0][:n], l.res[1][:n], l.res[2][:n], l.res[3][:n], l.res[4][:n]
 	for _, e := range l.edges {
 		a, b := int(e.A), int(e.B)
 		// Scalar dissipation: local max wave speed estimate.
-		pa, pb := pressureOf(q, a), pressureOf(q, b)
-		ca := math.Sqrt(1.4 * pa / math.Max(q[0][a], 1e-10))
-		cb := math.Sqrt(1.4 * pb / math.Max(q[0][b], 1e-10))
-		ua := q[1][a] / math.Max(q[0][a], 1e-10)
-		ub := q[1][b] / math.Max(q[0][b], 1e-10)
-		lam := math.Max(math.Abs(ua)+ca, math.Abs(ub)+cb)
-		for v := 0; v < NVAR; v++ {
-			// Central difference of the convective flux (projected on the
-			// edge direction) plus dissipation.
-			fa := q[v][a] * ua
-			fb := q[v][b] * ub
-			if v == 1 {
-				fa += pa
-				fb += pb
-			}
-			if v == 4 {
-				fa += pa * ua
-				fb += pb * ub
-			}
-			flux := 0.5*(fa+fb) - 0.5*lam*(q[v][b]-q[v][a])
-			l.res[v][a] -= flux
-			l.res[v][b] += flux
-		}
+		pa := pressureAt(q0[a], q1[a], q2[a], q3[a], q4[a])
+		pb := pressureAt(q0[b], q1[b], q2[b], q3[b], q4[b])
+		rhoA, rhoB := max(q0[a], 1e-10), max(q0[b], 1e-10)
+		ca := math.Sqrt(1.4 * pa / rhoA)
+		cb := math.Sqrt(1.4 * pb / rhoB)
+		ua := q1[a] / rhoA
+		ub := q1[b] / rhoB
+		lam := max(math.Abs(ua)+ca, math.Abs(ub)+cb)
+		// Central difference of the convective flux (projected on the
+		// edge direction) plus dissipation; momentum adds the pressure,
+		// energy its work.
+		f := 0.5*(q0[a]*ua+q0[b]*ub) - 0.5*lam*(q0[b]-q0[a])
+		r0[a] -= f
+		r0[b] += f
+		f = 0.5*((q1[a]*ua+pa)+(q1[b]*ub+pb)) - 0.5*lam*(q1[b]-q1[a])
+		r1[a] -= f
+		r1[b] += f
+		f = 0.5*(q2[a]*ua+q2[b]*ub) - 0.5*lam*(q2[b]-q2[a])
+		r2[a] -= f
+		r2[b] += f
+		f = 0.5*(q3[a]*ua+q3[b]*ub) - 0.5*lam*(q3[b]-q3[a])
+		r3[a] -= f
+		r3[b] += f
+		f = 0.5*((q4[a]*ua+pa*ua)+(q4[b]*ub+pb*ub)) - 0.5*lam*(q4[b]-q4[a])
+		r4[a] -= f
+		r4[b] += f
 	}
 	s.comm.Compute(cluster.Work{
 		Flops: fluxFlopsPerEdge * float64(len(l.edges)) * l.workMult,

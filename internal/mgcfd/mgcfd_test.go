@@ -205,19 +205,39 @@ func TestLargerMeshCostsMore(t *testing.T) {
 	}
 }
 
+// TestDeterministic runs the same configuration twice. Virtual time
+// depends on edge and node counts alone, so the runs must also agree on
+// every rank's final state, bit for bit.
 func TestDeterministic(t *testing.T) {
-	once := func() float64 {
-		st, err := mpi.Run(3, cfg(), func(c *mpi.Comm) error {
-			_, err := Run(c, smallConfig(), ScaleOpts{})
-			return err
+	const ranks = 3
+	conf := smallConfig()
+	once := func() (float64, []uint64) {
+		digests := make([]uint64, ranks)
+		st, err := mpi.Run(ranks, cfg(), func(c *mpi.Comm) error {
+			s, err := New(c, conf, ScaleOpts{})
+			if err != nil {
+				return err
+			}
+			for i := 0; i < conf.Steps; i++ {
+				s.Step()
+			}
+			digests[c.Rank()] = s.StateDigest()
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Elapsed
+		return st.Elapsed, digests
 	}
-	if a, b := once(), once(); a != b {
-		t.Errorf("not deterministic: %v vs %v", a, b)
+	ea, da := once()
+	eb, db := once()
+	if ea != eb {
+		t.Errorf("virtual time not deterministic: %v vs %v", ea, eb)
+	}
+	for r := range da {
+		if da[r] != db[r] {
+			t.Errorf("rank %d state digest not deterministic: %#x vs %#x", r, da[r], db[r])
+		}
 	}
 }
 

@@ -1,8 +1,3 @@
-// Package sparse implements the compressed-sparse-row kernels the paper's
-// pressure-solver analysis centres on: SpMV, SpGEMM in both the baseline
-// two-pass form and the optimised single-pass sparse-accumulator (SPA)
-// form, and the identity-block reordering for interpolation operators
-// (Section IV of the paper; Park et al. [48]).
 package sparse
 
 import (
@@ -106,29 +101,32 @@ func Eye(n int) *CSR {
 	return &CSR{Rows: n, Cols: n, RowPtr: rp, ColIdx: ci, Val: v}
 }
 
-// MulVec computes y = A x. len(x) must be Cols, len(y) Rows.
+// MulVec computes y = A x. len(x) must be Cols, len(y) Rows. Each row
+// sums its entries in column order; the row's ColIdx and Val are
+// resliced so that the inner loop carries only the gather's bounds
+// check.
+//
+//perf:hotpath
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("sparse: MulVec dims %dx%d with |x|=%d |y|=%d", a.Rows, a.Cols, len(x), len(y)))
+		a.mulVecDimsPanic(len(x), len(y))
 	}
-	for i := 0; i < a.Rows; i++ {
+	for i := range y {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 		s := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		y[i] = s
 	}
 }
 
-// MulVecAdd computes y += A x.
-func (a *CSR) MulVecAdd(x, y []float64) {
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
-		}
-		y[i] += s
-	}
+// mulVecDimsPanic reports MulVec operands whose lengths do not match the
+// matrix. Formatting the message boxes its operands; here that stays off
+// the //perf:hotpath kernel, where only a failing call would pay it.
+func (a *CSR) mulVecDimsPanic(nx, ny int) {
+	panic(fmt.Sprintf("sparse: MulVec dims %dx%d with |x|=%d |y|=%d", a.Rows, a.Cols, nx, ny))
 }
 
 // MulVecWork returns the roofline work of one SpMV: 2 flops per nnz and

@@ -71,9 +71,62 @@ func TestMulVecKnown(t *testing.T) {
 	if y[0] != 14 || y[1] != 15 {
 		t.Errorf("MulVec = %v, want [14 15]", y)
 	}
-	a.MulVecAdd([]float64{4, 5}, y)
-	if y[0] != 28 || y[1] != 30 {
-		t.Errorf("MulVecAdd = %v, want [28 30]", y)
+}
+
+// referenceMulVec is the RowPtr loop MulVec replaced: every entry is
+// addressed through RowPtr, ColIdx and Val by its global index k.
+func referenceMulVec(a *CSR, x, y []float64) {
+	for i := 0; i < a.Rows; i++ {
+		s := 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			s += a.Val[k] * x[a.ColIdx[k]]
+		}
+		y[i] = s
+	}
+}
+
+// TestMulVecMatchesReference is MulVec's oracle: on random matrices,
+// sparse enough to leave rows empty, a zero-row and a zero-column one,
+// with NaN and infinities among the inputs, y equals the RowPtr loop's
+// bit for bit (NaN positions as both NaN).
+func TestMulVecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mats := []*CSR{FromCOO(0, 4, nil, nil, nil), FromCOO(3, 0, nil, nil, nil), Eye(5)}
+	for seed := int64(1); seed <= 20; seed++ {
+		rows, cols := 1+rng.Intn(60), 1+rng.Intn(60)
+		mats = append(mats, randomCSR(rows, cols, []float64{0.01, 0.05, 0.3}[seed%3], seed))
+	}
+	emptyRows := 0
+	for mi, a := range mats {
+		for i := 0; i < a.Rows; i++ {
+			if a.RowPtr[i] == a.RowPtr[i+1] {
+				emptyRows++
+			}
+		}
+		x := make([]float64, a.Cols)
+		for j := range x {
+			x[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			switch rng.Intn(40) {
+			case 0:
+				x[j] = math.NaN()
+			case 1:
+				x[j] = math.Inf(1 - 2*rng.Intn(2))
+			}
+		}
+		got, want := make([]float64, a.Rows), make([]float64, a.Rows)
+		for i := range got {
+			got[i], want[i] = rng.Float64(), rng.Float64() // MulVec must overwrite, not add
+		}
+		a.MulVec(x, got)
+		referenceMulVec(a, x, want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("matrix %d (%dx%d, nnz %d): y[%d] = %v, reference %v", mi, a.Rows, a.Cols, a.NNZ(), i, got[i], want[i])
+			}
+		}
+	}
+	if emptyRows == 0 {
+		t.Fatal("no matrix has an empty row")
 	}
 }
 
