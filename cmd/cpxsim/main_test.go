@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,5 +224,59 @@ func TestDocumentedCommandsParse(t *testing.T) {
 	}
 	if n < 5 {
 		t.Errorf("found %d documented cpxsim command lines, want at least 5", n)
+	}
+}
+
+// TestDemoArtifactsPinned: the stdout and the four export files of a
+// traced demo run, and of a faulty one that recovers, are pinned by
+// SHA-256. Any change to what the runtime records or how it is exported
+// shows up here as a changed digest.
+func TestDemoArtifactsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		long  bool
+		files map[string]string // export file -> SHA-256 of its bytes
+	}{
+		{"traced", []string{"-demo", "-critpath"}, false, map[string]string{
+			"stdout":       "75dbaa296008760cb8c98e17c3b161fa4fdc4c4122c73fedd18265c4b2bea740",
+			"trace.json":   "c700e591eaf7d6238352233b3eae6d7e1f03af06c38690b6a0e68335ffb5d956",
+			"comm.csv":     "880ef1a131c83110f05c36acfc5e6b379469da6c6d4c8be6d8de075a162ad15b",
+			"summary.json": "1aad2e2a5dfbeddc202d6354a8e9c31f219318d2e7b03b5718136304ca8b5b0f",
+			"metrics.csv":  "9706e157b7c5bfe8073e10e7c1982abb892369685399dc56eedb842c27ae76fa",
+		}},
+		{"faults", []string{"-demo", "-faults", "0.002", "-ckpt", "1", "-seed", "3"}, true, map[string]string{
+			"stdout":       "ca44b6358f4a8c0ede18da4f826b010527103b1a95f13c4c7ae17a7c41e4e94f",
+			"trace.json":   "e28b66dcad9d9ae3e13d9fd68a25b775272d22d53147e74622d6f2f68ee9c88f",
+			"comm.csv":     "10e86ba765d15641bc1fa7c519fef52930f01433cb65e6e2fdecebf25e8561dd",
+			"summary.json": "450e55a8196084874ce6c99c917cff92f92fb3a28614ed1491955b6666acf269",
+			"metrics.csv":  "36a32930df063631345e6dfe8f6d845c5eae56a93ec78c196f2693ad01b3a642",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("faulty demo takes seconds")
+			}
+			dir := t.TempDir()
+			path := func(name string) string { return filepath.Join(dir, name) }
+			args := append(tc.args, "-trace", path("trace.json"), "-commmatrix", path("comm.csv"),
+				"-json", path("summary.json"), "-metrics", path("metrics.csv"))
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			for name, want := range tc.files {
+				got := stdout.Bytes()
+				if name != "stdout" {
+					var err error
+					if got, err = os.ReadFile(path(name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != want {
+					t.Errorf("%s: sha256 %x, pinned %s", name, sum, want)
+				}
+			}
+		})
 	}
 }

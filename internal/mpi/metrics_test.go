@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -223,6 +225,49 @@ func TestFlightRecorderDumpsCrashedRankTail(t *testing.T) {
 	}
 	if ok.Flight != nil {
 		t.Errorf("healthy run carries flight tails: %+v", ok.Flight)
+	}
+}
+
+// TestFlightTailsGolden pins, byte for byte, the run summary of a crash
+// that every kind of flight event leads up to: ring Send/Recv, a RecvAll
+// gather at rank 0, and a CheckpointSync every third step (its events
+// labelled "checkpoint", not "allreduce"). Rank 0 dies mid-run and the
+// others detect it in cascade; each rank records more events than its
+// ring keeps, so every tail is the newest DefaultFlightDepth.
+func TestFlightTailsGolden(t *testing.T) {
+	cfg := faultCfg(&fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 0.8}}})
+	cfg.Trace = true
+	st, err := Run(4, cfg, func(c *Comm) error {
+		p, r := c.Size(), c.Rank()
+		for i := 0; i < 40; i++ {
+			c.ComputeSeconds(0.01 * float64(1+r))
+			c.Send((r+1)%p, i, []float64{float64(i)})
+			c.Recv((r+p-1)%p, i)
+			if r == 0 {
+				c.RecvAll(p-1, 1000+i)
+			} else {
+				c.Send(0, 1000+i, []float64{float64(r)})
+			}
+			if i%3 == 2 {
+				c.CheckpointSync(0.001)
+			}
+		}
+		return nil
+	})
+	var rf *fault.RanksFailed
+	if !errors.As(err, &rf) {
+		t.Fatalf("err = %v, want *fault.RanksFailed", err)
+	}
+	var got bytes.Buffer
+	if err := st.Summary().WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/flight_tails.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("summary differs from testdata/flight_tails.json:\n%s", got.Bytes())
 	}
 }
 
