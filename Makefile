@@ -31,9 +31,11 @@ test:
 # Race-detector builds also arm the payload use-after-release oracle
 # (internal/mpi/poison_race.go): Comm.Release fills the buffer with NaN
 # and panics on a second release, so both race legs run their suites,
-# the coupled golden digests among them, poisoned.
+# the coupled golden digests among them, poisoned. telemetry is here
+# because its collector is fed from rank goroutines and, inside a
+# replayed collective, from the replay leader.
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/trace/
+	$(GO) test -race ./internal/mpi/ ./internal/trace/ ./internal/telemetry/
 
 # Race-detect the whole module (slower than the targeted `race` gate).
 test-race:

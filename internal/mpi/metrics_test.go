@@ -8,8 +8,10 @@ import (
 	"runtime"
 	"testing"
 
+	"cpx/internal/cluster"
 	"cpx/internal/fault"
 	"cpx/internal/telemetry"
+	"cpx/internal/trace"
 )
 
 func metricsCfg(base Config) Config {
@@ -233,7 +235,7 @@ func TestFlightRecorderDumpsCrashedRankTail(t *testing.T) {
 // gather at rank 0, and a CheckpointSync every third step (its events
 // labelled "checkpoint", not "allreduce"). Rank 0 dies mid-run and the
 // others detect it in cascade; each rank records more events than its
-// ring keeps, so every tail is the newest DefaultFlightDepth.
+// ring keeps, so every tail is its newest flightDepth.
 func TestFlightTailsGolden(t *testing.T) {
 	cfg := faultCfg(&fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 0.8}}})
 	cfg.Trace = true
@@ -298,5 +300,98 @@ func TestFlightRecorderExplicitCapacity(t *testing.T) {
 		if len(tail.Events) > 4 {
 			t.Errorf("rank %d retained %d events, capacity 4", tail.Rank, len(tail.Events))
 		}
+	}
+
+	// The cancelled run's length depends on when the abort lands, so the
+	// retained events are checked on a run that fails only once both
+	// ranks are done: at depth 4 they must be the last four of the same
+	// run at depth 64, which keeps them all.
+	tails := map[int][]telemetry.RankTail{}
+	for _, depth := range []int{4, 64} {
+		cfg := testCfg()
+		cfg.flightEvents = depth
+		st, err := Run(2, cfg, func(c *Comm) error {
+			for i := 0; i < 10; i++ {
+				peer := 1 - c.Rank()
+				c.Send(peer, i, []float64{1})
+				c.Recv(peer, i)
+			}
+			return errors.New("dump the tails")
+		})
+		if err == nil || len(st.Flight) != 2 {
+			t.Fatalf("depth %d: err = %v, %d tails; want a failure with 2", depth, err, len(st.Flight))
+		}
+		tails[depth] = st.Flight
+	}
+	for r, short := range tails[4] {
+		full := tails[64][r].Events
+		if n := len(full) - 4; n < 0 || !reflect.DeepEqual(short.Events, full[n:]) {
+			t.Errorf("rank %d keeps %+v, want the last four of %+v", r, short.Events, full)
+		}
+		if short.Total != uint64(len(full)) || tails[64][r].Total != uint64(len(full)) {
+			t.Errorf("rank %d totals %d and %d, want the run's %d events", r, short.Total, tails[64][r].Total, len(full))
+		}
+	}
+}
+
+// TestSendKilledByItsOverheadIsNotCounted: a rank that dies while paying
+// a send's CPU overhead never sends, so the message enters no comm-matrix
+// cell, no sent counter and no flight tail, though the truncated charge
+// itself is on the rank's timeline.
+func TestSendKilledByItsOverheadIsNotCounted(t *testing.T) {
+	m := cluster.SmallCluster()
+	cfg := metricsCfg(faultCfg(&fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 1 + m.SendOverhead/2}}}))
+	cfg.Trace = true
+	st, err := Run(2, cfg, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.ComputeSeconds(1)
+			c.Send(1, 0, []float64{1})
+		} else {
+			c.Recv(0, 0)
+		}
+		return nil
+	})
+	var rf *fault.RanksFailed
+	if !errors.As(err, &rf) {
+		t.Fatalf("err = %v, want *fault.RanksFailed", err)
+	}
+	if evs := st.Timelines[0].Events; evs[len(evs)-1].Kind != trace.EvSend {
+		t.Errorf("rank 0 ends on %v, want the truncated send charge", evs[len(evs)-1].Kind)
+	}
+	if len(st.CommMatrix.Edges) != 0 {
+		t.Errorf("comm matrix %+v, want no message", st.CommMatrix.Edges)
+	}
+	if sent := st.Metrics.Ranks[0].Totals.MsgsSent; sent != 0 {
+		t.Errorf("rank 0 sent %d messages, want 0", sent)
+	}
+	for _, tail := range st.Flight {
+		for _, ev := range tail.Events {
+			if ev.Kind == "send" {
+				t.Errorf("rank %d tail records %+v", tail.Rank, ev)
+			}
+		}
+	}
+}
+
+// TestObservedChargesAllocateNothing: with every view armed — timeline,
+// comm matrix, metrics (no sample boundary inside the run) and the
+// flight ring — a warmed compute or comm charge allocates nothing.
+func TestObservedChargesAllocateNothing(t *testing.T) {
+	cfg := metricsCfg(testCfg())
+	cfg.Metrics.Interval = 1e9
+	cfg.Trace = true
+	cfg.flightEvents = 8
+	if _, err := Run(1, cfg, func(c *Comm) error {
+		c.ComputeSeconds(1e-6)
+		c.ChargeCommSeconds(1e-6)
+		if n := testing.AllocsPerRun(100, func() { c.ComputeSeconds(1e-6) }); n != 0 {
+			t.Errorf("ComputeSeconds allocates %v per call", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.ChargeCommSeconds(1e-6) }); n != 0 {
+			t.Errorf("ChargeCommSeconds allocates %v per call", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,25 +1,3 @@
-// Package mpi is an in-process, virtual-time message-passing runtime with
-// MPI-like semantics. It stands in for the MPI library the paper's
-// mini-apps use on ARCHER2 (see DESIGN.md §2): point-to-point messages
-// and collectives move real data, and every rank carries a logical clock
-// that advances through modelled compute time and through message
-// causality. Every rank runs as one goroutine.
-//
-// Timing model (conservative logical-clock PDES):
-//
-//   - Comm.Compute charges cluster-modelled seconds to the rank clock.
-//   - Send charges the sender a per-message CPU overhead; the message is
-//     stamped with a virtual arrival time = departure + network delay from
-//     the cluster model (Hockney alpha-beta with intra/inter-node terms).
-//   - Recv blocks (in host time) until a matching message exists, then
-//     advances the rank clock to max(clock, arrival) + receive overhead.
-//     The jump is accounted as communication/wait time.
-//
-// The simulated run-time of a program is the maximum rank clock at exit.
-// Sends are eager and buffered (no rendezvous), so any communication
-// pattern that is deadlock-free under buffered MPI semantics is
-// deadlock-free here. Matching is FIFO per (communicator, source, tag),
-// which preserves MPI's non-overtaking rule.
 package mpi
 
 import (
@@ -163,11 +141,6 @@ func (w *World) fail(err error) {
 	w.setAborted()
 }
 
-// commCell accumulates one row entry of the rank×rank comm matrix.
-type commCell struct {
-	msgs, bytes int64
-}
-
 // proc is the per-rank virtual-time state, shared by every communicator
 // the rank belongs to.
 type proc struct {
@@ -177,13 +150,7 @@ type proc struct {
 	comm      float64
 	arena     f64Arena // released payload buffers feeding this rank's sends (pool.go)
 	recvAll   recvAllScratch
-	profile   *trace.Profile
-	// Event-tracing state, nil/empty unless Config.Trace is set. comms is
-	// this rank's sparse comm-matrix row (keyed by destination world
-	// rank); op labels events with the enclosing collective operation.
-	timeline *trace.Timeline
-	comms    map[int]*commCell
-	op       string
+	rec       *recorder // every observer of this rank; nil when nothing observes (recorder.go)
 
 	// Fault-plan state (Config.Faults). crashAt is this rank's scheduled
 	// death time (+Inf = never); the clock can never pass it — any charge
@@ -192,16 +159,6 @@ type proc struct {
 	world   *World
 	crashAt float64
 	node    int
-
-	// Live-telemetry state, nil unless enabled. metrics samples counters
-	// at virtual-time intervals (Config.Metrics); flight keeps the
-	// bounded post-mortem event ring (armed by a fault plan).
-	// Both only *observe* charges the runtime already makes — separate
-	// accumulators, no change to any existing clock arithmetic — which
-	// is what keeps runs bitwise identical with telemetry on or off.
-	metrics *telemetry.Collector
-	flight  *telemetry.FlightRecorder
-	popOp   func() // preallocated pushOp closer (one alloc per rank, not per call)
 }
 
 // clamp truncates a clock target at the rank's crash time, reporting
@@ -220,6 +177,32 @@ func (p *proc) die() {
 	panic(errKilled)
 }
 
+// advance moves the rank clock to t1, truncated at the crash time, and
+// charges s seconds (t1 minus the clock, in the caller's arithmetic) as
+// compute or communication by ev's kind. It hands ev, spanning the move,
+// to the recorder once, then unwinds if the rank died.
+//
+//perf:hotpath
+func (p *proc) advance(t1, s float64, ev trace.Event) {
+	ev.T0 = p.clock
+	t1, died := p.clamp(t1)
+	if died {
+		s = t1 - ev.T0 // truncated at the crash
+	}
+	p.clock, ev.T1 = t1, t1
+	if ev.Kind == trace.EvCompute {
+		p.compute += s
+	} else {
+		p.comm += s
+	}
+	if p.rec != nil {
+		p.rec.record(ev, s, died)
+	}
+	if died {
+		p.die()
+	}
+}
+
 // chargeCompute advances the rank's clock by s seconds of compute.
 // Runs once per Compute call — the densest charge path in a simulation.
 //
@@ -228,115 +211,41 @@ func (p *proc) chargeCompute(s float64) {
 	if p.world != nil && p.world.plan != nil {
 		s = p.world.plan.ComputeSeconds(p.node, p.clock, s)
 	}
-	t0 := p.clock
-	t1, died := p.clamp(p.clock + s)
-	if died {
-		s = t1 - t0 // truncated at the crash
-	}
-	p.clock = t1
-	p.compute += s
-	if p.profile != nil {
-		p.profile.AddCompute(s)
-	}
-	if p.timeline != nil {
-		p.timeline.Add(trace.Event{Kind: trace.EvCompute, T0: t0, T1: p.clock,
-			Region: p.profile.Current(), Op: p.op, Peer: -1})
-	}
-	if p.metrics != nil {
-		p.metrics.Advance(t0, p.clock, telemetry.ChargeCompute)
-	}
-	if died {
-		p.die()
-	}
+	p.advance(p.clock+s, s, trace.Event{Kind: trace.EvCompute, Peer: -1})
 }
 
-// chargeCommAs charges s seconds of communication, recording a timeline
-// event of the given kind when tracing is on.
+// chargeCommAs charges s seconds of communication as an event of the
+// given kind.
 //
 //perf:hotpath
 func (p *proc) chargeCommAs(s float64, kind trace.EventKind, peer, bytes, tag int) {
-	t0 := p.clock
-	t1, died := p.clamp(p.clock + s)
-	if died {
-		s = t1 - t0 // truncated at the crash
-	}
-	p.clock = t1
-	p.comm += s
-	if p.profile != nil {
-		p.profile.AddComm(s)
-	}
-	if p.timeline != nil {
-		p.timeline.Add(trace.Event{Kind: kind, T0: t0, T1: p.clock,
-			Region: p.profile.Current(), Op: p.op, Peer: peer, Bytes: bytes, Tag: tag})
-	}
-	if p.metrics != nil {
-		charge := telemetry.ChargeComm
-		if kind == trace.EvWait {
-			charge = telemetry.ChargeWait
-		}
-		p.metrics.Advance(t0, p.clock, charge)
-	}
-	if died {
-		p.die()
-	}
+	p.advance(p.clock+s, s, trace.Event{Kind: kind, Peer: peer, Bytes: bytes, Tag: tag})
 }
 
-// chargeComm charges plain communication time.
-//
-//perf:hotpath
-func (p *proc) chargeComm(s float64) { p.chargeCommAs(s, trace.EvComm, -1, 0, 0) }
-
 // waitUntil advances the clock to the arrival time of a message from
-// srcWorld, accounting the jump as communication/wait time and recording
-// the causality edge (sender world rank + virtual departure time) when
-// tracing is on.
+// srcWorld, accounting the jump as wait time whose event carries the
+// causality edge (sender world rank + virtual departure time).
 func (p *proc) waitUntil(srcWorld, bytes, tag int, departure, arrival float64) {
-	if arrival <= p.clock {
-		return
-	}
-	t1, died := p.clamp(arrival)
-	wait := t1 - p.clock
-	t0 := p.clock
-	p.clock = t1
-	p.comm += wait
-	if p.profile != nil {
-		p.profile.AddComm(wait)
-	}
-	if p.timeline != nil {
-		p.timeline.Add(trace.Event{Kind: trace.EvWait, T0: t0, T1: t1,
-			Region: p.profile.Current(), Op: p.op,
+	if arrival > p.clock {
+		p.advance(arrival, arrival-p.clock, trace.Event{Kind: trace.EvWait,
 			Peer: srcWorld, Bytes: bytes, Tag: tag, SendT: departure})
-	}
-	if p.metrics != nil {
-		p.metrics.Advance(t0, t1, telemetry.ChargeWait)
-	}
-	if died {
-		p.die()
 	}
 }
 
 // postSend is the sender's half of one message: the CPU overhead charge,
-// the comm-matrix cell, the message counters and the flight record. It
-// returns the virtual times the message departs and arrives. Real sends
-// (send) and the replayed collectives (fastcoll.go) both go
-// through it and completeRecv, so every observer sees the same message
-// whether or not one travelled.
+// whose EvSend event the recorder counts as the message. It returns the
+// virtual times the message departs and arrives. Real sends (send) and
+// the replayed collectives (fastcoll.go) both go through it and
+// completeRecv, so every observer sees the same message whether or not
+// one travelled.
 func (p *proc) postSend(dstWorld, bytes, tag int) (departure, arrival float64) {
 	w := p.world
 	p.chargeCommAs(w.machine.SendOverhead, trace.EvSend, dstWorld, bytes, tag)
-	p.countMessage(dstWorld, bytes)
 	departure = p.clock
 	if w.plan != nil {
 		arrival = departure + w.plan.TransferTime(w.machine, p.worldRank, dstWorld, bytes, departure)
 	} else {
 		arrival = departure + w.machine.TransferTime(p.worldRank, dstWorld, bytes)
-	}
-	if p.metrics != nil {
-		p.metrics.Sent(bytes)
-	}
-	if p.flight != nil {
-		p.flight.Record(telemetry.FlightEvent{T: departure, Kind: telemetry.FlightSend,
-			Peer: dstWorld, Bytes: bytes, Tag: tag})
 	}
 	return departure, arrival
 }
@@ -346,55 +255,24 @@ func (p *proc) postSend(dstWorld, bytes, tag int) (departure, arrival float64) {
 func (p *proc) completeRecv(srcWorld, bytes, tag int, departure, arrival float64) {
 	p.waitUntil(srcWorld, bytes, tag, departure, arrival)
 	p.chargeCommAs(p.world.machine.RecvOverhead, trace.EvRecv, srcWorld, bytes, tag)
-	if p.metrics != nil {
-		p.metrics.Received(uint64(bytes), arrival)
-	}
-	if p.flight != nil {
-		p.flight.Record(telemetry.FlightEvent{T: p.clock, Kind: telemetry.FlightRecv,
-			Peer: srcWorld, Bytes: bytes, Tag: tag})
+	if p.rec != nil {
+		p.rec.received(srcWorld, bytes, tag, arrival)
 	}
 }
 
-// countMessage records one outgoing message in this rank's comm-matrix row.
-func (p *proc) countMessage(dstWorld, bytes int) {
-	if p.comms == nil {
-		return
-	}
-	cell := p.comms[dstWorld]
-	if cell == nil {
-		cell = &commCell{}
-		p.comms[dstWorld] = cell
-	}
-	cell.msgs++
-	cell.bytes += int64(bytes)
-}
-
-// sharedNoop is returned by pushOp when no telemetry consumer is active
-// or an outer collective already holds the label, so call sites can
-// always defer it.
+// sharedNoop is returned by pushOp when nothing records or an outer
+// collective already holds the label, so call sites can always defer it.
 var sharedNoop = func() {}
 
 // pushOp labels subsequent events with a collective-operation name until
 // the returned function is called. The outermost label wins (the
-// allreduce inside CheckpointSync stays labelled "checkpoint"). The
-// outermost entry is also where the metrics collective counter and the
-// flight recorder see the operation — nested building blocks are not
-// double-counted.
+// allreduce inside CheckpointSync stays labelled "checkpoint"), and only
+// the outermost operation reaches the recorder.
 func (p *proc) pushOp(name string) func() {
-	if p.op != "" || (p.timeline == nil && p.metrics == nil && p.flight == nil) {
+	if p.rec == nil || p.rec.op != "" {
 		return sharedNoop
 	}
-	p.op = name
-	if p.metrics != nil {
-		p.metrics.Collective()
-	}
-	if p.flight != nil {
-		p.flight.Record(telemetry.FlightEvent{T: p.clock, Kind: telemetry.FlightCollective, Op: name})
-	}
-	if p.popOp == nil {
-		p.popOp = func() { p.op = "" }
-	}
-	return p.popOp
+	return p.rec.collective(name)
 }
 
 // Comm is a communicator: the contiguous world ranks [base, base+size)
@@ -459,8 +337,13 @@ func (c *Comm) Machine() *cluster.Machine { return c.world.machine }
 // Clock returns the caller's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.proc.clock }
 
-// Profile returns the rank's trace profile (may be nil if profiling is off).
-func (c *Comm) Profile() *trace.Profile { return c.proc.profile }
+// Profile returns the rank's trace profile (nil if profiling is off).
+func (c *Comm) Profile() *trace.Profile {
+	if c.proc.rec == nil {
+		return nil
+	}
+	return c.proc.rec.profile
+}
 
 // Compute charges the virtual cost of the described work to the rank clock.
 func (c *Comm) Compute(w cluster.Work) { c.proc.chargeCompute(c.world.machine.ComputeTime(w)) }
@@ -494,7 +377,7 @@ func (c *Comm) StretchSince(computeMark, commMark, factor float64) {
 		panic("mpi: StretchSince marks are in the future")
 	}
 	c.proc.chargeCompute(dComp)
-	c.proc.chargeComm(dComm)
+	c.proc.chargeCommAs(dComm, trace.EvComm, -1, 0, 0)
 }
 
 // ChargeCommSeconds charges s virtual seconds of communication time
@@ -505,7 +388,7 @@ func (c *Comm) ChargeCommSeconds(s float64) {
 	if s < 0 {
 		panic("mpi: negative comm time")
 	}
-	c.proc.chargeComm(s)
+	c.proc.chargeCommAs(s, trace.EvComm, -1, 0, 0)
 }
 
 // ResetClock sets the rank clock to exactly t — the restart primitive
@@ -707,17 +590,11 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 		}
 		return cmp.Compare(a.arrival, b.arrival)
 	})
-	if p := c.proc; p.metrics != nil || p.flight != nil {
-		// All n receives complete at the Waitall's final clock; counting
-		// after the sort keeps the flight-recorder order deterministic.
+	if rec := c.proc.rec; rec != nil {
+		// All n receives complete at the Waitall's final clock; recording
+		// them after the sort keeps the flight order deterministic.
 		for _, m := range msgs {
-			if p.metrics != nil {
-				p.metrics.Received(uint64(m.bytes), m.arrival)
-			}
-			if p.flight != nil {
-				p.flight.Record(telemetry.FlightEvent{T: p.clock, Kind: telemetry.FlightRecv,
-					Peer: m.srcWorld, Bytes: m.bytes, Tag: tag})
-			}
+			rec.received(m.srcWorld, m.bytes, tag, m.arrival)
 		}
 	}
 	data, sources = sc.data[:0], sc.sources[:0]
@@ -764,10 +641,11 @@ type Stats struct {
 	// Metrics holds the per-rank virtual-time metric series; nil unless
 	// Config.Metrics was set.
 	Metrics *telemetry.RunSeries
-	// Flight holds the flight-recorder tails of a failed run: the dead
-	// ranks' last events when ranks died, or every rank's tail when an
-	// enabled recorder saw the run abort (watchdog, cancellation). Nil
-	// for successful runs and when recording was off.
+	// Flight holds the flight-ring tails of a failed run: every dead
+	// rank's (fault-plan crashes and detection cascades), or every
+	// recording rank's when the run failed with no deaths (watchdog,
+	// cancellation, abort). Nil for successful runs and when no ring was
+	// armed.
 	Flight []telemetry.RankTail
 }
 
@@ -907,12 +785,11 @@ type Config struct {
 	Metrics *telemetry.Config
 
 	// traceMaxEvents caps the events recorded per rank (0 selects
-	// trace.DefaultMaxEvents); flightEvents > 0 arms the flight recorder
-	// with that ring capacity even without a fault plan. Both are set
-	// only by this package's tests: ranks past the trace cap report
-	// dropped events and are rejected by the critical-path analysis, and
-	// the recorder is otherwise on, at its default depth, exactly when a
-	// fault plan is set.
+	// trace.DefaultMaxEvents); flightEvents > 0 arms the flight ring with
+	// that depth even without a fault plan. Both are set only by this
+	// package's tests: ranks past the trace cap report dropped events and
+	// are rejected by the critical-path analysis, and the ring is
+	// otherwise armed, at flightDepth, exactly when a fault plan is set.
 	traceMaxEvents int
 	flightEvents   int
 }
@@ -979,21 +856,9 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 		w.procs[i] = &ps[i]
 		w.deadAt[i] = -1
 		if plan != nil {
-			w.procs[i].crashAt = plan.CrashTime(i)
+			ps[i].crashAt = plan.CrashTime(i)
 		}
-		if cfg.Profile || cfg.Trace {
-			w.procs[i].profile = trace.NewProfile()
-		}
-		if cfg.Trace {
-			w.procs[i].timeline = trace.NewTimeline(i, cfg.traceMaxEvents)
-			w.procs[i].comms = make(map[int]*commCell)
-		}
-		if cfg.Metrics != nil {
-			w.procs[i].metrics = telemetry.NewCollector(i, cfg.Metrics)
-		}
-		if cfg.flightEvents > 0 || plan != nil {
-			w.procs[i].flight = telemetry.NewFlightRecorder(cfg.flightEvents)
-		}
+		ps[i].rec = newRecorder(i, &cfg, plan != nil, &ps[i].clock)
 	}
 
 	watchdog := cfg.Watchdog
@@ -1102,39 +967,15 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 		Comm:     make([]float64, size),
 		Profiles: make([]*trace.Profile, size),
 	}
-	if cfg.Trace {
-		st.Timelines = make([]*trace.Timeline, size)
-		st.CommMatrix = &trace.CommMatrix{Ranks: size}
-	}
 	for i, p := range w.procs {
 		st.Clocks[i] = p.clock
 		st.Compute[i] = p.compute
 		st.Comm[i] = p.comm
-		st.Profiles[i] = p.profile
 		if p.clock > st.Elapsed {
 			st.Elapsed = p.clock
 		}
-		if cfg.Trace {
-			st.Timelines[i] = p.timeline
-			for dst, cell := range p.comms {
-				st.CommMatrix.AddEdge(i, dst, cell.msgs, cell.bytes)
-			}
-		}
 	}
-	if st.CommMatrix != nil {
-		st.CommMatrix.Sort()
-	}
-	if cfg.Metrics != nil {
-		collectors := make([]*telemetry.Collector, size)
-		for i, p := range w.procs {
-			p.metrics.Finish(p.clock)
-			collectors[i] = p.metrics
-		}
-		st.Metrics = telemetry.Finalize(collectors)
-	}
-	if firstErr != nil {
-		st.Flight = w.flightTails()
-	}
+	w.finishRecorders(st, &cfg, firstErr != nil)
 	return st, firstErr
 }
 
@@ -1193,34 +1034,4 @@ func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
 func (w *World) died(rank int) {
 	w.recordDeath(rank, w.procs[rank].clock)
 	w.wakeStations()
-}
-
-// flightTails dumps the post-mortem trails of a failed run: the tails
-// of every dead rank (fault-plan crashes and detection cascades), or —
-// when the run failed with no deaths (watchdog, cancellation, abort) —
-// every recording rank's tail.
-func (w *World) flightTails() []telemetry.RankTail {
-	var tails []telemetry.RankTail
-	anyDead := false
-	for _, at := range w.deadAt {
-		if at >= 0 {
-			anyDead = true
-			break
-		}
-	}
-	for i, p := range w.procs {
-		if p.flight == nil {
-			continue
-		}
-		at := w.deadAt[i]
-		if anyDead && at < 0 {
-			continue
-		}
-		tail := telemetry.RankTail{Rank: i, Total: p.flight.Total(), Events: p.flight.Tail()}
-		if at >= 0 {
-			tail.FailedAt = at
-		}
-		tails = append(tails, tail)
-	}
-	return tails
 }

@@ -1,66 +1,16 @@
 package telemetry
 
-// DefaultFlightDepth is the per-rank flight-recorder capacity.
-const DefaultFlightDepth = 64
-
-// Flight-event kinds, stored as stable strings so the post-mortem JSON
-// artifact is self-describing.
-const (
-	FlightSend       = "send"
-	FlightRecv       = "recv"
-	FlightCollective = "collective"
-)
-
-// FlightEvent is one recorded runtime event with its virtual timestamp.
+// FlightEvent is one event of a flight-recorder tail — a send, receive or
+// collective entry with its virtual timestamp. With RankTail it is the
+// export schema of a failed run's post-mortem trail; the runtime keeps
+// the trail itself in a keep-last trace.Timeline per rank.
 type FlightEvent struct {
-	T     float64 `json:"t"` // virtual seconds
-	Kind  string  `json:"kind"`
+	T     float64 `json:"t"`              // virtual seconds
+	Kind  string  `json:"kind"`           // "send", "recv" or "collective"
 	Peer  int     `json:"peer,omitempty"` // world rank of the peer (send/recv)
 	Bytes int     `json:"bytes,omitempty"`
 	Tag   int     `json:"tag,omitempty"`
 	Op    string  `json:"op,omitempty"` // collective operation name
-}
-
-// FlightRecorder is a bounded ring buffer of a rank's most recent
-// runtime events — the post-mortem trail a crashed or cancelled run
-// dumps into its partial artifact. Owned by the rank goroutine during
-// the run; read only after it.
-type FlightRecorder struct {
-	buf   []FlightEvent
-	next  int
-	total uint64
-}
-
-// NewFlightRecorder returns a recorder keeping the last `depth` events;
-// depth <= 0 selects DefaultFlightDepth.
-func NewFlightRecorder(depth int) *FlightRecorder {
-	if depth <= 0 {
-		depth = DefaultFlightDepth
-	}
-	return &FlightRecorder{buf: make([]FlightEvent, 0, depth)}
-}
-
-// Record appends an event, evicting the oldest once full.
-func (f *FlightRecorder) Record(ev FlightEvent) {
-	f.total++
-	if len(f.buf) < cap(f.buf) {
-		f.buf = append(f.buf, ev)
-		return
-	}
-	f.buf[f.next] = ev
-	f.next = (f.next + 1) % len(f.buf)
-}
-
-// Total returns how many events were recorded over the run (not just
-// the retained tail).
-func (f *FlightRecorder) Total() uint64 { return f.total }
-
-// Tail returns the retained events in chronological order.
-func (f *FlightRecorder) Tail() []FlightEvent {
-	out := make([]FlightEvent, 0, len(f.buf))
-	out = append(out, f.buf[f.next:]...)
-	out = append(out, f.buf[:f.next]...)
-	return out
 }
 
 // RankTail is one rank's flight-recorder dump.

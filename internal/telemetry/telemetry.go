@@ -1,30 +1,3 @@
-// Package telemetry is the live-observability layer of the virtual-time
-// runtime: per-rank metrics sampled at fixed *virtual-time* intervals,
-// and a bounded flight recorder of recent runtime events for post-mortem
-// dumps of crashed or cancelled runs.
-//
-// Determinism is the design constraint. Every sample point is derived
-// from the rank's virtual clock — never the host clock — and the
-// collector only *observes* charges the runtime was already making: it
-// keeps separate accumulators and never modifies the existing clock or
-// accounting arithmetic. A run with metrics on therefore produces
-// bitwise-identical virtual times, statistics and traces to the same run
-// with metrics off (enforced by differential tests in internal/mpi and
-// internal/coupler), and the metric series themselves are identical
-// across host parallelism levels.
-//
-// Mailbox depth is the one gauge a naive implementation would make
-// host-scheduling-dependent (the instantaneous length of a mailbox
-// depends on which goroutine ran first). It is instead defined purely in
-// virtual time: depth at sample point kΔ is the number of messages whose
-// virtual *arrival* is <= kΔ minus the number of receives the rank had
-// *completed* by kΔ. Both timestamps are known to the receiver when a
-// receive completes (completion is always >= arrival, so the gauge is
-// never negative), so arrivals are bucketed receiver-side into one dense
-// per-rank array — no cross-rank merge, no per-message storage. The one
-// consequence: a message that is never received does not enter the
-// gauge, making it the depth of the eventually-consumed queue. Every
-// input is a function of virtual timestamps only.
 package telemetry
 
 // DefaultInterval is the virtual-time sampling period in seconds.
@@ -157,9 +130,6 @@ func NewCollector(rank int, cfg *Config) *Collector {
 	}
 }
 
-// Rank returns the rank this collector belongs to.
-func (c *Collector) Rank() int { return c.rank }
-
 // bucketOf returns the first sample index k with k*interval >= t. The
 // reciprocal multiply only seeds the estimate; the exact comparisons
 // below pin it to the minimal k, so the result is identical to the
@@ -288,6 +258,3 @@ func (c *Collector) Received(bytes uint64, arrival float64) {
 
 // Collective records entry into an outermost collective operation.
 func (c *Collector) Collective() { c.cur.Collectives++ }
-
-// Totals returns the cumulative counters at the rank's final clock.
-func (c *Collector) Totals() Sample { return c.cur }

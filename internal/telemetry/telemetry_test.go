@@ -27,7 +27,7 @@ func TestAdvanceProratesAcrossBoundaries(t *testing.T) {
 				i, s.Compute, s.Comm, wantCompute[i], wantComm[i])
 		}
 	}
-	tot := c.Totals()
+	tot := c.cur
 	if tot.Compute != 2.5 || tot.Comm != 0.5 || tot.T != 3.0 {
 		t.Errorf("totals = %+v", tot)
 	}
@@ -44,7 +44,7 @@ func TestSampleCapCountsDropped(t *testing.T) {
 	if c.dropped != 3 {
 		t.Errorf("dropped = %d, want 3", c.dropped)
 	}
-	if got := c.Totals().Compute; got != 5.0 {
+	if got := c.cur.Compute; got != 5.0 {
 		t.Errorf("total compute = %v, want 5", got)
 	}
 }
@@ -158,26 +158,5 @@ func TestWriteCSVShape(t *testing.T) {
 	}
 	if len(lines) != 1+2+2 { // header + 2 rank rows + 2 component rows
 		t.Errorf("got %d lines: %q", len(lines), sb.String())
-	}
-}
-
-// TestFlightRecorderRingSemantics: the recorder keeps the last `depth`
-// events in chronological order and counts the total.
-func TestFlightRecorderRingSemantics(t *testing.T) {
-	f := NewFlightRecorder(3)
-	for i := 0; i < 5; i++ {
-		f.Record(FlightEvent{T: float64(i), Kind: FlightSend, Peer: i})
-	}
-	tail := f.Tail()
-	if f.Total() != 5 {
-		t.Errorf("total = %d, want 5", f.Total())
-	}
-	if len(tail) != 3 {
-		t.Fatalf("tail length = %d, want 3", len(tail))
-	}
-	for i, ev := range tail {
-		if ev.T != float64(i+2) {
-			t.Errorf("tail[%d].T = %v, want %v", i, ev.T, float64(i+2))
-		}
 	}
 }

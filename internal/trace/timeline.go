@@ -24,6 +24,9 @@ const (
 	// EvComm is directly charged communication time (analytic schedules,
 	// stretched sub-steps) with no single peer.
 	EvComm
+	// EvCollective is a zero-length mark of entry into an outermost
+	// collective operation, named by Op. Only flight rings hold it.
+	EvCollective
 )
 
 // String returns the kind's stable lower-case name.
@@ -39,6 +42,8 @@ func (k EventKind) String() string {
 		return "wait"
 	case EvComm:
 		return "comm"
+	case EvCollective:
+		return "collective"
 	default:
 		return fmt.Sprintf("kind(%d)", k)
 	}
@@ -69,14 +74,16 @@ const DefaultMaxEvents = 1 << 20
 // the replay leader while the rank is parked) and read only after
 // completion.
 type Timeline struct {
-	Rank    int
-	Events  []Event
-	Dropped int // events discarded after the cap was reached
-	limit   int
+	Rank     int
+	Events   []Event
+	Dropped  int // events discarded (keep-first) or evicted (keep-last) at the cap
+	limit    int
+	keepLast bool // keep the last limit events rather than the first
+	head     int  // keep-last only: index of the oldest event once full
 }
 
-// NewTimeline returns an empty timeline for a rank. maxEvents <= 0
-// selects DefaultMaxEvents.
+// NewTimeline returns an empty timeline for a rank that keeps its first
+// maxEvents events. maxEvents <= 0 selects DefaultMaxEvents.
 func NewTimeline(rank, maxEvents int) *Timeline {
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
@@ -84,22 +91,45 @@ func NewTimeline(rank, maxEvents int) *Timeline {
 	return &Timeline{Rank: rank, limit: maxEvents}
 }
 
+// NewKeepLast returns a timeline that keeps a rank's last depth (> 0)
+// events, each new one evicting the oldest once full: a post-mortem
+// ring, read through Ordered.
+func NewKeepLast(rank, depth int) *Timeline {
+	return &Timeline{Rank: rank, limit: depth, keepLast: true}
+}
+
 // Add appends an event, coalescing contiguous compute/comm spans of the
 // same region and op so tight charge loops stay O(1) in memory. Once the
 // cap is hit, further non-coalescible events are counted in Dropped.
 func (tl *Timeline) Add(ev Event) {
-	if n := len(tl.Events); n > 0 && (ev.Kind == EvCompute || ev.Kind == EvComm) {
-		last := &tl.Events[n-1]
+	n := len(tl.Events)
+	if n > 0 && (ev.Kind == EvCompute || ev.Kind == EvComm) {
+		i := n - 1
+		if tl.head > 0 {
+			i = tl.head - 1 // a wrapped keep-last ring's newest event
+		}
+		last := &tl.Events[i]
 		if last.Kind == ev.Kind && last.Region == ev.Region && last.Op == ev.Op && last.T1 == ev.T0 {
 			last.T1 = ev.T1
 			return
 		}
 	}
-	if len(tl.Events) >= tl.limit {
+	if n >= tl.limit {
 		tl.Dropped++
+		if tl.keepLast {
+			tl.Events[tl.head] = ev
+			tl.head = (tl.head + 1) % n
+		}
 		return
 	}
 	tl.Events = append(tl.Events, ev)
+}
+
+// Ordered returns the retained events oldest first, copying them only
+// for a keep-last timeline that has wrapped.
+func (tl *Timeline) Ordered() []Event {
+	n := len(tl.Events)
+	return append(tl.Events[tl.head:n:n], tl.Events[:tl.head]...)
 }
 
 // End returns the timeline's final virtual time (the rank clock at exit).

@@ -42,6 +42,27 @@ func TestTimelineCapCountsDropped(t *testing.T) {
 	}
 }
 
+// TestKeepLastRingSemantics: a keep-last timeline retains its last
+// `depth` events, oldest first through Ordered, counts the evicted ones
+// in Dropped, and still coalesces onto its newest event once wrapped.
+func TestKeepLastRingSemantics(t *testing.T) {
+	tl := NewKeepLast(0, 3)
+	for i := 0; i < 5; i++ {
+		tl.Add(Event{Kind: EvSend, T0: float64(i), T1: float64(i), Peer: i})
+	}
+	tl.Add(Event{Kind: EvCompute, T0: 5, T1: 6, Peer: -1})
+	tl.Add(Event{Kind: EvCompute, T0: 6, T1: 7, Peer: -1})
+	got := tl.Ordered()
+	if len(got) != 3 || tl.Dropped != 3 {
+		t.Fatalf("retained %d, dropped %d; want 3 and 3", len(got), tl.Dropped)
+	}
+	for i, want := range [][2]float64{{3, 3}, {4, 4}, {5, 7}} {
+		if got[i].T0 != want[0] || got[i].T1 != want[1] {
+			t.Errorf("event %d spans [%v,%v], want %v", i, got[i].T0, got[i].T1, want)
+		}
+	}
+}
+
 func TestWriteChromeTraceValidJSON(t *testing.T) {
 	tl := NewTimeline(3, 0)
 	tl.Add(Event{Kind: EvCompute, T0: 0, T1: 1.5, Region: "pressure_field", Peer: -1})
