@@ -33,9 +33,10 @@ test:
 # and panics on a second release, so both race legs run their suites,
 # the coupled golden digests among them, poisoned. telemetry is here
 # because its collector is fed from rank goroutines and, inside a
-# replayed collective, from the replay leader.
+# replayed collective, from the replay leader; fault because every rank
+# goroutine of a resilient run commits to the checkpoint store.
 race:
-	$(GO) test -race ./internal/mpi/ ./internal/trace/ ./internal/telemetry/
+	$(GO) test -race ./internal/mpi/ ./internal/trace/ ./internal/telemetry/ ./internal/fault/
 
 # Race-detect the whole module (slower than the targeted `race` gate).
 test-race:

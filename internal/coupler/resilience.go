@@ -108,12 +108,6 @@ func (m *Mapper) digest(d *fault.Digest) {
 	d.Int(m.LastMisses)
 }
 
-// cuCheckpoint is a coupling-unit rank's snapshot.
-type cuCheckpoint struct {
-	MapAB, MapBA *mapperCheckpoint
-	First        bool
-}
-
 // cuCheckpointBytes is the true (full-scale) size of a CU rank's share of
 // the mapping state written to stable storage: this rank's targets on
 // both sides, each with DonorsPerTarget (index, weight) pairs.
@@ -126,7 +120,9 @@ func cuCheckpointBytes(us UnitSpec, cuRanks int) int {
 // attempt through rankMain. A nil ctx (plain Run) disables everything;
 // all methods are nil-receiver safe.
 type resilientCtx struct {
-	cp *fault.Checkpointer
+	store *fault.Store
+	every int                     // checkpoint cadence in density steps; <= 0 disables
+	cost  func(bytes int) float64 // per-rank write seconds for a snapshot size
 	// resume state: restart from snapshot step/clock of the last commit.
 	resume bool
 	step   int
@@ -135,24 +131,31 @@ type resilientCtx struct {
 
 func (rc *resilientCtx) resuming() bool { return rc != nil && rc.resume }
 
+// due reports whether a checkpoint is scheduled after `completed` steps
+// of `total`: on every cadence boundary except the final step, whose
+// checkpoint no recovery could ever use.
 func (rc *resilientCtx) due(completed, total int) bool {
-	return rc != nil && rc.cp.Due(completed, total)
+	return rc != nil && rc.every > 0 && completed > 0 && completed < total && completed%rc.every == 0
 }
 
-// checkpoint stages this rank's snapshot and joins the world-wide commit.
-func (rc *resilientCtx) checkpoint(world *mpi.Comm, step int, state any, bytes int) {
-	rc.cp.Checkpoint(world, fault.Snapshot{Step: step, Bytes: bytes, State: state})
+// checkpoint runs this rank's part of the coordinated checkpoint after
+// `step`: save the state, synchronise every rank clock charging the
+// modelled write, then commit. Collective over the world.
+func (rc *resilientCtx) checkpoint(world *mpi.Comm, step int, walk func(*fault.State), bytes int) {
+	snap := fault.Save(walk)
+	t := world.CheckpointSync(rc.cost(bytes))
+	rc.store.Commit(world.Rank(), step, snap, t)
 }
 
-// restoreFrom loads this rank's committed snapshot, hands it to apply,
-// and jumps the rank clock to the checkpoint's synchronised commit time.
+// restoreFrom restores this rank's committed snapshot through walk and
+// jumps the rank clock to the checkpoint's synchronised commit time.
 // Returns the density step to resume from.
-func (rc *resilientCtx) restoreFrom(world *mpi.Comm, apply func(any) error) (int, error) {
-	snap, ok := rc.cp.Store.Load(world.Rank())
+func (rc *resilientCtx) restoreFrom(world *mpi.Comm, walk func(*fault.State)) (int, error) {
+	snap, ok := rc.store.Load(world.Rank())
 	if !ok {
 		return 0, fmt.Errorf("coupler: rank %d has no snapshot for restart at step %d", world.Rank(), rc.step)
 	}
-	if err := apply(snap.State); err != nil {
+	if err := snap.Restore(walk); err != nil {
 		return 0, err
 	}
 	world.ResetClock(rc.clock)
@@ -223,11 +226,7 @@ func (sim *Simulation) RunResilient(cfg mpi.Config, ro ResilienceOptions) (*Resi
 	store := fault.NewStore(sim.TotalRanks())
 	res := &ResilienceReport{}
 	for {
-		rc := &resilientCtx{cp: &fault.Checkpointer{
-			Store: store,
-			Every: ro.CheckpointEvery,
-			Cost:  machine.CheckpointTime,
-		}}
+		rc := &resilientCtx{store: store, every: ro.CheckpointEvery, cost: machine.CheckpointTime}
 		if step, clock, ok := store.Last(); ok {
 			rc.resume, rc.step, rc.clock = true, step, clock
 		}

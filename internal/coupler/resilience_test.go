@@ -2,10 +2,13 @@ package coupler
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
 	"cpx/internal/fault"
+	"cpx/internal/particle"
+	"cpx/internal/simpic"
 )
 
 // resilienceSim is twoRowSim with enough density steps for several
@@ -234,5 +237,88 @@ func TestResilienceIdenticalAcrossHostParallelism(t *testing.T) {
 		if parallel.RankDigests[r] != serial.RankDigests[r] {
 			t.Errorf("rank %d digest %#x (parallel) != %#x (serial)", r, parallel.RankDigests[r], serial.RankDigests[r])
 		}
+	}
+}
+
+// everyKindSim couples one instance of each solver kind: an MG-CFD row
+// to a SIMPIC combustor and an FEM casing, and the combustor to a
+// particle spray, through steady units exchanging every other step.
+func everyKindSim() *Simulation {
+	unit := func(name string, a, b int) UnitSpec {
+		return UnitSpec{Name: name, A: a, B: b, Kind: SteadyState, Points: 1000, Ranks: 1, ExchangeEvery: 2}
+	}
+	return &Simulation{
+		Instances: []InstanceSpec{
+			{Name: "row", Kind: KindMGCFD, MeshCells: 4096, Ranks: 3, Seed: 1},
+			{Name: "comb", Kind: KindSIMPIC, MeshCells: 512, Ranks: 2, Seed: 1,
+				Simpic: &simpic.Config{Cells: 512, ParticlesPerCell: 5, Steps: 16, Seed: 1, FieldEvery: 2}},
+			{Name: "casing", Kind: KindFEM, MeshCells: 500, Ranks: 2, Seed: 1},
+			{Name: "spray", Kind: KindParticle, MeshCells: 160_000, Ranks: 2, Seed: 1,
+				Particle: &particle.Config{Strategy: particle.Repartition}},
+		},
+		Units:        []UnitSpec{unit("row-comb", 0, 1), unit("row-casing", 0, 2), unit("comb-spray", 1, 3)},
+		DensitySteps: 8,
+		Scale:        Scale{MaxPointsPerSide: 128},
+	}
+}
+
+// TestCoupledRestartOfEveryKind crashes one rank of each solver kind
+// late in the run. Every recovery must restore from the step-6
+// checkpoint, not an earlier one, and end in the fault-free state at
+// exactly the fault-free time plus the modelled overhead, so a field
+// left out of a solver's Walk fails it.
+func TestCoupledRestartOfEveryKind(t *testing.T) {
+	opts := ResilienceOptions{CheckpointEvery: 2}
+	base, err := everyKindSim().RunResilient(runCfg(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rank := range []int{1, 3, 5, 7} {
+		opts.Plan = &fault.Plan{Crashes: []fault.Crash{{Rank: rank, At: 0.9 * base.Elapsed}}}
+		faulty, err := everyKindSim().RunResilient(runCfg(), opts)
+		if err != nil {
+			t.Fatalf("crash of rank %d: %v", rank, err)
+		}
+		// The crash falls between the step-6 commit and the end of the
+		// run; a restore from step 4 or 2 reworks more.
+		if faulty.Attempts != 2 || math.Abs(faulty.Rework-0.014974137) > 1e-9 {
+			t.Errorf("crash of rank %d: %d attempts, rework %.9f s, want 2 and 0.014974137 s",
+				rank, faulty.Attempts, faulty.Rework)
+		}
+		for r := range base.RankDigests {
+			if faulty.RankDigests[r] != base.RankDigests[r] {
+				t.Errorf("crash of rank %d: rank %d digest %#x != fault-free %#x", rank, r, faulty.RankDigests[r], base.RankDigests[r])
+			}
+		}
+		if got, want := faulty.Elapsed, base.Elapsed+faulty.Overhead; got != want {
+			t.Errorf("crash of rank %d: elapsed %v, want fault-free + overhead = %v", rank, got, want)
+		}
+	}
+}
+
+// TestCheckpointDue: checkpoints fall on every cadence boundary except
+// the final step, whose checkpoint no recovery could use; a nil context
+// (plain Run) or a zero cadence takes none.
+func TestCheckpointDue(t *testing.T) {
+	rc := &resilientCtx{every: 4}
+	cases := []struct {
+		completed, total int
+		want             bool
+	}{
+		{4, 16, true}, {8, 16, true}, {3, 16, false}, {0, 16, false},
+		{16, 16, false}, // final step: useless checkpoint
+		{12, 12, false},
+	}
+	for _, c := range cases {
+		if got := rc.due(c.completed, c.total); got != c.want {
+			t.Errorf("due(%d, %d) = %v, want %v", c.completed, c.total, got, c.want)
+		}
+	}
+	var plain *resilientCtx
+	if plain.due(4, 16) {
+		t.Error("nil context claims a checkpoint is due")
+	}
+	if (&resilientCtx{}).due(4, 16) {
+		t.Error("every=0 claims a checkpoint is due")
 	}
 }

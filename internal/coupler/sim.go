@@ -545,43 +545,27 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 	spec := sim.Instances[r.index]
 	group := sim.groupComm(world, r)
 
-	// Build the solver. snapshot/restore/digest expose its mutable state
-	// to the checkpoint/restart machinery (resilience.go).
+	// Build the solver and its step; the solver's Walk exposes its
+	// mutable state to the checkpoint/restart machinery (resilience.go).
+	var s solver
 	var step func() error
-	var sample func(n int) []float64
-	var absorb func([]float64)
-	var snapshot func() (any, int)
-	var restore func(any) error
-	var digest func() uint64
 	var loadOf func() particle.RankLoad
 	switch spec.Kind {
 	case KindMGCFD:
-		s, err := mgcfd.New(group, mgcfd.Config{
+		m, err := mgcfd.New(group, mgcfd.Config{
 			MeshCells: spec.MeshCells, Steps: 1, Seed: spec.Seed,
 		}, sim.Scale.MGCFD)
 		if err != nil {
 			return fmt.Errorf("instance %s: %w", spec.Name, err)
 		}
-		step = func() error { s.Step(); return nil }
-		sample = s.BoundarySample
-		absorb = s.AbsorbBoundary
-		snapshot = func() (any, int) { return s.Checkpoint(), s.CheckpointBytes() }
-		restore = func(st any) error {
-			ck, ok := st.(*mgcfd.Checkpoint)
-			if !ok {
-				return fmt.Errorf("snapshot holds %T, want *mgcfd.Checkpoint", st)
-			}
-			s.Restore(ck)
-			return nil
-		}
-		digest = s.StateDigest
+		s, step = m, func() error { m.Step(); return nil }
 	case KindSIMPIC:
 		cfg := simpic.BaseSTC(spec.MeshCells)
 		if spec.Simpic != nil {
 			cfg = *spec.Simpic
 		}
 		cfg.Seed = spec.Seed
-		s, err := simpic.New(group, cfg, sim.Scale.Simpic)
+		p, err := simpic.New(group, cfg, sim.Scale.Simpic)
 		if err != nil {
 			return fmt.Errorf("instance %s: %w", spec.Name, err)
 		}
@@ -589,19 +573,7 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 		// SIMPIC micro-steps under the STC equivalence (Fig. 3): run one
 		// representative micro-step and stretch its cost to the block.
 		spp := cfg.StepsPerPressureStep()
-		step = func() error { s.StepBlock(1, spp); return nil }
-		sample = s.BoundarySample
-		absorb = s.AbsorbBoundary
-		snapshot = func() (any, int) { return s.Checkpoint(), s.CheckpointBytes() }
-		restore = func(st any) error {
-			ck, ok := st.(*simpic.Checkpoint)
-			if !ok {
-				return fmt.Errorf("snapshot holds %T, want *simpic.Checkpoint", st)
-			}
-			s.Restore(ck)
-			return nil
-		}
-		digest = s.StateDigest
+		s, step = p, func() error { p.StepBlock(1, spp); return nil }
 	case KindFEM:
 		cfg := femShellFor(spec.MeshCells)
 		if spec.FEM != nil {
@@ -611,41 +583,17 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 		if cfg.Steps == 0 {
 			cfg.Steps = 1
 		}
-		s, err := fem.New(group, cfg)
+		f, err := fem.New(group, cfg)
 		if err != nil {
 			return fmt.Errorf("instance %s: %w", spec.Name, err)
 		}
-		step = func() error { _, err := s.Step(); return err }
-		sample = s.BoundarySample
-		absorb = s.AbsorbBoundary
-		snapshot = func() (any, int) { return s.Checkpoint(), s.CheckpointBytes() }
-		restore = func(st any) error {
-			ck, ok := st.(*fem.Checkpoint)
-			if !ok {
-				return fmt.Errorf("snapshot holds %T, want *fem.Checkpoint", st)
-			}
-			s.Restore(ck)
-			return nil
-		}
-		digest = s.StateDigest
+		s, step = f, func() error { _, err := f.Step(); return err }
 	case KindParticle:
-		s, err := particle.New(group, sim.particleConfig(spec), sim.Scale.Particle)
+		p, err := particle.New(group, sim.particleConfig(spec), sim.Scale.Particle)
 		if err != nil {
 			return fmt.Errorf("instance %s: %w", spec.Name, err)
 		}
-		step = func() error { s.Step(particleDT); return nil }
-		sample = s.BoundarySample
-		absorb = s.AbsorbBoundary
-		snapshot = func() (any, int) { return s.Checkpoint(), s.CheckpointBytes() }
-		restore = func(st any) error {
-			ck, ok := st.(*particle.Checkpoint)
-			if !ok {
-				return fmt.Errorf("snapshot holds %T, want *particle.Checkpoint", st)
-			}
-			return s.Restore(ck)
-		}
-		digest = s.StateDigest
-		loadOf = s.Load
+		s, step, loadOf = p, func() error { p.Step(particleDT); return nil }, p.Load
 	default:
 		return fmt.Errorf("instance %s: unknown kind %d", spec.Name, spec.Kind)
 	}
@@ -654,7 +602,7 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 	start := 0
 	if rc.resuming() {
 		var err error
-		if start, err = rc.restoreFrom(world, restore); err != nil {
+		if start, err = rc.restoreFrom(world, s.Walk); err != nil {
 			return fmt.Errorf("instance %s: %w", spec.Name, err)
 		}
 	}
@@ -678,7 +626,7 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 	isBoundary := r.local < nb
 
 	for d := start; d < sim.DensitySteps; d++ {
-		for s := 0; s < spec.stepsPerDensity(); s++ {
+		for range spec.stepsPerDensity() {
 			if err := step(); err != nil {
 				return err
 			}
@@ -688,35 +636,44 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 				continue
 			}
 			if isBoundary {
-				sim.exchangeWithUnit(world, a.unit, a.side, r.local, nb, sample, absorb)
+				sim.exchangeWithUnit(world, a.unit, a.side, r.local, nb, s)
 			}
 		}
 		if rc.due(d+1, sim.DensitySteps) {
-			st, bytes := snapshot()
-			rc.checkpoint(world, d+1, st, bytes)
+			rc.checkpoint(world, d+1, s.Walk, s.CheckpointBytes())
 		}
 	}
-	digests[world.Rank()] = digest()
+	digests[world.Rank()] = fault.Hash(s.Walk)
 	if loadOf != nil {
 		loads[world.Rank()] = loadOf()
 	}
 	return nil
 }
 
+// solver is what a coupled instance rank needs of its solver beside
+// the step: the interface slice it sends and the values it absorbs, and
+// its recoverable state and that state's true size for checkpoints.
+type solver interface {
+	BoundarySample(n int) []float64
+	AbsorbBoundary(vals []float64)
+	Walk(st *fault.State)
+	CheckpointBytes() int
+}
+
 // exchangeWithUnit performs one boundary rank's part of a CU exchange:
 // send this rank's interface slice to every CU rank, then receive the
-// interpolated values coming back. sample hands over a slice the caller
-// owns; once sent it joins the received payloads on the rank's free list.
+// interpolated values coming back. BoundarySample hands over a slice the
+// caller owns; once sent it joins the received payloads on the rank's
+// free list.
 //
 //perf:hotpath
-func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, localIdx, nb int,
-	sample func(int) []float64, absorb func([]float64)) {
+func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, localIdx, nb int, s solver) {
 	us := sim.Units[u]
 	cuLo, cuHi := sim.groupRanks(true, u)
 	cuRanks := cuHi - cuLo
 	simPts := sim.simPoints(us)
 	slice := sliceOf(simPts, nb, localIdx)
-	vals := sample(slice)
+	vals := s.BoundarySample(slice)
 
 	toTag, fromTag := sim.unitTag(u, tagToCU_A), sim.unitTag(u, tagFromCU_A)
 	if side == 'B' {
@@ -735,7 +692,7 @@ func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, local
 	for cu := cuLo; cu < cuHi; cu++ {
 		if cuTargetOwner(cu-cuLo, cuRanks, nb) == localIdx {
 			d, _, _ := world.Recv(cu, fromTag)
-			absorb(d)
+			s.AbsorbBoundary(d)
 			world.Release(d)
 		}
 	}
@@ -880,34 +837,25 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 	}
 	setupClocks[world.Rank()] = world.Clock()
 
+	// The rank's recoverable state: both mappers, each deep-copied whole
+	// (resilience.go), and whether the first mapping is still to come.
+	walk := func(st *fault.State) {
+		fault.Keep(st, mapAB.checkpoint, mapAB.restore)
+		fault.Keep(st, mapBA.checkpoint, mapBA.restore)
+		fault.Keep(st, func() bool { return firstMapping }, func(f bool) { firstMapping = f })
+	}
 	start := 0
 	if rc.resuming() {
 		var err error
-		start, err = rc.restoreFrom(world, func(st any) error {
-			ck, ok := st.(*cuCheckpoint)
-			if !ok {
-				return fmt.Errorf("unit %s: snapshot holds %T, want *cuCheckpoint", us.Name, st)
-			}
-			mapAB.restore(ck.MapAB)
-			mapBA.restore(ck.MapBA)
-			firstMapping = ck.First
-			return nil
-		})
-		if err != nil {
-			return err
+		if start, err = rc.restoreFrom(world, walk); err != nil {
+			return fmt.Errorf("unit %s: %w", us.Name, err)
 		}
-	}
-	cuSnapshot := func() (any, int) {
-		return &cuCheckpoint{
-			MapAB: mapAB.checkpoint(), MapBA: mapBA.checkpoint(), First: firstMapping,
-		}, cuCheckpointBytes(us, cuRanks)
 	}
 
 	for d := start; d < sim.DensitySteps; d++ {
 		if (d+1)%every != 0 {
 			if rc.due(d+1, sim.DensitySteps) {
-				st, bytes := cuSnapshot()
-				rc.checkpoint(world, d+1, st, bytes)
+				rc.checkpoint(world, d+1, walk, cuCheckpointBytes(us, cuRanks))
 			}
 			continue
 		}
@@ -943,8 +891,7 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 		world.Release(outB)
 		world.Release(outA)
 		if rc.due(d+1, sim.DensitySteps) {
-			st, bytes := cuSnapshot()
-			rc.checkpoint(world, d+1, st, bytes)
+			rc.checkpoint(world, d+1, walk, cuCheckpointBytes(us, cuRanks))
 		}
 	}
 	d := fault.NewDigest()

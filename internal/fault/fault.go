@@ -1,23 +1,3 @@
-// Package fault is the deterministic fault model of the virtual-time
-// runtime (DESIGN.md §7). A Plan schedules three failure classes against
-// virtual time:
-//
-//   - rank crashes: a rank's clock can never pass its crash timestamp;
-//     the runtime kills the rank the moment a charge would cross it.
-//   - straggler nodes: per-node compute-rate multipliers over virtual-time
-//     windows, stretching every compute charge that overlaps a window.
-//   - degraded links: per-epoch multipliers on the Hockney alpha/beta
-//     terms of messages departing inside the epoch.
-//
-// Everything is a pure function of (plan, machine model): given the same
-// seed and cluster, every run sees bitwise-identical failure times, so
-// traced runs and the differential checkpoint/restart tests stay exactly
-// reproducible. Plans are immutable once handed to a run.
-//
-// The package also provides the coordinated-checkpoint store and the
-// rank-failure error types the mpi runtime surfaces ULFM-style (see
-// checkpoint.go). It deliberately imports only cluster, so mpi can
-// depend on it without a cycle.
 package fault
 
 import (

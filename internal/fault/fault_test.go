@@ -231,72 +231,6 @@ func TestYoungInterval(t *testing.T) {
 	}
 }
 
-func TestStoreTwoPhaseCommit(t *testing.T) {
-	st := NewStore(3)
-	if _, _, ok := st.Last(); ok {
-		t.Fatal("fresh store claims a checkpoint")
-	}
-	for r := 0; r < 3; r++ {
-		st.Stage(r, Snapshot{Step: 4, Bytes: 100, State: r})
-	}
-	// Only two ranks confirm: no commit (crash mid-checkpoint).
-	st.Confirm(0, 4, 1.5)
-	st.Confirm(1, 4, 1.5)
-	if _, _, ok := st.Last(); ok {
-		t.Fatal("checkpoint committed without all confirmations")
-	}
-	st.Confirm(2, 4, 1.5)
-	step, clock, ok := st.Last()
-	if !ok || step != 4 || clock != 1.5 {
-		t.Fatalf("Last = (%d, %v, %v), want (4, 1.5, true)", step, clock, ok)
-	}
-	snap, ok := st.Load(1)
-	if !ok || snap.State.(int) != 1 {
-		t.Fatalf("Load(1) = %+v, %v", snap, ok)
-	}
-
-	// A later incomplete stage must not disturb the committed one.
-	st.Stage(0, Snapshot{Step: 8, State: "partial"})
-	st.Confirm(0, 8, 3.0)
-	if step, _, _ := st.Last(); step != 4 {
-		t.Fatal("incomplete stage overwrote the committed checkpoint")
-	}
-	// Restaging a new step discards the old stage entirely.
-	for r := 0; r < 3; r++ {
-		st.Stage(r, Snapshot{Step: 12, State: r * 10})
-	}
-	for r := 0; r < 3; r++ {
-		st.Confirm(r, 12, 6.0)
-	}
-	if step, clock, _ := st.Last(); step != 12 || clock != 6.0 {
-		t.Fatalf("second commit Last = (%d, %v)", step, clock)
-	}
-}
-
-func TestCheckpointerDue(t *testing.T) {
-	cp := &Checkpointer{Every: 4}
-	cases := []struct {
-		completed, total int
-		want             bool
-	}{
-		{4, 16, true}, {8, 16, true}, {3, 16, false}, {0, 16, false},
-		{16, 16, false}, // final step: useless checkpoint
-		{12, 12, false},
-	}
-	for _, c := range cases {
-		if got := cp.Due(c.completed, c.total); got != c.want {
-			t.Errorf("Due(%d, %d) = %v, want %v", c.completed, c.total, got, c.want)
-		}
-	}
-	var nilCP *Checkpointer
-	if nilCP.Due(4, 16) {
-		t.Error("nil checkpointer claims a checkpoint is due")
-	}
-	if (&Checkpointer{Every: 0}).Due(4, 16) {
-		t.Error("Every=0 claims a checkpoint is due")
-	}
-}
-
 func TestDigestOrderAndValueSensitivity(t *testing.T) {
 	d1 := NewDigest()
 	d1.Floats([]float64{1, 2, 3})

@@ -2,43 +2,19 @@ package fem
 
 import "cpx/internal/fault"
 
-// Checkpoint is a deep copy of the solver's mutable state: owned
-// temperatures and heat loads. The system matrix, AMG hierarchy and
-// lumped masses are assembled deterministically from the configuration
-// and never change, so restoring T and Q resumes the run bit for bit.
-type Checkpoint struct {
-	T, Q           []float64
-	LastIterations int
-}
-
-// Checkpoint captures the current state.
-func (s *Solver) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		T:              append([]float64(nil), s.T...),
-		Q:              append([]float64(nil), s.Q...),
-		LastIterations: s.LastIterations,
-	}
-}
-
-// Restore overwrites the solver state with a checkpoint taken from an
-// identically configured instance.
-func (s *Solver) Restore(ck *Checkpoint) {
-	copy(s.T, ck.T)
-	copy(s.Q, ck.Q)
-	s.LastIterations = ck.LastIterations
+// Walk visits the solver's recoverable state (fault.State): owned
+// temperatures and heat loads, and the last solve's iteration count.
+// The system matrix, AMG hierarchy and lumped masses are assembled
+// deterministically from the configuration and never change, so
+// restoring these resumes the run bit for bit.
+func (s *Solver) Walk(st *fault.State) {
+	st.Floats(&s.T)
+	st.Floats(&s.Q)
+	st.Int(&s.LastIterations)
 }
 
 // CheckpointBytes is the state size a rank writes to stable storage
 // (the FEM shell runs unscaled, so simulated size is true size).
 func (s *Solver) CheckpointBytes() int {
 	return (len(s.T) + len(s.Q)) * 8
-}
-
-// StateDigest hashes the exact bit patterns of the mutable state.
-func (s *Solver) StateDigest() uint64 {
-	d := fault.NewDigest()
-	d.Floats(s.T)
-	d.Floats(s.Q)
-	d.Int(s.LastIterations)
-	return d.Sum64()
 }

@@ -2,33 +2,16 @@ package mgcfd
 
 import "cpx/internal/fault"
 
-// Checkpoint is a deep copy of the solver's mutable state: the conserved
-// variables of every multigrid level. Residual accumulators are scratch
-// (zeroed at the start of each flux evaluation) and dt and the
-// decomposition are deterministic functions of the configuration, so
-// restoring Q alone resumes the run bit for bit.
-type Checkpoint struct {
-	Q [][][]float64 // per level: NVAR x nodes
-}
-
-// Checkpoint captures the current state (idle ranks return an empty one).
-func (s *Sim) Checkpoint() *Checkpoint {
-	ck := &Checkpoint{Q: make([][][]float64, len(s.levels))}
-	for l, lv := range s.levels {
-		ck.Q[l] = make([][]float64, len(lv.q))
-		for v, q := range lv.q {
-			ck.Q[l][v] = append([]float64(nil), q...)
-		}
-	}
-	return ck
-}
-
-// Restore overwrites the solver state with a checkpoint taken from an
-// identically configured instance.
-func (s *Sim) Restore(ck *Checkpoint) {
-	for l, lv := range s.levels {
+// Walk visits the solver's recoverable state (fault.State): the
+// conserved variables of every multigrid level. Residual accumulators
+// are scratch (zeroed at the start of each flux evaluation) and dt and
+// the decomposition are deterministic functions of the configuration,
+// so restoring q alone resumes the run bit for bit. Idle ranks have no
+// levels and visit nothing.
+func (s *Sim) Walk(st *fault.State) {
+	for _, lv := range s.levels {
 		for v := range lv.q {
-			copy(lv.q[v], ck.Q[l][v])
+			st.Floats(&lv.q[v])
 		}
 	}
 }
@@ -43,16 +26,4 @@ func (s *Sim) CheckpointBytes() int {
 		total += int(float64(lv.nodes)*lv.workMult) * NVAR * 8
 	}
 	return total
-}
-
-// StateDigest hashes the exact bit patterns of the mutable state, for
-// bitwise restart-equivalence checks.
-func (s *Sim) StateDigest() uint64 {
-	d := fault.NewDigest()
-	for _, lv := range s.levels {
-		for _, q := range lv.q {
-			d.Floats(q)
-		}
-	}
-	return d.Sum64()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cpx/internal/cluster"
+	"cpx/internal/fault"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
 )
@@ -221,7 +222,7 @@ func TestDeterministic(t *testing.T) {
 			for i := 0; i < conf.Steps; i++ {
 				s.Step()
 			}
-			digests[c.Rank()] = s.StateDigest()
+			digests[c.Rank()] = fault.Hash(s.Walk)
 			return nil
 		})
 		if err != nil {

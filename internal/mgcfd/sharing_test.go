@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cpx/internal/cluster"
+	"cpx/internal/fault"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
 )
@@ -47,7 +48,7 @@ func sharingRun(t *testing.T, conf Config, perRank bool) (*mpi.Stats, []uint64, 
 			s.Step()
 		}
 		if s.active {
-			digests[c.Rank()] = s.StateDigest()
+			digests[c.Rank()] = fault.Hash(s.Walk)
 		}
 		sims[c.Rank()] = s
 		return nil

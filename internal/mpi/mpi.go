@@ -416,8 +416,8 @@ func (c *Comm) ResetClock(t float64) {
 // allreduce of every rank's (entry clock, local I/O cost) maxima, after
 // which each rank's clock is set to exactly maxClock + maxCost — the
 // virtual time the coordinated checkpoint completes, identical across
-// ranks bit for bit. Collective over the communicator; satisfies
-// fault.Runtime.
+// ranks bit for bit. Collective over the communicator; a rank commits
+// its checkpoint (fault.Store.Commit) only once this returns.
 func (c *Comm) CheckpointSync(cost float64) float64 {
 	defer c.proc.pushOp("checkpoint")()
 	r := c.Allreduce([]float64{c.proc.clock, cost}, Max)

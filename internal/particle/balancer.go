@@ -70,12 +70,8 @@ type balancer interface {
 	// balance runs the strategy's post-advection exchange (migration,
 	// census, and any balancing traffic). Collective over s.comm.
 	balance(s *System)
-	// encode returns the balancer's mutable state for checkpoints (nil
-	// when stateless); restore applies a checkpointed encoding.
-	encode() []float64
-	restore(enc []float64) error
-	// digest folds the mutable state into a rank digest.
-	digest(d *fault.Digest)
+	// walk visits the balancer's mutable state, as System.Walk does.
+	walk(st *fault.State)
 }
 
 func newBalancer(c *mpi.Comm, cfg Config, seed uint64, side float64, simTotal int64) balancer {
@@ -150,14 +146,7 @@ func (b *staticBalancer) balance(s *System) {
 	s.observe(cs)
 }
 
-func (b *staticBalancer) encode() []float64 { return nil }
-func (b *staticBalancer) restore(enc []float64) error {
-	if enc != nil {
-		return fmt.Errorf("particle: static balancer has no state, checkpoint carries %d values", len(enc))
-	}
-	return nil
-}
-func (b *staticBalancer) digest(*fault.Digest) {}
+func (b *staticBalancer) walk(*fault.State) {}
 
 // ---- Work stealing ----------------------------------------------------------
 
@@ -269,14 +258,7 @@ func stealPlan(loads []int) []transfer {
 	return plan
 }
 
-func (b *stealBalancer) encode() []float64 { return nil }
-func (b *stealBalancer) restore(enc []float64) error {
-	if enc != nil {
-		return fmt.Errorf("particle: steal balancer has no state, checkpoint carries %d values", len(enc))
-	}
-	return nil
-}
-func (b *stealBalancer) digest(*fault.Digest) {}
+func (b *stealBalancer) walk(*fault.State) {}
 
 // ---- Repartition on imbalance -----------------------------------------------
 
@@ -390,18 +372,18 @@ func (b *repartitionBalancer) rebuild(s *System) {
 	})
 }
 
-func (b *repartitionBalancer) encode() []float64 { return b.tree.Encode() }
-
-func (b *repartitionBalancer) restore(enc []float64) error {
-	t, err := partition.DecodeRCBTree(enc)
-	if err != nil {
-		return err
-	}
-	if t.Parts() != b.ranks {
-		return fmt.Errorf("particle: checkpointed tree splits %d ways, communicator has %d ranks", t.Parts(), b.ranks)
-	}
-	b.tree = t
-	return nil
+// walk visits the ownership tree through its flat encoding; a restore
+// rejects a malformed encoding or one split for another rank count.
+func (b *repartitionBalancer) walk(st *fault.State) {
+	st.Encoded(b.tree.Encode, func(enc []float64) error {
+		t, err := partition.DecodeRCBTree(enc)
+		if err != nil {
+			return err
+		}
+		if t.Parts() != b.ranks {
+			return fmt.Errorf("particle: checkpointed tree splits %d ways, communicator has %d ranks", t.Parts(), b.ranks)
+		}
+		b.tree = t
+		return nil
+	})
 }
-
-func (b *repartitionBalancer) digest(d *fault.Digest) { d.Floats(b.tree.Encode()) }

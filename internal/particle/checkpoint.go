@@ -2,50 +2,26 @@ package particle
 
 import "cpx/internal/fault"
 
-// Checkpoint is a deep copy of the component's mutable state: the local
-// droplet population, the global step counter driving deterministic
-// re-injection, the coupled gas gain, the balancer's mutable state (the
-// repartition tree; nil for the stateless strategies) and the
-// load-balancing accounting. No RNG state exists — every stochastic term
-// is hash-derived — so this set resumes a run bit for bit.
-type Checkpoint struct {
-	X, Y, Z    []float64
-	VX, VY, VZ []float64
-	Rad        []float64
-	Step       int
-	GasGain    float64
-	Balancer   []float64
-	Load       RankLoad
-}
-
-// Checkpoint captures the current state.
-func (s *System) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		X: append([]float64(nil), s.x...), Y: append([]float64(nil), s.y...),
-		Z: append([]float64(nil), s.z...), VX: append([]float64(nil), s.vx...),
-		VY: append([]float64(nil), s.vy...), VZ: append([]float64(nil), s.vz...),
-		Rad:      append([]float64(nil), s.rad...),
-		Step:     s.step,
-		GasGain:  s.gasGain,
-		Balancer: s.bal.encode(),
-		Load:     s.load,
+// Walk visits the component's recoverable state (fault.State): the
+// local droplet population, the global step counter driving
+// deterministic re-injection, the coupled gas gain, the balancer's
+// mutable state (the repartition tree; nothing for the stateless
+// strategies) and the load-balancing accounting. No RNG state exists —
+// every stochastic term is hash-derived — so this set resumes a run bit
+// for bit. RankLoad.Droplets is left out: only Load's copy sets it.
+func (s *System) Walk(st *fault.State) {
+	for _, xs := range []*[]float64{&s.x, &s.y, &s.z, &s.vx, &s.vy, &s.vz, &s.rad} {
+		st.Floats(xs)
 	}
-}
-
-// Restore overwrites the component state with a checkpoint taken from an
-// identically configured instance.
-func (s *System) Restore(ck *Checkpoint) error {
-	s.x = append(s.x[:0], ck.X...)
-	s.y = append(s.y[:0], ck.Y...)
-	s.z = append(s.z[:0], ck.Z...)
-	s.vx = append(s.vx[:0], ck.VX...)
-	s.vy = append(s.vy[:0], ck.VY...)
-	s.vz = append(s.vz[:0], ck.VZ...)
-	s.rad = append(s.rad[:0], ck.Rad...)
-	s.step = ck.Step
-	s.gasGain = ck.GasGain
-	s.load = ck.Load
-	return s.bal.restore(ck.Balancer)
+	st.Int(&s.step)
+	st.Float(&s.gasGain)
+	s.bal.walk(st)
+	st.Int(&s.load.Moved)
+	st.Int(&s.load.Stolen)
+	st.Int(&s.load.Granted)
+	st.Int(&s.load.Repartitions)
+	st.Float(&s.load.LastImbalance)
+	st.Float(&s.load.PeakImbalance)
 }
 
 // CheckpointBytes is the true (full-scale) state size a rank writes to
@@ -53,26 +29,4 @@ func (s *System) Restore(ck *Checkpoint) error {
 // doubles per droplet.
 func (s *System) CheckpointBytes() int {
 	return int(float64(len(s.x))*s.partScale) * dropletFields * 8
-}
-
-// StateDigest hashes the exact bit patterns of the mutable state.
-func (s *System) StateDigest() uint64 {
-	d := fault.NewDigest()
-	d.Floats(s.x)
-	d.Floats(s.y)
-	d.Floats(s.z)
-	d.Floats(s.vx)
-	d.Floats(s.vy)
-	d.Floats(s.vz)
-	d.Floats(s.rad)
-	d.Int(s.step)
-	d.Float(s.gasGain)
-	s.bal.digest(d)
-	d.Int(s.load.Moved)
-	d.Int(s.load.Stolen)
-	d.Int(s.load.Granted)
-	d.Int(s.load.Repartitions)
-	d.Float(s.load.LastImbalance)
-	d.Float(s.load.PeakImbalance)
-	return d.Sum64()
 }

@@ -320,7 +320,7 @@ type census struct {
 // The injector-owning rank then re-seeds the globally lost droplets.
 // Stayers are compacted in place in their old order, arrivals appended
 // behind them in source-rank order and re-seeded droplets last, so the
-// droplet order, and with it StateDigest, is what rebuilding the arrays
+// droplet order, and with it the state hash, is what rebuilding the arrays
 // from empty would give. The census's loads are the System's own and
 // are overwritten by the next migrate.
 //

@@ -266,22 +266,22 @@ func TestCheckpointRestore(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				s.Step(0.02)
 			}
-			ck := s.Checkpoint()
-			ckDigest := s.StateDigest()
+			ck := fault.Save(s.Walk)
+			ckDigest := fault.Hash(s.Walk)
 			for i := 0; i < 6; i++ {
 				s.Step(0.02)
 			}
-			want := s.StateDigest()
-			if err := s.Restore(ck); err != nil {
+			want := fault.Hash(s.Walk)
+			if err := ck.Restore(s.Walk); err != nil {
 				return err
 			}
-			if got := s.StateDigest(); got != ckDigest {
+			if got := fault.Hash(s.Walk); got != ckDigest {
 				return fmt.Errorf("digest after restore %x, at checkpoint %x", got, ckDigest)
 			}
 			for i := 0; i < 6; i++ {
 				s.Step(0.02)
 			}
-			if got := s.StateDigest(); got != want {
+			if got := fault.Hash(s.Walk); got != want {
 				return fmt.Errorf("replayed digest %x, original %x", got, want)
 			}
 			if s.CheckpointBytes() <= 0 {
@@ -295,27 +295,29 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForeignBalancerState checks the restore guards: the
-// stateless balancers reject checkpoints carrying tree state and the
-// repartition balancer rejects malformed encodings.
+// TestRestoreRejectsForeignBalancerState checks the restore guards: a
+// stateless balancer rejects a snapshot carrying tree state and the
+// repartition balancer rejects a malformed encoding.
 func TestRestoreRejectsForeignBalancerState(t *testing.T) {
 	_, err := mpi.Run(2, cfg(), func(cm *mpi.Comm) error {
 		s, err := New(cm, smallCfg(StaticSplit), smallScale())
 		if err != nil {
 			return err
 		}
-		ck := s.Checkpoint()
-		ck.Balancer = []float64{1, 2, 3}
-		if err := s.Restore(ck); err == nil {
-			return fmt.Errorf("static balancer accepted tree state")
-		}
 		r, err := New(cm, smallCfg(Repartition), smallScale())
 		if err != nil {
 			return err
 		}
-		ck2 := r.Checkpoint()
-		ck2.Balancer = []float64{1}
-		if err := r.Restore(ck2); err == nil {
+		if err := fault.Save(r.Walk).Restore(s.Walk); err == nil {
+			return fmt.Errorf("static balancer accepted tree state")
+		}
+		// The static system's walk with a one-value tree where the
+		// repartition balancer visits its own.
+		static := s.bal
+		s.bal = malformedTree{}
+		bad := fault.Save(s.Walk)
+		s.bal = static
+		if err := bad.Restore(r.Walk); err == nil {
 			return fmt.Errorf("repartition balancer accepted malformed tree")
 		}
 		return nil
@@ -324,6 +326,12 @@ func TestRestoreRejectsForeignBalancerState(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// malformedTree is a balancer whose walk visits a tree encoding no
+// RCBTree decodes.
+type malformedTree struct{ balancer }
+
+func (malformedTree) walk(st *fault.State) { enc := []float64{1}; st.Floats(&enc) }
 
 // TestWorkStealBalancesLoad drives a heavily clustered cloud (tight
 // injection cone) and checks the steal strategy actually moves work: the
@@ -614,7 +622,7 @@ func TestMigrateInPlaceMatchesRebuild(t *testing.T) {
 					if got.Load() != want.Load() {
 						return fmt.Errorf("step %d: load %+v, rebuild gives %+v", step, got.Load(), want.Load())
 					}
-					if got.StateDigest() != want.StateDigest() {
+					if fault.Hash(got.Walk) != fault.Hash(want.Walk) {
 						return fmt.Errorf("step %d: state digest differs from the rebuild's", step)
 					}
 					s.Step(0.02)

@@ -5,10 +5,11 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"cpx/internal/fault"
 	"cpx/internal/mpi"
 )
 
-// TestGoldenStateDigests pins the folded per-rank StateDigest after 40
+// TestGoldenStateDigests pins the folded per-rank state hash after 40
 // steps at 1, 2 and 8 ranks. Eight cells a rank at 8 ranks keep
 // migrants crossing every slab boundary in both directions on nearly
 // every step, and the field is sub-cycled so the cached potential is in
@@ -34,21 +35,22 @@ func TestGoldenStateDigests(t *testing.T) {
 				return err
 			}
 			n0 := len(s.px)
-			var ck *Checkpoint
 			for i := 0; i < c.Steps; i++ {
 				if i == c.Steps/2 {
-					ck = s.Checkpoint()
+					ck := fault.Save(s.Walk)
 					for j := 0; j < 5; j++ {
 						s.Step()
 					}
-					s.Restore(ck)
+					if err := ck.Restore(s.Walk); err != nil {
+						return err
+					}
 				}
 				s.Step()
 				if len(s.px) != n0 {
 					moved[comm.Rank()] = true
 				}
 			}
-			digests[comm.Rank()] = s.StateDigest()
+			digests[comm.Rank()] = fault.Hash(s.Walk)
 			return nil
 		})
 		if err != nil {

@@ -55,8 +55,9 @@ type Sim struct {
 	rng     *rand.Rand
 	stepNum int
 
-	// Cached field for sub-cycled solves (FieldEvery > 1). Between
-	// restores cachePhi is the field solver's own phi.
+	// Cached field for sub-cycled solves (FieldEvery > 1): nil until the
+	// first solve, then the field solver's own phi (a restore into a
+	// fresh Sim gives it a copy until the next solve).
 	cachePhi         []float64
 	cacheGL, cacheGR float64
 
@@ -270,7 +271,7 @@ func (s *Sim) chargeParticleWork(fraction float64) {
 // migrate exchanges particles that crossed slab boundaries and reflects
 // at the domain walls. Stayers are compacted in place in their old
 // order and arrivals appended behind them (the right neighbour's, then
-// the left's), so the particle order, and with it StateDigest, is what
+// the left's), so the particle order, and with it the state hash, is what
 // rebuilding the arrays from empty would give.
 //
 //perf:hotpath
