@@ -47,10 +47,11 @@ test-race:
 # goroutine-per-rank scheduler, the coupler's exchange phases and the
 # HTTP job registry. The solver packages are here because the race
 # detector is the proof that the set-up state a run's ranks share
-# (mpi.Shared: operators, hierarchies, edge lists) is never written.
+# (mpi.Shared: operators, hierarchies, edge lists, the initial droplet
+# cloud's owners) is never written.
 test-race-short:
-	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/pressure/ ./internal/mgcfd/ ./internal/harness/ \
-		./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
+	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/pressure/ ./internal/mgcfd/ ./internal/particle/ \
+		./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
 
 # The repository's host-time benchmark (bench/README.md): all four
 # workloads, results to .bench_out.json. About 2 min on a 2-core host.

@@ -25,7 +25,7 @@ func TestGoldenStandaloneRuntimes(t *testing.T) {
 		{"pressure/Base", func() (float64, error) {
 			rt, _, err := o.PressureRuntime(pressure.Config{MeshCells: 1_000_000, Steps: 4, Seed: 1}, 16, false)
 			return rt, err
-		}, 2.9308188271866644},
+		}, 2.9404869679289445},
 		{"pressure/Optimized", func() (float64, error) {
 			rt, _, err := o.PressureRuntime(pressure.Config{MeshCells: 1_000_000, Steps: 4, Seed: 1, Variant: pressure.Optimized}, 16, false)
 			return rt, err

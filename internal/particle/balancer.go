@@ -75,21 +75,21 @@ type balancer interface {
 }
 
 func newBalancer(c *mpi.Comm, cfg Config, seed uint64, side float64, simTotal int64) balancer {
-	ranks := c.Size()
 	switch cfg.Strategy {
 	case WorkSteal:
-		return &stealBalancer{grid: gridFor(ranks)}
+		return &stealBalancer{grid: cfg.Grid}
 	case Repartition:
-		b := &repartitionBalancer{threshold: cfg.ImbalanceThreshold, ranks: ranks}
+		b := &repartitionBalancer{threshold: cfg.ImbalanceThreshold, ranks: c.Size()}
 		b.tree = initialTree(c, seed, side, simTotal)
 		return b
 	default:
-		return &staticBalancer{grid: gridFor(ranks)}
+		return &staticBalancer{grid: cfg.Grid}
 	}
 }
 
 // gridFor factors the rank count into a 3-D process grid with dimensions
-// as equal as possible, the largest along x (the droplets' drift axis).
+// as equal as possible, the largest along x (the droplets' drift axis):
+// the grid a zero Config.Grid takes.
 func gridFor(p int) [3]int {
 	best := [3]int{p, 1, 1}
 	for a := 1; a*a*a <= p; a++ {

@@ -1,31 +1,12 @@
-// Package particle implements the first-class coupled Lagrangian
-// particle component: a droplet population partitioned independently of
-// the flow mesh, running on its own ranks (MiniCombust-style particle
-// ranks vs flow ranks) and exchanging real coupling traffic with a flow
-// solver each step — droplet source terms out, interpolated gas fields
-// back. Ownership of droplets is delegated to a pluggable load-balancing
-// Balancer strategy (static spatial split, work stealing, or
-// repartition-on-imbalance), so the virtual-time runtime can measure
-// exactly where each strategy wins or loses: the paper identifies the
-// spray's collective redistribution as the solver's worst bottleneck
-// (96% of the spray routine's run-time is MPI at 2,048 cores, Fig. 5),
-// and the source mini-apps explore precisely this design space.
-//
-// This file is the droplet physics model, shared with internal/spray
-// (the flow-decomposition sub-model the subsystem grew out of) so the
-// droplet constants live in one place. All stochastic terms here are
-// hash-derived from droplet state, the population index and the step
-// counter — never from per-rank generator state — which makes every
-// droplet trajectory independent of which rank computes it. That is the
-// property the differential tests lean on: the global droplet multiset
-// is bitwise identical across all three balancing strategies, while the
-// communication schedules (and therefore the virtual times) differ.
 package particle
 
 import "math"
 
+// This file is the droplet physics model. Every stochastic term in it is
+// a hash of droplet state, the population index and the step counter
+// (see the package invariant).
+
 // Per-droplet work constants: drag + evaporation + cell search per step.
-// internal/spray charges the same constants.
 const (
 	DropletFlopsPerStep = 140.0
 	DropletBytesPerStep = 160.0
@@ -112,8 +93,8 @@ func ModelSeed(cfgSeed int64) uint64 {
 }
 
 // InitialState returns droplet k's deterministic initial position and
-// velocity inside the injection cone. Every rank evaluates the same
-// function, so the initial cloud is a global agreement, not a per-rank
+// velocity inside the injection cone. It is a function of (seed, k)
+// alone, so the initial cloud is a global agreement, not a per-rank
 // sample — ownership can then be assigned by any strategy without
 // changing the physics.
 func InitialState(seed uint64, k uint64, side float64) (x, y, z, vx, vy, vz float64) {

@@ -9,9 +9,9 @@ import (
 	"cpx/internal/mpi"
 )
 
-// Message tags (disjoint from the coupler's unit tag blocks and the
-// spray migration tag; the particle component runs on its own group
-// communicator anyway).
+// Message tags, disjoint from the coupler's unit tag blocks and from the
+// pressure solver's, which runs its Base spray as a System on its own
+// communicator.
 const (
 	tagMigrate    = 48
 	tagStealReq   = 49
@@ -35,6 +35,12 @@ type Config struct {
 	EvapSteps int
 	// Strategy selects the load balancer (default StaticSplit).
 	Strategy Strategy
+	// Grid is the static and steal strategies' process grid over the
+	// unit cube, x fastest in rank order; it must multiply to the rank
+	// count. Zero takes gridFor's. A flow solver running its spray on
+	// its own ranks passes its decomposition's grid, so each rank owns
+	// the droplets inside its flow box.
+	Grid [3]int
 	// ImbalanceThreshold triggers a repartition when the max/mean
 	// per-rank droplet load crosses it (Repartition strategy only;
 	// default 1.5). Must be >= 1 when set.
@@ -156,14 +162,21 @@ type System struct {
 	grant []float64
 }
 
-// New creates the particle component on communicator c — its own set of
-// ranks, partitioned independently of any flow mesh. Collective over c.
+// New creates the particle component on communicator c, partitioned
+// over its ranks independently of any flow mesh unless cfg.Grid puts it
+// on one. Collective over c.
 func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := c.Size()
+	if cfg.Grid == ([3]int{}) {
+		cfg.Grid = gridFor(p)
+	}
+	if g := cfg.Grid; g[0] < 1 || g[1] < 1 || g[2] < 1 || g[0]*g[1]*g[2] != p {
+		return nil, fmt.Errorf("particle: grid %v does not cover %d ranks", g, p)
+	}
 	s := &System{
 		comm: c, cfg: cfg, seed: ModelSeed(cfg.Seed),
 		side: ConeSide(cfg.ConeFraction), gasGain: 1,
@@ -179,23 +192,47 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*System, error) {
 	s.partScale = float64(cfg.Droplets) / float64(simTotal)
 	s.bal = newBalancer(c, cfg, s.seed, s.side, simTotal)
 
-	// The initial cloud is a global agreement: every rank evaluates the
-	// same hash-derived droplet states and keeps the ones it owns under
-	// the strategy's initial ownership map.
-	mine := 0
-	r := c.Rank()
-	for k := int64(0); k < simTotal; k++ {
+	// The initial cloud is a global agreement: droplet k's state is a
+	// hash of (seed, k), and the rank owning it under the strategy's
+	// initial map keeps it.
+	mine := initialCloud(c, cloudKey{p, s.seed, s.side, simTotal, cfg.Strategy, cfg.Grid}, s.bal.owner)[c.Rank()]
+	for _, xs := range []*[]float64{&s.x, &s.y, &s.z, &s.vx, &s.vy, &s.vz, &s.rad} {
+		*xs = make([]float64, 0, len(mine))
+	}
+	for _, k := range mine {
 		px, py, pz, pvx, pvy, pvz := InitialState(s.seed, uint64(k), s.side)
-		if s.bal.owner(px, py, pz) != r {
-			continue
-		}
 		s.spawn(px, py, pz, pvx, pvy, pvz, 1.0)
-		mine++
 	}
 	// Loading cost for the true population share.
-	c.Compute(cluster.Work{Flops: 20 * float64(mine) * s.partScale,
-		Bytes: 64 * float64(mine) * s.partScale})
+	c.Compute(cluster.Work{Flops: 20 * float64(len(mine)) * s.partScale,
+		Bytes: 64 * float64(len(mine)) * s.partScale})
 	return s, nil
+}
+
+// cloudKey holds everything the initial cloud's ownership depends on.
+type cloudKey struct {
+	ranks    int
+	seed     uint64
+	side     float64
+	simTotal int64
+	strategy Strategy
+	grid     [3]int
+}
+
+// initialCloud returns the initial cloud's droplet indices by owning
+// rank, each rank's ascending. Every rank of a run would bucket the same
+// simTotal droplets identically, so the run does it once (mpi.Shared)
+// and each rank then generates only its own droplets.
+func initialCloud(c *mpi.Comm, key cloudKey, owner func(x, y, z float64) int) [][]int64 {
+	return mpi.Shared(c, key, func() [][]int64 {
+		owned := make([][]int64, key.ranks)
+		for k := range key.simTotal {
+			x, y, z, _, _, _ := InitialState(key.seed, uint64(k), key.side)
+			o := owner(x, y, z)
+			owned[o] = append(owned[o], k)
+		}
+		return owned
+	})
 }
 
 func (s *System) spawn(px, py, pz, pvx, pvy, pvz, r float64) {

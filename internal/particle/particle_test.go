@@ -41,6 +41,20 @@ func TestConfigValidation(t *testing.T) {
 	if err := smallCfg(Repartition).withDefaults().Validate(); err != nil {
 		t.Error(err)
 	}
+	// A grid New cannot lay over the communicator's ranks.
+	_, err := mpi.Run(4, cfg(), func(c *mpi.Comm) error {
+		for _, grid := range [][3]int{{3, 1, 1}, {-2, -2, 1}, {4, 1, 0}} {
+			bad := smallCfg(StaticSplit)
+			bad.Grid = grid
+			if _, err := New(c, bad, smallScale()); err == nil {
+				return fmt.Errorf("grid %v over 4 ranks accepted", grid)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
 }
 
 func TestParseStrategy(t *testing.T) {
@@ -108,26 +122,39 @@ func TestImbalanceOfHandCase(t *testing.T) {
 
 // TestPopulationStationary checks the re-injection loop: lost droplets
 // (evaporated or advected past the outlet) are re-seeded, so the global
-// simulated population is constant through the run for every strategy.
+// simulated population is constant through the run for every strategy,
+// at 2 ranks and at 16. It also checks the static split's scaling
+// observation, the paper's for the spray: the dense pairwise migration
+// schedule makes a rank's communication time grow with the rank count.
 func TestPopulationStationary(t *testing.T) {
-	for _, st := range Strategies() {
-		_, err := mpi.Run(8, cfg(), func(c *mpi.Comm) error {
-			s, err := New(c, smallCfg(st), smallScale())
-			if err != nil {
-				return err
-			}
-			want := s.Count()
-			for i := 0; i < 30; i++ {
-				s.Step(0.02)
-				if got := s.Count(); got != want {
-					return fmt.Errorf("step %d: population %d, want %d", i, got, want)
+	staticComm := map[int]float64{}
+	for _, ranks := range []int{2, 16} {
+		for _, st := range Strategies() {
+			stats, err := mpi.Run(ranks, cfg(), func(c *mpi.Comm) error {
+				s, err := New(c, smallCfg(st), smallScale())
+				if err != nil {
+					return err
 				}
+				want := s.Count()
+				for i := 0; i < 30; i++ {
+					s.Step(0.02)
+					if got := s.Count(); got != want {
+						return fmt.Errorf("step %d: population %d, want %d", i, got, want)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%v, %d ranks: %v", st, ranks, err)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
+			if st == StaticSplit {
+				staticComm[ranks] = stats.AvgComm()
+			}
 		}
+	}
+	if !(staticComm[16] > staticComm[2]) {
+		t.Errorf("static migration comm %v s at 16 ranks, %v s at 2; want growth with the rank count",
+			staticComm[16], staticComm[2])
 	}
 }
 
@@ -166,18 +193,36 @@ func gatherCloud(s *System) []float64 {
 // TestStrategiesPreservePhysics is the subsystem's differential oracle:
 // every stochastic term is hash-derived from droplet state, never from
 // rank state, so the global droplet multiset after N steps must be
-// bitwise identical across all three balancing strategies — only the
-// communication schedule (and hence virtual time) may differ.
+// bitwise identical across all three balancing strategies, and across
+// process grids — only the communication schedule (and hence virtual
+// time) may differ. On the 8×1×1 slab grid the first slab holds the
+// whole injection region, so there every droplet, re-seeded ones too,
+// must also lie inside its own rank's box.
 func TestStrategiesPreservePhysics(t *testing.T) {
-	clouds := make([][]float64, 0, 3)
-	for _, st := range Strategies() {
+	slabs := [3]int{8, 1, 1}
+	cases := []struct {
+		st   Strategy
+		grid [3]int
+	}{{StaticSplit, [3]int{}}, {WorkSteal, [3]int{}}, {Repartition, [3]int{}}, {StaticSplit, slabs}}
+	clouds := make([][]float64, 0, len(cases))
+	for _, tc := range cases {
 		_, err := mpi.Run(8, cfg(), func(c *mpi.Comm) error {
-			s, err := New(c, smallCfg(st), smallScale())
+			conf := smallCfg(tc.st)
+			conf.Grid = tc.grid
+			s, err := New(c, conf, smallScale())
 			if err != nil {
 				return err
 			}
 			for i := 0; i < 20; i++ {
 				s.Step(0.02)
+			}
+			if tc.grid == slabs {
+				for i := range s.x {
+					if o := gridOwner(slabs, s.x[i], s.y[i], s.z[i]); o != c.Rank() {
+						return fmt.Errorf("rank %d holds droplet at (%v,%v,%v), owned by rank %d",
+							c.Rank(), s.x[i], s.y[i], s.z[i], o)
+					}
+				}
 			}
 			if c.Rank() == 0 {
 				clouds = append(clouds, gatherCloud(s))
@@ -187,19 +232,81 @@ func TestStrategiesPreservePhysics(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("%v: %v", st, err)
+			t.Fatalf("%v on grid %v: %v", tc.st, tc.grid, err)
 		}
 	}
 	for i := 1; i < len(clouds); i++ {
 		if len(clouds[i]) != len(clouds[0]) {
-			t.Fatalf("strategy %v cloud size %d, static %d",
-				Strategies()[i], len(clouds[i])/dropletFields, len(clouds[0])/dropletFields)
+			t.Fatalf("strategy %v on grid %v: cloud size %d, static %d",
+				cases[i].st, cases[i].grid, len(clouds[i])/dropletFields, len(clouds[0])/dropletFields)
 		}
 		for j := range clouds[i] {
 			if clouds[i][j] != clouds[0][j] {
-				t.Fatalf("strategy %v droplet multiset diverges from static at value %d",
-					Strategies()[i], j)
+				t.Fatalf("strategy %v on grid %v: droplet multiset diverges from static at value %d",
+					cases[i].st, cases[i].grid, j)
 			}
+		}
+	}
+}
+
+// everyRankCloud is New's initial cloud as it was before a run bucketed
+// the droplets once (initialCloud): every rank evaluates every droplet's
+// state and keeps the ones it owns, seven values a droplet. It stays here
+// as the bitwise oracle of TestSharedCloudMatchesEveryRankLoop.
+func everyRankCloud(s *System, simTotal int64) []float64 {
+	var out []float64
+	for k := int64(0); k < simTotal; k++ {
+		px, py, pz, pvx, pvy, pvz := InitialState(s.seed, uint64(k), s.side)
+		if s.bal.owner(px, py, pz) != s.comm.Rank() {
+			continue
+		}
+		out = append(out, px, py, pz, pvx, pvy, pvz, 1.0)
+	}
+	return out
+}
+
+// TestSharedCloudMatchesEveryRankLoop holds New's initial cloud, built
+// from the run's one ownership bucketing, to the every-rank loop it
+// replaced: each rank's droplets, their order and every bit of their
+// state, for all three strategies and an explicit grid. Under -race the
+// same runs prove that no rank writes the shared buckets.
+func TestSharedCloudMatchesEveryRankLoop(t *testing.T) {
+	for _, tc := range []struct {
+		st   Strategy
+		grid [3]int
+	}{{StaticSplit, [3]int{}}, {WorkSteal, [3]int{}}, {Repartition, [3]int{}}, {StaticSplit, [3]int{1, 2, 4}}} {
+		conf := smallCfg(tc.st)
+		conf.Grid = tc.grid
+		_, err := mpi.Run(8, cfg(), func(c *mpi.Comm) error {
+			s, err := New(c, conf, smallScale())
+			if err != nil {
+				return err
+			}
+			simTotal := int64(math.Round(float64(conf.Droplets) / s.partScale))
+			want := everyRankCloud(s, simTotal)
+			if len(s.x)*dropletFields != len(want) {
+				return fmt.Errorf("rank %d holds %d droplets, the every-rank loop gives it %d",
+					c.Rank(), len(s.x), len(want)/dropletFields)
+			}
+			for i := range s.x {
+				got := []float64{s.x[i], s.y[i], s.z[i], s.vx[i], s.vy[i], s.vz[i], s.rad[i]}
+				for f, v := range got {
+					if w := want[i*dropletFields+f]; math.Float64bits(v) != math.Float64bits(w) {
+						return fmt.Errorf("rank %d droplet %d field %d: %v, the every-rank loop gives %v",
+							c.Rank(), i, f, v, w)
+					}
+				}
+			}
+			if cap(s.x) != len(s.x) || cap(s.rad) != len(s.rad) {
+				return fmt.Errorf("rank %d: droplet arrays of capacity %d for %d droplets", c.Rank(), cap(s.x), len(s.x))
+			}
+			if n := s.Count(); int64(n) != simTotal {
+				return fmt.Errorf("cloud of %d droplets, want %d", n, simTotal)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v on grid %v: %v", tc.st, tc.grid, err)
 		}
 	}
 }

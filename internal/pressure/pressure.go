@@ -27,9 +27,9 @@ import (
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
+	"cpx/internal/particle"
 	"cpx/internal/scratch"
 	"cpx/internal/sparse"
-	"cpx/internal/spray"
 )
 
 // Variant selects the Base or Optimized pressure solver.
@@ -121,7 +121,7 @@ type ScaleOpts struct {
 
 // Production returns the capping used by large harness runs.
 func Production() ScaleOpts {
-	return ScaleOpts{MaxCellsPerRank: 1331, MaxDropletsPerRank: 2048, SampleSteps: 2}
+	return ScaleOpts{MaxCellsPerRank: 1331, MaxDropletsPerRank: 16, SampleSteps: 2}
 }
 
 // Solver is the per-rank pressure-solver state.
@@ -141,8 +141,7 @@ type Solver struct {
 	hier   *amg.Hierarchy
 	faces  []faceCells
 
-	cloud *spray.Cloud // nil in Optimized (async) mode
-	grid  [3]int
+	cloud *particle.System // nil in Optimized (async) mode
 
 	// Per-step scratch, reused by every later step (DESIGN.md §5.13):
 	// the received face values of the latest exchangeFaces (aligned with
@@ -205,7 +204,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 		return nil, fmt.Errorf("pressure: %d ranks do not decompose %d cells (best effort %d)",
 			c.Size(), cfg.MeshCells, dc.Ranks())
 	}
-	s := &Solver{comm: c, cfg: cfg, grid: dc.Grid}
+	s := &Solver{comm: c, cfg: cfg}
 	s.local = dc.Local(c.Rank(), sc.MaxCellsPerRank)
 	s.dims = s.local.Sim
 	s.scale = s.local.Scale
@@ -262,13 +261,14 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	}
 	s.localA, s.hier = op.hier.Levels[0].A, op.hier.Share()
 
-	// Spray: synchronous cloud in Base; async task-based in Optimized
-	// (the spray leaves the critical path; see stepSpray).
-	droplets := int64(float64(cfg.MeshCells) * cfg.DropletsPerCell)
+	// Spray: synchronous cloud in Base, the particle component's static
+	// strategy on the flow decomposition's grid; async task-based in
+	// Optimized (the spray leaves the critical path; see stepSpray).
 	if cfg.Variant == Base {
-		cl, cerr := spray.NewCloud(c, s.grid, spray.Config{
-			Droplets: droplets, ConeFraction: 0.25, Seed: cfg.Seed,
-		}, spray.ScaleOpts{MaxDropletsPerRank: sc.MaxDropletsPerRank})
+		cl, cerr := particle.New(c, particle.Config{
+			Droplets:     int64(float64(cfg.MeshCells) * cfg.DropletsPerCell),
+			ConeFraction: 0.25, Grid: dc.Grid, Seed: cfg.Seed,
+		}, particle.ScaleOpts{MaxDropletsPerRank: sc.MaxDropletsPerRank})
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -647,7 +647,6 @@ type Stats struct {
 	ScaledSteps   int
 	PCGIterations int // last step's count
 	MeanVelocity  float64
-	DropletCount  int
 	// SetupTime is the virtual time consumed before stepping began (max
 	// over ranks); harnesses scale only the stepping phase when sampling.
 	SetupTime float64
@@ -673,9 +672,5 @@ func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) {
 		mean += v
 	}
 	mean = c.AllreduceScalar(mean, mpi.Sum) / c.AllreduceScalar(float64(len(s.u)), mpi.Sum)
-	st := &Stats{StepsRun: steps, ScaledSteps: cfg.Steps, PCGIterations: s.LastIterations, MeanVelocity: mean, SetupTime: setup}
-	if s.cloud != nil {
-		st.DropletCount = s.cloud.Count()
-	}
-	return st, nil
+	return &Stats{StepsRun: steps, ScaledSteps: cfg.Steps, PCGIterations: s.LastIterations, MeanVelocity: mean, SetupTime: setup}, nil
 }

@@ -229,3 +229,25 @@ func TestVelocityFieldEvolves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBaseSprayRepresentsConfiguredDroplets: however few droplets the
+// capped ranks simulate, the Base spray stands for the configured
+// population, DropletsPerCell × MeshCells (7M on the paper's 28M-cell
+// case), before and after a step.
+func TestBaseSprayRepresentsConfiguredDroplets(t *testing.T) {
+	conf := Config{MeshCells: 28_000_000, Steps: 1, Seed: 1}
+	want := 0.25 * float64(conf.MeshCells)
+	_, err := mpi.Run(64, cfg(false), func(c *mpi.Comm) error {
+		s, err := New(c, conf, Production())
+		for step := 0; err == nil && step < 2; step++ {
+			if got := s.cloud.TrueCount(); math.Abs(got-want) > 1e-9*want {
+				return fmt.Errorf("after %d steps the spray represents %v droplets, configured %v", step, got, want)
+			}
+			s.Step()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
