@@ -41,7 +41,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := smallCfg(Repartition).withDefaults().Validate(); err != nil {
 		t.Error(err)
 	}
-	// A grid New cannot lay over the communicator's ranks.
+}
+
+// TestCloudRejectsBadGrid checks that New refuses a process grid it
+// cannot lay over the communicator's ranks.
+func TestCloudRejectsBadGrid(t *testing.T) {
 	_, err := mpi.Run(4, cfg(), func(c *mpi.Comm) error {
 		for _, grid := range [][3]int{{3, 1, 1}, {-2, -2, 1}, {4, 1, 0}} {
 			bad := smallCfg(StaticSplit)
@@ -123,14 +127,11 @@ func TestImbalanceOfHandCase(t *testing.T) {
 // TestPopulationStationary checks the re-injection loop: lost droplets
 // (evaporated or advected past the outlet) are re-seeded, so the global
 // simulated population is constant through the run for every strategy,
-// at 2 ranks and at 16. It also checks the static split's scaling
-// observation, the paper's for the spray: the dense pairwise migration
-// schedule makes a rank's communication time grow with the rank count.
+// at 2 ranks and at 16.
 func TestPopulationStationary(t *testing.T) {
-	staticComm := map[int]float64{}
 	for _, ranks := range []int{2, 16} {
 		for _, st := range Strategies() {
-			stats, err := mpi.Run(ranks, cfg(), func(c *mpi.Comm) error {
+			_, err := mpi.Run(ranks, cfg(), func(c *mpi.Comm) error {
 				s, err := New(c, smallCfg(st), smallScale())
 				if err != nil {
 					return err
@@ -147,14 +148,32 @@ func TestPopulationStationary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v, %d ranks: %v", st, ranks, err)
 			}
-			if st == StaticSplit {
-				staticComm[ranks] = stats.AvgComm()
-			}
 		}
 	}
-	if !(staticComm[16] > staticComm[2]) {
-		t.Errorf("static migration comm %v s at 16 ranks, %v s at 2; want growth with the rank count",
-			staticComm[16], staticComm[2])
+}
+
+// TestRedistributionCostGrowsWithRanks checks the static split's scaling
+// observation, the paper's for the spray: the dense pairwise migration
+// schedule makes a rank's communication time grow with the rank count.
+func TestRedistributionCostGrowsWithRanks(t *testing.T) {
+	commTime := func(ranks int) float64 {
+		stats, err := mpi.Run(ranks, cfg(), func(c *mpi.Comm) error {
+			s, err := New(c, smallCfg(StaticSplit), smallScale())
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 30; i++ {
+				s.Step(0.02)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d ranks: %v", ranks, err)
+		}
+		return stats.AvgComm()
+	}
+	if c2, c16 := commTime(2), commTime(16); !(c16 > c2) {
+		t.Errorf("static migration comm %v s at 16 ranks, %v s at 2; want growth with the rank count", c16, c2)
 	}
 }
 
@@ -195,9 +214,7 @@ func gatherCloud(s *System) []float64 {
 // rank state, so the global droplet multiset after N steps must be
 // bitwise identical across all three balancing strategies, and across
 // process grids — only the communication schedule (and hence virtual
-// time) may differ. On the 8×1×1 slab grid the first slab holds the
-// whole injection region, so there every droplet, re-seeded ones too,
-// must also lie inside its own rank's box.
+// time) may differ.
 func TestStrategiesPreservePhysics(t *testing.T) {
 	slabs := [3]int{8, 1, 1}
 	cases := []struct {
@@ -215,14 +232,6 @@ func TestStrategiesPreservePhysics(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				s.Step(0.02)
-			}
-			if tc.grid == slabs {
-				for i := range s.x {
-					if o := gridOwner(slabs, s.x[i], s.y[i], s.z[i]); o != c.Rank() {
-						return fmt.Errorf("rank %d holds droplet at (%v,%v,%v), owned by rank %d",
-							c.Rank(), s.x[i], s.y[i], s.z[i], o)
-					}
-				}
 			}
 			if c.Rank() == 0 {
 				clouds = append(clouds, gatherCloud(s))
@@ -246,6 +255,35 @@ func TestStrategiesPreservePhysics(t *testing.T) {
 					cases[i].st, cases[i].grid, j)
 			}
 		}
+	}
+}
+
+// TestDropletsLandOnOwningRanks runs the static split on a given 8×1×1
+// slab grid, where the first slab holds the whole injection region, and
+// checks that after the steps every droplet, re-seeded ones too, lies
+// inside its own rank's box.
+func TestDropletsLandOnOwningRanks(t *testing.T) {
+	slabs := [3]int{8, 1, 1}
+	_, err := mpi.Run(8, cfg(), func(c *mpi.Comm) error {
+		conf := smallCfg(StaticSplit)
+		conf.Grid = slabs
+		s, err := New(c, conf, smallScale())
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 20; i++ {
+			s.Step(0.02)
+		}
+		for i := range s.x {
+			if o := gridOwner(slabs, s.x[i], s.y[i], s.z[i]); o != c.Rank() {
+				return fmt.Errorf("rank %d holds droplet at (%v,%v,%v), owned by rank %d",
+					c.Rank(), s.x[i], s.y[i], s.z[i], o)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
