@@ -1,16 +1,17 @@
-# Developer entry points. `make check` is the CI gate, five legs: vet,
+# Developer entry points. `make check` is the CI gate, six legs: vet,
 # build, the full test suite (which holds the static-analysis suite over
 # the whole module, internal/analysis TestModuleLintsClean, the service's
-# end-to-end self-tests, cmd/cpxserve/main_test.go, and the quick
-# particle-scaling experiment), the race detector over the
-# concurrency-heavy packages, and the short-mode race leg. Host time has
-# one benchmark, bench/ (`make bench`, `make bench-compare`).
+# end-to-end self-tests, cmd/cpxserve/main_test.go, and the nine quick
+# experiments diffed against results/, cmd/cpxbench/main_test.go), the
+# race detector over the concurrency-heavy packages, the short-mode race
+# leg, and the five pressure sweeps diffed against results/. Host time
+# has one benchmark, bench/ (`make bench`, `make bench-compare`).
 
 GO ?= go
 
-.PHONY: check vet lint build test test-race test-race-short race bench bench-compare
+.PHONY: check vet lint build test test-race test-race-short race results bench bench-compare
 
-check: vet build test race test-race-short
+check: vet build test race test-race-short results
 
 vet:
 	$(GO) vet ./...
@@ -52,6 +53,18 @@ test-race:
 test-race-short:
 	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/pressure/ ./internal/mgcfd/ ./internal/particle/ \
 		./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
+
+# The figure-level check on the pressure and amg solvers: re-run the
+# five pressure sweeps and diff each table against its record in
+# results/. About 4.5 min on a 2-core host; the quicker entries are
+# TestStdoutIsTheRecordedTable, fig9 is re-recorded by hand.
+RESULTS_SWEEPS = fig4ab fig5a fig5b fig6a fig6bc
+
+results:
+	@for id in $(RESULTS_SWEEPS); do \
+		echo "cpxbench -exp $$id"; \
+		$(GO) run ./cmd/cpxbench -exp $$id | diff -u results/$$id.txt - || exit 1; \
+	done
 
 # The repository's host-time benchmark (bench/README.md): all four
 # workloads, results to .bench_out.json. About 2 min on a 2-core host.
