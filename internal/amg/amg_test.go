@@ -191,7 +191,7 @@ func TestSetupBuildsMultipleLevels(t *testing.T) {
 	}
 	// Coarsest within threshold.
 	last := h.Levels[len(h.Levels)-1].A
-	if last.Rows > DefaultOptions().CoarsestSize*4 {
+	if last.Rows > coarsestSize*4 {
 		t.Errorf("coarsest level still has %d rows", last.Rows)
 	}
 	if oc := h.OperatorComplexity(); oc < 1 || oc > 3 {
@@ -233,8 +233,6 @@ func solveConfigs() map[string]Options {
 	kcyc := DefaultOptions()
 	kcyc.Interp = Smoothed
 	kcyc.Cycle = KCycle
-	wcyc := DefaultOptions()
-	wcyc.Cycle = WCycle
 	opt := OptimizedOptions()
 	return map[string]Options{
 		"base-aggregation": base,
@@ -244,30 +242,7 @@ func solveConfigs() map[string]Options {
 		"gauss-seidel":     gs,
 		"hybrid-gs":        hybrid,
 		"k-cycle":          kcyc,
-		"w-cycle":          wcyc,
 		"fully-optimized":  opt,
-	}
-}
-
-func TestWCycleBeatsOrMatchesVCycle(t *testing.T) {
-	a := sparse.Poisson2D(24, 24)
-	b := randomRHS(a.Rows, 13)
-	iters := func(c Cycle) int {
-		o := DefaultOptions()
-		o.Cycle = c
-		h, err := Setup(a, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, a.Rows)
-		res := h.PCG(b, x, 1e-8, 300)
-		if !res.Converged {
-			t.Fatalf("cycle %v did not converge", c)
-		}
-		return res.Iterations
-	}
-	if w, v := iters(WCycle), iters(VCycle); w > v {
-		t.Errorf("W-cycle (%d iters) worse than V-cycle (%d)", w, v)
 	}
 }
 

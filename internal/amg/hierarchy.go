@@ -48,7 +48,6 @@ type Cycle int
 const (
 	VCycle Cycle = iota
 	KCycle       // Krylov-accelerated cycle; better convergence, worse scaling [50]
-	WCycle       // two plain coarse-grid visits per level; V/K middle ground
 )
 
 // SpGEMMKind selects the kernel used for the Galerkin product at setup.
@@ -60,42 +59,39 @@ const (
 	SpGEMMSPA                       // optimised single-pass sparse accumulator
 )
 
-// Options configures an AMG hierarchy.
+// The fixed numeric settings of every hierarchy: each variant differs
+// only in the algorithm choices of Options.
+const (
+	theta         float64 = 0.25      // strength threshold
+	preSweeps     int     = 1         // smoother sweeps before restriction
+	postSweeps    int     = 1         // smoother sweeps after prolongation
+	jacobiWeight  float64 = 2.0 / 3.0 // damped-Jacobi weight
+	maxLevels     int     = 10
+	coarsestSize  int     = 64        // rows at or below which the level is solved directly
+	hybridBlocks  int     = 4         // row blocks of the HybridGS smoother
+	smoothedOmega float64 = 2.0 / 3.0 // prolongation-smoothing weight of Smoothed
+)
+
+// Options selects the algorithms of an AMG hierarchy.
 type Options struct {
-	Theta         float64 // strength threshold; default 0.25
-	Coarsening    Coarsening
-	Interp        Interp
-	Smoother      Smoother
-	Cycle         Cycle
-	PreSweeps     int     // default 1
-	PostSweeps    int     // default 1
-	JacobiWeight  float64 // default 2/3
-	MaxLevels     int     // default 10
-	CoarsestSize  int     // direct-solve threshold; default 64
-	HybridBlocks  int     // blocks for HybridGS; default 4
-	SpGEMM        SpGEMMKind
-	IdentityOpt   bool  // use identity-split SpMV for P and R
-	Seed          int64 // PMIS tie-break seed
-	SmoothedOmega float64
+	Coarsening  Coarsening
+	Interp      Interp
+	Smoother    Smoother
+	Cycle       Cycle
+	SpGEMM      SpGEMMKind
+	IdentityOpt bool  // use identity-split SpMV for P and R
+	Seed        int64 // PMIS tie-break seed
 }
 
 // DefaultOptions mirror the Base pressure solver: aggregation coarsening,
 // tentative interpolation, Jacobi smoothing, V-cycles, two-pass SpGEMM.
 func DefaultOptions() Options {
 	return Options{
-		Theta:         0.25,
-		Coarsening:    Aggregation,
-		Interp:        Tentative,
-		Smoother:      Jacobi,
-		Cycle:         VCycle,
-		PreSweeps:     1,
-		PostSweeps:    1,
-		JacobiWeight:  2.0 / 3.0,
-		MaxLevels:     10,
-		CoarsestSize:  64,
-		HybridBlocks:  4,
-		SpGEMM:        SpGEMMTwoPass,
-		SmoothedOmega: 2.0 / 3.0,
+		Coarsening: Aggregation,
+		Interp:     Tentative,
+		Smoother:   Jacobi,
+		Cycle:      VCycle,
+		SpGEMM:     SpGEMMTwoPass,
 	}
 }
 
@@ -110,33 +106,6 @@ func OptimizedOptions() Options {
 	o.SpGEMM = SpGEMMSPA
 	o.IdentityOpt = true
 	return o
-}
-
-func (o *Options) fillDefaults() {
-	if o.Theta == 0 {
-		o.Theta = 0.25
-	}
-	if o.PreSweeps == 0 {
-		o.PreSweeps = 1
-	}
-	if o.PostSweeps == 0 {
-		o.PostSweeps = 1
-	}
-	if o.JacobiWeight == 0 {
-		o.JacobiWeight = 2.0 / 3.0
-	}
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 10
-	}
-	if o.CoarsestSize == 0 {
-		o.CoarsestSize = 64
-	}
-	if o.HybridBlocks == 0 {
-		o.HybridBlocks = 4
-	}
-	if o.SmoothedOmega == 0 {
-		o.SmoothedOmega = 2.0 / 3.0
-	}
 }
 
 func (o Options) validate() error {
@@ -168,9 +137,9 @@ type Level struct {
 
 // levelWork holds the working vectors of a cycle's visit to one level,
 // sized on first use and reused by every later visit (DESIGN.md §5.13). A
-// visit reaches the level below only through its own rc and ec, and W-
-// and K-cycles revisit a level one visit after the other, never nested,
-// so no two live vectors share a buffer.
+// visit reaches the level below only through its own rc and ec, and a
+// K-cycle revisits a level one visit after the other, never nested, so
+// no two live vectors share a buffer.
 type levelWork struct {
 	r, e     []float64    // residual, prolonged correction
 	rc, ec   []float64    // restricted residual, coarse correction
@@ -208,15 +177,14 @@ func (h *Hierarchy) Share() *Hierarchy {
 // Setup builds the hierarchy for a square SPD-like operator.
 func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 	validateSquare(a, "Setup")
-	opts.fillDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	h := &Hierarchy{Opts: opts}
 	cur := a
-	for len(h.Levels) < opts.MaxLevels-1 && cur.Rows > opts.CoarsestSize {
+	for len(h.Levels) < maxLevels-1 && cur.Rows > coarsestSize {
 		lvl := &Level{A: cur, diag: cur.Diag()}
-		strength := Strength(cur, opts.Theta)
+		strength := Strength(cur, theta)
 		// Strength pass streams the matrix once.
 		h.SetupWork = h.SetupWork.Add(cluster.Work{Flops: float64(cur.NNZ()), Bytes: 16 * float64(cur.NNZ())})
 
@@ -229,7 +197,7 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 			}
 			t := TentativeProlongation(agg, nAgg)
 			if opts.Interp == Smoothed {
-				p = SmoothProlongation(cur, t, opts.SmoothedOmega)
+				p = SmoothProlongation(cur, t, smoothedOmega)
 				f, b := sparse.SpGEMMWork(cur, t, h.spgemmPasses())
 				h.SetupWork = h.SetupWork.Add(cluster.Work{Flops: f, Bytes: b})
 			} else {
@@ -321,13 +289,13 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 func (h *Hierarchy) smooth(l *Level, w *levelWork, b, x []float64, sweeps int, forward bool) {
 	switch h.Opts.Smoother {
 	case Jacobi:
-		jacobiSweeps(l, w, b, x, sweeps, h.Opts.JacobiWeight)
+		jacobiSweeps(l, w, b, x, sweeps, jacobiWeight)
 	case GaussSeidel:
 		for s := 0; s < sweeps; s++ {
 			gsSweepRange(l, b, x, 0, l.A.Rows, x, forward)
 		}
 	case HybridGS:
-		hybridGSSweeps(l, w, b, x, sweeps, h.Opts.HybridBlocks, forward)
+		hybridGSSweeps(l, w, b, x, sweeps, hybridBlocks, forward)
 	case Chebyshev:
 		chebyshevSmooth(l, w, b, x, 2*sweeps+1)
 	}
@@ -502,7 +470,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 		h.coarseFactor.solve(b, x, scratch.Floats(&h.coarseY, l.A.Rows))
 		return
 	}
-	h.smooth(l, w, b, x, h.Opts.PreSweeps, true)
+	h.smooth(l, w, b, x, preSweeps, true)
 	// Residual and restriction.
 	n := l.A.Rows
 	r := scratch.Floats(&w.r, n)
@@ -519,14 +487,9 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 	}
 	ec := scratch.Floats(&w.ec, nc)
 	clear(ec) // the coarse solve starts from zero
-	switch {
-	case h.Opts.Cycle == KCycle && level+1 < len(h.Levels)-1:
+	if h.Opts.Cycle == KCycle && level+1 < len(h.Levels)-1 {
 		h.kAccelerate(level+1, rc, ec)
-	case h.Opts.Cycle == WCycle && level+1 < len(h.Levels)-1:
-		// W-cycle: revisit the coarse level twice.
-		h.cycle(level+1, rc, ec)
-		h.cycle(level+1, rc, ec)
-	default:
+	} else {
 		h.cycle(level+1, rc, ec)
 	}
 	// Prolongate and correct.
@@ -539,7 +502,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 	for i := range x {
 		x[i] += e[i]
 	}
-	h.smooth(l, w, b, x, h.Opts.PostSweeps, false)
+	h.smooth(l, w, b, x, postSweeps, false)
 }
 
 // kAccelerate solves the coarse system with two steps of flexible CG
@@ -600,9 +563,9 @@ func (h *Hierarchy) kAccelerate(level int, b, x []float64) {
 // the dense coarse solve.
 func (h *Hierarchy) CycleWork() cluster.Work {
 	var w cluster.Work
-	sweeps := float64(h.Opts.PreSweeps + h.Opts.PostSweeps)
+	sweeps := float64(preSweeps + postSweeps)
 	cycleMult := 1.0
-	if h.Opts.Cycle == KCycle || h.Opts.Cycle == WCycle {
+	if h.Opts.Cycle == KCycle {
 		cycleMult = 2.0 // two coarse visits per level
 	}
 	levelMult := 1.0

@@ -144,7 +144,8 @@ type UnitSpec struct {
 	Points int // true interface points per side
 	Ranks  int
 	Search Search
-	// ExchangeEvery in density steps (defaults: sliding 1, steady 20).
+	// ExchangeEvery in density steps (defaults: sliding 1, steady
+	// SteadyExchangeEvery).
 	ExchangeEvery int
 	// Overlap >= 1 enables the overlapping/composite-domain approach of
 	// Section II-A ("overset"-style): a larger portion of each mesh is
@@ -162,12 +163,20 @@ func (us UnitSpec) effectivePoints() int {
 	return us.Points
 }
 
+// SteadyExchangeEvery is the default exchange period, in density steps,
+// of a steady-state unit, and the period of the units that couple a row
+// to the combustor in Fig. 8 and Fig. 9, the longest in either. The
+// harness's full-scale coupled runs sample exactly one period, so the
+// sample holds the full run's exchange mix per step, which its
+// extrapolation requires.
+const SteadyExchangeEvery int = 20
+
 func (us UnitSpec) exchangeEvery() int {
 	if us.ExchangeEvery > 0 {
 		return us.ExchangeEvery
 	}
 	if us.Kind == SteadyState {
-		return 20
+		return SteadyExchangeEvery
 	}
 	return 1
 }

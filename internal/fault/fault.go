@@ -207,14 +207,8 @@ type Spec struct {
 
 	MTBF float64 // mean virtual time between rank crashes; 0 disables
 
-	StragglerEvery  float64 // mean time between straggler onsets; 0 disables
-	StragglerFactor float64 // compute slowdown (default 4)
-	StragglerLen    float64 // window length (default MTBF/4 or 1)
-
-	LinkEvery float64 // mean time between link-degradation epochs; 0 disables
-	LinkAlpha float64 // latency multiplier (default 8)
-	LinkBeta  float64 // bandwidth divisor (default 4)
-	LinkLen   float64 // epoch length (default StragglerLen rule)
+	StragglerEvery float64 // mean time between straggler onsets; 0 disables
+	LinkEvery      float64 // mean time between link-degradation epochs; 0 disables
 
 	DetectionLatency float64
 
@@ -232,10 +226,18 @@ type Spec struct {
 // (horizon >> rate).
 const maxEvents = 4096
 
-func (sp Spec) windowLen(explicit float64) float64 {
-	if explicit > 0 {
-		return explicit
-	}
+// A generated straggler slows its node's compute by stragglerFactor; a
+// generated link fault multiplies latency by linkAlpha and divides
+// bandwidth by linkBeta.
+const (
+	stragglerFactor float64 = 4
+	linkAlpha       float64 = 8
+	linkBeta        float64 = 4
+)
+
+// windowLen is the length of every generated straggler window and
+// link-fault epoch: a quarter of the MTBF, or 1 without crashes.
+func (sp Spec) windowLen() float64 {
 	if sp.MTBF > 0 {
 		return sp.MTBF / 4
 	}
@@ -272,37 +274,26 @@ func NewPlan(sp Spec) (*Plan, error) {
 		}
 	}
 	if sp.StragglerEvery > 0 {
-		factor := sp.StragglerFactor
-		if factor < 1 {
-			factor = 4
-		}
-		length := sp.windowLen(sp.StragglerLen)
+		length := sp.windowLen()
 		for t := 0.0; len(p.Stragglers) < maxEvents; {
 			t += rng.ExpFloat64() * sp.StragglerEvery
 			if t >= sp.Horizon {
 				break
 			}
 			p.Stragglers = append(p.Stragglers, Straggler{
-				Node: rng.Intn(nodes), Factor: factor, From: t, To: t + length,
+				Node: rng.Intn(nodes), Factor: stragglerFactor, From: t, To: t + length,
 			})
 		}
 	}
 	if sp.LinkEvery > 0 {
-		alpha, beta := sp.LinkAlpha, sp.LinkBeta
-		if alpha <= 0 {
-			alpha = 8
-		}
-		if beta <= 0 {
-			beta = 4
-		}
-		length := sp.windowLen(sp.LinkLen)
+		length := sp.windowLen()
 		for t := 0.0; len(p.LinkFaults) < maxEvents; {
 			t += rng.ExpFloat64() * sp.LinkEvery
 			if t >= sp.Horizon {
 				break
 			}
 			p.LinkFaults = append(p.LinkFaults, LinkFault{
-				Node: rng.Intn(nodes), From: t, To: t + length, Alpha: alpha, Beta: beta,
+				Node: rng.Intn(nodes), From: t, To: t + length, Alpha: linkAlpha, Beta: linkBeta,
 			})
 		}
 	}

@@ -1,18 +1,3 @@
-// Package fem implements the finite-element thermal solver the paper's
-// conclusions name as the next coupling target: "work is ongoing to
-// include FEM solvers for thermal coupling of the engine casing, allowing
-// us to run coupled CFD, Combustion and Structural simulations".
-//
-// The casing is modelled as an annular shell meshed with 4-node bilinear
-// quadrilateral elements. Element stiffness and lumped-mass matrices are
-// assembled for the transient heat equation
-//
-//	rho*c * dT/dt = div(k grad T) + q
-//
-// and each time-step solves the backward-Euler system
-// (M/dt + K) T = M/dt T_prev + Q with AMG-preconditioned conjugate
-// gradients over a row-block distribution — the same solver stack as the
-// pressure correction, exercised on a genuinely assembled FEM operator.
 package fem
 
 import (
@@ -25,36 +10,29 @@ import (
 	"cpx/internal/sparse"
 )
 
+// Fixed casing geometry, heat capacity and time-step: a shell of unit
+// radius and length 2, unit density*specific-heat, and an implicit
+// time-step of 0.01.
+const (
+	radius float64 = 1
+	length float64 = 2
+	rhoC   float64 = 1
+	dt     float64 = 0.01
+)
+
 // Config describes a casing thermal problem.
 type Config struct {
 	// Shell discretisation: NAxial x NCirc quadrilateral elements.
 	NAxial, NCirc int
-	// Geometry: casing radius and axial length (unit defaults).
-	Radius, Length float64
-	// Material: conductivity, density*specific-heat (unit defaults).
+	// Conductivity of the casing material (default 1).
 	Conductivity float64
-	RhoC         float64
-	// Dt is the implicit time-step (default 0.01).
-	Dt    float64
-	Steps int
-	Seed  int64
+	Steps        int
+	Seed         int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.Radius == 0 {
-		c.Radius = 1
-	}
-	if c.Length == 0 {
-		c.Length = 2
-	}
 	if c.Conductivity == 0 {
 		c.Conductivity = 1
-	}
-	if c.RhoC == 0 {
-		c.RhoC = 1
-	}
-	if c.Dt == 0 {
-		c.Dt = 0.01
 	}
 	return c
 }
@@ -112,13 +90,13 @@ func Assemble(cfg Config) (*sparse.CSR, []float64) {
 	cfg = cfg.withDefaults()
 	n := cfg.NumNodes()
 	// Element dimensions on the developed (unrolled) shell surface.
-	a := cfg.Length / float64(cfg.NAxial)              // axial
-	b := 2 * math.Pi * cfg.Radius / float64(cfg.NCirc) // circumferential
+	a := length / float64(cfg.NAxial)              // axial
+	b := 2 * math.Pi * radius / float64(cfg.NCirc) // circumferential
 	ke := quadStiffness(a, b, cfg.Conductivity)
 	var ri, ci []int
 	var v []float64
 	mass := make([]float64, n)
-	elemMass := cfg.RhoC * a * b / 4 // lumped
+	elemMass := rhoC * a * b / 4 // lumped
 	for i := 0; i < cfg.NAxial; i++ {
 		for j := 0; j < cfg.NCirc; j++ {
 			nodes := [4]int{
@@ -175,7 +153,7 @@ func New(c *mpi.Comm, cfg Config) (*Solver, error) {
 	for i := 0; i < n; i++ {
 		ri = append(ri, i)
 		ci = append(ci, i)
-		v = append(v, mass[i]/cfg.Dt)
+		v = append(v, mass[i]/dt)
 	}
 	a := sparse.Add(k, sparse.FromCOO(n, n, ri, ci, v), 1, 1)
 	d := sparse.NewDistFromGlobal(c, a, 70)
@@ -188,7 +166,7 @@ func New(c *mpi.Comm, cfg Config) (*Solver, error) {
 	own := d.OwnedRows()
 	s.mass = make([]float64, own)
 	for i := 0; i < own; i++ {
-		s.mass[i] = mass[d.RowLo+i] / cfg.Dt
+		s.mass[i] = mass[d.RowLo+i] / dt
 	}
 	s.T = make([]float64, own)
 	s.Q = make([]float64, own)

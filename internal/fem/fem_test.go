@@ -78,9 +78,9 @@ func TestAssembleGlobalProperties(t *testing.T) {
 	for _, m := range mass {
 		total += m
 	}
-	area := cfg.Length * 2 * math.Pi * cfg.Radius
-	if math.Abs(total-cfg.RhoC*area)/area > 1e-10 {
-		t.Errorf("total mass %v, want %v", total, cfg.RhoC*area)
+	area := length * 2 * math.Pi * radius
+	if math.Abs(total-rhoC*area)/area > 1e-10 {
+		t.Errorf("total mass %v, want %v", total, rhoC*area)
 	}
 }
 
@@ -259,7 +259,7 @@ func TestSystemMatrixSPD(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ri = append(ri, i)
 		ci = append(ci, i)
-		v = append(v, mass[i]/cfg.Dt)
+		v = append(v, mass[i]/dt)
 	}
 	a := sparse.Add(k, sparse.FromCOO(n, n, ri, ci, v), 1, 1)
 	// SPD check: x'Ax > 0 for a few random-ish vectors.

@@ -70,13 +70,6 @@ func (o Options) cuCurve(points int, kind coupler.InterfaceKind, search coupler.
 // fig8DensitySteps is the full duration of the small validation scenario.
 const fig8DensitySteps = 100
 
-// steadyExchangeEvery is the exchange period, in density steps, of the
-// steady-state units that couple a row to the combustor in Fig. 8 and
-// Fig. 9, the longest period in either. Full-scale coupled runs sample
-// exactly one period, so the sample holds the full run's exchange mix
-// per step, which scaleSampled requires.
-const steadyExchangeEvery = 20
-
 // Fig8 reproduces the small coupled test: two MG-CFD instances on the
 // 150M Rotor37 mesh plus one SIMPIC unit standing in for a 28M-cell
 // pressure solve, on a 5,000-core budget. The model allocates ranks and
@@ -85,7 +78,7 @@ const steadyExchangeEvery = 20
 func (o Options) Fig8() (*Table, error) {
 	budget := 5000
 	steps := fig8DensitySteps
-	sample := steadyExchangeEvery
+	sample := coupler.SteadyExchangeEvery
 	mgCores := []int{100, 200, 400, 800, 1600}
 	spCores := []int{200, 800, 1600, 3200, 4800}
 	if o.Quick {
@@ -130,11 +123,11 @@ func (o Options) Fig8() (*Table, error) {
 		{Name: "MG-CFD row 1 (150M)", Curve: mgCurve},
 		{Name: "MG-CFD row 2 (150M)", Curve: mgCurve},
 		// The SIMPIC curve's base time is its full configuration, which
-		// stands for PressureStepsEquivalent (10) pressure-solver steps;
+		// stands for simpic.PressureStepsEquivalent pressure-solver steps;
 		// the scenario runs 2 pressure steps per density step.
-		{Name: "SIMPIC (28M equiv)", Curve: spCurve, IterRatio: float64(2*steps) / 10.0},
+		{Name: "SIMPIC (28M equiv)", Curve: spCurve, IterRatio: float64(2*steps) / float64(simpic.PressureStepsEquivalent)},
 		{Name: "CU rows 1-2 (sliding)", Curve: cuSlide, IsCU: true, IterRatio: float64(steps)},
-		{Name: "CU row-combustor (steady)", Curve: cuSteady, IsCU: true, IterRatio: float64(steps) / steadyExchangeEvery},
+		{Name: "CU row-combustor (steady)", Curve: cuSteady, IsCU: true, IterRatio: float64(steps) / float64(coupler.SteadyExchangeEvery)},
 	}
 	alloc, err := perfmodel.Allocate(comps, budget)
 	if err != nil {
@@ -153,7 +146,7 @@ func (o Options) Fig8() (*Table, error) {
 			{Name: comps[3].Name, A: 0, B: 1, Kind: coupler.SlidingPlane, Points: slidingPts,
 				Ranks: alloc.Cores[3], Search: coupler.TreePrefetch},
 			{Name: comps[4].Name, A: 1, B: 2, Kind: coupler.SteadyState, Points: steadyPts,
-				Ranks: alloc.Cores[4], Search: coupler.TreePrefetch, ExchangeEvery: steadyExchangeEvery},
+				Ranks: alloc.Cores[4], Search: coupler.TreePrefetch, ExchangeEvery: coupler.SteadyExchangeEvery},
 		},
 		DensitySteps:    sample,
 		RotationPerStep: 0.002,
@@ -252,7 +245,7 @@ const engineDensitySteps = 1000
 func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 	insts := engineInstances()
 	fullSteps := engineDensitySteps
-	sampleSteps := steadyExchangeEvery
+	sampleSteps := coupler.SteadyExchangeEvery
 	minRanks := 100
 	// Fit one curve per distinct MG-CFD mesh size.
 	mgCores := map[int64][]int{
@@ -313,9 +306,9 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 		if inst.kind == coupler.KindSIMPIC {
 			cp.Curve = spCurve
 			// The combustor runs 2 pressure steps per density step; the
-			// curve's base time represents 10 pressure steps (the STC
-			// equivalence of Fig. 3).
-			cp.IterRatio = float64(2*fullSteps) / 10.0
+			// curve's base time represents simpic.PressureStepsEquivalent
+			// pressure steps (the STC equivalence of Fig. 3).
+			cp.IterRatio = float64(2*fullSteps) / float64(simpic.PressureStepsEquivalent)
 		} else {
 			cp.Curve = curves[inst.mesh]
 			cp.IterRatio = 1 // curves fitted at fullSteps steps
@@ -336,7 +329,7 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 		if a.kind == coupler.KindSIMPIC || b.kind == coupler.KindSIMPIC {
 			kind = coupler.SteadyState
 			frac = coupler.SteadyFraction
-			every = steadyExchangeEvery
+			every = coupler.SteadyExchangeEvery
 		}
 		small := a.mesh
 		if b.mesh < small {

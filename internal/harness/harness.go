@@ -77,7 +77,8 @@ type Options struct {
 	// unit tests); full sweeps reproduce the paper's axes.
 	Quick bool
 	// Verbose emits progress to stderr, so stdout stays only the tables.
-	Verbose  bool
+	Verbose bool
+	// Watchdog bounds each run's host time; zero means defaultWatchdog.
 	Watchdog time.Duration
 	// Trace enables event tracing on the coupled runs (fig8, fig9,
 	// overlap): the resulting reports carry the virtual-time critical
@@ -88,13 +89,17 @@ type Options struct {
 
 // DefaultOptions runs the full sweeps on the ARCHER2 model.
 func DefaultOptions() Options {
-	return Options{Machine: cluster.ARCHER2(), Watchdog: 2 * time.Hour}
+	return Options{Machine: cluster.ARCHER2()}
 }
+
+// defaultWatchdog is the host-time bound of a run when Options leave it
+// unset, long enough for the full-scale sweeps.
+const defaultWatchdog = 2 * time.Hour
 
 func (o Options) mpiConfig(profile bool) mpi.Config {
 	wd := o.Watchdog
 	if wd == 0 {
-		wd = 2 * time.Hour
+		wd = defaultWatchdog
 	}
 	return mpi.Config{Machine: o.Machine, Profile: profile, Watchdog: wd}
 }

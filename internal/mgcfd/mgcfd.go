@@ -26,29 +26,26 @@ const (
 // Message tag base for mgcfd exchanges (one tag per level).
 const tagHalo = 20
 
-// rkAlpha holds the Runge-Kutta stage coefficients; stages beyond the
-// third repeat the last.
-var rkAlpha = [...]float64{0.1481, 0.4, 1.0}
+// Every step runs rkStages Runge-Kutta stages with the coefficients
+// rkAlpha; cfl is the Courant number New sets the time-step from.
+const (
+	rkStages int     = 3
+	cfl      float64 = 0.8
+)
+
+var rkAlpha = [rkStages]float64{0.1481, 0.4, 1.0}
 
 // Config describes an MG-CFD instance.
 type Config struct {
 	MeshCells int64 // global mesh size (e.g. 8M, 24M, 150M, 300M)
 	Steps     int   // time-steps for the full run
 	MGLevels  int   // multigrid depth; default 3
-	RKStages  int   // Runge-Kutta stages per step; default 3
-	CFL       float64
 	Seed      int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.MGLevels == 0 {
 		c.MGLevels = 3
-	}
-	if c.RKStages == 0 {
-		c.RKStages = 3
-	}
-	if c.CFL == 0 {
-		c.CFL = 0.8
 	}
 	return c
 }
@@ -179,7 +176,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	s.initFlow()
 	// dt from a fixed reference state (uniform flow, sound speed ~1).
 	h := 1.0 / float64(dims.NI)
-	s.dt = cfg.CFL * h / 2.0
+	s.dt = cfl * h / 2.0
 	// Setup cost: mesh/edge generation over the true box.
 	trueNodes := float64(local.True.Nodes())
 	c.Compute(cluster.Work{Flops: 50 * trueNodes, Bytes: 200 * trueNodes})
@@ -453,8 +450,7 @@ func (s *Sim) Step() float64 {
 		return math.Sqrt(s.comm.AllreduceScalar(0, mpi.Sum))
 	}
 	fine := s.levels[0]
-	for st := 0; st < s.cfg.RKStages; st++ {
-		a := rkAlpha[min(st, len(rkAlpha)-1)]
+	for _, a := range rkAlpha {
 		s.region("halo_exchange", func() { s.exchangeHalo(fine, 0) })
 		s.region("compute_flux_edge", func() { s.computeFlux(fine) })
 		s.region("time_step", func() { s.update(fine, a*s.dt) })
@@ -511,7 +507,6 @@ func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) {
 		return nil, err
 	}
 	setup := c.AllreduceScalar(c.Clock(), mpi.Max)
-	cfg = cfg.withDefaults()
 	steps := cfg.Steps
 	if sc.SampleSteps > 0 && sc.SampleSteps < steps {
 		steps = sc.SampleSteps

@@ -1,22 +1,3 @@
-// Package pressure implements the combustion pressure-solver proxy: a
-// representative pressure-based LES combustion solver with the per-step
-// structure of Fig. 2 — momentum and scalar transport, combustion source
-// terms, a pressure-correction solve by AMG-preconditioned conjugate
-// gradients, and a Lagrangian fuel-spray update. Every region is
-// instrumented (trace) so the per-function compute/communication
-// breakdown of Fig. 5 can be reproduced, and the Base/Optimized variants
-// realise the Section IV optimisation study:
-//
-//	Base:      two-pass SpGEMM AMG setup, Jacobi smoothing, tentative
-//	           interpolation, synchronous spatially-partitioned spray.
-//	Optimized: SPA single-pass SpGEMM, hybrid Gauss-Seidel, PMIS +
-//	           extended+i interpolation, identity-block transfer SpMV,
-//	           async task-based spray off the critical path.
-//
-// The Optimized variant additionally charges pressure-field kernel work
-// at the measured multi-core speedup of Park et al. [48] (the paper's 5x
-// extrapolation) — the optimised algorithms really run; the constant maps
-// their single-box costs to the production code's measured gains.
 package pressure
 
 import (
@@ -71,34 +52,24 @@ const (
 // applies 5x).
 const fieldKernelSpeedup = 5.0
 
+// dropletsPerCell scales the spray population to the mesh (paper: 7M
+// droplets on 28M cells).
+const dropletsPerCell float64 = 0.25
+
+// PCG controls of the pressure correction. Production pressure
+// corrections are solved to a loose inner tolerance within the outer
+// PISO/SIMPLE loop, and the correctors cap the inner sweeps per step.
+const (
+	pcgTol     float64 = 1e-3
+	pcgMaxIter int     = 40
+)
+
 // Config describes a pressure-solver instance.
 type Config struct {
 	MeshCells int64 // e.g. 28M, 84M, 380M
 	Steps     int
 	Variant   Variant
-	// DropletsPerCell scales the spray population (paper: 7M droplets on
-	// 28M cells = 0.25). Zero takes 0.25.
-	DropletsPerCell float64
-	Seed            int64
-	// PCG controls.
-	Tol     float64 // default 1e-6
-	MaxIter int     // default 60
-}
-
-func (c Config) withDefaults() Config {
-	if c.DropletsPerCell == 0 {
-		c.DropletsPerCell = 0.25
-	}
-	if c.Tol == 0 {
-		// Production pressure corrections are solved to a loose inner
-		// tolerance within the outer PISO/SIMPLE loop.
-		c.Tol = 1e-3
-	}
-	if c.MaxIter == 0 {
-		// Production correctors cap the inner pressure sweeps per step.
-		c.MaxIter = 40
-	}
-	return c
+	Seed      int64
 }
 
 // Validate checks the configuration.
@@ -187,7 +158,6 @@ type (
 
 // New builds the per-rank solver. Collective over c.
 func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -266,7 +236,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	// Optimized (the spray leaves the critical path; see stepSpray).
 	if cfg.Variant == Base {
 		cl, cerr := particle.New(c, particle.Config{
-			Droplets:     int64(float64(cfg.MeshCells) * cfg.DropletsPerCell),
+			Droplets:     int64(float64(cfg.MeshCells) * dropletsPerCell),
 			ConeFraction: 0.25, Grid: dc.Grid, Seed: cfg.Seed,
 		}, particle.ScaleOpts{MaxDropletsPerRank: sc.MaxDropletsPerRank})
 		if cerr != nil {
@@ -575,7 +545,7 @@ func (s *Solver) stepPressure() {
 	ap := scratch.Floats(&s.ap, n)
 	rz := s.dot(r, z)
 	iters := 0
-	for it := 1; it <= s.cfg.MaxIter; it++ {
+	for it := 1; it <= pcgMaxIter; it++ {
 		iters = it
 		s.pressureMatVec(p, ap)
 		pap := s.dot(p, ap)
@@ -587,7 +557,7 @@ func (s *Solver) stepPressure() {
 			x[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 		}
-		if math.Sqrt(s.dot(r, r))/bnorm < s.cfg.Tol {
+		if math.Sqrt(s.dot(r, r))/bnorm < pcgTol {
 			break
 		}
 		s.precondition(r, z)
@@ -659,7 +629,6 @@ func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) {
 		return nil, err
 	}
 	setup := c.AllreduceScalar(c.Clock(), mpi.Max)
-	cfg = cfg.withDefaults()
 	steps := cfg.Steps
 	if sc.SampleSteps > 0 && sc.SampleSteps < steps {
 		steps = sc.SampleSteps

@@ -232,7 +232,7 @@ func TestVelocityFieldEvolves(t *testing.T) {
 
 // TestBaseSprayRepresentsConfiguredDroplets: however few droplets the
 // capped ranks simulate, the Base spray stands for the configured
-// population, DropletsPerCell × MeshCells (7M on the paper's 28M-cell
+// population, dropletsPerCell × MeshCells (7M on the paper's 28M-cell
 // case), before and after a step.
 func TestBaseSprayRepresentsConfiguredDroplets(t *testing.T) {
 	conf := Config{MeshCells: 28_000_000, Steps: 1, Seed: 1}

@@ -1,19 +1,21 @@
-// Package simpic implements the SIMPIC mini-app: a 1-D electrostatic
-// particle-in-cell code (Sandia National Laboratories [17], [35]) that the
-// paper uses as a black-box *performance proxy* for the production
-// combustion pressure solver. Each time-step deposits particle charge to
-// the grid (cloud-in-cell), solves the 1-D Poisson equation for the
-// potential with a substructured parallel tridiagonal solver, gathers the
-// electric field back to the particles, and pushes them with a leapfrog
-// integrator — the synchronous Lagrangian-Eulerian pattern of Fig. 2.
-//
-// The paper's test-case configurations (Fig. 3) far exceed what can be
-// held in memory (up to 7e10 particles); ScaleOpts lets a run execute a
-// representative per-rank slice and a sample of the time-steps while the
-// virtual-time costs are charged for the full configuration.
 package simpic
 
 import "fmt"
+
+// Fixed physics of every test case: a unit domain, a thermal velocity
+// of 0.02 domain-lengths per unit time, and a time-step of a quarter of
+// the cell-crossing time.
+const (
+	length  float64 = 1.0
+	vTherm  float64 = 0.02
+	dtScale float64 = 0.25
+)
+
+// PressureStepsEquivalent is how many production pressure-solver
+// time-steps a configuration's full Steps stand in for: the Fig. 3
+// equivalences were measured against 10-step pressure runs. Coupled
+// drivers use it to size the SIMPIC work per coupling exchange.
+const PressureStepsEquivalent int = 10
 
 // Config describes a SIMPIC test case.
 type Config struct {
@@ -21,13 +23,6 @@ type Config struct {
 	ParticlesPerCell int   // initial loading
 	Steps            int   // time-steps for the full run
 	Seed             int64 // particle loading seed
-
-	// Physics parameters; zero values take defaults (unit domain,
-	// thermal velocity 0.02 domain-lengths per unit time, dt at a
-	// quarter of the cell-crossing time).
-	Length  float64
-	VTherm  float64
-	DtScale float64
 
 	// ParticleWeight scales the charged per-particle work (default 1).
 	// The paper hand-picks its test-case parameters so SIMPIC's run-time
@@ -42,23 +37,12 @@ type Config struct {
 	// configurations use 2, a standard PIC economy when the field evolves
 	// slowly relative to the particle motion.
 	FieldEvery int
-
-	// PressureStepsEquivalent records how many production pressure-solver
-	// time-steps this configuration's full Steps stand in for (the Fig. 3
-	// equivalences were measured against 10-step pressure runs). Coupled
-	// drivers use it to size the SIMPIC work per coupling exchange.
-	// Default 10.
-	PressureStepsEquivalent int
 }
 
 // StepsPerPressureStep returns the SIMPIC micro-steps representing one
-// pressure-solver time-step under this configuration's equivalence.
+// pressure-solver time-step under PressureStepsEquivalent.
 func (c Config) StepsPerPressureStep() int {
-	pse := c.PressureStepsEquivalent
-	if pse == 0 {
-		pse = 10
-	}
-	n := c.Steps / pse
+	n := c.Steps / PressureStepsEquivalent
 	if n < 1 {
 		n = 1
 	}
@@ -66,15 +50,6 @@ func (c Config) StepsPerPressureStep() int {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Length == 0 {
-		c.Length = 1.0
-	}
-	if c.VTherm == 0 {
-		c.VTherm = 0.02
-	}
-	if c.DtScale == 0 {
-		c.DtScale = 0.25
-	}
 	if c.ParticleWeight == 0 {
 		c.ParticleWeight = 1
 	}

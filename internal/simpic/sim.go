@@ -105,8 +105,8 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 		s.simCells = sc.MaxCellsPerRank
 	}
 	s.cellScale = float64(s.trueCells) / float64(s.simCells)
-	s.dx = cfg.Length / float64(cfg.Cells)
-	s.dt = cfg.DtScale * s.dx / cfg.VTherm
+	s.dx = length / float64(cfg.Cells)
+	s.dt = dtScale * s.dx / vTherm
 
 	simParts := s.simCells * cfg.ParticlesPerCell
 	if sc.MaxParticlesPerRank > 0 && simParts > sc.MaxParticlesPerRank {
@@ -139,7 +139,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	s.pv = make([]float64, simParts, cap(s.px))
 	for i := range s.px {
 		s.px[i] = slabLo + s.rng.Float64()*slabW
-		s.pv[i] = cfg.VTherm * s.rng.NormFloat64()
+		s.pv[i] = vTherm * s.rng.NormFloat64()
 	}
 	// Loading cost: one pass over the true particle population.
 	c.Compute(cluster.Work{Flops: 8 * s.trueParts, Bytes: 32 * s.trueParts})
@@ -286,8 +286,8 @@ func (s *Sim) migrate() {
 		if x < 0 {
 			x, v = -x, -v
 		}
-		if x > s.cfg.Length {
-			x, v = 2*s.cfg.Length-x, -v
+		if x > length {
+			x, v = 2*length-x, -v
 		}
 		switch {
 		case x < lo && r > 0:

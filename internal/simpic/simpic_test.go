@@ -313,7 +313,7 @@ func TestVelocitiesBounded(t *testing.T) {
 		for i := 0; i < c.Steps; i++ {
 			s.Step()
 		}
-		if vmax := s.maxAbsVelocity(); vmax > 100*c.withDefaults().VTherm {
+		if vmax := s.maxAbsVelocity(); vmax > 100*vTherm {
 			return fmt.Errorf("velocities blew up: %v", vmax)
 		}
 		return nil
@@ -432,7 +432,7 @@ func TestFieldSubcyclingKeepsPhysicsSane(t *testing.T) {
 		if got := s.ParticleCount(); got != want {
 			return fmt.Errorf("subcycled run lost particles: %d -> %d", want, got)
 		}
-		if vmax := s.maxAbsVelocity(); vmax > 100*c.withDefaults().VTherm {
+		if vmax := s.maxAbsVelocity(); vmax > 100*vTherm {
 			return fmt.Errorf("subcycled velocities blew up: %v", vmax)
 		}
 		return nil
