@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cpx/internal/mesh"
 	"cpx/internal/mpi"
 )
 
@@ -26,7 +27,8 @@ func pressureOf(q [][]float64, n int) float64 {
 
 // referenceFlux is the edge loop computeFlux replaced: two pressureOf
 // calls, math.Max and a five-variable loop with the momentum and energy
-// terms as branches. It accumulates into res, which it zeroes first.
+// terms as branches, over the level's mesh.StructuredEdges in their
+// order. It accumulates into res, which it zeroes first.
 func referenceFlux(l *level, res [][]float64) {
 	for v := 0; v < NVAR; v++ {
 		r := res[v]
@@ -35,7 +37,7 @@ func referenceFlux(l *level, res [][]float64) {
 		}
 	}
 	q := l.q
-	for _, e := range l.edges {
+	for _, e := range mesh.StructuredEdges(l.dims) {
 		a, b := int(e.A), int(e.B)
 		pa, pb := pressureOf(q, a), pressureOf(q, b)
 		ca := math.Sqrt(1.4 * pa / math.Max(q[0][a], 1e-10))
@@ -103,9 +105,39 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
+// fluxMatches runs the reference and computeFlux on level l of s and
+// compares their residuals bit for bit. It returns how many residuals are
+// NaN, so that a caller can check the seeded states reach the branches.
+func fluxMatches(s *Sim, l *level) (nan int, err error) {
+	want := allocVars(l.nodes)
+	referenceFlux(l, want)
+	s.computeFlux(l)
+	for v := range want {
+		for n, w := range want[v] {
+			if got := l.res[v][n]; !sameBits(got, w) {
+				return 0, fmt.Errorf("dims %v: res[%d][%d] = %v (%#x), reference %v (%#x)",
+					l.dims, v, n, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+			if math.IsNaN(w) {
+				nan++
+			}
+		}
+	}
+	return nan, nil
+}
+
+// handLevel builds a level of the given dims outside New, for boxes no
+// decomposition produces: one cell or one node thick, or a single row.
+func handLevel(d mesh.Dims) *level {
+	n := int(d.Nodes())
+	return &level{dims: d, nodes: n, edges: mesh.StructuredEdges(d), q: allocVars(n), res: allocVars(n), workMult: 1}
+}
+
 // TestComputeFluxMatchesReference is computeFlux's oracle: on seeded
-// states at every multigrid level, the unrolled kernel's residuals equal
-// the per-variable loop's bit for bit.
+// states the kernel's residuals equal the per-variable loop's bit for
+// bit, on every multigrid level of a 16³ cube, of the capped slabs and
+// pencils of 6- and 12-rank Production() runs, and on boxes one cell or
+// one node thick (a single plane swap, no plane swap, an empty k-pass).
 func TestComputeFluxMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, err := mpi.Run(1, cfg(), func(c *mpi.Comm) error {
@@ -115,20 +147,9 @@ func TestComputeFluxMatchesReference(t *testing.T) {
 			}
 			seedStates(s, rand.New(rand.NewSource(seed)))
 			for li, l := range s.levels {
-				want := allocVars(l.nodes)
-				referenceFlux(l, want)
-				s.computeFlux(l)
-				nan := 0
-				for v := range want {
-					for n, w := range want[v] {
-						if got := l.res[v][n]; !sameBits(got, w) {
-							return fmt.Errorf("seed %d level %d: res[%d][%d] = %v (%#x), reference %v (%#x)",
-								seed, li, v, n, got, math.Float64bits(got), w, math.Float64bits(w))
-						}
-						if math.IsNaN(w) {
-							nan++
-						}
-					}
+				nan, err := fluxMatches(s, l)
+				if err != nil {
+					return fmt.Errorf("seed %d level %d: %w", seed, li, err)
 				}
 				if nan == 0 || nan == NVAR*l.nodes {
 					return fmt.Errorf("seed %d level %d: %d of %d residuals NaN; the states miss a branch", seed, li, nan, NVAR*l.nodes)
@@ -139,5 +160,54 @@ func TestComputeFluxMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, ranks := range []int{6, 12} {
+		_, err := mpi.Run(ranks, cfg(), func(c *mpi.Comm) error {
+			s, err := New(c, Config{MeshCells: 3_000_000, Steps: 1, Seed: 3}, Production())
+			if err != nil || !s.active {
+				return err
+			}
+			seedStates(s, rand.New(rand.NewSource(int64(ranks*100+c.Rank()))))
+			nan, cubes := 0, 0
+			for li, l := range s.levels {
+				n, err := fluxMatches(s, l)
+				if err != nil {
+					return fmt.Errorf("%d ranks, rank %d level %d: %w", ranks, c.Rank(), li, err)
+				}
+				nan += n
+				if l.dims.NI == l.dims.NJ && l.dims.NJ == l.dims.NK {
+					cubes++
+				}
+			}
+			if cubes == len(s.levels) {
+				return fmt.Errorf("%d ranks, rank %d: every level is a cube, want slabs and pencils", ranks, c.Rank())
+			}
+			if nan == 0 {
+				return fmt.Errorf("%d ranks, rank %d: no residual NaN; the states miss a branch", ranks, c.Rank())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := mpi.Run(1, cfg(), func(c *mpi.Comm) error {
+		s, err := New(c, Config{MeshCells: 4096, Steps: 1}, ScaleOpts{})
+		if err != nil {
+			return err
+		}
+		rng := rand.New(rand.NewSource(7))
+		for _, d := range []mesh.Dims{{NI: 9, NJ: 5, NK: 1}, {NI: 9, NJ: 5, NK: 0}, {NI: 0, NJ: 6, NK: 3}, {NI: 7, NJ: 0, NK: 0}, {NI: 0, NJ: 0, NK: 4}} {
+			l := handLevel(d)
+			s.levels = []*level{l}
+			seedStates(s, rng)
+			if _, err := fluxMatches(s, l); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
