@@ -117,13 +117,13 @@ func TestSteadyStateAllocation(t *testing.T) {
 // ranks (Production() scale) build a solver proxy and stop. A capped
 // rank's set-up splits into state it owns — fields, q/res, droplets — and
 // read-only state that is the same bytes on every rank of equal dims —
-// the pressure operator and its AMG hierarchy, MG-CFD's edge and face
-// lists, the decomposition — which the run builds once (mpi.Shared,
-// DESIGN.md §5.12). The bounds are what was measured when they were
-// written plus a quarter: 96 kB for the pressure solver (its five fields
-// and spray droplets), 227 kB for MG-CFD (q and res on three levels). With
-// every rank building its own copies the same cases cost 1.69 MB and
-// 307 kB.
+// the pressure operator and its AMG hierarchy, MG-CFD's face lists, the
+// decomposition — which the run builds once (mpi.Shared, DESIGN.md
+// §5.12). The bounds are what was measured when they were written plus a
+// quarter: 96 kB for the pressure solver (its five fields and spray
+// droplets), 227 kB for MG-CFD (q and res on three levels; the work
+// vector New has sized since adds 7 kB). With every rank building its own
+// copies the same cases cost 1.69 MB and 307 kB.
 func TestSetUpAllocation(t *testing.T) {
 	const ranks = 64
 	for _, g := range []struct {

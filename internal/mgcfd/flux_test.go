@@ -106,9 +106,14 @@ func sameBits(a, b float64) bool {
 }
 
 // fluxMatches runs the reference and computeFlux on level l of s and
-// compares their residuals bit for bit. It returns how many residuals are
-// NaN, so that a caller can check the seeded states reach the branches.
+// compares their residuals bit for bit, and the closed-form edge count
+// the flux is charged for with the edge list's length. It returns how
+// many residuals are NaN, so that a caller can check the seeded states
+// reach the branches.
 func fluxMatches(s *Sim, l *level) (nan int, err error) {
+	if got, want := edgeCount(l.dims), len(mesh.StructuredEdges(l.dims)); got != want {
+		return 0, fmt.Errorf("dims %v: edgeCount %d, edge list %d", l.dims, got, want)
+	}
 	want := allocVars(l.nodes)
 	referenceFlux(l, want)
 	s.computeFlux(l)
@@ -130,7 +135,7 @@ func fluxMatches(s *Sim, l *level) (nan int, err error) {
 // decomposition produces: one cell or one node thick, or a single row.
 func handLevel(d mesh.Dims) *level {
 	n := int(d.Nodes())
-	return &level{dims: d, nodes: n, edges: mesh.StructuredEdges(d), q: allocVars(n), res: allocVars(n), workMult: 1}
+	return &level{dims: d, nodes: n, q: allocVars(n), res: allocVars(n), workMult: 1}
 }
 
 // TestComputeFluxMatchesReference is computeFlux's oracle: on seeded
@@ -200,6 +205,7 @@ func TestComputeFluxMatchesReference(t *testing.T) {
 		for _, d := range []mesh.Dims{{NI: 9, NJ: 5, NK: 1}, {NI: 9, NJ: 5, NK: 0}, {NI: 0, NJ: 6, NK: 3}, {NI: 7, NJ: 0, NK: 0}, {NI: 0, NJ: 0, NK: 4}} {
 			l := handLevel(d)
 			s.levels = []*level{l}
+			s.pack = make([]float64, workLen(s.levels))
 			seedStates(s, rng)
 			if _, err := fluxMatches(s, l); err != nil {
 				return err

@@ -7,7 +7,6 @@ import (
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
-	"cpx/internal/scratch"
 )
 
 // NVAR is the number of conserved flow variables (rho, rho*u, rho*v,
@@ -74,13 +73,13 @@ func Production() ScaleOpts { return ScaleOpts{MaxCellsPerRank: 2048, SampleStep
 type level struct {
 	dims     mesh.Dims // simulated local dims at this level
 	nodes    int
-	edges    []mesh.Edge
 	q        [][]float64 // NVAR x nodes conserved variables
 	res      [][]float64 // NVAR x nodes residual accumulator
 	faces    []faceInfo  // neighbour faces at this level
 	workMult float64     // true/simulated work ratio at this level
 	// before is the multigrid cascade's copy of q taken ahead of the
-	// level's smoothing step; made on the first Step, reused after
+	// level's smoothing step, which prolongFrom overwrites with the
+	// damped correction; made on the first Step, reused after
 	// (DESIGN.md §5.13).
 	before [][]float64
 }
@@ -92,8 +91,8 @@ type faceInfo struct {
 }
 
 // Keys and values of the read-only set-up state New takes from the run's
-// memo (mpi.Shared): the decomposition, a level's edge list and a face's
-// node list, which take a handful of distinct values across capped ranks.
+// memo (mpi.Shared): the decomposition and a face's node list, which take
+// a handful of distinct values across capped ranks.
 type (
 	decompKey struct {
 		dims  mesh.Dims
@@ -103,7 +102,6 @@ type (
 		dc  *mesh.Decomp
 		err error
 	}
-	edgeKey struct{ dims mesh.Dims }
 	faceKey struct {
 		dims      mesh.Dims
 		axis, dir int
@@ -120,8 +118,10 @@ type Sim struct {
 	// Instance-wide decomposition info.
 	decomp *mesh.Decomp
 	active bool // false for idle ranks (beyond the decomposition)
-	// pack is exchangeHalo's one send buffer, refilled face after face:
-	// SendVirtual copies before it returns (DESIGN.md §5.13).
+	// pack is the rank's one work vector, sized by New (workLen): the
+	// send buffer exchangeHalo refills face after face (SendVirtual
+	// copies before it returns) and computeFlux's primitive window
+	// (DESIGN.md §5.13).
 	pack []float64
 }
 
@@ -154,7 +154,6 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	for l := 0; l < cfg.MGLevels; l++ {
 		lv := &level{dims: simDims}
 		lv.nodes = int(simDims.Nodes())
-		lv.edges = mpi.Shared(c, edgeKey{lv.dims}, func() []mesh.Edge { return mesh.StructuredEdges(lv.dims) })
 		lv.q = allocVars(lv.nodes)
 		lv.res = allocVars(lv.nodes)
 		lv.workMult = float64(trueDims.Cells()) / float64(simDims.Cells())
@@ -173,6 +172,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 		simDims = simDims.Coarsen()
 		trueDims = trueDims.Coarsen()
 	}
+	s.pack = make([]float64, workLen(s.levels))
 	s.initFlow()
 	// dt from a fixed reference state (uniform flow, sound speed ~1).
 	h := 1.0 / float64(dims.NI)
@@ -181,6 +181,20 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	trueNodes := float64(local.True.Nodes())
 	c.Compute(cluster.Work{Flops: 50 * trueNodes, Bytes: 200 * trueNodes})
 	return s, nil
+}
+
+// workLen is the length of a rank's work vector: the larger of
+// computeFlux's primitive window, three values per node over two (i, j)
+// planes, and exchangeHalo's largest face buffer, over all levels.
+func workLen(levels []*level) int {
+	n := 0
+	for _, l := range levels {
+		n = max(n, 6*(l.dims.NI+1)*(l.dims.NJ+1))
+		for _, f := range l.faces {
+			n = max(n, NVAR*len(f.nodeIdx))
+		}
+	}
+	return n
 }
 
 func allocVars(n int) [][]float64 {
@@ -282,55 +296,124 @@ func pressureAt(rho, mx, my, mz, e float64) float64 {
 
 // computeFlux runs the edge loop at one level: central flux differences
 // with scalar (Rusanov) dissipation accumulate into the residual arrays.
-// This is MG-CFD's compute_flux_edge kernel. The five variables are
-// unrolled with the operations, operands and order of the per-variable
-// loop referenceFlux (DESIGN.md §5.13); TestComputeFluxMatchesReference
-// compares the two bit for bit.
+// This is MG-CFD's compute_flux_edge kernel, over the edges of the box in
+// mesh.StructuredEdges' order.
+//
+// A node ends about six edges, and its pressure, x-velocity and wave
+// speed |u|+c are functions of its five values alone, so they are
+// computed once per node, a plane ahead, into a window of two (i, j)
+// planes in s.pack. Each (j, k) row of nodes then runs three unit-stride
+// passes — its i-edges, its j-edges to the next row, its k-edges to the
+// next plane — which gives every residual its contributions in the edge
+// list's order. Each flux keeps the operations, operands and order of the
+// per-variable loop referenceFlux (DESIGN.md §5.13);
+// TestComputeFluxMatchesReference compares the two bit for bit.
 //
 //perf:hotpath
 func (s *Sim) computeFlux(l *level) {
 	for _, r := range l.res {
 		clear(r)
 	}
-	// Every variable holds l.nodes values; slicing all ten to one length
-	// lets each endpoint's index be checked once, not per array.
-	n := l.nodes
-	q0, q1, q2, q3, q4 := l.q[0][:n], l.q[1][:n], l.q[2][:n], l.q[3][:n], l.q[4][:n]
-	r0, r1, r2, r3, r4 := l.res[0][:n], l.res[1][:n], l.res[2][:n], l.res[3][:n], l.res[4][:n]
-	for _, e := range l.edges {
-		a, b := int(e.A), int(e.B)
-		// Scalar dissipation: local max wave speed estimate.
-		pa := pressureAt(q0[a], q1[a], q2[a], q3[a], q4[a])
-		pb := pressureAt(q0[b], q1[b], q2[b], q3[b], q4[b])
-		rhoA, rhoB := max(q0[a], 1e-10), max(q0[b], 1e-10)
-		ca := math.Sqrt(1.4 * pa / rhoA)
-		cb := math.Sqrt(1.4 * pb / rhoB)
-		ua := q1[a] / rhoA
-		ub := q1[b] / rhoB
-		lam := max(math.Abs(ua)+ca, math.Abs(ub)+cb)
+	ni, nj, nk := l.dims.NI+1, l.dims.NJ+1, l.dims.NK+1
+	plane := ni * nj
+	// Every variable holds l.nodes values and every window array two
+	// planes; slicing each group to one length lets an index be checked
+	// once, not per array.
+	n, w := l.nodes, s.pack[:6*plane]
+	fl := fluxLoop{
+		q0: l.q[0][:n], q1: l.q[1][:n], q2: l.q[2][:n], q3: l.q[3][:n], q4: l.q[4][:n],
+		r0: l.res[0][:n], r1: l.res[1][:n], r2: l.res[2][:n], r3: l.res[3][:n], r4: l.res[4][:n],
+		p: w[:2*plane], u: w[2*plane : 4*plane], speed: w[4*plane:],
+	}
+	// cur and next are the window offsets of planes k and k+1.
+	cur, next := 0, plane
+	fl.primitives(0, cur, plane)
+	for k := 0; k < nk; k++ {
+		if k+1 < nk {
+			fl.primitives((k+1)*plane, next, plane)
+		}
+		for j := 0; j < nj; j++ {
+			a, wa := (k*nj+j)*ni, cur+j*ni
+			fl.edges(a, a+1, wa, wa+1, ni-1)
+			if j+1 < nj {
+				fl.edges(a, a+ni, wa, wa+ni, ni)
+			}
+			if k+1 < nk {
+				fl.edges(a, a+plane, wa, next+j*ni, ni)
+			}
+		}
+		cur, next = next, cur
+	}
+	edges := float64(edgeCount(l.dims))
+	s.comm.Compute(cluster.Work{
+		Flops: fluxFlopsPerEdge * edges * l.workMult,
+		Bytes: fluxBytesPerEdge * edges * l.workMult,
+	})
+}
+
+// edgeCount is len(mesh.StructuredEdges(d)) in closed form.
+func edgeCount(d mesh.Dims) int {
+	ni, nj, nk := d.NI+1, d.NJ+1, d.NK+1
+	return (ni-1)*nj*nk + ni*(nj-1)*nk + ni*nj*(nk-1)
+}
+
+// fluxLoop holds one computeFlux call's operands: a level's conserved
+// variables q and residuals r, and the primitive window — pressure p,
+// x-velocity u and wave speed |u|+c of two planes of nodes.
+type fluxLoop struct {
+	q0, q1, q2, q3, q4 []float64
+	r0, r1, r2, r3, r4 []float64
+	p, u, speed        []float64
+}
+
+// primitives fills window slots w0 to w0+m-1 from nodes n0 to n0+m-1.
+//
+//perf:hotpath
+func (fl *fluxLoop) primitives(n0, w0, m int) {
+	q0, q1, q2, q3, q4 := fl.q0[n0:n0+m], fl.q1[n0:n0+m], fl.q2[n0:n0+m], fl.q3[n0:n0+m], fl.q4[n0:n0+m]
+	p, u, speed := fl.p[w0:w0+m], fl.u[w0:w0+m], fl.speed[w0:w0+m]
+	for i := range m {
+		rho := max(q0[i], 1e-10)
+		pi := pressureAt(q0[i], q1[i], q2[i], q3[i], q4[i])
+		ui := q1[i] / rho
+		p[i], u[i], speed[i] = pi, ui, math.Abs(ui)+math.Sqrt(1.4*pi/rho)
+	}
+}
+
+// edges accumulates the fluxes of the m edges from node a+i to node b+i,
+// whose primitives sit in window slots wa+i and wb+i, in order of i.
+//
+//perf:hotpath
+func (fl *fluxLoop) edges(a, b, wa, wb, m int) {
+	// Reslicing each group to one length lets the compiler check an index
+	// once per group, not per array.
+	n, nw := len(fl.q0), len(fl.p)
+	q0, q1, q2, q3, q4 := fl.q0[:n], fl.q1[:n], fl.q2[:n], fl.q3[:n], fl.q4[:n]
+	r0, r1, r2, r3, r4 := fl.r0[:n], fl.r1[:n], fl.r2[:n], fl.r3[:n], fl.r4[:n]
+	p, u, speed := fl.p[:nw], fl.u[:nw], fl.speed[:nw]
+	for i := range m {
+		x, y, wx, wy := a+i, b+i, wa+i, wb+i
+		pa, pb, ua, ub := p[wx], p[wy], u[wx], u[wy]
+		lam := max(speed[wx], speed[wy])
 		// Central difference of the convective flux (projected on the
 		// edge direction) plus dissipation; momentum adds the pressure,
 		// energy its work.
-		f := 0.5*(q0[a]*ua+q0[b]*ub) - 0.5*lam*(q0[b]-q0[a])
-		r0[a] -= f
-		r0[b] += f
-		f = 0.5*((q1[a]*ua+pa)+(q1[b]*ub+pb)) - 0.5*lam*(q1[b]-q1[a])
-		r1[a] -= f
-		r1[b] += f
-		f = 0.5*(q2[a]*ua+q2[b]*ub) - 0.5*lam*(q2[b]-q2[a])
-		r2[a] -= f
-		r2[b] += f
-		f = 0.5*(q3[a]*ua+q3[b]*ub) - 0.5*lam*(q3[b]-q3[a])
-		r3[a] -= f
-		r3[b] += f
-		f = 0.5*((q4[a]*ua+pa*ua)+(q4[b]*ub+pb*ub)) - 0.5*lam*(q4[b]-q4[a])
-		r4[a] -= f
-		r4[b] += f
+		f := 0.5*(q0[x]*ua+q0[y]*ub) - 0.5*lam*(q0[y]-q0[x])
+		r0[x] -= f
+		r0[y] += f
+		f = 0.5*((q1[x]*ua+pa)+(q1[y]*ub+pb)) - 0.5*lam*(q1[y]-q1[x])
+		r1[x] -= f
+		r1[y] += f
+		f = 0.5*(q2[x]*ua+q2[y]*ub) - 0.5*lam*(q2[y]-q2[x])
+		r2[x] -= f
+		r2[y] += f
+		f = 0.5*(q3[x]*ua+q3[y]*ub) - 0.5*lam*(q3[y]-q3[x])
+		r3[x] -= f
+		r3[y] += f
+		f = 0.5*((q4[x]*ua+pa*ua)+(q4[y]*ub+pb*ub)) - 0.5*lam*(q4[y]-q4[x])
+		r4[x] -= f
+		r4[y] += f
 	}
-	s.comm.Compute(cluster.Work{
-		Flops: fluxFlopsPerEdge * float64(len(l.edges)) * l.workMult,
-		Bytes: fluxBytesPerEdge * float64(len(l.edges)) * l.workMult,
-	})
 }
 
 // exchangeHalo trades face states with every block neighbour at a level.
@@ -346,10 +429,12 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	// Send all faces first (eager), then receive: standard Isend/Irecv
 	// halo pattern.
 	for _, f := range l.faces {
-		buf := scratch.Floats(&s.pack, len(f.nodeIdx)*NVAR)
-		for v := 0; v < NVAR; v++ {
+		m := len(f.nodeIdx)
+		buf := s.pack[:m*NVAR]
+		for v, q := range l.q {
+			out := buf[v*m : (v+1)*m]
 			for i, n := range f.nodeIdx {
-				buf[v*len(f.nodeIdx)+i] = l.q[v][n]
+				out[i] = q[n]
 			}
 		}
 		s.comm.SendVirtual(f.rank, tag, buf, f.trueCells*NVAR*8)
@@ -360,10 +445,10 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 		// per-rank); relax with what overlaps.
 		per := len(d) / NVAR
 		m := min(per, len(f.nodeIdx))
-		for v := 0; v < NVAR; v++ {
-			for i := 0; i < m; i++ {
-				n := f.nodeIdx[i]
-				l.q[v][n] = 0.5*l.q[v][n] + 0.5*d[v*per+i]
+		for v, q := range l.q {
+			in := d[v*per : v*per+m]
+			for i, n := range f.nodeIdx[:m] {
+				q[n] = 0.5*q[n] + 0.5*in[i]
 			}
 		}
 		s.comm.Release(d)
@@ -371,6 +456,8 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 }
 
 // update applies one forward-Euler stage with the accumulated residual.
+//
+//perf:hotpath
 func (s *Sim) update(l *level, dtStage float64) {
 	volInv := 1.0 // unit cell volumes in the proxy
 	for v := 0; v < NVAR; v++ {
@@ -386,17 +473,22 @@ func (s *Sim) update(l *level, dtStage float64) {
 }
 
 // restrictTo injects the fine solution into the coarse level (volume
-// averaging over 2x2x2 blocks).
+// averaging over 2x2x2 blocks), one coarse row at a time.
+//
+//perf:hotpath
 func (s *Sim) restrictTo(fine, coarse *level) {
 	fd, cd := fine.dims, coarse.dims
 	fni, fnj := fd.NI+1, fd.NJ+1
 	cni, cnj, cnk := cd.NI+1, cd.NJ+1, cd.NK+1
 	for v := 0; v < NVAR; v++ {
+		fq, cq := fine.q[v], coarse.q[v]
 		for k := 0; k < cnk; k++ {
+			fk := min(2*k, fd.NK)
 			for j := 0; j < cnj; j++ {
-				for i := 0; i < cni; i++ {
-					fi, fj, fk := min(2*i, fni-1), min(2*j, fnj-1), min(2*k, fd.NK)
-					coarse.q[v][(k*cnj+j)*cni+i] = fine.q[v][(fk*fnj+fj)*fni+fi]
+				frow := fq[(fk*fnj+min(2*j, fnj-1))*fni:][:fni]
+				crow := cq[(k*cnj+j)*cni:][:cni]
+				for i := range crow {
+					crow[i] = frow[min(2*i, fni-1)]
 				}
 			}
 		}
@@ -408,19 +500,29 @@ func (s *Sim) restrictTo(fine, coarse *level) {
 }
 
 // prolongFrom adds the coarse correction back to the fine level with
-// nearest-neighbour prolongation and a damping factor.
+// nearest-neighbour prolongation and a damping factor. before holds the
+// coarse level's values ahead of its smoothing step; the damped
+// correction damp*(coarse.q - before) is computed once per coarse node,
+// in place of before, and then added to the fine level row by row.
+//
+//perf:hotpath
 func (s *Sim) prolongFrom(coarse, fine *level, before [][]float64, damp float64) {
 	fd, cd := fine.dims, coarse.dims
 	fni, fnj, fnk := fd.NI+1, fd.NJ+1, fd.NK+1
 	cni, cnj := cd.NI+1, cd.NJ+1
 	for v := 0; v < NVAR; v++ {
+		corr, cq := before[v][:coarse.nodes], coarse.q[v][:coarse.nodes]
+		for n := range corr {
+			corr[n] = damp * (cq[n] - corr[n])
+		}
+		fq := fine.q[v]
 		for k := 0; k < fnk; k++ {
+			ck := min(k/2, cd.NK)
 			for j := 0; j < fnj; j++ {
-				for i := 0; i < fni; i++ {
-					ci, cj, ck := min(i/2, cd.NI), min(j/2, cd.NJ), min(k/2, cd.NK)
-					cn := (ck*cnj+cj)*cni + ci
-					fn := (k*fnj+j)*fni + i
-					fine.q[v][fn] += damp * (coarse.q[v][cn] - before[v][cn])
+				crow := corr[(ck*cnj+min(j/2, cd.NJ))*cni:][:cni]
+				frow := fq[(k*fnj+j)*fni:][:fni]
+				for i := range frow {
+					frow[i] += crow[min(i/2, cd.NI)]
 				}
 			}
 		}

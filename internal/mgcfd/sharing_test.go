@@ -8,21 +8,18 @@ import (
 
 	"cpx/internal/cluster"
 	"cpx/internal/fault"
-	"cpx/internal/mesh"
 	"cpx/internal/mpi"
 )
 
 // buildOwnMesh gives the rank what New built for it before the ranks of a
-// run shared their set-up state: edge lists and face node lists of its
-// own, made by the same calls. It is the reference the shared build is
-// compared against.
+// run shared their set-up state: face node lists of its own, made by the
+// same calls. It is the reference the shared build is compared against.
 func (s *Sim) buildOwnMesh(sc ScaleOpts) {
 	if !s.active {
 		return
 	}
 	nbs := s.decomp.Local(s.comm.Rank(), sc.MaxCellsPerRank).Neighbors
 	for _, lv := range s.levels {
-		lv.edges = mesh.StructuredEdges(lv.dims)
 		for i, nb := range nbs {
 			lv.faces[i].nodeIdx = faceNodes(lv.dims, nb.Axis, nb.Dir)
 		}
@@ -59,17 +56,17 @@ func sharingRun(t *testing.T, conf Config, perRank bool) (*mpi.Stats, []uint64, 
 	return st, digests, sims
 }
 
-// TestSharedSetupMatchesPerRankBuild: capped ranks reading one edge list
-// per level and one node list per face report exactly what they report
-// when each builds its own — elapsed, per-rank clocks and compute/comm
-// split, timelines, comm matrix and final state digests — at GOMAXPROCS
-// 1 and 2. Under -race the same runs prove that nothing writes the lists.
+// TestSharedSetupMatchesPerRankBuild: capped ranks reading one node list
+// per face report exactly what they report when each builds its own —
+// elapsed, per-rank clocks and compute/comm split, timelines, comm matrix
+// and final state digests — at GOMAXPROCS 1 and 2. Under -race the same
+// runs prove that nothing writes the lists.
 func TestSharedSetupMatchesPerRankBuild(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	conf := Config{MeshCells: 3_000_000, Steps: 2, Seed: 5}
 	refStats, refDigests, refSims := sharingRun(t, conf, true)
-	if &refSims[0].levels[0].edges[0] == &refSims[1].levels[0].edges[0] {
-		t.Fatal("the per-rank reference shares its edge list")
+	if a, b := sameFace(refSims); a == b {
+		t.Fatal("the per-rank reference shares its face lists")
 	}
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -84,15 +81,31 @@ func TestSharedSetupMatchesPerRankBuild(t *testing.T) {
 			if sims[0].decomp != sims[len(sims)-1].decomp {
 				t.Error("two ranks of one instance hold different decompositions, want the run's one")
 			}
-			a, b := sims[0].levels, sims[1].levels
-			for l := range a {
-				if a[l].dims != b[l].dims {
-					t.Fatalf("level %d: capped ranks hold boxes %v and %v, want equal dims", l, a[l].dims, b[l].dims)
-				}
-				if &a[l].edges[0] != &b[l].edges[0] {
-					t.Errorf("level %d: two ranks with equal dims hold different edge lists, want the run's one", l)
-				}
+			if a, b := sameFace(sims); a != b {
+				t.Error("two ranks with equal dims hold different node lists for one face, want the run's one")
 			}
 		})
 	}
+}
+
+// sameFace finds two ranks of sims whose fine levels have equal dims and a
+// face on the same axis and side, and returns the first node of each
+// rank's list for that face.
+func sameFace(sims []*Sim) (*int, *int) {
+	type key struct{ axis, dir int }
+	first := map[key]*int{}
+	for _, s := range sims {
+		if !s.active || s.levels[0].dims != sims[0].levels[0].dims {
+			continue
+		}
+		for i, nb := range s.decomp.Neighbors(s.comm.Rank()) {
+			k := key{nb.Axis, nb.Dir}
+			idx := &s.levels[0].faces[i].nodeIdx[0]
+			if other, ok := first[k]; ok {
+				return other, idx
+			}
+			first[k] = idx
+		}
+	}
+	panic("no two ranks of equal dims share a face direction")
 }

@@ -17,9 +17,9 @@ type sharedEntry struct {
 // goroutine, ranks asking meanwhile wait for it, different keys build
 // concurrently, and every caller gets the same value. It is for set-up
 // state that is a pure function of key and stays read-only afterwards —
-// an operator, an edge list — which every simulated rank would otherwise
-// rebuild bit for bit (DESIGN.md §5.12): host work is shared, virtual
-// cost is not. Shared touches no clock, message, trace event or Stats
+// an operator, a face's node list — which every simulated rank would
+// otherwise rebuild bit for bit (DESIGN.md §5.12): host work is shared,
+// virtual cost is not. Shared touches no clock, message, trace event or Stats
 // field, so each rank charges the build's modelled cost itself exactly as
 // if it had built alone. The memo belongs to the run and dies with it.
 //
