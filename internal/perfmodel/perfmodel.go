@@ -76,11 +76,21 @@ func FitCurve(samples []Sample) (*Curve, error) {
 	base := ss[0]
 	maxCores := float64(ss[len(ss)-1].Cores)
 
+	// cost is the squared log-runtime error of the curve (p50, k). It
+	// evaluates Curve.Runtime's expression with g at the base core count
+	// and each sample's log-runtime computed once, not per sample, so it
+	// returns the same bits (TestFitCurveMatchesReference).
+	logs := make([]float64, len(ss))
+	for i, s := range ss {
+		logs[i] = math.Log(s.Runtime)
+	}
+	baseCores, baseWork := float64(base.Cores), base.Runtime*float64(base.Cores)
 	cost := func(p50, k float64) float64 {
-		c := Curve{BaseCores: base.Cores, BaseTime: base.Runtime, P50: p50, K: k}
+		gBase := gval(baseCores, p50, k)
 		e := 0.0
-		for _, s := range ss {
-			d := math.Log(c.Runtime(float64(s.Cores))) - math.Log(s.Runtime)
+		for i, s := range ss {
+			p := float64(s.Cores)
+			d := math.Log(baseWork/(p*(gval(p, p50, k)/gBase))) - logs[i]
 			e += d * d
 		}
 		return e
