@@ -9,6 +9,9 @@
 // configuration alone, bit for bit. Compute is charged for the true
 // per-rank box, halo messages for the true faces (DESIGN.md §5.2).
 // Oracles: TestComputeFluxMatchesReference (the flux kernel against its
-// per-variable loop), TestSharedSetupMatchesPerRankBuild (shared edge
-// and face lists against per-rank builds) and TestDeterministic.
+// per-variable edge-list loop, on cubes, slabs, pencils and one-node-thick
+// boxes), TestRestrictMatchesReference, TestProlongMatchesReference and
+// TestExchangeHaloMatchesReference (the row-wise transfers and the halo
+// exchange against their per-node bodies), TestSharedSetupMatchesPerRankBuild
+// (shared face lists against per-rank builds) and TestDeterministic.
 package mgcfd
