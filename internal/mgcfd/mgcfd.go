@@ -317,8 +317,8 @@ func (s *Sim) computeFlux(l *level) {
 	ni, nj, nk := l.dims.NI+1, l.dims.NJ+1, l.dims.NK+1
 	plane := ni * nj
 	// Every variable holds l.nodes values and every window array two
-	// planes; slicing each group to one length lets an index be checked
-	// once, not per array.
+	// planes. edges reslices to one length again; dropping the [:n] here
+	// read ~4 % slower on the engine benchmark (three pairs, 2-core host).
 	n, w := l.nodes, s.pack[:6*plane]
 	fl := fluxLoop{
 		q0: l.q[0][:n], q1: l.q[1][:n], q2: l.q[2][:n], q3: l.q[3][:n], q4: l.q[4][:n],
