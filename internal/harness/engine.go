@@ -14,28 +14,12 @@ import (
 
 // ---- Curve fitting from standalone runs -------------------------------------
 
-// fitMGCFD benchmarks the MG-CFD proxy standalone and fits its curve.
-// The curve's base time corresponds to `steps` time-steps.
-func (o Options) fitMGCFD(meshCells int64, steps int, coresList []int) (*perfmodel.Curve, error) {
-	samples := make([]perfmodel.Sample, 0, len(coresList))
-	for _, p := range coresList {
-		o.logf("  fit mgcfd %dM @ %d", meshCells/1_000_000, p)
-		rt, err := o.MGCFDRuntime(mgcfd.Config{MeshCells: meshCells, Steps: steps, Seed: 1}, p)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, perfmodel.Sample{Cores: p, Runtime: rt})
-	}
-	return perfmodel.FitCurve(samples)
-}
-
-// fitSimpic benchmarks a SIMPIC configuration standalone and fits its
-// curve. The base time corresponds to the configuration's full Steps.
-func (o Options) fitSimpic(cfg simpic.Config, coresList []int) (*perfmodel.Curve, error) {
-	samples := make([]perfmodel.Sample, 0, len(coresList))
-	for _, p := range coresList {
-		o.logf("  fit simpic cells=%d ppc=%d @ %d", cfg.Cells, cfg.ParticlesPerCell, p)
-		rt, err := o.SimpicRuntime(cfg, p)
+// fit runs a mini-app standalone at each core count and fits its curve;
+// run returns the virtual run-time on p cores.
+func fit(cores []int, run func(p int) (float64, error)) (*perfmodel.Curve, error) {
+	samples := make([]perfmodel.Sample, 0, len(cores))
+	for _, p := range cores {
+		rt, err := run(p)
 		if err != nil {
 			return nil, err
 		}
@@ -65,164 +49,241 @@ func (o Options) cuCurve(points int, kind coupler.InterfaceKind, search coupler.
 	return perfmodel.FitCurve(samples)
 }
 
+// ---- The coupled pipeline: fit, Alg. 1, coupled run ------------------------
+
+// layoutInstance is one solver instance of a coupled layout.
+type layoutInstance struct {
+	name string
+	kind coupler.SolverKind // KindMGCFD or KindSIMPIC
+	mesh int64              // for SIMPIC: the pressure-solver equivalent
+}
+
+// coupledLayout is one scenario of the paper's method (Sections V-B and
+// V-C): a chain of instances, each coupled to the next by one unit,
+// sized by Alg. 1 from standalone PE curves on a core budget and then
+// run coupled at that allocation. Fig. 8 and Fig. 9 are two layouts.
+type coupledLayout struct {
+	label    string // progress-log prefix
+	insts    []layoutInstance
+	budget   int
+	steps    int             // density steps the prediction is for
+	sample   int             // density steps the coupled run executes
+	mgCores  map[int64][]int // MG-CFD fit core counts per mesh
+	stc      simpic.Config   // the SIMPIC instance's configuration
+	spCores  []int           // and its fit core counts
+	minRanks int             // every instance's starting allocation
+}
+
+// runCoupled is the paper's method on one layout: it fits the standalone
+// curves, builds the model components and the coupled simulation in one
+// pass over the chain, allocates the budget with Alg. 1 and runs the
+// coupled sample at the allocated ranks. Measured and Predicted are left
+// to the caller's validation.
+func (o Options) runCoupled(l coupledLayout) (*EngineResult, error) {
+	o.logf("%s: fitting curves", l.label)
+	mgCurves := map[int64]*perfmodel.Curve{}
+	for _, sz := range order.SortedKeys(l.mgCores) {
+		c, err := fit(l.mgCores[sz], func(p int) (float64, error) {
+			o.logf("  fit mgcfd %dM @ %d", sz/1_000_000, p)
+			return o.MGCFDRuntime(mgcfd.Config{MeshCells: sz, Steps: l.steps, Seed: 1}, p)
+		})
+		if err != nil {
+			return nil, err
+		}
+		mgCurves[sz] = c
+	}
+	spCurve, err := fit(l.spCores, func(p int) (float64, error) {
+		o.logf("  fit simpic cells=%d ppc=%d @ %d", l.stc.Cells, l.stc.ParticlesPerCell, p)
+		return o.SimpicRuntime(l.stc, p)
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Components: instances, then units; unit i couples instance i and
+	// i+1. IterRatio converts each curve's base duration to l.steps:
+	// MG-CFD curves were fitted at l.steps (ratio 1), SIMPIC's at the
+	// STC's full Steps, CU curves per exchange.
+	var comps, cus []perfmodel.Component
+	sim := &coupler.Simulation{DensitySteps: l.sample, RotationPerStep: 0.002, Scale: coupler.ProductionScale()}
+	for i, in := range l.insts {
+		cp := perfmodel.Component{Name: in.name, Curve: mgCurves[in.mesh], IterRatio: 1, MinRanks: l.minRanks}
+		spec := coupler.InstanceSpec{Name: in.name, Kind: in.kind, MeshCells: in.mesh, Seed: int64(i + 1)}
+		if in.kind == coupler.KindSIMPIC {
+			// The combustor runs 2 pressure steps per density step; the
+			// curve's base time represents simpic.PressureStepsEquivalent
+			// pressure steps (the STC equivalence of Fig. 3).
+			cp.Curve = spCurve
+			cp.IterRatio = float64(2*l.steps) / float64(simpic.PressureStepsEquivalent)
+			stc := l.stc
+			spec.Simpic = &stc
+		}
+		comps = append(comps, cp)
+		sim.Instances = append(sim.Instances, spec)
+		if i == 0 {
+			continue
+		}
+		// The unit from the previous instance to this one is steady when
+		// either side is the combustor, else a sliding plane; its
+		// interface is that of the smaller mesh.
+		prev := l.insts[i-1]
+		kind, frac, every := coupler.SlidingPlane, coupler.SlidingFraction, 1
+		if prev.kind == coupler.KindSIMPIC || in.kind == coupler.KindSIMPIC {
+			kind, frac, every = coupler.SteadyState, coupler.SteadyFraction, coupler.SteadyExchangeEvery
+		}
+		points := mesh.InterfaceCells(mesh.CubeDims(min(prev.mesh, in.mesh)), frac)
+		curve, err := o.cuCurve(points, kind, coupler.TreePrefetch)
+		if err != nil {
+			return nil, err
+		}
+		name := fmt.Sprintf("CU %02d-%02d", i, i+1)
+		cus = append(cus, perfmodel.Component{Name: name, Curve: curve, IsCU: true,
+			IterRatio: float64(l.steps) / float64(every), MinRanks: 1})
+		sim.Units = append(sim.Units, coupler.UnitSpec{Name: name, A: i - 1, B: i, Kind: kind,
+			Points: points, Search: coupler.TreePrefetch, ExchangeEvery: every})
+	}
+
+	alloc, err := perfmodel.Allocate(append(comps, cus...), l.budget)
+	if err != nil {
+		return nil, err
+	}
+	o.logf("%s allocation:\n%s", l.label, alloc)
+	for i := range sim.Instances {
+		sim.Instances[i].Ranks = alloc.Cores[i]
+	}
+	for u := range sim.Units {
+		sim.Units[u].Ranks = alloc.Cores[len(sim.Instances)+u]
+	}
+	o.logf("%s: running coupled sim on %d ranks", l.label, sim.TotalRanks())
+	rep, err := sim.Run(o.mpiConfig(false))
+	if err != nil {
+		return nil, err
+	}
+	return &EngineResult{Alloc: alloc, Sim: sim, Rep: rep, FullSteps: l.steps, TotalRanks: sim.TotalRanks()}, nil
+}
+
 // ---- Fig. 8: small coupled validation ---------------------------------------
 
-// fig8DensitySteps is the full duration of the small validation scenario.
-const fig8DensitySteps = 100
+// fig8Layout is the small coupled test: two MG-CFD instances on the 150M
+// Rotor37 mesh and one SIMPIC instance standing in for a 28M-cell
+// pressure solve, on a 5,000-core budget, predicted for 100 density
+// steps.
+func (o Options) fig8Layout() coupledLayout {
+	mg, sp := int64(150_000_000), int64(28_000_000)
+	l := coupledLayout{
+		label: "fig8", budget: 5000, steps: 100, sample: coupler.SteadyExchangeEvery,
+		mgCores: map[int64][]int{mg: {100, 200, 400, 800, 1600}},
+		stc:     simpic.BaseSTC(sp), spCores: []int{200, 800, 1600, 3200, 4800},
+		minRanks: 1,
+	}
+	if o.Quick {
+		mg, sp = 40_000, 40_000
+		l.budget, l.steps, l.sample = 60, 8, 4
+		l.mgCores = map[int64][]int{mg: {8, 16, 24}}
+		l.stc, l.spCores = simpic.Config{Cells: 4096, ParticlesPerCell: 20, Steps: 2 * l.steps}, []int{8, 16, 24}
+	}
+	l.insts = []layoutInstance{
+		{"MG-CFD row 1 (150M)", coupler.KindMGCFD, mg},
+		{"MG-CFD row 2 (150M)", coupler.KindMGCFD, mg},
+		{"SIMPIC (28M equiv)", coupler.KindSIMPIC, sp},
+	}
+	return l
+}
 
-// Fig8 reproduces the small coupled test: two MG-CFD instances on the
-// 150M Rotor37 mesh plus one SIMPIC unit standing in for a 28M-cell
-// pressure solve, on a 5,000-core budget. The model allocates ranks and
-// predicts per-instance run-times, the coupled mini-app simulation is
-// executed at that allocation, and the prediction errors are reported.
+// Fig8 reproduces the small coupled validation: the model allocates
+// fig8Layout's budget and predicts per-instance run-times, the coupled
+// mini-app simulation is executed at that allocation, and the prediction
+// errors are reported.
 func (o Options) Fig8() (*Table, error) {
-	budget := 5000
-	steps := fig8DensitySteps
-	sample := coupler.SteadyExchangeEvery
-	mgCores := []int{100, 200, 400, 800, 1600}
-	spCores := []int{200, 800, 1600, 3200, 4800}
-	if o.Quick {
-		budget, steps, sample = 60, 8, 4
-		mgCores = []int{8, 16, 24}
-		spCores = []int{8, 16, 24}
-	}
-	mgMesh := int64(150_000_000)
-	spMesh := int64(28_000_000)
-	if o.Quick {
-		mgMesh, spMesh = 40_000, 40_000
-	}
-
-	o.logf("fig8: fitting standalone curves")
-	mgCurve, err := o.fitMGCFD(mgMesh, steps, mgCores)
+	l := o.fig8Layout()
+	res, err := o.runCoupled(l)
 	if err != nil {
 		return nil, err
 	}
-	stc := simpic.BaseSTC(spMesh)
-	if o.Quick {
-		stc = simpic.Config{Cells: 4096, ParticlesPerCell: 20, Steps: 2 * steps}
-	}
-	spCurve, err := o.fitSimpic(stc, spCores)
-	if err != nil {
-		return nil, err
-	}
-	slidingPts := mesh.InterfaceCells(mesh.CubeDims(mgMesh), coupler.SlidingFraction)
-	steadyPts := mesh.InterfaceCells(mesh.CubeDims(spMesh), coupler.SteadyFraction)
-	cuSlide, err := o.cuCurve(slidingPts, coupler.SlidingPlane, coupler.TreePrefetch)
-	if err != nil {
-		return nil, err
-	}
-	cuSteady, err := o.cuCurve(steadyPts, coupler.SteadyState, coupler.TreePrefetch)
-	if err != nil {
-		return nil, err
-	}
-
-	// Model components. IterRatio converts each curve's base duration to
-	// this scenario's: MG-CFD curves were fitted at `steps` steps (ratio
-	// 1); SIMPIC's at its full Steps; CU curves per exchange.
-	comps := []perfmodel.Component{
-		{Name: "MG-CFD row 1 (150M)", Curve: mgCurve},
-		{Name: "MG-CFD row 2 (150M)", Curve: mgCurve},
-		// The SIMPIC curve's base time is its full configuration, which
-		// stands for simpic.PressureStepsEquivalent pressure-solver steps;
-		// the scenario runs 2 pressure steps per density step.
-		{Name: "SIMPIC (28M equiv)", Curve: spCurve, IterRatio: float64(2*steps) / float64(simpic.PressureStepsEquivalent)},
-		{Name: "CU rows 1-2 (sliding)", Curve: cuSlide, IsCU: true, IterRatio: float64(steps)},
-		{Name: "CU row-combustor (steady)", Curve: cuSteady, IsCU: true, IterRatio: float64(steps) / float64(coupler.SteadyExchangeEvery)},
-	}
-	alloc, err := perfmodel.Allocate(comps, budget)
-	if err != nil {
-		return nil, err
-	}
-	o.logf("fig8 allocation:\n%s", alloc.String())
-
-	// Execute the coupled simulation at the allocated ranks.
-	sim := &coupler.Simulation{
-		Instances: []coupler.InstanceSpec{
-			{Name: comps[0].Name, Kind: coupler.KindMGCFD, MeshCells: mgMesh, Ranks: alloc.Cores[0], Seed: 1},
-			{Name: comps[1].Name, Kind: coupler.KindMGCFD, MeshCells: mgMesh, Ranks: alloc.Cores[1], Seed: 2},
-			{Name: comps[2].Name, Kind: coupler.KindSIMPIC, MeshCells: spMesh, Ranks: alloc.Cores[2], Simpic: &stc, Seed: 3},
-		},
-		Units: []coupler.UnitSpec{
-			{Name: comps[3].Name, A: 0, B: 1, Kind: coupler.SlidingPlane, Points: slidingPts,
-				Ranks: alloc.Cores[3], Search: coupler.TreePrefetch},
-			{Name: comps[4].Name, A: 1, B: 2, Kind: coupler.SteadyState, Points: steadyPts,
-				Ranks: alloc.Cores[4], Search: coupler.TreePrefetch, ExchangeEvery: coupler.SteadyExchangeEvery},
-		},
-		DensitySteps:    sample,
-		RotationPerStep: 0.002,
-		Scale:           coupler.ProductionScale(),
-	}
-	o.logf("fig8: running coupled simulation on %d ranks", sim.TotalRanks())
-	rep, err := sim.Run(o.coupledConfig())
-	if err != nil {
-		return nil, err
-	}
-
+	alloc, rep := res.Alloc, res.Rep
 	t := &Table{
 		ID:      "fig8",
-		Title:   fmt.Sprintf("Small coupled validation (150M/28M) on a %d-core budget", budget),
+		Title:   fmt.Sprintf("Small coupled validation (150M/28M) on a %d-core budget", l.budget),
 		Headers: []string{"component", "ranks", "predicted(s)", "measured(s)", "err"},
 	}
 	var worst float64
-	for i := range sim.Instances {
-		measured := scaleSampled(rep.InstanceTime[i], rep.InstanceSetup[i], rep.DensitySteps, steps)
+	for i, in := range l.insts {
+		measured := scaleSampled(rep.InstanceTime[i], rep.InstanceSetup[i], rep.DensitySteps, l.steps)
 		e := perfmodel.RelativeError(alloc.Times[i], measured)
-		if e > worst {
-			worst = e
-		}
-		t.AddRow(comps[i].Name, d(alloc.Cores[i]), f2(alloc.Times[i]), f2(measured), pct(e))
+		worst = max(worst, e)
+		t.AddRow(in.name, d(alloc.Cores[i]), f2(alloc.Times[i]), f2(measured), pct(e))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("max per-instance prediction error %.0f%% (paper: 18%%)", 100*worst),
-		fmt.Sprintf("paper allocation for comparison: 331 + 331 MG-CFD, 4,253 SIMPIC, 63 + 22 CU ranks"),
+		"paper allocation for comparison: 331 + 331 MG-CFD, 4,253 SIMPIC, 63 + 22 CU ranks",
 		fmt.Sprintf("unallocated cores (past PE knees): %d", alloc.Unallocated))
-	t.Notes = append(t.Notes, criticalPathNotes(rep)...)
 	return t, nil
-}
-
-// criticalPathNotes renders a traced coupled report's critical-path
-// attribution as table notes (empty when tracing was off).
-func criticalPathNotes(rep *coupler.Report) []string {
-	if rep.Critical == nil {
-		return nil
-	}
-	notes := []string{fmt.Sprintf("critical path: %s carries %.2f s of %.2f s (%.0f%%); wait share %.0f%%",
-		rep.CriticalComponents[0].Label, rep.CriticalComponents[0].Seconds,
-		rep.Critical.Elapsed, 100*rep.CriticalComponents[0].Share,
-		100*rep.Critical.ByKind()["wait"]/rep.Critical.Elapsed)}
-	for _, ls := range rep.CriticalComponents[1:] {
-		if ls.Share < 0.01 {
-			break
-		}
-		notes = append(notes, fmt.Sprintf("critical path: %s %.2f s (%.0f%%)", ls.Label, ls.Seconds, 100*ls.Share))
-	}
-	return notes
 }
 
 // ---- Fig. 9: full-engine simulation -----------------------------------------
 
-// engineInstance describes one row of the Fig. 9b instance table.
-type engineInstance struct {
-	name string
-	kind coupler.SolverKind
-	mesh int64
+// engineInstances returns the 16-instance HPC-Combustor-HPT layout of
+// Fig. 9b at full scale: one 8M inlet row, eleven 24M compressor rows, a
+// 150M row, the 380M-equivalent combustor (SIMPIC), and the 150M + 300M
+// turbine rows.
+func engineInstances() []layoutInstance {
+	out := []layoutInstance{{"row01 (8M)", coupler.KindMGCFD, 8_000_000}}
+	for i := 2; i <= 12; i++ {
+		out = append(out, layoutInstance{fmt.Sprintf("row%02d (24M)", i), coupler.KindMGCFD, 24_000_000})
+	}
+	return append(out,
+		layoutInstance{"row13 (150M)", coupler.KindMGCFD, 150_000_000},
+		layoutInstance{"combustor (380M equiv)", coupler.KindSIMPIC, 380_000_000},
+		layoutInstance{"row15 (150M)", coupler.KindMGCFD, 150_000_000},
+		layoutInstance{"row16 (300M)", coupler.KindMGCFD, 300_000_000},
+	)
 }
 
-// engineInstances returns the 16-instance HPC-Combustor-HPT layout of
-// Fig. 9b: one 8M inlet row, eleven 24M compressor rows, a 150M row, the
-// 380M-equivalent combustor (SIMPIC), and the 150M + 300M turbine rows.
-func engineInstances() []engineInstance {
-	out := []engineInstance{{"row01 (8M)", coupler.KindMGCFD, 8_000_000}}
-	for i := 2; i <= 12; i++ {
-		out = append(out, engineInstance{fmt.Sprintf("row%02d (24M)", i), coupler.KindMGCFD, 24_000_000})
+// engineLayout is the full engine of Fig. 9 for one STC variant,
+// predicted for one revolution (the paper: 1,000 density-solver steps)
+// from a sample of one steady exchange period, every instance starting
+// at 100 ranks.
+func (o Options) engineLayout(optimized bool, budget int) coupledLayout {
+	l := coupledLayout{
+		label: fmt.Sprintf("engine(optimized=%v)", optimized),
+		insts: engineInstances(), budget: budget,
+		steps: 1000, sample: coupler.SteadyExchangeEvery,
+		mgCores: map[int64][]int{
+			8_000_000:   {64, 128, 384},
+			24_000_000:  {64, 256, 1024},
+			150_000_000: {100, 500, 2000},
+			300_000_000: {100, 800, 4000},
+		},
+		stc: simpic.BaseSTC(380_000_000), spCores: []int{1000, 6000, 16000},
+		minRanks: 100,
 	}
-	out = append(out,
-		engineInstance{"row13 (150M)", coupler.KindMGCFD, 150_000_000},
-		engineInstance{"combustor (380M equiv)", coupler.KindSIMPIC, 380_000_000},
-		engineInstance{"row15 (150M)", coupler.KindMGCFD, 150_000_000},
-		engineInstance{"row16 (300M)", coupler.KindMGCFD, 300_000_000},
-	)
-	return out
+	if optimized {
+		l.stc = simpic.OptimizedSTC()
+		// The Optimized-STC weight is calibrated against the *28M*
+		// optimized pressure solver (Fig. 6b/c); the engine's combustor is
+		// the 380M case, 13.6x larger.
+		l.stc.ParticleWeight *= 380.0 / 28.0
+		l.spCores = []int{1000, 12000, 32000}
+	}
+	if o.Quick {
+		// Smoke-test geometry: meshes shrunk 1000x, tiny budget.
+		l.steps, l.minRanks = 40, 4
+		l.mgCores = map[int64][]int{
+			8_000:   {2, 4, 8},
+			24_000:  {2, 4, 8},
+			150_000: {4, 8, 16},
+			300_000: {4, 8, 16},
+		}
+		for i := range l.insts {
+			l.insts[i].mesh /= 1000
+		}
+		l.stc = simpic.Config{Cells: 2048, ParticlesPerCell: 10, Steps: 2 * l.steps}
+		if optimized {
+			l.stc.ParticlesPerCell = 5
+		}
+		l.spCores = []int{4, 8, 16}
+	}
+	return l
 }
 
 // EngineResult carries the model and measurement of one engine variant.
@@ -232,146 +293,18 @@ type EngineResult struct {
 	Rep        *coupler.Report
 	FullSteps  int
 	Measured   []float64 // per instance, scaled to FullSteps
-	Predicted  []float64 // per component (instances first)
+	Predicted  []float64 // per instance, the model's run-time at its allocation
 	TotalRanks int
 }
 
-// engineDensitySteps is the "1 revolution" duration (the paper: 1,000
-// density-solver steps; we predict for that and measure a sampled run).
-const engineDensitySteps = 1000
-
-// RunEngine fits curves, allocates the budget, and executes the sampled
-// coupled full-engine simulation for one STC variant.
+// RunEngine runs the engine layout of one STC variant through the
+// coupled pipeline and validates each instance's prediction against a
+// standalone run.
 func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
-	insts := engineInstances()
-	fullSteps := engineDensitySteps
-	sampleSteps := coupler.SteadyExchangeEvery
-	minRanks := 100
-	// Fit one curve per distinct MG-CFD mesh size.
-	mgCores := map[int64][]int{
-		8_000_000:   {64, 128, 384},
-		24_000_000:  {64, 256, 1024},
-		150_000_000: {100, 500, 2000},
-		300_000_000: {100, 800, 4000},
-	}
-	if o.Quick {
-		// Smoke-test geometry: meshes shrunk 1000x, tiny budget.
-		fullSteps, minRanks = 40, 4
-		mgCores = map[int64][]int{
-			8_000:   {2, 4, 8},
-			24_000:  {2, 4, 8},
-			150_000: {4, 8, 16},
-			300_000: {4, 8, 16},
-		}
-		for i := range insts {
-			insts[i].mesh /= 1000
-		}
-	}
-	o.logf("engine(optimized=%v): fitting curves", optimized)
-	curves := map[int64]*perfmodel.Curve{}
-	for _, sz := range order.SortedKeys(mgCores) {
-		c, err := o.fitMGCFD(sz, fullSteps, mgCores[sz])
-		if err != nil {
-			return nil, err
-		}
-		curves[sz] = c
-	}
-	stc := simpic.BaseSTC(380_000_000)
-	spCores := []int{1000, 6000, 16000}
-	if optimized {
-		stc = simpic.OptimizedSTC()
-		// The Optimized-STC weight is calibrated against the *28M*
-		// optimized pressure solver (Fig. 6b/c); the engine's combustor is
-		// the 380M case, 13.6x larger.
-		stc.ParticleWeight *= 380.0 / 28.0
-		spCores = []int{1000, 12000, 32000}
-	}
-	if o.Quick {
-		stc = simpic.Config{Cells: 2048, ParticlesPerCell: 10, Steps: 2 * fullSteps}
-		if optimized {
-			stc.ParticlesPerCell = 5
-		}
-		spCores = []int{4, 8, 16}
-	}
-	spCurve, err := o.fitSimpic(stc, spCores)
+	l := o.engineLayout(optimized, budget)
+	res, err := o.runCoupled(l)
 	if err != nil {
 		return nil, err
-	}
-
-	// Components: instances then CUs. CU i couples instance i and i+1.
-	var comps []perfmodel.Component
-	simSpec := &coupler.Simulation{DensitySteps: sampleSteps, RotationPerStep: 0.002, Scale: coupler.ProductionScale()}
-	for i, inst := range insts {
-		cp := perfmodel.Component{Name: inst.name, MinRanks: minRanks}
-		if inst.kind == coupler.KindSIMPIC {
-			cp.Curve = spCurve
-			// The combustor runs 2 pressure steps per density step; the
-			// curve's base time represents simpic.PressureStepsEquivalent
-			// pressure steps (the STC equivalence of Fig. 3).
-			cp.IterRatio = float64(2*fullSteps) / float64(simpic.PressureStepsEquivalent)
-		} else {
-			cp.Curve = curves[inst.mesh]
-			cp.IterRatio = 1 // curves fitted at fullSteps steps
-		}
-		comps = append(comps, cp)
-		spec := coupler.InstanceSpec{Name: inst.name, Kind: inst.kind, MeshCells: inst.mesh, Seed: int64(i + 1)}
-		if inst.kind == coupler.KindSIMPIC {
-			cfg := stc
-			spec.Simpic = &cfg
-		}
-		simSpec.Instances = append(simSpec.Instances, spec)
-	}
-	for i := 0; i+1 < len(insts); i++ {
-		a, b := insts[i], insts[i+1]
-		kind := coupler.SlidingPlane
-		frac := coupler.SlidingFraction
-		every := 1
-		if a.kind == coupler.KindSIMPIC || b.kind == coupler.KindSIMPIC {
-			kind = coupler.SteadyState
-			frac = coupler.SteadyFraction
-			every = coupler.SteadyExchangeEvery
-		}
-		small := a.mesh
-		if b.mesh < small {
-			small = b.mesh
-		}
-		points := mesh.InterfaceCells(mesh.CubeDims(small), frac)
-		curve, err := o.cuCurve(points, kind, coupler.TreePrefetch)
-		if err != nil {
-			return nil, err
-		}
-		comps = append(comps, perfmodel.Component{
-			Name:      fmt.Sprintf("CU %02d-%02d", i+1, i+2),
-			Curve:     curve,
-			IsCU:      true,
-			IterRatio: float64(fullSteps) / float64(every),
-			MinRanks:  1,
-		})
-		simSpec.Units = append(simSpec.Units, coupler.UnitSpec{
-			Name: comps[len(comps)-1].Name, A: i, B: i + 1, Kind: kind,
-			Points: points, Search: coupler.TreePrefetch, ExchangeEvery: every,
-		})
-	}
-
-	alloc, err := perfmodel.Allocate(comps, budget)
-	if err != nil {
-		return nil, err
-	}
-	for i := range simSpec.Instances {
-		simSpec.Instances[i].Ranks = alloc.Cores[i]
-	}
-	for u := range simSpec.Units {
-		simSpec.Units[u].Ranks = alloc.Cores[len(insts)+u]
-	}
-	o.logf("engine(optimized=%v): running coupled sim on %d ranks", optimized, simSpec.TotalRanks())
-	rep, err := simSpec.Run(o.coupledConfig())
-	if err != nil {
-		return nil, err
-	}
-	res := &EngineResult{
-		Alloc: alloc, Sim: simSpec, Rep: rep,
-		FullSteps:  fullSteps,
-		TotalRanks: simSpec.TotalRanks(),
 	}
 	// Per-instance validation (Fig. 9a): the paper compares the model's
 	// predictions against the *standalone* run-time of each mini-app
@@ -383,20 +316,22 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 		p    int
 	}
 	cache := map[standaloneKey]float64{}
-	for i, inst := range insts {
-		key := standaloneKey{inst.kind, inst.mesh, alloc.Cores[i]}
+	for i, in := range l.insts {
+		p := res.Alloc.Cores[i]
+		key := standaloneKey{in.kind, in.mesh, p}
 		measured, ok := cache[key]
 		if !ok {
 			var err error
-			if inst.kind == coupler.KindSIMPIC {
-				o.logf("engine: standalone combustor @ %d ranks", alloc.Cores[i])
-				rt, rerr := o.SimpicRuntime(stc, alloc.Cores[i])
+			if in.kind == coupler.KindSIMPIC {
+				o.logf("engine: standalone combustor @ %d ranks", p)
+				var rt float64
+				rt, err = o.SimpicRuntime(l.stc, p)
 				// The component represents IterRatio x the curve's base
 				// configuration; scale the standalone measurement the same.
-				measured, err = rt*comps[i].IterRatio, rerr
+				measured = rt * res.Alloc.Components[i].IterRatio
 			} else {
-				o.logf("engine: standalone %s @ %d ranks", inst.name, alloc.Cores[i])
-				measured, err = o.MGCFDRuntime(mgcfd.Config{MeshCells: inst.mesh, Steps: fullSteps, Seed: 1}, alloc.Cores[i])
+				o.logf("engine: standalone %s @ %d ranks", in.name, p)
+				measured, err = o.MGCFDRuntime(mgcfd.Config{MeshCells: in.mesh, Steps: l.steps, Seed: 1}, p)
 			}
 			if err != nil {
 				return nil, err
@@ -404,7 +339,7 @@ func (o Options) RunEngine(optimized bool, budget int) (*EngineResult, error) {
 			cache[key] = measured
 		}
 		res.Measured = append(res.Measured, measured)
-		res.Predicted = append(res.Predicted, alloc.Times[i])
+		res.Predicted = append(res.Predicted, res.Alloc.Times[i])
 	}
 	return res, nil
 }
@@ -499,14 +434,6 @@ func (o Options) Fig9() ([]*Table, error) {
 	t9c.Notes = append(t9c.Notes,
 		fmt.Sprintf("predicted speedup %.1fx, measured speedup %.1fx (paper: predicted ~6x, measured ~4x, errors <25%%)", predSpeedup, measSpeedup),
 		"paper anchor: coupling overhead <0.5% of run-time with the tree+prefetch search")
-	for _, v := range []struct {
-		name string
-		rep  *coupler.Report
-	}{{"Base-STC", base.Rep}, {"Optimized-STC", opt.Rep}} {
-		for _, n := range criticalPathNotes(v.rep) {
-			t9c.Notes = append(t9c.Notes, v.name+" "+n)
-		}
-	}
 	return []*Table{t9a, t9b, t9c}, nil
 }
 
