@@ -28,7 +28,7 @@ func TestUnknownExperimentListsTheCatalogue(t *testing.T) {
 // TestStdoutIsTheRecordedTable: with -v on, stdout is still exactly the
 // results file, for every catalogue entry that re-runs in under 15 s on
 // a 2-core host (about 25 s together). The five pressure sweeps are
-// `make results`; fig9 is re-recorded by hand.
+// `make results`, and fig9 is `make results RESULTS_SWEEPS=fig9`.
 func TestStdoutIsTheRecordedTable(t *testing.T) {
 	for _, id := range []string{"fig3", "sensitivity", "search", "overlap", "particle-scaling", "amg", "resilience", "fig4c", "fig8"} {
 		var stdout, stderr bytes.Buffer

@@ -39,7 +39,7 @@ func (o Options) OverlapStudy() (*Table, error) {
 			RotationPerStep: 0.002,
 			Scale:           coupler.ProductionScale(),
 		}
-		rep, err := sim.Run(o.coupledConfig())
+		rep, err := sim.Run(o.mpiConfig(false))
 		if err != nil {
 			return nil, err
 		}

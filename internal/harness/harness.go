@@ -80,11 +80,6 @@ type Options struct {
 	Verbose bool
 	// Watchdog bounds each run's host time; zero means defaultWatchdog.
 	Watchdog time.Duration
-	// Trace enables event tracing on the coupled runs (fig8, fig9,
-	// overlap): the resulting reports carry the virtual-time critical
-	// path and its per-instance/per-CU attribution. Standalone fitting
-	// sweeps are never traced.
-	Trace bool
 }
 
 // DefaultOptions runs the full sweeps on the ARCHER2 model.
@@ -102,14 +97,6 @@ func (o Options) mpiConfig(profile bool) mpi.Config {
 		wd = defaultWatchdog
 	}
 	return mpi.Config{Machine: o.Machine, Profile: profile, Watchdog: wd}
-}
-
-// coupledConfig is mpiConfig plus event tracing when Options.Trace is
-// set; used for the coupled simulations only.
-func (o Options) coupledConfig() mpi.Config {
-	cfg := o.mpiConfig(false)
-	cfg.Trace = o.Trace
-	return cfg
 }
 
 func (o Options) logf(format string, args ...any) {

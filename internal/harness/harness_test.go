@@ -223,7 +223,7 @@ func TestEngineExtrapolationConverges(t *testing.T) {
 	}
 	long := *res.Sim
 	long.DensitySteps = 40
-	rep, err := long.Run(o.coupledConfig())
+	rep, err := long.Run(o.mpiConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}

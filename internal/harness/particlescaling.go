@@ -90,7 +90,7 @@ func (o Options) ParticleScaling() (*Table, error) {
 						},
 					}
 				}
-				cfg := o.coupledConfig()
+				cfg := o.mpiConfig(false)
 				cfg.Trace = true
 				rep, err := sim().Run(cfg)
 				if err != nil {

@@ -57,7 +57,7 @@ func (o Options) Resilience() (*Table, error) {
 			"rework(s)", "ckpt+detect+restart(s)", "restarts"},
 	}
 	sim := o.resilienceSim()
-	cfg := o.coupledConfig()
+	cfg := o.mpiConfig(false)
 
 	// Fault-free, checkpoint-free baseline: the run the faulty sweeps are
 	// measured against.

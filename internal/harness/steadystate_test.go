@@ -99,7 +99,7 @@ func TestSteadyStateAllocation(t *testing.T) {
 				},
 				DensitySteps: steps, RotationPerStep: 0.002, Scale: coupler.ProductionScale(),
 			}
-			_, err := sim.Run(quick().coupledConfig())
+			_, err := sim.Run(quick().mpiConfig(false))
 			return err
 		}},
 	} {
