@@ -57,7 +57,9 @@ test-race-short:
 # The figure-level check on the pressure and amg solvers: re-run the
 # five pressure sweeps and diff each table against its record in
 # results/. About 4.5 min on a 2-core host; the quicker entries are
-# TestStdoutIsTheRecordedTable, fig9 is re-recorded by hand.
+# TestStdoutIsTheRecordedTable. The full-scale Fig. 9 is one command
+# outside `make check`: `make results RESULTS_SWEEPS=fig9` diffs it
+# against results/fig9.txt in about 4-6 min.
 RESULTS_SWEEPS = fig4ab fig5a fig5b fig6a fig6bc
 
 results:
