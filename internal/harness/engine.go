@@ -74,11 +74,23 @@ type coupledLayout struct {
 	minRanks int             // every instance's starting allocation
 }
 
+// EngineResult carries the model and the coupled run of one layout
+// (runCoupled); RunEngine adds the per-instance validation, Measured and
+// Predicted.
+type EngineResult struct {
+	Alloc      *perfmodel.Allocation
+	Sim        *coupler.Simulation
+	Rep        *coupler.Report
+	FullSteps  int
+	Measured   []float64 // per instance, scaled to FullSteps
+	Predicted  []float64 // per instance, the model's run-time at its allocation
+	TotalRanks int
+}
+
 // runCoupled is the paper's method on one layout: it fits the standalone
 // curves, builds the model components and the coupled simulation in one
 // pass over the chain, allocates the budget with Alg. 1 and runs the
-// coupled sample at the allocated ranks. Measured and Predicted are left
-// to the caller's validation.
+// coupled sample at the allocated ranks.
 func (o Options) runCoupled(l coupledLayout) (*EngineResult, error) {
 	o.logf("%s: fitting curves", l.label)
 	mgCurves := map[int64]*perfmodel.Curve{}
@@ -171,16 +183,21 @@ func (o Options) runCoupled(l coupledLayout) (*EngineResult, error) {
 func (o Options) fig8Layout() coupledLayout {
 	mg, sp := int64(150_000_000), int64(28_000_000)
 	l := coupledLayout{
-		label: "fig8", budget: 5000, steps: 100, sample: coupler.SteadyExchangeEvery,
-		mgCores: map[int64][]int{mg: {100, 200, 400, 800, 1600}},
-		stc:     simpic.BaseSTC(sp), spCores: []int{200, 800, 1600, 3200, 4800},
+		label:    "fig8",
+		budget:   5000,
+		steps:    100,
+		sample:   coupler.SteadyExchangeEvery,
+		mgCores:  map[int64][]int{mg: {100, 200, 400, 800, 1600}},
+		stc:      simpic.BaseSTC(sp),
+		spCores:  []int{200, 800, 1600, 3200, 4800},
 		minRanks: 1,
 	}
 	if o.Quick {
 		mg, sp = 40_000, 40_000
 		l.budget, l.steps, l.sample = 60, 8, 4
 		l.mgCores = map[int64][]int{mg: {8, 16, 24}}
-		l.stc, l.spCores = simpic.Config{Cells: 4096, ParticlesPerCell: 20, Steps: 2 * l.steps}, []int{8, 16, 24}
+		l.stc = simpic.Config{Cells: 4096, ParticlesPerCell: 20, Steps: 2 * l.steps}
+		l.spCores = []int{8, 16, 24}
 	}
 	l.insts = []layoutInstance{
 		{"MG-CFD row 1 (150M)", coupler.KindMGCFD, mg},
@@ -245,16 +262,19 @@ func engineInstances() []layoutInstance {
 // at 100 ranks.
 func (o Options) engineLayout(optimized bool, budget int) coupledLayout {
 	l := coupledLayout{
-		label: fmt.Sprintf("engine(optimized=%v)", optimized),
-		insts: engineInstances(), budget: budget,
-		steps: 1000, sample: coupler.SteadyExchangeEvery,
+		label:  fmt.Sprintf("engine(optimized=%v)", optimized),
+		insts:  engineInstances(),
+		budget: budget,
+		steps:  1000,
+		sample: coupler.SteadyExchangeEvery,
 		mgCores: map[int64][]int{
 			8_000_000:   {64, 128, 384},
 			24_000_000:  {64, 256, 1024},
 			150_000_000: {100, 500, 2000},
 			300_000_000: {100, 800, 4000},
 		},
-		stc: simpic.BaseSTC(380_000_000), spCores: []int{1000, 6000, 16000},
+		stc:      simpic.BaseSTC(380_000_000),
+		spCores:  []int{1000, 6000, 16000},
 		minRanks: 100,
 	}
 	if optimized {
@@ -284,17 +304,6 @@ func (o Options) engineLayout(optimized bool, budget int) coupledLayout {
 		l.spCores = []int{4, 8, 16}
 	}
 	return l
-}
-
-// EngineResult carries the model and measurement of one engine variant.
-type EngineResult struct {
-	Alloc      *perfmodel.Allocation
-	Sim        *coupler.Simulation
-	Rep        *coupler.Report
-	FullSteps  int
-	Measured   []float64 // per instance, scaled to FullSteps
-	Predicted  []float64 // per instance, the model's run-time at its allocation
-	TotalRanks int
 }
 
 // RunEngine runs the engine layout of one STC variant through the
