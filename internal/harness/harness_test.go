@@ -207,6 +207,45 @@ func TestOverlapStudyQuick(t *testing.T) {
 	}
 }
 
+func TestFig8QuickEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled smoke run")
+	}
+	tb, err := quick().Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 3 {
+		t.Fatalf("fig8 rows = %d, want 3 instances", len(tb.Rows))
+	}
+	out := tb.String()
+	if !strings.Contains(out, "max per-instance prediction error") &&
+		len(tb.Notes) == 0 {
+		t.Error("fig8 notes missing")
+	}
+}
+
+func TestEngineQuickEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled smoke run")
+	}
+	res, err := quick().RunEngine(false, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Measured) != 16 || len(res.Predicted) < 16 {
+		t.Fatalf("engine result shape: %d measured, %d predicted", len(res.Measured), len(res.Predicted))
+	}
+	for i, m := range res.Measured {
+		if m <= 0 {
+			t.Errorf("instance %d measured %v", i, m)
+		}
+	}
+	if res.Rep.CouplingShare < 0 || res.Rep.CouplingShare > 1 {
+		t.Errorf("coupling share %v", res.Rep.CouplingShare)
+	}
+}
+
 // TestEngineExtrapolationConverges: the engine's 20-step sample,
 // extrapolated to 40 steps, lands within 1% of a 40-step run of the same
 // simulation. The sample's one steady exchange falls on its last step, so
