@@ -26,5 +26,7 @@
 // Oracles: TestMetricsDoNotPerturbRun and
 // TestMetricsSeriesIdenticalAcrossHostParallelism (internal/mpi),
 // TestCoupledMetricsRunIdenticalAcrossHostParallelism (internal/coupler)
-// and TestFinalizeMailboxDepth.
+// and TestFinalizeMailboxDepth. The CSV export is held byte for byte to
+// its old fmt body by TestWriteCSVMatchesReference{,OnCoupledRun}, and
+// reads back through encoding/csv by TestWriteCSVQuotesComponentLabels.
 package telemetry

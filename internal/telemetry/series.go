@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"cpx/internal/order"
 )
@@ -139,33 +141,74 @@ func (rs *RunSeries) WriteJSON(w io.Writer) error {
 // csvHeader is the long-format CSV column set.
 const csvHeader = "series,rank,t,compute_s,comm_s,wait_s,msgs_sent,msgs_recv,bytes_sent,bytes_recv,collectives,mailbox_depth\n"
 
-func writeCSVRow(w io.Writer, series string, rank int, s Sample) error {
-	_, err := fmt.Fprintf(w, "%s,%d,%g,%g,%g,%g,%d,%d,%d,%d,%d,%d\n",
-		series, rank, s.T, s.Compute, s.Comm, s.Wait,
-		s.MsgsSent, s.MsgsRecv, s.BytesSent, s.BytesRecv, s.Collectives, s.MailboxDepth)
-	return err
+// csvChunk is how many encoded bytes WriteCSV gathers before handing
+// them to its writer.
+const csvChunk = 64 << 10
+
+// appendCSVRow appends one sample row whose series field is already
+// CSV-encoded. Floats are shortest 'g', as fmt's %g writes them.
+func appendCSVRow(b []byte, series string, rank int, s Sample) []byte {
+	b = append(b, series...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(rank), 10)
+	for _, f := range [...]float64{s.T, s.Compute, s.Comm, s.Wait} {
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, f, 'g', -1, 64)
+	}
+	for _, n := range [...]uint64{s.MsgsSent, s.MsgsRecv, s.BytesSent, s.BytesRecv, s.Collectives} {
+		b = append(b, ',')
+		b = strconv.AppendUint(b, n, 10)
+	}
+	b = append(b, ',')
+	b = strconv.AppendInt(b, s.MailboxDepth, 10)
+	return append(b, '\n')
+}
+
+// csvField returns s as encoding/csv writes a field: quoted, inner
+// quotes doubled, only where it must be (a comma, quote or line break
+// inside, or leading white space).
+func csvField(s string) string {
+	var sb strings.Builder
+	cw := csv.NewWriter(&sb)
+	cw.Write([]string{s}) // a strings.Builder does not fail
+	cw.Flush()
+	return strings.TrimSuffix(sb.String(), "\n")
 }
 
 // WriteCSV emits the series in long format: one row per sample, rank
 // series first (series column "rank"), then any per-component
-// aggregations (series column = the component label, rank -1).
+// aggregations (series column = the component label, rank -1). Rows go
+// to w in chunks of about csvChunk bytes.
 func (rs *RunSeries) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, csvHeader); err != nil {
+	buf := make([]byte, 0, csvChunk+1<<10)
+	buf = append(buf, csvHeader...)
+	row := func(series string, rank int, s Sample) error {
+		buf = appendCSVRow(buf, series, rank, s)
+		if len(buf) < csvChunk {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
 		return err
 	}
 	for _, ser := range rs.Ranks {
 		for _, s := range ser.Samples {
-			if err := writeCSVRow(w, "rank", ser.Rank, s); err != nil {
+			if err := row("rank", ser.Rank, s); err != nil {
 				return err
 			}
 		}
 	}
 	for _, ls := range rs.Components {
+		label := csvField(ls.Label)
 		for _, s := range ls.Samples {
-			if err := writeCSVRow(w, ls.Label, -1, s); err != nil {
+			if err := row(label, -1, s); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }

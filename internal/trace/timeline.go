@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
 // EventKind classifies a timeline event by how its virtual time was spent.
@@ -140,62 +142,127 @@ func (tl *Timeline) End() float64 {
 	return tl.Events[len(tl.Events)-1].T1
 }
 
-// chromeEvent is one entry of the Chrome/Perfetto trace-event format.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the top-level JSON object Perfetto and chrome://tracing
-// both accept.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// chromeChunk is how many encoded bytes WriteChromeTrace gathers before
+// handing them to its writer.
+const chromeChunk = 64 << 10
 
 // WriteChromeTrace emits the timelines in Chrome trace-event JSON, one
 // thread per rank, with virtual seconds mapped to trace microseconds.
 // The output loads directly in ui.perfetto.dev or chrome://tracing.
+//
+// It streams: each event is appended to one reused buffer that goes to
+// w in chunks of chromeChunk bytes. The bytes are those encoding/json
+// gives the document {"traceEvents":[...],"displayTimeUnit":"ms"}, each
+// event's fields in the order name, cat, ph, ts, dur, pid, tid, args,
+// dur left out when zero and args when the event has no peer. A
+// non-finite time is an error; what was written before it is a failed
+// export.
 func WriteChromeTrace(w io.Writer, timelines []*Timeline) error {
-	var out chromeTrace
-	out.DisplayTimeUnit = "ms"
+	e := chromeEncoder{buf: make([]byte, 0, chromeChunk+4<<10), quoted: make(map[string][]byte)}
+	e.buf = append(e.buf, `{"traceEvents":`...)
+	sep := byte('[') // then ','; still '[' at the end means no timeline
 	for _, tl := range timelines {
 		if tl == nil {
 			continue
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: tl.Rank,
-			Args: map[string]any{"name": fmt.Sprintf("rank %d", tl.Rank)},
-		})
-		for _, ev := range tl.Events {
-			name := ev.Region
-			if ev.Op != "" {
-				name = ev.Op
+		e.buf = append(e.buf, sep)
+		sep = ','
+		e.buf = append(e.buf, `{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":`...)
+		e.buf = strconv.AppendInt(e.buf, int64(tl.Rank), 10)
+		e.buf = append(e.buf, `,"args":{"name":"rank `...)
+		e.buf = strconv.AppendInt(e.buf, int64(tl.Rank), 10)
+		e.buf = append(e.buf, `"}}`...)
+		for i := range tl.Events {
+			if err := e.event(&tl.Events[i], tl.Rank); err != nil {
+				return err
 			}
-			if name == "" {
-				name = ev.Kind.String()
+			if len(e.buf) >= chromeChunk {
+				if _, err := w.Write(e.buf); err != nil {
+					return err
+				}
+				e.buf = e.buf[:0]
 			}
-			ce := chromeEvent{
-				Name: name,
-				Cat:  ev.Kind.String(),
-				Ph:   "X",
-				Ts:   ev.T0 * 1e6,
-				Dur:  ev.Duration() * 1e6,
-				Pid:  0,
-				Tid:  tl.Rank,
-			}
-			if ev.Peer >= 0 {
-				ce.Args = map[string]any{"peer": ev.Peer, "bytes": ev.Bytes, "tag": ev.Tag}
-			}
-			out.TraceEvents = append(out.TraceEvents, ce)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
+	if sep == '[' {
+		e.buf = append(e.buf, "null"...)
+	} else {
+		e.buf = append(e.buf, ']')
+	}
+	e.buf = append(e.buf, ",\"displayTimeUnit\":\"ms\"}\n"...)
+	_, err := w.Write(e.buf)
+	return err
+}
+
+// chromeEncoder holds WriteChromeTrace's output buffer and each distinct
+// name and category already quoted as a JSON string.
+type chromeEncoder struct {
+	buf    []byte
+	quoted map[string][]byte
+}
+
+// event appends ",{...}" for one span of rank's timeline.
+func (e *chromeEncoder) event(ev *Event, rank int) error {
+	name := ev.Region
+	if ev.Op != "" {
+		name = ev.Op
+	}
+	if name == "" {
+		name = ev.Kind.String()
+	}
+	ts, dur := ev.T0*1e6, ev.Duration()*1e6
+	if !finite(ts) || !finite(dur) {
+		return fmt.Errorf("trace: rank %d event [%v, %v] has a non-finite time", rank, ev.T0, ev.T1)
+	}
+	e.buf = append(e.buf, `,{"name":`...)
+	e.buf = append(e.buf, e.quote(name)...)
+	e.buf = append(e.buf, `,"cat":`...)
+	e.buf = append(e.buf, e.quote(ev.Kind.String())...)
+	e.buf = append(e.buf, `,"ph":"X","ts":`...)
+	e.buf = appendJSONFloat(e.buf, ts)
+	if dur != 0 {
+		e.buf = append(e.buf, `,"dur":`...)
+		e.buf = appendJSONFloat(e.buf, dur)
+	}
+	e.buf = append(e.buf, `,"pid":0,"tid":`...)
+	e.buf = strconv.AppendInt(e.buf, int64(rank), 10)
+	if ev.Peer >= 0 {
+		e.buf = append(e.buf, `,"args":{"bytes":`...)
+		e.buf = strconv.AppendInt(e.buf, int64(ev.Bytes), 10)
+		e.buf = append(e.buf, `,"peer":`...)
+		e.buf = strconv.AppendInt(e.buf, int64(ev.Peer), 10)
+		e.buf = append(e.buf, `,"tag":`...)
+		e.buf = strconv.AppendInt(e.buf, int64(ev.Tag), 10)
+		e.buf = append(e.buf, '}')
+	}
+	e.buf = append(e.buf, '}')
+	return nil
+}
+
+// quote returns s as encoding/json writes it: HTML characters, U+2028,
+// U+2029 and invalid UTF-8 escaped. Each distinct s is marshalled once.
+func (e *chromeEncoder) quote(s string) []byte {
+	q, ok := e.quoted[s]
+	if !ok {
+		q, _ = json.Marshal(s) // a string always marshals
+		e.quoted[s] = q
+	}
+	return q
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// 'f' format, 'e' below 1e-6 and from 1e21 in magnitude, with a
+// two-digit negative exponent shortened to one ("e-07" -> "e-7").
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
 }

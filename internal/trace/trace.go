@@ -1,11 +1,3 @@
-// Package trace provides lightweight hierarchical timing instrumentation
-// for the virtual-time mini-apps. It plays the role ARM MAP plays in the
-// paper: every named region of a solver accumulates separate compute and
-// communication time, and per-rank profiles can be merged into the
-// per-function breakdown tables of Fig. 5.
-//
-// A Profile is owned by a single rank (goroutine) and is not safe for
-// concurrent use; merging across ranks happens after a run completes.
 package trace
 
 import (
