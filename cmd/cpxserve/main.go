@@ -28,9 +28,10 @@
 // lines, -v enables debug events.
 //
 // A ?timeout=30s query parameter sets the per-request deadline; when it
-// expires the job is cancelled and every rank goroutine unwinds. The
-// worker pool is bounded: a full queue answers 429 with a Retry-After
-// computed from queue depth and observed job latency. Identical
+// expires the job is cancelled and every rank goroutine unwinds. Local
+// work is admitted by one gate in the cache: -workers jobs run, -queue
+// more wait, and a full queue answers 429 with a Retry-After computed
+// from queue depth and observed job latency. Identical
 // requests are served from a content-addressed cache with the
 // byte-identical artifact — sound because the model and the simulator
 // are deterministic. The in-memory cache is LRU-bounded (-cache-bytes)

@@ -162,6 +162,20 @@ func TestConfigDecodesStrictly(t *testing.T) {
 	}
 }
 
+// TestConfigRanksAreBounded: a -config scenario is held to the rank
+// bound of a /v1/simulate body, and the failure names the field.
+func TestConfigRanksAreBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "config.json")
+	body := `{"densitySteps": 1, "instances": [{"name": "row", "kind": "mgcfd", "meshCells": 20000, "ranks": 8000000000}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-config", path}, &stdout, &stderr); code == 0 || !strings.Contains(stderr.String(), `field "ranks"`) {
+		t.Errorf("exit %d, stderr %q; want a failure naming field \"ranks\"", code, stderr.String())
+	}
+}
+
 // TestNegativeFlagsAreRejected: a negative MTBF, checkpoint interval or
 // sampling period is a usage error naming the flag, not a silent
 // fault-free run.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -242,19 +241,10 @@ func TestErrorBodiesCarryJobID(t *testing.T) {
 		t.Errorf("failed job state %q, want failed", v.State)
 	}
 
-	// 429: wedge the worker and fill the queue, then submit.
-	release := make(chan struct{})
-	var wedge sync.WaitGroup
-	wedge.Add(1)
-	if !s.pool.TrySubmit(func() { wedge.Done(); <-release }) {
-		t.Fatal("could not wedge the worker")
-	}
-	wedge.Wait()
-	if !s.pool.TrySubmit(func() {}) {
-		t.Fatal("could not fill the queue")
-	}
+	// 429: occupy the worker and the queue, then submit.
+	release := occupy(t, s.cache, 2)
 	resp, body = postJSON(t, ts.URL+"/v1/allocate", allocBody)
-	close(release)
+	release()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}

@@ -61,36 +61,19 @@ type Metrics struct {
 	// queue actually takes to drain.
 	jobEWMA float64
 
-	queueDepth    func() int
-	queueCapacity func() int
-	cacheLen      func() int
-	registry      *Registry
-	cache         *Cache
+	cache    *Cache
+	registry *Registry
 }
 
-// NewMetrics returns a Metrics wired to the given gauges.
-func NewMetrics(queueDepth, queueCapacity, cacheLen func() int) *Metrics {
+// NewMetrics returns a Metrics whose gauges read the given cache and
+// registry.
+func NewMetrics(cache *Cache, registry *Registry) *Metrics {
 	return &Metrics{
-		requests:      make(map[reqKey]uint64),
-		latencies:     make(map[string]*histogram),
-		queueDepth:    queueDepth,
-		queueCapacity: queueCapacity,
-		cacheLen:      cacheLen,
+		requests:  make(map[reqKey]uint64),
+		latencies: make(map[string]*histogram),
+		cache:     cache,
+		registry:  registry,
 	}
-}
-
-// AttachRegistry wires the job-registry gauges into the exposition.
-func (m *Metrics) AttachRegistry(r *Registry) {
-	m.mu.Lock()
-	m.registry = r
-	m.mu.Unlock()
-}
-
-// AttachCache wires the cache byte/eviction gauges into the exposition.
-func (m *Metrics) AttachCache(c *Cache) {
-	m.mu.Lock()
-	m.cache = c
-	m.mu.Unlock()
 }
 
 // ewmaAlpha weights the newest computed-job latency observation.
@@ -246,51 +229,47 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "cpxserve_canceled_total %d\n", m.canceled)
 	fmt.Fprintln(w, "# HELP cpxserve_queue_depth Jobs admitted but not yet running.")
 	fmt.Fprintln(w, "# TYPE cpxserve_queue_depth gauge")
-	fmt.Fprintf(w, "cpxserve_queue_depth %d\n", m.queueDepth())
+	fmt.Fprintf(w, "cpxserve_queue_depth %d\n", m.cache.Depth())
 	fmt.Fprintln(w, "# HELP cpxserve_queue_capacity Queue bound.")
 	fmt.Fprintln(w, "# TYPE cpxserve_queue_capacity gauge")
-	fmt.Fprintf(w, "cpxserve_queue_capacity %d\n", m.queueCapacity())
+	fmt.Fprintf(w, "cpxserve_queue_capacity %d\n", m.cache.Capacity())
 	fmt.Fprintln(w, "# HELP cpxserve_cache_entries Completed artifacts retained in memory.")
 	fmt.Fprintln(w, "# TYPE cpxserve_cache_entries gauge")
-	fmt.Fprintf(w, "cpxserve_cache_entries %d\n", m.cacheLen())
-	if m.cache != nil {
-		fmt.Fprintln(w, "# HELP cpxserve_cache_bytes Artifact bytes retained in the memory tier.")
-		fmt.Fprintln(w, "# TYPE cpxserve_cache_bytes gauge")
-		fmt.Fprintf(w, "cpxserve_cache_bytes %d\n", m.cache.Bytes())
-		fmt.Fprintln(w, "# HELP cpxserve_cache_max_bytes Memory-tier byte budget.")
-		fmt.Fprintln(w, "# TYPE cpxserve_cache_max_bytes gauge")
-		fmt.Fprintf(w, "cpxserve_cache_max_bytes %d\n", m.cache.MaxBytes())
-		fmt.Fprintln(w, "# HELP cpxserve_cache_evictions_total Artifacts evicted by the memory-tier LRU bound.")
-		fmt.Fprintln(w, "# TYPE cpxserve_cache_evictions_total counter")
-		fmt.Fprintf(w, "cpxserve_cache_evictions_total %d\n", m.cache.Evictions())
-		if d := m.cache.Disk(); d != nil {
-			puts, putErrs, hits, rejects := d.Stats()
-			fmt.Fprintln(w, "# HELP cpxserve_disk_artifacts_written_total Artifacts published to the disk tier.")
-			fmt.Fprintln(w, "# TYPE cpxserve_disk_artifacts_written_total counter")
-			fmt.Fprintf(w, "cpxserve_disk_artifacts_written_total %d\n", puts)
-			fmt.Fprintln(w, "# HELP cpxserve_disk_write_errors_total Failed disk-tier writes (best-effort; costs a recomputation).")
-			fmt.Fprintln(w, "# TYPE cpxserve_disk_write_errors_total counter")
-			fmt.Fprintf(w, "cpxserve_disk_write_errors_total %d\n", putErrs)
-			fmt.Fprintln(w, "# HELP cpxserve_disk_reads_verified_total Disk-tier reads that passed sha256 verification.")
-			fmt.Fprintln(w, "# TYPE cpxserve_disk_reads_verified_total counter")
-			fmt.Fprintf(w, "cpxserve_disk_reads_verified_total %d\n", hits)
-			fmt.Fprintln(w, "# HELP cpxserve_disk_rejects_total Corrupt disk artifacts rejected and deleted on read.")
-			fmt.Fprintln(w, "# TYPE cpxserve_disk_rejects_total counter")
-			fmt.Fprintf(w, "cpxserve_disk_rejects_total %d\n", rejects)
-		}
+	fmt.Fprintf(w, "cpxserve_cache_entries %d\n", m.cache.Len())
+	fmt.Fprintln(w, "# HELP cpxserve_cache_bytes Artifact bytes retained in the memory tier.")
+	fmt.Fprintln(w, "# TYPE cpxserve_cache_bytes gauge")
+	fmt.Fprintf(w, "cpxserve_cache_bytes %d\n", m.cache.Bytes())
+	fmt.Fprintln(w, "# HELP cpxserve_cache_max_bytes Memory-tier byte budget.")
+	fmt.Fprintln(w, "# TYPE cpxserve_cache_max_bytes gauge")
+	fmt.Fprintf(w, "cpxserve_cache_max_bytes %d\n", m.cache.MaxBytes())
+	fmt.Fprintln(w, "# HELP cpxserve_cache_evictions_total Artifacts evicted by the memory-tier LRU bound.")
+	fmt.Fprintln(w, "# TYPE cpxserve_cache_evictions_total counter")
+	fmt.Fprintf(w, "cpxserve_cache_evictions_total %d\n", m.cache.Evictions())
+	if d := m.cache.Disk(); d != nil {
+		puts, putErrs, hits, rejects := d.Stats()
+		fmt.Fprintln(w, "# HELP cpxserve_disk_artifacts_written_total Artifacts published to the disk tier.")
+		fmt.Fprintln(w, "# TYPE cpxserve_disk_artifacts_written_total counter")
+		fmt.Fprintf(w, "cpxserve_disk_artifacts_written_total %d\n", puts)
+		fmt.Fprintln(w, "# HELP cpxserve_disk_write_errors_total Failed disk-tier writes (best-effort; costs a recomputation).")
+		fmt.Fprintln(w, "# TYPE cpxserve_disk_write_errors_total counter")
+		fmt.Fprintf(w, "cpxserve_disk_write_errors_total %d\n", putErrs)
+		fmt.Fprintln(w, "# HELP cpxserve_disk_reads_verified_total Disk-tier reads that passed sha256 verification.")
+		fmt.Fprintln(w, "# TYPE cpxserve_disk_reads_verified_total counter")
+		fmt.Fprintf(w, "cpxserve_disk_reads_verified_total %d\n", hits)
+		fmt.Fprintln(w, "# HELP cpxserve_disk_rejects_total Corrupt disk artifacts rejected and deleted on read.")
+		fmt.Fprintln(w, "# TYPE cpxserve_disk_rejects_total counter")
+		fmt.Fprintf(w, "cpxserve_disk_rejects_total %d\n", rejects)
 	}
-	if m.registry != nil {
-		fmt.Fprintln(w, "# HELP cpxserve_jobs_active Jobs queued or running.")
-		fmt.Fprintln(w, "# TYPE cpxserve_jobs_active gauge")
-		fmt.Fprintf(w, "cpxserve_jobs_active %d\n", m.registry.Active())
-		fmt.Fprintln(w, "# HELP cpxserve_jobs_retained Registry entries retained for /v1/jobs.")
-		fmt.Fprintln(w, "# TYPE cpxserve_jobs_retained gauge")
-		fmt.Fprintf(w, "cpxserve_jobs_retained %d\n", m.registry.Retained())
-		fmt.Fprintln(w, "# HELP cpxserve_jobs_finished_total Jobs finished by terminal state.")
-		fmt.Fprintln(w, "# TYPE cpxserve_jobs_finished_total counter")
-		byState := m.registry.FinishedByState()
-		for _, state := range order.SortedKeys(byState) {
-			fmt.Fprintf(w, "cpxserve_jobs_finished_total{state=%q} %d\n", state, byState[state])
-		}
+	fmt.Fprintln(w, "# HELP cpxserve_jobs_active Jobs queued or running.")
+	fmt.Fprintln(w, "# TYPE cpxserve_jobs_active gauge")
+	fmt.Fprintf(w, "cpxserve_jobs_active %d\n", m.registry.Active())
+	fmt.Fprintln(w, "# HELP cpxserve_jobs_retained Registry entries retained for /v1/jobs.")
+	fmt.Fprintln(w, "# TYPE cpxserve_jobs_retained gauge")
+	fmt.Fprintf(w, "cpxserve_jobs_retained %d\n", m.registry.Retained())
+	fmt.Fprintln(w, "# HELP cpxserve_jobs_finished_total Jobs finished by terminal state.")
+	fmt.Fprintln(w, "# TYPE cpxserve_jobs_finished_total counter")
+	byState := m.registry.FinishedByState()
+	for _, state := range order.SortedKeys(byState) {
+		fmt.Fprintf(w, "cpxserve_jobs_finished_total{state=%q} %d\n", state, byState[state])
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,22 +299,86 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBackpressure429: with a single worker wedged and a zero-length
-// queue... queues cannot be zero, so use length 1: the wedged job
-// occupies the worker, one job fills the queue, and the next distinct
-// request must be rejected with 429 + Retry-After.
+// TestRanksAreBounded: no instance or unit may ask for more than
+// maxRanks ranks, nor may all of them together, and the error names the
+// field. Unbounded, a /v1/simulate body with 2^62 ranks killed the
+// server with a makeslice panic on a job goroutine, and 8e9 ranks
+// passed Build and Validate.
+func TestRanksAreBounded(t *testing.T) {
+	inst := func(ranks string) string {
+		return `{"densitySteps": 1, "instances": [{"name": "row", "kind": "mgcfd", "meshCells": 4096, "ranks": ` + ranks + `}]}`
+	}
+	build := func(body string) error {
+		var req SimulateRequest
+		if err := DecodeStrict(strings.NewReader(body), &req); err != nil {
+			t.Fatalf("decode %s: %v", body, err)
+		}
+		_, err := req.Build()
+		return err
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"instance 2^62", inst("4611686018427387904"), `instance "row": field "ranks"`},
+		{"instance 8e9", inst("8000000000"), `instance "row": field "ranks"`},
+		{"unit 8e9", strings.Replace(simBody, `"ranks": 2,`, `"ranks": 8000000000,`, 1), `unit "cu": field "ranks"`},
+		{"total", `{"densitySteps": 1, "instances": [
+			{"name": "a", "kind": "mgcfd", "meshCells": 4096, "ranks": 40000},
+			{"name": "b", "kind": "mgcfd", "meshCells": 4096, "ranks": 40000}]}`, `field "ranks": instances and units total 80000`},
+	} {
+		if err := build(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Build error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+	if err := build(inst("65536")); err != nil {
+		t.Fatalf("at the bound: %v", err)
+	}
+	_, ts := testServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", inst("4611686018427387904"))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `field \"ranks\"`) {
+		t.Fatalf("2^62 ranks: %d (%s), want a 400 naming the field", resp.StatusCode, body)
+	}
+}
+
+// occupy admits n distinct computations to c that hold their worker or
+// queue slot until release is called (at the latest when the test
+// ends), and returns once all n are admitted.
+func occupy(t *testing.T, c *Cache, n int) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var returned sync.WaitGroup
+	for i := range n {
+		returned.Add(1)
+		go func() {
+			defer returned.Done()
+			c.Do(context.Background(), fmt.Sprintf("occupy-%d", i), false, func(context.Context) ([]byte, error) {
+				<-gate
+				return []byte("occupied"), nil
+			})
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); liveJobs(c) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("occupy: %d of %d computations admitted", liveJobs(c), n)
+		}
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate); returned.Wait() }) }
+	t.Cleanup(release)
+	return release
+}
+
+// liveJobs counts the computations c has admitted and not finished.
+func liveJobs(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.live)
+}
+
+// TestBackpressure429: with the single worker busy and the one queue
+// slot taken, the next distinct request must be rejected with 429 +
+// Retry-After.
 func TestBackpressure429(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 1, QueueLen: 1})
-	release := make(chan struct{})
-	var wedge sync.WaitGroup
-	wedge.Add(1)
-	if !s.pool.TrySubmit(func() { wedge.Done(); <-release }) {
-		t.Fatal("could not wedge the worker")
-	}
-	wedge.Wait() // the worker is now busy
-	if !s.pool.TrySubmit(func() {}) {
-		t.Fatal("could not fill the queue")
-	}
+	release := occupy(t, s.cache, 2)
 	resp, _ := postJSON(t, ts.URL+"/v1/allocate", allocBody)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
@@ -321,7 +386,7 @@ func TestBackpressure429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 without Retry-After")
 	}
-	close(release)
+	release()
 	// Once drained, the same request must succeed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -453,27 +518,111 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestGracefulClose: Close drains queued work before returning.
+// TestGracefulClose: Close drains queued and running work before
+// returning, and refuses work after.
 func TestGracefulClose(t *testing.T) {
-	p := NewPool(2, 8)
-	var mu sync.Mutex
-	ran := 0
-	for i := 0; i < 8; i++ {
-		if !p.TrySubmit(func() {
-			time.Sleep(5 * time.Millisecond)
-			mu.Lock()
-			ran++
-			mu.Unlock()
-		}) {
-			t.Fatalf("submit %d rejected", i)
+	c := NewCache(CacheConfig{Workers: 2, QueueLen: 6})
+	release := occupy(t, c, 8)
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		release()
+	}()
+	c.Close()
+	if n := c.Len(); n != 8 {
+		t.Fatalf("Close returned with %d/8 jobs done", n)
+	}
+	if _, _, err := c.Do(context.Background(), "late", false, nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Do after Close: %v, want ErrQueueFull", err)
+	}
+}
+
+// TestAbandonedQueuedJobFreesItsSlot: a request whose deadline expires
+// while its job is still queued gives the queue slot back at once, so
+// the next, unrelated request is queued behind the busy worker instead
+// of refused with 429.
+func TestAbandonedQueuedJobFreesItsSlot(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1, QueueLen: 1})
+	release := occupy(t, s.cache, 1)
+	resp, body := postJSON(t, ts.URL+"/v1/simulate?timeout=50ms", simBody)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued simulate: %d (%s), want 504", resp.StatusCode, body)
+	}
+	if d := s.cache.Depth(); d != 0 {
+		t.Errorf("queue depth %d after its only job was abandoned, want 0", d)
+	}
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/allocate", "application/json", strings.NewReader(allocBody))
+		if err != nil {
+			answered <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(5 * time.Second); liveJobs(s.cache) < 2; time.Sleep(time.Millisecond) {
+		select {
+		case code := <-answered:
+			t.Fatalf("allocate answered %d while the worker was busy, want it queued", code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("allocate never admitted")
 		}
 	}
-	p.Close()
-	if ran != 8 {
-		t.Fatalf("Close returned with %d/8 jobs done", ran)
+	if d := s.cache.Depth(); d != 1 {
+		t.Errorf("queue depth %d with the allocation queued, want 1", d)
 	}
-	if p.TrySubmit(func() {}) {
-		t.Fatal("submit accepted after Close")
+	release()
+	if code := <-answered; code != http.StatusOK {
+		t.Fatalf("queued allocate answered %d, want 200", code)
+	}
+}
+
+// TestCacheAbandonedQueuedJobNeverRuns: at the cache, the abandoned
+// queued job leaves the queue with its last waiter, the slot takes the
+// next job, and the abandoned compute is never called.
+func TestCacheAbandonedQueuedJobNeverRuns(t *testing.T) {
+	c := NewCache(CacheConfig{Workers: 1, QueueLen: 1})
+	release := occupy(t, c, 1)
+	var ran atomic.Bool
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, _, err := c.Do(ctx, "abandoned", false, func(context.Context) ([]byte, error) {
+		ran.Store(true)
+		return []byte("nobody"), nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("abandoning caller: %v, want context.DeadlineExceeded", err)
+	}
+	if d := c.Depth(); d != 0 {
+		t.Errorf("queue depth %d after its only job was abandoned, want 0", d)
+	}
+	next := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "next", false, func(context.Context) ([]byte, error) {
+			return []byte("next"), nil
+		})
+		next <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.Depth() == 0; time.Sleep(time.Millisecond) {
+		select {
+		case err := <-next:
+			t.Fatalf("next job returned %v while the worker was busy, want it queued", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("next job never queued")
+		}
+	}
+	release()
+	if err := <-next; err != nil {
+		t.Fatalf("next job: %v", err)
+	}
+	c.Close()
+	if ran.Load() {
+		t.Error("the abandoned job's compute ran")
 	}
 }
 
@@ -481,9 +630,6 @@ func TestGracefulClose(t *testing.T) {
 // identical request.
 func TestCacheDoErrorNotCached(t *testing.T) {
 	c := NewCache(CacheConfig{})
-	// Do holds the cache mutex across submission, so run the job on
-	// its own goroutine as the real pool does.
-	inline := func(fn func()) bool { go fn(); return true }
 	calls := 0
 	compute := func(context.Context) ([]byte, error) {
 		calls++
@@ -492,10 +638,10 @@ func TestCacheDoErrorNotCached(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	}
-	if _, _, err := c.Do(context.Background(), "k", inline, compute); err == nil {
+	if _, _, err := c.Do(context.Background(), "k", false, compute); err == nil {
 		t.Fatal("first Do did not fail")
 	}
-	body, outcome, err := c.Do(context.Background(), "k", inline, compute)
+	body, outcome, err := c.Do(context.Background(), "k", false, compute)
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("retry: %q %v", body, err)
 	}
@@ -512,8 +658,8 @@ func TestCacheDoErrorNotCached(t *testing.T) {
 // arriving in that window starts a computation of its own rather than
 // joining the doomed one and inheriting its context.Canceled.
 func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
-	c := NewCache(CacheConfig{})
-	inline := func(fn func()) bool { go fn(); return true }
+	// Two workers: the doomed job holds one until it unwinds.
+	c := NewCache(CacheConfig{Workers: 2})
 	unwind := make(chan struct{}) // holds the abandoned computation in flight
 	unwound := make(chan struct{})
 	doomed := func(ctx context.Context) ([]byte, error) {
@@ -524,14 +670,14 @@ func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Do(ctx, "k", inline, doomed); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Do(ctx, "k", false, doomed); !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoning caller: %v, want its own context.Canceled", err)
 	}
 	// The deadline only bounds the failure: joined to the abandoned job,
 	// the retry would wait on it for ever.
 	retry, stop := context.WithTimeout(context.Background(), 2*time.Second)
 	defer stop()
-	body, outcome, err := c.Do(retry, "k", inline, func(context.Context) ([]byte, error) {
+	body, outcome, err := c.Do(retry, "k", false, func(context.Context) ([]byte, error) {
 		return []byte("mine"), nil
 	})
 	if err != nil || string(body) != "mine" || outcome != OutcomeMiss {
@@ -540,7 +686,7 @@ func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
 	// The abandoned job's late return must not disturb what replaced it.
 	close(unwind)
 	<-unwound
-	if body, outcome, err = c.Do(context.Background(), "k", inline, nil); err != nil || string(body) != "mine" || outcome != OutcomeHit {
+	if body, outcome, err = c.Do(context.Background(), "k", false, nil); err != nil || string(body) != "mine" || outcome != OutcomeHit {
 		t.Fatalf("after the abandoned job returned: %q %v %v, want the retry's artifact as a hit", body, outcome, err)
 	}
 }

@@ -62,7 +62,7 @@ type Options struct {
 	CacheDir string
 	// SweepWorkers bounds concurrently outstanding sweep points per
 	// /v1/sweep request (default 2×Workers: local points are still
-	// throttled by the worker pool, and forwarded points only wait on
+	// throttled by the cache's workers, and forwarded points only wait on
 	// the network).
 	SweepWorkers int
 	// Shards lists worker-process base URLs. When non-empty this server
@@ -96,12 +96,12 @@ func (o *Options) fill() {
 }
 
 // Server is the cpxserve request layer: a mux over the model and
-// simulation endpoints, backed by the worker pool and the
-// content-addressed cache. Create with New, expose via Handler, and
-// Close after the HTTP listener has shut down to drain the pool.
+// simulation endpoints, backed by the content-addressed cache that
+// admits, queues and runs every local computation. Create with New,
+// expose via Handler, and Close after the HTTP listener has shut down
+// to drain the admitted work.
 type Server struct {
 	opts     Options
-	pool     *Pool
 	cache    *Cache
 	metrics  *Metrics
 	registry *Registry
@@ -110,8 +110,7 @@ type Server struct {
 	mux      *http.ServeMux
 }
 
-// New builds a Server with its pool, cache, registry, metrics and
-// routes.
+// New builds a Server with its cache, registry, metrics and routes.
 func New(opts Options) *Server {
 	opts.fill()
 	var disk *DiskCache
@@ -125,8 +124,11 @@ func New(opts Options) *Server {
 		}
 	}
 	s := &Server{
-		opts:     opts,
-		cache:    NewCache(CacheConfig{MaxBytes: opts.CacheMaxBytes, Disk: disk}),
+		opts: opts,
+		cache: NewCache(CacheConfig{
+			MaxBytes: opts.CacheMaxBytes, Disk: disk,
+			Workers: opts.Workers, QueueLen: opts.QueueLen,
+		}),
 		registry: NewRegistry(),
 		log:      opts.Logger,
 	}
@@ -138,10 +140,7 @@ func New(opts Options) *Server {
 			s.shards = ss
 		}
 	}
-	s.pool = NewPool(opts.Workers, opts.QueueLen)
-	s.metrics = NewMetrics(s.pool.Depth, s.pool.Capacity, s.cache.Len)
-	s.metrics.AttachRegistry(s.registry)
-	s.metrics.AttachCache(s.cache)
+	s.metrics = NewMetrics(s.cache, s.registry)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -162,19 +161,19 @@ func (s *Server) Registry() *Registry { return s.registry }
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains the worker pool: queued and running jobs finish, new
-// submissions are rejected. Call after http.Server.Shutdown has
+// Close drains the cache's admitted work: queued and running jobs
+// finish, new ones are refused. Call after http.Server.Shutdown has
 // stopped accepting requests.
 func (s *Server) Close() {
 	if s.shards != nil {
 		s.shards.Close()
 	}
-	s.pool.Close()
+	s.cache.Close()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	setHeaders(w, "application/json", "", "", "")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"queueDepth\":%d,\"cacheEntries\":%d}\n", s.pool.Depth(), s.cache.Len())
+	fmt.Fprintf(w, "{\"status\":\"ok\",\"queueDepth\":%d,\"cacheEntries\":%d}\n", s.cache.Depth(), s.cache.Len())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -302,7 +301,7 @@ func (rq *request) fail(err error) {
 		// The hint scales with how long the queue actually takes to
 		// drain (EWMA of computed-job latency × queued jobs per
 		// worker), so batch clients back off proportionally.
-		ra := rq.s.metrics.RetryAfterSeconds(rq.s.pool.Depth(), rq.s.opts.Workers)
+		ra := rq.s.metrics.RetryAfterSeconds(rq.s.cache.Depth(), rq.s.opts.Workers)
 		rq.w.Header().Set("Retry-After", strconv.Itoa(ra))
 	}
 	jsonError(rq.w, rq.code, rq.job.ID(), rq.err)
@@ -360,9 +359,10 @@ func (res result) shardError() error {
 // tier if warm, else — on a sharded front-end, for simulations — the
 // shard owning the cache key (warm shards stay warm; a transport
 // failure degrades to the local path), else a local run through the
-// content-addressed cache and the bounded pool. It never blocks on a
-// full queue: ErrQueueFull is the caller's to answer or to wait out.
-func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonical []byte, run func(context.Context) (any, error)) (result, error) {
+// content-addressed cache, which admits it. With block unset a full
+// queue is ErrQueueFull, the caller's to answer; with it set the caller
+// waits for room under ctx.
+func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonical []byte, block bool, run func(context.Context) (any, error)) (result, error) {
 	key := cacheKey(endpoint, canonical)
 	if s.shards != nil && endpoint == "/v1/simulate" {
 		if body, ok := s.cache.Peek(key); ok {
@@ -381,7 +381,7 @@ func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonica
 				"job", jb.ID(), "endpoint", jb.endpoint, "shard", sh.URL, "error", err)
 		}
 	}
-	body, oc, err := s.cache.Do(ctx, key, s.pool.TrySubmit, func(jobCtx context.Context) ([]byte, error) {
+	body, oc, err := s.cache.Do(ctx, key, block, func(jobCtx context.Context) ([]byte, error) {
 		jb.Start()
 		s.log.Debug("job running", "job", jb.ID(), "endpoint", jb.endpoint)
 		out, err := run(jobCtx)
@@ -394,8 +394,8 @@ func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonica
 }
 
 // endpointFunc decodes one endpoint's spec from the body and returns
-// the computation to run for it. Decode errors surface before any pool
-// or cache interaction. The job is the request's registry entry, for
+// the computation to run for it. Decode errors surface before any cache
+// interaction. The job is the request's registry entry, for
 // endpoints that report live progress.
 type endpointFunc func(r *http.Request, jb *Job) (spec any, run func(ctx context.Context) (any, error), err error)
 
@@ -423,7 +423,7 @@ func (s *Server) post(endpoint string, ep endpointFunc) http.HandlerFunc {
 			return
 		}
 		defer cancel()
-		res, err := s.resolve(ctx, rq.job, endpoint, canonical, run)
+		res, err := s.resolve(ctx, rq.job, endpoint, canonical, false, run)
 		if err != nil {
 			rq.outcome = res.outcome
 			rq.fail(err)

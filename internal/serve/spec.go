@@ -1,14 +1,3 @@
-// Package serve exposes the performance model and the virtual-time
-// coupled simulator as an HTTP JSON service: fit PE curves, run the
-// Algorithm 1 greedy allocation, predict speedups, and execute full
-// coupled-simulation jobs. The service layer adds the production
-// serving machinery the one-shot CLIs lack — a bounded worker pool
-// with backpressure, per-request deadlines with real cancellation
-// plumbed into the rank goroutines, a content-addressed result cache
-// with singleflight deduplication, and Prometheus-style metrics.
-//
-// SimSpec, the request schema of /v1/simulate, is also the cpxsim
-// -config schema, so a scenario file works unchanged as a request body.
 package serve
 
 import (
@@ -18,6 +7,11 @@ import (
 	"cpx/internal/particle"
 	"cpx/internal/perfmodel"
 )
+
+// maxRanks bounds each instance's and unit's rank count and their
+// total: above the full-engine scale (40,000 cores), and far below the
+// counts at which per-rank state would exhaust the host.
+const maxRanks = 1 << 16
 
 // InstanceSpec describes one application instance (the cpxsim schema).
 // The droplets/strategy/coneFraction/imbalanceThreshold fields apply
@@ -73,8 +67,8 @@ func (sp *SimSpec) Build() (*coupler.Simulation, error) {
 		Scale:           coupler.ProductionScale(),
 	}
 	for _, ji := range sp.Instances {
-		if ji.Ranks < 0 {
-			return nil, fmt.Errorf("instance %q: field \"ranks\" must be non-negative, got %d", ji.Name, ji.Ranks)
+		if err := checkRanks("instance", ji.Name, ji.Ranks); err != nil {
+			return nil, err
 		}
 		kind, err := coupler.ParseSolverKind(ji.Kind)
 		if err != nil {
@@ -120,6 +114,9 @@ func (sp *SimSpec) Build() (*coupler.Simulation, error) {
 		sim.Instances = append(sim.Instances, is)
 	}
 	for _, ju := range sp.Units {
+		if err := checkRanks("unit", ju.Name, ju.Ranks); err != nil {
+			return nil, err
+		}
 		kind, err := coupler.ParseInterfaceKind(ju.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("unit %q: field \"kind\": %w", ju.Name, err)
@@ -133,7 +130,18 @@ func (sp *SimSpec) Build() (*coupler.Simulation, error) {
 			Ranks: ju.Ranks, Search: search, ExchangeEvery: ju.ExchangeEvery,
 		})
 	}
+	if n := sim.TotalRanks(); n > maxRanks {
+		return nil, fmt.Errorf("field \"ranks\": instances and units total %d, above %d", n, maxRanks)
+	}
 	return sim, nil
+}
+
+// checkRanks bounds one instance's or unit's rank count.
+func checkRanks(what, name string, ranks int) error {
+	if ranks < 0 || ranks > maxRanks {
+		return fmt.Errorf("%s %q: field \"ranks\" must be in [0, %d], got %d", what, name, maxRanks, ranks)
+	}
+	return nil
 }
 
 // ApplySeed offsets every instance's setup seed, replaying the whole

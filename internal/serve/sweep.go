@@ -1,24 +1,16 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"time"
 )
 
 // maxSweepPoints bounds a single sweep's expanded grid. 4096 points at
 // a few KiB of artifact each is well inside the default cache budget;
 // anything larger should be split into multiple sweeps.
 const maxSweepPoints = 4096
-
-// sweepRetryDelay paces resubmission of a sweep point that found the
-// worker queue full. Sweeps absorb backpressure by waiting (bounded by
-// the request deadline) instead of failing points with 429s.
-const sweepRetryDelay = 5 * time.Millisecond
 
 // SweepAxes are the parameter ranges of a sweep. The cross product of
 // every non-empty axis is expanded server-side, in the fixed nesting
@@ -34,7 +26,8 @@ type SweepAxes struct {
 	MeshScales []float64 `json:"meshScales,omitempty"`
 	// RankScales multiplies every instance's and unit's rank count —
 	// the core-budget axis of the paper's allocation studies. Values
-	// must be positive; scaled counts are clamped to at least 1.
+	// must be positive; scaled counts are clamped to at least 1, and a
+	// count scaled above maxRanks rejects the sweep.
 	RankScales []float64 `json:"rankScales,omitempty"`
 	// DensitySteps enumerates outer-loop lengths, replacing the
 	// template's densitySteps. Values must be positive.
@@ -83,38 +76,56 @@ type pointResult struct {
 
 // scaleCount scales a positive count, rounding to nearest and clamping
 // to at least 1; non-positive counts pass through (0 means "unset" in
-// the schema).
-func scaleCount[T int | int64](v T, s float64) T {
+// the schema). It reports false when the product exceeds limit.
+func scaleCount[T int | int64](v T, s float64, limit T) (T, bool) {
 	if v <= 0 {
-		return v
+		return v, true
 	}
-	scaled := T(math.Round(float64(v) * s))
-	if scaled < 1 {
-		return 1
+	// The product is integral, so "< limit+1" is "<= limit"; for
+	// math.MaxInt64, limit+1 rounds to 2^63, the first float the
+	// conversion cannot hold.
+	scaled := math.Round(float64(v) * s)
+	if !(scaled < float64(limit)+1) {
+		return 0, false
 	}
-	return scaled
+	return max(T(scaled), 1), true
+}
+
+// scaleError names the axis, value and field of an overflowing scale.
+func scaleError(axis string, s float64, what, name, field string, limit int64) error {
+	return fmt.Errorf("axes.%s value %v takes %s %q field %q above %d", axis, s, what, name, field, limit)
 }
 
 // derivePoint applies one grid point's parameters to a deep copy of the
 // template.
-func derivePoint(t *SimulateRequest, p SweepPoint) SimulateRequest {
+func derivePoint(t *SimulateRequest, p SweepPoint) (SimulateRequest, error) {
 	d := *t
 	d.Instances = append([]InstanceSpec(nil), t.Instances...)
 	d.Units = append([]UnitSpec(nil), t.Units...)
 	if p.SeedOffset != nil {
 		d.SeedOffset = *p.SeedOffset
 	}
+	var ok bool
 	if p.MeshScale != nil {
 		for i := range d.Instances {
-			d.Instances[i].MeshCells = scaleCount(d.Instances[i].MeshCells, *p.MeshScale)
+			is := &d.Instances[i]
+			if is.MeshCells, ok = scaleCount(is.MeshCells, *p.MeshScale, math.MaxInt64); !ok {
+				return d, scaleError("meshScales", *p.MeshScale, "instance", is.Name, "meshCells", math.MaxInt64)
+			}
 		}
 	}
 	if p.RankScale != nil {
 		for i := range d.Instances {
-			d.Instances[i].Ranks = scaleCount(d.Instances[i].Ranks, *p.RankScale)
+			is := &d.Instances[i]
+			if is.Ranks, ok = scaleCount(is.Ranks, *p.RankScale, maxRanks); !ok {
+				return d, scaleError("rankScales", *p.RankScale, "instance", is.Name, "ranks", maxRanks)
+			}
 		}
 		for i := range d.Units {
-			d.Units[i].Ranks = scaleCount(d.Units[i].Ranks, *p.RankScale)
+			us := &d.Units[i]
+			if us.Ranks, ok = scaleCount(us.Ranks, *p.RankScale, maxRanks); !ok {
+				return d, scaleError("rankScales", *p.RankScale, "unit", us.Name, "ranks", maxRanks)
+			}
 		}
 	}
 	if p.DensitySteps != nil {
@@ -127,7 +138,7 @@ func derivePoint(t *SimulateRequest, p SweepPoint) SimulateRequest {
 			}
 		}
 	}
-	return d
+	return d, nil
 }
 
 // expandSweep validates the axes and expands the cross product into
@@ -186,7 +197,10 @@ func expandSweep(req *SweepRequest) ([]sweepJob, error) {
 				for _, ds := range orNil(ax.DensitySteps) {
 					for _, st := range orNil(ax.Strategies) {
 						p := SweepPoint{SeedOffset: so, MeshScale: ms, RankScale: rs, DensitySteps: ds, Strategy: st}
-						simReq := derivePoint(&req.Template, p)
+						simReq, err := derivePoint(&req.Template, p)
+						if err != nil {
+							return nil, err
+						}
 						canonical, err := canonicalize(&simReq)
 						if err != nil {
 							return nil, err
@@ -213,33 +227,8 @@ func orNil[T any](vals []T) []*T {
 	return out
 }
 
-// resolvePoint resolves one sweep point through the same path as a
-// /v1/simulate request, with the sweep's own policy on the two outcomes
-// that path leaves to its caller: a full queue is waited out (bounded by
-// the request deadline) instead of failing the point, and a shard's
-// non-200 answer becomes the point's error.
-func (s *Server) resolvePoint(ctx context.Context, pj *sweepJob, child *Job) (result, error) {
-	run := s.simulateRunner(&pj.simReq, child)
-	for {
-		res, err := s.resolve(ctx, child, "/v1/simulate", pj.canonical, run)
-		if errors.Is(err, ErrQueueFull) {
-			select {
-			case <-ctx.Done():
-				return res, ctx.Err()
-			//lint:allow determinism sweep backpressure pacing waits in host time by definition; nothing feeds the virtual clock
-			case <-time.After(sweepRetryDelay):
-			}
-			continue
-		}
-		if err == nil {
-			err = res.shardError()
-		}
-		return res, err
-	}
-}
-
 // handleSweep serves POST /v1/sweep: expand the grid, fan points out
-// across the worker pool (or shard set) with cross-request dedup
+// across the cache's workers (or shard set) with cross-request dedup
 // through the content-addressed cache, and stream one NDJSON line per
 // completed point. The response is
 //
@@ -316,7 +305,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func(pj *sweepJob, child *Job) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := s.resolvePoint(ctx, pj, child)
+			// A point resolves like a /v1/simulate request, but waits for
+			// room (bounded by the request deadline) instead of failing on
+			// a full queue, and a shard's non-200 answer is its error.
+			res, err := s.resolve(ctx, child, "/v1/simulate", pj.canonical, true, s.simulateRunner(&pj.simReq, child))
+			if err == nil {
+				err = res.shardError()
+			}
 			code, state, _ := verdict(err)
 			child.Finish(state, code, res.outcome, err)
 			results <- pointResult{job: pj, result: res, err: err}

@@ -272,13 +272,68 @@ func TestSweepCacheBoundedEviction(t *testing.T) {
 	}
 }
 
+// TestSweepPointsWaitForRoom: sweep points that find the worker busy
+// and the queue full wait for room under the request deadline instead
+// of failing with 429.
+func TestSweepPointsWaitForRoom(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1, QueueLen: 1})
+	release := occupy(t, s.cache, 2)
+	go func() {
+		defer release()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			s.cache.mu.Lock()
+			blocked := s.cache.room != nil
+			s.cache.mu.Unlock()
+			if blocked {
+				return
+			}
+		}
+	}()
+	_, points, done := postSweep(t, ts.URL, `{"template": `+sweepTemplate+`, "axes": {"seedOffsets": [1, 2, 3]}}`)
+	if d := done.Done; d.OK != 3 || d.Misses != 3 {
+		t.Fatalf("trailer %+v, want 3 points computed; points %+v", *d, points)
+	}
+}
+
+// TestSweepScaleOverflowRejected: a scale whose product overflows its
+// field, or takes a rank count above maxRanks, rejects the sweep with a
+// 400 naming the axis and value. Unchecked, each ran as a 1-cell or
+// 1-rank point, or with 8e9 ranks, while echoing the scale it was given.
+func TestSweepScaleOverflowRejected(t *testing.T) {
+	const template = `{"densitySteps": 1, "instances": [{"name": "row", "kind": "mgcfd", "meshCells": 1000000000, "ranks": 8, "seed": 1}]}`
+	expand := func(axes string) ([]sweepJob, error) {
+		var req SweepRequest
+		if err := DecodeStrict(strings.NewReader(`{"template": `+template+`, "axes": `+axes+`}`), &req); err != nil {
+			t.Fatal(err)
+		}
+		return expandSweep(&req)
+	}
+	for _, tc := range []struct{ axes, want string }{
+		{`{"meshScales": [1e10]}`, `axes.meshScales value 1e+10 takes instance "row" field "meshCells"`},
+		{`{"rankScales": [1e300]}`, `axes.rankScales value 1e+300 takes instance "row" field "ranks"`},
+		{`{"rankScales": [1e9]}`, `axes.rankScales value 1e+09 takes instance "row" field "ranks"`},
+	} {
+		if _, err := expand(tc.axes); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: expandSweep error %v, want one naming %s", tc.axes, err, tc.want)
+		}
+	}
+	if jobs, err := expand(`{"rankScales": [2], "meshScales": [9]}`); err != nil ||
+		jobs[0].simReq.Instances[0].Ranks != 16 || jobs[0].simReq.Instances[0].MeshCells != 9e9 {
+		t.Errorf("in-range scales: %v, %+v", err, jobs)
+	}
+	_, ts := testServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", `{"template": `+template+`, "axes": {"meshScales": [1e10]}}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "axes.meshScales value 1e+10") {
+		t.Errorf("sweep: %d (%s), want a 400 naming the axis and value", resp.StatusCode, body)
+	}
+}
+
 // TestCacheOversizedEntryNotAdmitted: a single artifact larger than the
 // whole budget must be served but never admitted (it would evict
 // everything for no reuse benefit).
 func TestCacheOversizedEntryNotAdmitted(t *testing.T) {
 	c := NewCache(CacheConfig{MaxBytes: 8})
-	submit := func(f func()) bool { go f(); return true }
-	body, oc, err := c.Do(t.Context(), "k1", submit, func(ctx context.Context) ([]byte, error) {
+	body, oc, err := c.Do(t.Context(), "k1", false, func(ctx context.Context) ([]byte, error) {
 		return []byte("way more than eight bytes"), nil
 	})
 	if err != nil || oc != OutcomeMiss {
@@ -295,7 +350,7 @@ func TestCacheOversizedEntryNotAdmitted(t *testing.T) {
 // TestRetryAfterGrowsWithQueueDepth: the 429 hint must be computed from
 // observed job latency and queue depth, not hardcoded.
 func TestRetryAfterGrowsWithQueueDepth(t *testing.T) {
-	m := NewMetrics(func() int { return 0 }, func() int { return 16 }, func() int { return 0 })
+	m := NewMetrics(NewCache(CacheConfig{QueueLen: 16}), NewRegistry())
 	if got := m.RetryAfterSeconds(10, 4); got != 1 {
 		t.Errorf("with no latency observations RetryAfterSeconds = %d, want 1", got)
 	}
@@ -311,21 +366,13 @@ func TestRetryAfterGrowsWithQueueDepth(t *testing.T) {
 	}
 }
 
-// TestBackpressureRetryAfterComputed: end to end, a 429 from a wedged
-// pool with a seeded latency EWMA must carry the computed hint, not the
+// TestBackpressureRetryAfterComputed: end to end, a 429 from a full
+// cache with a seeded latency EWMA must carry the computed hint, not the
 // old constant "1".
 func TestBackpressureRetryAfterComputed(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 1, QueueLen: 2})
 	s.metrics.ObserveJobTime(10.0)
-	release := make(chan struct{})
-	ready := make(chan struct{})
-	if !s.pool.TrySubmit(func() { close(ready); <-release }) {
-		t.Fatal("could not wedge the worker")
-	}
-	<-ready
-	defer close(release)
-	for s.pool.TrySubmit(func() {}) {
-	}
+	occupy(t, s.cache, 3)
 	resp, _ := postJSON(t, ts.URL+"/v1/allocate", allocBody)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
