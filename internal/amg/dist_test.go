@@ -3,6 +3,7 @@ package amg
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -107,5 +108,105 @@ func TestDistSolverChargesSetupWork(t *testing.T) {
 	}
 	if st.AvgCompute() <= 0 {
 		t.Error("AMG setup charged no compute time")
+	}
+}
+
+// referenceDistSolve is DistSolver.Solve written out on its own: fresh
+// vectors per call, the inner products and norms of sparse.Dist, and the
+// vector-update charge between the x/r update and the residual norm. The
+// one CG is held to it on the distributed system.
+func referenceDistSolve(s *DistSolver, b, x []float64, tol float64, maxIter int) Result {
+	d := s.D
+	n := d.OwnedRows()
+	r := make([]float64, n)
+	d.MulVec(x, r)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	bnorm := d.Norm2(b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	z := make([]float64, n)
+	s.precondition(r, z)
+	p := make([]float64, n)
+	copy(p, z)
+	ap := make([]float64, n)
+	rz := d.Dot(r, z)
+	for it := 1; it <= maxIter; it++ {
+		d.MulVec(p, ap)
+		pap := d.Dot(p, ap)
+		if pap == 0 {
+			return Result{Iterations: it, Residual: d.Norm2(r) / bnorm}
+		}
+		alpha := rz / pap
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		d.Comm.Compute(cluster.Work{Flops: 4 * float64(n) * d.WorkScale, Bytes: 48 * float64(n) * d.WorkScale})
+		res := d.Norm2(r) / bnorm
+		if res < tol {
+			return Result{Iterations: it, Residual: res, Converged: true}
+		}
+		s.precondition(r, z)
+		rzNew := d.Dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return Result{Iterations: maxIter, Residual: d.Norm2(r) / bnorm}
+}
+
+// TestDistSolveMatchesReference: on 1 to 4 ranks, two solves in a row on
+// one DistSolver (the second from the first's iterate, on another
+// right-hand side) leave the iterate bits, Results and run Stats — every
+// rank clock and compute/comm split — that referenceDistSolve leaves. A
+// solve stopped by its iteration cap leaves the same iterate and Result;
+// its clocks are not compared, since the reference recomputes the final
+// residual with one more inner product.
+func TestDistSolveMatchesReference(t *testing.T) {
+	a := sparse.Poisson2D(16, 16)
+	b1, b2 := randomRHS(a.Rows, 21), randomRHS(a.Rows, 22)
+	type solve func(s *DistSolver, b, x []float64, tol float64, maxIter int) Result
+	run := func(p, maxIter int, f solve) (*mpi.Stats, [][]uint64, [][2]Result) {
+		bits, results := make([][]uint64, p), make([][2]Result, p)
+		st, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second},
+			func(c *mpi.Comm) error {
+				d := sparse.NewDistFromGlobal(c, a, 50)
+				s, err := NewDistSolver(d, DefaultOptions())
+				if err != nil {
+					return err
+				}
+				x := make([]float64, d.OwnedRows())
+				for k, b := range [][]float64{b1, b2} {
+					results[c.Rank()][k] = f(s, b[d.RowLo:d.RowHi], x, 1e-8, maxIter)
+				}
+				for _, v := range x {
+					bits[c.Rank()] = append(bits[c.Rank()], math.Float64bits(v))
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, bits, results
+	}
+	for p := 1; p <= 4; p++ {
+		for _, maxIter := range []int{500, 3} {
+			refSt, refBits, refRes := run(p, maxIter, referenceDistSolve)
+			st, bits, res := run(p, maxIter, (*DistSolver).Solve)
+			if !reflect.DeepEqual(res, refRes) {
+				t.Errorf("p=%d maxIter=%d: Results %+v, reference %+v", p, maxIter, res, refRes)
+			}
+			if !reflect.DeepEqual(bits, refBits) {
+				t.Errorf("p=%d maxIter=%d: iterate bits differ from the reference", p, maxIter)
+			}
+			if maxIter == 500 && !reflect.DeepEqual(st, refSt) {
+				t.Errorf("p=%d: Stats differ from the reference: clocks %v, reference %v", p, st.Clocks, refSt.Clocks)
+			}
+		}
 	}
 }

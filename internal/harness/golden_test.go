@@ -16,18 +16,20 @@ import (
 
 // TestGoldenStandaloneRuntimes pins the virtual run-time of one small
 // standalone point per solver proxy (both pressure variants, since they
-// run different smoothers and transfer kernels). The pressure run-time
+// run different smoothers and transfer kernels), and one pressure point
+// at 512 ranks whose PCG reaches its iteration cap. The pressure run-time
 // depends on the PCG iteration count, so it moves if the AMG numerics
 // move at all. Recorded before the solvers' per-step vectors became
 // reused scratch: host-side buffer reuse must leave every charge, and so
 // every clock, exactly where it was.
 func TestGoldenStandaloneRuntimes(t *testing.T) {
 	o := quick()
-	for _, g := range []struct {
+	type row struct {
 		name   string
 		run    func() (float64, error)
 		golden float64
-	}{
+	}
+	rows := []row{
 		{"pressure/Base", func() (float64, error) {
 			rt, _, err := o.PressureRuntime(pressure.Config{MeshCells: 1_000_000, Steps: 4, Seed: 1}, 16, false)
 			return rt, err
@@ -42,7 +44,16 @@ func TestGoldenStandaloneRuntimes(t *testing.T) {
 		{"mgcfd", func() (float64, error) {
 			return o.MGCFDRuntime(mgcfd.Config{MeshCells: 1_000_000, Steps: 10, Seed: 1}, 16)
 		}, 0.5369042729954785},
-	} {
+	}
+	if !testing.Short() {
+		// A pe-sweep point: no exit may add a collective to a capped
+		// solve. About 80 s under the race detector.
+		rows = append(rows, row{"pressure/Base@512", func() (float64, error) {
+			rt, _, err := o.PressureRuntime(pressure.Config{MeshCells: 28_000_000, Steps: 10, Seed: 1}, 512, false)
+			return rt, err
+		}, 9.757241466002155})
+	}
+	for _, g := range rows {
 		rt, err := g.run()
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)

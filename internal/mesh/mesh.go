@@ -227,6 +227,31 @@ func (dc *Decomp) Neighbors(rank int) []Neighbor {
 	return out
 }
 
+// FaceIndices lists the flat indices (i fastest, then j, then k) of the
+// first (dir < 0) or last (dir > 0) layer along axis of an NI×NJ×NK index
+// box, walking the face's other two axes lower axis fastest. The box is
+// whatever the caller indexes: cells for the pressure proxy, nodes
+// (NI+1, NJ+1, NK+1) for MG-CFD.
+func FaceIndices(d Dims, axis, dir int) []int {
+	n := [3]int{d.NI, d.NJ, d.NK}
+	stride := [3]int{1, d.NI, d.NI * d.NJ}
+	u, v := (axis+1)%3, (axis+2)%3
+	if u > v {
+		u, v = v, u
+	}
+	base := 0
+	if dir > 0 {
+		base = (n[axis] - 1) * stride[axis]
+	}
+	out := make([]int, 0, n[u]*n[v])
+	for b := 0; b < n[v]; b++ {
+		for a := 0; a < n[u]; a++ {
+			out = append(out, base+a*stride[u]+b*stride[v])
+		}
+	}
+	return out
+}
+
 // Local is a rank's view of its subdomain: the true box it owns and the
 // (possibly capped) working set it actually allocates.
 type Local struct {

@@ -3,6 +3,7 @@ package mgcfd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,6 +62,23 @@ func TestFaceNodesDistinctPerFace(t *testing.T) {
 	for _, n := range hi {
 		if seen[n] {
 			t.Fatal("opposite faces share nodes")
+		}
+	}
+}
+
+// TestFaceIndicesMatchesFaceNodes: the one face walk over a block's node
+// dims lists the nodes of every face as faceNodes does, in its order, on
+// one cell, on boxes one cell thick along each axis and on odd sizes.
+func TestFaceIndicesMatchesFaceNodes(t *testing.T) {
+	for _, n := range [][3]int{{1, 1, 1}, {1, 4, 5}, {4, 1, 5}, {4, 5, 1}, {3, 5, 7}, {7, 3, 5}, {5, 7, 3}} {
+		d := mesh.Dims{NI: n[0], NJ: n[1], NK: n[2]}
+		nodes := mesh.Dims{NI: d.NI + 1, NJ: d.NJ + 1, NK: d.NK + 1}
+		for axis := 0; axis < 3; axis++ {
+			for _, dir := range []int{-1, 1} {
+				if got, want := mesh.FaceIndices(nodes, axis, dir), faceNodes(d, axis, dir); !slices.Equal(got, want) {
+					t.Errorf("%v axis %d dir %d: %v, want %v", d, axis, dir, got, want)
+				}
+			}
 		}
 	}
 }

@@ -3,10 +3,12 @@ package pressure
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"cpx/internal/cluster"
+	"cpx/internal/mesh"
 	"cpx/internal/mpi"
 )
 
@@ -249,5 +251,21 @@ func TestBaseSprayRepresentsConfiguredDroplets(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaceIndicesMatchesCellFace: the one face walk over a box's cell dims
+// lists the cells of every face as cellFace does, in its order, on one
+// cell, on boxes one cell thick along each axis and on odd sizes.
+func TestFaceIndicesMatchesCellFace(t *testing.T) {
+	for _, n := range [][3]int{{1, 1, 1}, {1, 4, 5}, {4, 1, 5}, {4, 5, 1}, {3, 5, 7}, {7, 3, 5}, {5, 7, 3}} {
+		d := mesh.Dims{NI: n[0], NJ: n[1], NK: n[2]}
+		for axis := 0; axis < 3; axis++ {
+			for _, dir := range []int{-1, 1} {
+				if got, want := mesh.FaceIndices(d, axis, dir), cellFace(d, axis, dir); !slices.Equal(got, want) {
+					t.Errorf("%v axis %d dir %d: %v, want %v", d, axis, dir, got, want)
+				}
+			}
+		}
 	}
 }
