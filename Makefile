@@ -48,11 +48,12 @@ test-race:
 # goroutine-per-rank scheduler, the coupler's exchange phases and the
 # HTTP job registry. The solver packages are here because the race
 # detector is the proof that the set-up state a run's ranks share
-# (mpi.Shared: operators, hierarchies, edge lists, the initial droplet
-# cloud's owners) is never written.
+# (mpi.Shared: the decomposition, operators, hierarchies, face lists, the
+# initial droplet cloud's owners) is never written, and that each rank
+# solves in CG vectors of its own (fem's DistSolver).
 test-race-short:
 	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/pressure/ ./internal/mgcfd/ ./internal/particle/ \
-		./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
+		./internal/fem/ ./internal/mesh/ ./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
 
 # The figure-level check on the pressure and amg solvers: re-run the
 # five pressure sweeps and diff each table against its record in

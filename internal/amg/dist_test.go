@@ -210,3 +210,36 @@ func TestDistSolveMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCGExactSolveConverges: a system solved exactly — b = 0 from x = 0,
+// whose first search direction is zero — reports convergence at residual
+// 0 through Hierarchy.PCG and through DistSolver.Solve on 1 and 3 ranks.
+func TestCGExactSolveConverges(t *testing.T) {
+	a := sparse.Poisson2D(16, 16)
+	want := Result{Iterations: 1, Residual: 0, Converged: true}
+	h, err := Setup(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.PCG(make([]float64, a.Rows), make([]float64, a.Rows), 1e-8, 100); res != want {
+		t.Errorf("Hierarchy.PCG: %+v, want %+v", res, want)
+	}
+	for _, p := range []int{1, 3} {
+		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second},
+			func(c *mpi.Comm) error {
+				d := sparse.NewDistFromGlobal(c, a, 50)
+				s, err := NewDistSolver(d, DefaultOptions())
+				if err != nil {
+					return err
+				}
+				n := d.OwnedRows()
+				if res := s.Solve(make([]float64, n), make([]float64, n), 1e-8, 100); res != want {
+					return fmt.Errorf("DistSolver.Solve on %d ranks: %+v, want %+v", p, res, want)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -4,12 +4,16 @@
 // interpolation, Jacobi / Gauss-Seidel / hybrid Gauss-Seidel smoothers,
 // V-cycles and Krylov-accelerated K-cycles, the Galerkin triple product
 // built on the sparse SpGEMM kernels, and AMG-preconditioned conjugate
-// gradients — both serial and distributed over the mpi runtime.
+// gradients. CG is the one conjugate-gradient loop: Hierarchy.PCG,
+// DistSolver.Solve and the pressure proxy each hand it a CGSystem whose
+// methods charge their own modelled cost.
 //
 // Options picks the algorithms of a variant; every numeric setting
 // (strength threshold, sweeps, Jacobi and smoothing weights, depth,
 // coarsest size, hybrid blocks) is one constant in hierarchy.go, shared
 // by all variants. Oracles: TestGoldenIterates (the bit patterns of
-// Solve and PCG over the smoother x cycle matrix) and
+// Solve and PCG over the smoother x cycle matrix),
+// TestDistSolveMatchesReference (DistSolver.Solve against its own loop:
+// iterates, Results and rank clocks), TestCGExactSolveConverges and
 // TestDistSolverMatchesSerialSolution.
 package amg

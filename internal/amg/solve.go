@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cpx/internal/cluster"
+	"cpx/internal/scratch"
 	"cpx/internal/sparse"
 )
 
@@ -46,50 +47,89 @@ func (h *Hierarchy) Solve(b, x []float64, tol float64, maxIter int) Result {
 // cycle per iteration — the pressure-correction solver configuration of
 // the production code (CG + aggregate AMG).
 func (h *Hierarchy) PCG(b, x []float64, tol float64, maxIter int) Result {
-	a := h.Levels[0].A
-	n := a.Rows
-	r := make([]float64, n)
-	a.MulVec(x, r)
+	return CG(serialSystem{h}, b, x, tol, maxIter, new(CGWork))
+}
+
+// CGSystem is a linear system for CG. Each method charges its own
+// modelled cost, if the system has one.
+type CGSystem interface {
+	MulVec(x, y []float64)       // y = A x
+	Dot(a, b []float64) float64  // the inner product over the whole system
+	Precondition(r, z []float64) // z = M⁻¹ r, whatever z held before
+}
+
+// updateCharger is a CGSystem that charges CG's per-iteration update of x
+// and r over n values, between the update and the residual norm.
+type updateCharger interface{ chargeUpdate(n int) }
+
+// CGWork holds CG's working vectors, sized on first use and reused by
+// every later solve. A caller keeps one per concurrent solve.
+type CGWork struct{ r, z, p, ap []float64 }
+
+// CG solves A x = b from the initial x by conjugate gradients
+// preconditioned by sys, until the relative residual ||b-Ax|| / ||b||
+// drops below tol or maxIter (at least 1) iterations elapse. An iteration
+// whose search direction has zero energy has solved the system exactly,
+// so it reports convergence by the residual. Every exit returns the
+// residual it last computed: none adds an inner product.
+func CG(sys CGSystem, b, x []float64, tol float64, maxIter int, w *CGWork) Result {
+	n := len(x)
+	r := scratch.Floats(&w.r, n)
+	sys.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	bnorm := norm2(b)
+	bnorm := math.Sqrt(sys.Dot(b, b))
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	z := make([]float64, n)
-	h.ApplyCycle(r, z)
-	p := make([]float64, n)
+	z := scratch.Floats(&w.z, n)
+	sys.Precondition(r, z)
+	p := scratch.Floats(&w.p, n)
 	copy(p, z)
-	ap := make([]float64, n)
-	rz := dot(r, z)
+	ap := scratch.Floats(&w.ap, n)
+	rz := sys.Dot(r, z)
+	charger, _ := sys.(updateCharger)
+	res := 0.0
 	for it := 1; it <= maxIter; it++ {
-		a.MulVec(p, ap)
-		pap := dot(p, ap)
+		sys.MulVec(p, ap)
+		pap := sys.Dot(p, ap)
 		if pap == 0 {
-			return Result{Iterations: it, Residual: norm2(r) / bnorm}
+			res = math.Sqrt(sys.Dot(r, r)) / bnorm
+			return Result{Iterations: it, Residual: res, Converged: res < tol}
 		}
 		alpha := rz / pap
 		for i := range x {
 			x[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 		}
-		res := norm2(r) / bnorm
+		if charger != nil {
+			charger.chargeUpdate(n)
+		}
+		res = math.Sqrt(sys.Dot(r, r)) / bnorm
 		if res < tol {
 			return Result{Iterations: it, Residual: res, Converged: true}
 		}
-		for i := range z {
-			z[i] = 0
-		}
-		h.ApplyCycle(r, z)
-		rzNew := dot(r, z)
+		sys.Precondition(r, z)
+		rzNew := sys.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return Result{Iterations: maxIter, Residual: norm2(r) / bnorm}
+	return Result{Iterations: maxIter, Residual: res}
+}
+
+// serialSystem is a hierarchy's finest operator preconditioned by one of
+// its cycles, with the local inner product; nothing is charged.
+type serialSystem struct{ h *Hierarchy }
+
+func (s serialSystem) MulVec(x, y []float64)      { s.h.Levels[0].A.MulVec(x, y) }
+func (s serialSystem) Dot(a, b []float64) float64 { return dot(a, b) }
+func (s serialSystem) Precondition(r, z []float64) {
+	clear(z)
+	s.h.ApplyCycle(r, z)
 }
 
 func dot(a, b []float64) float64 {
@@ -113,6 +153,7 @@ func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
 type DistSolver struct {
 	D     *sparse.Dist
 	Local *Hierarchy
+	work  CGWork // Solve's vectors
 }
 
 // NewDistSolver builds the local-block hierarchy. Collective over d.Comm.
@@ -155,46 +196,18 @@ func (s *DistSolver) precondition(r, z []float64) {
 // Solve runs distributed PCG. b and x are the rank's owned slices.
 // Collective over the communicator; every rank gets the same Result.
 func (s *DistSolver) Solve(b, x []float64, tol float64, maxIter int) Result {
-	d := s.D
-	n := d.OwnedRows()
-	r := make([]float64, n)
-	d.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bnorm := d.Norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	z := make([]float64, n)
-	s.precondition(r, z)
-	p := make([]float64, n)
-	copy(p, z)
-	ap := make([]float64, n)
-	rz := d.Dot(r, z)
-	for it := 1; it <= maxIter; it++ {
-		d.MulVec(p, ap)
-		pap := d.Dot(p, ap)
-		if pap == 0 {
-			return Result{Iterations: it, Residual: d.Norm2(r) / bnorm}
-		}
-		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		d.Comm.Compute(cluster.Work{Flops: 4 * float64(n) * d.WorkScale, Bytes: 48 * float64(n) * d.WorkScale})
-		res := d.Norm2(r) / bnorm
-		if res < tol {
-			return Result{Iterations: it, Residual: res, Converged: true}
-		}
-		s.precondition(r, z)
-		rzNew := d.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return Result{Iterations: maxIter, Residual: d.Norm2(r) / bnorm}
+	return CG(distSystem{s}, b, x, tol, maxIter, &s.work)
+}
+
+// distSystem is the distributed operator preconditioned by the local
+// hierarchy; sparse.Dist charges the products, precondition the cycle.
+type distSystem struct{ s *DistSolver }
+
+func (d distSystem) MulVec(x, y []float64)       { d.s.D.MulVec(x, y) }
+func (d distSystem) Dot(a, b []float64) float64  { return d.s.D.Dot(a, b) }
+func (d distSystem) Precondition(r, z []float64) { d.s.precondition(r, z) }
+
+func (d distSystem) chargeUpdate(n int) {
+	ws := d.s.D.WorkScale
+	d.s.D.Comm.Compute(cluster.Work{Flops: 4 * float64(n) * ws, Bytes: 48 * float64(n) * ws})
 }

@@ -1,14 +1,3 @@
-// Package mesh generates and decomposes the synthetic unstructured meshes
-// the mini-apps run on. Global meshes in the paper reach 1.2Bn cells, far
-// beyond what can be instantiated; like production codes the mini-apps
-// never hold the global mesh. Instead a Decomp describes a block
-// decomposition of a hex-dominant duct/annulus mesh analytically: every
-// rank derives its own box, its halo faces and its neighbours in O(1),
-// which scales to the paper's 40,000-rank runs.
-//
-// For the virtual-time runs each rank may cap its *allocated* working set
-// (Local.Sim) while costs are charged for the *true* box (Local.True);
-// the Scale factor connects the two (DESIGN.md §5.2).
 package mesh
 
 import (
@@ -16,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cpx/internal/mpi"
 	"cpx/internal/partition"
 )
 
@@ -83,27 +73,13 @@ type Decomp struct {
 	Grid [3]int
 }
 
-// NewDecomp chooses a process grid for p ranks over the global dims,
-// minimising the per-rank halo surface.
-func NewDecomp(d Dims, p int) (*Decomp, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("mesh: decomposition needs positive rank count, got %d", p)
-	}
-	if int64(p) > d.Cells() {
-		return nil, fmt.Errorf("mesh: %d ranks exceed %d cells", p, d.Cells())
-	}
-	grid, err := FactorGrid(p, d)
-	if err != nil {
-		return nil, err
-	}
-	return &Decomp{Dims: d, Grid: grid}, nil
-}
-
-// NewDecompBestEffort is NewDecomp but tolerates rank counts that cannot
-// be factored within the mesh dimensions (e.g. a large prime on a small
-// mesh): it uses the largest decomposable count <= p and leaves the
-// remaining ranks idle, as production job scripts do. The caller can
-// compare Ranks() against p to see how many ranks participate.
+// NewDecompBestEffort chooses a process grid for p ranks over the global
+// dims, minimising the per-rank halo surface. A rank count that cannot be
+// factored within the mesh dimensions (e.g. a large prime on a small
+// mesh) falls back to the largest decomposable count <= p, and p above
+// the cell count to the cell count: the remaining ranks idle, as
+// production job scripts do. The caller can compare Ranks() against p to
+// see how many ranks participate.
 func NewDecompBestEffort(d Dims, p int) (*Decomp, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mesh: decomposition needs positive rank count, got %d", p)
@@ -117,6 +93,30 @@ func NewDecompBestEffort(d Dims, p int) (*Decomp, error) {
 		}
 	}
 	return nil, fmt.Errorf("mesh: no decomposition of %+v for any rank count <= %d", d, p)
+}
+
+// Keys and values of the run's memo (mpi.Shared) for SharedDecomp.
+type (
+	decompKey struct {
+		dims  Dims
+		ranks int
+	}
+	decomposition struct {
+		dc  *Decomp
+		err error
+	}
+)
+
+// SharedDecomp is NewDecompBestEffort(dims, c.Size()), built by the first
+// rank of the run to ask and shared read-only by every rank that asks for
+// the same dims and size (FactorGrid is O(p), so a build per rank would
+// cost O(p²) an instance). It sends no message and charges nothing.
+func SharedDecomp(c *mpi.Comm, dims Dims) (*Decomp, error) {
+	d := mpi.Shared(c, decompKey{dims, c.Size()}, func() decomposition {
+		dc, err := NewDecompBestEffort(dims, c.Size())
+		return decomposition{dc, err}
+	})
+	return d.dc, d.err
 }
 
 // FactorGrid factorises p into a 3-D grid (gx, gy, gz), gx*gy*gz = p,
@@ -204,6 +204,10 @@ type Neighbor struct {
 	Dir       int // -1 or +1
 	FaceCells int // cells on the shared face (halo layer size)
 }
+
+// FaceCellsAt is the face size at multigrid level lvl: every coarsening
+// quarters a face, FaceCells/4^lvl, and a face keeps at least one cell.
+func (nb Neighbor) FaceCellsAt(lvl int) int { return max(nb.FaceCells>>(2*lvl), 1) }
 
 // Neighbors lists the face neighbours of a rank (up to 6).
 func (dc *Decomp) Neighbors(rank int) []Neighbor {

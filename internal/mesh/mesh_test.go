@@ -4,6 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"cpx/internal/cluster"
+	"cpx/internal/mpi"
 )
 
 func TestDimsCells(t *testing.T) {
@@ -86,11 +90,17 @@ func TestFactorGridRespectsDims(t *testing.T) {
 }
 
 func TestNewDecompErrors(t *testing.T) {
-	if _, err := NewDecomp(Dims{2, 2, 2}, 0); err == nil {
-		t.Error("p=0 accepted")
+	for _, p := range []int{0, -1} {
+		if _, err := NewDecompBestEffort(Dims{2, 2, 2}, p); err == nil {
+			t.Errorf("p=%d accepted", p)
+		}
 	}
-	if _, err := NewDecomp(Dims{2, 2, 2}, 100); err == nil {
-		t.Error("more ranks than cells accepted")
+	dc, err := NewDecompBestEffort(Dims{2, 2, 2}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dc.Ranks() != 8 {
+		t.Errorf("100 ranks on 8 cells use %d ranks, want the cell count", dc.Ranks())
 	}
 }
 
@@ -115,7 +125,7 @@ func TestBestEffortDecomp(t *testing.T) {
 
 func TestBoxPartitionCoversMesh(t *testing.T) {
 	d := Dims{10, 7, 5}
-	dc, err := NewDecomp(d, 6)
+	dc, err := NewDecompBestEffort(d, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +183,49 @@ func TestNeighborsSymmetric(t *testing.T) {
 	}
 }
 
+// TestFaceCellsAt: a face quarters per level and keeps at least one cell.
+func TestFaceCellsAt(t *testing.T) {
+	nb := Neighbor{FaceCells: 81}
+	for lvl, want := range []int{81, 20, 5, 1, 1} {
+		if got := nb.FaceCellsAt(lvl); got != want {
+			t.Errorf("level %d: %d face cells, want %d", lvl, got, want)
+		}
+	}
+}
+
+// TestSharedDecompIsTheRunsOne: every rank of a run gets one Decomp, the
+// one NewDecompBestEffort builds for the run's size, and a run on a rank
+// count the mesh cannot factor gets the best-effort grid.
+func TestSharedDecompIsTheRunsOne(t *testing.T) {
+	for _, p := range []int{6, 7} {
+		d := Dims{4, 4, 1}
+		want, err := NewDecompBestEffort(d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Decomp, p)
+		_, err = mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second}, func(c *mpi.Comm) error {
+			dc, err := SharedDecomp(c, d)
+			got[c.Rank()] = dc
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, dc := range got {
+			if dc != got[0] {
+				t.Errorf("p=%d: rank %d holds its own Decomp, want the run's one", p, r)
+			}
+		}
+		if *got[0] != *want {
+			t.Errorf("p=%d: shared %+v, want %+v", p, *got[0], *want)
+		}
+	}
+}
+
 func TestLocalScaleCapping(t *testing.T) {
 	d := Dims{100, 100, 100}
-	dc, err := NewDecomp(d, 1)
+	dc, err := NewDecompBestEffort(d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

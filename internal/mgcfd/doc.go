@@ -13,5 +13,7 @@
 // boxes), TestRestrictMatchesReference, TestProlongMatchesReference and
 // TestExchangeHaloMatchesReference (the row-wise transfers and the halo
 // exchange against their per-node bodies), TestSharedSetupMatchesPerRankBuild
-// (shared face lists against per-rank builds) and TestDeterministic.
+// (shared face lists against per-rank builds), TestFaceIndicesMatchesFaceNodes
+// (mesh's face walk on node dims against its per-axis loop) and
+// TestDeterministic.
 package mgcfd

@@ -90,23 +90,13 @@ type faceInfo struct {
 	trueCells int   // true face size at this level (for message cost)
 }
 
-// Keys and values of the read-only set-up state New takes from the run's
-// memo (mpi.Shared): the decomposition and a face's node list, which take
-// a handful of distinct values across capped ranks.
-type (
-	decompKey struct {
-		dims  mesh.Dims
-		ranks int
-	}
-	decomposition struct {
-		dc  *mesh.Decomp
-		err error
-	}
-	faceKey struct {
-		dims      mesh.Dims
-		axis, dir int
-	}
-)
+// faceKey keys a face's node list in the run's memo (mpi.Shared): the
+// node dims of the level's box, which take a handful of distinct values
+// across capped ranks, and the face.
+type faceKey struct {
+	nodes     mesh.Dims
+	axis, dir int
+}
 
 // Sim is the per-rank MG-CFD state.
 type Sim struct {
@@ -133,15 +123,11 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dims, p := mesh.CubeDims(cfg.MeshCells), c.Size()
-	d := mpi.Shared(c, decompKey{dims, p}, func() decomposition {
-		dc, err := mesh.NewDecompBestEffort(dims, p)
-		return decomposition{dc, err}
-	})
-	if d.err != nil {
-		return nil, d.err
+	dims := mesh.CubeDims(cfg.MeshCells)
+	dc, err := mesh.SharedDecomp(c, dims)
+	if err != nil {
+		return nil, err
 	}
-	dc := d.dc
 	s := &Sim{comm: c, cfg: cfg, decomp: dc, active: c.Rank() < dc.Ranks()}
 	if !s.active {
 		return s, nil
@@ -159,13 +145,14 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 		lv.workMult = float64(trueDims.Cells()) / float64(simDims.Cells())
 		// Neighbour faces: node lists on each face of the sim box; true
 		// sizes from the true box, both coarsened per level.
-		for _, nb := range localNeighbours(local, l) {
+		nodes := mesh.Dims{NI: simDims.NI + 1, NJ: simDims.NJ + 1, NK: simDims.NK + 1}
+		for _, nb := range local.Neighbors {
 			lv.faces = append(lv.faces, faceInfo{
 				rank: nb.Rank,
-				nodeIdx: mpi.Shared(c, faceKey{lv.dims, nb.Axis, nb.Dir}, func() []int {
-					return faceNodes(lv.dims, nb.Axis, nb.Dir)
+				nodeIdx: mpi.Shared(c, faceKey{nodes, nb.Axis, nb.Dir}, func() []int {
+					return mesh.FaceIndices(nodes, nb.Axis, nb.Dir)
 				}),
-				trueCells: nb.FaceCells,
+				trueCells: nb.FaceCellsAt(l),
 			})
 		}
 		s.levels = append(s.levels, lv)
@@ -201,65 +188,6 @@ func allocVars(n int) [][]float64 {
 	out := make([][]float64, NVAR)
 	for v := range out {
 		out[v] = make([]float64, n)
-	}
-	return out
-}
-
-// localNeighbours coarsens the face sizes of the true decomposition per
-// level (a face shrinks by ~4x per level).
-func localNeighbours(local *mesh.Local, lvl int) []mesh.Neighbor {
-	out := make([]mesh.Neighbor, len(local.Neighbors))
-	copy(out, local.Neighbors)
-	shrink := 1
-	for i := 0; i < lvl; i++ {
-		shrink *= 4
-	}
-	for i := range out {
-		fc := out[i].FaceCells / shrink
-		if fc < 1 {
-			fc = 1
-		}
-		out[i].FaceCells = fc
-	}
-	return out
-}
-
-// faceNodes lists the node indices on the given face of a block.
-func faceNodes(d mesh.Dims, axis, dir int) []int {
-	ni, nj, nk := d.NI+1, d.NJ+1, d.NK+1
-	idx := func(i, j, k int) int { return (k*nj+j)*ni + i }
-	var out []int
-	switch axis {
-	case 0:
-		i := 0
-		if dir > 0 {
-			i = ni - 1
-		}
-		for k := 0; k < nk; k++ {
-			for j := 0; j < nj; j++ {
-				out = append(out, idx(i, j, k))
-			}
-		}
-	case 1:
-		j := 0
-		if dir > 0 {
-			j = nj - 1
-		}
-		for k := 0; k < nk; k++ {
-			for i := 0; i < ni; i++ {
-				out = append(out, idx(i, j, k))
-			}
-		}
-	default:
-		k := 0
-		if dir > 0 {
-			k = nk - 1
-		}
-		for j := 0; j < nj; j++ {
-			for i := 0; i < ni; i++ {
-				out = append(out, idx(i, j, k))
-			}
-		}
 	}
 	return out
 }

@@ -21,7 +21,7 @@ func (s *Sim) buildOwnMesh(sc ScaleOpts) {
 	nbs := s.decomp.Local(s.comm.Rank(), sc.MaxCellsPerRank).Neighbors
 	for _, lv := range s.levels {
 		for i, nb := range nbs {
-			lv.faces[i].nodeIdx = faceNodes(lv.dims, nb.Axis, nb.Dir)
+			lv.faces[i].nodeIdx = nodeFace(lv.dims, nb.Axis, nb.Dir)
 		}
 	}
 }

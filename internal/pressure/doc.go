@@ -20,8 +20,11 @@
 //
 // Fixed settings are constants in pressure.go: the spray's droplets per
 // cell and the PCG tolerance and iteration cap; the AMG numerics are
-// amg's. Oracles: TestSharedSetupMatchesPerRankBuild (the shared
-// operator and hierarchy against per-rank builds), harness
-// TestGoldenStandaloneRuntimes (both variants' virtual run-time) and
-// `make results` (the five pressure sweeps against results/).
+// amg's, and the CG loop is amg.CG over pressureSystem. Oracles:
+// TestSharedSetupMatchesPerRankBuild (the shared operator and hierarchy
+// against per-rank builds), TestFaceIndicesMatchesCellFace (the face
+// walk against its per-axis loop), harness TestGoldenStandaloneRuntimes
+// (both variants' virtual run-time, and a 512-rank point whose CG stops
+// at its cap) and `make results` (the five pressure sweeps against
+// results/).
 package pressure

@@ -107,10 +107,12 @@ type Solver struct {
 	// Flow fields on the sim box (cell-centred).
 	u, v, w, pcorr, kTurb []float64
 
-	// Pressure-correction machinery.
+	// Pressure-correction machinery: the system the one CG solves is
+	// pressureSystem{s}, made once in New.
 	localA *sparse.CSR
 	hier   *amg.Hierarchy
 	faces  []faceCells
+	sys    amg.CGSystem
 
 	cloud *particle.System // nil in Optimized (async) mode
 
@@ -118,34 +120,27 @@ type Solver struct {
 	// the received face values of the latest exchangeFaces (aligned with
 	// faces), and, sized on first use, its one send buffer (refilled face
 	// after face: SendVirtual copies before it returns), transportSweep's
-	// next field and stepPressure's source and PCG vectors.
-	halo           [][]float64
-	pack, next     []float64
-	one            [1]float64 // stepSpray's window-sync payload
-	b, r, z, p, ap []float64
+	// next field and stepPressure's source and CG vectors.
+	halo          [][]float64
+	pack, next, b []float64
+	one           [1]float64 // stepSpray's window-sync payload
+	cg            amg.CGWork
 
 	// LastIterations records the most recent PCG iteration count.
 	LastIterations int
 }
 
+// faceCells is a block neighbour with the cells of the sim box on the
+// face they share.
 type faceCells struct {
-	rank      int
-	idx       []int
-	trueCells int
+	mesh.Neighbor
+	idx []int
 }
 
-// Keys and values of the read-only set-up state New takes from the run's
-// memo (mpi.Shared): the decomposition, and the local operator with its
-// AMG hierarchy, which capped ranks would each rebuild bit for bit.
+// Key and value of the read-only set-up state New takes from the run's
+// memo (mpi.Shared): the local operator with its AMG hierarchy, which
+// capped ranks would each rebuild bit for bit.
 type (
-	decompKey struct {
-		dims  mesh.Dims
-		ranks int
-	}
-	decomposition struct {
-		dc  *mesh.Decomp
-		err error
-	}
 	operatorKey struct {
 		dims mesh.Dims
 		opts amg.Options
@@ -161,15 +156,10 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dims, p := mesh.CubeDims(cfg.MeshCells), c.Size()
-	d := mpi.Shared(c, decompKey{dims, p}, func() decomposition {
-		dc, err := mesh.NewDecompBestEffort(dims, p)
-		return decomposition{dc, err}
-	})
-	if d.err != nil {
-		return nil, d.err
+	dc, err := mesh.SharedDecomp(c, mesh.CubeDims(cfg.MeshCells))
+	if err != nil {
+		return nil, err
 	}
-	dc := d.dc
 	if dc.Ranks() != c.Size() {
 		return nil, fmt.Errorf("pressure: %d ranks do not decompose %d cells (best effort %d)",
 			c.Size(), cfg.MeshCells, dc.Ranks())
@@ -204,11 +194,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 
 	// Faces (cell lists) for halo-coupled kernels.
 	for _, nb := range s.local.Neighbors {
-		s.faces = append(s.faces, faceCells{
-			rank:      nb.Rank,
-			idx:       cellFace(s.dims, nb.Axis, nb.Dir),
-			trueCells: nb.FaceCells,
-		})
+		s.faces = append(s.faces, faceCells{nb, mesh.FaceIndices(s.dims, nb.Axis, nb.Dir)})
 	}
 	s.halo = make([][]float64, len(s.faces))
 
@@ -230,6 +216,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 		return nil, op.err
 	}
 	s.localA, s.hier = op.hier.Levels[0].A, op.hier.Share()
+	s.sys = pressureSystem{s}
 
 	// Spray: synchronous cloud in Base, the particle component's static
 	// strategy on the flow decomposition's grid; async task-based in
@@ -255,45 +242,6 @@ func (s *Solver) region(name string, fn func()) {
 	fn()
 }
 
-// cellFace lists cell indices on a face of the box (i fastest).
-func cellFace(d mesh.Dims, axis, dir int) []int {
-	idx := func(i, j, k int) int { return (k*d.NJ+j)*d.NI + i }
-	var out []int
-	switch axis {
-	case 0:
-		i := 0
-		if dir > 0 {
-			i = d.NI - 1
-		}
-		for k := 0; k < d.NK; k++ {
-			for j := 0; j < d.NJ; j++ {
-				out = append(out, idx(i, j, k))
-			}
-		}
-	case 1:
-		j := 0
-		if dir > 0 {
-			j = d.NJ - 1
-		}
-		for k := 0; k < d.NK; k++ {
-			for i := 0; i < d.NI; i++ {
-				out = append(out, idx(i, j, k))
-			}
-		}
-	default:
-		k := 0
-		if dir > 0 {
-			k = d.NK - 1
-		}
-		for j := 0; j < d.NJ; j++ {
-			for i := 0; i < d.NI; i++ {
-				out = append(out, idx(i, j, k))
-			}
-		}
-	}
-	return out
-}
-
 // exchangeFaces trades the values of field at each face with the
 // neighbours and returns the received buffers (aligned with s.faces).
 // They are valid until the next exchange, which releases them to feed
@@ -310,10 +258,10 @@ func (s *Solver) exchangeFaces(field []float64, tag int) [][]float64 {
 		for i, c := range f.idx {
 			buf[i] = field[c]
 		}
-		s.comm.SendVirtual(f.rank, tag, buf, f.trueCells*8)
+		s.comm.SendVirtual(f.Rank, tag, buf, f.FaceCells*8)
 	}
 	for i, f := range s.faces {
-		s.halo[i], _, _ = s.comm.Recv(f.rank, tag)
+		s.halo[i], _, _ = s.comm.Recv(f.Rank, tag)
 	}
 	return s.halo
 }
@@ -446,36 +394,18 @@ func (s *Solver) pressureMatVec(x, y []float64) {
 	s.comm.Compute(work)
 }
 
-// dot is a globally-reduced inner product.
-func (s *Solver) dot(a, b []float64) float64 {
-	t := 0.0
-	for i := range a {
-		t += a[i] * b[i]
-	}
-	s.comm.Compute(cluster.Work{Flops: 2 * float64(len(a)) * s.scale, Bytes: 16 * float64(len(a)) * s.scale})
-	return s.comm.AllreduceScalar(t, mpi.Sum)
-}
-
 // levelExchange performs one halo exchange at hierarchy level l with the
 // face sizes coarsened 4x per level (the per-level neighbour traffic of a
 // distributed AMG cycle/setup). fieldsBytes is the per-cell payload.
 func (s *Solver) levelExchange(l int, fieldBytes int, tag int) {
-	shrink := 1
-	for i := 0; i < l; i++ {
-		shrink *= 4
-	}
 	for _, f := range s.faces {
-		fc := f.trueCells / shrink
-		if fc < 1 {
-			fc = 1
-		}
-		s.comm.SendVirtual(f.rank, tag, nil, fc*fieldBytes)
+		s.comm.SendVirtual(f.Rank, tag, nil, f.FaceCellsAt(l)*fieldBytes)
 	}
 	// Receive exactly one message per neighbour (explicit sources): the
 	// same tag carries every level's exchange, so a count-based wildcard
 	// batch could steal a faster neighbour's next-level message.
 	for _, f := range s.faces {
-		s.comm.Recv(f.rank, tag)
+		s.comm.Recv(f.Rank, tag)
 	}
 }
 
@@ -514,6 +444,15 @@ func (s *Solver) precondition(res, out []float64) {
 	}
 }
 
+// pressureSystem is the pressure-correction system of a rank: the
+// stitched operator, the global inner product at the rank's scale and one
+// AMG cycle with its per-level exchanges, each charging its own work.
+type pressureSystem struct{ s *Solver }
+
+func (p pressureSystem) MulVec(x, y []float64)       { p.s.pressureMatVec(x, y) }
+func (p pressureSystem) Dot(a, b []float64) float64  { return sparse.Dot(p.s.comm, a, b, p.s.scale) }
+func (p pressureSystem) Precondition(r, z []float64) { p.s.precondition(r, z) }
+
 // stepPressure runs the pressure-correction solve: per-step AMG setup
 // followed by AMG-preconditioned CG on the distributed operator, the
 // paper's dominant cost (46% of run-time at 2,048 cores).
@@ -521,54 +460,14 @@ func (s *Solver) precondition(res, out []float64) {
 //perf:hotpath
 func (s *Solver) stepPressure() {
 	s.amgSetup()
-	n := len(s.pcorr)
 	// Divergence source from the velocity field.
-	b := scratch.Floats(&s.b, n)
+	b := scratch.Floats(&s.b, len(s.pcorr))
 	for i := range b {
 		b[i] = 1e-3 * (s.u[i] - 0.3)
 	}
 	x := s.pcorr
 	clear(x)
-	r := scratch.Floats(&s.r, n)
-	s.pressureMatVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bnorm := math.Sqrt(s.dot(b, b))
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	z := scratch.Floats(&s.z, n)
-	s.precondition(r, z)
-	p := scratch.Floats(&s.p, n)
-	copy(p, z)
-	ap := scratch.Floats(&s.ap, n)
-	rz := s.dot(r, z)
-	iters := 0
-	for it := 1; it <= pcgMaxIter; it++ {
-		iters = it
-		s.pressureMatVec(p, ap)
-		pap := s.dot(p, ap)
-		if pap == 0 {
-			break
-		}
-		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		if math.Sqrt(s.dot(r, r))/bnorm < pcgTol {
-			break
-		}
-		s.precondition(r, z)
-		rzNew := s.dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	s.LastIterations = iters
+	s.LastIterations = amg.CG(s.sys, b, x, pcgTol, pcgMaxIter, &s.cg).Iterations
 	// Apply the correction to the velocity (projection).
 	for i := range s.u {
 		s.u[i] -= 0.1 * x[i]

@@ -269,3 +269,43 @@ func TestFaceIndicesMatchesCellFace(t *testing.T) {
 		}
 	}
 }
+
+// cellFace is the pressure proxy's face walk written out per axis, the
+// reference for mesh.FaceIndices on cell dims.
+func cellFace(d mesh.Dims, axis, dir int) []int {
+	idx := func(i, j, k int) int { return (k*d.NJ+j)*d.NI + i }
+	var out []int
+	switch axis {
+	case 0:
+		i := 0
+		if dir > 0 {
+			i = d.NI - 1
+		}
+		for k := 0; k < d.NK; k++ {
+			for j := 0; j < d.NJ; j++ {
+				out = append(out, idx(i, j, k))
+			}
+		}
+	case 1:
+		j := 0
+		if dir > 0 {
+			j = d.NJ - 1
+		}
+		for k := 0; k < d.NK; k++ {
+			for i := 0; i < d.NI; i++ {
+				out = append(out, idx(i, j, k))
+			}
+		}
+	default:
+		k := 0
+		if dir > 0 {
+			k = d.NK - 1
+		}
+		for j := 0; j < d.NJ; j++ {
+			for i := 0; i < d.NI; i++ {
+				out = append(out, idx(i, j, k))
+			}
+		}
+	}
+	return out
+}

@@ -184,13 +184,18 @@ func (d *Dist) MulVec(x, y []float64) {
 }
 
 // Dot returns the global dot product of owned slices a and b.
-func (d *Dist) Dot(a, b []float64) float64 {
+func (d *Dist) Dot(a, b []float64) float64 { return Dot(d.Comm, a, b, d.WorkScale) }
+
+// Dot returns the inner product of a distributed pair of vectors: each
+// rank of c passes its owned slices a and b and gets the sum over all
+// ranks. Each rank charges its 2n flops and 16n bytes, times scale.
+func Dot(c *mpi.Comm, a, b []float64, scale float64) float64 {
 	s := 0.0
 	for i := range a {
 		s += a[i] * b[i]
 	}
-	d.Comm.Compute(cluster.Work{Flops: 2 * float64(len(a)) * d.WorkScale, Bytes: 16 * float64(len(a)) * d.WorkScale})
-	return d.Comm.AllreduceScalar(s, mpi.Sum)
+	c.Compute(cluster.Work{Flops: 2 * float64(len(a)) * scale, Bytes: 16 * float64(len(a)) * scale})
+	return c.AllreduceScalar(s, mpi.Sum)
 }
 
 // Norm2 returns the global 2-norm of the owned slice.
