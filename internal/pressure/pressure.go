@@ -107,8 +107,9 @@ type Solver struct {
 	// Flow fields on the sim box (cell-centred).
 	u, v, w, pcorr, kTurb []float64
 
-	// Pressure-correction machinery: the system the one CG solves is
-	// pressureSystem{s}, made once in New.
+	// Pressure-correction machinery. sys is pressureSystem{s}, made once
+	// in New: made per step, it would box into the interface on the hot
+	// path.
 	localA *sparse.CSR
 	hier   *amg.Hierarchy
 	faces  []faceCells
