@@ -57,6 +57,38 @@ func (c *Curve) Runtime(p float64) float64 {
 // Speedup returns T(base)/T(p).
 func (c *Curve) Speedup(p float64) float64 { return c.BaseTime / c.Runtime(p) }
 
+// fitCost is FitCurve's objective over samples sorted by core count:
+// the squared log-runtime error of the curve (p50, k). It evaluates
+// Curve.Runtime's expression with g at the base core count and each
+// sample's log-runtime computed once, not per sample, so it returns the
+// same bits (TestFitCurveMatchesReference).
+type fitCost struct {
+	ss                  []Sample
+	logs                []float64
+	baseCores, baseWork float64
+}
+
+func newFitCost(ss []Sample) *fitCost {
+	f := &fitCost{ss: ss, logs: make([]float64, len(ss)),
+		baseCores: float64(ss[0].Cores), baseWork: ss[0].Runtime * float64(ss[0].Cores)}
+	for i, s := range ss {
+		f.logs[i] = math.Log(s.Runtime)
+	}
+	return f
+}
+
+// at returns the cost of (p50, k). bound is the best cost so far.
+func (f *fitCost) at(p50, k, bound float64) float64 {
+	gBase := gval(f.baseCores, p50, k)
+	e := 0.0
+	for i, s := range f.ss {
+		p := float64(s.Cores)
+		d := math.Log(f.baseWork/(p*(gval(p, p50, k)/gBase))) - f.logs[i]
+		e += d * d
+	}
+	return e
+}
+
 // FitCurve fits (P50, K) to benchmark samples by least squares on
 // log-runtime, with a coarse grid search refined by bisection — robust,
 // dependency-free, and deterministic. The sample with the fewest cores
@@ -76,25 +108,7 @@ func FitCurve(samples []Sample) (*Curve, error) {
 	base := ss[0]
 	maxCores := float64(ss[len(ss)-1].Cores)
 
-	// cost is the squared log-runtime error of the curve (p50, k). It
-	// evaluates Curve.Runtime's expression with g at the base core count
-	// and each sample's log-runtime computed once, not per sample, so it
-	// returns the same bits (TestFitCurveMatchesReference).
-	logs := make([]float64, len(ss))
-	for i, s := range ss {
-		logs[i] = math.Log(s.Runtime)
-	}
-	baseCores, baseWork := float64(base.Cores), base.Runtime*float64(base.Cores)
-	cost := func(p50, k float64) float64 {
-		gBase := gval(baseCores, p50, k)
-		e := 0.0
-		for i, s := range ss {
-			p := float64(s.Cores)
-			d := math.Log(baseWork/(p*(gval(p, p50, k)/gBase))) - logs[i]
-			e += d * d
-		}
-		return e
-	}
+	cost := newFitCost(ss)
 	bestP50, bestK, bestE := maxCores, 1.0, math.Inf(1)
 	// Coarse grid: P50 log-spaced from well below the base core count to
 	// 100x the largest sample. The grid must extend below the base: a
@@ -108,7 +122,7 @@ func FitCurve(samples []Sample) (*Curve, error) {
 	for _, k := range []float64{0.5, 0.8, 1.0, 1.3, 1.6, 2.0, 2.5, 3.0} {
 		p50 := gridLo
 		for p50 <= maxCores*100 {
-			if e := cost(p50, k); e < bestE {
+			if e := cost.at(p50, k, bestE); e < bestE {
 				bestE, bestP50, bestK = e, p50, k
 			}
 			p50 *= 1.15
@@ -118,10 +132,10 @@ func FitCurve(samples []Sample) (*Curve, error) {
 	for iter := 0; iter < 40; iter++ {
 		improved := false
 		for _, f := range []float64{0.97, 1.03} {
-			if e := cost(bestP50*f, bestK); e < bestE {
+			if e := cost.at(bestP50*f, bestK, bestE); e < bestE {
 				bestE, bestP50, improved = e, bestP50*f, true
 			}
-			if e := cost(bestP50, bestK*f); e < bestE && bestK*f > 0.1 {
+			if e := cost.at(bestP50, bestK*f, bestE); e < bestE && bestK*f > 0.1 {
 				bestE, bestK, improved = e, bestK*f, true
 			}
 		}
