@@ -77,16 +77,36 @@ func newFitCost(ss []Sample) *fitCost {
 	return f
 }
 
-// at returns the cost of (p50, k). bound is the best cost so far.
+// at returns the cost of (p50, k) if it is below bound, the best cost so
+// far; otherwise it may stop early and return any value not below bound.
+// Every term is a square, so it is ≥ 0 or NaN, and rounded addition is
+// monotone: no partial sum falls below a term already added, and the
+// full sum is not below any one term. The largest-core term, usually
+// the largest, screens first; the rest are then added in sample order
+// from 0 and the screened term last — the full sum's additions, in its
+// order, so an accepted cost keeps its bits (TestFitCostPrunesExactly).
 func (f *fitCost) at(p50, k, bound float64) float64 {
 	gBase := gval(f.baseCores, p50, k)
-	e := 0.0
-	for i, s := range f.ss {
-		p := float64(s.Cores)
-		d := math.Log(f.baseWork/(p*(gval(p, p50, k)/gBase))) - f.logs[i]
-		e += d * d
+	last := len(f.ss) - 1
+	tLast := f.term(last, p50, k, gBase)
+	if !(tLast < bound) {
+		return tLast
 	}
-	return e
+	e := 0.0
+	for i := 0; i < last; i++ {
+		e += f.term(i, p50, k, gBase)
+		if !(e < bound) {
+			return e
+		}
+	}
+	return e + tLast
+}
+
+// term is sample i's squared log-runtime error under (p50, k).
+func (f *fitCost) term(i int, p50, k, gBase float64) float64 {
+	p := float64(f.ss[i].Cores)
+	d := math.Log(f.baseWork/(p*(gval(p, p50, k)/gBase))) - f.logs[i]
+	return d * d
 }
 
 // FitCurve fits (P50, K) to benchmark samples by least squares on
