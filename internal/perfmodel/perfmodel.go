@@ -117,14 +117,14 @@ func FitCurve(samples []Sample) (*Curve, error) {
 	if len(samples) < 2 {
 		return nil, fmt.Errorf("perfmodel: need at least 2 samples, got %d", len(samples))
 	}
+	for i, s := range samples {
+		if s.Cores <= 0 || !(s.Runtime > 0) || math.IsInf(s.Runtime, 1) {
+			return nil, fmt.Errorf("perfmodel: sample %d %+v: cores and run-time must be finite and positive", i, s)
+		}
+	}
 	ss := make([]Sample, len(samples))
 	copy(ss, samples)
 	sort.Slice(ss, func(a, b int) bool { return ss[a].Cores < ss[b].Cores })
-	for _, s := range ss {
-		if s.Cores <= 0 || s.Runtime <= 0 {
-			return nil, fmt.Errorf("perfmodel: non-positive sample %+v", s)
-		}
-	}
 	base := ss[0]
 	maxCores := float64(ss[len(ss)-1].Cores)
 

@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +88,14 @@ func TestFitCurveRejectsBadInput(t *testing.T) {
 	}
 	if _, err := FitCurve([]Sample{{0, 1}, {256, 1}}); err == nil {
 		t.Error("zero cores accepted")
+	}
+	// A NaN or infinite run-time made every candidate's cost NaN or
+	// +Inf, and FitCurve returned its seed curve with no error.
+	for _, rt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		_, err := FitCurve([]Sample{{100, 10}, {200, rt}, {400, 3}})
+		if err == nil || !strings.Contains(err.Error(), "sample 1 ") {
+			t.Errorf("run-time %v: error %v, want one naming sample 1", rt, err)
+		}
 	}
 }
 

@@ -299,6 +299,50 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestComponentFieldsChecked: an explicit curve's baseCores, baseTime
+// and p50 must be positive, its k and the component's ratios not
+// negative, on /v1/allocate and /v1/speedup alike, and the 400 names
+// the field. Unchecked, a zero or negative p50 answered 500 (a NaN
+// time), a zero baseCores a time of 0, a negative baseTime a negative
+// time, and a negative sizeRatio a prediction of 0 with 990 of 1,000
+// ranks idle.
+func TestComponentFieldsChecked(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	comp := func(field, value string) string {
+		c := map[string]string{"baseCores": "100", "baseTime": "30", "p50": "5000", "k": "1.3", "sizeRatio": "1", "iterRatio": "1"}
+		c[field] = value
+		return `{"name": "a", "minRanks": 10, "sizeRatio": ` + c["sizeRatio"] + `, "iterRatio": ` + c["iterRatio"] +
+			`, "curve": {"baseCores": ` + c["baseCores"] + `, "baseTime": ` + c["baseTime"] + `, "p50": ` + c["p50"] + `, "k": ` + c["k"] + `}}`
+	}
+	for _, tc := range []struct{ field, value, want string }{
+		{"p50", "0", `curve.p50 must be positive, got 0`},
+		{"p50", "-1000", `curve.p50 must be positive, got -1000`},
+		{"baseCores", "0", `curve.baseCores must be positive, got 0`},
+		{"baseTime", "-10", `curve.baseTime must be positive, got -10`},
+		{"k", "-1", `curve.k must not be negative, got -1`},
+		{"sizeRatio", "-2", `sizeRatio must not be negative, got -2`},
+		{"iterRatio", "-0.5", `iterRatio must not be negative, got -0.5`},
+	} {
+		t.Run(tc.field+"="+tc.value, func(t *testing.T) {
+			for _, ep := range []struct{ url, body string }{
+				{"/v1/allocate", `{"budget": 1000, "components": [` + comp(tc.field, tc.value) + `]}`},
+				{"/v1/speedup", `{"budget": 1000, "base": [` + comp("k", "1.3") + `], "optimized": [` + comp(tc.field, tc.value) + `]}`},
+			} {
+				resp, body := postJSON(t, ts.URL+ep.url, ep.body)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `component \"a\": `+tc.want) {
+					t.Errorf("%s: %d %s, want 400 naming %q", ep.url, resp.StatusCode, body, tc.want)
+				}
+			}
+		})
+	}
+	// Zero ratios and a zero k keep their meaning: ratio 1, flat efficiency.
+	for _, field := range []string{"sizeRatio", "iterRatio", "k"} {
+		if resp, body := postJSON(t, ts.URL+"/v1/allocate", `{"budget": 1000, "components": [`+comp(field, "0")+`]}`); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s 0: %d %s, want 200", field, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestRanksAreBounded: no instance or unit may ask for more than
 // maxRanks ranks, nor may all of them together, and the error names the
 // field. Unbounded, a /v1/simulate body with 2^62 ranks killed the

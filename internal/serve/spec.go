@@ -184,6 +184,9 @@ type ComponentSpec struct {
 // Build fits (or adopts) the component's curve and returns the
 // perfmodel view of it.
 func (cs *ComponentSpec) Build() (perfmodel.Component, error) {
+	if err := cs.checkFields(); err != nil {
+		return perfmodel.Component{}, err
+	}
 	var curve *perfmodel.Curve
 	switch {
 	case cs.Curve != nil && len(cs.Samples) > 0:
@@ -208,6 +211,32 @@ func (cs *ComponentSpec) Build() (perfmodel.Component, error) {
 		Name: cs.Name, Curve: curve, IsCU: cs.IsCU,
 		MinRanks: cs.MinRanks, SizeRatio: cs.SizeRatio, IterRatio: cs.IterRatio,
 	}, nil
+}
+
+// checkFields rejects a curve or ratio the model cannot evaluate: a
+// zero or negative base, base time or P50 made a NaN or non-positive
+// run-time, and a negative ratio a negative one. A zero ratio still
+// means 1 and a zero K a flat efficiency.
+func (cs *ComponentSpec) checkFields() error {
+	type field struct {
+		name     string
+		v        float64
+		positive bool // else only not negative
+	}
+	fs := []field{{"sizeRatio", cs.SizeRatio, false}, {"iterRatio", cs.IterRatio, false}}
+	if c := cs.Curve; c != nil {
+		fs = append(fs, field{"curve.baseCores", float64(c.BaseCores), true}, field{"curve.baseTime", c.BaseTime, true},
+			field{"curve.p50", c.P50, true}, field{"curve.k", c.K, false})
+	}
+	for _, f := range fs {
+		if f.positive && !(f.v > 0) {
+			return fmt.Errorf("component %q: %s must be positive, got %v", cs.Name, f.name, f.v)
+		}
+		if f.v < 0 {
+			return fmt.Errorf("component %q: %s must not be negative, got %v", cs.Name, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // BuildComponents builds every spec in order.
