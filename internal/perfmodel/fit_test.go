@@ -188,7 +188,7 @@ func TestFitCostPrunesExactly(t *testing.T) {
 		for _, k := range fitGridKs {
 			for p50 := gridLo; p50 <= maxCores*100; p50 *= 1.15 {
 				for _, c := range [][2]float64{{p50, k}, {p50 * 0.97, k}, {p50 * 1.03, k}, {p50, k * 0.97}, {p50, k * 1.03}} {
-					want := referenceCost(cost, c[0], c[1])
+					want := referenceCost(&cost, c[0], c[1])
 					if want == 0 {
 						zeros++
 					}

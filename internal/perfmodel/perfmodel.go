@@ -1,9 +1,3 @@
-// Package perfmodel implements the paper's empirical performance model
-// (Section V): parallel-efficiency curves fitted to standalone mini-app
-// benchmarks, run-time scaling by mesh size and iteration count relative
-// to a base case, and the greedy rank-allocation loop of Algorithm 1 that
-// distributes a core budget across solver instances and coupling units so
-// the coupled run-time — MAX(instances) + MAX(CUs) — is minimised.
 package perfmodel
 
 import (
@@ -68,8 +62,8 @@ type fitCost struct {
 	baseCores, baseWork float64
 }
 
-func newFitCost(ss []Sample) *fitCost {
-	f := &fitCost{ss: ss, logs: make([]float64, len(ss)),
+func newFitCost(ss []Sample) fitCost {
+	f := fitCost{ss: ss, logs: make([]float64, len(ss)),
 		baseCores: float64(ss[0].Cores), baseWork: ss[0].Runtime * float64(ss[0].Cores)}
 	for i, s := range ss {
 		f.logs[i] = math.Log(s.Runtime)
