@@ -170,12 +170,11 @@ func referenceCost(f *fitCost, p50, k float64) float64 {
 
 // TestFitCostPrunesExactly is the oracle of the bounded cost: on the
 // 1,000 seeded sets, at every grid candidate and its four descent
-// neighbours (P50 or K times 0.97 or 1.03), under bounds of +Inf, 0, the
-// full cost, the floats either side of it or a random value (one drawn
-// per candidate), a cost
-// below its bound comes back with the same bits, and any other comes
-// back not below the bound — so FitCurve's strict `e < bestE` decides
-// every candidate as the full sum would.
+// neighbours (P50 or K times 0.97 or 1.03), under a bound drawn per
+// candidate from +Inf, 0, the full cost, the floats either side of it
+// and a random value, a cost below its bound comes back with the same
+// bits and any other comes back not below the bound — so FitCurve's
+// strict `e < bestE` decides every candidate as the full sum would.
 func TestFitCostPrunesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	zeros, checked := 0, 0
