@@ -458,8 +458,15 @@ func hybridGSSweeps(l *Level, w *levelWork, b, x []float64, sweeps, blocks int, 
 // ---- Cycles ----------------------------------------------------------------
 
 // ApplyCycle runs one multigrid cycle on the finest level, improving x in
-// place for A x = b. x may start at zero.
+// place for A x = b from whatever x holds.
 func (h *Hierarchy) ApplyCycle(b, x []float64) {
+	h.cycle(0, b, x)
+}
+
+// Precondition sets x to one multigrid cycle applied to b from a zero
+// iterate, whatever x held before: the hierarchy as a preconditioner.
+func (h *Hierarchy) Precondition(b, x []float64) {
+	clear(x)
 	h.cycle(0, b, x)
 }
 

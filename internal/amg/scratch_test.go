@@ -90,8 +90,9 @@ func TestGoldenIterates(t *testing.T) {
 }
 
 // TestApplyCycleAllocatesNothingWarm runs one cycle to size every
-// level's working vectors, then requires the next cycles to allocate
-// nothing at all, for each smoother under each cycle type.
+// level's working vectors, then requires the next cycles, warm-started
+// (ApplyCycle) and from zero (Precondition), to allocate nothing at all,
+// for each smoother under each cycle type.
 func TestApplyCycleAllocatesNothingWarm(t *testing.T) {
 	a := sparse.Poisson2D(64, 64)
 	b := randomRHS(a.Rows, 22)
@@ -104,6 +105,9 @@ func TestApplyCycleAllocatesNothingWarm(t *testing.T) {
 		h.ApplyCycle(b, x)
 		if n := testing.AllocsPerRun(5, func() { h.ApplyCycle(b, x) }); n != 0 {
 			t.Errorf("%s: a warmed ApplyCycle allocates %v times, want 0", mc.name, n)
+		}
+		if n := testing.AllocsPerRun(5, func() { h.Precondition(b, x) }); n != 0 {
+			t.Errorf("%s: a warmed Precondition allocates %v times, want 0", mc.name, n)
 		}
 	}
 }

@@ -125,12 +125,9 @@ func CG(sys CGSystem, b, x []float64, tol float64, maxIter int, w *CGWork) Resul
 // its cycles, with the local inner product; nothing is charged.
 type serialSystem struct{ h *Hierarchy }
 
-func (s serialSystem) MulVec(x, y []float64)      { s.h.Levels[0].A.MulVec(x, y) }
-func (s serialSystem) Dot(a, b []float64) float64 { return dot(a, b) }
-func (s serialSystem) Precondition(r, z []float64) {
-	clear(z)
-	s.h.ApplyCycle(r, z)
-}
+func (s serialSystem) MulVec(x, y []float64)       { s.h.Levels[0].A.MulVec(x, y) }
+func (s serialSystem) Dot(a, b []float64) float64  { return dot(a, b) }
+func (s serialSystem) Precondition(r, z []float64) { s.h.Precondition(r, z) }
 
 func dot(a, b []float64) float64 {
 	s := 0.0
@@ -186,10 +183,7 @@ func NewDistSolver(d *sparse.Dist, opts Options) (*DistSolver, error) {
 
 // precondition applies one local AMG cycle to r, charging its work.
 func (s *DistSolver) precondition(r, z []float64) {
-	for i := range z {
-		z[i] = 0
-	}
-	s.Local.ApplyCycle(r, z)
+	s.Local.Precondition(r, z)
 	s.D.Comm.Compute(s.Local.CycleWork().Scale(s.D.WorkScale))
 }
 

@@ -431,8 +431,7 @@ func (s *Solver) amgSetup() {
 // precondition applies one AMG cycle to res into out, charging its work
 // and the cycle's per-level halo traffic.
 func (s *Solver) precondition(res, out []float64) {
-	clear(out)
-	s.hier.ApplyCycle(res, out)
+	s.hier.Precondition(res, out)
 	w := s.hier.CycleWork().Scale(s.scale)
 	if s.cfg.Variant == Optimized {
 		w = w.Scale(1 / fieldKernelSpeedup)

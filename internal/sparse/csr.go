@@ -122,6 +122,18 @@ func (a *CSR) MulVec(x, y []float64) {
 	}
 }
 
+// Residual computes r = b - A x, each row's A x summed as MulVec sums
+// it. len(x) must be Cols, len(b) and len(r) Rows.
+func (a *CSR) Residual(b, x, r []float64) {
+	if len(b) != a.Rows {
+		a.mulVecDimsPanic(len(x), len(b))
+	}
+	a.MulVec(x, r)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+}
+
 // mulVecDimsPanic reports MulVec operands whose lengths do not match the
 // matrix. Formatting the message boxes its operands; here that stays off
 // the //perf:hotpath kernel, where only a failing call would pay it.

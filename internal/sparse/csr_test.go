@@ -130,6 +130,62 @@ func TestMulVecMatchesReference(t *testing.T) {
 	}
 }
 
+// TestResidualMatchesReference is Residual's oracle: on the matrices
+// and inputs of TestMulVecMatchesReference (the same draws), with NaN,
+// infinities, both zeros and subnormals in b as well, r equals MulVec
+// followed by b[i] - y[i] bit for bit.
+func TestResidualMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mats := []*CSR{FromCOO(0, 4, nil, nil, nil), FromCOO(3, 0, nil, nil, nil), Eye(5)}
+	for seed := int64(1); seed <= 20; seed++ {
+		rows, cols := 1+rng.Intn(60), 1+rng.Intn(60)
+		mats = append(mats, randomCSR(rows, cols, []float64{0.01, 0.05, 0.3}[seed%3], seed))
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, -5e-324}
+	for mi, a := range mats {
+		x := make([]float64, a.Cols)
+		for j := range x {
+			x[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			switch rng.Intn(40) {
+			case 0:
+				x[j] = math.NaN()
+			case 1:
+				x[j] = math.Inf(1 - 2*rng.Intn(2))
+			}
+		}
+		got, want := make([]float64, a.Rows), make([]float64, a.Rows)
+		for i := range got {
+			got[i], want[i] = rng.Float64(), rng.Float64() // Residual must overwrite, not add
+		}
+		b := make([]float64, a.Rows)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+			if rng.Intn(5) == 0 {
+				b[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		a.Residual(b, x, got)
+		a.MulVec(x, want)
+		for i := range want {
+			want[i] = b[i] - want[i]
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("matrix %d (%dx%d, nnz %d): r[%d] = %v, reference %v", mi, a.Rows, a.Cols, a.NNZ(), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestResidualDimensionPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dimension mismatch accepted")
+		}
+	}()
+	Eye(2).Residual(make([]float64, 3), make([]float64, 2), make([]float64, 2))
+}
+
 func TestMulVecDimensionPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
