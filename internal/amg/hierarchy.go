@@ -130,6 +130,9 @@ type Level struct {
 	PSplit *sparse.IdentitySplit
 	RSplit *sparse.IdentitySplit
 	diag   []float64
+	// finite records that every stored value of A is finite, so that A·0
+	// is +0 in every row and a sweep from a zero iterate may skip it.
+	finite bool
 	// lambdaMax is the D^-1 A spectral bound of the Chebyshev smoother;
 	// Setup estimates it when that smoother is selected.
 	lambdaMax float64
@@ -183,7 +186,7 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 	h := &Hierarchy{Opts: opts}
 	cur := a
 	for len(h.Levels) < maxLevels-1 && cur.Rows > coarsestSize {
-		lvl := &Level{A: cur, diag: cur.Diag()}
+		lvl := newLevel(cur)
 		strength := Strength(cur, theta)
 		// Strength pass streams the matrix once.
 		h.SetupWork = h.SetupWork.Add(cluster.Work{Flops: float64(cur.NNZ()), Bytes: 16 * float64(cur.NNZ())})
@@ -241,7 +244,7 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 		cur = coarse
 	}
 	// Coarsest level: dense LU factorisation.
-	h.Levels = append(h.Levels, &Level{A: cur, diag: cur.Diag()})
+	h.Levels = append(h.Levels, newLevel(cur))
 	h.coarseFactor = factorDense(cur)
 	h.work = make([]levelWork, len(h.Levels))
 	h.SetupWork = h.SetupWork.Add(cluster.Work{
@@ -249,6 +252,17 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 		Bytes: 8 * float64(cur.Rows) * float64(cur.Rows),
 	})
 	return h, nil
+}
+
+func newLevel(a *sparse.CSR) *Level {
+	finite := true
+	for _, v := range a.Val {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			finite = false
+			break
+		}
+	}
+	return &Level{A: a, diag: a.Diag(), finite: finite}
 }
 
 func (h *Hierarchy) spgemmPasses() int {
@@ -283,13 +297,17 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 // smooth performs `sweeps` relaxation sweeps of the configured smoother
 // on A x = b at the given level. Gauss-Seidel-type smoothers sweep
 // forward when pre-smoothing and backward when post-smoothing so the
-// overall cycle stays symmetric — required for use inside CG.
+// overall cycle stays symmetric — required for use inside CG. zero says
+// that x is all +0: on a finite level the smoothers that start from the
+// residual b - A x then take it as b, which it is bit for bit (each term
+// v·(+0) is ±0 and +0 + ±0 is +0), and skip the product.
 //
 //perf:hotpath
-func (h *Hierarchy) smooth(l *Level, w *levelWork, b, x []float64, sweeps int, forward bool) {
+func (h *Hierarchy) smooth(l *Level, w *levelWork, b, x []float64, sweeps int, forward, zero bool) {
+	zero = zero && l.finite
 	switch h.Opts.Smoother {
 	case Jacobi:
-		jacobiSweeps(l, w, b, x, sweeps, jacobiWeight)
+		jacobiSweeps(l, w, b, x, sweeps, jacobiWeight, zero)
 	case GaussSeidel:
 		for s := 0; s < sweeps; s++ {
 			gsSweepRange(l, b, x, 0, l.A.Rows, x, forward)
@@ -297,7 +315,7 @@ func (h *Hierarchy) smooth(l *Level, w *levelWork, b, x []float64, sweeps int, f
 	case HybridGS:
 		hybridGSSweeps(l, w, b, x, sweeps, hybridBlocks, forward)
 	case Chebyshev:
-		chebyshevSmooth(l, w, b, x, 2*sweeps+1)
+		chebyshevSmooth(l, w, b, x, 2*sweeps+1, zero)
 	}
 }
 
@@ -306,10 +324,10 @@ func (h *Hierarchy) smooth(l *Level, w *levelWork, b, x []float64, sweeps int, f
 // [lambdaMax/4, lambdaMax] — communication-free within a sweep beyond the
 // matrix-vector products, which is why [51] recommends polynomial
 // smoothers at extreme core counts. Symmetric by construction (safe
-// inside CG).
+// inside CG). zero means x is +0 and A·x need not be formed.
 //
 //perf:hotpath
-func chebyshevSmooth(l *Level, w *levelWork, b, x []float64, deg int) {
+func chebyshevSmooth(l *Level, w *levelWork, b, x []float64, deg int, zero bool) {
 	n := l.A.Rows
 	lmax := l.lambdaMax * 1.05
 	lmin := lmax / 4
@@ -317,9 +335,12 @@ func chebyshevSmooth(l *Level, w *levelWork, b, x []float64, deg int) {
 	delta := (lmax - lmin) / 2
 	// Standard Chebyshev iteration on D^-1 A with residual recurrence.
 	r := scratch.Floats(&w.smoother[0], n)
-	l.A.MulVec(x, r)
+	if zero {
+		copy(r, b)
+	} else {
+		l.A.Residual(b, x, r)
+	}
 	for i := range r {
-		r[i] = b[i] - r[i]
 		if d := l.diag[i]; d != 0 {
 			r[i] /= d
 		}
@@ -382,11 +403,22 @@ func estimateLambdaMax(l *Level) float64 {
 	return lambda
 }
 
+// jacobiSweeps runs damped-Jacobi sweeps; zero means x is +0, so the
+// first sweep's A x is +0 and it adds w b / D onto x instead.
+//
 //perf:hotpath
-func jacobiSweeps(l *Level, lw *levelWork, b, x []float64, sweeps int, w float64) {
+func jacobiSweeps(l *Level, lw *levelWork, b, x []float64, sweeps int, w float64, zero bool) {
 	n := l.A.Rows
 	r := scratch.Floats(&lw.smoother[0], n)
 	for s := 0; s < sweeps; s++ {
+		if s == 0 && zero {
+			for i := 0; i < n; i++ {
+				if d := l.diag[i]; d != 0 {
+					x[i] += w * b[i] / d
+				}
+			}
+			continue
+		}
 		l.A.MulVec(x, r)
 		for i := 0; i < n; i++ {
 			d := l.diag[i]
@@ -460,31 +492,33 @@ func hybridGSSweeps(l *Level, w *levelWork, b, x []float64, sweeps, blocks int, 
 // ApplyCycle runs one multigrid cycle on the finest level, improving x in
 // place for A x = b from whatever x holds.
 func (h *Hierarchy) ApplyCycle(b, x []float64) {
-	h.cycle(0, b, x)
+	h.cycle(0, b, x, false)
 }
 
 // Precondition sets x to one multigrid cycle applied to b from a zero
 // iterate, whatever x held before: the hierarchy as a preconditioner.
+// Its first smoother sweep at each level skips the product with the zero
+// iterate; CycleWork still charges it.
 func (h *Hierarchy) Precondition(b, x []float64) {
 	clear(x)
-	h.cycle(0, b, x)
+	h.cycle(0, b, x, true)
 }
 
+// cycle runs one cycle from the given level down; zero says that x is
+// all +0, as it is for every coarse visit.
+//
 //perf:hotpath
-func (h *Hierarchy) cycle(level int, b, x []float64) {
+func (h *Hierarchy) cycle(level int, b, x []float64, zero bool) {
 	l, w := h.Levels[level], &h.work[level]
 	if level == len(h.Levels)-1 {
 		h.coarseFactor.solve(b, x, scratch.Floats(&h.coarseY, l.A.Rows))
 		return
 	}
-	h.smooth(l, w, b, x, preSweeps, true)
+	h.smooth(l, w, b, x, preSweeps, true, zero)
 	// Residual and restriction.
 	n := l.A.Rows
 	r := scratch.Floats(&w.r, n)
-	l.A.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
+	l.A.Residual(b, x, r)
 	nc := l.P.Cols
 	rc := scratch.Floats(&w.rc, nc)
 	if l.RSplit != nil {
@@ -497,7 +531,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 	if h.Opts.Cycle == KCycle && level+1 < len(h.Levels)-1 {
 		h.kAccelerate(level+1, rc, ec)
 	} else {
-		h.cycle(level+1, rc, ec)
+		h.cycle(level+1, rc, ec, true)
 	}
 	// Prolongate and correct.
 	e := scratch.Floats(&w.e, n)
@@ -509,7 +543,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64) {
 	for i := range x {
 		x[i] += e[i]
 	}
-	h.smooth(l, w, b, x, postSweeps, false)
+	h.smooth(l, w, b, x, postSweeps, false, false)
 }
 
 // kAccelerate solves the coarse system with two steps of flexible CG
@@ -525,10 +559,8 @@ func (h *Hierarchy) kAccelerate(level int, b, x []float64) {
 	p := scratch.Floats(&w.krylov[2], n)
 	ap := scratch.Floats(&w.krylov[3], n)
 	for it := 0; it < 2; it++ {
-		for i := range z {
-			z[i] = 0
-		}
-		h.cycle(level, r, z)
+		clear(z)
+		h.cycle(level, r, z, true)
 		if it == 0 {
 			copy(p, z)
 		} else {

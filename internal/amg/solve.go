@@ -16,31 +16,31 @@ type Result struct {
 }
 
 // Solve runs stationary AMG iteration (one cycle per step) on A x = b
-// until the relative residual drops below tol or maxIter cycles elapse.
+// until the relative residual drops below tol or maxIter cycles elapse,
+// and returns the residual its last cycle left.
 func (h *Hierarchy) Solve(b, x []float64, tol float64, maxIter int) Result {
 	a := h.Levels[0].A
-	n := a.Rows
-	r := make([]float64, n)
+	// The finest level's cycle residual is dead once a cycle returns, so
+	// the iteration's residual lives in its vector.
+	r := scratch.Floats(&h.work[0].r, a.Rows)
 	bnorm := norm2(b)
 	if bnorm == 0 {
 		bnorm = 1
 	}
+	res := 0.0
 	for it := 1; it <= maxIter; it++ {
 		h.ApplyCycle(b, x)
-		a.MulVec(x, r)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		res := norm2(r) / bnorm
+		a.Residual(b, x, r)
+		res = norm2(r) / bnorm
 		if res < tol {
 			return Result{Iterations: it, Residual: res, Converged: true}
 		}
 	}
-	a.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
+	if maxIter < 1 {
+		a.Residual(b, x, r)
+		res = norm2(r) / bnorm
 	}
-	return Result{Iterations: maxIter, Residual: norm2(r) / bnorm}
+	return Result{Iterations: maxIter, Residual: res}
 }
 
 // PCG solves A x = b with conjugate gradients preconditioned by one AMG

@@ -122,15 +122,22 @@ func (a *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// Residual computes r = b - A x, each row's A x summed as MulVec sums
-// it. len(x) must be Cols, len(b) and len(r) Rows.
+// Residual computes r = b - A x in one pass, each row's A x summed as
+// MulVec sums it. len(x) must be Cols, len(b) and len(r) Rows.
+//
+//perf:hotpath
 func (a *CSR) Residual(b, x, r []float64) {
-	if len(b) != a.Rows {
-		a.mulVecDimsPanic(len(x), len(b))
+	if len(x) != a.Cols || len(r) != a.Rows || len(b) != a.Rows {
+		a.residualDimsPanic(len(b), len(x), len(r))
 	}
-	a.MulVec(x, r)
 	for i := range r {
-		r[i] = b[i] - r[i]
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
+		s := 0.0
+		for k, c := range cols {
+			s += vals[k] * x[c]
+		}
+		r[i] = b[i] - s
 	}
 }
 
@@ -139,6 +146,11 @@ func (a *CSR) Residual(b, x, r []float64) {
 // the //perf:hotpath kernel, where only a failing call would pay it.
 func (a *CSR) mulVecDimsPanic(nx, ny int) {
 	panic(fmt.Sprintf("sparse: MulVec dims %dx%d with |x|=%d |y|=%d", a.Rows, a.Cols, nx, ny))
+}
+
+// residualDimsPanic is mulVecDimsPanic for Residual.
+func (a *CSR) residualDimsPanic(nb, nx, nr int) {
+	panic(fmt.Sprintf("sparse: Residual dims %dx%d with |b|=%d |x|=%d |r|=%d", a.Rows, a.Cols, nb, nx, nr))
 }
 
 // MulVecWork returns the roofline work of one SpMV: 2 flops per nnz and
