@@ -102,21 +102,22 @@ func Eye(n int) *CSR {
 }
 
 // MulVec computes y = A x. len(x) must be Cols, len(y) Rows. Each row
-// sums its entries in column order; the row's ColIdx and Val are
-// resliced so that the inner loop carries only the gather's bounds
-// check.
+// sums its entries in column order. One running index walks ColIdx and
+// Val across the rows, so a row costs no reslice of either; its inner
+// loop checks three bounds where a resliced row checks one, and on the
+// pe-sweep benchmark it is still the faster of the two.
 //
 //perf:hotpath
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) != a.Cols || len(y) != a.Rows {
 		a.mulVecDimsPanic(len(x), len(y))
 	}
-	for i := range y {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
+	cols, vals := a.ColIdx, a.Val
+	k := a.RowPtr[0]
+	for i, hi := range a.RowPtr[1 : len(y)+1] {
 		s := 0.0
-		for k, c := range cols {
-			s += vals[k] * x[c]
+		for ; k < hi; k++ {
+			s += vals[k] * x[cols[k]]
 		}
 		y[i] = s
 	}
@@ -130,12 +131,12 @@ func (a *CSR) Residual(b, x, r []float64) {
 	if len(x) != a.Cols || len(r) != a.Rows || len(b) != a.Rows {
 		a.residualDimsPanic(len(b), len(x), len(r))
 	}
-	for i := range r {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
+	cols, vals := a.ColIdx, a.Val
+	k := a.RowPtr[0]
+	for i, hi := range a.RowPtr[1 : len(r)+1] {
 		s := 0.0
-		for k, c := range cols {
-			s += vals[k] * x[c]
+		for ; k < hi; k++ {
+			s += vals[k] * x[cols[k]]
 		}
 		r[i] = b[i] - s
 	}
