@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -208,6 +209,49 @@ func TestDistSolveMatchesReference(t *testing.T) {
 				t.Errorf("p=%d: Stats differ from the reference: clocks %v, reference %v", p, st.Clocks, refSt.Clocks)
 			}
 		}
+	}
+}
+
+// TestDistSolveAllocationFlat doubles the iteration count of a 4-rank
+// DistSolver.Solve and bounds what the extra iterations allocate per
+// rank and iteration. The solver's CG vectors and the Dist's halo
+// operand and send buffers are kept, and each received halo payload is
+// released to feed the rank's next send, so what is left does not scale
+// with the rows: 1 KiB per rank-iteration is the noise floor of
+// harness.TestSteadyStateAllocation. With the operand, send buffers and
+// unreleased payloads made afresh per product the same solve costs about
+// 6.2 kB per rank-iteration.
+func TestDistSolveAllocationFlat(t *testing.T) {
+	a := sparse.Poisson2D(48, 48)
+	b := randomRHS(a.Rows, 23)
+	const ranks, iters = 4, 20
+	allocated := func(maxIter int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := mpi.Run(ranks, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second},
+			func(c *mpi.Comm) error {
+				d := sparse.NewDistFromGlobal(c, a, 50)
+				s, err := NewDistSolver(d, DefaultOptions())
+				if err != nil {
+					return err
+				}
+				x := make([]float64, d.OwnedRows())
+				if res := s.Solve(b[d.RowLo:d.RowHi], x, 0, maxIter); res.Iterations != maxIter {
+					return fmt.Errorf("rank %d stopped after %d of %d iterations", c.Rank(), res.Iterations, maxIter)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(iters), allocated(2*iters)
+	perRankIter := (float64(long) - float64(short)) / (ranks * iters)
+	t.Logf("%.0f bytes per rank-iteration", perRankIter)
+	if perRankIter > 1<<10 {
+		t.Errorf("the second %d iterations allocate %.0f bytes per rank-iteration, bound %d", iters, perRankIter, 1<<10)
 	}
 }
 

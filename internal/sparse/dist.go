@@ -7,13 +7,15 @@ import (
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 )
 
 // Dist is a distributed sparse matrix in row-block form: rank r owns the
 // contiguous global rows [RowLo, RowHi). Off-block column references are
 // satisfied by a halo exchange whose send/recv lists are computed once at
 // construction, the communication pattern at the heart of distributed
-// SpMV and the AMG solve phases the paper profiles.
+// SpMV and the AMG solve phases the paper profiles. A Dist belongs to
+// the rank that built it.
 type Dist struct {
 	Comm         *mpi.Comm
 	N            int // global dimension (square matrices)
@@ -29,6 +31,11 @@ type Dist struct {
 	nbrs     []int   // peer ranks, sorted
 	sendIdx  [][]int // local x indices to pack per peer
 	recvOffs [][]int // halo slot per incoming value per peer
+
+	// MulVec's owned-plus-halo operand and Exchange's send buffers, one
+	// per peer, sized on first use and reused by every later call.
+	ext      []float64
+	sendBufs [][]float64
 
 	// WorkScale multiplies the virtual compute charged per kernel so a
 	// scaled-down working set can stand in for the true problem size.
@@ -146,37 +153,35 @@ func NewDistFromGlobal(c *mpi.Comm, global *CSR, tag int) *Dist {
 
 // Exchange fills ext's halo region from neighbouring ranks. ext must have
 // length OwnedRows()+HaloSize() with the owned values already in place.
+// Sends copy their payload, so the send buffers are the Dist's own;
+// each received payload goes back to the runtime once unpacked.
 func (d *Dist) Exchange(ext []float64) {
 	if len(ext) != d.Local.Cols {
 		panic(fmt.Sprintf("sparse: Exchange buffer length %d, want %d", len(ext), d.Local.Cols))
 	}
-	sendBufs := make([][]float64, len(d.nbrs))
+	if len(d.sendBufs) != len(d.sendIdx) {
+		d.sendBufs = make([][]float64, len(d.sendIdx))
+	}
 	for i, idxs := range d.sendIdx {
-		buf := make([]float64, len(idxs))
+		buf := scratch.Floats(&d.sendBufs[i], len(idxs))
 		for k, idx := range idxs {
 			buf[k] = ext[idx]
 		}
-		sendBufs[i] = buf
 	}
-	recvd := d.Comm.HaloExchange(d.Tag, d.nbrs, sendBufs)
+	recvd := d.Comm.HaloExchange(d.Tag, d.nbrs, d.sendBufs)
 	for i, offs := range d.recvOffs {
 		for k, off := range offs {
 			ext[off] = recvd[i][k]
 		}
+		d.Comm.Release(recvd[i])
 	}
-}
-
-// extBuffer returns a Cols-length buffer with x in the owned prefix.
-func (d *Dist) extBuffer(x []float64) []float64 {
-	ext := make([]float64, d.Local.Cols)
-	copy(ext, x)
-	return ext
 }
 
 // MulVec computes y = A x where x and y are the rank's owned slices.
 // Performs the halo exchange and charges the virtual compute cost.
 func (d *Dist) MulVec(x, y []float64) {
-	ext := d.extBuffer(x)
+	ext := scratch.Floats(&d.ext, d.Local.Cols)
+	copy(ext, x)
 	d.Exchange(ext)
 	d.Local.MulVec(ext, y)
 	f, b := d.Local.MulVecWork()
