@@ -1,13 +1,3 @@
-// Package cluster models the target HPC machine: its node structure,
-// per-core compute rates and its interconnect. It converts abstract work
-// descriptions (flops moved, bytes streamed) and message sizes into
-// virtual seconds, which the mpi runtime charges against rank clocks.
-//
-// The shipped ARCHER2 model reproduces the machine used throughout the
-// paper: an HPE-Cray EX with dual 64-core AMD EPYC 7742 nodes (128
-// cores/node) and a Slingshot interconnect. Its constants are calibrated
-// (see DESIGN.md §6) so the mini-apps' parallel-efficiency knees land
-// where the paper's measurements put them.
 package cluster
 
 import (
