@@ -6,7 +6,10 @@
 // built on the sparse SpGEMM kernels, and AMG-preconditioned conjugate
 // gradients. CG is the one conjugate-gradient loop: Hierarchy.PCG,
 // DistSolver.Solve and the pressure proxy each hand it a CGSystem whose
-// methods charge their own modelled cost.
+// methods charge their own modelled cost, and Hierarchy.Precondition is
+// the one preconditioner application, one cycle from a zero iterate
+// whose first sweeps skip the product with it (ApplyCycle warm-starts
+// Solve).
 //
 // Options picks the algorithms of a variant; every numeric setting
 // (strength threshold, sweeps, Jacobi and smoothing weights, depth,
@@ -14,6 +17,10 @@
 // by all variants. Oracles: TestGoldenIterates (the bit patterns of
 // Solve and PCG over the smoother x cycle matrix),
 // TestDistSolveMatchesReference (DistSolver.Solve against its own loop:
-// iterates, Results and rank clocks), TestCGExactSolveConverges and
+// iterates, Results and rank clocks), TestPreconditionMatchesReference
+// (Precondition against clearing the iterate and calling ApplyCycle, bit
+// for bit), TestSmoothFromZeroMatchesProduct (each smoother's zero-start
+// shortcut against forming A·0, on a finite operator and one with an
+// infinite entry), TestCGExactSolveConverges and
 // TestDistSolverMatchesSerialSolution.
 package amg

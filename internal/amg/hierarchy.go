@@ -497,8 +497,8 @@ func (h *Hierarchy) ApplyCycle(b, x []float64) {
 
 // Precondition sets x to one multigrid cycle applied to b from a zero
 // iterate, whatever x held before: the hierarchy as a preconditioner.
-// Its first smoother sweep at each level skips the product with the zero
-// iterate; CycleWork still charges it.
+// The first Jacobi or Chebyshev sweep of each finite level skips the
+// product with the zero iterate; CycleWork still charges it.
 func (h *Hierarchy) Precondition(b, x []float64) {
 	clear(x)
 	h.cycle(0, b, x, true)
