@@ -254,6 +254,8 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 	return h, nil
 }
 
+// newLevel makes the level of operator a, with its diagonal and whether
+// its values are all finite.
 func newLevel(a *sparse.CSR) *Level {
 	finite := true
 	for _, v := range a.Val {
