@@ -115,15 +115,17 @@ func TestSteadyStateAllocation(t *testing.T) {
 
 // TestSetUpAllocation bounds what New allocates per rank when 64 capped
 // ranks (Production() scale) build a solver proxy and stop. A capped
-// rank's set-up splits into state it owns — fields, q/res, droplets — and
+// rank's set-up splits into state it owns — fields, q, droplets — and
 // read-only state that is the same bytes on every rank of equal dims —
 // the pressure operator and its AMG hierarchy, MG-CFD's face lists, the
 // decomposition — which the run builds once (mpi.Shared, DESIGN.md
 // §5.12). The bounds are what was measured when they were written plus a
 // quarter: 96 kB for the pressure solver (its five fields and spray
-// droplets), 227 kB for MG-CFD (q and res on three levels; the work
-// vector New has sized since adds 7 kB). With every rank building its own
-// copies the same cases cost 1.69 MB and 307 kB.
+// droplets), 170 kB for MG-CFD (q on three levels and the 16-plane work
+// vector, 136 kB; node-sized residual arrays on every level took it to
+// 233 kB, and computeFlux now keeps them in that vector's two-plane
+// window). With every rank building its own copies the same cases cost
+// 1.69 MB and 307 kB.
 func TestSetUpAllocation(t *testing.T) {
 	const ranks = 64
 	for _, g := range []struct {
@@ -135,7 +137,7 @@ func TestSetUpAllocation(t *testing.T) {
 			_, err := pressure.New(c, pressure.Config{MeshCells: 28_000_000, Steps: 1, Seed: 1}, pressure.Production())
 			return err
 		}},
-		{"mgcfd", 284e3, func(c *mpi.Comm) error {
+		{"mgcfd", 170e3, func(c *mpi.Comm) error {
 			_, err := mgcfd.New(c, mgcfd.Config{MeshCells: 8_000_000, Steps: 1, Seed: 1}, mgcfd.Production())
 			return err
 		}},

@@ -3,10 +3,11 @@ package mgcfd
 import "cpx/internal/fault"
 
 // Walk visits the solver's recoverable state (fault.State): the
-// conserved variables of every multigrid level. Residual accumulators
-// are scratch (zeroed at the start of each flux evaluation) and dt and
-// the decomposition are deterministic functions of the configuration,
-// so restoring q alone resumes the run bit for bit. Idle ranks have no
+// conserved variables of every multigrid level. Nothing else outlives a
+// flux stage — its residuals live in the work vector's two-plane window
+// and are applied to q before the stage returns — and dt and the
+// decomposition are deterministic functions of the configuration, so
+// restoring q alone resumes the run bit for bit. Idle ranks have no
 // levels and visit nothing.
 func (s *Sim) Walk(st *fault.State) {
 	for _, lv := range s.levels {

@@ -8,9 +8,12 @@
 // Invariant: a run's fields and clocks are a function of its
 // configuration alone, bit for bit. Compute is charged for the true
 // per-rank box, halo messages for the true faces (DESIGN.md §5.2).
-// Oracles: TestComputeFluxMatchesReference (the flux kernel against its
-// per-variable edge-list loop, on cubes, slabs, pencils and one-node-thick
-// boxes), TestRestrictMatchesReference, TestProlongMatchesReference and
+// Oracles: TestComputeFluxMatchesReference (the fused flux-and-update
+// stage against its per-variable edge-list loop followed by the
+// node-wise update, q and residual sum bit for bit, on cubes, slabs,
+// pencils and one-node-thick boxes), TestGoldenResidual (Run's residual
+// norm on 1 and 6 ranks, recorded before the fusion),
+// TestRestrictMatchesReference, TestProlongMatchesReference and
 // TestExchangeHaloMatchesReference (the row-wise transfers and the halo
 // exchange against their per-node bodies), TestSharedSetupMatchesPerRankBuild
 // (shared face lists against per-rank builds), TestFaceIndicesMatchesFaceNodes

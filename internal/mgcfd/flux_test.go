@@ -105,25 +105,53 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// fluxMatches runs the reference and computeFlux on level l of s and
-// compares their residuals bit for bit, and the closed-form edge count
-// the flux is charged for with the edge list's length. It returns how
-// many residuals are NaN, so that a caller can check the seeded states
-// reach the branches.
+// referenceStage is the flux stage computeFlux replaced: referenceFlux
+// into node-sized residual arrays, then update's node-wise loop
+// q += dtStage·res, then the density residual's sum of squares that
+// Step took over the whole level. It updates q and returns the
+// residuals and the sum.
+func referenceStage(l *level, dtStage float64) (res [][]float64, norm float64) {
+	res = allocVars(l.nodes)
+	referenceFlux(l, res)
+	volInv := 1.0
+	for v := 0; v < NVAR; v++ {
+		q, r := l.q[v], res[v]
+		for n := range q {
+			q[n] += dtStage * volInv * r[n]
+		}
+	}
+	local := 0.0
+	for n := range res[0] {
+		local += res[0][n] * res[0][n]
+	}
+	return res, local
+}
+
+// fluxMatches runs referenceStage and computeFlux from the same states
+// on level l of s and compares the updated q and the returned sums bit
+// for bit, and the closed-form edge count the flux is charged for with
+// the edge list's length. It returns how many reference residuals are
+// NaN, so that a caller can check the seeded states reach the branches.
 func fluxMatches(s *Sim, l *level) (nan int, err error) {
 	if got, want := edgeCount(l.dims), len(mesh.StructuredEdges(l.dims)); got != want {
 		return 0, fmt.Errorf("dims %v: edgeCount %d, edge list %d", l.dims, got, want)
 	}
-	want := allocVars(l.nodes)
-	referenceFlux(l, want)
-	s.computeFlux(l)
-	for v := range want {
-		for n, w := range want[v] {
-			if got := l.res[v][n]; !sameBits(got, w) {
-				return 0, fmt.Errorf("dims %v: res[%d][%d] = %v (%#x), reference %v (%#x)",
-					l.dims, v, n, got, math.Float64bits(got), w, math.Float64bits(w))
-			}
-			if math.IsNaN(w) {
+	dtStage := rkAlpha[1] * s.dt
+	seeded := copyVars(l.q)
+	res, wantNorm := referenceStage(l, dtStage)
+	want := l.q
+	l.q = seeded
+	norm := s.computeFlux(l, dtStage)
+	if err := sameVars(l.q, want); err != nil {
+		return 0, fmt.Errorf("dims %v: q%w", l.dims, err)
+	}
+	if !sameBits(norm, wantNorm) {
+		return 0, fmt.Errorf("dims %v: norm %v (%#x), reference %v (%#x)",
+			l.dims, norm, math.Float64bits(norm), wantNorm, math.Float64bits(wantNorm))
+	}
+	for v := range res {
+		for _, r := range res[v] {
+			if math.IsNaN(r) {
 				nan++
 			}
 		}
@@ -135,20 +163,32 @@ func fluxMatches(s *Sim, l *level) (nan int, err error) {
 // decomposition produces: one cell or one node thick, or a single row.
 func handLevel(d mesh.Dims) *level {
 	n := int(d.Nodes())
-	return &level{dims: d, nodes: n, q: allocVars(n), res: allocVars(n), workMult: 1}
+	return &level{dims: d, nodes: n, q: allocVars(n), workMult: 1}
 }
 
 // TestComputeFluxMatchesReference is computeFlux's oracle: on seeded
-// states the kernel's residuals equal the per-variable loop's bit for
-// bit, on every multigrid level of a 16³ cube, of the capped slabs and
-// pencils of 6- and 12-rank Production() runs, and on boxes one cell or
-// one node thick (a single plane swap, no plane swap, an empty k-pass).
+// states the fused stage's updated q and residual sum equal the
+// per-variable loop's followed by the node-wise update bit for bit, on
+// every multigrid level of a 16³ cube, of the capped slabs and pencils
+// of 6- and 12-rank Production() runs, and on boxes one cell or one node
+// thick (a single plane swap, no plane swap, an empty k-pass).
 func TestComputeFluxMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, err := mpi.Run(1, cfg(), func(c *mpi.Comm) error {
 			s, err := New(c, Config{MeshCells: 4096, Steps: 1, Seed: seed}, ScaleOpts{})
 			if err != nil {
 				return err
+			}
+			// A seeded NaN makes a level's residual sum NaN, so the sums
+			// are compared as numbers on New's flow first, which has none.
+			for li, l := range s.levels {
+				nan, err := fluxMatches(s, l)
+				if err != nil {
+					return fmt.Errorf("seed %d level %d, initial flow: %w", seed, li, err)
+				}
+				if nan > 0 {
+					return fmt.Errorf("seed %d level %d, initial flow: %d residuals NaN", seed, li, nan)
+				}
 			}
 			seedStates(s, rand.New(rand.NewSource(seed)))
 			for li, l := range s.levels {

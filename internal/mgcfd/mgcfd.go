@@ -74,7 +74,6 @@ type level struct {
 	dims     mesh.Dims // simulated local dims at this level
 	nodes    int
 	q        [][]float64 // NVAR x nodes conserved variables
-	res      [][]float64 // NVAR x nodes residual accumulator
 	faces    []faceInfo  // neighbour faces at this level
 	workMult float64     // true/simulated work ratio at this level
 	// before is the multigrid cascade's copy of q taken ahead of the
@@ -110,8 +109,8 @@ type Sim struct {
 	active bool // false for idle ranks (beyond the decomposition)
 	// pack is the rank's one work vector, sized by New (workLen): the
 	// send buffer exchangeHalo refills face after face (SendVirtual
-	// copies before it returns) and computeFlux's primitive window
-	// (DESIGN.md §5.13).
+	// copies before it returns) and computeFlux's primitive and residual
+	// windows (DESIGN.md §5.13).
 	pack []float64
 }
 
@@ -141,7 +140,6 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 		lv := &level{dims: simDims}
 		lv.nodes = int(simDims.Nodes())
 		lv.q = allocVars(lv.nodes)
-		lv.res = allocVars(lv.nodes)
 		lv.workMult = float64(trueDims.Cells()) / float64(simDims.Cells())
 		// Neighbour faces: node lists on each face of the sim box; true
 		// sizes from the true box, both coarsened per level.
@@ -170,13 +168,18 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	return s, nil
 }
 
+// windowPlanes is the length of computeFlux's window in (i, j) planes:
+// two planes each of pressure, x-velocity, wave speed and the NVAR
+// residuals.
+const windowPlanes = 2 * (3 + NVAR)
+
 // workLen is the length of a rank's work vector: the larger of
-// computeFlux's primitive window, three values per node over two (i, j)
-// planes, and exchangeHalo's largest face buffer, over all levels.
+// computeFlux's window and exchangeHalo's largest face buffer, over all
+// levels.
 func workLen(levels []*level) int {
 	n := 0
 	for _, l := range levels {
-		n = max(n, 6*(l.dims.NI+1)*(l.dims.NJ+1))
+		n = max(n, windowPlanes*(l.dims.NI+1)*(l.dims.NJ+1))
 		for _, f := range l.faces {
 			n = max(n, NVAR*len(f.nodeIdx))
 		}
@@ -222,10 +225,13 @@ func pressureAt(rho, mx, my, mz, e float64) float64 {
 	return p
 }
 
-// computeFlux runs the edge loop at one level: central flux differences
-// with scalar (Rusanov) dissipation accumulate into the residual arrays.
-// This is MG-CFD's compute_flux_edge kernel, over the edges of the box in
-// mesh.StructuredEdges' order.
+// computeFlux runs one forward-Euler stage at one level: the edge loop
+// (central flux differences with scalar (Rusanov) dissipation) and the
+// update q += dtStage·residual, fused into one pass over the (i, j)
+// planes. The edge loop is MG-CFD's compute_flux_edge kernel, over the
+// edges of the box in mesh.StructuredEdges' order. It returns the sum of
+// the squared density residuals, in node order, which Step reduces into
+// the residual norm.
 //
 // A node ends about six edges, and its pressure, x-velocity and wave
 // speed |u|+c are functions of its five values alone, so they are
@@ -234,25 +240,31 @@ func pressureAt(rho, mx, my, mz, e float64) float64 {
 // passes — its i-edges, its j-edges to the next row, its k-edges to the
 // next plane — which gives every residual its contributions in the edge
 // list's order. Each flux keeps the operations, operands and order of the
-// per-variable loop referenceFlux (DESIGN.md §5.13);
-// TestComputeFluxMatchesReference compares the two bit for bit.
+// per-variable loop referenceFlux (DESIGN.md §5.13).
+//
+// The residuals live in a two-plane window beside the primitives. Plane
+// k's are complete once its k-edges upward have run, and no later edge
+// reads plane k's q, so it is updated then and its window slot cleared
+// for plane k+2 (the wavefront rule, DESIGN.md §5.13).
+// TestComputeFluxMatchesReference compares q and the sum bit for bit
+// with referenceFlux followed by the node-wise update.
 //
 //perf:hotpath
-func (s *Sim) computeFlux(l *level) {
-	for _, r := range l.res {
-		clear(r)
-	}
+func (s *Sim) computeFlux(l *level, dtStage float64) (norm float64) {
 	ni, nj, nk := l.dims.NI+1, l.dims.NJ+1, l.dims.NK+1
 	plane := ni * nj
 	// Every variable holds l.nodes values and every window array two
 	// planes. edges reslices to one length again; dropping the [:n] here
 	// read ~4 % slower on the engine benchmark (three pairs, 2-core host).
-	n, w := l.nodes, s.pack[:6*plane]
+	n, w := l.nodes, s.pack[:windowPlanes*plane]
 	fl := fluxLoop{
 		q0: l.q[0][:n], q1: l.q[1][:n], q2: l.q[2][:n], q3: l.q[3][:n], q4: l.q[4][:n],
-		r0: l.res[0][:n], r1: l.res[1][:n], r2: l.res[2][:n], r3: l.res[3][:n], r4: l.res[4][:n],
-		p: w[:2*plane], u: w[2*plane : 4*plane], speed: w[4*plane:],
+		p: w[:2*plane], u: w[2*plane : 4*plane], speed: w[4*plane : 6*plane],
+		r0: w[6*plane : 8*plane], r1: w[8*plane : 10*plane], r2: w[10*plane : 12*plane],
+		r3: w[12*plane : 14*plane], r4: w[14*plane:],
 	}
+	// The residual window starts at +0, as every residual did.
+	clear(w[6*plane:])
 	// cur and next are the window offsets of planes k and k+1.
 	cur, next := 0, plane
 	fl.primitives(0, cur, plane)
@@ -270,6 +282,7 @@ func (s *Sim) computeFlux(l *level) {
 				fl.edges(a, a+plane, wa, next+j*ni, ni)
 			}
 		}
+		norm = fl.retire(k*plane, cur, plane, dtStage, norm)
 		cur, next = next, cur
 	}
 	edges := float64(edgeCount(l.dims))
@@ -277,6 +290,7 @@ func (s *Sim) computeFlux(l *level) {
 		Flops: fluxFlopsPerEdge * edges * l.workMult,
 		Bytes: fluxBytesPerEdge * edges * l.workMult,
 	})
+	return norm
 }
 
 // edgeCount is len(mesh.StructuredEdges(d)) in closed form.
@@ -286,8 +300,8 @@ func edgeCount(d mesh.Dims) int {
 }
 
 // fluxLoop holds one computeFlux call's operands: a level's conserved
-// variables q and residuals r, and the primitive window — pressure p,
-// x-velocity u and wave speed |u|+c of two planes of nodes.
+// variables q and the window of two planes of nodes — their residuals r
+// and primitives, pressure p, x-velocity u and wave speed |u|+c.
 type fluxLoop struct {
 	q0, q1, q2, q3, q4 []float64
 	r0, r1, r2, r3, r4 []float64
@@ -309,7 +323,8 @@ func (fl *fluxLoop) primitives(n0, w0, m int) {
 }
 
 // edges accumulates the fluxes of the m edges from node a+i to node b+i,
-// whose primitives sit in window slots wa+i and wb+i, in order of i.
+// whose primitives and residuals sit in window slots wa+i and wb+i, in
+// order of i.
 //
 //perf:hotpath
 func (fl *fluxLoop) edges(a, b, wa, wb, m int) {
@@ -317,7 +332,7 @@ func (fl *fluxLoop) edges(a, b, wa, wb, m int) {
 	// once per group, not per array.
 	n, nw := len(fl.q0), len(fl.p)
 	q0, q1, q2, q3, q4 := fl.q0[:n], fl.q1[:n], fl.q2[:n], fl.q3[:n], fl.q4[:n]
-	r0, r1, r2, r3, r4 := fl.r0[:n], fl.r1[:n], fl.r2[:n], fl.r3[:n], fl.r4[:n]
+	r0, r1, r2, r3, r4 := fl.r0[:nw], fl.r1[:nw], fl.r2[:nw], fl.r3[:nw], fl.r4[:nw]
 	p, u, speed := fl.p[:nw], fl.u[:nw], fl.speed[:nw]
 	for i := range m {
 		x, y, wx, wy := a+i, b+i, wa+i, wb+i
@@ -327,21 +342,43 @@ func (fl *fluxLoop) edges(a, b, wa, wb, m int) {
 		// edge direction) plus dissipation; momentum adds the pressure,
 		// energy its work.
 		f := 0.5*(q0[x]*ua+q0[y]*ub) - 0.5*lam*(q0[y]-q0[x])
-		r0[x] -= f
-		r0[y] += f
+		r0[wx] -= f
+		r0[wy] += f
 		f = 0.5*((q1[x]*ua+pa)+(q1[y]*ub+pb)) - 0.5*lam*(q1[y]-q1[x])
-		r1[x] -= f
-		r1[y] += f
+		r1[wx] -= f
+		r1[wy] += f
 		f = 0.5*(q2[x]*ua+q2[y]*ub) - 0.5*lam*(q2[y]-q2[x])
-		r2[x] -= f
-		r2[y] += f
+		r2[wx] -= f
+		r2[wy] += f
 		f = 0.5*(q3[x]*ua+q3[y]*ub) - 0.5*lam*(q3[y]-q3[x])
-		r3[x] -= f
-		r3[y] += f
+		r3[wx] -= f
+		r3[wy] += f
 		f = 0.5*((q4[x]*ua+pa*ua)+(q4[y]*ub+pb*ub)) - 0.5*lam*(q4[y]-q4[x])
-		r4[x] -= f
-		r4[y] += f
+		r4[wx] -= f
+		r4[wy] += f
 	}
+}
+
+// retire applies the finished residuals of nodes n0 to n0+m-1, in window
+// slots w0 to w0+m-1, to q, adds the squared density residuals to norm
+// in node order and clears the slots for the plane after next.
+//
+//perf:hotpath
+func (fl *fluxLoop) retire(n0, w0, m int, dtStage, norm float64) float64 {
+	for _, x := range fl.r0[w0 : w0+m] {
+		norm += x * x
+	}
+	volInv := 1.0 // unit cell volumes in the proxy
+	qs := [NVAR][]float64{fl.q0, fl.q1, fl.q2, fl.q3, fl.q4}
+	rs := [NVAR][]float64{fl.r0, fl.r1, fl.r2, fl.r3, fl.r4}
+	for v := range qs {
+		q, r := qs[v][n0:n0+m], rs[v][w0:w0+m]
+		for i := range q {
+			q[i] += dtStage * volInv * r[i]
+		}
+		clear(r)
+	}
+	return norm
 }
 
 // exchangeHalo trades face states with every block neighbour at a level.
@@ -383,17 +420,10 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	}
 }
 
-// update applies one forward-Euler stage with the accumulated residual.
-//
-//perf:hotpath
-func (s *Sim) update(l *level, dtStage float64) {
-	volInv := 1.0 // unit cell volumes in the proxy
-	for v := 0; v < NVAR; v++ {
-		q, r := l.q[v], l.res[v]
-		for n := range q {
-			q[n] += dtStage * volInv * r[n]
-		}
-	}
+// update charges the forward-Euler stage computeFlux applied as its
+// wavefront passed, in the "time_step" region where MG-CFD's profile
+// shows it.
+func (s *Sim) update(l *level) {
 	s.comm.Compute(cluster.Work{
 		Flops: updateFlopsPerNod * float64(l.nodes) * l.workMult,
 		Bytes: updateBytesPerNod * float64(l.nodes) * l.workMult,
@@ -480,10 +510,12 @@ func (s *Sim) Step() float64 {
 		return math.Sqrt(s.comm.AllreduceScalar(0, mpi.Sum))
 	}
 	fine := s.levels[0]
+	// norm is the last stage's sum of squared density residuals.
+	var norm float64
 	for _, a := range rkAlpha {
 		s.region("halo_exchange", func() { s.exchangeHalo(fine, 0) })
-		s.region("compute_flux_edge", func() { s.computeFlux(fine) })
-		s.region("time_step", func() { s.update(fine, a*s.dt) })
+		s.region("compute_flux_edge", func() { norm = s.computeFlux(fine, a*s.dt) })
+		s.region("time_step", func() { s.update(fine) })
 	}
 	// Multigrid cascade: restrict, smooth, prolong correction.
 	s.region("mg_restrict", func() {
@@ -501,20 +533,16 @@ func (s *Sim) Step() float64 {
 			copy(before[v], l.q[v])
 		}
 		s.region("halo_exchange", func() { s.exchangeHalo(l, li) })
-		s.region("compute_flux_edge", func() { s.computeFlux(l) })
-		s.region("time_step", func() { s.update(l, 0.5*s.dt) })
+		s.region("compute_flux_edge", func() { s.computeFlux(l, 0.5*s.dt) })
+		s.region("time_step", func() { s.update(l) })
 		s.region("mg_prolong", func() { s.prolongFrom(l, s.levels[li-1], before, 0.3) })
 	}
 	// Residual norm allreduce (convergence monitor).
 	var res float64
 	s.region("residual", func() {
-		local := 0.0
-		for n := range fine.res[0] {
-			local += fine.res[0][n] * fine.res[0][n]
-		}
 		s.comm.Compute(cluster.Work{Flops: 2 * float64(fine.nodes) * fine.workMult,
 			Bytes: 8 * float64(fine.nodes) * fine.workMult})
-		res = math.Sqrt(s.comm.AllreduceScalar(local, mpi.Sum))
+		res = math.Sqrt(s.comm.AllreduceScalar(norm, mpi.Sum))
 	})
 	return res
 }
