@@ -157,23 +157,23 @@ func (c *Comm) Alltoallv(send [][]float64) [][]float64 {
 }
 
 // HaloExchange performs the standard neighbour exchange: for each
-// neighbour i, send sendBufs[i] and receive that neighbour's buffer.
-// neighbours lists peer ranks in c; returns received data per neighbour
-// index. Tags are derived from `tag` so multiple exchanges can be in
-// flight on distinct tags.
-func (c *Comm) HaloExchange(tag int, neighbours []int, sendBufs [][]float64) [][]float64 {
+// neighbour i, send sendBufs[i] and receive that neighbour's buffer into
+// recv[i]. neighbours lists peer ranks in c; recv is the caller's, one
+// slot per neighbour, so a caller that exchanges every iteration keeps
+// one and the exchange allocates nothing of its own. The received
+// payloads belong to the caller (Release). Tags are derived from `tag`
+// so multiple exchanges can be in flight on distinct tags.
+func (c *Comm) HaloExchange(tag int, neighbours []int, sendBufs, recv [][]float64) {
 	defer c.proc.pushOp("halo_exchange")()
-	if len(neighbours) != len(sendBufs) {
-		panic(fmt.Sprintf("mpi: HaloExchange: %d neighbours but %d buffers", len(neighbours), len(sendBufs)))
+	if len(neighbours) != len(sendBufs) || len(neighbours) != len(recv) {
+		panic(fmt.Sprintf("mpi: HaloExchange: %d neighbours but %d send and %d receive buffers", len(neighbours), len(sendBufs), len(recv)))
 	}
 	for i, nb := range neighbours {
 		c.Send(nb, tag, sendBufs[i])
 	}
 	// Sends are eager, so every receive can follow them, in neighbour
 	// order.
-	out := make([][]float64, len(neighbours))
 	for i, nb := range neighbours {
-		out[i], _, _ = c.Recv(nb, tag)
+		recv[i], _, _ = c.Recv(nb, tag)
 	}
-	return out
 }

@@ -142,7 +142,8 @@ func TestHaloExchange(t *testing.T) {
 		p := c.Size()
 		nbs := []int{(c.Rank() + 1) % p, (c.Rank() - 1 + p) % p}
 		bufs := [][]float64{{float64(c.Rank())}, {float64(c.Rank())}}
-		got := c.HaloExchange(2, nbs, bufs)
+		got := make([][]float64, len(nbs))
+		c.HaloExchange(2, nbs, bufs, got)
 		if got[0][0] != float64(nbs[0]) || got[1][0] != float64(nbs[1]) {
 			return fmt.Errorf("halo exchange got %v", got)
 		}
@@ -152,7 +153,7 @@ func TestHaloExchange(t *testing.T) {
 
 func TestHaloExchangeMismatchPanics(t *testing.T) {
 	_, err := Run(2, testCfg(), func(c *Comm) error {
-		c.HaloExchange(0, []int{0}, nil)
+		c.HaloExchange(0, []int{0}, nil, nil)
 		return nil
 	})
 	if err == nil {

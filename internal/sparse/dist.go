@@ -32,10 +32,12 @@ type Dist struct {
 	sendIdx  [][]int // local x indices to pack per peer
 	recvOffs [][]int // halo slot per incoming value per peer
 
-	// MulVec's owned-plus-halo operand and Exchange's send buffers, one
-	// per peer, sized on first use and reused by every later call.
+	// MulVec's owned-plus-halo operand, and Exchange's send buffers and
+	// receive slots, one per peer, sized on first use and reused by every
+	// later call.
 	ext      []float64
 	sendBufs [][]float64
+	recvd    [][]float64
 
 	// WorkScale multiplies the virtual compute charged per kernel so a
 	// scaled-down working set can stand in for the true problem size.
@@ -161,6 +163,7 @@ func (d *Dist) Exchange(ext []float64) {
 	}
 	if len(d.sendBufs) != len(d.sendIdx) {
 		d.sendBufs = make([][]float64, len(d.sendIdx))
+		d.recvd = make([][]float64, len(d.sendIdx))
 	}
 	for i, idxs := range d.sendIdx {
 		buf := scratch.Floats(&d.sendBufs[i], len(idxs))
@@ -168,12 +171,13 @@ func (d *Dist) Exchange(ext []float64) {
 			buf[k] = ext[idx]
 		}
 	}
-	recvd := d.Comm.HaloExchange(d.Tag, d.nbrs, d.sendBufs)
+	d.Comm.HaloExchange(d.Tag, d.nbrs, d.sendBufs, d.recvd)
 	for i, offs := range d.recvOffs {
 		for k, off := range offs {
-			ext[off] = recvd[i][k]
+			ext[off] = d.recvd[i][k]
 		}
-		d.Comm.Release(recvd[i])
+		d.Comm.Release(d.recvd[i])
+		d.recvd[i] = nil
 	}
 }
 
