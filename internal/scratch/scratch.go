@@ -1,7 +1,3 @@
-// Package scratch sizes the reusable working vectors the solver proxies
-// keep on their per-rank objects (DESIGN.md §5.13): a kernel asks for the
-// length it needs on every call and gets the same backing array back on
-// all but the first.
 package scratch
 
 // Floats reslices *buf to n values and returns it, replacing the backing
