@@ -49,13 +49,14 @@ test-race:
 # HTTP job registry. The solver packages are here because the race
 # detector is the proof that the set-up state a run's ranks share
 # (mpi.Shared: the decomposition, operators, hierarchies, face lists, the
-# initial droplet cloud's owners) is never written, and that each rank
-# solves in CG vectors of its own (fem's DistSolver). sparse is here so
-# that sparse.Dist's kept send buffers and receive slots run under the
-# payload-poison oracle (a read after Comm.Release sees NaN).
+# initial droplet cloud's owners, SIMPIC's segment factors) is never
+# written, and that each rank solves in CG vectors of its own (fem's
+# DistSolver). sparse is here so that sparse.Dist's kept send buffers
+# and receive slots run under the payload-poison oracle (a read after
+# Comm.Release sees NaN).
 test-race-short:
 	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/sparse/ ./internal/pressure/ ./internal/mgcfd/ ./internal/particle/ \
-		./internal/fem/ ./internal/mesh/ ./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
+		./internal/simpic/ ./internal/fem/ ./internal/mesh/ ./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
 
 # The figure-level check on the pressure and amg solvers: re-run the
 # five pressure sweeps and diff each table against its record in

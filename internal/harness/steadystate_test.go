@@ -115,17 +115,19 @@ func TestSteadyStateAllocation(t *testing.T) {
 
 // TestSetUpAllocation bounds what New allocates per rank when 64 capped
 // ranks (Production() scale) build a solver proxy and stop. A capped
-// rank's set-up splits into state it owns — fields, q, droplets — and
-// read-only state that is the same bytes on every rank of equal dims —
-// the pressure operator and its AMG hierarchy, MG-CFD's face lists, the
-// decomposition — which the run builds once (mpi.Shared, DESIGN.md
-// §5.12). The bounds are what was measured when they were written plus a
-// quarter: 96 kB for the pressure solver (its five fields and spray
-// droplets), 170 kB for MG-CFD (q on three levels and the 16-plane work
-// vector, 136 kB; node-sized residual arrays on every level took it to
-// 233 kB, and computeFlux now keeps them in that vector's two-plane
-// window). With every rank building its own copies the same cases cost
-// 1.69 MB and 307 kB.
+// rank's set-up splits into state it owns — fields, q, droplets,
+// particles — and read-only state that is the same bytes on every rank
+// of equal dims — the pressure operator and its AMG hierarchy, MG-CFD's
+// face lists, SIMPIC's segment factors, the decomposition — which the
+// run builds once (mpi.Shared, DESIGN.md §5.12). The bounds are what was
+// measured when they were written plus a quarter: 96 kB for the pressure
+// solver (its five fields and spray droplets), 170 kB for MG-CFD (q on
+// three levels and the 16-plane work vector, 136 kB; node-sized residual
+// arrays on every level took it to 233 kB, and computeFlux now keeps
+// them in that vector's two-plane window), 200 kB for SIMPIC (its
+// particles and the field solver's potential, 158 kB). With every rank
+// building its own copies the same cases cost 1.69 MB, 307 kB and, for
+// SIMPIC, which also kept a particular-solution vector a rank, 482 kB.
 func TestSetUpAllocation(t *testing.T) {
 	const ranks = 64
 	for _, g := range []struct {
@@ -139,6 +141,10 @@ func TestSetUpAllocation(t *testing.T) {
 		}},
 		{"mgcfd", 170e3, func(c *mpi.Comm) error {
 			_, err := mgcfd.New(c, mgcfd.Config{MeshCells: 8_000_000, Steps: 1, Seed: 1}, mgcfd.Production())
+			return err
+		}},
+		{"simpic", 200e3, func(c *mpi.Comm) error {
+			_, err := simpic.New(c, simpic.BaseSTC(28_000_000), simpic.Production())
 			return err
 		}},
 	} {

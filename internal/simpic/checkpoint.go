@@ -7,9 +7,11 @@ import "cpx/internal/fault"
 // diagnostics cadence, the cached field solution (nil until the first
 // solve, and a nil cache makes the next step solve) and the
 // absorbed-count diagnostic. Beyond these the field solver holds only
-// immutable decomposition state and set-up factors, every scratch
-// vector is rewritten before it is read, and the RNG is consumed
-// entirely during loading, so this set resumes the run bit for bit.
+// immutable decomposition state and the segment factors the run shares
+// read-only, its potential is either the cache itself or rewritten by
+// the next solve before it is read, the charge window is rewritten
+// before it is read, and the loading RNG is a local of New, so this set
+// resumes the run bit for bit.
 func (s *Sim) Walk(st *fault.State) {
 	st.Floats(&s.px)
 	st.Floats(&s.pv)

@@ -13,7 +13,16 @@
 // virtual-time costs are charged for the full configuration.
 //
 // The fixed physics (domain length, thermal velocity, time-step scale)
-// and PressureStepsEquivalent are constants in config.go. Oracles:
-// TestGoldenStateDigests (state digests at 1, 2 and 8 ranks, across a
-// checkpoint restore) and TestSolveSegmentMatchesThomasBitwise.
+// and PressureStepsEquivalent are constants in config.go.
+//
+// Invariant: a rank's field state is its potential and one charge
+// window; the segment factors are a pure function of the segment length,
+// built once per run for each length and never written after (mpi.Shared,
+// DESIGN.md §5.12), and the window carries each field step from charge to
+// E field (§5.13). Oracles: TestGoldenStateDigests (state digests at 1,
+// 2 and 8 ranks across a checkpoint restore, on segments of two lengths,
+// and with both ScaleOpts caps binding across a mid-sub-cycle restore),
+// TestSolveSegmentMatchesThomasBitwise, and TestSetUpAllocation in
+// internal/harness (set-up bytes per rank); `make test-race-short`
+// proves the shared factors are never written.
 package simpic

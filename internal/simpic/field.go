@@ -29,22 +29,51 @@ type fieldSolver struct {
 	// Interface bookkeeping: rank r > 0 owns the interface node lo; its
 	// interior segment is [segLo, hi).
 	segLo int
-	// cellScale converts simulated per-rank field work to true work.
+	// cellScale is the rank's true/simulated cell ratio, applied to the
+	// segment solves' charges (see New).
 	cellScale float64
 	tag       int
 
-	// Set up once, since they depend only on the segment length: the
-	// Thomas forward factors of the constant (-1, 2, -1) operator (pivot
-	// and eliminated superdiagonal per row) and the segment's two
-	// harmonic responses, to a unit value just left of it (yL) and just
-	// right of it (yR).
+	// The segment's factors, shared read-only by every rank of the run
+	// whose segment has the same length.
+	*segment
+
+	// phi is the solver's own potential (Solve returns it and the Sim
+	// caches it across sub-cycled steps); resp and one are send buffers.
+	// All are reused by every Solve.
+	phi  []float64
+	resp [6]float64
+	one  [1]float64
+}
+
+// segment is what depends only on a segment's length m: the Thomas
+// forward factors of the constant (-1, 2, -1) operator (pivot and
+// eliminated superdiagonal per row) and the segment's two harmonic
+// responses, to a unit value just left of it (yL) and just right of it
+// (yR). Nothing writes it after newSegment returns, so the run builds
+// one per length (mpi.Shared, DESIGN.md §5.12).
+type segment struct {
 	pivot, cp []float64
 	yL, yR    []float64
+}
 
-	// Per-solve vectors and send buffers, reused by every Solve.
-	y0, phi []float64
-	resp    [6]float64
-	one     [1]float64
+// segmentKey keys a segment's factors in the run's memo (mpi.Shared).
+type segmentKey struct{ m int }
+
+// newSegment factors the operator on a segment of m >= 1 interior nodes
+// and solves for its two harmonic responses.
+func newSegment(m int) *segment {
+	sg := &segment{pivot: make([]float64, m), cp: make([]float64, m)}
+	sg.pivot[0], sg.cp[0] = 2, -0.5
+	for i := 1; i < m; i++ {
+		sg.pivot[i] = 2 + sg.cp[i-1]
+		sg.cp[i] = -1 / sg.pivot[i]
+	}
+	sg.yL, sg.yR = make([]float64, m), make([]float64, m)
+	sg.yL[0], sg.yR[m-1] = 1, 1
+	sg.solveSegment(sg.yL)
+	sg.solveSegment(sg.yR)
+	return sg
 }
 
 // newFieldSolver sets up the node ownership for the global problem of n
@@ -66,20 +95,9 @@ func newFieldSolver(c *mpi.Comm, n int, cellScale float64, tag int) (*fieldSolve
 	if r > 0 {
 		segLo = lo + 1 // node lo is this rank's interface unknown
 	}
-	fs := &fieldSolver{comm: c, n: n, lo: lo, hi: hi, segLo: segLo, cellScale: cellScale, tag: tag}
 	m := hi - segLo
-	fs.pivot = make([]float64, m)
-	fs.cp = make([]float64, m)
-	fs.pivot[0], fs.cp[0] = 2, -0.5
-	for i := 1; i < m; i++ {
-		fs.pivot[i] = 2 + fs.cp[i-1]
-		fs.cp[i] = -1 / fs.pivot[i]
-	}
-	fs.yL, fs.yR = make([]float64, m), make([]float64, m)
-	fs.yL[0], fs.yR[m-1] = 1, 1
-	fs.solveSegment(fs.yL)
-	fs.solveSegment(fs.yR)
-	fs.y0 = make([]float64, m)
+	fs := &fieldSolver{comm: c, n: n, lo: lo, hi: hi, segLo: segLo, cellScale: cellScale, tag: tag,
+		segment: mpi.Shared(c, segmentKey{m}, func() *segment { return newSegment(m) })}
 	fs.phi = make([]float64, fs.ownedNodes())
 	return fs, nil
 }
@@ -87,17 +105,17 @@ func newFieldSolver(c *mpi.Comm, n int, cellScale float64, tag int) (*fieldSolve
 // solveSegment solves the segment's (-1, 2, -1) system in place: d holds
 // the right-hand side on entry and the solution on return. It is the
 // Thomas algorithm with the operator's forward elimination taken from
-// fs.pivot and fs.cp, leaving the right-hand side's own sweep and the
+// sg.pivot and sg.cp, leaving the right-hand side's own sweep and the
 // back-substitution.
 //
 //perf:hotpath
-func (fs *fieldSolver) solveSegment(d []float64) {
-	d[0] /= fs.pivot[0]
+func (sg *segment) solveSegment(d []float64) {
+	d[0] /= sg.pivot[0]
 	for i := 1; i < len(d); i++ {
-		d[i] = (d[i] + d[i-1]) / fs.pivot[i]
+		d[i] = (d[i] + d[i-1]) / sg.pivot[i]
 	}
 	for i := len(d) - 2; i >= 0; i-- {
-		d[i] -= fs.cp[i] * d[i+1]
+		d[i] -= sg.cp[i] * d[i+1]
 	}
 }
 
@@ -147,7 +165,9 @@ func (fs *fieldSolver) pcr(a, b, c, d float64) float64 {
 // f[i] = dx^2 * rho[i] (indexed from fs.lo). Returns phi over the owned
 // range plus the two ghost nodes (phi[lo-1] and phi[hi]) needed for the
 // E-field stencil, as (phiOwned, ghostLeft, ghostRight). phiOwned is the
-// solver's own vector, overwritten by the next Solve.
+// solver's own vector, overwritten by the next Solve. Solve overwrites
+// its argument: the segment f[segLo-lo:] is solved in place, so on
+// return it holds the particular solution, not the right-hand side.
 //
 //perf:hotpath
 func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64) {
@@ -156,12 +176,13 @@ func (fs *fieldSolver) Solve(f []float64) (phi []float64, ghostL, ghostR float64
 	}
 	p, r := fs.comm.Size(), fs.comm.Rank()
 
-	// Local segment solves: the particular solution; the two harmonic
-	// responses are the set-up's (every rank of the modelled machine
-	// solves all three each step, and is charged for all three).
+	// Local segment solves: the particular solution, in place in f; the
+	// two harmonic responses are the set-up's (every rank of the modelled
+	// machine solves all three each step, and is charged for all three).
+	// f[0], the interface node's right-hand side for r > 0, lies outside
+	// the segment and is read below.
 	m := fs.hi - fs.segLo
-	y0, yL, yR := fs.y0, fs.yL, fs.yR
-	copy(y0, f[fs.segLo-fs.lo:])
+	y0, yL, yR := f[fs.segLo-fs.lo:], fs.yL, fs.yR
 	fs.solveSegment(y0)
 	fs.comm.Compute(cluster.Work{Flops: 6 * float64(m) * fs.cellScale, Bytes: 30 * float64(m) * fs.cellScale})
 

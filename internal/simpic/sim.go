@@ -52,7 +52,6 @@ type Sim struct {
 	trueParts float64 // true particles this rank represents
 
 	field   *fieldSolver
-	rng     *rand.Rand
 	stepNum int
 
 	// Cached field for sub-cycled solves (FieldEvery > 1): nil until the
@@ -62,12 +61,14 @@ type Sim struct {
 	cacheGL, cacheGR float64
 
 	// Per-step scratch, reused by every later step (DESIGN.md §5.13):
-	// depositCharge's charge window, Poisson right-hand side and its
-	// one-value boundary message, pushParticles' E field, and migrate's
-	// two send buffers.
-	rho, rhs, efield []float64
-	edge             [1]float64
-	migL, migR       []float64
+	// the charge window rho (trueCells+1 nodes from cellLo), which
+	// carries a field step from charge to Poisson right-hand side (both
+	// depositCharge's), to the particular solution (Solve's) and to E
+	// (pushParticles'); depositCharge's one-value boundary message; and
+	// pushParticles' two migrant send buffers.
+	rho        []float64
+	edge       [1]float64
+	migL, migR []float64
 
 	// Diagnostics.
 	Absorbed int64
@@ -118,9 +119,9 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	s.trueParts = float64(s.trueCells) * float64(cfg.ParticlesPerCell)
 	s.partScale = s.trueParts / float64(simParts)
 
-	// The field solver works on the *simulated* grid: conceptually each
-	// rank simulates a representative slice; ghost/interface traffic has
-	// true (small) sizes anyway.
+	// The field solver works on the *true* grid (cfg.Cells): its segment
+	// length m is the rank's true one. Its solve charges are nonetheless
+	// scaled by cellScale, which over-charges a capped rank by that ratio.
 	fsolver, err := newFieldSolver(c, cfg.Cells, s.cellScale, tagGhost)
 	if err != nil {
 		return nil, err
@@ -129,7 +130,7 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 
 	// Load particles uniformly over the *owned true* slab with thermal
 	// velocities, deterministically per rank.
-	s.rng = rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
 	slabLo := float64(s.cellLo) * s.dx
 	slabW := float64(s.trueCells) * s.dx
 	// Headroom of an eighth for net arrivals: the few steps of a sampled
@@ -138,8 +139,8 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	s.px = make([]float64, simParts, simParts+simParts/8+16)
 	s.pv = make([]float64, simParts, cap(s.px))
 	for i := range s.px {
-		s.px[i] = slabLo + s.rng.Float64()*slabW
-		s.pv[i] = vTherm * s.rng.NormFloat64()
+		s.px[i] = slabLo + rng.Float64()*slabW
+		s.pv[i] = vTherm * rng.NormFloat64()
 	}
 	// Loading cost: one pass over the true particle population.
 	c.Compute(cluster.Work{Flops: 8 * s.trueParts, Bytes: 32 * s.trueParts})
@@ -156,7 +157,8 @@ func (s *Sim) slabBounds() (lo, hi float64) {
 // [field.lo, field.hi) and resolves shared boundary nodes with the
 // neighbours. The returned slice is the Poisson RHS dx^2*rho at owned
 // nodes, weighted so the scaled-down particle set represents the true
-// charge; it is the Sim's own and lasts until the next deposit.
+// charge. It is the head of the charge window, formed over rho in place,
+// and lasts until Solve or pushParticles overwrites it.
 //
 //perf:hotpath
 func (s *Sim) depositCharge() []float64 {
@@ -194,11 +196,15 @@ func (s *Sim) depositCharge() []float64 {
 		rho[0] += d[0]
 		s.comm.Release(d)
 	}
-	// Poisson RHS at the owned nodes [field.lo, field.hi).
-	f := scratch.Floats(&s.rhs, s.field.ownedNodes())
+	// Poisson RHS at the owned nodes [field.lo, field.hi), over rho in
+	// place: window node off+i is owned node i, off = field.lo-cellLo is
+	// 0 or 1, and walking forward reads rho[off+i] before it writes
+	// rho[i] (off+i >= i), so no charge is overwritten before it is read.
+	off := s.field.lo - s.cellLo
+	f := rho[:s.field.ownedNodes()]
 	dx2 := s.dx * s.dx
 	for i := range f {
-		f[i] = dx2 * rho[s.field.lo-s.cellLo+i]
+		f[i] = dx2 * rho[off+i]
 	}
 	return f
 }
@@ -211,8 +217,10 @@ func (s *Sim) depositCharge() []float64 {
 func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
 	loNode := s.field.lo
 	nOwned := len(phi)
-	// Electric field at owned nodes: E = -dphi/dx (central difference).
-	e := scratch.Floats(&s.efield, nOwned)
+	// Electric field at owned nodes: E = -dphi/dx (central difference),
+	// into the charge window, whose right-hand side and particular
+	// solution are dead by now (phi is the solver's own vector).
+	e := scratch.Floats(&s.rho, s.trueCells+1)[:nOwned]
 	inv2dx := 1.0 / (2 * s.dx)
 	for i := 0; i < nOwned; i++ {
 		var pm, pp float64
