@@ -209,9 +209,13 @@ func (s *Sim) depositCharge() []float64 {
 	return f
 }
 
-// pushParticles gathers E to the particles and advances them leapfrog,
-// then migrates the ones that left the slab. phi spans the owned nodes,
-// with ghost potentials for the stencil ends.
+// pushParticles gathers E to the particles, advances them leapfrog,
+// reflects them at the domain walls and migrates the ones that left the
+// slab. phi spans the owned nodes, with ghost potentials for the stencil
+// ends. One pass does the push and the sort: stayers are compacted in
+// place in their old order and arrivals appended behind them (the right
+// neighbour's, then the left's), so the particle order, and with it the
+// state hash, is what rebuilding the arrays from empty would give.
 //
 //perf:hotpath
 func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
@@ -236,9 +240,14 @@ func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
 		}
 		e[i] = (pm - pp) * inv2dx
 	}
-	// Gather+push. Charge/mass = -1 (electrons) in scaled units.
+	// Gather+push, reflect and classify. Charge/mass = -1 (electrons) in
+	// scaled units.
 	const qm = -1.0
 	invDx := 1.0 / s.dx
+	p, r := s.comm.Size(), s.comm.Rank()
+	lo, hi := s.slabBounds()
+	left, right := s.migL[:0], s.migR[:0]
+	keep := 0
 	for i := range s.px {
 		xc := s.px[i] * invDx
 		j := int(xc)
@@ -256,40 +265,8 @@ func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
 			e0, e1 = e[k], e[k+1]
 		}
 		ef := (1-frac)*e0 + frac*e1
-		s.pv[i] += qm * ef * s.dt
-		s.px[i] += s.pv[i] * s.dt
-	}
-	s.chargeParticleWork(0.6) // gather+push is ~60% of per-step particle work
-	s.migrate()
-}
-
-// chargeParticleWork charges `fraction` of one full step of per-particle
-// work, scaled to the true particle population and weight.
-func (s *Sim) chargeParticleWork(fraction float64) {
-	w := s.cfg.ParticleWeight
-	if w == 0 {
-		w = 1
-	}
-	s.comm.Compute(cluster.Work{
-		Flops: particleFlopsPerStep * fraction * s.trueParts * w,
-		Bytes: particleBytesPerStep * fraction * s.trueParts * w,
-	})
-}
-
-// migrate exchanges particles that crossed slab boundaries and reflects
-// at the domain walls. Stayers are compacted in place in their old
-// order and arrivals appended behind them (the right neighbour's, then
-// the left's), so the particle order, and with it the state hash, is what
-// rebuilding the arrays from empty would give.
-//
-//perf:hotpath
-func (s *Sim) migrate() {
-	p, r := s.comm.Size(), s.comm.Rank()
-	lo, hi := s.slabBounds()
-	left, right := s.migL[:0], s.migR[:0]
-	keep := 0
-	for i := range s.px {
-		x, v := s.px[i], s.pv[i]
+		v := s.pv[i] + qm*ef*s.dt
+		x := s.px[i] + v*s.dt
 		// Reflect at the global walls.
 		if x < 0 {
 			x, v = -x, -v
@@ -309,6 +286,7 @@ func (s *Sim) migrate() {
 	}
 	s.px, s.pv = s.px[:keep], s.pv[:keep]
 	s.migL, s.migR = left, right
+	s.chargeParticleWork(0.6) // gather+push is ~60% of per-step particle work
 	if p > 1 {
 		// Exchange with both neighbours (empty messages keep the pattern
 		// uniform). Virtual sizes reflect the true migrant population.
@@ -329,6 +307,19 @@ func (s *Sim) migrate() {
 			s.comm.Release(d)
 		}
 	}
+}
+
+// chargeParticleWork charges `fraction` of one full step of per-particle
+// work, scaled to the true particle population and weight.
+func (s *Sim) chargeParticleWork(fraction float64) {
+	w := s.cfg.ParticleWeight
+	if w == 0 {
+		w = 1
+	}
+	s.comm.Compute(cluster.Work{
+		Flops: particleFlopsPerStep * fraction * s.trueParts * w,
+		Bytes: particleBytesPerStep * fraction * s.trueParts * w,
+	})
 }
 
 // migrantBytes is the wire size of the true migrant population a send
