@@ -1,9 +1,3 @@
-// Package partition provides geometric partitioning for the mini-apps:
-// recursive coordinate bisection (RCB) of point sets, as flat labels
-// (RCB) or as a reusable cut tree (RCBTree), plus the balance metrics
-// (PartSizes, Imbalance) the tests measure them with. Production runs in
-// the paper partition offline with METIS-class tools; RCB fills the same
-// role here.
 package partition
 
 import "sort"
