@@ -29,8 +29,10 @@ type fieldSolver struct {
 	// Interface bookkeeping: rank r > 0 owns the interface node lo; its
 	// interior segment is [segLo, hi).
 	segLo int
-	// cellScale is the rank's true/simulated cell ratio, applied to the
-	// segment solves' charges (see New).
+	// cellScale is the rank's true/simulated cell ratio. The segment
+	// solves' charges are multiplied by it although m is already the
+	// true segment length, so a capped rank is charged cellScale times
+	// its solve (see New).
 	cellScale float64
 	tag       int
 

@@ -223,7 +223,9 @@ func (s *Sim) pushParticles(phi []float64, ghostL, ghostR float64) {
 	nOwned := len(phi)
 	// Electric field at owned nodes: E = -dphi/dx (central difference),
 	// into the charge window, whose right-hand side and particular
-	// solution are dead by now (phi is the solver's own vector).
+	// solution are dead by now (phi is the solver's own vector). It is
+	// sized here too: a fresh Sim restored mid-sub-cycle pushes before its
+	// first deposit.
 	e := scratch.Floats(&s.rho, s.trueCells+1)[:nOwned]
 	inv2dx := 1.0 / (2 * s.dx)
 	for i := 0; i < nOwned; i++ {
