@@ -53,10 +53,11 @@ test-race:
 # written, and that each rank solves in CG vectors of its own (fem's
 # DistSolver). sparse is here so that sparse.Dist's kept send buffers
 # and receive slots run under the payload-poison oracle (a read after
-# Comm.Release sees NaN).
+# Comm.Release sees NaN). perfmodel is here because the service's
+# worker goroutines share one Algorithm 1 plan per component set.
 test-race-short:
 	$(GO) test -race -short ./internal/mpi/ ./internal/amg/ ./internal/sparse/ ./internal/pressure/ ./internal/mgcfd/ ./internal/particle/ \
-		./internal/simpic/ ./internal/fem/ ./internal/mesh/ ./internal/harness/ ./internal/coupler/ ./internal/serve/ ./cmd/cpxserve/
+		./internal/simpic/ ./internal/fem/ ./internal/mesh/ ./internal/harness/ ./internal/coupler/ ./internal/perfmodel/ ./internal/serve/ ./cmd/cpxserve/
 
 # The figure-level check on the pressure and amg solvers: re-run the
 # five pressure sweeps and diff each table against its record in

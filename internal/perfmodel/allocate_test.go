@@ -3,6 +3,9 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -116,16 +119,19 @@ func sameAllocation(t *testing.T, fast, ref *Allocation) {
 	}
 }
 
-// TestAllocateMatchesReference proves the heap-based fast path grants
-// cores identically to the naive rescan loop, across problem shapes
-// including exact-tie curves (identical components) where the
-// first-index tie-break is what decides the allocation.
-func TestAllocateMatchesReference(t *testing.T) {
-	cases := []struct {
-		name   string
-		comps  []Component
-		budget int
-	}{
+// referenceCase is one Algorithm 1 problem the fast paths are held to
+// the naive loop on.
+type referenceCase struct {
+	name   string
+	comps  []Component
+	budget int
+}
+
+// referenceCases spans the problem shapes, including exact-tie curves
+// (identical components) where the first-index tie-break is what
+// decides the allocation, and a walk that stops on no gain.
+func referenceCases() []referenceCase {
+	return []referenceCase{
 		{"paper-40k", paperScaleComponents(20), 40_000},
 		{"small-mixed", paperScaleComponents(7), 2_000},
 		{"single-app", paperScaleComponents(1), 500},
@@ -140,7 +146,12 @@ func TestAllocateMatchesReference(t *testing.T) {
 			{Name: "scaler", Curve: &Curve{BaseCores: 1, BaseTime: 100, P50: 1e7, K: 1}, IsCU: true},
 		}, 3_000},
 	}
-	for _, tc := range cases {
+}
+
+// TestAllocateMatchesReference proves the heap-based fast path grants
+// cores identically to the naive rescan loop on every reference case.
+func TestAllocateMatchesReference(t *testing.T) {
+	for _, tc := range referenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			fast, err := Allocate(tc.comps, tc.budget)
 			if err != nil {
@@ -152,6 +163,138 @@ func TestAllocateMatchesReference(t *testing.T) {
 			}
 			sameAllocation(t, fast, ref)
 		})
+	}
+}
+
+// minSum is Σ MinRanks as Algorithm 1 counts it (a zero minimum is 1).
+func minSum(comps []Component) int {
+	s := 0
+	for i := range comps {
+		s += comps[i].minRanks()
+	}
+	return s
+}
+
+// sweepBudgets returns the budgets from Σ MinRanks up to tc.budget in
+// shuffled order. The naive loop costs up to 4.5 ms a call on
+// paper-40k's 37,301 budgets, so that case takes about 256 of them, a
+// stride with a random phase, and every case takes about 64 under -short.
+func sweepBudgets(t *testing.T, tc referenceCase, rng *rand.Rand) []int {
+	lo := minSum(tc.comps)
+	n := tc.budget - lo + 1
+	stride := 1
+	if n > 4_000 {
+		stride = max(1, n/256)
+	}
+	if testing.Short() {
+		stride = max(1, n/64)
+	}
+	var out []int
+	for b := lo + rng.Intn(stride); b <= tc.budget; b += stride {
+		out = append(out, b)
+	}
+	out = append(out, lo, tc.budget)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestPlanMatchesReference: one plan answers a budget sweep of every
+// reference case in shuffled order, so the walk is extended in the
+// middle of the sequence and earlier budgets are replayed from a longer
+// record. Every answer is bitwise the naive loop's at that budget and
+// owns its Components copy.
+func TestPlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range referenceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := NewPlan(tc.comps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range sweepBudgets(t, tc, rng) {
+				got, err := plan.Allocate(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := allocateReference(tc.comps, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAllocation(t, got, ref)
+				if t.Failed() {
+					t.Fatalf("budget %d", b)
+				}
+				got.Components[0].Name = "mutated"
+			}
+			if tc.comps[0].Name == "mutated" {
+				t.Fatal("an Allocation aliases the caller's components")
+			}
+			if a, _ := plan.Allocate(tc.budget); a.Components[0].Name == "mutated" {
+				t.Fatal("an Allocation aliases the plan's components")
+			}
+		})
+	}
+	t.Run("below-minimums", func(t *testing.T) {
+		comps := paperScaleComponents(7)
+		plan, err := NewPlan(comps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = plan.Allocate(minSum(comps) - 1)
+		_, ref := allocateReference(comps, minSum(comps)-1)
+		if err == nil || ref == nil || err.Error() != ref.Error() {
+			t.Fatalf("error %v, reference %v", err, ref)
+		}
+	})
+}
+
+// TestPlanConcurrentAllocate: two goroutines sweep one plan's budgets,
+// one from the lowest and one from the middle, so each extends the walk
+// while the other replays it;
+// run under -race it is the proof that sharing a plan is safe.
+func TestPlanConcurrentAllocate(t *testing.T) {
+	cases := referenceCases()
+	tc := cases[slices.IndexFunc(cases, func(c referenceCase) bool { return c.name == "ties" })]
+	comps := tc.comps
+	lo, hi := minSum(comps), tc.budget
+	refs := make([]*Allocation, hi-lo+1)
+	for i := range refs {
+		var err error
+		if refs[i], err = allocateReference(comps, lo+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := NewPlan(comps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := [2][]*Allocation{make([]*Allocation, len(refs)), make([]*Allocation, len(refs))}
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range refs {
+				i := k
+				if g == 1 {
+					i = (k + len(refs)/2) % len(refs)
+				}
+				a, err := plan.Allocate(lo + i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][i] = a
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, a := range got[g] {
+			if a != nil {
+				sameAllocation(t, a, refs[i])
+			}
+		}
 	}
 }
 
@@ -194,6 +337,18 @@ func TestAllocateDegenerate(t *testing.T) {
 		}
 		ref, _ := allocateReference(comps, 300)
 		sameAllocation(t, alloc, ref)
+	})
+	t.Run("minimums-overflow", func(t *testing.T) {
+		// Σ MinRanks = 3·2^62 wraps to −2^62 in int arithmetic; a wrapped
+		// sum passed the budget check and started a walk of 2^62 grants.
+		comps := []Component{
+			{Name: "a", Curve: flat(10), MinRanks: 1 << 62},
+			{Name: "b", Curve: flat(10), MinRanks: 1 << 62},
+			{Name: "c", Curve: flat(10), MinRanks: 1 << 62},
+		}
+		if _, err := Allocate(comps, 1000); err == nil {
+			t.Fatal("minimums summing past math.MaxInt were accepted")
+		}
 	})
 	t.Run("past-knee-at-minimum", func(t *testing.T) {
 		// P50 far below the minimum allocation: an extra core only adds

@@ -3,7 +3,9 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Sample is one standalone benchmark point.
@@ -284,45 +286,95 @@ func (e *evalConst) eval(c int) float64 {
 // Allocate runs Algorithm 1: starting every component at its minimum
 // allocation, repeatedly give one core to the slowest instance or the
 // slowest coupling unit — whichever gains more run-time from it — until
-// the budget is spent or no positive gain remains.
+// the budget is spent or no positive gain remains. It is NewPlan
+// followed by one Plan.Allocate, the only implementation of the loop.
+func Allocate(components []Component, budget int) (*Allocation, error) {
+	p, err := NewPlan(components)
+	if err != nil {
+		return nil, err
+	}
+	return p.Allocate(budget)
+}
+
+// Plan is Algorithm 1's walk over one component set, shared by every
+// budget. The loop never reads the budget — it only counts it down — so
+// the cores granted for budget B are the first grants of the walk for
+// any larger budget. A Plan records the component index of each grant,
+// extends the walk only as far as a budget needs, and answers a budget
+// by replaying a prefix of that record onto the minimum allocations.
+// It is safe for concurrent use.
 //
-// The loop grants one core at a time but never rescans the component
+// The walk grants one core at a time but never rescans the component
 // list: two max-heaps (instances, CUs) track the slowest member of each
 // class, and the run-time a component would have with one more core is
 // cached per component and invalidated only for the picked one. One
 // granted core therefore costs one curve evaluation and a sift-down,
 // instead of the two full scans and four evaluations of the naive loop
-// (see TestAllocateMatchesReference for the equivalence proof and
-// bench's perfmodel.allocate_ms probe for the host cost).
-func Allocate(components []Component, budget int) (*Allocation, error) {
+// (TestAllocateMatchesReference and TestPlanMatchesReference hold both
+// to it; bench's perfmodel.allocate_ms probe times a cold walk).
+type Plan struct {
+	comps   []Component
+	consts  []evalConst
+	minimum []int // each component's starting allocation
+	minSum  int   // Σ minimum, saturated at math.MaxInt
+
+	mu     sync.Mutex // guards the walk state below
+	grants []int32    // component index of each granted core, in order
+	st     []compState
+	apps   slowHeap
+	cus    slowHeap
+	// Each class's top gain; granting a core changes one heap only, so
+	// the other class's gain carries over between grants.
+	gainApp, gainCU float64
+}
+
+// compState is one component's mutable walk state, one cache line hit
+// per access: the granted core count and the cached one-more-core
+// run-time (NaN = stale; real run-times are never NaN).
+type compState struct {
+	next  float64
+	cores int
+}
+
+// NewPlan copies the components and starts each at its minimum
+// allocation; no core is granted until Allocate asks for one.
+func NewPlan(components []Component) (*Plan, error) {
 	if len(components) == 0 {
 		return nil, fmt.Errorf("perfmodel: no components")
 	}
-	cores := make([]int, len(components))
-	spent := 0
-	for i := range components {
-		cores[i] = components[i].minRanks()
-		spent += cores[i]
+	n := len(components)
+	// The copy keeps the plan, and every Allocation it returns, apart
+	// from later mutations of the caller's slice, and vice versa.
+	p := &Plan{
+		comps:   slices.Clone(components),
+		consts:  make([]evalConst, n),
+		minimum: make([]int, n),
+		st:      make([]compState, n),
 	}
-	if spent > budget {
-		return nil, fmt.Errorf("perfmodel: minimum allocations (%d) exceed budget (%d)", spent, budget)
-	}
-	times := make([]float64, len(components))
-	// Per-component evaluation constants: gval at the base core count,
-	// the BaseTime*BaseCores numerator and the defaulted ratios are fixed
-	// for the whole loop, so each Time evaluation costs one math.Pow
-	// instead of two. The factored expression performs the identical
-	// floating-point operations on identical operands in the same order
-	// as Component.Time, so the results are bitwise equal — which the
-	// differential test against the naive loop asserts.
-	consts := make([]evalConst, len(components))
-	for i := range components {
-		cv := components[i].Curve
+	for i := range p.comps {
+		m := p.comps[i].minRanks()
+		p.minimum[i] = m
+		// Saturate, never wrap: a sum past math.MaxInt must exceed every
+		// budget, not wrap round to a small one and start a walk of
+		// unbounded length.
+		if p.minSum > math.MaxInt-m {
+			p.minSum = math.MaxInt
+		} else {
+			p.minSum += m
+		}
+		// gval at the base core count, the BaseTime*BaseCores numerator
+		// and the defaulted ratios are fixed for the whole walk, so each
+		// Time evaluation costs one math.Pow instead of two. The factored
+		// expression performs the identical floating-point operations on
+		// identical operands in the same order as Component.Time, so the
+		// results are bitwise equal — which the differential tests
+		// against the naive loop assert.
+		cv := p.comps[i].Curve
 		e := evalConst{
 			p50: cv.P50, k: cv.K,
 			gbase: gval(float64(cv.BaseCores), cv.P50, cv.K),
 			num:   cv.BaseTime * float64(cv.BaseCores),
-			sr:    components[i].SizeRatio, ir: components[i].IterRatio,
+			sr:    p.comps[i].SizeRatio, ir: p.comps[i].IterRatio,
 		}
 		if e.sr == 0 {
 			e.sr = 1
@@ -330,61 +382,103 @@ func Allocate(components []Component, budget int) (*Allocation, error) {
 		if e.ir == 0 {
 			e.ir = 1
 		}
-		consts[i] = e
-	}
-	// Per-component mutable loop state, one cache line hit per access:
-	// the granted core count and the cached one-more-core run-time (NaN =
-	// stale; real run-times are never NaN).
-	type compState struct {
-		next  float64
-		cores int
-	}
-	st := make([]compState, len(components))
-	apps := &slowHeap{}
-	cus := &slowHeap{}
-	for i := range components {
-		times[i] = consts[i].eval(cores[i])
-		st[i] = compState{next: math.NaN(), cores: cores[i]}
-		if components[i].IsCU {
-			cus.push(heapEnt{times[i], i})
+		p.consts[i] = e
+		p.st[i] = compState{next: math.NaN(), cores: m}
+		ent := heapEnt{e.eval(m), i}
+		if p.comps[i].IsCU {
+			p.cus.push(ent)
 		} else {
-			apps.push(heapEnt{times[i], i})
+			p.apps.push(ent)
 		}
 	}
-	// topGain returns the marginal gain of the class's slowest component,
-	// filling its stale one-more-core cache if needed.
-	topGain := func(h *slowHeap) float64 {
-		if len(h.ents) == 0 {
-			return math.Inf(-1)
-		}
-		e := h.ents[0]
-		s := &st[e.idx]
-		if s.next != s.next { // NaN: recompute the one-more-core time
-			s.next = consts[e.idx].eval(s.cores + 1)
-		}
-		return e.t - s.next
+	p.gainApp, p.gainCU = p.topGain(&p.apps), p.topGain(&p.cus)
+	return p, nil
+}
+
+// topGain returns the marginal gain of the class's slowest component,
+// filling its stale one-more-core cache if needed.
+func (p *Plan) topGain(h *slowHeap) float64 {
+	if len(h.ents) == 0 {
+		return math.Inf(-1)
 	}
-	remaining := budget - spent
-	// Granting a core changes one heap only, so the other class's top
-	// gain carries over between iterations as a cached float.
-	gainApp, gainCU := topGain(apps), topGain(cus)
-	// The class comparison must stay `gainCU > gainApp` (not >=): ties —
-	// and NaN gains, which compare false — go to the instance class,
-	// exactly as the naive scan decides them. An empty class carries
-	// gain -Inf, so `g <= 0` doubles as the emptiness check and no heap
-	// is indexed while empty. The grant body is duplicated per class so
-	// each side touches its heap through a constant pointer.
-	for ; remaining > 0; remaining-- {
+	e := h.ents[0]
+	s := &p.st[e.idx]
+	if s.next != s.next { // NaN: recompute the one-more-core time
+		s.next = p.consts[e.idx].eval(s.cores + 1)
+	}
+	return e.t - s.next
+}
+
+// Allocate returns Algorithm 1's allocation of budget cores: the
+// walk's first budget − Σ MinRanks grants, or all of them if the walk
+// stops on no gain before that, replayed onto the minimum allocations.
+// It is bitwise equal to a fresh walk at that budget, and the
+// Allocation owns its copy of the components.
+func (p *Plan) Allocate(budget int) (*Allocation, error) {
+	if p.minSum > budget {
+		return nil, fmt.Errorf("perfmodel: minimum allocations (%d) exceed budget (%d)", p.minSum, budget)
+	}
+	want := budget - p.minSum
+	p.mu.Lock()
+	p.extend(want)
+	// The record only grows, and growing it never rewrites an element
+	// below its length, so the prefix is replayed outside the lock.
+	grants := p.grants[:min(want, len(p.grants))]
+	p.mu.Unlock()
+	cores := slices.Clone(p.minimum)
+	for _, g := range grants {
+		cores[g]++
+	}
+	times := make([]float64, len(cores))
+	out := &Allocation{Components: slices.Clone(p.comps), Cores: cores, Times: times,
+		Unallocated: want - len(grants)}
+	for i := range cores {
+		// eval is pure, so this is the walk's own run-time for these
+		// cores, bit for bit.
+		times[i] = p.consts[i].eval(cores[i])
+		if p.comps[i].IsCU {
+			out.MaxCU = math.Max(out.MaxCU, times[i])
+		} else {
+			out.MaxApp = math.Max(out.MaxApp, times[i])
+		}
+	}
+	out.Predicted = out.MaxApp + out.MaxCU
+	return out, nil
+}
+
+// Grants reports how many granted cores the plan has recorded so far,
+// the measure of its memory: four bytes each.
+func (p *Plan) Grants() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.grants)
+}
+
+// extend continues the walk until the record holds want grants or
+// neither class gains from another core. It holds p.mu.
+//
+// The class comparison must stay `gainCU > gainApp` (not >=): ties —
+// and NaN gains, which compare false — go to the instance class,
+// exactly as the naive scan decides them. An empty class carries gain
+// -Inf, so `g <= 0` doubles as the emptiness check and no heap is
+// indexed while empty. The grant body is duplicated per class so each
+// side touches its heap through a constant pointer; the state lives in
+// locals for the loop and is stored back once.
+func (p *Plan) extend(want int) {
+	st, consts, grants := p.st, p.consts, p.grants
+	apps, cus := &p.apps, &p.cus
+	gainApp, gainCU := p.gainApp, p.gainCU
+	for len(grants) < want {
 		if gainCU > gainApp {
 			if gainCU <= 0 {
 				break // nothing left to improve: idle the remaining cores
 			}
 			pick := cus.ents[0].idx
+			grants = append(grants, int32(pick))
 			s := &st[pick]
 			s.cores++
 			// eval is pure, so the cached eval(cores+1) IS the new
-			// current time — no re-evaluation, bit for bit. The heap
-			// entry carries it; times[] is rebuilt after the loop.
+			// current time — no re-evaluation, bit for bit.
 			t := s.next
 			s.next = math.NaN()
 			cus.fix(t)
@@ -395,9 +489,9 @@ func Allocate(components []Component, budget int) (*Allocation, error) {
 			if ts.next != ts.next {
 				// eval, spelled out so it inlines (same ops, same order).
 				ec := &consts[e.idx]
-				p := float64(ts.cores + 1)
-				pe := gval(p, ec.p50, ec.k) / ec.gbase
-				ts.next = ec.num / (p * pe) * ec.sr * ec.ir
+				c := float64(ts.cores + 1)
+				pe := gval(c, ec.p50, ec.k) / ec.gbase
+				ts.next = ec.num / (c * pe) * ec.sr * ec.ir
 			}
 			gainCU = e.t - ts.next
 		} else {
@@ -405,6 +499,7 @@ func Allocate(components []Component, budget int) (*Allocation, error) {
 				break
 			}
 			pick := apps.ents[0].idx
+			grants = append(grants, int32(pick))
 			s := &st[pick]
 			s.cores++
 			t := s.next
@@ -414,38 +509,14 @@ func Allocate(components []Component, budget int) (*Allocation, error) {
 			ts := &st[e.idx]
 			if ts.next != ts.next {
 				ec := &consts[e.idx]
-				p := float64(ts.cores + 1)
-				pe := gval(p, ec.p50, ec.k) / ec.gbase
-				ts.next = ec.num / (p * pe) * ec.sr * ec.ir
+				c := float64(ts.cores + 1)
+				pe := gval(c, ec.p50, ec.k) / ec.gbase
+				ts.next = ec.num / (c * pe) * ec.sr * ec.ir
 			}
 			gainApp = e.t - ts.next
 		}
 	}
-	for i := range st {
-		cores[i] = st[i].cores
-	}
-	// The heap entries hold each component's final run-time (every grant
-	// updated the entry in place); fold them back into times[].
-	for _, e := range apps.ents {
-		times[e.idx] = e.t
-	}
-	for _, e := range cus.ents {
-		times[e.idx] = e.t
-	}
-	// Copy the caller's slice: the Allocation (and any cache retaining
-	// it) must not see later mutations of the input, nor vice versa.
-	held := make([]Component, len(components))
-	copy(held, components)
-	out := &Allocation{Components: held, Cores: cores, Times: times, Unallocated: remaining}
-	for i := range components {
-		if components[i].IsCU {
-			out.MaxCU = math.Max(out.MaxCU, times[i])
-		} else {
-			out.MaxApp = math.Max(out.MaxApp, times[i])
-		}
-	}
-	out.Predicted = out.MaxApp + out.MaxCU
-	return out, nil
+	p.grants, p.gainApp, p.gainCU = grants, gainApp, gainCU
 }
 
 // String renders the allocation as an aligned table (Fig. 9b style).

@@ -11,7 +11,9 @@
 // from memory, disk or the shard that owns the key. Cache.Do is the one
 // admission gate for local work — it joins an identical computation,
 // else starts, queues or refuses (429) a new one — and a queued job
-// whose last waiter leaves gives its slot back without running.
+// whose last waiter leaves gives its slot back without running. Below
+// the cache, a plan memo keeps one Algorithm 1 walk per component set,
+// so allocations that differ only in budget replay it (plans.go).
 //
 // Invariant: a cache key's artifact is a pure function of its canonical
 // bytes, whatever the load, deadlines or cancellations around it.

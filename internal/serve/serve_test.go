@@ -272,6 +272,8 @@ func TestDemoComponentsFitAndAllocate(t *testing.T) {
 // naming the offending field), none cached.
 func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t, Options{})
+	// Three of these sum to 3·2^62, which wraps to a negative int.
+	const minRanks62 = `{"name": "a", "minRanks": 4611686018427387904, "curve": {"baseCores": 1, "baseTime": 1, "p50": 10, "k": 1}}`
 	cases := []struct {
 		name, url, body string
 		want            string // substring of the error body
@@ -279,6 +281,8 @@ func TestBadRequests(t *testing.T) {
 		{"malformed", ts.URL + "/v1/allocate", `{"budget": `, ""},
 		{"unknown-field", ts.URL + "/v1/allocate", `{"budget": 100, "component": []}`, ""},
 		{"non-positive-budget", ts.URL + "/v1/allocate", `{"budget": 0, "components": [{"name": "a", "curve": {"baseCores": 1, "baseTime": 1, "p50": 10, "k": 1}}]}`, ""},
+		{"budget-above-bound", ts.URL + "/v1/allocate", fmt.Sprintf(`{"budget": %d, "components": [{"name": "a", "curve": {"baseCores": 1, "baseTime": 1, "p50": 10, "k": 1}}]}`, maxBudget+1), `field \"budget\"`},
+		{"minimums-overflow", ts.URL + "/v1/allocate", `{"budget": 1000, "components": [` + minRanks62 + `, ` + minRanks62 + `, ` + minRanks62 + `]}`, "minimum allocations"},
 		{"no-components", ts.URL + "/v1/allocate", `{"budget": 100, "components": []}`, ""},
 		{"trailing-garbage", ts.URL + "/v1/allocate", allocBody + ` {"x": 1}`, ""},
 		{"bad-timeout", ts.URL + "/v1/allocate?timeout=yesterday", allocBody, ""},

@@ -106,6 +106,7 @@ type Server struct {
 	metrics  *Metrics
 	registry *Registry
 	shards   *ShardSet // nil unless running as a sharded front-end
+	plans    *planMemo
 	log      *slog.Logger
 	mux      *http.ServeMux
 }
@@ -130,6 +131,7 @@ func New(opts Options) *Server {
 			Workers: opts.Workers, QueueLen: opts.QueueLen,
 		}),
 		registry: NewRegistry(),
+		plans:    newPlanMemo(maxPlanGrants),
 		log:      opts.Logger,
 	}
 	if len(opts.Shards) > 0 {
@@ -463,17 +465,36 @@ func (s *Server) runFit(r *http.Request, _ *Job) (any, func(context.Context) (an
 	}, nil
 }
 
-// allocateSpecs builds and allocates, shared by /v1/allocate and both
-// halves of /v1/speedup.
-func allocateSpecs(specs []ComponentSpec, budget int) (*perfmodel.Allocation, error) {
-	if budget <= 0 {
-		return nil, badRequest(fmt.Errorf("budget must be positive, got %d", budget))
+// allocateSpecs allocates budget cores to the components, shared by
+// /v1/allocate and both halves of /v1/speedup. The components' plan is
+// built once (their curves fitted, Algorithm 1's walk started) and kept
+// in the plan memo, so a request for another budget over the same set
+// replays the walk instead of fitting and walking again.
+func (s *Server) allocateSpecs(specs []ComponentSpec, budget int) (*perfmodel.Allocation, error) {
+	if budget < 1 || budget > maxBudget {
+		return nil, badRequest(fmt.Errorf("field \"budget\" must be in [1, %d], got %d", maxBudget, budget))
 	}
-	comps, err := BuildComponents(specs)
+	canonical, err := canonicalize(specs)
 	if err != nil {
-		return nil, badRequest(err)
+		return nil, err
 	}
-	alloc, err := perfmodel.Allocate(comps, budget)
+	key := cacheKey(planLabel, canonical)
+	plan, err := s.plans.get(key, len(specs), func() (*perfmodel.Plan, error) {
+		comps, err := BuildComponents(specs)
+		if err != nil {
+			return nil, badRequest(err)
+		}
+		plan, err := perfmodel.NewPlan(comps)
+		if err != nil {
+			return nil, badRequest(err)
+		}
+		return plan, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	alloc, err := plan.Allocate(budget)
+	s.plans.charge(key, plan)
 	if err != nil {
 		return nil, badRequest(err)
 	}
@@ -502,7 +523,7 @@ func (s *Server) runAllocate(r *http.Request, _ *Job) (any, func(context.Context
 		return nil, nil, err
 	}
 	return &req, func(context.Context) (any, error) {
-		alloc, err := allocateSpecs(req.Components, req.Budget)
+		alloc, err := s.allocateSpecs(req.Components, req.Budget)
 		if err != nil {
 			return nil, err
 		}
@@ -516,11 +537,11 @@ func (s *Server) runSpeedup(r *http.Request, _ *Job) (any, func(context.Context)
 		return nil, nil, err
 	}
 	return &req, func(context.Context) (any, error) {
-		base, err := allocateSpecs(req.Base, req.Budget)
+		base, err := s.allocateSpecs(req.Base, req.Budget)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := allocateSpecs(req.Optimized, req.Budget)
+		opt, err := s.allocateSpecs(req.Optimized, req.Budget)
 		if err != nil {
 			return nil, err
 		}
