@@ -156,7 +156,7 @@ func TestPlanMemo(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got[0] != got[1] || len(m.plans) != 1 || m.lookup("k") != got[0] {
+	if got[0] != got[1] || len(m.plans) != 1 || m.plans["k"].Value.(*planEntry).plan != got[0] {
 		t.Errorf("racing misses: plans %p %p, %d kept", got[0], got[1], len(m.plans))
 	}
 }
