@@ -169,7 +169,7 @@ func referenceCost(f *fitCost, p50, k float64) float64 {
 }
 
 // TestFitCostPrunesExactly is the oracle of the bounded cost: on the
-// 1,000 seeded sets, at every grid candidate and its four descent
+// 1,000 seeded sets (the first 100 under -short), at every grid candidate and its four descent
 // neighbours (P50 or K times 0.97 or 1.03), under a bound drawn per
 // candidate from +Inf, 0, the full cost, the floats either side of it
 // and a random value, a cost below its bound comes back with the same
@@ -177,8 +177,12 @@ func referenceCost(f *fitCost, p50, k float64) float64 {
 // strict `e < bestE` decides every candidate as the full sum would.
 func TestFitCostPrunesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	sets := 1000
+	if testing.Short() {
+		sets = 100
+	}
 	zeros, checked := 0, 0
-	for set := 0; set < 1000; set++ {
+	for set := 0; set < sets; set++ {
 		ss := randomSamples(rng)
 		sort.Slice(ss, func(a, b int) bool { return ss[a].Cores < ss[b].Cores })
 		cost := newFitCost(ss)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"slices"
@@ -54,12 +53,6 @@ type job struct {
 	err     error
 }
 
-// entry is one completed artifact in the memory tier.
-type entry struct {
-	key  string
-	body []byte
-}
-
 // CacheConfig configures the two-tier result cache and its admission
 // gate.
 type CacheConfig struct {
@@ -89,19 +82,16 @@ type CacheConfig struct {
 // the identical bytes, so returning the stored artifact is
 // indistinguishable from re-running the job.
 //
-// The memory tier is a byte-budgeted LRU (the unbounded growth the old
-// implementation admitted to would sink the server under sweep load);
-// under it sits an optional disk tier whose artifacts survive process
-// restarts. Content addressing makes every cross-tier race benign:
+// The memory tier is an lru weighed in artifact bytes (the unbounded
+// growth the old implementation admitted to would sink the server under
+// sweep load); under it sits an optional disk tier whose artifacts
+// survive process restarts. Content addressing makes every cross-tier race benign:
 // any two writers of one key write identical bytes.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element // of *entry
-	lru      *list.List               // front = most recently used
-	live     map[string]*job
-	disk     *DiskCache
+	mu   sync.Mutex
+	mem  *lru[[]byte]
+	live map[string]*job
+	disk *DiskCache
 
 	workers, queueLen int
 	running           int
@@ -109,8 +99,6 @@ type Cache struct {
 	room              chan struct{} // closed when a worker or slot frees; nil until a blocked caller waits
 	closed            bool
 	admitted          sync.WaitGroup // queued and running jobs, for Close
-
-	evictions uint64
 }
 
 // NewCache returns an empty cache with the given bounds and tiers.
@@ -119,50 +107,12 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg.MaxBytes = defaultCacheMaxBytes
 	}
 	return &Cache{
-		maxBytes: cfg.MaxBytes,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+		mem:      newLRU[[]byte](cfg.MaxBytes),
 		live:     make(map[string]*job),
 		disk:     cfg.Disk,
 		workers:  max(cfg.Workers, 1),
 		queueLen: max(cfg.QueueLen, 0),
 	}
-}
-
-// lookupLocked returns the memory-tier artifact and refreshes its LRU
-// position.
-func (c *Cache) lookupLocked(key string) ([]byte, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry).body, true
-}
-
-// insertLocked stores a completed artifact in the memory tier, evicting
-// from the LRU tail until it fits. An artifact that alone exceeds the
-// budget is not retained (the disk tier, when present, still has it).
-func (c *Cache) insertLocked(key string, body []byte) {
-	if _, ok := c.entries[key]; ok {
-		return // identical bytes already present (content-addressed)
-	}
-	if int64(len(body)) > c.maxBytes {
-		return
-	}
-	for c.bytes+int64(len(body)) > c.maxBytes {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		ev := tail.Value.(*entry)
-		c.lru.Remove(tail)
-		delete(c.entries, ev.key)
-		c.bytes -= int64(len(ev.body))
-		c.evictions++
-	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, body: body})
-	c.bytes += int64(len(body))
 }
 
 // Peek returns the memory-tier artifact for key without consulting the
@@ -171,7 +121,7 @@ func (c *Cache) insertLocked(key string, body []byte) {
 func (c *Cache) Peek(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookupLocked(key)
+	return c.mem.get(key)
 }
 
 // Do returns the artifact for key. A memory-tier artifact is returned
@@ -188,7 +138,7 @@ func (c *Cache) Do(ctx context.Context, key string, block bool, compute func(con
 	probed := c.disk == nil
 	c.mu.Lock()
 	for {
-		if body, ok := c.lookupLocked(key); ok {
+		if body, ok := c.mem.get(key); ok {
 			c.mu.Unlock()
 			return body, OutcomeHit, nil
 		}
@@ -208,7 +158,7 @@ func (c *Cache) Do(ctx context.Context, key string, block bool, compute func(con
 			c.mu.Unlock()
 			if body, ok := c.disk.Get(key); ok {
 				c.mu.Lock()
-				c.insertLocked(key, body)
+				c.mem.put(key, body, int64(len(body)))
 				c.mu.Unlock()
 				return body, OutcomeDisk, nil
 			}
@@ -267,7 +217,7 @@ func (c *Cache) run(j *job) {
 		c.mu.Lock()
 		j.body, j.err = body, err
 		if err == nil {
-			c.insertLocked(j.key, body)
+			c.mem.put(j.key, body, int64(len(body)))
 		}
 		if c.live[j.key] == j { // an abandoned job is gone already, its key maybe retaken
 			delete(c.live, j.key)
@@ -349,24 +299,24 @@ func (c *Cache) Capacity() int { return c.queueLen }
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.mem.items)
 }
 
 // Bytes reports the memory-tier artifact bytes currently retained.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes
+	return c.mem.weight
 }
 
 // MaxBytes reports the memory-tier byte budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
+func (c *Cache) MaxBytes() int64 { return c.mem.max }
 
 // Evictions reports how many artifacts the LRU bound has evicted.
 func (c *Cache) Evictions() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions
+	return c.mem.evictions
 }
 
 // Disk returns the persistent tier (nil when disabled).

@@ -15,10 +15,18 @@
 // the cache, a plan memo keeps one Algorithm 1 walk per component set,
 // so allocations that differ only in budget replay it (plans.go).
 //
+// One retention rule bounds what the service keeps: lru (lru.go), a
+// weighted least-recently-used map. The memory tier weighs artifacts in
+// bytes, the plan memo weighs plans in grants, and the registry keeps
+// its live and pinned jobs plus the maxRetainedJobs most recently
+// finished or looked up.
+//
 // Invariant: a cache key's artifact is a pure function of its canonical
 // bytes, whatever the load, deadlines or cancellations around it.
 // Oracles: TestDemoCacheKeyPinned (the key derivation), the seeded
 // TestCancellationStorm (every 200 byte-identical to an undisturbed
-// server's, nothing leaked) and FuzzSimulateSpec (decode and
-// canonicalise on arbitrary bytes).
+// server's, nothing leaked), FuzzSimulateSpec (decode and canonicalise
+// on arbitrary bytes) and, for the registry's retention,
+// TestRegistryKeepsLongJobAfterFinish and
+// TestRegistryPinPreventsEviction.
 package serve

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"cpx/internal/perfmodel"
@@ -32,27 +31,17 @@ const planLabel = "perfmodel.Plan"
 // budget sweep over one set fits its curves and walks once, and every
 // request replays a prefix of that walk (perfmodel.Plan). It sits below
 // the response cache: requests that differ in budget alone are distinct
-// artifacts and still misses there. It is bounded by the grants its
-// plans hold and evicts the least recently used first; a plan larger
-// than the whole bound serves its own request and is not kept, as the
-// memory tier treats an oversized artifact.
+// artifacts and still misses there. It is an lru weighed in grants plus
+// planComponentGrants a component: a plan larger than the whole bound
+// serves its own request and is not kept, as the memory tier treats an
+// oversized artifact.
 type planMemo struct {
-	mu     sync.Mutex
-	max    int
-	weight int                      // Σ entry weights
-	plans  map[string]*list.Element // of *planEntry
-	lru    *list.List               // front = most recently used
-}
-
-type planEntry struct {
-	key    string
-	plan   *perfmodel.Plan
-	comps  int // components, each weighing planComponentGrants
-	weight int // as last charged
+	mu    sync.Mutex
+	plans *lru[*perfmodel.Plan]
 }
 
 func newPlanMemo(maxGrants int) *planMemo {
-	return &planMemo{max: maxGrants, plans: make(map[string]*list.Element), lru: list.New()}
+	return &planMemo{plans: newLRU[*perfmodel.Plan](int64(maxGrants))}
 }
 
 // get returns the plan kept for key, or builds one of comps components
@@ -61,9 +50,9 @@ func newPlanMemo(maxGrants int) *planMemo {
 // it, so one walk serves them.
 func (m *planMemo) get(key string, comps int, build func() (*perfmodel.Plan, error)) (*perfmodel.Plan, error) {
 	m.mu.Lock()
-	p := m.lookupLocked(key)
+	p, ok := m.plans.get(key)
 	m.mu.Unlock()
-	if p != nil {
+	if ok {
 		return p, nil
 	}
 	p, err := build()
@@ -72,51 +61,25 @@ func (m *planMemo) get(key string, comps int, build func() (*perfmodel.Plan, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if kept := m.lookupLocked(key); kept != nil {
+	if kept, ok := m.plans.get(key); ok {
 		return kept, nil
 	}
-	m.plans[key] = m.lru.PushFront(&planEntry{key: key, plan: p, comps: comps})
+	m.plans.put(key, p, planWeight(p, comps))
 	return p, nil
 }
 
-// lookupLocked returns the plan kept for key, or nil, and marks it the
-// most recently used.
-func (m *planMemo) lookupLocked(key string) *perfmodel.Plan {
-	el, ok := m.plans[key]
-	if !ok {
-		return nil
-	}
-	m.lru.MoveToFront(el)
-	return el.Value.(*planEntry).plan
-}
-
-// charge weighs key's plan again after an Allocate may have extended
-// it, then evicts from the least recently used end until the memo fits
-// its bound. A plan that alone exceeds the bound is dropped.
-func (m *planMemo) charge(key string, p *perfmodel.Plan) {
-	grants := p.Grants() // outside m.mu: an Allocate may hold the plan's lock for a long walk
+// charge weighs key's plan of comps components again after an Allocate
+// may have extended it. A plan only grows, so of two racing charges the
+// larger weight stands.
+func (m *planMemo) charge(key string, comps int, p *perfmodel.Plan) {
+	w := planWeight(p, comps) // outside m.mu: an Allocate may hold the plan's lock for a long walk
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.plans[key]
-	if !ok || el.Value.(*planEntry).plan != p {
-		return // evicted meanwhile
-	}
-	e := el.Value.(*planEntry)
-	// A plan only grows, so of two racing charges the larger count stands.
-	w := max(e.weight, grants+planComponentGrants*e.comps)
-	m.weight += w - e.weight
-	e.weight = w
-	if w > m.max {
-		m.removeLocked(el)
-		return
-	}
-	for m.weight > m.max {
-		m.removeLocked(m.lru.Back())
+	if kept, ok := m.plans.get(key); ok && kept == p { // else evicted meanwhile
+		m.plans.put(key, p, w)
 	}
 }
 
-func (m *planMemo) removeLocked(el *list.Element) {
-	e := m.lru.Remove(el).(*planEntry)
-	delete(m.plans, e.key)
-	m.weight -= e.weight
+func planWeight(p *perfmodel.Plan, comps int) int64 {
+	return int64(p.Grants() + planComponentGrants*comps)
 }

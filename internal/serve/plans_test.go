@@ -75,7 +75,7 @@ func TestBudgetSweepReplaysPlan(t *testing.T) {
 			t.Errorf("%d of %d budgets left cores idle; the sweep should cross the walk's stop", unallocated, len(budgets))
 		}
 	}
-	if n := len(s.plans.plans); n != 2 {
+	if n := len(s.plans.plans.items); n != 2 {
 		t.Errorf("plan memo holds %d plans, want the demo set and its optimised variant", n)
 	}
 }
@@ -98,13 +98,13 @@ func TestPlanMemo(t *testing.T) {
 		if _, err := p.Allocate(budget); err != nil {
 			t.Fatal(err)
 		}
-		m.charge(key, p)
+		m.charge(key, 1, p)
 		return p
 	}
 	kept := func(m *planMemo) []string {
 		var keys []string
-		for el := m.lru.Front(); el != nil; el = el.Next() {
-			keys = append(keys, el.Value.(*planEntry).key)
+		for el := m.plans.order.Front(); el != nil; el = el.Next() {
+			keys = append(keys, el.Value.(*lruItem[*perfmodel.Plan]).key)
 		}
 		return keys
 	}
@@ -118,16 +118,16 @@ func TestPlanMemo(t *testing.T) {
 	use(m, "b", 101) // a, b: 132 each
 	use(m, "a", 101) // a is now the more recently used
 	use(m, "c", 1)   // 32: 296 in all
-	if got := fmt.Sprint(kept(m)); got != "[c a b]" || m.weight != 296 {
-		t.Fatalf("kept %s weighing %d, want [c a b] weighing 296", got, m.weight)
+	if got := fmt.Sprint(kept(m)); got != "[c a b]" || m.plans.weight != 296 {
+		t.Fatalf("kept %s weighing %d, want [c a b] weighing 296", got, m.plans.weight)
 	}
 	use(m, "b", 121) // b grows to 152: the least recently used, a, goes
-	if got := fmt.Sprint(kept(m)); got != "[b c]" || m.weight != 184 {
-		t.Fatalf("kept %s weighing %d, want [b c] weighing 184", got, m.weight)
+	if got := fmt.Sprint(kept(m)); got != "[b c]" || m.plans.weight != 184 {
+		t.Fatalf("kept %s weighing %d, want [b c] weighing 184", got, m.plans.weight)
 	}
 	big := use(m, "big", 400) // 431 alone: served, not kept
-	if got := fmt.Sprint(kept(m)); got != "[b c]" || m.weight != 184 {
-		t.Fatalf("after an oversized plan: kept %s weighing %d, want [b c] weighing 184", got, m.weight)
+	if got := fmt.Sprint(kept(m)); got != "[b c]" || m.plans.weight != 184 {
+		t.Fatalf("after an oversized plan: kept %s weighing %d, want [b c] weighing 184", got, m.plans.weight)
 	}
 	if use(m, "big", 10) == big {
 		t.Error("an oversized plan was kept")
@@ -156,8 +156,8 @@ func TestPlanMemo(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got[0] != got[1] || len(m.plans) != 1 || m.plans["k"].Value.(*planEntry).plan != got[0] {
-		t.Errorf("racing misses: plans %p %p, %d kept", got[0], got[1], len(m.plans))
+	if kept, _ := m.plans.get("k"); got[0] != got[1] || len(m.plans.items) != 1 || kept != got[0] {
+		t.Errorf("racing misses: plans %p %p, %d kept", got[0], got[1], len(m.plans.items))
 	}
 }
 

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,8 +24,9 @@ const (
 	JobRejected = "rejected"
 )
 
-// maxRetainedJobs bounds the registry; beyond it the oldest terminal
-// jobs are evicted (live jobs are never evicted).
+// maxRetainedJobs bounds the retired (finished and unpinned) jobs the
+// registry keeps; the least recently finished or looked up goes first.
+// Live and pinned jobs are never evicted.
 const maxRetainedJobs = 1024
 
 // Job is one request's registry entry: identity, lifecycle state, queue
@@ -48,9 +52,14 @@ type Job struct {
 	pointsTotal atomic.Int64
 	pointsDone  atomic.Int64
 
+	// pins counts holders protecting this entry from registry eviction,
+	// and ended says Finish has run; both are guarded by reg.mu, as they
+	// decide when the job retires.
+	pins  int
+	ended bool
+
 	mu       sync.Mutex
 	state    string
-	pins     int // holders protecting this entry from registry eviction
 	outcome  CacheOutcome
 	code     int
 	errMsg   string
@@ -136,20 +145,30 @@ func (j *Job) PointDone() {
 // Pin protects the job's registry entry from eviction (even once
 // terminal) until a matching Unpin. A live sweep pins its child jobs so
 // SSE watchers of a finished point never see the entry vanish while the
-// sweep that spawned it is still streaming.
+// sweep that spawned it is still streaming. Pinning a retired job takes
+// it back out of the retired lru.
 func (j *Job) Pin() {
-	j.mu.Lock()
+	r := j.reg
+	r.mu.Lock()
 	j.pins++
-	j.mu.Unlock()
+	if j.pins == 1 && j.ended {
+		r.retired.remove(j.id)
+		r.jobs[j.id] = j
+	}
+	r.mu.Unlock()
 }
 
-// Unpin releases one Pin.
+// Unpin releases one Pin; the last retires a finished job.
 func (j *Job) Unpin() {
-	j.mu.Lock()
+	r := j.reg
+	r.mu.Lock()
 	if j.pins > 0 {
 		j.pins--
+		if j.pins == 0 && j.ended {
+			r.retireLocked(j)
+		}
 	}
-	j.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // Finish records the job's terminal state, HTTP code, cache disposition
@@ -173,7 +192,7 @@ func (j *Job) Finish(state string, code int, outcome CacheOutcome, err error) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	j.rev.Add(1)
-	j.reg.finished(state)
+	j.reg.finished(j, state)
 	close(j.done)
 }
 
@@ -207,21 +226,23 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// Registry tracks every request's job for the /v1/jobs API, bounded by
-// evicting the oldest terminal entries.
+// Registry tracks every request's job for the /v1/jobs API. Live and
+// pinned jobs are kept in one map; a job retires into an lru of
+// maxRetainedJobs, each weighing 1, once it is finished and unpinned.
 type Registry struct {
-	seq atomic.Uint64
+	seq    atomic.Uint64
+	active atomic.Int64
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []*Job // admission order, for listing and eviction
+	mu      sync.Mutex
+	jobs    map[string]*Job // live or pinned
+	retired *lru[*Job]
 
 	byState map[string]uint64 // finished jobs by terminal state
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{jobs: make(map[string]*Job), byState: make(map[string]uint64)}
+	return &Registry{jobs: make(map[string]*Job), retired: newLRU[*Job](maxRetainedJobs), byState: make(map[string]uint64)}
 }
 
 // Create admits a new job for an endpoint.
@@ -237,57 +258,52 @@ func (r *Registry) Create(endpoint string) *Job {
 	}
 	//lint:allow determinism job admission timestamps measure host time by definition; nothing feeds the virtual clock
 	j.created = time.Now()
+	r.active.Add(1)
 	r.mu.Lock()
 	r.jobs[j.id] = j
-	r.order = append(r.order, j)
-	r.evictLocked()
 	r.mu.Unlock()
 	return j
 }
 
-// evictLocked drops the oldest terminal jobs beyond maxRetainedJobs.
-func (r *Registry) evictLocked() {
-	if len(r.order) <= maxRetainedJobs {
-		return
-	}
-	kept := r.order[:0]
-	excess := len(r.order) - maxRetainedJobs
-	for _, j := range r.order {
-		if excess > 0 {
-			j.mu.Lock()
-			terminal := j.state != JobQueued && j.state != JobRunning
-			evictable := terminal && j.pins == 0
-			j.mu.Unlock()
-			if evictable {
-				delete(r.jobs, j.id)
-				excess--
-				continue
-			}
-		}
-		kept = append(kept, j)
-	}
-	r.order = kept
-}
-
-// finished tallies a terminal state.
-func (r *Registry) finished(state string) {
+// finished tallies a terminal state and retires j unless it is pinned.
+func (r *Registry) finished(j *Job, state string) {
+	r.active.Add(-1)
 	r.mu.Lock()
 	r.byState[state]++
+	j.ended = true
+	if j.pins == 0 {
+		r.retireLocked(j)
+	}
 	r.mu.Unlock()
 }
 
-// Get returns a job by ID (nil when unknown or evicted).
+// retireLocked moves a finished, unpinned job into the retired lru.
+func (r *Registry) retireLocked(j *Job) {
+	delete(r.jobs, j.id)
+	r.retired.put(j.id, j, 1)
+}
+
+// Get returns a job by ID (nil when unknown or evicted). Looking up a
+// retired job refreshes its retention.
 func (r *Registry) Get(id string) *Job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.jobs[id]
+	if j, ok := r.jobs[id]; ok {
+		return j
+	}
+	j, _ := r.retired.get(id)
+	return j
 }
 
 // List snapshots every retained job in admission order.
 func (r *Registry) List() []JobView {
 	r.mu.Lock()
-	jobs := append([]*Job(nil), r.order...)
+	jobs := slices.Collect(maps.Values(r.jobs))
+	for el := r.retired.order.Front(); el != nil; el = el.Next() {
+		jobs = append(jobs, el.Value.(*lruItem[*Job]).val)
+	}
 	r.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]JobView, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.View()
@@ -296,25 +312,13 @@ func (r *Registry) List() []JobView {
 }
 
 // Active counts live (queued or running) jobs.
-func (r *Registry) Active() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, j := range r.order {
-		j.mu.Lock()
-		if j.state == JobQueued || j.state == JobRunning {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
-}
+func (r *Registry) Active() int { return int(r.active.Load()) }
 
 // Retained counts registry entries.
 func (r *Registry) Retained() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.order)
+	return len(r.jobs) + len(r.retired.items)
 }
 
 // FinishedByState copies the terminal-state tallies.

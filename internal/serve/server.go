@@ -494,7 +494,7 @@ func (s *Server) allocateSpecs(specs []ComponentSpec, budget int) (*perfmodel.Al
 		return nil, err
 	}
 	alloc, err := plan.Allocate(budget)
-	s.plans.charge(key, plan)
+	s.plans.charge(key, len(specs), plan)
 	if err != nil {
 		return nil, badRequest(err)
 	}

@@ -163,16 +163,6 @@ func (ss *ShardSet) Route(key string) *Shard {
 	return nil
 }
 
-// RouteAny reports whether any shard is currently healthy.
-func (ss *ShardSet) RouteAny() bool {
-	for _, sh := range ss.shards {
-		if sh.healthy.Load() {
-			return true
-		}
-	}
-	return false
-}
-
 // Forward posts a canonical request body to the shard's endpoint and
 // returns the shard's verdict verbatim: HTTP status, response body and
 // cache disposition. The caller's remaining deadline travels as

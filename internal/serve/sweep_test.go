@@ -385,7 +385,8 @@ func TestBackpressureRetryAfterComputed(t *testing.T) {
 }
 
 // TestRegistryPinPreventsEviction: a pinned terminal job must survive
-// the retention sweep; once unpinned it is evicted like any other.
+// the retention sweep; once unpinned it retires and is evicted like any
+// other, maxRetainedJobs retirements after its last lookup.
 func TestRegistryPinPreventsEviction(t *testing.T) {
 	reg := NewRegistry()
 	pinned := reg.Create("/p")
@@ -402,9 +403,103 @@ func TestRegistryPinPreventsEviction(t *testing.T) {
 		t.Fatal("pinned terminal job evicted while pinned")
 	}
 	pinned.Unpin()
-	flood(100)
+	flood(maxRetainedJobs - 1)
+	if reg.Get(pinned.ID()) == nil {
+		t.Fatal("unpinned terminal job evicted before maxRetainedJobs later retirements")
+	}
+	flood(maxRetainedJobs)
 	if reg.Get(pinned.ID()) != nil {
-		t.Fatal("unpinned terminal job survived the retention sweep")
+		t.Fatal("unpinned terminal job survived maxRetainedJobs retirements after its last lookup")
+	}
+}
+
+// TestRegistryKeepsLongJobAfterFinish: retention counts from a job's
+// finish, not its admission, so a long job that stays live while many
+// shorter ones come and go is still resolvable once it is done.
+func TestRegistryKeepsLongJobAfterFinish(t *testing.T) {
+	reg := NewRegistry()
+	long := reg.Create("/v1/simulate")
+	for i := 0; i < maxRetainedJobs+100; i++ {
+		reg.Create("/short").Finish(JobDone, 200, "", nil)
+	}
+	long.Finish(JobDone, 200, "", nil)
+	reg.Create("/next")
+	if reg.Get(long.ID()) == nil {
+		t.Fatal("a long job lost its registry entry at the first admission after it finished")
+	}
+	if got, want := reg.Retained(), maxRetainedJobs+1; got != want {
+		t.Errorf("retained %d jobs, want %d: the retired bound plus the live one", got, want)
+	}
+	if got := reg.Active(); got != 1 {
+		t.Errorf("%d active jobs, want 1", got)
+	}
+}
+
+// TestRegistryPinTakesBackRetiredJob: pinning a job that has already
+// retired (an SSE watcher of a finished job) protects it as pinning a
+// live one does, and its Unpin retires it again.
+func TestRegistryPinTakesBackRetiredJob(t *testing.T) {
+	reg := NewRegistry()
+	watched := reg.Create("/w")
+	watched.Finish(JobDone, 200, "", nil)
+	watched.Pin()
+	for i := 0; i < maxRetainedJobs+1; i++ {
+		reg.Create("/flood").Finish(JobDone, 200, "", nil)
+	}
+	if reg.Get(watched.ID()) == nil {
+		t.Fatal("a retired job evicted while pinned")
+	}
+	watched.Unpin()
+	if got := reg.Retained(); got != maxRetainedJobs {
+		t.Errorf("retained %d jobs after the last Unpin, want %d", got, maxRetainedJobs)
+	}
+	if reg.Get(watched.ID()) == nil {
+		t.Error("the last Unpin dropped the job instead of retiring it")
+	}
+}
+
+// TestRegistryRetiresUnderConcurrency: Finish races the last Unpin and
+// watchers' Get/Pin/Unpin. Each job retires exactly once, so when all are
+// finished and unpinned none is left live and the retired bound holds.
+func TestRegistryRetiresUnderConcurrency(t *testing.T) {
+	reg := NewRegistry()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				j := reg.Create("/c")
+				j.Pin()
+				steps := []func(){
+					func() { j.Finish(JobDone, 200, "", nil) },
+					func() {
+						j.Unpin()
+						if w := reg.Get(j.ID()); w != nil {
+							w.Pin()
+							w.Unpin()
+						}
+					},
+				}
+				if i%2 == 1 { // start them in both orders
+					steps[0], steps[1] = steps[1], steps[0]
+				}
+				var pair sync.WaitGroup
+				for _, step := range steps {
+					pair.Add(1)
+					go func() {
+						defer pair.Done()
+						step()
+					}()
+				}
+				pair.Wait()
+			}
+		}()
+	}
+	wg.Wait()
+	if reg.Active() != 0 || len(reg.jobs) != 0 || reg.Retained() != maxRetainedJobs {
+		t.Errorf("active %d, live or pinned %d, retained %d; want 0, 0, %d",
+			reg.Active(), len(reg.jobs), reg.Retained(), maxRetainedJobs)
 	}
 }
 
@@ -488,9 +583,6 @@ func TestShardRouteDeterministicAndFailover(t *testing.T) {
 	}
 	if sh := a.Route(keys[0]); sh != nil {
 		t.Errorf("all shards down but Route returned %s; want nil (degrade to local)", sh.URL)
-	}
-	if a.RouteAny() {
-		t.Error("RouteAny true with every shard down")
 	}
 
 	if _, err := NewShardSet([]string{"not-a-url"}, time.Hour, logger); err == nil {
