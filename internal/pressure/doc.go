@@ -20,7 +20,13 @@
 //
 // Fixed settings are constants in pressure.go: the spray's droplets per
 // cell and the PCG tolerance and iteration cap; the AMG numerics are
-// amg's, and the CG loop is amg.CG over pressureSystem. Oracles:
+// amg's, and the CG loop is amg.CG over pressureSystem. Only the
+// x-velocity and the pressure correction hold state: the other velocity
+// components and the scalars are read by no clock and no output, so
+// their sweeps charge the same work and send the same halo bytes with no
+// payload (stateless, DESIGN.md §5.2). Oracles: TestGoldenRunFingerprints
+// (Run's clocks, compute/comm split and report on 1 to 128 ranks, capped
+// and uncapped, recorded while those fields were still stepped),
 // TestSharedSetupMatchesPerRankBuild (the shared operator and hierarchy
 // against per-rank builds), TestFaceIndicesMatchesCellFace (the face
 // walk against its per-axis loop), harness TestGoldenStandaloneRuntimes

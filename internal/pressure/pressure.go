@@ -104,8 +104,10 @@ type Solver struct {
 	dims  mesh.Dims // simulated local cell dims
 	scale float64   // true/sim cell ratio
 
-	// Flow fields on the sim box (cell-centred).
-	u, v, w, pcorr, kTurb []float64
+	// Flow fields on the sim box (cell-centred): the x-velocity, which
+	// feeds the pressure source, and the pressure correction. The other
+	// transported fields are charged without state (stepMomentum).
+	u, pcorr []float64
 
 	// Pressure-correction machinery. sys is pressureSystem{s}, made once
 	// in New: made per step, it would box into the interface on the hot
@@ -184,13 +186,9 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 
 	n := int(s.dims.Cells())
 	s.u = make([]float64, n)
-	s.v = make([]float64, n)
-	s.w = make([]float64, n)
 	s.pcorr = make([]float64, n)
-	s.kTurb = make([]float64, n)
 	for i := range s.u {
 		s.u[i] = 0.3 + 0.01*math.Sin(float64(i)*0.07+float64(cfg.Seed))
-		s.kTurb[i] = 0.01
 	}
 
 	// Faces (cell lists) for halo-coupled kernels.
@@ -322,51 +320,57 @@ func (s *Solver) transportSweep(field []float64, tag int) {
 		}
 	}
 	copy(field, next)
-	cells := float64(len(field))
+	s.chargeTransport(1)
+}
+
+// chargeTransport charges the transport sweep of vars variables over the
+// rank's true box.
+func (s *Solver) chargeTransport(vars float64) {
+	cells := float64(len(s.u))
 	s.comm.Compute(cluster.Work{
-		Flops: transportFlopsPerCell * cells * s.scale,
-		Bytes: transportBytesPerCell * cells * s.scale,
+		Flops: vars * transportFlopsPerCell * cells * s.scale,
+		Bytes: vars * transportBytesPerCell * cells * s.scale,
 	})
 }
 
-// stepMomentum advances the three velocity components.
+// stateless is the sweep of a transported field whose values nobody
+// reads: the sweep's halo traffic as empty payloads of the true face
+// size (a level-0 exchange of one value a face cell), then its work.
+func (s *Solver) stateless(tag int) {
+	s.levelExchange(0, 8, tag)
+	s.chargeTransport(1)
+}
+
+// stepMomentum advances the three velocity components. Only u feeds the
+// pressure source, so v and w are swept without state (stateless).
 func (s *Solver) stepMomentum() {
 	for sweep := 0; sweep < transportSweeps; sweep++ {
 		s.transportSweep(s.u, tagTransport)
-		s.transportSweep(s.v, tagTransport+1)
-		s.transportSweep(s.w, tagTransport+2)
+		s.stateless(tagTransport + 1)
+		s.stateless(tagTransport + 2)
 	}
 }
 
 // stepScalars advances turbulence and combustion scalars (k-eps, mixture
-// fraction, enthalpy).
+// fraction, enthalpy). No clock or output reads them, so none holds
+// state: the turbulence sweeps are stateless, and the remaining three
+// scalars, which cost the same, charge their work and run their halo
+// traffic as one exchange a sweep.
 func (s *Solver) stepScalars() {
 	for sweep := 0; sweep < transportSweeps; sweep++ {
-		s.transportSweep(s.kTurb, tagTransport+3)
+		s.stateless(tagTransport + 3)
 	}
-	// The remaining three scalars cost the same but need no distinct
-	// state for the proxy: charge their work and run their halo traffic,
-	// which nobody reads, as empty payloads of the true face size (a
-	// level-0 exchange of one value a face cell).
-	cells := float64(len(s.kTurb))
 	for sweep := 0; sweep < transportSweeps; sweep++ {
-		s.comm.Compute(cluster.Work{
-			Flops: 3 * transportFlopsPerCell * cells * s.scale,
-			Bytes: 3 * transportBytesPerCell * cells * s.scale,
-		})
+		s.chargeTransport(3)
 		s.levelExchange(0, 8, tagTransport+4)
 	}
 }
 
-// stepCombustion evaluates pointwise source terms (EBU / PDF models):
-// compute-heavy, communication-free, scales perfectly.
+// stepCombustion charges the pointwise source terms (EBU / PDF models):
+// compute-heavy, communication-free, scales perfectly. The scalars they
+// would update hold no state (stepScalars).
 func (s *Solver) stepCombustion() {
-	for i := range s.kTurb {
-		// Arrhenius-like source with turbulence limiting.
-		r := math.Exp(-1.0/(0.2+math.Abs(s.kTurb[i]))) * (1 - s.kTurb[i])
-		s.kTurb[i] += 1e-4 * r
-	}
-	cells := float64(len(s.kTurb))
+	cells := float64(len(s.u))
 	s.comm.Compute(cluster.Work{
 		Flops: combustionFlopsPerCell * cells * s.scale,
 		Bytes: combustionBytesPerCell * cells * s.scale,

@@ -42,7 +42,7 @@ func sharingRun(t *testing.T, conf Config, perRank bool) (*mpi.Stats, []uint64, 
 			s.Step()
 		}
 		d := fault.NewDigest()
-		for _, f := range [][]float64{s.u, s.v, s.w, s.pcorr, s.kTurb} {
+		for _, f := range [][]float64{s.u, s.pcorr} {
 			d.Floats(f)
 		}
 		d.Int(s.LastIterations)
