@@ -208,7 +208,10 @@ func RunSimpic(cfg SimpicConfig, cores int, rc RunConfig) (*RunStats, error) {
 	return runStats(harness.RunSimpic(cfg, cores, rc))
 }
 
-// RunMGCFD executes the MG-CFD mini-app standalone on `cores` virtual ranks.
+// RunMGCFD times the MG-CFD mini-app standalone on `cores` virtual ranks:
+// every rank runs the mini-app's schedule of compute charges, halo
+// messages and collectives at the configured size, without stepping the
+// flow fields, which no clock reads.
 func RunMGCFD(cfg MGCFDConfig, cores int, rc RunConfig) (*RunStats, error) {
 	return runStats(harness.RunMGCFD(cfg, cores, rc))
 }

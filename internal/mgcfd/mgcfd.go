@@ -73,7 +73,7 @@ func Production() ScaleOpts { return ScaleOpts{MaxCellsPerRank: 2048, SampleStep
 type level struct {
 	dims     mesh.Dims // simulated local dims at this level
 	nodes    int
-	q        [][]float64 // NVAR x nodes conserved variables
+	q        [][]float64 // NVAR x nodes conserved variables; nil on a field-free rank (Time)
 	faces    []faceInfo  // neighbour faces at this level
 	workMult float64     // true/simulated work ratio at this level
 	// before is the multigrid cascade's copy of q taken ahead of the
@@ -85,7 +85,7 @@ type level struct {
 
 type faceInfo struct {
 	rank      int   // peer rank
-	nodeIdx   []int // local node indices on this face (sim dims)
+	nodeIdx   []int // local node indices on this face (sim dims); nil on a field-free rank
 	trueCells int   // true face size at this level (for message cost)
 }
 
@@ -109,15 +109,21 @@ type Sim struct {
 	active bool // false for idle ranks (beyond the decomposition)
 	// pack is the rank's one work vector, sized by New (workLen): the
 	// send buffer exchangeHalo refills face after face (SendVirtual
-	// copies before it returns) and computeFlux's primitive and residual
-	// windows (DESIGN.md §5.13).
+	// copies before it returns) and fluxStage's primitive and residual
+	// windows (DESIGN.md §5.13). Nil on a field-free rank.
 	pack []float64
 }
 
 // New builds the per-rank state. Collective over c. Ranks beyond what the
 // mesh can decompose into become idle participants (they still join
 // collectives).
-func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
+func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) { return newSim(c, cfg, sc, true) }
+
+// newSim builds the per-rank state, with flow fields or, for Time,
+// without: a field-free rank keeps every level's dims, work ratio and
+// true face sizes, which are all its charges read, and allocates no q,
+// work vector or face node list.
+func newSim(c *mpi.Comm, cfg Config, sc ScaleOpts, fields bool) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -139,26 +145,30 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	for l := 0; l < cfg.MGLevels; l++ {
 		lv := &level{dims: simDims}
 		lv.nodes = int(simDims.Nodes())
-		lv.q = allocVars(lv.nodes)
 		lv.workMult = float64(trueDims.Cells()) / float64(simDims.Cells())
 		// Neighbour faces: node lists on each face of the sim box; true
 		// sizes from the true box, both coarsened per level.
 		nodes := mesh.Dims{NI: simDims.NI + 1, NJ: simDims.NJ + 1, NK: simDims.NK + 1}
 		for _, nb := range local.Neighbors {
-			lv.faces = append(lv.faces, faceInfo{
-				rank: nb.Rank,
-				nodeIdx: mpi.Shared(c, faceKey{nodes, nb.Axis, nb.Dir}, func() []int {
+			f := faceInfo{rank: nb.Rank, trueCells: nb.FaceCellsAt(l)}
+			if fields {
+				f.nodeIdx = mpi.Shared(c, faceKey{nodes, nb.Axis, nb.Dir}, func() []int {
 					return mesh.FaceIndices(nodes, nb.Axis, nb.Dir)
-				}),
-				trueCells: nb.FaceCellsAt(l),
-			})
+				})
+			}
+			lv.faces = append(lv.faces, f)
+		}
+		if fields {
+			lv.q = allocVars(lv.nodes)
 		}
 		s.levels = append(s.levels, lv)
 		simDims = simDims.Coarsen()
 		trueDims = trueDims.Coarsen()
 	}
-	s.pack = make([]float64, workLen(s.levels))
-	s.initFlow()
+	if fields {
+		s.pack = make([]float64, workLen(s.levels))
+		s.initFlow()
+	}
 	// dt from a fixed reference state (uniform flow, sound speed ~1).
 	h := 1.0 / float64(dims.NI)
 	s.dt = cfl * h / 2.0
@@ -168,13 +178,13 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Sim, error) {
 	return s, nil
 }
 
-// windowPlanes is the length of computeFlux's window in (i, j) planes:
+// windowPlanes is the length of fluxStage's window in (i, j) planes:
 // two planes each of pressure, x-velocity, wave speed and the NVAR
 // residuals.
 const windowPlanes = 2 * (3 + NVAR)
 
 // workLen is the length of a rank's work vector: the larger of
-// computeFlux's window and exchangeHalo's largest face buffer, over all
+// fluxStage's window and exchangeHalo's largest face buffer, over all
 // levels.
 func workLen(levels []*level) int {
 	n := 0
@@ -225,7 +235,23 @@ func pressureAt(rho, mx, my, mz, e float64) float64 {
 	return p
 }
 
-// computeFlux runs one forward-Euler stage at one level: the edge loop
+// computeFlux runs one forward-Euler stage at one level (fluxStage)
+// when the rank holds fields, and charges the level's edge loop. It
+// returns the stage's sum of squared density residuals, 0 on a
+// field-free rank.
+func (s *Sim) computeFlux(l *level, dtStage float64) (norm float64) {
+	if l.q != nil {
+		norm = s.fluxStage(l, dtStage)
+	}
+	edges := float64(edgeCount(l.dims))
+	s.comm.Compute(cluster.Work{
+		Flops: fluxFlopsPerEdge * edges * l.workMult,
+		Bytes: fluxBytesPerEdge * edges * l.workMult,
+	})
+	return norm
+}
+
+// fluxStage runs one forward-Euler stage at one level: the edge loop
 // (central flux differences with scalar (Rusanov) dissipation) and the
 // update q += dtStage·residual, fused into one pass over the (i, j)
 // planes. The edge loop is MG-CFD's compute_flux_edge kernel, over the
@@ -250,7 +276,7 @@ func pressureAt(rho, mx, my, mz, e float64) float64 {
 // with referenceFlux followed by the node-wise update.
 //
 //perf:hotpath
-func (s *Sim) computeFlux(l *level, dtStage float64) (norm float64) {
+func (s *Sim) fluxStage(l *level, dtStage float64) (norm float64) {
 	ni, nj, nk := l.dims.NI+1, l.dims.NJ+1, l.dims.NK+1
 	plane := ni * nj
 	// Every variable holds l.nodes values and every window array two
@@ -285,11 +311,6 @@ func (s *Sim) computeFlux(l *level, dtStage float64) (norm float64) {
 		norm = fl.retire(k*plane, cur, plane, dtStage, norm)
 		cur, next = next, cur
 	}
-	edges := float64(edgeCount(l.dims))
-	s.comm.Compute(cluster.Work{
-		Flops: fluxFlopsPerEdge * edges * l.workMult,
-		Bytes: fluxBytesPerEdge * edges * l.workMult,
-	})
 	return norm
 }
 
@@ -299,7 +320,7 @@ func edgeCount(d mesh.Dims) int {
 	return (ni-1)*nj*nk + ni*(nj-1)*nk + ni*nj*(nk-1)
 }
 
-// fluxLoop holds one computeFlux call's operands: a level's conserved
+// fluxLoop holds one fluxStage call's operands: a level's conserved
 // variables q and the window of two planes of nodes — their residuals r
 // and primitives, pressure p, x-velocity u and wave speed |u|+c.
 type fluxLoop struct {
@@ -383,7 +404,9 @@ func (fl *fluxLoop) retire(n0, w0, m int, dtStage, norm float64) float64 {
 
 // exchangeHalo trades face states with every block neighbour at a level.
 // Received states relax the local face nodes toward the neighbour's
-// values, coupling the subdomains.
+// values, coupling the subdomains. A field-free rank has no nodes to
+// pack or relax: its buffers are nil, so each message carries the same
+// virtual bytes with no payload.
 //
 //perf:hotpath
 func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
@@ -420,7 +443,7 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	}
 }
 
-// update charges the forward-Euler stage computeFlux applied as its
+// update charges the forward-Euler stage fluxStage applied as its
 // wavefront passed, in the "time_step" region where MG-CFD's profile
 // shows it.
 func (s *Sim) update(l *level) {
@@ -431,14 +454,15 @@ func (s *Sim) update(l *level) {
 }
 
 // restrictTo injects the fine solution into the coarse level (volume
-// averaging over 2x2x2 blocks), one coarse row at a time.
+// averaging over 2x2x2 blocks), one coarse row at a time. On a
+// field-free rank it only charges the transfer.
 //
 //perf:hotpath
 func (s *Sim) restrictTo(fine, coarse *level) {
 	fd, cd := fine.dims, coarse.dims
 	fni, fnj := fd.NI+1, fd.NJ+1
 	cni, cnj, cnk := cd.NI+1, cd.NJ+1, cd.NK+1
-	for v := 0; v < NVAR; v++ {
+	for v := range fine.q {
 		fq, cq := fine.q[v], coarse.q[v]
 		for k := 0; k < cnk; k++ {
 			fk := min(2*k, fd.NK)
@@ -461,14 +485,15 @@ func (s *Sim) restrictTo(fine, coarse *level) {
 // nearest-neighbour prolongation and a damping factor. before holds the
 // coarse level's values ahead of its smoothing step; the damped
 // correction damp*(coarse.q - before) is computed once per coarse node,
-// in place of before, and then added to the fine level row by row.
+// in place of before, and then added to the fine level row by row. On a
+// field-free rank, whose before is nil, it only charges the transfer.
 //
 //perf:hotpath
 func (s *Sim) prolongFrom(coarse, fine *level, before [][]float64, damp float64) {
 	fd, cd := fine.dims, coarse.dims
 	fni, fnj, fnk := fd.NI+1, fd.NJ+1, fd.NK+1
 	cni, cnj := cd.NI+1, cd.NJ+1
-	for v := 0; v < NVAR; v++ {
+	for v := range fine.q {
 		corr, cq := before[v][:coarse.nodes], coarse.q[v][:coarse.nodes]
 		for n := range corr {
 			corr[n] = damp * (cq[n] - corr[n])
@@ -491,6 +516,21 @@ func (s *Sim) prolongFrom(coarse, fine *level, before [][]float64, damp float64)
 	})
 }
 
+// snapshot copies the level's q into before, made on the first call, and
+// returns it; nil on a field-free rank.
+func (l *level) snapshot() [][]float64 {
+	if l.q == nil {
+		return nil
+	}
+	if l.before == nil {
+		l.before = allocVars(l.nodes)
+	}
+	for v, q := range l.q {
+		copy(l.before[v], q)
+	}
+	return l.before
+}
+
 // region runs fn inside a named trace region, mirroring MG-CFD's named
 // kernels for ARM-MAP-style profiles (no-op when profiling is off).
 func (s *Sim) region(name string, fn func()) {
@@ -502,7 +542,9 @@ func (s *Sim) region(name string, fn func()) {
 
 // Step advances one time-step: RK stages on the fine grid, then a
 // multigrid cascade, then the residual allreduce MG-CFD performs for
-// convergence monitoring.
+// convergence monitoring. A field-free rank (Time) runs the same
+// schedule, every charge, message and collective, with the arithmetic
+// skipped, and contributes 0 to the residual.
 func (s *Sim) Step() float64 {
 	if !s.active {
 		// Idle ranks still join the step's collective, contributing
@@ -525,13 +567,7 @@ func (s *Sim) Step() float64 {
 	})
 	for li := len(s.levels) - 1; li >= 1; li-- {
 		l := s.levels[li]
-		if l.before == nil {
-			l.before = allocVars(l.nodes)
-		}
-		before := l.before
-		for v := 0; v < NVAR; v++ {
-			copy(before[v], l.q[v])
-		}
+		before := l.snapshot()
 		s.region("halo_exchange", func() { s.exchangeHalo(l, li) })
 		s.region("compute_flux_edge", func() { s.computeFlux(l, 0.5*s.dt) })
 		s.region("time_step", func() { s.update(l) })
@@ -551,7 +587,7 @@ func (s *Sim) Step() float64 {
 type Stats struct {
 	StepsRun    int
 	ScaledSteps int
-	Residual    float64
+	Residual    float64 // 0 from Time
 	Active      bool
 	// SetupTime is the virtual time consumed before stepping began (max
 	// over ranks); harnesses scale only the stepping phase when sampling.
@@ -559,8 +595,20 @@ type Stats struct {
 }
 
 // Run executes the configured (or sampled) number of steps.
-func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) {
-	s, err := New(c, cfg, sc)
+func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) { return run(c, cfg, sc, true) }
+
+// Time runs the configured (or sampled) number of steps for their virtual
+// time alone: every rank charges, sends and reduces exactly what Run's
+// does, with no flow fields behind them. No clock reads the fields —
+// compute charges come from edge and node counts, halo bytes from the
+// true faces — so the run's clocks, profiles, timelines and comm matrix
+// are Run's, bit for bit (TestTimeMatchesRun); only the residual, which
+// sums the fields, reads 0. For standalone runs that only time the
+// mini-app.
+func Time(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) { return run(c, cfg, sc, false) }
+
+func run(c *mpi.Comm, cfg Config, sc ScaleOpts, fields bool) (*Stats, error) {
+	s, err := newSim(c, cfg, sc, fields)
 	if err != nil {
 		return nil, err
 	}
