@@ -38,8 +38,10 @@ func onFourRanks(program func(c *mpi.Comm, steps int) error) func(steps int) err
 // and the first exchanges' payload clones cancel in the difference; what
 // is left must not scale with the working set: the working vectors are
 // kept (DESIGN.md §5.13) and every received payload is released to feed
-// the rank's next send (mpi.Comm.Release). SIMPIC and MG-CFD are left
-// with nothing (1 KiB is the noise floor); the other bounds are what was
+// the rank's next send (mpi.Comm.Release). SIMPIC and MG-CFD, with
+// fields or field-free (mgcfd.Time, whose ranks send empty payloads), are
+// left with nothing (10–20 bytes; 1 KiB is the noise floor); the other
+// bounds are what was
 // measured when they were written plus a quarter: 0.8–1.8 kB for the
 // pressure solver (its Base spray's send buffers still growing), 7.7 kB
 // in race builds (their sync.Pool drops a share of the recycled message
@@ -71,6 +73,10 @@ func TestSteadyStateAllocation(t *testing.T) {
 			for i := 0; err == nil && i < steps; i++ {
 				s.Step()
 			}
+			return err
+		})},
+		{"mgcfd field-free", 4, 10, 1 << 10, onFourRanks(func(c *mpi.Comm, steps int) error {
+			_, err := mgcfd.Time(c, mgcfd.Config{MeshCells: 32_768, Steps: steps, Seed: 1}, mgcfd.ScaleOpts{})
 			return err
 		})},
 		{"pressure", 4, 3, 9.6e3, onFourRanks(func(c *mpi.Comm, steps int) error {
@@ -120,11 +126,14 @@ func TestSteadyStateAllocation(t *testing.T) {
 // of equal dims — the pressure operator and its AMG hierarchy, MG-CFD's
 // face lists, SIMPIC's segment factors, the decomposition — which the
 // run builds once (mpi.Shared, DESIGN.md §5.12). The bounds are what was
-// measured when they were written plus a quarter: 96 kB for the pressure
-// solver (its five fields and spray droplets), 170 kB for MG-CFD (q on
+// measured when they were written plus a quarter: 74 kB for the pressure
+// solver (its two fields and spray droplets, 59 kB; five fields took
+// 92 kB), 170 kB for MG-CFD (q on
 // three levels and the 16-plane work vector, 136 kB; node-sized residual
 // arrays on every level took it to 233 kB, and computeFlux now keeps
-// them in that vector's two-plane window), 200 kB for SIMPIC (its
+// them in that vector's two-plane window), 6.1 kB for field-free MG-CFD
+// (mgcfd.Time with one step: levels and faces, and no q, work vector or
+// node lists, 4.9 kB), 200 kB for SIMPIC (its
 // particles and the field solver's potential, 158 kB). With every rank
 // building its own copies the same cases cost 1.69 MB, 307 kB and, for
 // SIMPIC, which also kept a particular-solution vector a rank, 482 kB.
@@ -135,12 +144,16 @@ func TestSetUpAllocation(t *testing.T) {
 		bound float64 // bytes per rank
 		build func(c *mpi.Comm) error
 	}{
-		{"pressure", 120e3, func(c *mpi.Comm) error {
+		{"pressure", 74e3, func(c *mpi.Comm) error {
 			_, err := pressure.New(c, pressure.Config{MeshCells: 28_000_000, Steps: 1, Seed: 1}, pressure.Production())
 			return err
 		}},
 		{"mgcfd", 170e3, func(c *mpi.Comm) error {
 			_, err := mgcfd.New(c, mgcfd.Config{MeshCells: 8_000_000, Steps: 1, Seed: 1}, mgcfd.Production())
+			return err
+		}},
+		{"mgcfd field-free", 6.1e3, func(c *mpi.Comm) error {
+			_, err := mgcfd.Time(c, mgcfd.Config{MeshCells: 8_000_000, Steps: 1, Seed: 1}, mgcfd.Production())
 			return err
 		}},
 		{"simpic", 200e3, func(c *mpi.Comm) error {
