@@ -21,6 +21,7 @@ import (
 // differ, a sampled run and one- and four-level hierarchies; together
 // they take well under a second, so -short runs them all.
 func TestTimeMatchesRun(t *testing.T) {
+	var idle, unequal bool // some row leaves idle ranks; some row's capped boxes differ
 	for _, g := range []struct {
 		name  string
 		ranks int
@@ -36,8 +37,17 @@ func TestTimeMatchesRun(t *testing.T) {
 		{"1 level", 4, Config{MeshCells: 4096, Steps: 2, MGLevels: 1, Seed: 7}, ScaleOpts{}},
 		{"4 levels", 8, Config{MeshCells: 32_768, Steps: 2, MGLevels: 4, Seed: 8}, ScaleOpts{MaxCellsPerRank: 2048}},
 	} {
+		dc, err := mesh.NewDecompBestEffort(mesh.CubeDims(g.c.MeshCells), g.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims := map[mesh.Dims]bool{}
+		for r := range dc.Ranks() {
+			sims[dc.Local(r, g.sc.MaxCellsPerRank).Sim] = true
+		}
+		idle = idle || dc.Ranks() < g.ranks
+		unequal = unequal || g.sc.MaxCellsPerRank > 0 && len(sims) > 1
 		t.Run(g.name, func(t *testing.T) {
-			checkRowShape(t, g.name, g.ranks, g.c, g.sc)
 			want, wantRep := timedRun(t, Run, g.ranks, g.c, g.sc)
 			got, gotRep := timedRun(t, Time, g.ranks, g.c, g.sc)
 			if !reflect.DeepEqual(got, want) {
@@ -52,29 +62,8 @@ func TestTimeMatchesRun(t *testing.T) {
 			}
 		})
 	}
-}
-
-// checkRowShape fails a row whose decomposition does not show what the
-// row's name promises.
-func checkRowShape(t *testing.T, name string, ranks int, c Config, sc ScaleOpts) {
-	t.Helper()
-	dc, err := mesh.NewDecompBestEffort(mesh.CubeDims(c.MeshCells), ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch name {
-	case "idle ranks":
-		if dc.Ranks() >= ranks {
-			t.Fatalf("%d cells decompose onto all %d ranks, want idle ranks", c.MeshCells, ranks)
-		}
-	case "unequal sim dims":
-		sims := map[mesh.Dims]bool{}
-		for r := range dc.Ranks() {
-			sims[dc.Local(r, sc.MaxCellsPerRank).Sim] = true
-		}
-		if len(sims) < 2 {
-			t.Fatalf("every rank simulates one box at cap %d, want two or more", sc.MaxCellsPerRank)
-		}
+	if !idle || !unequal {
+		t.Errorf("the rows leave idle ranks: %v; give capped ranks unequal boxes: %v; want both", idle, unequal)
 	}
 }
 
