@@ -24,7 +24,7 @@
 // x-velocity and the pressure correction hold state: the other velocity
 // components and the scalars are read by no clock and no output, so
 // their sweeps charge the same work and send the same halo bytes with no
-// payload (stateless, DESIGN.md §5.2). Oracles: TestGoldenRunFingerprints
+// payload (statelessSweep, DESIGN.md §5.2). Oracles: TestGoldenRunFingerprints
 // (Run's clocks, compute/comm split and report on 1 to 128 ranks, capped
 // and uncapped, recorded while those fields were still stepped),
 // TestSharedSetupMatchesPerRankBuild (the shared operator and hierarchy

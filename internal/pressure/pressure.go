@@ -333,32 +333,32 @@ func (s *Solver) chargeTransport(vars float64) {
 	})
 }
 
-// stateless is the sweep of a transported field whose values nobody
+// statelessSweep is the sweep of a transported field whose values nobody
 // reads: the sweep's halo traffic as empty payloads of the true face
 // size (a level-0 exchange of one value a face cell), then its work.
-func (s *Solver) stateless(tag int) {
+func (s *Solver) statelessSweep(tag int) {
 	s.levelExchange(0, 8, tag)
 	s.chargeTransport(1)
 }
 
 // stepMomentum advances the three velocity components. Only u feeds the
-// pressure source, so v and w are swept without state (stateless).
+// pressure source, so v and w are swept without state (statelessSweep).
 func (s *Solver) stepMomentum() {
 	for sweep := 0; sweep < transportSweeps; sweep++ {
 		s.transportSweep(s.u, tagTransport)
-		s.stateless(tagTransport + 1)
-		s.stateless(tagTransport + 2)
+		s.statelessSweep(tagTransport + 1)
+		s.statelessSweep(tagTransport + 2)
 	}
 }
 
 // stepScalars advances turbulence and combustion scalars (k-eps, mixture
 // fraction, enthalpy). No clock or output reads them, so none holds
-// state: the turbulence sweeps are stateless, and the remaining three
+// state: turbulence is swept by statelessSweep, and the remaining three
 // scalars, which cost the same, charge their work and run their halo
 // traffic as one exchange a sweep.
 func (s *Solver) stepScalars() {
 	for sweep := 0; sweep < transportSweeps; sweep++ {
-		s.stateless(tagTransport + 3)
+		s.statelessSweep(tagTransport + 3)
 	}
 	for sweep := 0; sweep < transportSweeps; sweep++ {
 		s.chargeTransport(3)
