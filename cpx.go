@@ -101,7 +101,7 @@ const (
 func ProductionScale() CoupledScale { return coupler.ProductionScale() }
 
 // RunConfig controls a virtual-time run (machine model, profiling,
-// host-time watchdog).
+// tracing, faults, cancellation).
 type RunConfig = mpi.Config
 
 // ---- Fault injection and resilience --------------------------------------------

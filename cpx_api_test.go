@@ -3,7 +3,6 @@ package cpx_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"cpx"
 	"cpx/internal/harness"
@@ -76,7 +75,7 @@ func TestPublicCoupledRun(t *testing.T) {
 		RotationPerStep: 0.001,
 		Scale:           cpx.ProductionScale(),
 	}
-	rep, err := sim.Run(cpx.RunConfig{Machine: cpx.SmallCluster(), Watchdog: 2 * time.Minute})
+	rep, err := sim.Run(cpx.RunConfig{Machine: cpx.SmallCluster()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,8 @@ func TestPublicExperiments(t *testing.T) {
 // runtimes the experiments fit their curves on are one recipe, so for
 // the same configuration they must agree bit for bit.
 func TestPublicStandaloneRuns(t *testing.T) {
-	rc := cpx.RunConfig{Machine: cpx.SmallCluster(), Watchdog: 2 * time.Minute}
-	o := harness.Options{Machine: rc.Machine, Watchdog: rc.Watchdog}
+	rc := cpx.RunConfig{Machine: cpx.SmallCluster()}
+	o := harness.Options{Machine: rc.Machine}
 
 	simpicCfg := cpx.SimpicConfig{Cells: 512, ParticlesPerCell: 5, Steps: 20, Seed: 1}
 	sp, err := cpx.RunSimpic(simpicCfg, 4, rc)

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
@@ -29,7 +28,7 @@ func TestDistSolverMatchesSerialSolution(t *testing.T) {
 
 	for _, p := range []int{1, 2, 4, 7} {
 		solution := make([]float64, n)
-		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second},
+		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster()},
 			func(c *mpi.Comm) error {
 				d := sparse.NewDistFromGlobal(c, a, 50)
 				s, err := NewDistSolver(d, DefaultOptions())
@@ -71,7 +70,7 @@ func TestDistSolverIterationsGrowWithRanks(t *testing.T) {
 	b := randomRHS(a.Rows, 12)
 	iters := func(p int) int {
 		var out int
-		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second},
+		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster()},
 			func(c *mpi.Comm) error {
 				d := sparse.NewDistFromGlobal(c, a, 50)
 				s, err := NewDistSolver(d, DefaultOptions())
@@ -98,7 +97,7 @@ func TestDistSolverIterationsGrowWithRanks(t *testing.T) {
 
 func TestDistSolverChargesSetupWork(t *testing.T) {
 	a := sparse.Poisson2D(10, 10)
-	st, err := mpi.Run(2, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second},
+	st, err := mpi.Run(2, mpi.Config{Machine: cluster.SmallCluster()},
 		func(c *mpi.Comm) error {
 			d := sparse.NewDistFromGlobal(c, a, 50)
 			_, err := NewDistSolver(d, DefaultOptions())
@@ -174,7 +173,7 @@ func TestDistSolveMatchesReference(t *testing.T) {
 	type solve func(s *DistSolver, b, x []float64, tol float64, maxIter int) Result
 	run := func(p, maxIter int, f solve) (*mpi.Stats, [][]uint64, [][2]Result) {
 		bits, results := make([][]uint64, p), make([][2]Result, p)
-		st, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second},
+		st, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster()},
 			func(c *mpi.Comm) error {
 				d := sparse.NewDistFromGlobal(c, a, 50)
 				s, err := NewDistSolver(d, DefaultOptions())
@@ -229,7 +228,7 @@ func TestDistSolveAllocationFlat(t *testing.T) {
 	allocated := func(maxIter int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := mpi.Run(ranks, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second},
+		_, err := mpi.Run(ranks, mpi.Config{Machine: cluster.SmallCluster()},
 			func(c *mpi.Comm) error {
 				d := sparse.NewDistFromGlobal(c, a, 50)
 				s, err := NewDistSolver(d, DefaultOptions())
@@ -270,7 +269,7 @@ func TestCGExactSolveConverges(t *testing.T) {
 		t.Errorf("Hierarchy.PCG: %+v, want %+v", res, want)
 	}
 	for _, p := range []int{1, 3} {
-		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second},
+		_, err := mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster()},
 			func(c *mpi.Comm) error {
 				d := sparse.NewDistFromGlobal(c, a, 50)
 				s, err := NewDistSolver(d, DefaultOptions())

@@ -21,7 +21,7 @@ var Determinism = &Analyzer{
 
 // forbiddenTimeFuncs are the package-level time functions that observe or
 // schedule against the host clock. Host-side code that legitimately needs
-// them (the deadlock watchdog, benchmarks) carries a reviewed
+// them (the opt-in host-time watchdog, benchmarks) carries a reviewed
 // //lint:allow determinism suppression.
 var forbiddenTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,

@@ -137,7 +137,7 @@ func TestResilienceWithoutCheckpointsRestartsFromScratch(t *testing.T) {
 // TestPeerDeathSurfacesInsteadOfDeadlock: when a peer instance dies
 // mid-exchange, the surviving instance's ranks get a rank-failure error
 // after the modelled detection latency — the run returns promptly
-// instead of hanging until the watchdog.
+// instead of leaving the survivors stuck.
 func TestPeerDeathSurfacesInsteadOfDeadlock(t *testing.T) {
 	sim := resilienceSim()
 	cfg := runCfg()

@@ -385,7 +385,7 @@ func (sim *Simulation) RunContext(ctx context.Context, cfg mpi.Config) (*Report,
 }
 
 // run is the common driver behind Run and RunResilient's attempts. On a
-// failed run (abort, watchdog or fault-plan crash) it still returns a
+// failed run (abort, stuck verdict or fault-plan crash) it still returns a
 // minimal Report carrying the partial Stats alongside the error, so
 // callers can export partial traces of aborted runs.
 func (sim *Simulation) run(cfg mpi.Config, rc *resilientCtx) (*Report, error) {

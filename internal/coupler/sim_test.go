@@ -3,7 +3,6 @@ package coupler
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
@@ -11,7 +10,7 @@ import (
 )
 
 func runCfg() mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 120 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster()}
 }
 
 // twoRowSim is a minimal compressor pair: two MG-CFD instances and one

@@ -10,7 +10,7 @@ import (
 // RankFailure is the ULFM-style error a receive (or a collective built
 // on receives) surfaces when its peer died: the runtime advances the
 // survivor's clock to the modelled detection time and unwinds with this
-// error instead of hanging until the watchdog.
+// error instead of waiting on a peer that can never send.
 type RankFailure struct {
 	Rank       int     // world rank that died
 	FailedAt   float64 // virtual time of death

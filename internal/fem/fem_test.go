@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
@@ -12,7 +11,7 @@ import (
 )
 
 func cfgM() mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster()}
 }
 
 func TestConfigValidation(t *testing.T) {

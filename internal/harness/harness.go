@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mgcfd"
@@ -70,8 +69,6 @@ type Options struct {
 	Quick bool
 	// Verbose emits progress to stderr, so stdout stays only the tables.
 	Verbose bool
-	// Watchdog bounds each run's host time; zero means defaultWatchdog.
-	Watchdog time.Duration
 }
 
 // DefaultOptions runs the full sweeps on the ARCHER2 model.
@@ -79,16 +76,8 @@ func DefaultOptions() Options {
 	return Options{Machine: cluster.ARCHER2()}
 }
 
-// defaultWatchdog is the host-time bound of a run when Options leave it
-// unset, long enough for the full-scale sweeps.
-const defaultWatchdog = 2 * time.Hour
-
 func (o Options) mpiConfig(profile bool) mpi.Config {
-	wd := o.Watchdog
-	if wd == 0 {
-		wd = defaultWatchdog
-	}
-	return mpi.Config{Machine: o.Machine, Profile: profile, Watchdog: wd}
+	return mpi.Config{Machine: o.Machine, Profile: profile}
 }
 
 func (o Options) logf(format string, args ...any) {

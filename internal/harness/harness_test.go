@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/coupler"
@@ -15,9 +14,9 @@ import (
 )
 
 // quick returns smoke-test options: tiny sweeps, small machine-agnostic
-// scale, short watchdog.
+// scale.
 func quick() Options {
-	return Options{Machine: cluster.ARCHER2(), Quick: true, Watchdog: 10 * time.Minute}
+	return Options{Machine: cluster.ARCHER2(), Quick: true}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
@@ -204,7 +203,7 @@ func TestSharedDecompIsTheRunsOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]*Decomp, p)
-		_, err = mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second}, func(c *mpi.Comm) error {
+		_, err = mpi.Run(p, mpi.Config{Machine: cluster.SmallCluster()}, func(c *mpi.Comm) error {
 			dc, err := SharedDecomp(c, d)
 			got[c.Rank()] = dc
 			return err

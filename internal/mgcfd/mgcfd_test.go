@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/fault"
@@ -14,7 +13,7 @@ import (
 )
 
 func cfg() mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster()}
 }
 
 func smallConfig() Config {
@@ -371,7 +370,7 @@ func TestBoundarySampleAndAbsorb(t *testing.T) {
 }
 
 func TestKernelProfileRegions(t *testing.T) {
-	st, err := mpi.Run(2, mpi.Config{Machine: cluster.SmallCluster(), Profile: true, Watchdog: time.Minute},
+	st, err := mpi.Run(2, mpi.Config{Machine: cluster.SmallCluster(), Profile: true},
 		func(c *mpi.Comm) error {
 			_, err := Run(c, smallConfig(), ScaleOpts{})
 			return err

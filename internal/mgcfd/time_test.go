@@ -3,7 +3,6 @@ package mgcfd
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
@@ -73,7 +72,7 @@ func TestTimeMatchesRun(t *testing.T) {
 func timedRun(t *testing.T, run func(*mpi.Comm, Config, ScaleOpts) (*Stats, error), ranks int, c Config, sc ScaleOpts) (*mpi.Stats, []*Stats) {
 	t.Helper()
 	reps := make([]*Stats, ranks)
-	st, err := mpi.Run(ranks, mpi.Config{Machine: cluster.SmallCluster(), Profile: true, Trace: true, Watchdog: 60 * time.Second},
+	st, err := mpi.Run(ranks, mpi.Config{Machine: cluster.SmallCluster(), Profile: true, Trace: true},
 		func(comm *mpi.Comm) error {
 			r, err := run(comm, c, sc)
 			reps[comm.Rank()] = r

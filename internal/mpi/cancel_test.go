@@ -27,19 +27,24 @@ func waitForGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestCancelUnblocksDeadlockedRanks cancels a world where every rank is
-// blocked in Recv on a message that will never arrive. The abort
-// fan-out must wake all of them, Run must return ErrCanceled, and no
-// rank goroutine may leak.
+// TestCancelUnblocksDeadlockedRanks cancels a world where every rank but
+// rank 0 is blocked in Recv on a message that will never arrive. Rank 0
+// is busy on the host until the abort, so the run is slow, not stuck:
+// only the cancellation ends it. The abort fan-out must wake every
+// blocked rank, Run must return ErrCanceled, and no rank goroutine may
+// leak.
 func TestCancelUnblocksDeadlockedRanks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cancel := make(chan struct{})
 	started := make(chan struct{}, 8)
 	done := make(chan error, 1)
 	go func() {
-		cfg := Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second, Cancel: cancel}
+		cfg := Config{Machine: cluster.SmallCluster(), Cancel: cancel}
 		_, err := Run(8, cfg, func(c *Comm) error {
 			started <- struct{}{}
+			for c.Rank() == 0 && !c.world.aborted() {
+				time.Sleep(time.Millisecond)
+			}
 			c.Recv((c.Rank()+1)%c.Size(), 99) // nobody sends: blocks until aborted
 			return nil
 		})
@@ -70,7 +75,7 @@ func TestCancelMidExchange(t *testing.T) {
 		<-rank0Reached
 		close(cancel)
 	}()
-	cfg := Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second, Cancel: cancel}
+	cfg := Config{Machine: cluster.SmallCluster(), Cancel: cancel}
 	stats, err := Run(4, cfg, func(c *Comm) error {
 		for iter := 0; iter < 1_000_000; iter++ {
 			c.ComputeSeconds(1e-6)

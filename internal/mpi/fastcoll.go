@@ -74,6 +74,7 @@ type station struct {
 	size  int
 
 	arrived int
+	parked  int // members waiting on cond, counted blocked (World.park)
 	gen     uint64
 	kind    collKind
 	root    int
@@ -129,7 +130,7 @@ func (c *Comm) stationOf() *station {
 }
 
 // stationList returns the stations created so far, ordered by context
-// so host-side walks (abort fan-out, watchdog report) are repeatable.
+// so host-side walks (abort fan-out, wait-set report) are repeatable.
 func (w *World) stationList() []*station {
 	w.stMu.Lock()
 	list := make([]*station, 0, len(w.stations))
@@ -147,14 +148,21 @@ func (w *World) stationList() []*station {
 func (w *World) wakeStations() {
 	for _, st := range w.stationList() {
 		st.mu.Lock()
-		st.cond.Broadcast()
+		st.wake()
 		st.mu.Unlock()
 	}
 }
 
+// wake makes every parked member runnable (World.park). Caller holds st.mu.
+func (st *station) wake() {
+	st.world.ranks.Add(int64(st.parked))
+	st.parked = 0
+	st.cond.Broadcast()
+}
+
 // waitSet describes what the ranks of a stuck run are blocked on, for
-// the watchdog's error: receivers with the (source, tag) they wait for,
-// and ranks parked in a collective that never completed.
+// the run's error: receivers with the (source, tag) they wait for, and
+// ranks parked in a collective that never completed.
 func (w *World) waitSet() string {
 	const show = 4
 	var recvs []string
@@ -232,6 +240,8 @@ func (c *Comm) rendezvous(kind collKind, root int, op Op, data []float64) []floa
 		if c.world.aborted() {
 			panic(errAborted)
 		}
+		st.parked++
+		c.world.park(&st.mu)
 		st.cond.Wait()
 	}
 	res, fate := st.out[c.rank], st.fate[c.rank]
@@ -272,7 +282,7 @@ func (st *station) replay() {
 	clear(st.inbox)
 	st.arrived = 0
 	st.gen++
-	st.cond.Broadcast()
+	st.wake()
 }
 
 // live reports whether member r entered this collective and is still

@@ -258,22 +258,17 @@ func TestReplayProfileIdentical(t *testing.T) {
 	}
 }
 
-// stuckBarrier runs a barrier rank 0 never joins until the watchdog
-// fires, and returns its error, which reports the other two ranks parked
-// at the barrier's station.
+// stuckBarrier runs a barrier rank 0 never joins, and returns the stuck
+// verdict's error, which reports the other two ranks parked at the
+// barrier's station.
 func stuckBarrier(t *testing.T, cfg Config) string {
 	t.Helper()
-	cfg.Watchdog = 100 * time.Millisecond
-	_, err := Run(3, cfg, func(c *Comm) error {
+	return stuckWithin(t, 3, cfg, func(c *Comm) error {
 		if c.Rank() != 0 {
 			c.Barrier()
 		}
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("err = %v, want a watchdog error", err)
-	}
-	return err.Error()
 }
 
 // TestObserversDoNotSelectCollectivePath: observing a run never changes
@@ -323,51 +318,50 @@ func TestClocksIdenticalAcrossHostParallelism(t *testing.T) {
 	}
 }
 
-// TestWatchdogAbortsRunNotProcess: the watchdog must surface as an error
-// from Run — not panic in a timer goroutine and kill the process.
+// TestWatchdogAbortsRunNotProcess: the opt-in watchdog must surface as
+// an error from Run — not panic in a timer goroutine and kill the
+// process. Rank 0 is busy on the host rather than blocked, so the stuck
+// verdict cannot fire first.
 func TestWatchdogAbortsRunNotProcess(t *testing.T) {
 	cfg := Config{Machine: cluster.SmallCluster(), Watchdog: 50 * time.Millisecond}
 	_, err := Run(2, cfg, func(c *Comm) error {
-		if c.Rank() == 1 {
-			c.Recv(0, 99) // never sent: deadlock until the watchdog fires
+		if c.Rank() == 0 {
+			for !c.world.aborted() {
+				time.Sleep(time.Millisecond)
+			}
 		}
+		c.Barrier()
 		return nil
 	})
 	if err == nil {
-		t.Fatal("deadlocked run returned no error")
+		t.Fatal("run past its watchdog returned no error")
 	}
-	if !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("err = %v, want a watchdog error", err)
+	if !strings.Contains(err.Error(), "watchdog") || !strings.Contains(err.Error(), "1 of 2 in Barrier") {
+		t.Fatalf("err = %v, want a watchdog error naming the parked rank", err)
 	}
 }
 
-// TestWatchdogReportsBlockedReceives: a deadlocked program is caught by
-// the watchdog, whose error names what the ranks were waiting for.
+// TestWatchdogReportsBlockedReceives: a deadlocked program fails without
+// any host-time bound, and the error names what the ranks wait for.
 func TestWatchdogReportsBlockedReceives(t *testing.T) {
-	cfg := testCfg()
-	cfg.Watchdog = 200 * time.Millisecond
-	_, err := Run(2, cfg, func(c *Comm) error {
+	msg := stuckWithin(t, 2, testCfg(), func(c *Comm) error {
 		c.Recv(1-c.Rank(), 5) // both ranks wait; nobody sends
 		return nil
 	})
-	if err == nil {
-		t.Fatal("deadlocked run succeeded")
-	}
-	for _, want := range []string{"deadlock", "2 rank(s) blocked in receives (0←1/5, 1←0/5)", "0 parked in collectives"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("err = %v, want it to contain %q", err, want)
-		}
+	want := "mpi: stuck: all 2 live rank(s) of 2 are blocked: 2 rank(s) blocked in receives (0←1/5, 1←0/5), 0 parked in collectives"
+	if msg != want {
+		t.Errorf("err = %s\nwant  %s", msg, want)
 	}
 }
 
 // TestWatchdogAbortsCollectiveWait: ranks parked at a rendezvous station
-// must also be woken by the abort, and the report counts them.
+// count as blocked too; the verdict wakes them, and the report counts
+// them.
 func TestWatchdogAbortsCollectiveWait(t *testing.T) {
 	msg := stuckBarrier(t, testCfg())
-	for _, want := range []string{"0 rank(s) blocked in receives", "2 parked in collectives (2 of 3 in Barrier)"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("err = %s, want it to contain %q", msg, want)
-		}
+	want := "mpi: stuck: all 2 live rank(s) of 3 are blocked: 0 rank(s) blocked in receives, 2 parked in collectives (2 of 3 in Barrier)"
+	if msg != want {
+		t.Errorf("err = %s\nwant  %s", msg, want)
 	}
 }
 
@@ -376,7 +370,6 @@ func TestWatchdogAbortsCollectiveWait(t *testing.T) {
 // is detectable; it must fail the run, not hang it.
 func TestMismatchedCollectivesFailLoudly(t *testing.T) {
 	cfg := testCfg()
-	cfg.Watchdog = 5 * time.Second
 	_, err := Run(2, cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Barrier()

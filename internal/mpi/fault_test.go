@@ -17,12 +17,12 @@ import (
 )
 
 func faultCfg(p *fault.Plan) Config {
-	return Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second, Faults: p}
+	return Config{Machine: cluster.SmallCluster(), Faults: p}
 }
 
 // TestCrashSurfacesAsRanksFailed: a receive from a crashed rank unwinds
 // with a RankFailure after the modelled detection latency instead of
-// hanging until the watchdog, and Run reports the whole episode as
+// leaving the run stuck, and Run reports the whole episode as
 // *fault.RanksFailed.
 func TestCrashSurfacesAsRanksFailed(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.5}}}
@@ -314,7 +314,7 @@ func TestFaultPlanDoesNotSelectCollectivePath(t *testing.T) {
 
 	never := &fault.Plan{Crashes: []fault.Crash{{Rank: 0, At: 1e300}}}
 	if msg := stuckBarrier(t, faultCfg(never)); !strings.Contains(msg, "2 of 3 in Barrier") {
-		t.Errorf("under a fault plan the watchdog found %q, want the ranks parked at the station", msg)
+		t.Errorf("under a fault plan the stuck verdict found %q, want the ranks parked at the station", msg)
 	}
 
 	// The never-firing plan changes nothing else: bitwise the plan-less run.
@@ -371,9 +371,9 @@ func TestPartialRunExportsSafely(t *testing.T) {
 
 // TestAnySourceRecvDetectsDeadPeers is the regression test for the
 // wildcard dead-check: an AnySource receive used to pass a nil probe
-// into the mailbox wait and could block forever (until the watchdog) on
-// a crashed peer. It must now fail once every other communicator member
-// is dead, with the detection anchored to the last death.
+// into the mailbox wait and could block forever on a crashed peer. It
+// must now fail once every other communicator member is dead, with the
+// detection anchored to the last death.
 func TestAnySourceRecvDetectsDeadPeers(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.25}, {Rank: 2, At: 0.5}}}
 	prog := func(detected []float64) func(c *Comm) error {
@@ -449,7 +449,7 @@ func TestAnySourceRecvStillDrainsLiveSenders(t *testing.T) {
 
 // TestRecvAllDetectsDeadPeers: the Waitall-style drain passes the same
 // wildcard dead-check, so a crashed sender fails the wait instead of
-// hanging it until the watchdog.
+// leaving the run stuck.
 func TestRecvAllDetectsDeadPeers(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: 0.25}, {Rank: 2, At: 0.3}}}
 	cfg := faultCfg(plan)

@@ -103,13 +103,21 @@ func match(src, tag int, m *message) bool {
 
 // put delivers a message, waking the receiver only if it is blocked on a
 // matching pattern.
-func (b *mailbox) put(m *message) {
+func (b *mailbox) put(w *World, m *message) {
 	b.mu.Lock()
 	b.enqueue(m)
 	if b.waiting && m.ctx == b.wantCtx && match(b.wantSrc, b.wantTag, m) {
-		b.cond.Signal()
+		b.wake(w)
 	}
 	b.mu.Unlock()
+}
+
+// wake makes the parked receiver runnable, un-counting it (World.park).
+// Caller holds b.mu and has seen b.waiting.
+func (b *mailbox) wake(w *World) {
+	b.waiting = false
+	w.ranks.Add(1)
+	b.cond.Signal()
 }
 
 // enqueue stamps the arrival sequence and appends to the (ctx, src, tag)
@@ -199,21 +207,21 @@ func (b *mailbox) take(w *World, ctx, src, tag int, deadCheck func() *fault.Rank
 				return nil, rf
 			}
 		}
-		b.wantCtx, b.wantSrc, b.wantTag = ctx, src, tag
-		b.waiting = true
 		if b.cond == nil {
 			b.cond = sync.NewCond(&b.mu)
 		}
-		b.cond.Wait()
-		b.waiting = false
+		b.wantCtx, b.wantSrc, b.wantTag = ctx, src, tag
+		b.waiting = true
+		w.park(&b.mu)
+		b.cond.Wait() // whoever wakes us has cleared b.waiting
 	}
 }
 
-// interrupt wakes a blocked receiver so it can observe an abort.
-func (b *mailbox) interrupt() {
+// interrupt wakes a blocked receiver to observe an abort or a death.
+func (b *mailbox) interrupt(w *World) {
 	b.mu.Lock()
-	if b.cond != nil {
-		b.cond.Broadcast()
+	if b.waiting {
+		b.wake(w)
 	}
 	b.mu.Unlock()
 }

@@ -76,10 +76,11 @@ type World struct {
 	shared   map[any]*sharedEntry // read-only set-up state the ranks build once (shared.go)
 
 	abort atomic.Bool
+	ranks atomic.Int64 // live ranks × liveOne + those of them not parked (World.park)
 
 	failMu   sync.Mutex
-	finished bool  // set once all ranks returned; silences the watchdog
-	failErr  error // watchdog (or other runtime-level) failure
+	finished bool  // set once all ranks returned; silences Cancel and the watchdog
+	failErr  error // stuck verdict, Cancel, watchdog or other runtime-level failure
 }
 
 func (w *World) aborted() bool { return w.abort.Load() }
@@ -93,7 +94,7 @@ func (w *World) setAborted() {
 		return
 	}
 	for _, b := range w.boxes {
-		b.interrupt()
+		b.interrupt(w)
 	}
 	w.wakeStations()
 }
@@ -110,7 +111,7 @@ func (w *World) recordDeath(rank int, at float64) {
 	}
 	w.deadMu.Unlock()
 	for _, b := range w.boxes {
-		b.interrupt()
+		b.interrupt(w)
 	}
 }
 
@@ -128,7 +129,7 @@ func (w *World) failureFor(rank int) *fault.RankFailure {
 	return &fault.RankFailure{Rank: rank, FailedAt: at}
 }
 
-// fail records a runtime-level failure (e.g. the watchdog firing) and
+// fail records a runtime-level failure (e.g. the stuck verdict) and
 // aborts the world, unless the run has already completed.
 func (w *World) fail(err error) {
 	w.failMu.Lock()
@@ -139,6 +140,35 @@ func (w *World) fail(err error) {
 	w.failErr = err
 	w.failMu.Unlock()
 	w.setAborted()
+}
+
+// The stuck verdict. A rank parks only in mailbox.take and at a station,
+// and only whoever wakes it un-counts it, under the lock it signals
+// under. Sends deposit synchronously, so once every live rank is parked
+// none can ever wake, at any host scheduling. Shared's waiters stay
+// running (their builder is); after a failure the counts no longer matter.
+const liveOne = 1 << 32
+
+// park counts the calling rank parked before it waits under mu; if that
+// left no live rank running, it fails the world and unwinds instead.
+func (w *World) park(mu *sync.Mutex) {
+	if v := w.ranks.Add(-1); v%liveOne == 0 {
+		mu.Unlock() // the wait set reads every mailbox and station
+		w.stuck(v)
+		mu.Lock()
+		panic(errAborted)
+	}
+}
+
+// exit retires a rank that has unwound and fanned out its death, if any.
+func (w *World) exit() { w.stuck(w.ranks.Add(-liveOne - 1)) }
+
+// stuck fails the world if v, the count a park or exit left, has live
+// ranks and none of them running.
+func (w *World) stuck(v int64) {
+	if v > 0 && v%liveOne == 0 && !w.aborted() {
+		w.fail(fmt.Errorf("mpi: stuck: all %d live rank(s) of %d are blocked: %s", v/liveOne, w.size, w.waitSet()))
+	}
 }
 
 // proc is the per-rank virtual-time state, shared by every communicator
@@ -446,7 +476,7 @@ func (c *Comm) send(to, tag int, data []float64, chargedBytes int, op string) {
 	m.departure, m.arrival = c.proc.postSend(dstWorld, chargedBytes, tag)
 	m.ctx, m.src, m.srcWorld, m.tag = c.ctx, c.rank, c.proc.worldRank, tag
 	m.bytes = chargedBytes
-	c.world.boxes[dstWorld].put(m)
+	c.world.boxes[dstWorld].put(c.world, m)
 }
 
 // failPeer surfaces a peer's death ULFM-style: the survivor's clock
@@ -643,9 +673,9 @@ type Stats struct {
 	Metrics *telemetry.RunSeries
 	// Flight holds the flight-ring tails of a failed run: every dead
 	// rank's (fault-plan crashes and detection cascades), or every
-	// recording rank's when the run failed with no deaths (watchdog,
-	// cancellation, abort). Nil for successful runs and when no ring was
-	// armed.
+	// recording rank's when the run failed with no deaths (stuck verdict,
+	// watchdog, cancellation, abort). Nil for successful runs and when no
+	// ring was armed.
 	Flight []telemetry.RankTail
 }
 
@@ -754,10 +784,10 @@ type Config struct {
 	// matrix cells their messages would, so a traced run is computed
 	// exactly as an untraced one. Off by default, recording nothing.
 	Trace bool
-	// Watchdog aborts the run if it exceeds this much *host* time,
-	// catching deadlocked communication patterns in tests; the error
-	// summarises what the ranks were blocked on. Defaults to 120 s;
-	// negative disables.
+	// Watchdog, when positive, aborts the run once it has taken this much
+	// *host* time; the error summarises what the ranks were blocked on.
+	// Anything else means no bound. A deadlock needs none: the run fails
+	// the moment every live rank is blocked (World.park).
 	Watchdog time.Duration
 	// Faults injects the deterministic failure schedule of a fault.Plan:
 	// rank crashes, straggler nodes and degraded links (DESIGN.md §7).
@@ -770,7 +800,8 @@ type Config struct {
 	// closed: the abort fan-out wakes every blocked rank, all rank
 	// goroutines unwind, and Run returns ErrCanceled (with partial
 	// Stats, like any other aborted run). This is how the serving
-	// layer plumbs an HTTP request context into a simulation — pass
+	// layer plumbs an HTTP request context (and so its deadline, the only
+	// host-time bound of a served run) into a simulation — pass
 	// ctx.Done(). A channel already closed when Run starts always
 	// cancels; otherwise cancellation is a host-side race against
 	// completion by design, and a run that finishes first returns normally.
@@ -861,19 +892,16 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 		ps[i].rec = newRecorder(i, &cfg, plan != nil, &ps[i].clock)
 	}
 
-	watchdog := cfg.Watchdog
-	if watchdog == 0 {
-		watchdog = 120 * time.Second
-	}
-	if watchdog > 0 {
+	w.ranks.Store(int64(size)*liveOne + int64(size))
+	if cfg.Watchdog > 0 {
 		// On expiry the watchdog aborts the world through the normal
 		// error path: blocked ranks wake, unwind via errAborted, and Run
 		// returns the watchdog error. It must never panic — a panic in a
 		// timer goroutine would kill the whole process.
-		//lint:allow determinism the watchdog deliberately runs on host time to catch deadlocks; it never feeds the virtual clock
-		t := time.AfterFunc(watchdog, func() {
-			w.fail(fmt.Errorf("mpi: watchdog: run of %d ranks exceeded %v host time (deadlock?): %s",
-				size, watchdog, w.waitSet()))
+		//lint:allow determinism the opt-in watchdog runs on host time by design; it never feeds the virtual clock
+		t := time.AfterFunc(cfg.Watchdog, func() {
+			w.fail(fmt.Errorf("mpi: watchdog: run of %d ranks exceeded %v host time: %s",
+				size, cfg.Watchdog, w.waitSet()))
 		})
 		defer t.Stop()
 	}
@@ -886,7 +914,7 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 			// a watcher goroutine got scheduled.
 			w.fail(ErrCanceled)
 		default:
-			// The watcher reuses the watchdog's abort path: fail() marks
+			// The watcher reuses the runtime's abort path: fail() marks
 			// the world aborted and interrupts every mailbox and station,
 			// so blocked ranks panic with errAborted and unwind. fail() is
 			// a no-op once the run has finished, so a cancellation that
@@ -982,6 +1010,7 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 // rankBody runs fn on one rank with the standard unwind handling; it is
 // the body of one rank goroutine.
 func (w *World) rankBody(rank int, fn func(*Comm) error, errs []error) {
+	defer w.exit() // last: after the unwind's abort or death fan-out
 	defer func() {
 		rec := recover()
 		if rec == nil {

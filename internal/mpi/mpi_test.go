@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 )
 
 func testCfg() Config {
-	return Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second}
+	return Config{Machine: cluster.SmallCluster()}
 }
 
 func run(t *testing.T, p int, fn func(*Comm) error) *Stats {
@@ -162,7 +161,7 @@ func TestRecvWaitsForSenderVirtualTime(t *testing.T) {
 
 func TestComputeChargesWorkViaMachine(t *testing.T) {
 	m := cluster.SmallCluster()
-	st, err := Run(1, Config{Machine: m, Watchdog: 10 * time.Second}, func(c *Comm) error {
+	st, err := Run(1, Config{Machine: m}, func(c *Comm) error {
 		c.Compute(cluster.Work{Flops: m.FlopRate}) // exactly one second flop-bound
 		return nil
 	})
@@ -244,7 +243,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestProfileCapturesRegions(t *testing.T) {
-	st, err := Run(2, Config{Machine: cluster.SmallCluster(), Profile: true, Watchdog: 10 * time.Second},
+	st, err := Run(2, Config{Machine: cluster.SmallCluster(), Profile: true},
 		func(c *Comm) error {
 			c.Profile().Push("flux")
 			c.ComputeSeconds(1)

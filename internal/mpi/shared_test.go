@@ -49,13 +49,17 @@ func TestSharedBuildsOncePerKeyPerWorld(t *testing.T) {
 // the other has started, which a memo that serialised builds never allows.
 func TestSharedKeysBuildConcurrently(t *testing.T) {
 	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
-	cfg := testCfg()
-	cfg.Watchdog = 5 * time.Second
-	_, err := Run(2, cfg, func(c *Comm) error {
+	_, err := Run(2, testCfg(), func(c *Comm) error {
 		me := c.Rank()
 		Shared(c, tableKey{me}, func() int {
 			close(started[me])
-			<-started[1-me]
+			// A serialised memo never starts the other build. Its waiter
+			// is not parked in the runtime, so bound the wait here.
+			select {
+			case <-started[1-me]:
+			case <-time.After(5 * time.Second):
+				t.Error("the other key's build never started")
+			}
 			return me
 		})
 		return nil

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/fault"
@@ -16,7 +15,7 @@ import (
 )
 
 func cfg() mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 120 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster()}
 }
 
 func smallCfg(st Strategy) Config {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
@@ -13,7 +12,7 @@ import (
 )
 
 func cfg(profile bool) mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Profile: profile, Watchdog: 120 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster(), Profile: profile}
 }
 
 func smallConfig(v Variant) Config {

@@ -140,13 +140,12 @@ func (d *DiskCache) put(key string, body []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(body)
 	f, err := os.CreateTemp(d.root, "put-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	_, werr := fmt.Fprintf(f, "%s %s %d\n", diskMagic, hex.EncodeToString(sum[:]), len(body))
+	_, werr := f.Write(artifactHeader(body))
 	if werr == nil {
 		_, werr = f.Write(body)
 	}
@@ -162,6 +161,11 @@ func (d *DiskCache) put(key string, body []byte) error {
 		return err
 	}
 	return nil
+}
+
+// artifactHeader is the framing line put writes before body.
+func artifactHeader(body []byte) []byte {
+	return fmt.Appendf(nil, "%s %x %d\n", diskMagic, sha256.Sum256(body), len(body))
 }
 
 // Stats reports lifetime counters: artifacts written, write failures,

@@ -59,3 +59,32 @@ func FuzzSimulateSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeArtifact holds the disk tier's cpxdisk1 frame parser to its
+// contract: any body framed as DiskCache.put frames it decodes to itself,
+// and a framed artifact with any one byte changed either still decodes
+// to the original body or is rejected — never to other bytes, and never
+// with a panic.
+//
+//	go test -run '^$' -fuzz FuzzDecodeArtifact -fuzztime 60s ./internal/serve
+func FuzzDecodeArtifact(f *testing.F) {
+	f.Add([]byte{}, uint(0), byte('x'))
+	f.Add([]byte(`{"elapsed": 1.5}`), uint(9), byte('0'))
+	f.Add([]byte(simBody), uint(74), byte(' '))
+	f.Add([]byte("cpxdisk1 00 3\nabc"), uint(80), byte('\n'))
+	f.Fuzz(func(t *testing.T, body []byte, at uint, b byte) {
+		framed := append(artifactHeader(body), body...)
+		if got, ok := decodeArtifact(framed); !ok || !bytes.Equal(got, body) {
+			t.Fatalf("framed body %q decoded to %q, ok=%v", body, got, ok)
+		}
+		mutated := bytes.Clone(framed)
+		mutated[at%uint(len(mutated))] = b
+		got, ok := decodeArtifact(mutated)
+		if ok && !bytes.Equal(got, body) {
+			t.Fatalf("byte %d set to %q: decoded to %q, want %q or a rejection", at%uint(len(mutated)), b, got, body)
+		}
+		if !ok && bytes.Equal(mutated, framed) {
+			t.Fatal("an unchanged artifact was rejected")
+		}
+	})
+}

@@ -5,14 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
 )
 
 func cfg() mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 60 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster()}
 }
 
 // thomas solves a general tridiagonal system: sub/diag/super are the

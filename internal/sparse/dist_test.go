@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
 )
 
 func distCfg() mpi.Config {
-	return mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 30 * time.Second}
+	return mpi.Config{Machine: cluster.SmallCluster()}
 }
 
 func TestOwnerOfConsistent(t *testing.T) {

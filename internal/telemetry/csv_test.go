@@ -8,7 +8,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/coupler"
@@ -109,7 +108,7 @@ func TestWriteCSVMatchesReferenceOnCoupledRun(t *testing.T) {
 		RotationPerStep: 0.001,
 		Scale:           coupler.Scale{MaxPointsPerSide: 256},
 	}
-	rep, err := sim.Run(mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 120 * time.Second,
+	rep, err := sim.Run(mpi.Config{Machine: cluster.SmallCluster(),
 		Metrics: &telemetry.Config{Interval: 1e-3}})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"testing"
-	"time"
 
 	"cpx/internal/cluster"
 	"cpx/internal/coupler"
@@ -181,7 +180,7 @@ func TestWriteChromeTraceMatchesReferenceOnCoupledRun(t *testing.T) {
 		RotationPerStep: 0.001,
 		Scale:           coupler.Scale{MaxPointsPerSide: 256},
 	}
-	rep, err := sim.Run(mpi.Config{Machine: cluster.SmallCluster(), Watchdog: 120 * time.Second, Trace: true})
+	rep, err := sim.Run(mpi.Config{Machine: cluster.SmallCluster(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
