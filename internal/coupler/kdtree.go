@@ -22,18 +22,21 @@ type KDTree struct {
 // BuildKDTree constructs a balanced tree (median splits). The input slice
 // is not modified.
 func BuildKDTree(points []Point2) *KDTree {
+	t := &KDTree{} //lint:allow hotalloc the tree is the result
+	t.rebuild(points)
+	return t
+}
+
+// rebuild makes t the tree over points, in its own arrays when they hold
+// them.
+func (t *KDTree) rebuild(points []Point2) {
 	n := len(points)
-	t := &KDTree{ //lint:allow hotalloc the tree is the result
-		pts:  make([]Point2, n), //lint:allow hotalloc the tree is the result
-		axis: make([]int8, n),   //lint:allow hotalloc the tree is the result
-		src:  make([]int32, n),  //lint:allow hotalloc the tree is the result
-	}
+	t.pts, t.axis, t.src = resized(t.pts, n), resized(t.axis, n), resized(t.src, n)
 	copy(t.pts, points)
 	for i := range t.src {
 		t.src[i] = int32(i)
 	}
 	t.build(0, n, 0)
-	return t
 }
 
 // before is the build order along one axis: by coordinate, ties by Idx.

@@ -65,6 +65,11 @@ const DonorsPerTarget = 4
 type Mapping struct {
 	Donors  [][]int
 	Weights [][]float64
+	// The backing arrays of the stencils: target ti's is a
+	// capacity-limited window of each. A rebuild into this mapping
+	// (mapIndexed) reuses them.
+	donorSlab  []int
+	weightSlab []float64
 }
 
 // Mapper computes interface mappings with a configurable strategy and
@@ -72,6 +77,10 @@ type Mapping struct {
 type Mapper struct {
 	Kind  Search
 	cache [][]int // previous donors per target
+	// cacheSlab backs cache's rows; spare and spareSlab are the cache
+	// before it, no longer read, which the next call builds in.
+	cacheSlab, spareSlab []int
+	spare                [][]int
 
 	// last is the most recent mapping (kept by coupling units between
 	// exchanges for steady-state interfaces).
@@ -92,43 +101,58 @@ type donorIndex struct {
 }
 
 func newDonorIndex(donors []Point2, kind Search) *donorIndex {
+	ix := &donorIndex{}
+	ix.rebuild(donors, kind)
+	return ix
+}
+
+// rebuild makes ix the index over donors, reusing its tree's storage.
+func (ix *donorIndex) rebuild(donors []Point2, kind Search) {
 	if len(donors) == 0 {
 		panic("coupler: Map with no donor points")
 	}
-	ix := &donorIndex{pts: donors}
+	ix.pts = donors
 	if kind != BruteForce {
-		ix.tree = BuildKDTree(donors)
+		if ix.tree == nil {
+			ix.tree = &KDTree{}
+		}
+		ix.tree.rebuild(donors)
 	}
 	if kind == TreePrefetch {
 		ix.spacing = meanSpacing(donors, ix.tree)
 	}
-	return ix
 }
 
 // Map computes the donor mapping from donors to targets. Pure real
 // computation on the given (possibly scaled-down) point sets.
 func (m *Mapper) Map(targets, donors []Point2) *Mapping {
-	return m.mapIndexed(targets, newDonorIndex(donors, m.Kind))
+	return m.mapIndexed(targets, newDonorIndex(donors, m.Kind), nil)
 }
 
 // mapIndexed is Map over a prebuilt index of the donors (built for
-// m.Kind). It only reads the index.
-func (m *Mapper) mapIndexed(targets []Point2, ix *donorIndex) *Mapping {
+// m.Kind), written into out's storage (a fresh mapping when out is nil),
+// which it returns. It only reads the index.
+//
+//perf:hotpath
+func (m *Mapper) mapIndexed(targets []Point2, ix *donorIndex, out *Mapping) *Mapping {
 	donors := ix.pts
+	if out == nil {
+		out = &Mapping{} //lint:allow hotalloc a mapping of its own for Map and the set-up search; rebuilds pass the one they replace
+	}
 	// One backing array per field; target ti's stencil is a
 	// capacity-limited window of it.
-	out := &Mapping{
-		Donors:  make([][]int, len(targets)),
-		Weights: make([][]float64, len(targets)),
-	}
-	idxSlab := make([]int, 0, len(targets)*DonorsPerTarget)
-	wSlab := make([]float64, 0, len(targets)*DonorsPerTarget)
+	stencils := len(targets) * DonorsPerTarget
+	out.Donors = resized(out.Donors, len(targets))
+	out.Weights = resized(out.Weights, len(targets))
+	idxSlab := resized(out.donorSlab, stencils)
+	wSlab := resized(out.weightSlab, stencils)
 	var cache [][]int
 	var cacheSlab []int
 	if m.Kind == TreePrefetch {
-		cache = make([][]int, len(targets))
-		cacheSlab = make([]int, 0, len(targets)*DonorsPerTarget)
+		cache = resized(m.spare, len(targets))
+		cacheSlab = resized(m.spareSlab, stencils)
 	}
+	lo := 0 // where target ti's stencil starts in the slabs
 	m.LastHits, m.LastMisses = 0, 0
 	// Acceptance radius for cached donors: twice the mean donor spacing.
 	accept2 := 4 * ix.spacing * ix.spacing
@@ -151,12 +175,14 @@ func (m *Mapper) mapIndexed(targets []Point2, ix *donorIndex) *Mapping {
 			}
 			if bestD <= accept2 {
 				m.LastHits++
-				nbrs = buf[:0]
+				k := 0
 				for _, di := range cand {
 					if di < len(donors) {
-						nbrs = append(nbrs, neighbour{donors[di], sqDist(donors[di], q), di})
+						buf[k] = neighbour{donors[di], sqDist(donors[di], q), di}
+						k++
 					}
 				}
+				nbrs = buf[:k]
 			} else {
 				m.LastMisses++
 				nbrs = ix.tree.nearestInto(q, buf[:])
@@ -164,12 +190,12 @@ func (m *Mapper) mapIndexed(targets []Point2, ix *donorIndex) *Mapping {
 		default:
 			nbrs = ix.tree.nearestInto(q, buf[:])
 		}
-		lo, hi := len(idxSlab), len(idxSlab)+len(nbrs)
+		hi := lo + len(nbrs)
 		wSum := 0.0
-		for _, nb := range nbrs {
+		for i, nb := range nbrs {
 			w := 1.0 / (math.Sqrt(nb.dist) + 1e-12)
-			idxSlab = append(idxSlab, nb.pt.Idx)
-			wSlab = append(wSlab, w)
+			idxSlab[lo+i] = nb.pt.Idx
+			wSlab[lo+i] = w
 			wSum += w
 		}
 		out.Donors[ti] = idxSlab[lo:hi:hi]
@@ -180,16 +206,28 @@ func (m *Mapper) mapIndexed(targets []Point2, ix *donorIndex) *Mapping {
 		// The cache holds positions in the donor array (not original
 		// indices): donor arrays keep a stable order between exchanges.
 		if cache != nil {
-			for _, nb := range nbrs {
-				cacheSlab = append(cacheSlab, nb.pos)
+			for i, nb := range nbrs {
+				cacheSlab[lo+i] = nb.pos
 			}
 			cache[ti] = cacheSlab[lo:hi:hi]
 		}
+		lo = hi
 	}
+	out.donorSlab, out.weightSlab = idxSlab, wSlab
 	if cache != nil {
-		m.cache = cache
+		m.spare, m.spareSlab = m.cache, m.cacheSlab
+		m.cache, m.cacheSlab = cache, cacheSlab
 	}
 	return out
+}
+
+// resized returns s with length n, in its own backing array when that
+// holds n.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // meanSpacing estimates the mean nearest-neighbour spacing of a point set
@@ -274,7 +312,14 @@ func (m *Mapper) MapWork(trueTargets, trueDonors float64, rebuild bool) cluster.
 
 // Interpolate applies a mapping to donor values, producing target values.
 func (mp *Mapping) Interpolate(donorVals []float64) []float64 {
-	out := make([]float64, len(mp.Donors))
+	return mp.interpolateInto(make([]float64, len(mp.Donors)), donorVals)
+}
+
+// interpolateInto is Interpolate into out, which holds one value per
+// target; it returns out.
+//
+//perf:hotpath
+func (mp *Mapping) interpolateInto(out, donorVals []float64) []float64 {
 	for ti, idx := range mp.Donors {
 		s := 0.0
 		for i, di := range idx {
@@ -315,8 +360,12 @@ func AnnulusPointsRand(n int, rng *rand.Rand) []Point2 {
 // Rotate returns the points rotated by dtheta about the origin — the
 // per-step motion of a rotor row's sliding-plane interface.
 func Rotate(pts []Point2, dtheta float64) []Point2 {
+	return rotateInto(make([]Point2, len(pts)), pts, dtheta)
+}
+
+// rotateInto is Rotate into out, which has pts' length; it returns out.
+func rotateInto(out, pts []Point2, dtheta float64) []Point2 {
 	c, s := math.Cos(dtheta), math.Sin(dtheta)
-	out := make([]Point2, len(pts))
 	for i, p := range pts {
 		out[i] = Point2{X: c*p.X - s*p.Y, Y: s*p.X + c*p.Y, Idx: p.Idx}
 	}

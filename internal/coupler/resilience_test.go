@@ -322,3 +322,64 @@ func TestCheckpointDue(t *testing.T) {
 		t.Error("every=0 claims a checkpoint is due")
 	}
 }
+
+// TestMapperCheckpointSurvivesReusedRebuilds: a sliding-plane rebuild
+// writes its mapping and donor cache into the storage of the ones it
+// replaces, so a checkpoint must not share that storage. Two rebuilds
+// after a checkpoint overwrite the recycled slabs; a restore still
+// brings back the checkpointed donors, weights, cache and counters bit
+// for bit.
+func TestMapperCheckpointSurvivesReusedRebuilds(t *testing.T) {
+	donors := AnnulusPoints(128, 3)
+	targets := AnnulusPoints(64, 4)
+	m := &Mapper{Kind: TreePrefetch}
+	rebuild := func(step int) {
+		m.last = m.mapIndexed(targets, newDonorIndex(Rotate(donors, 0.01*float64(step)), m.Kind), m.last)
+	}
+	rebuild(0)
+	rebuild(1)
+	ck := m.checkpoint()
+	want := fault.NewDigest()
+	m.digest(want)
+	var wantDonors []int
+	var wantWeights []uint64
+	for ti := range m.last.Donors {
+		wantDonors = append(wantDonors, m.last.Donors[ti]...)
+		for _, w := range m.last.Weights[ti] {
+			wantWeights = append(wantWeights, math.Float64bits(w))
+		}
+	}
+	wantCache := &m.cache[0][0]
+	mapping, slab := m.last, &m.last.donorSlab[0]
+
+	rebuild(2)
+	rebuild(3)
+	if m.last != mapping || &m.last.donorSlab[0] != slab || &m.cache[0][0] != wantCache {
+		t.Fatal("the rebuilds did not reuse the mapping's and the cache's storage")
+	}
+	moved := fault.NewDigest()
+	m.digest(moved)
+	if moved.Sum64() == want.Sum64() {
+		t.Fatal("the rebuilds left the mapper unchanged; the test shows nothing")
+	}
+
+	m.restore(ck)
+	got := fault.NewDigest()
+	m.digest(got)
+	if got.Sum64() != want.Sum64() {
+		t.Error("restored mapper digest differs from the checkpointed one")
+	}
+	i := 0
+	for ti := range m.last.Donors {
+		for j, di := range m.last.Donors[ti] {
+			if di != wantDonors[i] || math.Float64bits(m.last.Weights[ti][j]) != wantWeights[i] {
+				t.Fatalf("target %d stencil %d: donor %d weight %v, checkpointed %d %v",
+					ti, j, di, m.last.Weights[ti][j], wantDonors[i], math.Float64frombits(wantWeights[i]))
+			}
+			i++
+		}
+	}
+	if i != len(wantDonors) {
+		t.Fatalf("restored %d stencil entries, checkpointed %d", i, len(wantDonors))
+	}
+}

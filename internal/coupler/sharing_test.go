@@ -61,8 +61,9 @@ func perRankUnitMain(sim *Simulation, world *mpi.Comm, r role, digests []uint64)
 		if (d+1)%us.exchangeEvery() != 0 {
 			continue
 		}
-		valsA := gatherSide(world, sim, us.A, nbA, sim.unitTag(r.index, tagToCU_A), nil)
-		valsB := gatherSide(world, sim, us.B, nbB, sim.unitTag(r.index, tagToCU_B), nil)
+		valsA, valsB := make([]float64, simPts), make([]float64, simPts)
+		gatherSide(world, sim, us.A, nbA, sim.unitTag(r.index, tagToCU_A), valsA)
+		gatherSide(world, sim, us.B, nbB, sim.unitTag(r.index, tagToCU_B), valsB)
 		donorsA := ptsA
 		if us.Kind == SlidingPlane {
 			donorsA = Rotate(ptsA, sim.RotationPerStep*float64(d+1))

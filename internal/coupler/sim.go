@@ -660,8 +660,9 @@ func (sim *Simulation) instanceMain(world *mpi.Comm, r role, setupClocks []float
 }
 
 // solver is what a coupled instance rank needs of its solver beside
-// the step: the interface slice it sends and the values it absorbs, and
-// its recoverable state and that state's true size for checkpoints.
+// the step: the interface slice it sends (in a buffer the solver keeps
+// and refills on the next call) and the values it absorbs, and its
+// recoverable state and that state's true size for checkpoints.
 type solver interface {
 	BoundarySample(n int) []float64
 	AbsorbBoundary(vals []float64)
@@ -671,9 +672,8 @@ type solver interface {
 
 // exchangeWithUnit performs one boundary rank's part of a CU exchange:
 // send this rank's interface slice to every CU rank, then receive the
-// interpolated values coming back. BoundarySample hands over a slice the
-// caller owns; once sent it joins the received payloads on the rank's
-// free list.
+// interpolated values coming back. The slice is the solver's own buffer,
+// which each send copies.
 //
 //perf:hotpath
 func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, localIdx, nb int, s solver) {
@@ -695,7 +695,6 @@ func (sim *Simulation) exchangeWithUnit(world *mpi.Comm, u int, side byte, local
 	for cu := cuLo; cu < cuHi; cu++ {
 		world.SendVirtual(cu, toTag, vals, perCUBytes)
 	}
-	world.Release(vals)
 	// Receive interpolated values from the CU ranks that own targets
 	// mapping to this boundary slice.
 	for cu := cuLo; cu < cuHi; cu++ {
@@ -735,15 +734,17 @@ type unitIndices struct {
 
 	mu      sync.Mutex
 	rotated map[int]*rotatedIndex // live side-A indices by density step
+	retired []*rotatedIndex       // released by every CU rank; the next steps rebuild in them
 	builds  indexBuilds
 }
 
 // rotatedIndex is side A after one exchange's rotation, built by the
-// first CU rank to ask for it and dropped when the last has released it.
+// first CU rank to ask for it and retired when the last has released it.
 type rotatedIndex struct {
-	once sync.Once
-	idx  *donorIndex
-	left int // CU ranks yet to release
+	mu    sync.Mutex // held while the first rank to ask builds idx
+	built bool
+	idx   donorIndex
+	left  int // CU ranks yet to release
 }
 
 // indexBuilds counts the rotated side-A indices one unit built during a
@@ -771,7 +772,10 @@ func (sim *Simulation) newUnitIndices(u int) *unitIndices {
 
 // donorsA returns side A's index for the exchange that ends density step
 // d: rotated to that step on a sliding plane, static otherwise. Each CU
-// rank pairs it with one release(d).
+// rank pairs it with one release(d). A rotated index is built in the
+// points and tree of one the unit has retired, once there is one.
+//
+//perf:hotpath
 func (ui *unitIndices) donorsA(d int) *donorIndex {
 	if ui.us.Kind != SlidingPlane {
 		return ui.idxA
@@ -779,7 +783,13 @@ func (ui *unitIndices) donorsA(d int) *donorIndex {
 	ui.mu.Lock()
 	e := ui.rotated[d]
 	if e == nil {
-		e = &rotatedIndex{left: ui.us.Ranks}
+		if n := len(ui.retired); n > 0 {
+			e = ui.retired[n-1]
+			ui.retired = ui.retired[:n-1]
+		} else {
+			e = new(rotatedIndex) //lint:allow hotalloc one per index alive at once (indexBuilds.peakLive), then recycled
+		}
+		e.built, e.left = false, ui.us.Ranks
 		ui.rotated[d] = e
 		ui.builds.rotated++
 		if n := len(ui.rotated); n > ui.builds.peakLive {
@@ -787,15 +797,19 @@ func (ui *unitIndices) donorsA(d int) *donorIndex {
 		}
 	}
 	ui.mu.Unlock()
-	// Built outside the lock: ranks at another step need not wait.
-	e.once.Do(func() {
-		e.idx = newDonorIndex(Rotate(ui.ptsA, ui.rotation*float64(d+1)), ui.us.Search)
-	})
-	return e.idx
+	// Built outside the unit's lock: ranks at another step need not wait.
+	e.mu.Lock()
+	if !e.built {
+		pts := rotateInto(resized(e.idx.pts, len(ui.ptsA)), ui.ptsA, ui.rotation*float64(d+1))
+		e.idx.rebuild(pts, ui.us.Search)
+		e.built = true
+	}
+	e.mu.Unlock()
+	return &e.idx
 }
 
 // release tells the unit this CU rank has finished with donorsA(d); the
-// last of the unit's ranks to do so frees the index.
+// last of the unit's ranks to do so retires the index.
 func (ui *unitIndices) release(d int) {
 	if ui.us.Kind != SlidingPlane {
 		return
@@ -804,6 +818,7 @@ func (ui *unitIndices) release(d int) {
 	if e := ui.rotated[d]; e != nil {
 		if e.left--; e.left == 0 {
 			delete(ui.rotated, d)
+			ui.retired = append(ui.retired, e)
 		}
 	}
 	ui.mu.Unlock()
@@ -827,21 +842,23 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 	every := us.exchangeEvery()
 	firstMapping := true
 	// The two sides' gathered interface values, refilled every exchange.
-	valsA := make([]float64, 0, simPts)
-	valsB := make([]float64, 0, simPts)
+	valsA := make([]float64, simPts)
+	valsB := make([]float64, simPts)
 
-	// This CU rank owns a share of the targets on each side.
+	// This CU rank owns a share of the targets on each side, and keeps
+	// one buffer a side for their interpolated values.
 	tLoB, tHiB := shareOf(simPts, cuRanks, r.local)
 	tLoA, tHiA := shareOf(simPts, cuRanks, r.local)
+	outB, outA := make([]float64, tHiB-tLoB), make([]float64, tHiA-tLoA)
 	scalePts := float64(us.effectivePoints()) / float64(simPts)
 
 	// Initialisation exchange: production couplers build the first donor
 	// mapping during setup so the expensive cold search (all prefetch
 	// misses, full tree build) is off the stepping critical path.
 	if us.Search == TreePrefetch {
-		mapAB.mapIndexed(ptsB[tLoB:tHiB], ui.idxA)
+		mapAB.mapIndexed(ptsB[tLoB:tHiB], ui.idxA, nil)
 		world.Compute(mapAB.MapWork(float64(tHiB-tLoB)*scalePts, float64(us.effectivePoints()), true))
-		mapBA.mapIndexed(ptsA[tLoA:tHiA], ui.idxB)
+		mapBA.mapIndexed(ptsA[tLoA:tHiA], ui.idxB, nil)
 		world.Compute(mapBA.MapWork(float64(tHiA-tLoA)*scalePts, float64(us.effectivePoints()), true))
 	}
 	setupClocks[world.Rank()] = world.Clock()
@@ -869,27 +886,28 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 			continue
 		}
 		// Gather both sides' values (one message per boundary rank).
-		valsA = gatherSide(world, sim, us.A, nbA, sim.unitTag(r.index, tagToCU_A), valsA[:0])
-		valsB = gatherSide(world, sim, us.B, nbB, sim.unitTag(r.index, tagToCU_B), valsB[:0])
+		gatherSide(world, sim, us.A, nbA, sim.unitTag(r.index, tagToCU_A), valsA)
+		gatherSide(world, sim, us.B, nbB, sim.unitTag(r.index, tagToCU_B), valsB)
 
 		// Sliding planes rotate side A each exchange; the mapping must be
 		// recomputed. Steady state maps once.
 		rebuild := us.Kind == SlidingPlane || firstMapping
 		if rebuild {
 			// Host work on the shared indices first, then this rank's
-			// own virtual charges for it.
+			// own virtual charges for it. Each mapping is rebuilt in the
+			// storage of the one it replaces.
 			donorsA := ui.donorsA(d)
-			mapAB.last = mapAB.mapIndexed(ptsB[tLoB:tHiB], donorsA)
-			mapBA.last = mapBA.mapIndexed(donorsA.pts[tLoA:tHiA], ui.idxB)
+			mapAB.last = mapAB.mapIndexed(ptsB[tLoB:tHiB], donorsA, mapAB.last)
+			mapBA.last = mapBA.mapIndexed(donorsA.pts[tLoA:tHiA], ui.idxB, mapBA.last)
 			ui.release(d)
 			world.Compute(mapAB.MapWork(float64(tHiB-tLoB)*scalePts, float64(us.effectivePoints()), true))
 			world.Compute(mapBA.MapWork(float64(tHiA-tLoA)*scalePts, float64(us.effectivePoints()), true))
 			firstMapping = false
 		}
-		// Interpolate and return.
-		outB := mapAB.last.Interpolate(valsA)
+		// Interpolate into the rank's own buffers and return.
+		mapAB.last.interpolateInto(outB, valsA)
 		world.Compute(InterpolateWork(float64(tHiB-tLoB) * scalePts))
-		outA := mapBA.last.Interpolate(valsB)
+		mapBA.last.interpolateInto(outA, valsB)
 		world.Compute(InterpolateWork(float64(tHiA-tLoA) * scalePts))
 
 		dstB := sim.instanceWorldRank(us.B, cuTargetOwner(r.local, cuRanks, nbB))
@@ -897,8 +915,6 @@ func (sim *Simulation) unitMain(world *mpi.Comm, r role, setupClocks []float64, 
 		trueOut := float64(us.effectivePoints()) / float64(cuRanks) * 5 * 8
 		world.SendVirtual(dstB, sim.unitTag(r.index, tagFromCU_B), outB, int(trueOut))
 		world.SendVirtual(dstA, sim.unitTag(r.index, tagFromCU_A), outA, int(trueOut))
-		world.Release(outB)
-		world.Release(outA)
 		if rc.due(d+1, sim.DensitySteps) {
 			rc.checkpoint(world, d+1, walk, cuCheckpointBytes(us, cuRanks))
 		}
@@ -922,17 +938,17 @@ func (sim *Simulation) instanceWorldRank(instance, local int) int {
 // shareOf splits n targets across k owners; owner i gets [lo, hi).
 func shareOf(n, k, i int) (lo, hi int) { return i * n / k, (i + 1) * n / k }
 
-// gatherSide receives the boundary slices of one instance side and
-// appends them to out (the unit rank's buffer for that side, kept across
-// exchanges) in boundary-rank order.
+// gatherSide receives the boundary slices of one instance side into out
+// (the unit rank's buffer for that side, one value per interface point,
+// kept across exchanges) in boundary-rank order.
 //
 //perf:hotpath
-func gatherSide(world *mpi.Comm, sim *Simulation, instance, nb, tag int, out []float64) []float64 {
+func gatherSide(world *mpi.Comm, sim *Simulation, instance, nb, tag int, out []float64) {
+	off := 0
 	for i := 0; i < nb; i++ {
 		src := sim.instanceWorldRank(instance, i)
 		d, _, _ := world.Recv(src, tag)
-		out = append(out, d...) //lint:allow hotalloc grows on the first exchange to the interface size, then refilled
+		off += copy(out[off:], d)
 		world.Release(d)
 	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"cpx/internal/amg"
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 	"cpx/internal/sparse"
 )
 
@@ -133,6 +134,8 @@ type Solver struct {
 	T    []float64 // owned temperatures
 	Q    []float64 // owned heat loads
 
+	boundary []float64 // BoundarySample's buffer, refilled every call
+
 	// LastIterations is the CG iteration count of the latest step.
 	LastIterations int
 }
@@ -226,10 +229,14 @@ func (s *Solver) MaxTemperature() float64 {
 }
 
 // BoundarySample extracts n wall-temperature values for coupling
-// transfers (cycling over owned nodes).
+// transfers (cycling over owned nodes), into a buffer the solver keeps:
+// the next call overwrites it.
+//
+//perf:hotpath
 func (s *Solver) BoundarySample(n int) []float64 {
-	out := make([]float64, n)
+	out := scratch.Floats(&s.boundary, n)
 	if len(s.T) == 0 {
+		clear(out)
 		return out
 	}
 	for i := range out {

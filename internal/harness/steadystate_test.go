@@ -33,27 +33,32 @@ func onFourRanks(program func(c *mpi.Comm, steps int) error) func(steps int) err
 }
 
 // TestSteadyStateAllocation doubles the step count of a small run of
-// each solver proxy, and of a coupled pair, and bounds what the extra
+// each solver proxy, and of two coupled runs, and bounds what the extra
 // steps allocate, in bytes per rank per step. Set-up, first-use sizing
 // and the first exchanges' payload clones cancel in the difference; what
 // is left must not scale with the working set: the working vectors are
 // kept (DESIGN.md §5.13) and every received payload is released to feed
-// the rank's next send (mpi.Comm.Release). SIMPIC and MG-CFD, with
-// fields or field-free (mgcfd.Time, whose ranks send empty payloads), are
-// left with nothing (10–20 bytes; 1 KiB is the noise floor); the other
-// bounds are what was
-// measured when they were written plus a quarter: 0.8–1.8 kB for the
-// pressure solver (its Base spray's send buffers still growing), 7.7 kB
-// in race builds (their sync.Pool drops a share of the recycled message
-// structs, and the pressure solver sends the most messages), 13.8 kB
-// for the particle component (steal plans and send buffers still
-// growing), 46 kB for the coupled pair (the sliding plane's
-// per-exchange donor mapping, boundary samples, interpolated values).
-// With payloads cloned one way and the droplet arrays rebuilt each step
-// the same cases cost 0, 164 kB, 387 kB, 1.02 MB and 76 kB per rank-step,
-// and with the working vectors allocated afresh as well the first three
-// cost 328 kB, 399 kB and 8.8 MB. SIMPIC runs few steps so that no
-// rank's population outgrows New's append headroom.
+// a later send (mpi.Comm.Release). SIMPIC and MG-CFD, with fields or
+// field-free (mgcfd.Time, whose ranks send empty payloads), are left
+// with nothing (10–130 bytes; 1 KiB is the noise floor), and so are the
+// two coupled runs: a sliding-plane pair (coupled) and an MG-CFD and a
+// SIMPIC instance fanning in to a steady unit of 8 ranks that exchanges
+// every step (fan-out), the shape of the engine's steady units. Their
+// coupling units rebuild each mapping in the storage of the one it
+// replaces, interpolate into kept buffers, and the slices their boundary
+// ranks send one way come back through the world's spare store
+// (internal/mpi/pool.go); before that they cost 46 kB and 10 kB. The
+// other bounds are what was measured when they were written plus a
+// quarter: 0.8–1.8 kB for the pressure solver (its Base spray's send
+// buffers still growing), 7.7 kB in race builds (their sync.Pool drops
+// a share of the recycled message structs, and the pressure solver sends
+// the most messages), 13.8 kB for the particle component (steal plans
+// and send buffers still growing). With payloads cloned one way and the
+// droplet arrays rebuilt each step the same cases cost 0, 164 kB,
+// 387 kB, 1.02 MB and 76 kB per rank-step, and with the working vectors
+// allocated afresh as well the first three cost 328 kB, 399 kB and
+// 8.8 MB. SIMPIC runs few steps so that no rank's population outgrows
+// New's append headroom.
 func TestSteadyStateAllocation(t *testing.T) {
 	for _, g := range []struct {
 		name         string
@@ -94,7 +99,7 @@ func TestSteadyStateAllocation(t *testing.T) {
 			}
 			return err
 		})},
-		{"coupled", 10, 6, 58e3, func(steps int) error {
+		{"coupled", 10, 6, 1 << 10, func(steps int) error {
 			sim := &coupler.Simulation{
 				Instances: []coupler.InstanceSpec{
 					{Name: "rowA", Kind: coupler.KindMGCFD, MeshCells: 20_000, Ranks: 4, Seed: 1},
@@ -104,6 +109,21 @@ func TestSteadyStateAllocation(t *testing.T) {
 					{Name: "cu", A: 0, B: 1, Kind: coupler.SlidingPlane, Points: 4000, Ranks: 2, Search: coupler.TreePrefetch},
 				},
 				DensitySteps: steps, RotationPerStep: 0.002, Scale: coupler.ProductionScale(),
+			}
+			_, err := sim.Run(quick().mpiConfig(false))
+			return err
+		}},
+		{"fan-out", 16, 6, 1 << 10, func(steps int) error {
+			sim := &coupler.Simulation{
+				Instances: []coupler.InstanceSpec{
+					{Name: "row", Kind: coupler.KindMGCFD, MeshCells: 20_000, Ranks: 4, Seed: 1},
+					{Name: "combustor", Kind: coupler.KindSIMPIC, MeshCells: 20_000, Ranks: 4, Seed: 2,
+						Simpic: &simpic.Config{Cells: 2048, ParticlesPerCell: 10, Steps: 1}},
+				},
+				Units: []coupler.UnitSpec{
+					{Name: "cu", A: 0, B: 1, Kind: coupler.SteadyState, Points: 4000, Ranks: 8, Search: coupler.TreePrefetch, ExchangeEvery: 1},
+				},
+				DensitySteps: steps, Scale: coupler.ProductionScale(),
 			}
 			_, err := sim.Run(quick().mpiConfig(false))
 			return err

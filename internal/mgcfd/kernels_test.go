@@ -56,10 +56,10 @@ func referenceProlong(coarse *level, fd mesh.Dims, fine, before [][]float64, dam
 func referenceExchangeHalo(s *Sim, l *level, lvlIdx int) {
 	tag := tagHalo + lvlIdx
 	for _, f := range l.faces {
-		buf := make([]float64, len(f.nodeIdx)*NVAR)
+		buf := make([]float64, len(f.nodes.idx)*NVAR)
 		for v := 0; v < NVAR; v++ {
-			for i, n := range f.nodeIdx {
-				buf[v*len(f.nodeIdx)+i] = l.q[v][n]
+			for i, n := range f.nodes.idx {
+				buf[v*len(f.nodes.idx)+i] = l.q[v][n]
 			}
 		}
 		s.comm.SendVirtual(f.rank, tag, buf, f.trueCells*NVAR*8)
@@ -67,10 +67,10 @@ func referenceExchangeHalo(s *Sim, l *level, lvlIdx int) {
 	for _, f := range l.faces {
 		d, _, _ := s.comm.Recv(f.rank, tag)
 		per := len(d) / NVAR
-		m := min(per, len(f.nodeIdx))
+		m := min(per, len(f.nodes.idx))
 		for v := 0; v < NVAR; v++ {
 			for i := 0; i < m; i++ {
-				n := f.nodeIdx[i]
+				n := f.nodes.idx[i]
 				l.q[v][n] = 0.5*l.q[v][n] + 0.5*d[v*per+i]
 			}
 		}

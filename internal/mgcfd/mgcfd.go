@@ -7,6 +7,7 @@ import (
 	"cpx/internal/cluster"
 	"cpx/internal/mesh"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 )
 
 // NVAR is the number of conserved flow variables (rho, rho*u, rho*v,
@@ -84,9 +85,40 @@ type level struct {
 }
 
 type faceInfo struct {
-	rank      int   // peer rank
-	nodeIdx   []int // local node indices on this face (sim dims); nil on a field-free rank
-	trueCells int   // true face size at this level (for message cost)
+	rank      int       // peer rank
+	nodes     *faceList // the face's nodes (sim dims), shared by the ranks of equal dims; empty on a field-free rank
+	trueCells int       // true face size at this level (for message cost)
+}
+
+// faceList is the nodes of one face of a box: their local indices and
+// the runs of consecutive ones among them, which exchangeHalo copies
+// whole. runs is nil where every run is one node (the strided i-faces).
+type faceList struct {
+	idx  []int
+	runs []nodeRun
+}
+
+// nodeRun is n consecutive node indices from start.
+type nodeRun struct{ start, n int }
+
+// noNodes is the face list of every face of a field-free rank.
+var noNodes = &faceList{}
+
+// newFaceList is the face list over idx. A k-face of a box is one run, a
+// j-face one per node plane.
+func newFaceList(idx []int) *faceList {
+	var runs []nodeRun
+	for i, n := range idx {
+		if i > 0 && n == idx[i-1]+1 {
+			runs[len(runs)-1].n++
+		} else {
+			runs = append(runs, nodeRun{n, 1})
+		}
+	}
+	if len(runs) == len(idx) {
+		runs = nil
+	}
+	return &faceList{idx, runs}
 }
 
 // faceKey keys a face's node list in the run's memo (mpi.Shared): the
@@ -112,6 +144,8 @@ type Sim struct {
 	// copies before it returns) and fluxStage's primitive and residual
 	// windows (DESIGN.md §5.13). Nil on a field-free rank.
 	pack []float64
+	// boundary is BoundarySample's buffer, refilled every call.
+	boundary []float64
 }
 
 // New builds the per-rank state. Collective over c. Ranks beyond what the
@@ -150,10 +184,10 @@ func newSim(c *mpi.Comm, cfg Config, sc ScaleOpts, fields bool) (*Sim, error) {
 		// sizes from the true box, both coarsened per level.
 		nodes := mesh.Dims{NI: simDims.NI + 1, NJ: simDims.NJ + 1, NK: simDims.NK + 1}
 		for _, nb := range local.Neighbors {
-			f := faceInfo{rank: nb.Rank, trueCells: nb.FaceCellsAt(l)}
+			f := faceInfo{rank: nb.Rank, nodes: noNodes, trueCells: nb.FaceCellsAt(l)}
 			if fields {
-				f.nodeIdx = mpi.Shared(c, faceKey{nodes, nb.Axis, nb.Dir}, func() []int {
-					return mesh.FaceIndices(nodes, nb.Axis, nb.Dir)
+				f.nodes = mpi.Shared(c, faceKey{nodes, nb.Axis, nb.Dir}, func() *faceList {
+					return newFaceList(mesh.FaceIndices(nodes, nb.Axis, nb.Dir))
 				})
 			}
 			lv.faces = append(lv.faces, f)
@@ -191,7 +225,7 @@ func workLen(levels []*level) int {
 	for _, l := range levels {
 		n = max(n, windowPlanes*(l.dims.NI+1)*(l.dims.NJ+1))
 		for _, f := range l.faces {
-			n = max(n, NVAR*len(f.nodeIdx))
+			n = max(n, NVAR*len(f.nodes.idx))
 		}
 	}
 	return n
@@ -404,8 +438,10 @@ func (fl *fluxLoop) retire(n0, w0, m int, dtStage, norm float64) float64 {
 
 // exchangeHalo trades face states with every block neighbour at a level.
 // Received states relax the local face nodes toward the neighbour's
-// values, coupling the subdomains. A field-free rank has no nodes to
-// pack or relax: its buffers are nil, so each message carries the same
+// values, coupling the subdomains. A face with runs of consecutive nodes
+// is packed by copying each run and relaxed over it as one slice; a
+// strided face goes node by node. A field-free rank has no nodes to pack
+// or relax: its buffers are nil, so each message carries the same
 // virtual bytes with no payload.
 //
 //perf:hotpath
@@ -417,12 +453,19 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 	// Send all faces first (eager), then receive: standard Isend/Irecv
 	// halo pattern.
 	for _, f := range l.faces {
-		m := len(f.nodeIdx)
+		m := len(f.nodes.idx)
 		buf := s.pack[:m*NVAR]
 		for v, q := range l.q {
 			out := buf[v*m : (v+1)*m]
-			for i, n := range f.nodeIdx {
-				out[i] = q[n]
+			if f.nodes.runs == nil {
+				for i, n := range f.nodes.idx {
+					out[i] = q[n]
+				}
+				continue
+			}
+			off := 0
+			for _, r := range f.nodes.runs {
+				off += copy(out[off:], q[r.start:r.start+r.n])
 			}
 		}
 		s.comm.SendVirtual(f.rank, tag, buf, f.trueCells*NVAR*8)
@@ -432,11 +475,25 @@ func (s *Sim) exchangeHalo(l *level, lvlIdx int) {
 		// Face buffers may differ in sim length across ranks (capping is
 		// per-rank); relax with what overlaps.
 		per := len(d) / NVAR
-		m := min(per, len(f.nodeIdx))
+		m := min(per, len(f.nodes.idx))
 		for v, q := range l.q {
 			in := d[v*per : v*per+m]
-			for i, n := range f.nodeIdx[:m] {
-				q[n] = 0.5*q[n] + 0.5*in[i]
+			if f.nodes.runs == nil {
+				for i, n := range f.nodes.idx[:m] {
+					q[n] = 0.5*q[n] + 0.5*in[i]
+				}
+				continue
+			}
+			for _, r := range f.nodes.runs {
+				if len(in) == 0 {
+					break
+				}
+				k := min(r.n, len(in))
+				face := q[r.start : r.start+k]
+				for i, x := range in[:k] {
+					face[i] = 0.5*face[i] + 0.5*x
+				}
+				in = in[k:]
 			}
 		}
 		s.comm.Release(d)
@@ -648,10 +705,14 @@ func (s *Sim) Density() []float64 {
 func (s *Sim) Active() bool { return s.active }
 
 // BoundarySample extracts n representative interface values (density at
-// the first n fine-level nodes, cycling) for coupling transfers.
+// the first n fine-level nodes, cycling) for coupling transfers, into a
+// buffer the rank keeps: the next call overwrites it.
+//
+//perf:hotpath
 func (s *Sim) BoundarySample(n int) []float64 {
-	out := make([]float64, n)
+	out := scratch.Floats(&s.boundary, n)
 	if !s.active || n == 0 {
+		clear(out)
 		return out
 	}
 	rho := s.levels[0].q[0]

@@ -21,7 +21,7 @@ func (s *Sim) buildOwnMesh(sc ScaleOpts) {
 	nbs := s.decomp.Local(s.comm.Rank(), sc.MaxCellsPerRank).Neighbors
 	for _, lv := range s.levels {
 		for i, nb := range nbs {
-			lv.faces[i].nodeIdx = nodeFace(lv.dims, nb.Axis, nb.Dir)
+			lv.faces[i].nodes = newFaceList(nodeFace(lv.dims, nb.Axis, nb.Dir))
 		}
 	}
 }
@@ -100,7 +100,7 @@ func sameFace(sims []*Sim) (*int, *int) {
 		}
 		for i, nb := range s.decomp.Neighbors(s.comm.Rank()) {
 			k := key{nb.Axis, nb.Dir}
-			idx := &s.levels[0].faces[i].nodeIdx[0]
+			idx := &s.levels[0].faces[i].nodes.idx[0]
 			if other, ok := first[k]; ok {
 				return other, idx
 			}

@@ -178,7 +178,7 @@ type proc struct {
 	clock     float64
 	compute   float64
 	comm      float64
-	arena     f64Arena // released payload buffers feeding this rank's sends (pool.go)
+	arena     f64Arena // spare payload buffers feeding this rank's sends (pool.go)
 	recvAll   recvAllScratch
 	rec       *recorder // every observer of this rank; nil when nothing observes (recorder.go)
 
@@ -638,7 +638,8 @@ func (c *Comm) RecvAll(n, tag int) (data [][]float64, sources []int) {
 
 // Release hands a payload this rank received (or any slice it owns and
 // is done with) back to the runtime, which reuses its memory for the
-// rank's next sends. Releasing is optional and only costs an allocation
+// rank's next sends, or, once the rank's own list is full, for any
+// rank's (pool.go). Releasing is optional and only costs an allocation
 // when skipped; the caller must never touch buf, or any slice of it,
 // after releasing it. Race-detector builds fill a released buffer with
 // NaN and panic on a second Release of it.
@@ -881,9 +882,11 @@ func runWorld(size int, cfg Config, fn func(*Comm) error, reference func(*Comm, 
 	bxs := make([]mailbox, size)
 	ps := make([]proc, size)
 	w.wcomms = make([]Comm, size)
+	spares := newSpareStore(size)
 	for i := range w.boxes {
 		w.boxes[i] = &bxs[i]
 		ps[i] = proc{worldRank: i, world: w, crashAt: math.Inf(1), node: m.Node(i)}
+		ps[i].arena.store = spares
 		w.procs[i] = &ps[i]
 		w.deadAt[i] = -1
 		if plan != nil {

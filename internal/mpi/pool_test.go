@@ -50,7 +50,7 @@ func TestReleasedPayloadFeedsTheNextSend(t *testing.T) {
 // the request's own capacity class, then a larger class, never a buffer
 // that is too small; and its bound: a class keeps maxFreePerClass buffers.
 func TestFreeListFit(t *testing.T) {
-	var a f64Arena
+	a := f64Arena{store: newSpareStore(1)}
 	b5, b7, b40 := make([]float64, 5), make([]float64, 7), make([]float64, 40)
 	b6 := make([]float64, 6)
 	for _, b := range [][]float64{b7, b5, b6, b40} {
@@ -118,4 +118,161 @@ func TestReleasePoisonsUnderRace(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "already released") {
 		t.Fatalf("double Release: got %v, want the already-released panic", err)
 	}
+}
+
+// TestGrains pins the store's capacity steps: every length has a grain
+// at or below it and the next grain above it, lengths below two size
+// classes' worth of grains are their own grain, and rounding a length up
+// to its grain adds less than 1/grainsPerClass of it.
+func TestGrains(t *testing.T) {
+	for n := 1; n < 1<<14; n++ {
+		g := grainOf(n)
+		if s := grainSize(g); s > n || grainSize(g+1) <= n {
+			t.Fatalf("grainOf(%d) = %d: grain %d..%d does not hold it", n, g, s, grainSize(g+1))
+		}
+		if grainOf(grainSize(g)) != g {
+			t.Fatalf("grainOf(grainSize(%d)) = %d", g, grainOf(grainSize(g)))
+		}
+		c := grainCap(n)
+		if n < 2*grainsPerClass && c != n || c < n || (c-n)*grainsPerClass >= n {
+			t.Fatalf("grainCap(%d) = %d", n, c)
+		}
+	}
+}
+
+// TestFanOutRoundAllocatesNothing is the one-way flow the world's store
+// exists for: rank 0 sends one slice to k ranks each round and they
+// release it, so rank 0's own list never refills. Once the receivers'
+// lists are full, what they release goes to the store and feeds rank
+// 0's next round, which then allocates nothing; with per-rank lists
+// alone every round made k clones. Race builds run the rounds but count
+// nothing: their sync.Pool drops a share of the recycled message structs.
+func TestFanOutRoundAllocatesNothing(t *testing.T) {
+	const k, rounds = 4, 20
+	const warm = maxFreePerClass + 1 // the receivers' lists fill, then one round feeds the store
+	slice := make([]float64, 2*arenaMax)
+	var allocs float64
+	run(t, k+1, func(c *Comm) error {
+		if c.Rank() != 0 {
+			for i := 0; i < warm+rounds+1; i++ { // AllocsPerRun runs its function rounds+1 times
+				d, _, _ := c.Recv(0, 0)
+				c.Release(d)
+				c.Send(0, 1, nil)
+			}
+			return nil
+		}
+		round := func() {
+			for r := 1; r <= k; r++ {
+				c.Send(r, 0, slice)
+			}
+			for r := 1; r <= k; r++ {
+				c.Recv(r, 1)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			round()
+		}
+		allocs = testing.AllocsPerRun(rounds, round)
+		return nil
+	})
+	if allocs != 0 && !poisonReleased {
+		t.Errorf("a fan-out round allocates %v times, want 0", allocs)
+	}
+}
+
+// TestStoreStaysWithinItsBound: a rank that releases many buffers it
+// made itself fills its own list, then the world's store up to
+// maxFreePerClass buffers per rank of the world, and no further.
+func TestStoreStaysWithinItsBound(t *testing.T) {
+	const ranks = 2
+	run(t, ranks, func(c *Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		s := c.proc.arena.store
+		k := sizeClass(300)
+		held := func() int {
+			if k < len(s.held) {
+				return s.held[k]
+			}
+			return 0
+		}
+		for i := 0; i < 10*maxFreePerClass*ranks; i++ {
+			c.Release(make([]float64, 300))
+			if held() > s.bound {
+				return fmt.Errorf("after %d releases the store holds %d buffers of class %d, bound %d", i+1, held(), k, s.bound)
+			}
+		}
+		if s.bound != maxFreePerClass*ranks || held() != s.bound || len(s.free[grainOf(300)]) != s.bound {
+			return fmt.Errorf("store holds %d (%d filed) of bound %d, want it full", held(), len(s.free[grainOf(300)]), s.bound)
+		}
+		return nil
+	})
+}
+
+// TestDoubleReleaseIntoTheStorePanicsUnderRace extends the
+// use-after-release oracle to the world's store: a buffer whose first
+// Release went to the rank's list or to the store reads NaN, and a
+// second Release, which finds the rank's class full and so would go to
+// the store, panics. Other builds skip.
+func TestDoubleReleaseIntoTheStorePanicsUnderRace(t *testing.T) {
+	if !poisonReleased {
+		t.Skip("the poison is armed by the race build tag")
+	}
+	for _, fillers := range []int{maxFreePerClass - 1, maxFreePerClass} {
+		_, err := Run(2, testCfg(), func(c *Comm) error {
+			if c.Rank() == 0 {
+				c.Send(1, 0, []float64{1, 2, 3})
+				return nil
+			}
+			d, _, _ := c.Recv(0, 0)
+			for i := 0; i < fillers; i++ {
+				c.Release(make([]float64, cap(d)))
+			}
+			c.Release(d)
+			for i, v := range d {
+				if !math.IsNaN(v) {
+					return fmt.Errorf("d[%d] = %v after Release, want NaN", i, v)
+				}
+			}
+			c.Release(d)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "already released") {
+			t.Errorf("%d fillers: double Release: got %v, want the already-released panic", fillers, err)
+		}
+	}
+}
+
+// TestReplayedBcastClonesFromTheStore: the collective-replay leader
+// clones a Bcast's payload into every non-root rank's arena while those
+// ranks are parked, and with their own lists empty the clones come from
+// the world's store — here the buffers rank 0 released past its own
+// list. Under the race detector this runs the store from the leader's
+// goroutine.
+func TestReplayedBcastClonesFromTheStore(t *testing.T) {
+	const p, n = 4, 2 * arenaMax
+	var stored [][]float64
+	run(t, p, func(c *Comm) error {
+		if c.Rank() == 0 {
+			for i := 0; i < maxFreePerClass+p-1; i++ {
+				b := make([]float64, n)
+				if i >= maxFreePerClass {
+					stored = append(stored, b)
+				}
+				c.Release(b)
+			}
+		}
+		c.Barrier()
+		d := c.Bcast(0, make([]float64, n))
+		if c.Rank() == 0 {
+			return nil
+		}
+		for _, b := range stored {
+			if sameArray(b, d) {
+				return nil
+			}
+		}
+		return fmt.Errorf("rank %d: the Bcast payload is not one of the stored buffers", c.Rank())
+	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"cpx/internal/cluster"
 	"cpx/internal/mpi"
+	"cpx/internal/scratch"
 )
 
 // Message tags, disjoint from the coupler's unit tag blocks and from the
@@ -160,6 +161,8 @@ type System struct {
 	loads []int
 	req   [1]float64
 	grant []float64
+	// boundary is BoundarySample's buffer, refilled every call.
+	boundary []float64
 }
 
 // New creates the particle component on communicator c, partitioned
@@ -479,9 +482,12 @@ func (s *System) observe(cs census) float64 {
 
 // BoundarySample extracts n interface values: the droplet source terms
 // (evaporated-mass proxy from this rank's population share) a flow
-// solver absorbs, laid out over the interface points.
+// solver absorbs, laid out over the interface points, into a buffer the
+// rank keeps: the next call overwrites it.
+//
+//perf:hotpath
 func (s *System) BoundarySample(n int) []float64 {
-	out := make([]float64, n)
+	out := scratch.Floats(&s.boundary, n)
 	if n == 0 {
 		return out
 	}

@@ -69,6 +69,8 @@ type Sim struct {
 	rho        []float64
 	edge       [1]float64
 	migL, migR []float64
+	// boundary is BoundarySample's buffer, refilled every call.
+	boundary []float64
 
 	// Diagnostics.
 	Absorbed int64
@@ -442,10 +444,14 @@ func (s *Sim) ParticleCount() int {
 }
 
 // BoundarySample extracts n representative interface values (particle
-// velocities, cycling) for coupling transfers.
+// velocities, cycling) for coupling transfers, into a buffer the rank
+// keeps: the next call overwrites it.
+//
+//perf:hotpath
 func (s *Sim) BoundarySample(n int) []float64 {
-	out := make([]float64, n)
+	out := scratch.Floats(&s.boundary, n)
 	if n == 0 || len(s.pv) == 0 {
+		clear(out)
 		return out
 	}
 	for i := range out {
