@@ -17,8 +17,8 @@ vet:
 	$(GO) vet ./...
 
 # The lint leg of `make test` on its own: the determinism, mpiuse,
-# floatreduce and hotalloc analyzers (see internal/analysis) over the
-# module. Fails on any diagnostic without a reviewed //lint:allow
+# floatreduce, hotalloc and unused analyzers (see internal/analysis) over
+# the module. Fails on any diagnostic without a reviewed //lint:allow
 # suppression; -v lists the suppressed.
 lint:
 	$(GO) test -count=1 -run TestModuleLintsClean -v ./internal/analysis

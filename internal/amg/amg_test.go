@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cpx/internal/scratch"
 	"cpx/internal/sparse"
 )
 
@@ -466,4 +467,40 @@ func TestEstimateLambdaMax(t *testing.T) {
 	if lam < 1.5 || lam > 2.05 {
 		t.Errorf("lambda max estimate %v outside (1.5, 2.05)", lam)
 	}
+}
+
+// Solve runs stationary AMG iteration (one cycle per step) on A x = b
+// until the relative residual drops below tol or maxIter cycles elapse,
+// and returns the residual its last cycle left.
+func (h *Hierarchy) Solve(b, x []float64, tol float64, maxIter int) Result {
+	a := h.Levels[0].A
+	// The finest level's cycle residual is dead once a cycle returns, so
+	// the iteration's residual lives in its vector.
+	r := scratch.Floats(&h.work[0].r, a.Rows)
+	bnorm := norm2(b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	res := 0.0
+	for it := 1; it <= maxIter; it++ {
+		h.ApplyCycle(b, x)
+		a.Residual(b, x, r)
+		res = norm2(r) / bnorm
+		if res < tol {
+			return Result{Iterations: it, Residual: res, Converged: true}
+		}
+	}
+	if maxIter < 1 {
+		a.Residual(b, x, r)
+		res = norm2(r) / bnorm
+	}
+	return Result{Iterations: maxIter, Residual: res}
+}
+
+func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
+
+// ApplyCycle runs one multigrid cycle on the finest level, improving x in
+// place for A x = b from whatever x holds.
+func (h *Hierarchy) ApplyCycle(b, x []float64) {
+	h.cycle(0, b, x, false)
 }

@@ -123,7 +123,7 @@ func referenceDistSolve(s *DistSolver, b, x []float64, tol float64, maxIter int)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	bnorm := d.Norm2(b)
+	bnorm := math.Sqrt(d.Dot(b, b))
 	if bnorm == 0 {
 		bnorm = 1
 	}
@@ -137,7 +137,7 @@ func referenceDistSolve(s *DistSolver, b, x []float64, tol float64, maxIter int)
 		d.MulVec(p, ap)
 		pap := d.Dot(p, ap)
 		if pap == 0 {
-			return Result{Iterations: it, Residual: d.Norm2(r) / bnorm}
+			return Result{Iterations: it, Residual: math.Sqrt(d.Dot(r, r)) / bnorm}
 		}
 		alpha := rz / pap
 		for i := range x {
@@ -145,7 +145,7 @@ func referenceDistSolve(s *DistSolver, b, x []float64, tol float64, maxIter int)
 			r[i] -= alpha * ap[i]
 		}
 		d.Comm.Compute(cluster.Work{Flops: 4 * float64(n) * d.WorkScale, Bytes: 48 * float64(n) * d.WorkScale})
-		res := d.Norm2(r) / bnorm
+		res := math.Sqrt(d.Dot(r, r)) / bnorm
 		if res < tol {
 			return Result{Iterations: it, Residual: res, Converged: true}
 		}
@@ -157,7 +157,7 @@ func referenceDistSolve(s *DistSolver, b, x []float64, tol float64, maxIter int)
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return Result{Iterations: maxIter, Residual: d.Norm2(r) / bnorm}
+	return Result{Iterations: maxIter, Residual: math.Sqrt(d.Dot(r, r)) / bnorm}
 }
 
 // TestDistSolveMatchesReference: on 1 to 4 ranks, two solves in a row on

@@ -152,8 +152,8 @@ type levelWork struct {
 
 // Hierarchy is a configured AMG preconditioner/solver: the operators,
 // transfer operators and factors Setup built, which nothing writes
-// afterwards, and a workspace that ApplyCycle (and Solve and PCG through
-// it) writes. The operators are shared; a workspace serves one goroutine
+// afterwards, and a workspace that its cycles (PCG's through
+// Precondition) write. The operators are shared; a workspace serves one goroutine
 // at a time, and Share hands another goroutine its own.
 type Hierarchy struct {
 	Levels []*Level
@@ -490,12 +490,6 @@ func hybridGSSweeps(l *Level, w *levelWork, b, x []float64, sweeps, blocks int, 
 }
 
 // ---- Cycles ----------------------------------------------------------------
-
-// ApplyCycle runs one multigrid cycle on the finest level, improving x in
-// place for A x = b from whatever x holds.
-func (h *Hierarchy) ApplyCycle(b, x []float64) {
-	h.cycle(0, b, x, false)
-}
 
 // Precondition sets x to one multigrid cycle applied to b from a zero
 // iterate, whatever x held before: the hierarchy as a preconditioner.

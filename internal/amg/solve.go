@@ -15,34 +15,6 @@ type Result struct {
 	Converged  bool
 }
 
-// Solve runs stationary AMG iteration (one cycle per step) on A x = b
-// until the relative residual drops below tol or maxIter cycles elapse,
-// and returns the residual its last cycle left.
-func (h *Hierarchy) Solve(b, x []float64, tol float64, maxIter int) Result {
-	a := h.Levels[0].A
-	// The finest level's cycle residual is dead once a cycle returns, so
-	// the iteration's residual lives in its vector.
-	r := scratch.Floats(&h.work[0].r, a.Rows)
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	res := 0.0
-	for it := 1; it <= maxIter; it++ {
-		h.ApplyCycle(b, x)
-		a.Residual(b, x, r)
-		res = norm2(r) / bnorm
-		if res < tol {
-			return Result{Iterations: it, Residual: res, Converged: true}
-		}
-	}
-	if maxIter < 1 {
-		a.Residual(b, x, r)
-		res = norm2(r) / bnorm
-	}
-	return Result{Iterations: maxIter, Residual: res}
-}
-
 // PCG solves A x = b with conjugate gradients preconditioned by one AMG
 // cycle per iteration — the pressure-correction solver configuration of
 // the production code (CG + aggregate AMG).
@@ -136,8 +108,6 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
 
 // ---- Distributed solve ------------------------------------------------------
 

@@ -39,6 +39,9 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Used is the module's set of used objects (UsedObjects), which the
+	// unused analyzer reads.
+	Used map[types.Object]bool
 
 	Diagnostics []Diagnostic
 }
@@ -54,7 +57,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, MPIUse, FloatReduce, HotAlloc}
+	return []*Analyzer{Determinism, MPIUse, FloatReduce, HotAlloc, Unused}
 }
 
 // AnalyzerNames returns the valid rule names for suppression validation.

@@ -30,9 +30,13 @@ import (
 	"cpx/internal/analysis"
 )
 
-// Run loads testdata/src/<pkg> relative to dir, applies the analyzer
-// (SimCriticalOnly or not: the fixture counts as simulation-critical),
-// filters //lint:allow suppressions, and diffs against // want comments.
+// Run loads the non-test files of testdata/src/<pkg> relative to dir,
+// applies the analyzer (SimCriticalOnly or not: the fixture counts as
+// simulation-critical) with the fixture's used set, filters //lint:allow
+// suppressions, and diffs against // want comments. As in the module, a
+// use from a _test.go file does not count.
+//
+//lint:allow unused the fixture runner of internal/analysis's analyzer tests
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	pkgDir := filepath.Join(dir, "testdata", "src", pkg)
@@ -44,7 +48,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(pkgDir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -70,7 +74,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	}
 	tpkg, _ := conf.Check(pkg, fset, files, info)
 
-	pass := &analysis.Pass{Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, Info: info}
+	used := analysis.UsedObjects([]*types.Info{info}, nil)
+	pass := &analysis.Pass{Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, Info: info, Used: used}
 	a.Run(pass)
 
 	supps := analysis.CollectSuppressions(fset, files, analysis.AnalyzerNames())

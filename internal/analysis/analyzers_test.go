@@ -23,6 +23,10 @@ func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, ".", analysis.HotAlloc, "hotalloc")
 }
 
+func TestUnused(t *testing.T) {
+	analysistest.Run(t, ".", analysis.Unused, "unused")
+}
+
 func TestIsSimCritical(t *testing.T) {
 	for path, want := range map[string]bool{
 		"cpx/internal/mpi":       true,

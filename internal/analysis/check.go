@@ -3,6 +3,7 @@ package analysis
 import (
 	"cmp"
 	"errors"
+	"go/types"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -19,10 +20,14 @@ type Result struct {
 // Check loads every package of the module at root and runs the whole
 // suite over it: each analyzer of Analyzers (the SimCriticalOnly ones on
 // the simulation-critical packages only), with the package's
-// //lint:allow directives applied. It is the one driver:
+// //lint:allow directives applied. unused reads one set for the whole
+// module: UsedObjects over every package, the root package's exported API
+// counted as used. It is the one driver:
 // TestModuleLintsClean (`make lint`) asserts Kept is empty and logs
 // Suppressed. err reports a module that does not load, type-check or
 // build.
+//
+//lint:allow unused the one driver, which TestModuleLintsClean (make lint) runs
 func Check(root string) (*Result, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
@@ -36,6 +41,16 @@ func Check(root string) (*Result, error) {
 		return nil, errors.Join(errs...)
 	}
 
+	infos := make([]*types.Info, len(pkgs))
+	var public *types.Package
+	for i, pkg := range pkgs {
+		infos[i] = pkg.Info
+		if pkg.ImportPath == loader.modulePath {
+			public = pkg.Types
+		}
+	}
+	used := UsedObjects(infos, public)
+
 	rules := AnalyzerNames()
 	res := &Result{Packages: len(pkgs)}
 	for _, pkg := range pkgs {
@@ -47,7 +62,7 @@ func Check(root string) (*Result, error) {
 			if a.SimCriticalOnly && !simCritical {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Fset: loader.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+			pass := &Pass{Analyzer: a, Fset: loader.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Used: used}
 			a.Run(pass)
 			kept, suppressed := supps.Filter(pass.Diagnostics)
 			res.Kept = append(res.Kept, kept...)

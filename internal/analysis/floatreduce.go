@@ -18,8 +18,8 @@ import (
 //   - the same accumulation inside `range` over a channel or a
 //     select/receive loop, where arrival order is scheduler-dependent.
 //
-// The fix is order.SortedKeys (or order.SumSorted) for maps, and a
-// rank/index-ordered merge for concurrent producers.
+// The fix is order.SortedKeys for maps, and a rank/index-ordered merge
+// for concurrent producers.
 var FloatReduce = &Analyzer{
 	Name: "floatreduce",
 	Doc: "flag floating-point accumulation over map-ordered or " +
@@ -90,7 +90,7 @@ func checkFloatAccum(pass *Pass, rs *ast.RangeStmt, orderKind string) {
 			return true
 		}
 		pass.Reportf(assign.Pos(),
-			"float accumulation into %s depends on %s: addition is not associative, so the sum drifts run to run; iterate sorted keys (order.SortedKeys/SumSorted) or merge in a fixed order",
+			"float accumulation into %s depends on %s: addition is not associative, so the sum drifts run to run; iterate sorted keys (order.SortedKeys) or merge in a fixed order",
 			exprString(lhs), orderKind)
 		return true
 	})

@@ -19,7 +19,7 @@ var MPIUse = &Analyzer{
 // collectiveMethods are the Comm methods every member rank must call.
 var collectiveMethods = map[string]bool{
 	"Barrier": true, "Bcast": true,
-	"Allreduce": true, "AllreduceScalar": true, "AllreduceInt": true,
+	"Allreduce": true, "AllreduceScalar": true,
 	"Allgather": true, "Alltoallv": true,
 }
 

@@ -162,19 +162,9 @@ func (s *knnQuery) offer(p Point2, pos int) {
 	s.best[i] = neighbour{p, d, pos}
 }
 
-// KNearest returns the k nearest stored points to q, closest first.
-func (t *KDTree) KNearest(q Point2, k int) []neighbour {
-	if k <= 0 || len(t.pts) == 0 {
-		return nil
-	}
-	if k > len(t.pts) {
-		k = len(t.pts)
-	}
-	return t.nearestInto(q, make([]neighbour, 0, k)) //lint:allow hotalloc the result; hot callers pass their own buffer to nearestInto
-}
-
-// nearestInto is KNearest into a caller-owned buffer: k is cap(buf), the
-// result reuses buf's storage, and the search allocates nothing.
+// nearestInto returns the k = cap(buf) nearest stored points to q (fewer
+// if the tree holds fewer), closest first. The result reuses buf's
+// storage, and the search allocates nothing.
 func (t *KDTree) nearestInto(q Point2, buf []neighbour) []neighbour {
 	s := knnQuery{q: q, best: buf[:0]}
 	if cap(buf) > 0 {
@@ -201,10 +191,4 @@ func (t *KDTree) visit(lo, hi int, s *knnQuery) {
 	if d := qc - mc; d*d < s.worst() {
 		t.visit(farLo, farHi, s)
 	}
-}
-
-// Nearest returns the single nearest point to q.
-func (t *KDTree) Nearest(q Point2) Point2 {
-	var buf [1]neighbour
-	return t.nearestInto(q, buf[:])[0].pt
 }

@@ -16,13 +16,18 @@ func randomPoints(n int, seed int64) []Point2 {
 	return pts
 }
 
+// kNearest is the tree's k-nearest search into a fresh buffer.
+func kNearest(tree *KDTree, q Point2, k int) []neighbour {
+	return tree.nearestInto(q, make([]neighbour, 0, k))
+}
+
 func TestKDTreeMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(500, 1)
 	tree := BuildKDTree(pts)
 	queries := randomPoints(50, 2)
 	for _, q := range queries {
 		for _, k := range []int{1, 4, 10} {
-			got := tree.KNearest(q, k)
+			got := kNearest(tree, q, k)
 			want := bruteKNearest(pts, q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
@@ -40,7 +45,7 @@ func TestKDTreeNearestSelf(t *testing.T) {
 	pts := randomPoints(100, 3)
 	tree := BuildKDTree(pts)
 	for _, p := range pts[:10] {
-		if got := tree.Nearest(p); got.Idx != p.Idx {
+		if got := kNearest(tree, p, 1)[0].pt; got.Idx != p.Idx {
 			t.Fatalf("nearest to stored point %d = %d", p.Idx, got.Idx)
 		}
 	}
@@ -48,21 +53,21 @@ func TestKDTreeNearestSelf(t *testing.T) {
 
 func TestKDTreeEdgeCases(t *testing.T) {
 	// Empty tree.
-	if out := BuildKDTree(nil).KNearest(Point2{}, 3); out != nil {
-		t.Error("empty tree should return nil")
+	if out := kNearest(BuildKDTree(nil), Point2{}, 3); len(out) != 0 {
+		t.Error("empty tree should return nothing")
 	}
 	// k <= 0.
 	tree := BuildKDTree(randomPoints(5, 4))
-	if out := tree.KNearest(Point2{}, 0); out != nil {
-		t.Error("k=0 should return nil")
+	if out := kNearest(tree, Point2{}, 0); len(out) != 0 {
+		t.Error("k=0 should return nothing")
 	}
 	// k > n clamps.
-	if out := tree.KNearest(Point2{}, 100); len(out) != 5 {
+	if out := kNearest(tree, Point2{}, 100); len(out) != 5 {
 		t.Errorf("k>n returned %d", len(out))
 	}
 	// Single point.
 	one := BuildKDTree([]Point2{{X: 1, Y: 2, Idx: 0}})
-	if got := one.Nearest(Point2{X: 0, Y: 0}); got.Idx != 0 {
+	if got := kNearest(one, Point2{X: 0, Y: 0}, 1)[0].pt; got.Idx != 0 {
 		t.Error("single-point tree wrong")
 	}
 }
@@ -73,7 +78,7 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 		pts[i] = Point2{X: 0.5, Y: 0.5, Idx: i}
 	}
 	tree := BuildKDTree(pts)
-	got := tree.KNearest(Point2{X: 0.5, Y: 0.5}, 4)
+	got := kNearest(tree, Point2{X: 0.5, Y: 0.5}, 4)
 	if len(got) != 4 {
 		t.Fatalf("duplicates: %d results", len(got))
 	}
@@ -103,7 +108,7 @@ func TestKDTreeProperty(t *testing.T) {
 		pts := randomPoints(n, seed)
 		tree := BuildKDTree(pts)
 		q := Point2{X: 0.3, Y: 0.7}
-		got := tree.KNearest(q, k)
+		got := kNearest(tree, q, k)
 		want := bruteKNearest(pts, q, k)
 		if len(got) != len(want) {
 			return false
@@ -235,11 +240,11 @@ func TestNearestIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzKNearest checks the tree search against the brute-force reference
-// on lattice points (so equal coordinates, equal distances and coincident
-// points are common): for k = 1..8 both must return the same ascending
-// squared distances, every result must name its input position, and
-// nothing may panic.
+// FuzzKNearest checks the tree search (nearestInto) against the
+// brute-force reference on lattice points (so equal coordinates, equal
+// distances and coincident points are common): for k = 1..8 both must
+// return the same ascending squared distances, every result must name its
+// input position, and nothing may panic.
 func FuzzKNearest(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{7, 7}, uint8(7), uint8(7))
@@ -257,7 +262,7 @@ func FuzzKNearest(f *testing.F) {
 		q := Point2{X: coord(qx), Y: coord(qy), Idx: -1}
 		tree := BuildKDTree(pts)
 		for k := 1; k <= 8; k++ {
-			got := tree.KNearest(q, k)
+			got := kNearest(tree, q, k)
 			want := bruteKNearest(pts, q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d over %d points: %d results, want %d", k, len(pts), len(got), len(want))

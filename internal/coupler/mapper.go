@@ -310,13 +310,8 @@ func (m *Mapper) MapWork(trueTargets, trueDonors float64, rebuild bool) cluster.
 	return w
 }
 
-// Interpolate applies a mapping to donor values, producing target values.
-func (mp *Mapping) Interpolate(donorVals []float64) []float64 {
-	return mp.interpolateInto(make([]float64, len(mp.Donors)), donorVals)
-}
-
-// interpolateInto is Interpolate into out, which holds one value per
-// target; it returns out.
+// interpolateInto applies the mapping to donor values, writing one value
+// per target into out; it returns out.
 //
 //perf:hotpath
 func (mp *Mapping) interpolateInto(out, donorVals []float64) []float64 {
@@ -370,22 +365,4 @@ func rotateInto(out, pts []Point2, dtheta float64) []Point2 {
 		out[i] = Point2{X: c*p.X - s*p.Y, Y: s*p.X + c*p.Y, Idx: p.Idx}
 	}
 	return out
-}
-
-// Validate sanity-checks a mapping: every target has donors with weights
-// summing to one.
-func (mp *Mapping) Validate() error {
-	for ti, idx := range mp.Donors {
-		if len(idx) == 0 {
-			return fmt.Errorf("coupler: target %d has no donors", ti)
-		}
-		sum := 0.0
-		for _, w := range mp.Weights[ti] {
-			sum += w
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("coupler: target %d weights sum to %v", ti, sum)
-		}
-	}
-	return nil
 }

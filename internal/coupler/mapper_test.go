@@ -1,6 +1,7 @@
 package coupler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -160,4 +161,27 @@ func TestMapEmptyDonorsPanics(t *testing.T) {
 		}
 	}()
 	(&Mapper{Kind: Tree}).Map(AnnulusPoints(5, 1), nil)
+}
+
+// Validate sanity-checks a mapping: every target has donors with weights
+// summing to one.
+func (mp *Mapping) Validate() error {
+	for ti, idx := range mp.Donors {
+		if len(idx) == 0 {
+			return fmt.Errorf("coupler: target %d has no donors", ti)
+		}
+		sum := 0.0
+		for _, w := range mp.Weights[ti] {
+			sum += w
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return fmt.Errorf("coupler: target %d weights sum to %v", ti, sum)
+		}
+	}
+	return nil
+}
+
+// Interpolate applies a mapping to donor values, producing target values.
+func (mp *Mapping) Interpolate(donorVals []float64) []float64 {
+	return mp.interpolateInto(make([]float64, len(mp.Donors)), donorVals)
 }

@@ -180,16 +180,6 @@ func New(c *mpi.Comm, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
-// OwnedRange returns this rank's global node ownership [lo, hi).
-func (s *Solver) OwnedRange() (lo, hi int) { return s.dist.RowLo, s.dist.RowHi }
-
-// SetHeatLoad sets the heat source on an owned node (global id).
-func (s *Solver) SetHeatLoad(globalNode int, q float64) {
-	if globalNode >= s.dist.RowLo && globalNode < s.dist.RowHi {
-		s.Q[globalNode-s.dist.RowLo] = q
-	}
-}
-
 // Step advances one implicit time-step, returning the CG iterations used.
 func (s *Solver) Step() (int, error) {
 	own := len(s.T)
@@ -203,29 +193,6 @@ func (s *Solver) Step() (int, error) {
 	}
 	s.LastIterations = res.Iterations
 	return res.Iterations, nil
-}
-
-// MeanTemperature returns the mass-weighted global mean temperature
-// (collective) — conserved by pure conduction with no loads.
-func (s *Solver) MeanTemperature() float64 {
-	localTM, localM := 0.0, 0.0
-	for i := range s.T {
-		localTM += s.mass[i] * s.T[i]
-		localM += s.mass[i]
-	}
-	sum := s.comm.Allreduce([]float64{localTM, localM}, mpi.Sum)
-	return sum[0] / sum[1]
-}
-
-// MaxTemperature returns the global max temperature (collective).
-func (s *Solver) MaxTemperature() float64 {
-	m := math.Inf(-1)
-	for _, t := range s.T {
-		if t > m {
-			m = t
-		}
-	}
-	return s.comm.AllreduceScalar(m, mpi.Max)
 }
 
 // BoundarySample extracts n wall-temperature values for coupling

@@ -133,7 +133,7 @@ func TestDiffusionSmoothsRipple(t *testing.T) {
 			return err
 		}
 		// Sharpest spatial mode: alternating hot/cold nodes decay fastest.
-		lo, _ := s.OwnedRange()
+		lo := s.dist.RowLo
 		for i := range s.T {
 			if (lo+i)%2 == 0 {
 				s.T[i] = 310
@@ -166,7 +166,7 @@ func TestHeatLoadRaisesTemperature(t *testing.T) {
 			return err
 		}
 		before := s.MeanTemperature()
-		lo, _ := s.OwnedRange()
+		lo := s.dist.RowLo
 		s.SetHeatLoad(lo, 5.0)
 		for i := 0; i < cfg.Steps; i++ {
 			if _, err := s.Step(); err != nil {
@@ -276,5 +276,35 @@ func TestSystemMatrixSPD(t *testing.T) {
 		if dot <= 0 {
 			t.Fatalf("system matrix not positive definite (trial %d: %v)", trial, dot)
 		}
+	}
+}
+
+// MaxTemperature returns the global max temperature (collective).
+func (s *Solver) MaxTemperature() float64 {
+	m := math.Inf(-1)
+	for _, t := range s.T {
+		if t > m {
+			m = t
+		}
+	}
+	return s.comm.AllreduceScalar(m, mpi.Max)
+}
+
+// MeanTemperature returns the mass-weighted global mean temperature
+// (collective) — conserved by pure conduction with no loads.
+func (s *Solver) MeanTemperature() float64 {
+	localTM, localM := 0.0, 0.0
+	for i := range s.T {
+		localTM += s.mass[i] * s.T[i]
+		localM += s.mass[i]
+	}
+	sum := s.comm.Allreduce([]float64{localTM, localM}, mpi.Sum)
+	return sum[0] / sum[1]
+}
+
+// SetHeatLoad sets the heat source on an owned node (global id).
+func (s *Solver) SetHeatLoad(globalNode int, q float64) {
+	if globalNode >= s.dist.RowLo && globalNode < s.dist.RowHi {
+		s.Q[globalNode-s.dist.RowLo] = q
 	}
 }

@@ -151,8 +151,9 @@ func RunPressure(cfg pressure.Config, cores int, rc mpi.Config) (float64, *mpi.S
 
 // RunMGCFD times the MG-CFD proxy standalone (see RunSimpic). Its ranks
 // hold no flow fields (mgcfd.Time): they charge, send and reduce exactly
-// what mgcfd.Run's ranks do, so the run-time and statistics are Run's
-// bit for bit, without the host work of stepping fields no clock reads.
+// what ranks stepping the fields do, so the run-time and statistics are
+// theirs bit for bit, without the host work of stepping fields no clock
+// reads.
 func RunMGCFD(cfg mgcfd.Config, cores int, rc mpi.Config) (float64, *mpi.Stats, error) {
 	return standalone("mgcfd", cores, rc, func(c *mpi.Comm) (float64, int, int, error) {
 		r, err := mgcfd.Time(c, cfg, mgcfd.Production())

@@ -32,16 +32,6 @@ func (d Dims) Coarsen() Dims {
 	return Dims{h(d.NI), h(d.NJ), h(d.NK)}
 }
 
-// Levels returns n multigrid levels, finest first.
-func Levels(d Dims, n int) []Dims {
-	out := make([]Dims, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d)
-		d = d.Coarsen()
-	}
-	return out
-}
-
 // CubeDims returns roughly cubic dimensions holding at least `cells` cells.
 // Used to express paper test cases ("28M cells") as blocks.
 func CubeDims(cells int64) Dims {
@@ -62,9 +52,6 @@ type Box struct {
 
 // Dims returns the box extents as Dims.
 func (b Box) Dims() Dims { return Dims{b.Hi[0] - b.Lo[0], b.Hi[1] - b.Lo[1], b.Hi[2] - b.Lo[2]} }
-
-// Cells returns the box cell count.
-func (b Box) Cells() int64 { return b.Dims().Cells() }
 
 // Decomp is a block decomposition of a global mesh across P = product of
 // Grid ranks arranged as a 3-D process grid.
@@ -315,41 +302,6 @@ func CapDims(d Dims, capCells int) Dims {
 	return out
 }
 
-// Edge connects two node indices of a structured block.
-type Edge struct {
-	A, B int32
-}
-
-// nodeIndex flattens (i,j,k) node coordinates of a block with d cell dims.
-func nodeIndex(d Dims, i, j, k int) int32 {
-	return int32((k*(d.NJ+1)+j)*(d.NI+1) + i)
-}
-
-// StructuredEdges generates the node-to-node edge list of a hex block —
-// the edge-based connectivity MG-CFD's flux loops iterate over.
-func StructuredEdges(d Dims) []Edge {
-	ni, nj, nk := d.NI+1, d.NJ+1, d.NK+1
-	count := (ni-1)*nj*nk + ni*(nj-1)*nk + ni*nj*(nk-1)
-	edges := make([]Edge, 0, count)
-	for k := 0; k < nk; k++ {
-		for j := 0; j < nj; j++ {
-			for i := 0; i < ni; i++ {
-				a := nodeIndex(d, i, j, k)
-				if i+1 < ni {
-					edges = append(edges, Edge{a, nodeIndex(d, i+1, j, k)})
-				}
-				if j+1 < nj {
-					edges = append(edges, Edge{a, nodeIndex(d, i, j+1, k)})
-				}
-				if k+1 < nk {
-					edges = append(edges, Edge{a, nodeIndex(d, i, j, k+1)})
-				}
-			}
-		}
-	}
-	return edges
-}
-
 // NodeCoords returns jittered node coordinates for a block, giving the
 // synthetic mesh an unstructured character (distinct spacings, non-grid
 // point locations) for partitioners and coupler searches. Deterministic
@@ -388,7 +340,3 @@ func InterfaceCells(d Dims, fraction float64) int {
 	}
 	return n
 }
-
-// SurfaceCells returns the i-plane face size, the natural inlet/outlet
-// interface of a duct block.
-func SurfaceCells(d Dims) int { return d.NJ * d.NK }

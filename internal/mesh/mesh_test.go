@@ -31,13 +31,6 @@ func TestCoarsen(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	ls := Levels(Dims{16, 16, 16}, 3)
-	if len(ls) != 3 || ls[0] != (Dims{16, 16, 16}) || ls[1] != (Dims{8, 8, 8}) || ls[2] != (Dims{4, 4, 4}) {
-		t.Errorf("Levels = %+v", ls)
-	}
-}
-
 func TestCubeDims(t *testing.T) {
 	d := CubeDims(28_000_000)
 	if d.Cells() < 28_000_000 {
@@ -130,7 +123,7 @@ func TestBoxPartitionCoversMesh(t *testing.T) {
 	}
 	var total int64
 	for r := 0; r < dc.Ranks(); r++ {
-		total += dc.Box(r).Cells()
+		total += dc.Box(r).Dims().Cells()
 	}
 	if total != d.Cells() {
 		t.Errorf("boxes cover %d cells, mesh has %d", total, d.Cells())
@@ -262,22 +255,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-func TestStructuredEdgesCount(t *testing.T) {
-	d := Dims{2, 2, 2} // 3x3x3 nodes
-	edges := StructuredEdges(d)
-	want := 2 * 3 * 3 * 3 // per direction: (n-1)*m*l = 2*9 = 18, x3 dirs = 54
-	if len(edges) != want {
-		t.Errorf("edges = %d, want %d", len(edges), want)
-	}
-	// All endpoints valid.
-	n := int32(d.Nodes())
-	for _, e := range edges {
-		if e.A < 0 || e.A >= n || e.B < 0 || e.B >= n || e.A == e.B {
-			t.Fatalf("bad edge %+v", e)
-		}
-	}
-}
-
 func TestNodeCoordsDeterministicAndJittered(t *testing.T) {
 	d := Dims{3, 3, 3}
 	a := NodeCoords(d, 0.3, 42)
@@ -311,12 +288,6 @@ func TestInterfaceCells(t *testing.T) {
 	}
 	if InterfaceCells(Dims{1, 1, 1}, 0.0001) != 1 {
 		t.Error("interface should clamp to at least one cell")
-	}
-}
-
-func TestSurfaceCells(t *testing.T) {
-	if got := SurfaceCells(Dims{10, 4, 5}); got != 20 {
-		t.Errorf("SurfaceCells = %d, want 20", got)
 	}
 }
 
@@ -354,7 +325,7 @@ func TestDecompBoxesProperty(t *testing.T) {
 			if b.Dims().NI < 1 || b.Dims().NJ < 1 || b.Dims().NK < 1 {
 				return false
 			}
-			total += b.Cells()
+			total += b.Dims().Cells()
 		}
 		return total == d.Cells()
 	}

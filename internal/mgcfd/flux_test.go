@@ -25,10 +25,54 @@ func pressureOf(q [][]float64, n int) float64 {
 	return p
 }
 
+// edge connects two node indices of a structured block.
+type edge struct{ a, b int32 }
+
+// structuredEdges generates the node-to-node edge list of a hex block
+// with cell dims d: at each node in turn its i-, j- and k-edge.
+func structuredEdges(d mesh.Dims) []edge {
+	ni, nj, nk := d.NI+1, d.NJ+1, d.NK+1
+	node := func(i, j, k int) int32 { return int32((k*nj+j)*ni + i) }
+	edges := make([]edge, 0, edgeCount(d))
+	for k := 0; k < nk; k++ {
+		for j := 0; j < nj; j++ {
+			for i := 0; i < ni; i++ {
+				a := node(i, j, k)
+				if i+1 < ni {
+					edges = append(edges, edge{a, node(i+1, j, k)})
+				}
+				if j+1 < nj {
+					edges = append(edges, edge{a, node(i, j+1, k)})
+				}
+				if k+1 < nk {
+					edges = append(edges, edge{a, node(i, j, k+1)})
+				}
+			}
+		}
+	}
+	return edges
+}
+
+func TestStructuredEdgesCount(t *testing.T) {
+	d := mesh.Dims{NI: 2, NJ: 2, NK: 2} // 3x3x3 nodes
+	edges := structuredEdges(d)
+	want := 2 * 3 * 3 * 3 // per direction: (n-1)*m*l = 2*9 = 18, x3 dirs = 54
+	if len(edges) != want {
+		t.Errorf("edges = %d, want %d", len(edges), want)
+	}
+	// All endpoints valid.
+	n := int32(d.Nodes())
+	for _, e := range edges {
+		if e.a < 0 || e.a >= n || e.b < 0 || e.b >= n || e.a == e.b {
+			t.Fatalf("bad edge %+v", e)
+		}
+	}
+}
+
 // referenceFlux is the edge loop computeFlux replaced: two pressureOf
 // calls, math.Max and a five-variable loop with the momentum and energy
-// terms as branches, over the level's mesh.StructuredEdges in their
-// order. It accumulates into res, which it zeroes first.
+// terms as branches, over the level's structuredEdges in their order. It
+// accumulates into res, which it zeroes first.
 func referenceFlux(l *level, res [][]float64) {
 	for v := 0; v < NVAR; v++ {
 		r := res[v]
@@ -37,8 +81,8 @@ func referenceFlux(l *level, res [][]float64) {
 		}
 	}
 	q := l.q
-	for _, e := range mesh.StructuredEdges(l.dims) {
-		a, b := int(e.A), int(e.B)
+	for _, e := range structuredEdges(l.dims) {
+		a, b := int(e.a), int(e.b)
 		pa, pb := pressureOf(q, a), pressureOf(q, b)
 		ca := math.Sqrt(1.4 * pa / math.Max(q[0][a], 1e-10))
 		cb := math.Sqrt(1.4 * pb / math.Max(q[0][b], 1e-10))
@@ -133,7 +177,7 @@ func referenceStage(l *level, dtStage float64) (res [][]float64, norm float64) {
 // the edge list's length. It returns how many reference residuals are
 // NaN, so that a caller can check the seeded states reach the branches.
 func fluxMatches(s *Sim, l *level) (nan int, err error) {
-	if got, want := edgeCount(l.dims), len(mesh.StructuredEdges(l.dims)); got != want {
+	if got, want := edgeCount(l.dims), len(structuredEdges(l.dims)); got != want {
 		return 0, fmt.Errorf("dims %v: edgeCount %d, edge list %d", l.dims, got, want)
 	}
 	dtStage := rkAlpha[1] * s.dt

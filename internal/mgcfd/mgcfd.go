@@ -289,9 +289,9 @@ func (s *Sim) computeFlux(l *level, dtStage float64) (norm float64) {
 // (central flux differences with scalar (Rusanov) dissipation) and the
 // update q += dtStage·residual, fused into one pass over the (i, j)
 // planes. The edge loop is MG-CFD's compute_flux_edge kernel, over the
-// edges of the box in mesh.StructuredEdges' order. It returns the sum of
-// the squared density residuals, in node order, which Step reduces into
-// the residual norm.
+// edges of the box node by node, each node's i-, j- and k-edge in turn
+// (the tests' structuredEdges). It returns the sum of the squared density
+// residuals, in node order, which Step reduces into the residual norm.
 //
 // A node ends about six edges, and its pressure, x-velocity and wave
 // speed |u|+c are functions of its five values alone, so they are
@@ -348,7 +348,8 @@ func (s *Sim) fluxStage(l *level, dtStage float64) (norm float64) {
 	return norm
 }
 
-// edgeCount is len(mesh.StructuredEdges(d)) in closed form.
+// edgeCount is the number of node-to-node edges of a hex block with cell
+// dims d, in closed form.
 func edgeCount(d mesh.Dims) int {
 	ni, nj, nk := d.NI+1, d.NJ+1, d.NK+1
 	return (ni-1)*nj*nk + ni*(nj-1)*nk + ni*nj*(nk-1)
@@ -651,17 +652,14 @@ type Stats struct {
 	SetupTime float64
 }
 
-// Run executes the configured (or sampled) number of steps.
-func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) { return run(c, cfg, sc, true) }
-
 // Time runs the configured (or sampled) number of steps for their virtual
-// time alone: every rank charges, sends and reduces exactly what Run's
-// does, with no flow fields behind them. No clock reads the fields —
-// compute charges come from edge and node counts, halo bytes from the
-// true faces — so the run's clocks, profiles, timelines and comm matrix
-// are Run's, bit for bit (TestTimeMatchesRun); only the residual, which
-// sums the fields, reads 0. For standalone runs that only time the
-// mini-app.
+// time alone: every rank charges, sends and reduces exactly what a rank
+// stepping the flow fields does, with no fields behind them. No clock
+// reads the fields — compute charges come from edge and node counts, halo
+// bytes from the true faces — so the run's clocks, profiles, timelines
+// and comm matrix are those of a run with fields, bit for bit
+// (TestTimeMatchesRun); only the residual, which sums the fields, reads
+// 0. For standalone runs that only time the mini-app.
 func Time(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) { return run(c, cfg, sc, false) }
 
 func run(c *mpi.Comm, cfg Config, sc ScaleOpts, fields bool) (*Stats, error) {
@@ -680,29 +678,6 @@ func run(c *mpi.Comm, cfg Config, sc ScaleOpts, fields bool) (*Stats, error) {
 	}
 	return &Stats{StepsRun: steps, ScaledSteps: cfg.Steps, Residual: res, Active: s.active, SetupTime: setup}, nil
 }
-
-// MassTotal returns the global sum of density over owned nodes
-// (collective); conserved up to boundary fluxes.
-func (s *Sim) MassTotal() float64 {
-	local := 0.0
-	if s.active {
-		for _, rho := range s.levels[0].q[0] {
-			local += rho
-		}
-	}
-	return s.comm.AllreduceScalar(local, mpi.Sum)
-}
-
-// Density returns the fine-level density field (for tests).
-func (s *Sim) Density() []float64 {
-	if !s.active {
-		return nil
-	}
-	return s.levels[0].q[0]
-}
-
-// Active reports whether this rank participates in the decomposition.
-func (s *Sim) Active() bool { return s.active }
 
 // BoundarySample extracts n representative interface values (density at
 // the first n fine-level nodes, cycling) for coupling transfers, into a

@@ -390,3 +390,23 @@ func TestKernelProfileRegions(t *testing.T) {
 		t.Error("flux kernel should outweigh the update kernel")
 	}
 }
+
+// Density returns the fine-level density field (for tests).
+func (s *Sim) Density() []float64 {
+	if !s.active {
+		return nil
+	}
+	return s.levels[0].q[0]
+}
+
+// MassTotal returns the global sum of density over owned nodes
+// (collective); conserved up to boundary fluxes.
+func (s *Sim) MassTotal() float64 {
+	local := 0.0
+	if s.active {
+		for _, rho := range s.levels[0].q[0] {
+			local += rho
+		}
+	}
+	return s.comm.AllreduceScalar(local, mpi.Sum)
+}

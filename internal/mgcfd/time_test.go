@@ -9,6 +9,10 @@ import (
 	"cpx/internal/mpi"
 )
 
+// Run executes the configured (or sampled) number of steps with flow
+// fields behind them: the run Time is held to.
+func Run(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Stats, error) { return run(c, cfg, sc, true) }
+
 // TestTimeMatchesRun is Time's oracle: ranks that hold no flow fields
 // must charge, send and reduce exactly what Run's ranks do. Each row runs
 // one configuration through Run and through Time with profiling and

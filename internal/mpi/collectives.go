@@ -67,11 +67,6 @@ func (c *Comm) AllreduceScalar(x float64, op Op) float64 {
 	return c.Allreduce([]float64{x}, op)[0]
 }
 
-// AllreduceInt reduces a single int across all ranks.
-func (c *Comm) AllreduceInt(x int, op Op) int {
-	return int(c.AllreduceScalar(float64(x), op))
-}
-
 // Allgather collects every rank's slice on every rank, returned in rank
 // order. Bruck's algorithm: ceil(log2 p) rounds with doubling block
 // counts — the MPICH choice for small payloads, and what keeps the

@@ -17,12 +17,8 @@ import (
 )
 
 // Reserved tag used internally by collective operations. User code must
-// use tags in [0, TagUser).
-const (
-	tagCollective = 1 << 28
-	// TagUser is the exclusive upper bound for user-supplied tags.
-	TagUser = tagCollective
-)
+// use tags in [0, tagCollective).
+const tagCollective = 1 << 28
 
 // AnySource matches a message from any source rank in Recv.
 const AnySource = -1

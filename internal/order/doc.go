@@ -6,8 +6,7 @@
 // determinism and floatreduce analyzers (internal/analysis) flag such
 // loops and point here: collect the keys, sort them, then iterate.
 //
-// Invariant: a helper's result depends on the map's contents only, never
-// on its iteration order; SumSorted adds the values in ascending key
-// order, so a floating-point reduction over a map gives the same bits on
-// every run. Oracle: TestSumSortedIsOrderFixed.
+// Invariant: SortedKeys' result depends on the map's contents only, never
+// on its iteration order, so a floating-point reduction over a map that
+// iterates it gives the same bits on every run. Oracle: TestSortedKeys.
 package order

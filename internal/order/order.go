@@ -16,13 +16,3 @@ func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	slices.Sort(keys)
 	return keys
 }
-
-// SumSorted accumulates the values of m in ascending key order, giving a
-// reproducible floating-point reduction over map-held data.
-func SumSorted[M ~map[K]float64, K cmp.Ordered](m M) float64 {
-	s := 0.0
-	for _, k := range SortedKeys(m) {
-		s += m[k]
-	}
-	return s
-}

@@ -17,27 +17,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Errorf("SortedKeys(empty) = %v", got)
 	}
 }
-
-func TestSumSortedIsOrderFixed(t *testing.T) {
-	// Terms chosen so float addition order changes the result: summing
-	// big+small+small... differs from small+...+big in the last bits.
-	m := map[int]float64{}
-	for i := 0; i < 64; i++ {
-		m[i] = 1e-9 * float64(i+1)
-	}
-	m[64] = 1e9
-	want := SumSorted(m)
-	for run := 0; run < 8; run++ {
-		if got := SumSorted(m); got != want {
-			t.Fatalf("SumSorted not stable: %v vs %v", got, want)
-		}
-	}
-	// And it must equal the explicit sorted-key loop.
-	s := 0.0
-	for _, k := range SortedKeys(m) {
-		s += m[k]
-	}
-	if s != want {
-		t.Fatalf("SumSorted %v != sorted-key loop %v", want, s)
-	}
-}

@@ -248,30 +248,15 @@ func (s *System) spawn(px, py, pz, pvx, pvy, pvz, r float64) {
 	s.rad = append(s.rad, r)
 }
 
-// Strategy returns the active balancing strategy.
-func (s *System) Strategy() Strategy { return s.cfg.Strategy }
-
-// Local returns the rank-local simulated droplet count.
-func (s *System) Local() int { return len(s.x) }
-
-// Count returns the global simulated droplet count (collective).
-func (s *System) Count() int { return s.comm.AllreduceInt(len(s.x), mpi.Sum) }
-
 // TrueCount returns the represented true droplet population (collective).
+//
+//lint:allow unused pressure's TestBaseSprayRepresentsConfiguredDroplets reads the population the Base spray stands for
 func (s *System) TrueCount() float64 {
 	return s.comm.AllreduceScalar(float64(len(s.x))*s.partScale, mpi.Sum)
 }
 
-// Imbalance returns max/mean droplets per rank (collective).
-func (s *System) Imbalance() float64 {
-	n := float64(len(s.x))
-	maxN := s.comm.AllreduceScalar(n, mpi.Max)
-	sumN := s.comm.AllreduceScalar(n, mpi.Sum)
-	return imbalanceOf(maxN, sumN, s.comm.Size())
-}
-
 // imbalanceOf is the max/mean load metric (1 when the population is
-// empty, matching partition.Imbalance's convention).
+// empty).
 func imbalanceOf(maxN, sumN float64, ranks int) float64 {
 	mean := sumN / float64(ranks)
 	if mean == 0 {
@@ -285,14 +270,6 @@ func (s *System) Load() RankLoad {
 	l := s.load
 	l.Droplets = len(s.x)
 	return l
-}
-
-// StepWork returns the true per-step droplet work this rank represents.
-func (s *System) StepWork() cluster.Work {
-	return cluster.Work{
-		Flops: DropletFlopsPerStep * float64(len(s.x)) * s.partScale,
-		Bytes: DropletBytesPerStep * float64(len(s.x)) * s.partScale,
-	}
 }
 
 // Step advances the component one time-step: droplet physics, then the

@@ -494,9 +494,9 @@ func TestWorkStealBalancesLoad(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				s.Step(0.02)
 			}
-			ml := c.AllreduceInt(s.Local(), mpi.Max)
-			st := c.AllreduceInt(s.Load().Stolen, mpi.Sum)
-			gr := c.AllreduceInt(s.Load().Granted, mpi.Sum)
+			ml := int(c.AllreduceScalar(float64(len(s.x)), mpi.Max))
+			st := int(c.AllreduceScalar(float64(s.Load().Stolen), mpi.Sum))
+			gr := int(c.AllreduceScalar(float64(s.Load().Granted), mpi.Sum))
 			if c.Rank() == 0 {
 				maxLocal, stolen, granted = ml, st, gr
 			}
@@ -779,3 +779,14 @@ func TestMigrateInPlaceMatchesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// Imbalance returns max/mean droplets per rank (collective).
+func (s *System) Imbalance() float64 {
+	n := float64(len(s.x))
+	maxN := s.comm.AllreduceScalar(n, mpi.Max)
+	sumN := s.comm.AllreduceScalar(n, mpi.Sum)
+	return imbalanceOf(maxN, sumN, s.comm.Size())
+}
+
+// Count returns the global simulated droplet count (collective).
+func (s *System) Count() int { return int(s.comm.AllreduceScalar(float64(len(s.x)), mpi.Sum)) }

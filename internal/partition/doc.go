@@ -1,9 +1,9 @@
 // Package partition provides geometric partitioning for the mini-apps:
 // recursive coordinate bisection (RCB) of point sets, as flat labels
-// (RCB) or as a reusable cut tree (RCBTree), plus the balance metrics
-// (PartSizes, Imbalance) the tests measure them with. Production runs in
-// the paper partition offline with METIS-class tools; RCB fills the same
-// role here.
+// (RCB) or as a reusable cut tree (RCBTree); the balance metrics the
+// tests measure them with (PartSizes, Imbalance) live in the tests.
+// Production runs in the paper partition offline with METIS-class tools;
+// RCB fills the same role here.
 //
 // Invariant: a partition is a pure function of the points and the part
 // count. Equal coordinates tie-break on point index, so every rank that

@@ -64,28 +64,3 @@ func rcbRecurse(points []Point, idx []int, base, parts int, out []int) {
 	rcbRecurse(points, idx[:cut], base, leftParts, out)
 	rcbRecurse(points, idx[cut:], base+leftParts, rightParts, out)
 }
-
-// PartSizes returns the number of vertices in each part.
-func PartSizes(part []int, parts int) []int {
-	sizes := make([]int, parts)
-	for _, p := range part {
-		sizes[p]++
-	}
-	return sizes
-}
-
-// Imbalance returns max part size over mean part size (1.0 = perfect).
-func Imbalance(part []int, parts int) float64 {
-	sizes := PartSizes(part, parts)
-	maxSz := 0
-	for _, s := range sizes {
-		if s > maxSz {
-			maxSz = s
-		}
-	}
-	mean := float64(len(part)) / float64(parts)
-	if mean == 0 {
-		return 1
-	}
-	return float64(maxSz) / mean
-}

@@ -121,3 +121,28 @@ func TestRCBValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Imbalance returns max part size over mean part size (1.0 = perfect).
+func Imbalance(part []int, parts int) float64 {
+	sizes := PartSizes(part, parts)
+	maxSz := 0
+	for _, s := range sizes {
+		if s > maxSz {
+			maxSz = s
+		}
+	}
+	mean := float64(len(part)) / float64(parts)
+	if mean == 0 {
+		return 1
+	}
+	return float64(maxSz) / mean
+}
+
+// PartSizes returns the number of vertices in each part.
+func PartSizes(part []int, parts int) []int {
+	sizes := make([]int, parts)
+	for _, p := range part {
+		sizes[p]++
+	}
+	return sizes
+}

@@ -53,9 +53,6 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{root: dir}, nil
 }
 
-// Root returns the cache directory.
-func (d *DiskCache) Root() string { return d.root }
-
 // path maps a cache key (a hex sha256 digest) to its artifact file.
 func (d *DiskCache) path(key string) (string, error) {
 	if len(key) < 4 || !isHex(key) {

@@ -235,7 +235,7 @@ func TestErrorBodiesCarryJobID(t *testing.T) {
 	if hdr := resp.Header.Get("X-Job-ID"); hdr != eb.JobID {
 		t.Errorf("X-Job-ID header %q != body jobId %q", hdr, eb.JobID)
 	}
-	if jb := s.Registry().Get(eb.JobID); jb == nil {
+	if jb := s.registry.Get(eb.JobID); jb == nil {
 		t.Errorf("failed job %s not in registry", eb.JobID)
 	} else if v := jb.View(); v.State != JobFailed {
 		t.Errorf("failed job state %q, want failed", v.State)
@@ -255,7 +255,7 @@ func TestErrorBodiesCarryJobID(t *testing.T) {
 	if eb.JobID == "" || eb.Status != http.StatusTooManyRequests {
 		t.Errorf("429 body incomplete: %+v", eb)
 	}
-	if jb := s.Registry().Get(eb.JobID); jb == nil {
+	if jb := s.registry.Get(eb.JobID); jb == nil {
 		t.Errorf("rejected job %s not in registry", eb.JobID)
 	} else if v := jb.View(); v.State != JobRejected {
 		t.Errorf("rejected job state %q, want rejected", v.State)

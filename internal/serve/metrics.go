@@ -141,14 +141,6 @@ func (m *Metrics) observeJobTimeLocked(seconds float64) {
 	m.jobEWMA = ewmaAlpha*seconds + (1-ewmaAlpha)*m.jobEWMA
 }
 
-// ObserveJobTime feeds one computed-job latency into the EWMA (exposed
-// for tests; the request path feeds it through Observe).
-func (m *Metrics) ObserveJobTime(seconds float64) {
-	m.mu.Lock()
-	m.observeJobTimeLocked(seconds)
-	m.mu.Unlock()
-}
-
 // RetryAfterSeconds derives the 429 backoff hint from the queue state:
 // a queue of depth jobs drains in about depth/workers EWMA periods, and
 // the retrying client's own job takes one more. With no latency

@@ -157,9 +157,6 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Registry exposes the job registry (for tests).
-func (s *Server) Registry() *Registry { return s.registry }
-
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 

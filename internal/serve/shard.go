@@ -29,9 +29,6 @@ type Shard struct {
 	healthy atomic.Bool
 }
 
-// Healthy reports the shard's last known state (probed and passive).
-func (sh *Shard) Healthy() bool { return sh.healthy.Load() }
-
 // ringPoint is one virtual node on the consistent-hash ring.
 type ringPoint struct {
 	hash  uint64
@@ -101,9 +98,6 @@ func ringHash(s string) uint64 {
 	sum := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(sum[:8])
 }
-
-// Shards returns the member shards (for gauges and tests).
-func (ss *ShardSet) Shards() []*Shard { return ss.shards }
 
 // Close stops the health prober.
 func (ss *ShardSet) Close() { ss.stopOnce.Do(func() { close(ss.stop) }) }

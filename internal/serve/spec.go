@@ -350,7 +350,8 @@ type SimulateResponse struct {
 
 // DemoComponents returns the built-in four-component model scenario:
 // three engine rows with synthetic PE samples and one coupling unit.
-// The serve tests and the cpxserve smoke tests share it.
+//
+//lint:allow unused the fixture shared by the serve tests and cmd/cpxserve's smoke tests (runSmoke)
 func DemoComponents() []ComponentSpec {
 	mk := func(name string, base, p50 float64, isCU bool) ComponentSpec {
 		truth := perfmodel.Curve{BaseCores: 100, BaseTime: base, P50: p50, K: 1.3}

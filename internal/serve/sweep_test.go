@@ -578,7 +578,7 @@ func TestShardRouteDeterministicAndFailover(t *testing.T) {
 			t.Fatalf("key routed to unhealthy shard %s", victim.URL)
 		}
 	}
-	for _, sh := range a.Shards() {
+	for _, sh := range a.shards {
 		sh.healthy.Store(false)
 	}
 	if sh := a.Route(keys[0]); sh != nil {
@@ -662,7 +662,7 @@ func TestForwardCarriesRemainingDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("stalled forward: status %d (%s), want 504", resp.StatusCode, body)
 	}
-	if !s.shards.Shards()[0].Healthy() {
+	if !s.shards.shards[0].healthy.Load() {
 		t.Error("shard demoted because the caller's own deadline expired")
 	}
 }
@@ -692,7 +692,7 @@ func TestForwardCapsShardBody(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Errorf("front-end answered %d bytes, want the local artifact (%d bytes)", len(body), len(want))
 	}
-	if s.shards.Shards()[0].Healthy() {
+	if s.shards.shards[0].healthy.Load() {
 		t.Error("shard with an oversized answer stayed healthy")
 	}
 }
@@ -717,7 +717,7 @@ func TestDiskCacheRoundtripAndCorruption(t *testing.T) {
 	}
 
 	// Corrupt the stored body in place.
-	path := filepath.Join(dc.Root(), key[:2], key[2:])
+	path := filepath.Join(dc.root, key[:2], key[2:])
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -794,4 +794,12 @@ func TestSweepPersistsToDiskTier(t *testing.T) {
 			t.Fatalf("point %d differs across restart", i)
 		}
 	}
+}
+
+// ObserveJobTime feeds one computed-job latency into the EWMA, as the
+// request path does through Observe.
+func (m *Metrics) ObserveJobTime(seconds float64) {
+	m.mu.Lock()
+	m.observeJobTimeLocked(seconds)
+	m.mu.Unlock()
 }

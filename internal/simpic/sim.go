@@ -2,7 +2,6 @@ package simpic
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"cpx/internal/cluster"
@@ -426,23 +425,6 @@ func (s *Sim) StepBlock(real, represented int) {
 	s.comm.Barrier()
 }
 
-// TotalCharge returns the global sum of deposited charge for diagnostics
-// (collective).
-func (s *Sim) TotalCharge() float64 {
-	f := s.depositCharge()
-	local := 0.0
-	for _, v := range f {
-		local += v
-	}
-	local /= s.dx * s.dx
-	return s.comm.AllreduceScalar(local, mpi.Sum)
-}
-
-// ParticleCount returns the global particle count (collective).
-func (s *Sim) ParticleCount() int {
-	return s.comm.AllreduceInt(len(s.px), mpi.Sum)
-}
-
 // BoundarySample extracts n representative interface values (particle
 // velocities, cycling) for coupling transfers, into a buffer the rank
 // keeps: the next call overwrites it.
@@ -472,16 +454,4 @@ func (s *Sim) AbsorbBoundary(vals []float64) {
 			s.pv[i] = (1-eps)*s.pv[i] + eps*v
 		}
 	}
-}
-
-// maxAbsVelocity reports the global max |v| (collective); used by tests
-// to confirm the CFL-ish condition holds.
-func (s *Sim) maxAbsVelocity() float64 {
-	m := 0.0
-	for _, v := range s.pv {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return s.comm.AllreduceScalar(m, mpi.Max)
 }

@@ -498,3 +498,32 @@ func TestBaseSTCWeightAnchors(t *testing.T) {
 		}
 	}
 }
+
+// maxAbsVelocity reports the global max |v| (collective); used by tests
+// to confirm the CFL-ish condition holds.
+func (s *Sim) maxAbsVelocity() float64 {
+	m := 0.0
+	for _, v := range s.pv {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return s.comm.AllreduceScalar(m, mpi.Max)
+}
+
+// ParticleCount returns the global particle count (collective).
+func (s *Sim) ParticleCount() int {
+	return int(s.comm.AllreduceScalar(float64(len(s.px)), mpi.Sum))
+}
+
+// TotalCharge returns the global sum of deposited charge for diagnostics
+// (collective).
+func (s *Sim) TotalCharge() float64 {
+	f := s.depositCharge()
+	local := 0.0
+	for _, v := range f {
+		local += v
+	}
+	local /= s.dx * s.dx
+	return s.comm.AllreduceScalar(local, mpi.Sum)
+}

@@ -20,6 +20,8 @@ type CSR struct {
 func (a *CSR) NNZ() int { return len(a.Val) }
 
 // Validate checks the structural invariants of the format.
+//
+//lint:allow unused the structural check of the sparse and fem tests
 func (a *CSR) Validate() error {
 	if len(a.RowPtr) != a.Rows+1 {
 		return fmt.Errorf("sparse: RowPtr length %d != Rows+1 (%d)", len(a.RowPtr), a.Rows+1)
@@ -86,19 +88,6 @@ func FromCOO(rows, cols int, ri, ci []int, v []float64) *CSR {
 		rowPtr[i+1] += rowPtr[i]
 	}
 	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-// Eye returns the n x n identity.
-func Eye(n int) *CSR {
-	rp := make([]int, n+1)
-	ci := make([]int, n)
-	v := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rp[i+1] = i + 1
-		ci[i] = i
-		v[i] = 1
-	}
-	return &CSR{Rows: n, Cols: n, RowPtr: rp, ColIdx: ci, Val: v}
 }
 
 // MulVec computes y = A x. len(x) must be Cols, len(y) Rows. Each row
@@ -245,27 +234,9 @@ func Add(a, b *CSR, alpha, beta float64) *CSR {
 	return &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: rp, ColIdx: ci, Val: v}
 }
 
-// Scale multiplies all values in place and returns the receiver.
-func (a *CSR) Scale(s float64) *CSR {
-	for k := range a.Val {
-		a.Val[k] *= s
-	}
-	return a
-}
-
-// Clone deep-copies the matrix.
-func (a *CSR) Clone() *CSR {
-	b := &CSR{Rows: a.Rows, Cols: a.Cols,
-		RowPtr: make([]int, len(a.RowPtr)),
-		ColIdx: make([]int, len(a.ColIdx)),
-		Val:    make([]float64, len(a.Val))}
-	copy(b.RowPtr, a.RowPtr)
-	copy(b.ColIdx, a.ColIdx)
-	copy(b.Val, a.Val)
-	return b
-}
-
 // EqualWithin reports whether A and B agree entry-wise within tol.
+//
+//lint:allow unused the matrix comparison of the sparse, amg and fem tests
 func (a *CSR) EqualWithin(b *CSR, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
@@ -305,19 +276,9 @@ func (a *CSR) EqualWithin(b *CSR, tol float64) bool {
 	return true
 }
 
-// Dense expands the matrix for debugging and tests.
-func (a *CSR) Dense() [][]float64 {
-	out := make([][]float64, a.Rows)
-	for i := range out {
-		out[i] = make([]float64, a.Cols)
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			out[i][a.ColIdx[k]] = a.Val[k]
-		}
-	}
-	return out
-}
-
 // Poisson1D builds the tridiagonal [-1 2 -1] Laplacian of size n.
+//
+//lint:allow unused a test matrix of the sparse and amg tests
 func Poisson1D(n int) *CSR {
 	var ri, ci []int
 	var v []float64
@@ -340,6 +301,8 @@ func Poisson1D(n int) *CSR {
 }
 
 // Poisson2D builds the standard 5-point Laplacian on an nx x ny grid.
+//
+//lint:allow unused a test matrix of the sparse and amg tests
 func Poisson2D(nx, ny int) *CSR {
 	n := nx * ny
 	var ri, ci []int

@@ -353,3 +353,48 @@ func TestTransposeNormProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Dense expands the matrix for debugging and tests.
+func (a *CSR) Dense() [][]float64 {
+	out := make([][]float64, a.Rows)
+	for i := range out {
+		out[i] = make([]float64, a.Cols)
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			out[i][a.ColIdx[k]] = a.Val[k]
+		}
+	}
+	return out
+}
+
+// Clone deep-copies the matrix.
+func (a *CSR) Clone() *CSR {
+	b := &CSR{Rows: a.Rows, Cols: a.Cols,
+		RowPtr: make([]int, len(a.RowPtr)),
+		ColIdx: make([]int, len(a.ColIdx)),
+		Val:    make([]float64, len(a.Val))}
+	copy(b.RowPtr, a.RowPtr)
+	copy(b.ColIdx, a.ColIdx)
+	copy(b.Val, a.Val)
+	return b
+}
+
+// Scale multiplies all values in place and returns the receiver.
+func (a *CSR) Scale(s float64) *CSR {
+	for k := range a.Val {
+		a.Val[k] *= s
+	}
+	return a
+}
+
+// Eye returns the n x n identity.
+func Eye(n int) *CSR {
+	rp := make([]int, n+1)
+	ci := make([]int, n)
+	v := make([]float64, n)
+	for i := 0; i < n; i++ {
+		rp[i+1] = i + 1
+		ci[i] = i
+		v[i] = 1
+	}
+	return &CSR{Rows: n, Cols: n, RowPtr: rp, ColIdx: ci, Val: v}
+}

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"cpx/internal/cluster"
@@ -48,12 +47,6 @@ type Dist struct {
 
 // OwnedRows returns the number of rows this rank owns.
 func (d *Dist) OwnedRows() int { return d.RowHi - d.RowLo }
-
-// HaloSize returns the number of ghost values received per exchange.
-func (d *Dist) HaloSize() int { return len(d.haloGlobals) }
-
-// Neighbours returns the peer ranks of the halo exchange.
-func (d *Dist) Neighbours() []int { return d.nbrs }
 
 // rowRange gives the even row split used by NewDistFromGlobal.
 func rowRange(n, p, r int) (lo, hi int) { return r * n / p, (r + 1) * n / p }
@@ -154,7 +147,8 @@ func NewDistFromGlobal(c *mpi.Comm, global *CSR, tag int) *Dist {
 }
 
 // Exchange fills ext's halo region from neighbouring ranks. ext must have
-// length OwnedRows()+HaloSize() with the owned values already in place.
+// length Local.Cols (the owned rows, then the halo) with the owned values
+// already in place.
 // Sends copy their payload, so the send buffers are the Dist's own;
 // each received payload goes back to the runtime once unpacked.
 func (d *Dist) Exchange(ext []float64) {
@@ -205,9 +199,4 @@ func Dot(c *mpi.Comm, a, b []float64, scale float64) float64 {
 	}
 	c.Compute(cluster.Work{Flops: 2 * float64(len(a)) * scale, Bytes: 16 * float64(len(a)) * scale})
 	return c.AllreduceScalar(s, mpi.Sum)
-}
-
-// Norm2 returns the global 2-norm of the owned slice.
-func (d *Dist) Norm2(a []float64) float64 {
-	return math.Sqrt(d.Dot(a, a))
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -254,7 +253,9 @@ func TestReportTieBreakOnEqualShares(t *testing.T) {
 	}
 }
 
-func TestWriteCSVRoundTrip(t *testing.T) {
+// TestReportShares pins each region's shares of the whole run: compute
+// and comm apart, their total, and the call count.
+func TestReportShares(t *testing.T) {
 	p := NewProfile()
 	p.Push("pressure_field")
 	p.AddCompute(3)
@@ -263,36 +264,21 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	p.Push("spray")
 	p.AddComm(4)
 	p.Pop()
-	var buf strings.Builder
-	if err := p.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("WriteCSV output is not parseable CSV: %v", err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d rows, want header + 2", len(recs))
+	rows := p.Report()
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 	got := map[string][4]float64{}
-	for _, rec := range recs[1:] {
-		var vals [4]float64
-		for i := 0; i < 4; i++ {
-			v, err := strconv.ParseFloat(rec[1+i], 64)
-			if err != nil {
-				t.Fatalf("row %v: %v", rec, err)
-			}
-			vals[i] = v
-		}
-		got[rec[0]] = vals
+	for _, b := range rows {
+		got[b.Region] = [4]float64{b.ComputeShare, b.CommShare, b.TotalShare(), float64(p.entries[b.Region].Calls)}
 	}
 	pf := got["pressure_field"]
 	if math.Abs(pf[0]-0.375) > 1e-6 || math.Abs(pf[1]-0.125) > 1e-6 || math.Abs(pf[2]-0.5) > 1e-6 || pf[3] != 1 {
-		t.Errorf("pressure_field round-trip = %v", pf)
+		t.Errorf("pressure_field shares = %v", pf)
 	}
 	sp := got["spray"]
 	if math.Abs(sp[0]) > 1e-6 || math.Abs(sp[1]-0.5) > 1e-6 || sp[3] != 1 {
-		t.Errorf("spray round-trip = %v", sp)
+		t.Errorf("spray shares = %v", sp)
 	}
 }
 

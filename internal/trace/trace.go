@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"cpx/internal/order"
@@ -167,30 +164,6 @@ func (p *Profile) Report() []Breakdown {
 		return rows[i].Region < rows[j].Region
 	})
 	return rows
-}
-
-// WriteCSV emits the per-region breakdown as CSV (region, compute share,
-// comm share, calls) for external plotting of Fig. 5-style figures.
-func (p *Profile) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"region", "compute_share", "comm_share", "total_share", "calls"}); err != nil {
-		return err
-	}
-	for _, b := range p.Report() {
-		e := p.entries[b.Region]
-		rec := []string{
-			b.Region,
-			strconv.FormatFloat(b.ComputeShare, 'f', 6, 64),
-			strconv.FormatFloat(b.CommShare, 'f', 6, 64),
-			strconv.FormatFloat(b.TotalShare(), 'f', 6, 64),
-			strconv.FormatInt(e.Calls, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String renders the report as an aligned text table.

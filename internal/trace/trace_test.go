@@ -170,19 +170,3 @@ func TestTotalIsOrderFixed(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	p := NewProfile()
-	p.Push("pressure_field")
-	p.AddCompute(3)
-	p.AddComm(1)
-	p.Pop()
-	var buf strings.Builder
-	if err := p.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "region,compute_share") || !strings.Contains(out, "pressure_field,0.75") {
-		t.Errorf("csv output wrong:\n%s", out)
-	}
-}
