@@ -8,7 +8,11 @@
 // DistSolver.Solve and the pressure proxy each hand it a CGSystem whose
 // methods charge their own modelled cost, and Hierarchy.Precondition is
 // the one preconditioner application, one cycle from a zero iterate
-// whose first sweeps skip the product with it.
+// whose first sweeps skip the product with it. Setup takes a
+// sparse.Operator: coarsening runs on its assembled Matrix, and the
+// finest level's products and residuals (CG, the cycle's residual,
+// Jacobi and Chebyshev) apply the operator itself, so a Stencil3D's
+// fine level runs no index arrays.
 //
 // Options picks the algorithms of a variant; every numeric setting
 // (strength threshold, sweeps, Jacobi and smoothing weights, depth,
@@ -20,6 +24,7 @@
 // (Precondition against clearing the iterate and running the tests'
 // warm-started ApplyCycle, bit for bit), TestSmoothFromZeroMatchesProduct
 // (each smoother's zero-start shortcut against forming A·0, on a finite
-// operator and one with an infinite entry), TestCGExactSolveConverges and
-// TestDistSolverMatchesSerialSolution.
+// operator and one with an infinite entry), TestStencilSetupMatchesCSR (a
+// hierarchy on a Stencil3D against one on its assembly, bit for bit),
+// TestCGExactSolveConverges and TestDistSolverMatchesSerialSolution.
 package amg

@@ -124,7 +124,10 @@ func (o Options) validate() error {
 
 // Level is one rung of the hierarchy, read-only once Setup returns.
 type Level struct {
-	A      *sparse.CSR
+	A *sparse.CSR
+	// op applies A in the cycles and CG: A itself, or on the finest level
+	// the operator Setup was given, whose products equal A's bit for bit.
+	op     sparse.Operator
 	P      *sparse.CSR // prolongation: fine x coarse (nil on coarsest)
 	R      *sparse.CSR // restriction: P^T
 	PSplit *sparse.IdentitySplit
@@ -177,8 +180,11 @@ func (h *Hierarchy) Share() *Hierarchy {
 	return &s
 }
 
-// Setup builds the hierarchy for a square SPD-like operator.
-func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
+// Setup builds the hierarchy for a square SPD-like operator. Coarsening
+// runs on op's assembled matrix; the finest level's products and
+// residuals apply op itself.
+func Setup(op sparse.Operator, opts Options) (*Hierarchy, error) {
+	a := op.Matrix()
 	validateSquare(a, "Setup")
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -245,6 +251,7 @@ func Setup(a *sparse.CSR, opts Options) (*Hierarchy, error) {
 	}
 	// Coarsest level: dense LU factorisation.
 	h.Levels = append(h.Levels, newLevel(cur))
+	h.Levels[0].op = op
 	h.coarseFactor = factorDense(cur)
 	h.work = make([]levelWork, len(h.Levels))
 	h.SetupWork = h.SetupWork.Add(cluster.Work{
@@ -264,7 +271,7 @@ func newLevel(a *sparse.CSR) *Level {
 			break
 		}
 	}
-	return &Level{A: a, diag: a.Diag(), finite: finite}
+	return &Level{A: a, op: a, diag: a.Diag(), finite: finite}
 }
 
 func (h *Hierarchy) spgemmPasses() int {
@@ -340,7 +347,7 @@ func chebyshevSmooth(l *Level, w *levelWork, b, x []float64, deg int, zero bool)
 	if zero {
 		copy(r, b)
 	} else {
-		l.A.Residual(b, x, r)
+		l.op.Residual(b, x, r)
 	}
 	for i := range r {
 		if d := l.diag[i]; d != 0 {
@@ -358,7 +365,7 @@ func chebyshevSmooth(l *Level, w *levelWork, b, x []float64, deg int, zero bool)
 			x[i] += p[i]
 		}
 		// r <- r - D^-1 A p
-		l.A.MulVec(p, ap)
+		l.op.MulVec(p, ap)
 		for i := range r {
 			v := ap[i]
 			if d := l.diag[i]; d != 0 {
@@ -405,8 +412,9 @@ func estimateLambdaMax(l *Level) float64 {
 	return lambda
 }
 
-// jacobiSweeps runs damped-Jacobi sweeps; zero means x is +0, so the
-// first sweep's A x is +0 and it adds w b / D onto x instead.
+// jacobiSweeps runs damped-Jacobi sweeps, each forming b − A x in one
+// pass; zero means x is +0, so the first sweep's A x is +0 and it adds
+// w b / D onto x instead.
 //
 //perf:hotpath
 func jacobiSweeps(l *Level, lw *levelWork, b, x []float64, sweeps int, w float64, zero bool) {
@@ -421,13 +429,13 @@ func jacobiSweeps(l *Level, lw *levelWork, b, x []float64, sweeps int, w float64
 			}
 			continue
 		}
-		l.A.MulVec(x, r)
+		l.op.Residual(b, x, r)
 		for i := 0; i < n; i++ {
 			d := l.diag[i]
 			if d == 0 {
 				continue
 			}
-			x[i] += w * (b[i] - r[i]) / d
+			x[i] += w * r[i] / d
 		}
 	}
 }
@@ -514,7 +522,7 @@ func (h *Hierarchy) cycle(level int, b, x []float64, zero bool) {
 	// Residual and restriction.
 	n := l.A.Rows
 	r := scratch.Floats(&w.r, n)
-	l.A.Residual(b, x, r)
+	l.op.Residual(b, x, r)
 	nc := l.P.Cols
 	rc := scratch.Floats(&w.rc, nc)
 	if l.RSplit != nil {
@@ -575,7 +583,7 @@ func (h *Hierarchy) kAccelerate(level int, b, x []float64) {
 				}
 			}
 		}
-		l.A.MulVec(p, ap)
+		l.op.MulVec(p, ap)
 		num, den := 0.0, 0.0
 		for i := range p {
 			num += p[i] * r[i]

@@ -97,7 +97,7 @@ func CG(sys CGSystem, b, x []float64, tol float64, maxIter int, w *CGWork) Resul
 // its cycles, with the local inner product; nothing is charged.
 type serialSystem struct{ h *Hierarchy }
 
-func (s serialSystem) MulVec(x, y []float64)       { s.h.Levels[0].A.MulVec(x, y) }
+func (s serialSystem) MulVec(x, y []float64)       { s.h.Levels[0].op.MulVec(x, y) }
 func (s serialSystem) Dot(a, b []float64) float64  { return dot(a, b) }
 func (s serialSystem) Precondition(r, z []float64) { s.h.Precondition(r, z) }
 

@@ -9,12 +9,17 @@ import (
 // The mailbox is the per-rank incoming message queue. Matching is FIFO
 // per (communicator, source, tag) — MPI's non-overtaking rule — so the
 // queue is indexed by exactly that key: each (ctx, src, tag) triple owns
-// a small FIFO bucket, and an exact-match receive is a map hit plus a
-// head pop instead of the linear scan over every pending message the
-// first implementation used. AnySource receives pick the pending message
-// with the smallest arrival sequence number among the heads of the
-// buckets with their (ctx, tag), which reproduces the old
-// scan-in-arrival-order semantics exactly.
+// a small FIFO bucket, held in a slot of a short unordered slice, and an
+// exact-match receive is a scan of the live slots plus a head pop. A rank
+// has few live buckets at a time (a coupler fan-in is at most 16
+// sources), so the scan costs less than hashing the key; a drained
+// bucket's slot is swap-removed. Only a wide fan-in, past wideSlots live
+// buckets, indexes the slots by key, so that a root taking from
+// thousands of sources by rank stays linear in them. AnySource receives
+// pick the pending message with the smallest arrival sequence number
+// among the heads of the buckets with their (ctx, tag), which reproduces
+// the scan-in-arrival-order semantics of the first implementation
+// exactly, whatever order the slots are in.
 //
 // Each mailbox has a single consumer (only the owning rank receives from
 // it), so the wait protocol is a targeted wakeup: the receiver publishes
@@ -60,15 +65,32 @@ func (bk *bucket) pop() *message {
 	return m
 }
 
+// slot is one live bucket with its key.
+type slot struct {
+	key bkey
+	bk  *bucket
+}
+
+// wideSlots is the live-bucket count past which a mailbox indexes its
+// slots by key: a scan of more costs more than a hash, and a scan per
+// receive would make a wide fan-in quadratic. The mailbox stops using the
+// index when its slots drain to a quarter of wideSlots.
+const wideSlots = 32
+
 // mailbox is the per-rank incoming message queue. The zero value is
-// ready to use: the bucket map and the wait condvar are created on first
+// ready to use: the slot slice and the wait condvar are created on first
 // need, so a run whose ranks never exchange point-to-point messages
 // (collectives only) pays nothing per mailbox beyond the struct
 // itself.
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	buckets map[bkey]*bucket
+	mu    sync.Mutex
+	cond  *sync.Cond
+	slots []slot // the non-empty buckets, in no particular order
+	// index maps each live key to its slot while wide is set (wideSlots).
+	// A narrowed mailbox clears it but keeps its storage for the next
+	// wide phase.
+	index   map[bkey]int
+	wide    bool
 	pending int    // total queued messages
 	seq     uint64 // next arrival sequence number
 	free    *bucket
@@ -77,6 +99,75 @@ type mailbox struct {
 	// one waiter (the owning rank), so a matching put issues one Signal.
 	waiting                   bool
 	wantCtx, wantSrc, wantTag int
+}
+
+// find returns the index of the slot holding key k, or -1.
+//
+//perf:hotpath
+func (b *mailbox) find(k bkey) int {
+	if b.wide {
+		if i, ok := b.index[k]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range b.slots {
+		if b.slots[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// popSlot pops the head of slot i's bucket; a bucket it drains goes back
+// to the free list and its slot is swap-removed. Caller holds b.mu.
+//
+//perf:hotpath
+func (b *mailbox) popSlot(i int) *message {
+	bk := b.slots[i].bk
+	m := bk.pop()
+	if bk.empty() {
+		b.putBucket(bk)
+		last := len(b.slots) - 1
+		if b.wide {
+			delete(b.index, b.slots[i].key)
+			if i != last {
+				b.index[b.slots[last].key] = i
+			}
+			if last <= wideSlots/4 {
+				clear(b.index)
+				b.wide = false
+			}
+		}
+		b.slots[i] = b.slots[last]
+		b.slots[last] = slot{}
+		b.slots = b.slots[:last]
+	}
+	b.pending--
+	return m
+}
+
+// addSlot gives key k a slot with an empty bucket and returns its index,
+// indexing the slots once there are more than wideSlots. Caller holds
+// b.mu.
+//
+//perf:hotpath
+func (b *mailbox) addSlot(k bkey) int {
+	i := len(b.slots)
+	b.slots = append(b.slots, slot{k, b.getBucket()}) //lint:allow hotalloc amortised growth: drained slots are swap-removed, so the slice keeps its capacity
+	switch {
+	case b.wide:
+		b.index[k] = i
+	case len(b.slots) > wideSlots:
+		if b.index == nil {
+			b.index = make(map[bkey]int) //lint:allow hotalloc one index per mailbox, made by its first wide fan-in and kept
+		}
+		for j, sl := range b.slots {
+			b.index[sl.key] = j
+		}
+		b.wide = true
+	}
+	return i
 }
 
 func (b *mailbox) getBucket() *bucket {
@@ -128,15 +219,11 @@ func (b *mailbox) enqueue(m *message) {
 	m.seq = b.seq
 	b.seq++
 	k := bkey{m.ctx, m.src, m.tag}
-	if b.buckets == nil {
-		b.buckets = make(map[bkey]*bucket) //lint:allow hotalloc one bucket map per mailbox, created on first message
+	i := b.find(k)
+	if i < 0 {
+		i = b.addSlot(k)
 	}
-	bk := b.buckets[k]
-	if bk == nil {
-		bk = b.getBucket()
-		b.buckets[k] = bk
-	}
-	bk.push(m)
+	b.slots[i].bk.push(m)
 	b.pending++
 }
 
@@ -147,41 +234,29 @@ func (b *mailbox) tryTake(ctx, src, tag int) *message {
 		return nil
 	}
 	if src != AnySource {
-		k := bkey{ctx, src, tag}
-		bk := b.buckets[k]
-		if bk == nil {
+		i := b.find(bkey{ctx, src, tag})
+		if i < 0 {
 			return nil
 		}
-		m := bk.pop()
-		if bk.empty() {
-			delete(b.buckets, k)
-			b.putBucket(bk)
-		}
-		b.pending--
-		return m
+		return b.popSlot(i)
 	}
-	// AnySource: earliest arrival among matching bucket heads. Map
-	// iteration order is random, but the min-seq winner is not.
-	var best *bucket
-	var bestKey bkey
-	for k, bk := range b.buckets {
-		if k.ctx != ctx || k.tag != tag || bk.empty() {
+	// AnySource: earliest arrival among matching bucket heads. Slot order
+	// depends on past removals, but the min-seq winner does not.
+	best := -1
+	var bestSeq uint64
+	for i := range b.slots {
+		sl := &b.slots[i]
+		if sl.key.ctx != ctx || sl.key.tag != tag {
 			continue
 		}
-		if best == nil || bk.msgs[bk.head].seq < best.msgs[best.head].seq {
-			best, bestKey = bk, k
+		if seq := sl.bk.msgs[sl.bk.head].seq; best < 0 || seq < bestSeq {
+			best, bestSeq = i, seq
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return nil
 	}
-	m := best.pop()
-	if best.empty() {
-		delete(b.buckets, bestKey)
-		b.putBucket(best)
-	}
-	b.pending--
-	return m
+	return b.popSlot(best)
 }
 
 // take removes and returns the first message matching (ctx, src, tag),

@@ -109,13 +109,14 @@ type Solver struct {
 	// transported fields are charged without state (stepMomentum).
 	u, pcorr []float64
 
-	// Pressure-correction machinery. sys is pressureSystem{s}, made once
-	// in New: made per step, it would box into the interface on the hot
-	// path.
-	localA *sparse.CSR
-	hier   *amg.Hierarchy
-	faces  []faceCells
-	sys    amg.CGSystem
+	// Pressure-correction machinery: the local 7-point operator, applied
+	// as a stencil, and its AMG hierarchy. sys is pressureSystem{s}, made
+	// once in New: made per step, it would box into the interface on the
+	// hot path.
+	grid  *sparse.Stencil3D
+	hier  *amg.Hierarchy
+	faces []faceCells
+	sys   amg.CGSystem
 
 	cloud *particle.System // nil in Optimized (async) mode
 
@@ -149,7 +150,8 @@ type (
 		opts amg.Options
 	}
 	operator struct {
-		hier *amg.Hierarchy // on the local operator, hier.Levels[0].A
+		grid *sparse.Stencil3D
+		hier *amg.Hierarchy // set up on grid, whose assembly is hier.Levels[0].A
 		err  error
 	}
 )
@@ -198,7 +200,8 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	s.halo = make([][]float64, len(s.faces))
 
 	// Pressure operator: 7-point Laplacian on the sim box, AMG hierarchy
-	// per the variant; the rank cycles on it in a workspace of its own.
+	// per the variant, whose finest level applies the stencil too; the
+	// rank cycles on it in a workspace of its own.
 	opts := amg.DefaultOptions()
 	if cfg.Variant == Optimized {
 		opts = amg.OptimizedOptions()
@@ -207,14 +210,15 @@ func New(c *mpi.Comm, cfg Config, sc ScaleOpts) (*Solver, error) {
 	var op operator
 	s.region("pressure_field", func() {
 		op = mpi.Shared(c, operatorKey{s.dims, opts}, func() operator {
-			h, err := amg.Setup(sparse.Poisson3D(s.dims.NI, s.dims.NJ, s.dims.NK), opts)
-			return operator{h, err}
+			g := sparse.NewStencil3D(s.dims.NI, s.dims.NJ, s.dims.NK)
+			h, err := amg.Setup(g, opts)
+			return operator{g, h, err}
 		})
 	})
 	if op.err != nil {
 		return nil, op.err
 	}
-	s.localA, s.hier = op.hier.Levels[0].A, op.hier.Share()
+	s.grid, s.hier = op.grid, op.hier.Share()
 	s.sys = pressureSystem{s}
 
 	// Spray: synchronous cloud in Base, the particle component's static
@@ -381,7 +385,7 @@ func (s *Solver) stepCombustion() {
 // Laplacian plus symmetric -1 couplings across block faces.
 func (s *Solver) pressureMatVec(x, y []float64) {
 	halo := s.exchangeFaces(x, tagPressure)
-	s.localA.MulVec(x, y)
+	s.grid.MulVec(x, y)
 	for fi, f := range s.faces {
 		m := min(len(halo[fi]), len(f.idx))
 		for i := 0; i < m; i++ {

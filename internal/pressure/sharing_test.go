@@ -18,8 +18,8 @@ import (
 // own, made by the same calls. It is the reference the shared build is
 // compared against.
 func (s *Solver) buildOwnOperator() error {
-	s.localA = sparse.Poisson3D(s.dims.NI, s.dims.NJ, s.dims.NK)
-	h, err := amg.Setup(s.localA, s.hier.Opts)
+	s.grid = sparse.NewStencil3D(s.dims.NI, s.dims.NJ, s.dims.NK)
+	h, err := amg.Setup(s.grid, s.hier.Opts)
 	s.hier = h
 	return err
 }
@@ -66,7 +66,7 @@ func TestSharedSetupMatchesPerRankBuild(t *testing.T) {
 	for _, v := range []Variant{Base, Optimized} {
 		conf := Config{MeshCells: 2_000_000, Steps: 2, Variant: v, Seed: 3}
 		refStats, refDigests, refSolvers := sharingRun(t, conf, true)
-		if refSolvers[0].localA == refSolvers[1].localA || refSolvers[0].hier.Levels[0] == refSolvers[1].hier.Levels[0] {
+		if refSolvers[0].grid == refSolvers[1].grid || refSolvers[0].hier.Levels[0] == refSolvers[1].hier.Levels[0] {
 			t.Fatalf("%v: the per-rank reference shares its operator", v)
 		}
 		for _, procs := range []int{1, 2} {
@@ -83,7 +83,7 @@ func TestSharedSetupMatchesPerRankBuild(t *testing.T) {
 				if a.dims != b.dims {
 					t.Fatalf("capped ranks hold boxes %v and %v, want equal dims", a.dims, b.dims)
 				}
-				if a.localA != b.localA || a.hier.Levels[0] != b.hier.Levels[0] {
+				if a.grid != b.grid || a.hier.Levels[0] != b.hier.Levels[0] {
 					t.Error("two ranks with equal dims hold different operators, want the run's one")
 				}
 				if a.hier == b.hier {

@@ -330,38 +330,8 @@ func Poisson2D(nx, ny int) *CSR {
 	return FromCOO(n, n, ri, ci, v)
 }
 
-// Poisson3D builds the 7-point Laplacian on an nx x ny x nz grid.
+// Poisson3D builds the 7-point Laplacian on an nx x ny x nz grid: the
+// assembly of NewStencil3D(nx, ny, nz).
 func Poisson3D(nx, ny, nz int) *CSR {
-	n := nx * ny * nz
-	var ri, ci []int
-	var v []float64
-	id := func(i, j, k int) int { return (k*ny+j)*nx + i }
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				r := id(i, j, k)
-				add := func(c int, x float64) { ri = append(ri, r); ci = append(ci, c); v = append(v, x) }
-				if k > 0 {
-					add(id(i, j, k-1), -1)
-				}
-				if j > 0 {
-					add(id(i, j-1, k), -1)
-				}
-				if i > 0 {
-					add(id(i-1, j, k), -1)
-				}
-				add(r, 6)
-				if i < nx-1 {
-					add(id(i+1, j, k), -1)
-				}
-				if j < ny-1 {
-					add(id(i, j+1, k), -1)
-				}
-				if k < nz-1 {
-					add(id(i, j, k+1), -1)
-				}
-			}
-		}
-	}
-	return FromCOO(n, n, ri, ci, v)
+	return NewStencil3D(nx, ny, nz).Matrix()
 }
