@@ -12,10 +12,11 @@ import (
 // a small FIFO bucket, held in a slot of a short unordered slice, and an
 // exact-match receive is a scan of the live slots plus a head pop. A rank
 // has few live buckets at a time (a coupler fan-in is at most 16
-// sources), so the scan costs less than hashing the key; a drained
-// bucket's slot is swap-removed. Only a wide fan-in, past wideSlots live
-// buckets, indexes the slots by key, so that a root taking from
-// thousands of sources by rank stays linear in them. AnySource receives
+// sources; no benchmarked mailbox held more than 25), so the scan costs
+// less than hashing the key; a drained bucket's slot is swap-removed.
+// Only a wide fan-in, past wideSlots live buckets, indexes the slots by
+// key, so that a root taking from thousands of sources by rank stays
+// linear in them. AnySource receives
 // pick the pending message with the smallest arrival sequence number
 // among the heads of the buckets with their (ctx, tag), which reproduces
 // the scan-in-arrival-order semantics of the first implementation
@@ -72,10 +73,17 @@ type slot struct {
 }
 
 // wideSlots is the live-bucket count past which a mailbox indexes its
-// slots by key: a scan of more costs more than a hash, and a scan per
-// receive would make a wide fan-in quadratic. The mailbox stops using the
-// index when its slots drain to a quarter of wideSlots.
-const wideSlots = 32
+// slots by key, so that a wide fan-in taken by source stays linear rather
+// than quadratic in its senders (TestMailboxWideFanIn: 4,096 senders). It
+// is where the two searches cost the same: a round of n senders each
+// leaving one message, taken by source, cost about as much per message
+// scanned as indexed between n = 80 and 128 on a 2-core x86-64 host
+// (scan ~100 ns at 64 against the index's ~150, ~250 at 160 against
+// ~200). No bench workload reaches it: the most live buckets any mailbox
+// held were 25 (engine), 20 (pe-sweep) and 16 (serve-mix, traced-run), so
+// every benchmarked receive scans. The mailbox stops using the index when
+// its slots drain to a quarter of wideSlots.
+const wideSlots = 96
 
 // mailbox is the per-rank incoming message queue. The zero value is
 // ready to use: the slot slice and the wait condvar are created on first

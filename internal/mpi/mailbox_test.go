@@ -53,17 +53,17 @@ func (r *refMailbox) take(ctx, src, tag int) *message {
 
 // TestMailboxMatchesMapReference drives a mailbox and the map-keyed
 // reference with the same seeded stream of puts, exact-source takes and
-// AnySource takes, over key ranges from a few live buckets to dozens,
+// AnySource takes, over key ranges from a few live buckets to hundreds,
 // and requires every take to return the same message and, every 1,000
 // operations, as many messages pending in as many buckets. The stream
-// ends by draining both. Some
-// streams pass wideSlots live buckets and narrow again, so the key index
-// and its upkeep across swap-removals are held to the reference too.
+// ends by draining both. Most streams pass wideSlots live buckets and
+// narrow again, so the key index and its upkeep across swap-removals are
+// held to the reference too.
 func TestMailboxMatchesMapReference(t *testing.T) {
 	narrowed := 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		srcs := 2 + rng.Intn(60)
+		srcs := 2 + rng.Intn(100)
 		var sent []bkey // the keys of the puts so far
 		var b mailbox
 		ref := refMailbox{fifos: map[bkey][]refEntry{}}
@@ -78,9 +78,13 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 			}
 		}
 		for op := 0; op < 20_000; op++ {
-			// Phases of 500 operations alternate mostly puts with mostly
-			// takes, so the live buckets swell and drain.
-			puts := []int{8, 1}[op/500%2]
+			// Each 2,000 operations open with 500 of mostly puts and close
+			// with 1,500 of mostly takes, so the live buckets swell past
+			// wideSlots and drain below a quarter of it.
+			puts := 1
+			if op%2000 < 500 {
+				puts = 8
+			}
 			ctx, src, tag := rng.Intn(2), rng.Intn(srcs), rng.Intn(3)
 			if len(sent) > 0 && rng.Intn(2) == 0 {
 				// Half the operations name the key of one of the last 64
@@ -135,8 +139,10 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 // TestMailboxWideFanIn is the slot search's worst case: 4,096 senders
 // each leave one message with a receiver, which takes them by explicit
 // source in the reverse of their send order, twice over (the second
-// round runs on recycled buckets). Every take must find its source's
-// message and the mailbox must end empty.
+// round runs on recycled buckets). The mailbox must have indexed its
+// slots, so that the takes do not scan them (a scan per take made this
+// round 27 times slower than a hash map's), every take must find its
+// source's message and the mailbox must end empty.
 func TestMailboxWideFanIn(t *testing.T) {
 	const senders = 4096
 	var b mailbox
@@ -145,6 +151,9 @@ func TestMailboxWideFanIn(t *testing.T) {
 		for src := range msgs {
 			msgs[src] = message{src: src, tag: 7}
 			b.enqueue(&msgs[src])
+		}
+		if !b.wide {
+			t.Fatalf("round %d: %d live buckets left the mailbox scanning them", round, len(b.slots))
 		}
 		for src := senders - 1; src >= 0; src-- {
 			if m := b.tryTake(0, src, 7); m != &msgs[src] {

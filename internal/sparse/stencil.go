@@ -3,7 +3,9 @@ package sparse
 import "fmt"
 
 // Operator is a square matrix that applies itself: y = A x and
-// r = b − A x, with len(x), len(y), len(b) and len(r) all its order.
+// r = b − A x, with len(x), len(y), len(b) and len(r) all its order. r
+// may be b (each row reads its b before it writes its r); neither y nor
+// r may share storage with x.
 // Matrix returns A assembled, for what needs its entries (coarsening,
 // row-wise smoothers). A CSR is its own matrix; a Stencil3D's products
 // equal its Matrix's bit for bit.
@@ -123,8 +125,7 @@ func (g *Stencil3D) residualDimsPanic(nb, nx, nr int) {
 }
 
 // apply sets y = A x, or y = b − A x when b is non-nil, one grid line at
-// a time: line sums the line's rows, and a residual then subtracts them
-// from b while the line is still in cache.
+// a time.
 //
 //perf:hotpath
 func (g *Stencil3D) apply(b, x, y []float64) {
@@ -149,20 +150,17 @@ func (g *Stencil3D) apply(b, x, y []float64) {
 			if k < nz-1 {
 				kp = x[c+sk : c+sk+nx]
 			}
-			yl := y[c : c+nx]
-			line(km, jm, x[c:c+nx], jp, kp, yl)
-			if b != nil {
-				bl := b[c : c+nx]
-				for i := range yl {
-					yl[i] = bl[i] - yl[i]
-				}
+			if b == nil {
+				line(km, jm, x[c:c+nx], jp, kp, y[c:c+nx])
+			} else {
+				lineResidual(km, jm, x[c:c+nx], jp, kp, b[c:c+nx], y[c:c+nx])
 			}
 			c += nx
 		}
 	}
 }
 
-// line sums the rows of one grid line into y: xc is the line itself, km,
+// line sets y to the rows of one grid line: xc is the line itself, km,
 // jm, jp and kp its neighbour lines at k−1, j−1, j+1 and k+1, all of
 // len(xc) values. The interior rows run with no branches and no index
 // arrays; the line's two end rows lack one i-neighbour each.
@@ -172,36 +170,75 @@ func line(km, jm, xc, jp, kp, y []float64) {
 	n := len(xc)
 	km, jm, jp, kp, y = km[:n], jm[:n], jp[:n], kp[:n], y[:n]
 	if n == 1 {
-		s := 0 - km[0]
-		s -= jm[0]
-		s += 6 * xc[0]
-		s -= jp[0]
-		y[0] = s - kp[0]
+		y[0] = single(km[0], jm[0], xc[0], jp[0], kp[0])
 		return
 	}
-	s := 0 - km[0]
-	s -= jm[0]
-	s += 6 * xc[0]
-	s -= xc[1]
-	s -= jp[0]
-	y[0] = s - kp[0]
+	y[0] = first(km[0], jm[0], xc[0], xc[1], jp[0], kp[0])
 	// The interior rows 1 … n−2, each operand resliced to them so that
 	// the loop indexes every one with the same i.
 	lo, mid, hi := xc[:n-2], xc[1:n-1], xc[2:]
 	ikm, ijm, ijp, ikp, iy := km[1:n-1], jm[1:n-1], jp[1:n-1], kp[1:n-1], y[1:n-1]
 	for i := range mid {
-		s := 0 - ikm[i]
-		s -= ijm[i]
-		s -= lo[i]
-		s += 6 * mid[i]
-		s -= hi[i]
-		s -= ijp[i]
-		iy[i] = s - ikp[i]
+		iy[i] = row(ikm[i], ijm[i], lo[i], mid[i], hi[i], ijp[i], ikp[i])
 	}
-	s = 0 - km[n-1]
-	s -= jm[n-1]
-	s -= xc[n-2]
-	s += 6 * xc[n-1]
-	s -= jp[n-1]
-	y[n-1] = s - kp[n-1]
+	y[n-1] = last(km[n-1], jm[n-1], xc[n-2], xc[n-1], jp[n-1], kp[n-1])
+}
+
+// lineResidual is line with y set to b less each row. Each row reads its
+// b before it writes its y, so y may be b.
+//
+//perf:hotpath
+func lineResidual(km, jm, xc, jp, kp, b, y []float64) {
+	n := len(xc)
+	km, jm, jp, kp, b, y = km[:n], jm[:n], jp[:n], kp[:n], b[:n], y[:n]
+	if n == 1 {
+		y[0] = b[0] - single(km[0], jm[0], xc[0], jp[0], kp[0])
+		return
+	}
+	y[0] = b[0] - first(km[0], jm[0], xc[0], xc[1], jp[0], kp[0])
+	lo, mid, hi := xc[:n-2], xc[1:n-1], xc[2:]
+	ikm, ijm, ijp, ikp, ib, iy := km[1:n-1], jm[1:n-1], jp[1:n-1], kp[1:n-1], b[1:n-1], y[1:n-1]
+	for i := range mid {
+		iy[i] = ib[i] - row(ikm[i], ijm[i], lo[i], mid[i], hi[i], ijp[i], ikp[i])
+	}
+	y[n-1] = b[n-1] - last(km[n-1], jm[n-1], xc[n-2], xc[n-1], jp[n-1], kp[n-1])
+}
+
+// row, first, last and single sum one row's terms in CSR column order
+// from +0: an interior row, a line's first and last rows (no i−1 and no
+// i+1 neighbour) and the row of a line one row long.
+func row(km, jm, lo, c, hi, jp, kp float64) float64 {
+	s := 0 - km
+	s -= jm
+	s -= lo
+	s += 6 * c
+	s -= hi
+	s -= jp
+	return s - kp
+}
+
+func first(km, jm, c, hi, jp, kp float64) float64 {
+	s := 0 - km
+	s -= jm
+	s += 6 * c
+	s -= hi
+	s -= jp
+	return s - kp
+}
+
+func last(km, jm, lo, c, jp, kp float64) float64 {
+	s := 0 - km
+	s -= jm
+	s -= lo
+	s += 6 * c
+	s -= jp
+	return s - kp
+}
+
+func single(km, jm, c, jp, kp float64) float64 {
+	s := 0 - km
+	s -= jm
+	s += 6 * c
+	s -= jp
+	return s - kp
 }

@@ -91,9 +91,9 @@ func garbage(y []float64) {
 
 // TestStencilMatchesCSR is Stencil3D's oracle: on finite inputs MulVec
 // and Residual equal the assembled matrix's bit for bit, signed zeros
-// and overflow to ±Inf included, and on inputs holding NaN and ±Inf the
-// two agree on which outputs are NaN, +Inf or −Inf and on every finite
-// output.
+// and overflow to ±Inf included, Residual with r aliasing b too, and on
+// inputs holding NaN and ±Inf the two agree on which outputs are NaN,
+// +Inf or −Inf and on every finite output.
 func TestStencilMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, d := range stencilDims {
@@ -112,6 +112,11 @@ func TestStencilMatchesCSR(t *testing.T) {
 				a.Residual(b, x, want)
 				g.Residual(b, x, got)
 				assertBitwise(t, d, "Residual", xi*len(inputs)+bi, got, want)
+				// r may be b, as for the CSR: each row reads its b
+				// before it writes its r.
+				copy(got, b)
+				g.Residual(got, x, got)
+				assertBitwise(t, d, "Residual into b", xi*len(inputs)+bi, got, want)
 			}
 		}
 		nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
