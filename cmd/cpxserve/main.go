@@ -24,8 +24,10 @@
 //
 // Every request is assigned a job ID (returned in the X-Job-ID header
 // and in JSON error bodies) and tracked in the registry behind
-// /v1/jobs. Structured logs go to stderr; -log selects text or JSON
-// lines, -v enables debug events.
+// /v1/jobs; a request that joins an identical in-flight simulation shows
+// that simulation's state and virtual-time progress, and a finished
+// job's record no longer changes. Structured logs go to stderr; -log
+// selects text or JSON lines, -v enables debug events.
 //
 // A ?timeout=30s query parameter sets the per-request deadline; when it
 // expires the job is cancelled and every rank goroutine unwinds. Local
@@ -76,7 +78,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persistent disk cache directory (empty = memory tier only)")
 	shards := flag.String("shards", "", "comma-separated worker shard base URLs; simulate jobs route by cache key")
 	shardProbe := flag.Duration("shard-probe", 0, "shard health probe interval (0 = 2s)")
-	sweepWorkers := flag.Int("sweep-workers", 0, "concurrent sweep points (0 = 2x workers)")
 	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving")
 	flag.Parse()
 
@@ -87,7 +88,7 @@ func main() {
 	}
 	opts := serve.Options{
 		Workers: *workers, QueueLen: *queue, DefaultTimeout: *timeout, Logger: logger,
-		CacheMaxBytes: *cacheBytes, CacheDir: *cacheDir, SweepWorkers: *sweepWorkers,
+		CacheMaxBytes: *cacheBytes, CacheDir: *cacheDir,
 		ShardProbeInterval: *shardProbe,
 	}
 	if *shards != "" {

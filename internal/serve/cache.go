@@ -3,8 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // CacheOutcome says how a request was satisfied, for the X-Cache
@@ -41,16 +44,38 @@ var ErrQueueFull = errors.New("serve: job queue full")
 // when the last waiter abandons it (deadline, disconnect) the job's
 // context is cancelled so the simulation's rank goroutines unwind
 // instead of computing for nobody — or, if it is still queued, it
-// leaves the queue and never runs.
+// leaves the queue and never runs. It is the one record of the
+// computation: the registry Job of every request waiting on it reads
+// its start and progress from here until that request finishes.
 type job struct {
 	key     string
-	compute func(context.Context) ([]byte, error)
+	compute func(ctx context.Context, progress func(vt float64)) ([]byte, error)
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
 	refs    int
 	body    []byte
 	err     error
+
+	// started is when the computation left the queue (nil while it is
+	// queued), and vtBits the furthest virtual time any rank of it has
+	// reached, as math.Float64bits, advanced by CAS from the telemetry
+	// observer (many rank goroutines, no lock). Registry views read both
+	// without the cache's mutex.
+	started atomic.Pointer[time.Time]
+	vtBits  atomic.Uint64
+}
+
+// observe advances j's virtual-time high-water mark. It runs on every
+// progress sample of a simulation, from every rank goroutine, so it
+// neither locks nor allocates.
+func (j *job) observe(t float64) {
+	for {
+		old := j.vtBits.Load()
+		if t <= math.Float64frombits(old) || j.vtBits.CompareAndSwap(old, math.Float64bits(t)) {
+			return
+		}
+	}
 }
 
 // CacheConfig configures the two-tier result cache and its admission
@@ -124,7 +149,8 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 	return c.mem.get(key)
 }
 
-// Do returns the artifact for key. A memory-tier artifact is returned
+// Do returns the artifact for key on behalf of jb, the request's
+// registry job (nil when there is none). A memory-tier artifact is returned
 // immediately; an in-flight identical computation is joined; a
 // disk-tier artifact is verified, promoted into memory and returned.
 // Otherwise compute is admitted: it starts at once if a worker is free,
@@ -132,9 +158,11 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 // block set, waits under ctx for room. The computation runs under its
 // own context, cancelled only when every waiter has gone — an
 // individual caller's ctx expiring detaches that caller without killing
-// the job for the rest. Errors are never cached: a failed or cancelled
-// job is forgotten so the next identical request retries.
-func (c *Cache) Do(ctx context.Context, key string, block bool, compute func(context.Context) ([]byte, error)) ([]byte, CacheOutcome, error) {
+// the job for the rest. jb is attached to the computation it starts or
+// joins, and views it until jb finishes; compute reports its virtual-time
+// progress to that computation. Errors are never cached: a failed or
+// cancelled job is forgotten so the next identical request retries.
+func (c *Cache) Do(ctx context.Context, key string, block bool, jb *Job, compute func(ctx context.Context, progress func(vt float64)) ([]byte, error)) ([]byte, CacheOutcome, error) {
 	probed := c.disk == nil
 	c.mu.Lock()
 	for {
@@ -144,6 +172,7 @@ func (c *Cache) Do(ctx context.Context, key string, block bool, compute func(con
 		}
 		if j, joined := c.live[key]; joined {
 			j.refs++
+			jb.attach(j)
 			c.mu.Unlock()
 			return c.wait(ctx, j, OutcomeJoin)
 		}
@@ -174,6 +203,7 @@ func (c *Cache) Do(ctx context.Context, key string, block bool, compute func(con
 			jobCtx, cancel := context.WithCancel(context.Background())
 			j := &job{key: key, compute: compute, ctx: jobCtx, cancel: cancel, done: make(chan struct{}), refs: 1}
 			c.live[key] = j
+			jb.attach(j)
 			c.admitted.Add(1)
 			if free {
 				c.running++
@@ -207,7 +237,10 @@ func (c *Cache) Do(ctx context.Context, key string, block bool, compute func(con
 // is one.
 func (c *Cache) run(j *job) {
 	for j != nil {
-		body, err := j.compute(j.ctx)
+		//lint:allow determinism queue-wait accounting measures host time by definition; nothing feeds the virtual clock
+		now := time.Now()
+		j.started.Store(&now)
+		body, err := j.compute(j.ctx, j.observe)
 		if err == nil && c.disk != nil {
 			// Write through before announcing completion so a restart
 			// immediately after a response finds the artifact on disk.

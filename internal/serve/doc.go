@@ -11,22 +11,27 @@
 // from memory, disk or the shard that owns the key. Cache.Do is the one
 // admission gate for local work — it joins an identical computation,
 // else starts, queues or refuses (429) a new one — and a queued job
-// whose last waiter leaves gives its slot back without running. Below
+// whose last waiter leaves gives its slot back without running. The
+// cache entry is the one record of a computation: a request's registry
+// job stores no progress of its own, but views the entry it started or
+// joined until the request finishes, so every waiter reads the same
+// state and virtual time. Below
 // the cache, a plan memo keeps one Algorithm 1 walk per component set,
 // so allocations that differ only in budget replay it (plans.go).
 //
 // One retention rule bounds what the service keeps: lru (lru.go), a
 // weighted least-recently-used map. The memory tier weighs artifacts in
 // bytes, the plan memo weighs plans in grants, and the registry keeps
-// its live and pinned jobs plus the maxRetainedJobs most recently
-// finished or looked up.
+// its live jobs plus the maxRetainedJobs most recently finished or
+// looked up.
 //
 // Invariant: a cache key's artifact is a pure function of its canonical
 // bytes, whatever the load, deadlines or cancellations around it.
 // Oracles: TestDemoCacheKeyPinned (the key derivation), the seeded
 // TestCancellationStorm (every 200 byte-identical to an undisturbed
 // server's, nothing leaked), FuzzSimulateSpec (decode and canonicalise
-// on arbitrary bytes) and, for the registry's retention,
-// TestRegistryKeepsLongJobAfterFinish and
-// TestRegistryPinPreventsEviction.
+// on arbitrary bytes), FuzzExpandSweep (sweep axes to points keyed as
+// /v1/simulate bodies) and, for the registry,
+// TestRegistryKeepsLongJobAfterFinish (retention) and
+// TestJoinerViewsItsComputation (a joiner's record is its computation's).
 package serve

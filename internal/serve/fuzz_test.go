@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -85,6 +87,67 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 		if !ok && bytes.Equal(mutated, framed) {
 			t.Fatal("an unchanged artifact was rejected")
+		}
+	})
+}
+
+// FuzzExpandSweep holds the sweep expansion to its contract on arbitrary
+// axes over a fixed valid template. Axes that decode either reject the
+// sweep with an error naming an axes field or the point bound (or, when
+// every axis is empty, saying so), or expand into one point per element
+// of the axes' cross product, at most maxSweepPoints. Each point's
+// canonical form decodes strictly and canonicalises to itself, so a
+// /v1/simulate post of it keys equal, and never builds above maxRanks.
+//
+//	go test -run '^$' -fuzz FuzzExpandSweep -fuzztime 60s ./internal/serve
+func FuzzExpandSweep(f *testing.F) {
+	for _, axes := range badSweepAxes {
+		f.Add([]byte(axes))
+	}
+	for _, tc := range overflowSweepAxes {
+		f.Add([]byte(tc.axes))
+	}
+	f.Add([]byte(`{"seedOffsets": [3], "meshScales": [2.5], "rankScales": [0.5, 1e4], "densitySteps": [1, 2]}`))
+	var template SimulateRequest
+	if err := DecodeStrict(strings.NewReader(sweepTemplate), &template); err != nil {
+		f.Fatal(err)
+	}
+	named := regexp.MustCompile(`^axes\.(seedOffsets|meshScales|rankScales|densitySteps|strategies) `)
+	bound := fmt.Sprintf("sweep grid exceeds %d points", maxSweepPoints)
+
+	f.Fuzz(func(t *testing.T, axes []byte) {
+		req := SweepRequest{Template: template}
+		if DecodeStrict(bytes.NewReader(axes), &req.Axes) != nil {
+			return
+		}
+		ax := &req.Axes
+		total, empty := 1, true
+		for _, n := range []int{len(ax.SeedOffsets), len(ax.MeshScales), len(ax.RankScales), len(ax.DensitySteps), len(ax.Strategies)} {
+			if n > 0 {
+				total, empty = min(total*n, maxSweepPoints+1), false
+			}
+		}
+		points, err := expandSweep(&req)
+		if err != nil {
+			if msg := err.Error(); !named.MatchString(msg) && msg != bound && !(empty && strings.HasPrefix(msg, "axes are empty")) {
+				t.Fatalf("axes %s: error %q names no axes field and not the point bound", axes, msg)
+			}
+			return
+		}
+		if empty || total > maxSweepPoints || len(points) != total {
+			t.Fatalf("axes %s expanded into %d points, want %d of at most %d", axes, len(points), total, maxSweepPoints)
+		}
+		for _, p := range points {
+			var again SimulateRequest
+			if err := DecodeStrict(bytes.NewReader(p.canonical), &again); err != nil {
+				t.Fatalf("point %d's canonical form %s does not decode: %v", p.index, p.canonical, err)
+			}
+			if recanonical, err := canonicalize(&again); err != nil || !bytes.Equal(recanonical, p.canonical) {
+				t.Fatalf("point %d's canonical form is not a fixed point (%v):\n%s\n%s", p.index, err, p.canonical, recanonical)
+			}
+			if sim, err := again.Build(); err == nil && sim.TotalRanks() > maxRanks {
+				t.Fatalf("point %d builds %d ranks, above %d: %s", p.index, sim.TotalRanks(), maxRanks, p.canonical)
+			}
 		}
 	})
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -203,6 +205,168 @@ func TestJobObservableEndToEnd(t *testing.T) {
 	}
 }
 
+// TestJoinerViewsItsComputation: a request that joins an identical
+// in-flight simulation reads that computation's state and virtual time,
+// in GET /v1/jobs/{id} and over SSE, and finishes with the virtual time
+// of the request that started it. A starter that abandons the
+// computation (?timeout=) while the joiner stays keeps, once finished,
+// the record it had when it left.
+func TestJoinerViewsItsComputation(t *testing.T) {
+	// About a second of host time: long enough to be watched computing.
+	body := strings.Replace(slowSimBody, `"densitySteps": 40`, `"densitySteps": 800`, 1)
+	var req SimulateRequest
+	if err := DecodeStrict(strings.NewReader(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := canonicalize(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey("/v1/simulate", canonical)
+
+	type reply struct {
+		code  int
+		cache string
+	}
+	post := func(url string) <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				ch <- reply{}
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			ch <- reply{resp.StatusCode, resp.Header.Get("X-Cache")}
+		}()
+		return ch
+	}
+	getJob := func(url string) JobView {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v JobView
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	for _, abandon := range []bool{false, true} {
+		t.Run(fmt.Sprintf("abandon=%v", abandon), func(t *testing.T) {
+			s, ts := testServer(t, Options{Workers: 1, ProgressInterval: 1e-4})
+			// Hold the one worker, so the computation stays queued until
+			// both requests wait on it.
+			release := occupy(t, s.cache, 1)
+			waitRefs := func(n int) {
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					s.cache.mu.Lock()
+					refs := 0
+					if j := s.cache.live[key]; j != nil {
+						refs = j.refs
+					}
+					s.cache.mu.Unlock()
+					if refs == n {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("%d requests wait on the computation, want %d", refs, n)
+					}
+				}
+			}
+			starterURL := ts.URL + "/v1/simulate"
+			if abandon {
+				starterURL += "?timeout=400ms"
+			}
+			starterReply := post(starterURL)
+			waitRefs(1)
+			joinerReply := post(ts.URL + "/v1/simulate")
+			waitRefs(2)
+			var ids []string
+			for _, v := range s.registry.List() {
+				if v.Endpoint == "/v1/simulate" {
+					ids = append(ids, v.ID)
+				}
+			}
+			if len(ids) != 2 {
+				t.Fatalf("%d /v1/simulate jobs listed, want 2", len(ids))
+			}
+			starter, joiner := s.registry.Get(ids[0]), s.registry.Get(ids[1])
+
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + joiner.ID() + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := make(chan []byte, 1)
+			go func() {
+				defer resp.Body.Close()
+				b, _ := io.ReadAll(resp.Body)
+				stream <- b
+			}()
+			release()
+
+			var frozen JobView
+			if abandon {
+				<-starter.Done()
+				frozen = starter.View()
+				if frozen.State != JobCanceled || frozen.Code != http.StatusGatewayTimeout {
+					t.Fatalf("abandoning starter's record %+v, want canceled with 504", frozen)
+				}
+			}
+			for {
+				v := getJob(ts.URL + "/v1/jobs/" + joiner.ID())
+				if v.State == JobRunning && v.VirtualTime > 0 {
+					break
+				}
+				select {
+				case <-joiner.Done():
+					t.Fatalf("the joiner finished without reading its computation running: %+v", v)
+				case <-time.After(time.Millisecond):
+				}
+			}
+
+			if r := <-joinerReply; r.code != http.StatusOK || r.cache != string(OutcomeJoin) {
+				t.Fatalf("joiner: %d, X-Cache %q; want 200, join", r.code, r.cache)
+			}
+			r := <-starterReply
+			<-starter.Done()
+			<-joiner.Done()
+			final := joiner.View()
+			if final.VirtualTime <= 0 {
+				t.Fatalf("joiner's finished record %+v has no virtual time", final)
+			}
+			if abandon {
+				if got := starter.View(); got != frozen {
+					t.Errorf("the abandoning starter's finished record changed:\n%+v\nthen\n%+v", frozen, got)
+				}
+				if frozen.VirtualTime >= final.VirtualTime {
+					t.Errorf("the starter left at virtual time %v, not before the end %v", frozen.VirtualTime, final.VirtualTime)
+				}
+			} else {
+				if r.code != http.StatusOK || r.cache != string(OutcomeMiss) {
+					t.Fatalf("starter: %d, X-Cache %q; want 200, miss", r.code, r.cache)
+				}
+				if got := starter.View().VirtualTime; got != final.VirtualTime {
+					t.Errorf("starter finished at virtual time %v, joiner at %v", got, final.VirtualTime)
+				}
+			}
+
+			events := readSSE(t, bytes.NewReader(<-stream))
+			watched := false
+			for _, ev := range events {
+				watched = watched || (ev.name == "progress" && ev.view.State == JobRunning && ev.view.VirtualTime > 0)
+			}
+			if !watched || events[len(events)-1].name != "done" {
+				t.Errorf("joiner's event stream sent no running progress with virtual time, or did not end done: %+v", events)
+			}
+		})
+	}
+}
+
 // TestErrorBodiesCarryJobID: every JSON error body — including the
 // backpressure 429 — names the job ID so the failure correlates with
 // the registry, logs and metrics.
@@ -385,5 +549,16 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 		if typed[fam] == "" {
 			t.Errorf("missing family %s", fam)
 		}
+	}
+}
+
+// TestProgressObserveAllocatesNothing: a computation's virtual-time mark
+// advances on every telemetry sample of every rank, so it must not
+// allocate.
+func TestProgressObserveAllocatesNothing(t *testing.T) {
+	var j job
+	vt := 0.0
+	if n := testing.AllocsPerRun(1000, func() { vt++; j.observe(vt); j.observe(vt - 0.5) }); n != 0 {
+		t.Errorf("observe allocates %v times a sample", n)
 	}
 }

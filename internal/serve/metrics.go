@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"sync"
 
@@ -51,8 +52,6 @@ type Metrics struct {
 	misses      uint64
 	joins       uint64
 	diskHits    uint64
-	canceled    uint64
-	rejected    uint64
 	sweepPoints uint64
 
 	// jobEWMA is the exponentially-weighted moving average of computed
@@ -97,12 +96,6 @@ func (m *Metrics) Observe(endpoint string, code int, seconds float64, outcome Ca
 	m.countOutcomeLocked(outcome)
 	if outcome == OutcomeMiss && code == 200 {
 		m.observeJobTimeLocked(seconds)
-	}
-	switch code {
-	case 429:
-		m.rejected++
-	case 499, 504:
-		m.canceled++
 	}
 }
 
@@ -182,8 +175,16 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		}
 		return keys[i].code < keys[j].code
 	})
+	var rejected, canceled uint64 // the requests that ended in 429, and in 499 or 504
 	for _, k := range keys {
-		fmt.Fprintf(w, "cpxserve_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.requests[k])
+		n := m.requests[k]
+		fmt.Fprintf(w, "cpxserve_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, n)
+		switch k.code {
+		case http.StatusTooManyRequests:
+			rejected += n
+		case statusClientClosed, http.StatusGatewayTimeout:
+			canceled += n
+		}
 	}
 	fmt.Fprintln(w, "# HELP cpxserve_request_duration_seconds Request latency by endpoint.")
 	fmt.Fprintln(w, "# TYPE cpxserve_request_duration_seconds histogram")
@@ -215,10 +216,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "cpxserve_sweep_points_total %d\n", m.sweepPoints)
 	fmt.Fprintln(w, "# HELP cpxserve_rejected_total Requests rejected with 429 (queue full).")
 	fmt.Fprintln(w, "# TYPE cpxserve_rejected_total counter")
-	fmt.Fprintf(w, "cpxserve_rejected_total %d\n", m.rejected)
+	fmt.Fprintf(w, "cpxserve_rejected_total %d\n", rejected)
 	fmt.Fprintln(w, "# HELP cpxserve_canceled_total Requests that timed out or were abandoned by the client.")
 	fmt.Fprintln(w, "# TYPE cpxserve_canceled_total counter")
-	fmt.Fprintf(w, "cpxserve_canceled_total %d\n", m.canceled)
+	fmt.Fprintf(w, "cpxserve_canceled_total %d\n", canceled)
 	fmt.Fprintln(w, "# HELP cpxserve_queue_depth Jobs admitted but not yet running.")
 	fmt.Fprintln(w, "# TYPE cpxserve_queue_depth gauge")
 	fmt.Fprintf(w, "cpxserve_queue_depth %d\n", m.cache.Depth())

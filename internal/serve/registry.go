@@ -24,47 +24,42 @@ const (
 	JobRejected = "rejected"
 )
 
-// maxRetainedJobs bounds the retired (finished and unpinned) jobs the
-// registry keeps; the least recently finished or looked up goes first.
-// Live and pinned jobs are never evicted.
+// maxRetainedJobs bounds the finished jobs the registry keeps; the
+// least recently finished or looked up goes first. Live jobs are never
+// evicted.
 const maxRetainedJobs = 1024
 
 // Job is one request's registry entry: identity, lifecycle state, queue
 // wait, cache disposition and live virtual-time progress. IDs are
 // sequential per process — no clocks or randomness involved — so logs,
-// traces and registry listings line up trivially.
+// traces and registry listings line up trivially. A request that
+// computes locally records no progress of its own: until it finishes,
+// its state and virtual time are those of the cache entry it started or
+// joined, so every request waiting on one computation reads the same.
 type Job struct {
 	id       string
 	endpoint string
 	seq      uint64
 	reg      *Registry
-
-	// vtBits is the max virtual time any rank of the job's simulation
-	// has reached, as math.Float64bits, advanced by CAS from the
-	// telemetry observer (many rank goroutines, no lock).
-	vtBits atomic.Uint64
-	// rev bumps on every observable change; the SSE poller uses it to
-	// skip idle wakeups.
-	rev atomic.Uint64
+	created  time.Time // admission
 
 	// pointsTotal/pointsDone track batch progress for /v1/sweep jobs:
 	// grid size and completed points. Zero for everything else.
 	pointsTotal atomic.Int64
 	pointsDone  atomic.Int64
 
-	// pins counts holders protecting this entry from registry eviction,
-	// and ended says Finish has run; both are guarded by reg.mu, as they
-	// decide when the job retires.
-	pins  int
-	ended bool
-
-	mu       sync.Mutex
+	mu sync.Mutex
+	// comp is the computation the job waits on, attached by Cache.Do;
+	// nil for a cache hit, a shard forward and a sweep. Finish freezes
+	// what the job read from it into started and vt, and lets it go: a
+	// retired job must not keep an evicted artifact reachable.
+	comp     *job
 	state    string
+	started  time.Time
+	vt       float64
 	outcome  CacheOutcome
 	code     int
 	errMsg   string
-	created  time.Time
-	started  time.Time
 	finished time.Time
 
 	done chan struct{}
@@ -99,10 +94,8 @@ func (j *Job) ID() string { return j.id }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Rev returns the current change revision.
-func (j *Job) Rev() uint64 { return j.rev.Load() }
-
-// Start marks the job running (compute has left the queue).
+// Start marks running a job that has no local computation to view: a
+// shard forward, or a sweep streaming its points.
 func (j *Job) Start() {
 	j.mu.Lock()
 	if j.state == JobQueued {
@@ -111,74 +104,56 @@ func (j *Job) Start() {
 		j.started = time.Now()
 	}
 	j.mu.Unlock()
-	j.rev.Add(1)
 }
 
-// ObserveProgress advances the job's virtual-time high-water mark. Safe
-// for concurrent use from every rank goroutine of a simulation.
-func (j *Job) ObserveProgress(t float64) {
-	bits := math.Float64bits(t)
-	for {
-		old := j.vtBits.Load()
-		if t <= math.Float64frombits(old) {
-			return
-		}
-		if j.vtBits.CompareAndSwap(old, bits) {
-			j.rev.Add(1)
-			return
-		}
+// attach makes the job view the computation c until it finishes. Cache.Do
+// calls it under the cache's mutex; a nil job (a cache used outside the
+// server) views nothing.
+func (j *Job) attach(c *job) {
+	if j == nil {
+		return
 	}
+	j.mu.Lock()
+	j.comp = c
+	j.mu.Unlock()
 }
 
 // SetPoints records a sweep job's grid size.
-func (j *Job) SetPoints(total int) {
-	j.pointsTotal.Store(int64(total))
-	j.rev.Add(1)
-}
+func (j *Job) SetPoints(total int) { j.pointsTotal.Store(int64(total)) }
 
 // PointDone marks one sweep point complete.
-func (j *Job) PointDone() {
-	j.pointsDone.Add(1)
-	j.rev.Add(1)
-}
+func (j *Job) PointDone() { j.pointsDone.Add(1) }
 
-// Pin protects the job's registry entry from eviction (even once
-// terminal) until a matching Unpin. A live sweep pins its child jobs so
-// SSE watchers of a finished point never see the entry vanish while the
-// sweep that spawned it is still streaming. Pinning a retired job takes
-// it back out of the retired lru.
-func (j *Job) Pin() {
-	r := j.reg
-	r.mu.Lock()
-	j.pins++
-	if j.pins == 1 && j.ended {
-		r.retired.remove(j.id)
-		r.jobs[j.id] = j
+// liveLocked reads the job's state, compute start and virtual time: its
+// computation's while it has one. The caller holds j.mu.
+func (j *Job) liveLocked() (state string, started time.Time, vt float64) {
+	c := j.comp
+	if c == nil {
+		return j.state, j.started, j.vt
 	}
-	r.mu.Unlock()
-}
-
-// Unpin releases one Pin; the last retires a finished job.
-func (j *Job) Unpin() {
-	r := j.reg
-	r.mu.Lock()
-	if j.pins > 0 {
-		j.pins--
-		if j.pins == 0 && j.ended {
-			r.retireLocked(j)
-		}
+	vt = math.Float64frombits(c.vtBits.Load())
+	switch t := c.started.Load(); {
+	case t == nil:
+		return JobQueued, time.Time{}, vt
+	case t.Before(j.created): // joined a running computation: no queue wait
+		return JobRunning, j.created, vt
+	default:
+		return JobRunning, *t, vt
 	}
-	r.mu.Unlock()
 }
 
 // Finish records the job's terminal state, HTTP code, cache disposition
-// and error (if any), and closes Done.
+// and error (if any), freezes what it read from its computation, and
+// closes Done. A finished job's record never changes again, even while
+// the computation it joined runs on for other requests.
 func (j *Job) Finish(state string, code int, outcome CacheOutcome, err error) {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled || j.state == JobRejected {
+	if !j.finished.IsZero() {
 		j.mu.Unlock()
 		return
 	}
+	_, j.started, j.vt = j.liveLocked()
+	j.comp = nil
 	if j.started.IsZero() {
 		j.started = j.created
 	}
@@ -191,7 +166,6 @@ func (j *Job) Finish(state string, code int, outcome CacheOutcome, err error) {
 	//lint:allow determinism job runtime accounting measures host time by definition; nothing feeds the virtual clock
 	j.finished = time.Now()
 	j.mu.Unlock()
-	j.rev.Add(1)
 	j.reg.finished(j, state)
 	close(j.done)
 }
@@ -200,11 +174,12 @@ func (j *Job) Finish(state string, code int, outcome CacheOutcome, err error) {
 func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	state, started, vt := j.liveLocked()
 	v := JobView{
 		ID:          j.id,
 		Endpoint:    j.endpoint,
-		State:       j.state,
-		VirtualTime: math.Float64frombits(j.vtBits.Load()),
+		State:       state,
+		VirtualTime: vt,
 		PointsTotal: j.pointsTotal.Load(),
 		PointsDone:  j.pointsDone.Load(),
 		Cache:       j.outcome,
@@ -213,28 +188,27 @@ func (j *Job) View() JobView {
 	}
 	//lint:allow determinism live queue-wait/runtime readings measure host time by definition; nothing feeds the virtual clock
 	now := time.Now()
-	switch j.state {
+	switch state {
 	case JobQueued:
 		v.QueueWait = now.Sub(j.created).Seconds()
 	case JobRunning:
-		v.QueueWait = j.started.Sub(j.created).Seconds()
-		v.Runtime = now.Sub(j.started).Seconds()
+		v.QueueWait = started.Sub(j.created).Seconds()
+		v.Runtime = now.Sub(started).Seconds()
 	default:
-		v.QueueWait = j.started.Sub(j.created).Seconds()
-		v.Runtime = j.finished.Sub(j.started).Seconds()
+		v.QueueWait = started.Sub(j.created).Seconds()
+		v.Runtime = j.finished.Sub(started).Seconds()
 	}
 	return v
 }
 
-// Registry tracks every request's job for the /v1/jobs API. Live and
-// pinned jobs are kept in one map; a job retires into an lru of
-// maxRetainedJobs, each weighing 1, once it is finished and unpinned.
+// Registry tracks every request's job for the /v1/jobs API. Live jobs
+// are kept in one map; a job retires into an lru of maxRetainedJobs,
+// each weighing 1, when it finishes.
 type Registry struct {
-	seq    atomic.Uint64
-	active atomic.Int64
+	seq atomic.Uint64
 
 	mu      sync.Mutex
-	jobs    map[string]*Job // live or pinned
+	jobs    map[string]*Job // live
 	retired *lru[*Job]
 
 	byState map[string]uint64 // finished jobs by terminal state
@@ -258,29 +232,19 @@ func (r *Registry) Create(endpoint string) *Job {
 	}
 	//lint:allow determinism job admission timestamps measure host time by definition; nothing feeds the virtual clock
 	j.created = time.Now()
-	r.active.Add(1)
 	r.mu.Lock()
 	r.jobs[j.id] = j
 	r.mu.Unlock()
 	return j
 }
 
-// finished tallies a terminal state and retires j unless it is pinned.
+// finished tallies a terminal state and retires j.
 func (r *Registry) finished(j *Job, state string) {
-	r.active.Add(-1)
 	r.mu.Lock()
 	r.byState[state]++
-	j.ended = true
-	if j.pins == 0 {
-		r.retireLocked(j)
-	}
-	r.mu.Unlock()
-}
-
-// retireLocked moves a finished, unpinned job into the retired lru.
-func (r *Registry) retireLocked(j *Job) {
 	delete(r.jobs, j.id)
 	r.retired.put(j.id, j, 1)
+	r.mu.Unlock()
 }
 
 // Get returns a job by ID (nil when unknown or evicted). Looking up a
@@ -312,7 +276,11 @@ func (r *Registry) List() []JobView {
 }
 
 // Active counts live (queued or running) jobs.
-func (r *Registry) Active() int { return int(r.active.Load()) }
+func (r *Registry) Active() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.jobs)
+}
 
 // Retained counts registry entries.
 func (r *Registry) Retained() int {
@@ -372,21 +340,16 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, jb.ID(), fmt.Errorf("streaming unsupported"))
 		return
 	}
-	// Pin the entry for the watch duration: a terminal job being
-	// streamed must stay resolvable (Registry.Get) even if a flood of
-	// newer jobs would otherwise evict it mid-watch.
-	jb.Pin()
-	defer jb.Unpin()
 	setHeaders(w, "text/event-stream", jb.ID(), "", "")
 	w.Header().Set("Cache-Control", "no-store")
 
-	send := func(event string) {
-		data, _ := json.Marshal(jb.View())
+	send := func(event string, v JobView) {
+		data, _ := json.Marshal(v)
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 		fl.Flush()
 	}
-	send("progress")
-	lastRev := jb.Rev()
+	last := jb.View()
+	send("progress", last)
 	//lint:allow determinism the SSE poll cadence paces a host-facing event stream; nothing feeds the virtual clock
 	ticker := time.NewTicker(ssePollInterval)
 	defer ticker.Stop()
@@ -395,13 +358,20 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-jb.Done():
-			send("done")
+			send("done", jb.View())
 			return
 		case <-ticker.C:
-			if rev := jb.Rev(); rev != lastRev {
-				lastRev = rev
-				send("progress")
+			if v := jb.View(); v.progress() != last.progress() {
+				last = v
+				send("progress", v)
 			}
 		}
 	}
+}
+
+// progress is what a progress event reports a change in: the view
+// without the clocks that advance on every poll.
+func (v JobView) progress() JobView {
+	v.QueueWait, v.Runtime = 0, 0
+	return v
 }

@@ -397,7 +397,7 @@ func occupy(t *testing.T, c *Cache, n int) (release func()) {
 		returned.Add(1)
 		go func() {
 			defer returned.Done()
-			c.Do(context.Background(), fmt.Sprintf("occupy-%d", i), false, func(context.Context) ([]byte, error) {
+			c.Do(context.Background(), fmt.Sprintf("occupy-%d", i), false, nil, func(context.Context, func(float64)) ([]byte, error) {
 				<-gate
 				return []byte("occupied"), nil
 			})
@@ -579,7 +579,7 @@ func TestGracefulClose(t *testing.T) {
 	if n := c.Len(); n != 8 {
 		t.Fatalf("Close returned with %d/8 jobs done", n)
 	}
-	if _, _, err := c.Do(context.Background(), "late", false, nil); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := c.Do(context.Background(), "late", false, nil, nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Do after Close: %v, want ErrQueueFull", err)
 	}
 }
@@ -637,7 +637,7 @@ func TestCacheAbandonedQueuedJobNeverRuns(t *testing.T) {
 	var ran atomic.Bool
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := c.Do(ctx, "abandoned", false, func(context.Context) ([]byte, error) {
+	_, _, err := c.Do(ctx, "abandoned", false, nil, func(context.Context, func(float64)) ([]byte, error) {
 		ran.Store(true)
 		return []byte("nobody"), nil
 	})
@@ -649,7 +649,7 @@ func TestCacheAbandonedQueuedJobNeverRuns(t *testing.T) {
 	}
 	next := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "next", false, func(context.Context) ([]byte, error) {
+		_, _, err := c.Do(context.Background(), "next", false, nil, func(context.Context, func(float64)) ([]byte, error) {
 			return []byte("next"), nil
 		})
 		next <- err
@@ -679,17 +679,17 @@ func TestCacheAbandonedQueuedJobNeverRuns(t *testing.T) {
 func TestCacheDoErrorNotCached(t *testing.T) {
 	c := NewCache(CacheConfig{})
 	calls := 0
-	compute := func(context.Context) ([]byte, error) {
+	compute := func(context.Context, func(float64)) ([]byte, error) {
 		calls++
 		if calls == 1 {
 			return nil, fmt.Errorf("transient")
 		}
 		return []byte("ok"), nil
 	}
-	if _, _, err := c.Do(context.Background(), "k", false, compute); err == nil {
+	if _, _, err := c.Do(context.Background(), "k", false, nil, compute); err == nil {
 		t.Fatal("first Do did not fail")
 	}
-	body, outcome, err := c.Do(context.Background(), "k", false, compute)
+	body, outcome, err := c.Do(context.Background(), "k", false, nil, compute)
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("retry: %q %v", body, err)
 	}
@@ -710,7 +710,7 @@ func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
 	c := NewCache(CacheConfig{Workers: 2})
 	unwind := make(chan struct{}) // holds the abandoned computation in flight
 	unwound := make(chan struct{})
-	doomed := func(ctx context.Context) ([]byte, error) {
+	doomed := func(ctx context.Context, _ func(float64)) ([]byte, error) {
 		defer close(unwound)
 		<-ctx.Done()
 		<-unwind
@@ -718,14 +718,14 @@ func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Do(ctx, "k", false, doomed); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Do(ctx, "k", false, nil, doomed); !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoning caller: %v, want its own context.Canceled", err)
 	}
 	// The deadline only bounds the failure: joined to the abandoned job,
 	// the retry would wait on it for ever.
 	retry, stop := context.WithTimeout(context.Background(), 2*time.Second)
 	defer stop()
-	body, outcome, err := c.Do(retry, "k", false, func(context.Context) ([]byte, error) {
+	body, outcome, err := c.Do(retry, "k", false, nil, func(context.Context, func(float64)) ([]byte, error) {
 		return []byte("mine"), nil
 	})
 	if err != nil || string(body) != "mine" || outcome != OutcomeMiss {
@@ -734,7 +734,7 @@ func TestCacheRetryDoesNotJoinAbandonedJob(t *testing.T) {
 	// The abandoned job's late return must not disturb what replaced it.
 	close(unwind)
 	<-unwound
-	if body, outcome, err = c.Do(context.Background(), "k", false, nil); err != nil || string(body) != "mine" || outcome != OutcomeHit {
+	if body, outcome, err = c.Do(context.Background(), "k", false, nil, nil); err != nil || string(body) != "mine" || outcome != OutcomeHit {
 		t.Fatalf("after the abandoned job returned: %q %v %v, want the retry's artifact as a hit", body, outcome, err)
 	}
 }

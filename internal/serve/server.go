@@ -60,11 +60,6 @@ type Options struct {
 	// content-addressed artifact files that survive restarts. Empty
 	// disables the tier.
 	CacheDir string
-	// SweepWorkers bounds concurrently outstanding sweep points per
-	// /v1/sweep request (default 2×Workers: local points are still
-	// throttled by the cache's workers, and forwarded points only wait on
-	// the network).
-	SweepWorkers int
 	// Shards lists worker-process base URLs. When non-empty this server
 	// runs as a front-end: /v1/simulate jobs (and sweep points) are
 	// routed to shards by consistent hashing of the canonical cache key,
@@ -89,9 +84,6 @@ func (o *Options) fill() {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if o.SweepWorkers <= 0 {
-		o.SweepWorkers = 2 * o.Workers
 	}
 }
 
@@ -257,7 +249,6 @@ type request struct {
 	w       http.ResponseWriter
 	job     *Job
 	log     *slog.Logger
-	start   time.Time
 	code    int
 	state   string
 	outcome CacheOutcome
@@ -272,9 +263,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 	jb := s.registry.Create(endpoint)
 	rq := request{
 		s: s, w: w, job: jb,
-		log: s.log.With("job", jb.ID(), "endpoint", endpoint),
-		//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
-		start: time.Now(),
+		log:   s.log.With("job", jb.ID(), "endpoint", endpoint),
 		code:  http.StatusOK,
 		state: JobDone,
 	}
@@ -287,7 +276,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 func (rq *request) finish() {
 	rq.job.Finish(rq.state, rq.code, rq.outcome, rq.err)
 	//lint:allow determinism request latency metrics measure host time by definition; nothing feeds the virtual clock
-	elapsed := time.Since(rq.start).Seconds()
+	elapsed := time.Since(rq.job.created).Seconds()
 	rq.s.metrics.Observe(rq.job.endpoint, rq.code, elapsed, rq.outcome)
 	rq.log.Info("job finished", "state", rq.state, "code", rq.code, "cache", string(rq.outcome),
 		"points", rq.job.pointsDone.Load(), "seconds", elapsed)
@@ -360,8 +349,9 @@ func (res result) shardError() error {
 // failure degrades to the local path), else a local run through the
 // content-addressed cache, which admits it. With block unset a full
 // queue is ErrQueueFull, the caller's to answer; with it set the caller
-// waits for room under ctx.
-func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonical []byte, block bool, run func(context.Context) (any, error)) (result, error) {
+// waits for room under ctx. jb, the request's registry job, views the
+// local computation it starts or joins.
+func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonical []byte, block bool, run func(context.Context, func(float64)) (any, error)) (result, error) {
 	key := cacheKey(endpoint, canonical)
 	if s.shards != nil && endpoint == "/v1/simulate" {
 		if body, ok := s.cache.Peek(key); ok {
@@ -380,10 +370,9 @@ func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonica
 				"job", jb.ID(), "endpoint", jb.endpoint, "shard", sh.URL, "error", err)
 		}
 	}
-	body, oc, err := s.cache.Do(ctx, key, block, func(jobCtx context.Context) ([]byte, error) {
-		jb.Start()
+	body, oc, err := s.cache.Do(ctx, key, block, jb, func(jobCtx context.Context, progress func(float64)) ([]byte, error) {
 		s.log.Debug("job running", "job", jb.ID(), "endpoint", jb.endpoint)
-		out, err := run(jobCtx)
+		out, err := run(jobCtx, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -394,9 +383,9 @@ func (s *Server) resolve(ctx context.Context, jb *Job, endpoint string, canonica
 
 // endpointFunc decodes one endpoint's spec from the body and returns
 // the computation to run for it. Decode errors surface before any cache
-// interaction. The job is the request's registry entry, for
-// endpoints that report live progress.
-type endpointFunc func(r *http.Request, jb *Job) (spec any, run func(ctx context.Context) (any, error), err error)
+// interaction. The computation reports virtual-time progress, if it has
+// any, to progress.
+type endpointFunc func(r *http.Request) (spec any, run func(ctx context.Context, progress func(vt float64)) (any, error), err error)
 
 // post serves an endpoint through the shared path: admit, strict
 // decode, canonicalise, deadline, resolve. Its policy on the two
@@ -406,7 +395,7 @@ func (s *Server) post(endpoint string, ep endpointFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rq := s.admit(w, r, endpoint)
 		defer rq.finish()
-		spec, run, err := ep(r, rq.job)
+		spec, run, err := ep(r)
 		if err != nil {
 			rq.fail(badRequest(err))
 			return
@@ -432,12 +421,12 @@ func (s *Server) post(endpoint string, ep endpointFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) runFit(r *http.Request, _ *Job) (any, func(context.Context) (any, error), error) {
+func (s *Server) runFit(r *http.Request) (any, func(context.Context, func(float64)) (any, error), error) {
 	var req FitRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
-	return &req, func(context.Context) (any, error) {
+	return &req, func(context.Context, func(float64)) (any, error) {
 		samples := make([]perfmodel.Sample, len(req.Samples))
 		for i, sp := range req.Samples {
 			samples[i] = perfmodel.Sample{Cores: sp.Cores, Runtime: sp.Runtime}
@@ -514,12 +503,12 @@ func allocationResponse(budget int, alloc *perfmodel.Allocation) *AllocateRespon
 	return resp
 }
 
-func (s *Server) runAllocate(r *http.Request, _ *Job) (any, func(context.Context) (any, error), error) {
+func (s *Server) runAllocate(r *http.Request) (any, func(context.Context, func(float64)) (any, error), error) {
 	var req AllocateRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
-	return &req, func(context.Context) (any, error) {
+	return &req, func(context.Context, func(float64)) (any, error) {
 		alloc, err := s.allocateSpecs(req.Components, req.Budget)
 		if err != nil {
 			return nil, err
@@ -528,12 +517,12 @@ func (s *Server) runAllocate(r *http.Request, _ *Job) (any, func(context.Context
 	}, nil
 }
 
-func (s *Server) runSpeedup(r *http.Request, _ *Job) (any, func(context.Context) (any, error), error) {
+func (s *Server) runSpeedup(r *http.Request) (any, func(context.Context, func(float64)) (any, error), error) {
 	var req SpeedupRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
-	return &req, func(context.Context) (any, error) {
+	return &req, func(context.Context, func(float64)) (any, error) {
 		base, err := s.allocateSpecs(req.Base, req.Budget)
 		if err != nil {
 			return nil, err
@@ -555,21 +544,21 @@ func (s *Server) runSpeedup(r *http.Request, _ *Job) (any, func(context.Context)
 	}, nil
 }
 
-func (s *Server) runSimulate(r *http.Request, jb *Job) (any, func(context.Context) (any, error), error) {
+func (s *Server) runSimulate(r *http.Request) (any, func(context.Context, func(float64)) (any, error), error) {
 	var req SimulateRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
 		return nil, nil, err
 	}
-	return &req, s.simulateRunner(&req, jb), nil
+	return &req, s.simulateRunner(&req), nil
 }
 
 // simulateRunner returns the computation for one simulation request,
 // shared by POST /v1/simulate and every sweep point: build, validate,
-// run under the job context, and feed live virtual-time progress into
-// the registry entry.
-func (s *Server) simulateRunner(reqp *SimulateRequest, jb *Job) func(context.Context) (any, error) {
+// run under the job context, and feed live virtual-time progress to
+// progress.
+func (s *Server) simulateRunner(reqp *SimulateRequest) func(context.Context, func(float64)) (any, error) {
 	req := *reqp
-	return func(jobCtx context.Context) (any, error) {
+	return func(jobCtx context.Context, progress func(float64)) (any, error) {
 		spec := req.SimSpec // copy: ApplySeed must not mutate the cached spec
 		spec.Instances = append([]InstanceSpec(nil), spec.Instances...)
 		spec.ApplySeed(req.SeedOffset)
@@ -581,15 +570,15 @@ func (s *Server) simulateRunner(reqp *SimulateRequest, jb *Job) func(context.Con
 			return nil, badRequest(err)
 		}
 		cfg := mpi.Config{Machine: s.opts.Machine}
-		// Feed the job's live virtual-time progress from the metrics
-		// sampler. Sampling never perturbs the simulation (clocks and
+		// Feed the computation's live virtual-time progress from the
+		// metrics sampler. Sampling never perturbs the simulation (clocks and
 		// results stay bitwise identical), so cached artifacts are the
 		// same with or without a watcher. Storage is kept minimal: the
 		// progress feed needs the observer, not the series.
 		cfg.Metrics = &telemetry.Config{
 			Interval:   s.opts.ProgressInterval,
 			MaxSamples: 1,
-			Observer:   func(rank int, sm telemetry.Sample) { jb.ObserveProgress(sm.T) },
+			Observer:   func(rank int, sm telemetry.Sample) { progress(sm.T) },
 		}
 		rep, err := sim.RunContext(jobCtx, cfg)
 		if err != nil {

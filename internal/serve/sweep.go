@@ -240,8 +240,7 @@ func orNil[T any](vals []T) []*T {
 //
 // The sweep itself is a registry job whose points_total/points_done
 // advance as points land (watchable over SSE at /v1/jobs/{id}/events);
-// every point is a pinned child job, so watchers of a finished point
-// never see its entry evicted while the sweep is live.
+// every point is a child job, listed and retired like any other.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	rq := s.admit(w, r, "/v1/sweep")
 	defer rq.finish()
@@ -285,21 +284,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"sweep\":{\"jobId\":%q,\"points\":%d}}\n", jb.ID(), len(jobs))
 	fl.Flush()
 
-	// Fan out, bounded by SweepWorkers. Every point gets a child
-	// registry job, pinned for the sweep's lifetime so its entry stays
-	// resolvable for watchers even once terminal.
+	// Fan out, every point a child registry job, at most two points per
+	// worker outstanding: local points are still throttled by the cache's
+	// workers, and forwarded points only wait on the network.
 	children := make([]*Job, len(jobs))
 	for i := range jobs {
 		children[i] = s.registry.Create(jb.endpoint + "/point")
-		children[i].Pin()
 	}
-	defer func() {
-		for _, c := range children {
-			c.Unpin()
-		}
-	}()
-
-	sem := make(chan struct{}, s.opts.SweepWorkers)
+	sem := make(chan struct{}, 2*s.opts.Workers)
 	results := make(chan pointResult)
 	for i := range jobs {
 		go func(pj *sweepJob, child *Job) {
@@ -308,7 +300,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// A point resolves like a /v1/simulate request, but waits for
 			// room (bounded by the request deadline) instead of failing on
 			// a full queue, and a shard's non-200 answer is its error.
-			res, err := s.resolve(ctx, child, "/v1/simulate", pj.canonical, true, s.simulateRunner(&pj.simReq, child))
+			res, err := s.resolve(ctx, child, "/v1/simulate", pj.canonical, true, s.simulateRunner(&pj.simReq))
 			if err == nil {
 				err = res.shardError()
 			}

@@ -173,7 +173,7 @@ func TestSweepWarmGrid256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-point grid in -short mode")
 	}
-	_, ts := testServer(t, Options{Workers: 8, SweepWorkers: 16})
+	_, ts := testServer(t, Options{Workers: 8})
 	seeds := make([]string, 64)
 	for i := range seeds {
 		seeds[i] = fmt.Sprint(i + 1)
@@ -201,22 +201,27 @@ func TestSweepWarmGrid256(t *testing.T) {
 	}
 }
 
+// badSweepAxes are axes that reject a sweep over sweepTemplate; they
+// also seed FuzzExpandSweep.
+var badSweepAxes = map[string]string{
+	"empty axes":             `{}`,
+	"zero mesh scale":        `{"meshScales": [0]}`,
+	"negative ranks":         `{"rankScales": [-1]}`,
+	"zero density steps":     `{"densitySteps": [0]}`,
+	"strategy, no particles": `{"strategies": ["steal"]}`,
+	"oversized grid":         `{"seedOffsets": [` + strings.Trim(strings.Repeat("1,", 1000), ",") + `], "meshScales": [1,2,3,4,5]}`,
+	"unknown field":          `{"bogus": [1]}`,
+}
+
 // TestSweepBadRequests: invalid sweeps must be rejected up front with a
 // 400, not point-by-point errors.
 func TestSweepBadRequests(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	cases := map[string]string{
-		"empty axes":         fmt.Sprintf(`{"template": %s, "axes": {}}`, sweepTemplate),
-		"zero mesh scale":    fmt.Sprintf(`{"template": %s, "axes": {"meshScales": [0]}}`, sweepTemplate),
-		"negative ranks":     fmt.Sprintf(`{"template": %s, "axes": {"rankScales": [-1]}}`, sweepTemplate),
-		"zero density steps": fmt.Sprintf(`{"template": %s, "axes": {"densitySteps": [0]}}`, sweepTemplate),
-		"strategy, no particles": fmt.Sprintf(
-			`{"template": %s, "axes": {"strategies": ["steal"]}}`, sweepTemplate),
-		"oversized grid": fmt.Sprintf(
-			`{"template": %s, "axes": {"seedOffsets": [%s], "meshScales": [1,2,3,4,5]}}`,
-			sweepTemplate, strings.Trim(strings.Repeat("1,", 1000), ",")),
-		"unknown field":   fmt.Sprintf(`{"template": %s, "axes": {"bogus": [1]}}`, sweepTemplate),
 		"broken template": `{"template": {"densitySteps": 3}, "axes": {"seedOffsets": [1]}}`,
+	}
+	for name, axes := range badSweepAxes {
+		cases[name] = fmt.Sprintf(`{"template": %s, "axes": %s}`, sweepTemplate, axes)
 	}
 	for name, body := range cases {
 		resp, b := postJSON(t, ts.URL+"/v1/sweep", body)
@@ -295,6 +300,15 @@ func TestSweepPointsWaitForRoom(t *testing.T) {
 	}
 }
 
+// overflowSweepAxes are scales that overflow a field of
+// TestSweepScaleOverflowRejected's template, with the error each must
+// give; they also seed FuzzExpandSweep.
+var overflowSweepAxes = []struct{ axes, want string }{
+	{`{"meshScales": [1e10]}`, `axes.meshScales value 1e+10 takes instance "row" field "meshCells"`},
+	{`{"rankScales": [1e300]}`, `axes.rankScales value 1e+300 takes instance "row" field "ranks"`},
+	{`{"rankScales": [1e9]}`, `axes.rankScales value 1e+09 takes instance "row" field "ranks"`},
+}
+
 // TestSweepScaleOverflowRejected: a scale whose product overflows its
 // field, or takes a rank count above maxRanks, rejects the sweep with a
 // 400 naming the axis and value. Unchecked, each ran as a 1-cell or
@@ -308,11 +322,7 @@ func TestSweepScaleOverflowRejected(t *testing.T) {
 		}
 		return expandSweep(&req)
 	}
-	for _, tc := range []struct{ axes, want string }{
-		{`{"meshScales": [1e10]}`, `axes.meshScales value 1e+10 takes instance "row" field "meshCells"`},
-		{`{"rankScales": [1e300]}`, `axes.rankScales value 1e+300 takes instance "row" field "ranks"`},
-		{`{"rankScales": [1e9]}`, `axes.rankScales value 1e+09 takes instance "row" field "ranks"`},
-	} {
+	for _, tc := range overflowSweepAxes {
 		if _, err := expand(tc.axes); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: expandSweep error %v, want one naming %s", tc.axes, err, tc.want)
 		}
@@ -333,7 +343,7 @@ func TestSweepScaleOverflowRejected(t *testing.T) {
 // everything for no reuse benefit).
 func TestCacheOversizedEntryNotAdmitted(t *testing.T) {
 	c := NewCache(CacheConfig{MaxBytes: 8})
-	body, oc, err := c.Do(t.Context(), "k1", false, func(ctx context.Context) ([]byte, error) {
+	body, oc, err := c.Do(t.Context(), "k1", false, nil, func(context.Context, func(float64)) ([]byte, error) {
 		return []byte("way more than eight bytes"), nil
 	})
 	if err != nil || oc != OutcomeMiss {
@@ -384,44 +394,20 @@ func TestBackpressureRetryAfterComputed(t *testing.T) {
 	}
 }
 
-// TestRegistryPinPreventsEviction: a pinned terminal job must survive
-// the retention sweep; once unpinned it retires and is evicted like any
-// other, maxRetainedJobs retirements after its last lookup.
-func TestRegistryPinPreventsEviction(t *testing.T) {
-	reg := NewRegistry()
-	pinned := reg.Create("/p")
-	pinned.Pin()
-	pinned.Finish(JobDone, 200, "", nil)
-	flood := func(n int) {
-		for i := 0; i < n; i++ {
-			j := reg.Create("/flood")
-			j.Finish(JobDone, 200, "", nil)
-		}
-	}
-	flood(maxRetainedJobs + 100)
-	if reg.Get(pinned.ID()) == nil {
-		t.Fatal("pinned terminal job evicted while pinned")
-	}
-	pinned.Unpin()
-	flood(maxRetainedJobs - 1)
-	if reg.Get(pinned.ID()) == nil {
-		t.Fatal("unpinned terminal job evicted before maxRetainedJobs later retirements")
-	}
-	flood(maxRetainedJobs)
-	if reg.Get(pinned.ID()) != nil {
-		t.Fatal("unpinned terminal job survived maxRetainedJobs retirements after its last lookup")
-	}
-}
-
 // TestRegistryKeepsLongJobAfterFinish: retention counts from a job's
 // finish, not its admission, so a long job that stays live while many
-// shorter ones come and go is still resolvable once it is done.
+// shorter ones come and go is still resolvable once it is done; and
+// each lookup restarts the count, so it is evicted maxRetainedJobs
+// retirements after the last one.
 func TestRegistryKeepsLongJobAfterFinish(t *testing.T) {
 	reg := NewRegistry()
 	long := reg.Create("/v1/simulate")
-	for i := 0; i < maxRetainedJobs+100; i++ {
-		reg.Create("/short").Finish(JobDone, 200, "", nil)
+	flood := func(n int) {
+		for range n {
+			reg.Create("/short").Finish(JobDone, 200, "", nil)
+		}
 	}
+	flood(maxRetainedJobs + 100)
 	long.Finish(JobDone, 200, "", nil)
 	reg.Create("/next")
 	if reg.Get(long.ID()) == nil {
@@ -433,34 +419,23 @@ func TestRegistryKeepsLongJobAfterFinish(t *testing.T) {
 	if got := reg.Active(); got != 1 {
 		t.Errorf("%d active jobs, want 1", got)
 	}
-}
-
-// TestRegistryPinTakesBackRetiredJob: pinning a job that has already
-// retired (an SSE watcher of a finished job) protects it as pinning a
-// live one does, and its Unpin retires it again.
-func TestRegistryPinTakesBackRetiredJob(t *testing.T) {
-	reg := NewRegistry()
-	watched := reg.Create("/w")
-	watched.Finish(JobDone, 200, "", nil)
-	watched.Pin()
-	for i := 0; i < maxRetainedJobs+1; i++ {
-		reg.Create("/flood").Finish(JobDone, 200, "", nil)
+	flood(maxRetainedJobs - 1)
+	if reg.Get(long.ID()) == nil {
+		t.Fatal("a finished job evicted before maxRetainedJobs later retirements")
 	}
-	if reg.Get(watched.ID()) == nil {
-		t.Fatal("a retired job evicted while pinned")
+	flood(maxRetainedJobs - 1)
+	if reg.Get(long.ID()) == nil {
+		t.Fatal("a lookup did not refresh the job's retention")
 	}
-	watched.Unpin()
-	if got := reg.Retained(); got != maxRetainedJobs {
-		t.Errorf("retained %d jobs after the last Unpin, want %d", got, maxRetainedJobs)
-	}
-	if reg.Get(watched.ID()) == nil {
-		t.Error("the last Unpin dropped the job instead of retiring it")
+	flood(maxRetainedJobs)
+	if reg.Get(long.ID()) != nil {
+		t.Fatal("a finished job survived maxRetainedJobs retirements after its last lookup")
 	}
 }
 
-// TestRegistryRetiresUnderConcurrency: Finish races the last Unpin and
-// watchers' Get/Pin/Unpin. Each job retires exactly once, so when all are
-// finished and unpinned none is left live and the retired bound holds.
+// TestRegistryRetiresUnderConcurrency: Finish races Get, View and List.
+// Each job retires exactly once, so when all are finished none is left
+// live and the retired bound holds.
 func TestRegistryRetiresUnderConcurrency(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup
@@ -470,44 +445,32 @@ func TestRegistryRetiresUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := range 300 {
 				j := reg.Create("/c")
-				j.Pin()
-				steps := []func(){
-					func() { j.Finish(JobDone, 200, "", nil) },
-					func() {
-						j.Unpin()
-						if w := reg.Get(j.ID()); w != nil {
-							w.Pin()
-							w.Unpin()
-						}
-					},
-				}
-				if i%2 == 1 { // start them in both orders
-					steps[0], steps[1] = steps[1], steps[0]
-				}
-				var pair sync.WaitGroup
-				for _, step := range steps {
-					pair.Add(1)
-					go func() {
-						defer pair.Done()
-						step()
-					}()
-				}
-				pair.Wait()
+				var watcher sync.WaitGroup
+				watcher.Add(1)
+				go func() {
+					defer watcher.Done()
+					if w := reg.Get(j.ID()); w != nil {
+						w.View()
+					}
+					if i%10 == 0 {
+						reg.List()
+					}
+				}()
+				j.Finish(JobDone, 200, "", nil)
+				watcher.Wait()
 			}
 		}()
 	}
 	wg.Wait()
 	if reg.Active() != 0 || len(reg.jobs) != 0 || reg.Retained() != maxRetainedJobs {
-		t.Errorf("active %d, live or pinned %d, retained %d; want 0, 0, %d",
+		t.Errorf("active %d, live %d, retained %d; want 0, 0, %d",
 			reg.Active(), len(reg.jobs), reg.Retained(), maxRetainedJobs)
 	}
 }
 
-// TestSweepChildJobsPinnedWhileStreaming: every sweep point gets a
-// child job, resolvable through /v1/jobs/{id} right after the sweep
-// (the sweep pins children for its own lifetime, so watchers never race
-// eviction mid-flight).
-func TestSweepChildJobsPinnedWhileStreaming(t *testing.T) {
+// TestSweepChildJobsListed: every sweep point gets a child job, listed
+// in /v1/jobs and done right after the sweep.
+func TestSweepChildJobsListed(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	sweep := fmt.Sprintf(`{"template": %s, "axes": {"seedOffsets": [1, 2]}}`, sweepTemplate)
 	jobID, _, _ := postSweep(t, ts.URL, sweep)
